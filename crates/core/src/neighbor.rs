@@ -53,16 +53,43 @@ impl Ord for Neighbor {
     }
 }
 
-/// Fixed-capacity sorted array of candidates, closest first, with an
-/// "expanded" flag per entry — the classic NSG/Vamana search pool.
+/// Fixed-capacity sorted array of candidates, closest first, each with an
+/// "expanded" flag — the classic NSG/Vamana search pool, and the one
+/// priority queue under every traversal in this workspace.
 ///
-/// Insertion is `O(L)` (binary search + memmove), which beats heap-based
-/// queues for the small `L` (tens to a few thousand) used in beam search
-/// because it is branch-predictable and cache-resident.
+/// An entry is one `u64`, `dist.to_bits() << 33 | id << 1 | expanded`:
+/// non-negative floats, `+∞` and (canonicalized) NaN order like their bit
+/// patterns, so integer order on entries is [`Neighbor`]'s `(dist, id)`
+/// order. **Every slot before `cursor` is expanded**, so expansion resumes
+/// there. Insertion is an `O(log L)` search plus one `memmove`, the rest
+/// `O(1)`: branch-predictable and cache-resident at beam-search widths.
+///
+/// # Caller contract (DESIGN.md §8 "Candidate pool"; asserted in debug builds)
+/// Distances are non-negative or NaN, and an id is offered at most once per
+/// query: every traversal visited-filters first, and a node's distance is a
+/// function of its id. So only an *exact* duplicate is detected — it can
+/// only land on the slot the binary search returns.
 #[derive(Clone, Debug)]
 pub struct SortedBuffer {
-    entries: Vec<(Neighbor, bool)>,
+    entries: Vec<u64>,
     capacity: usize,
+    cursor: usize,
+}
+
+const EXPANDED: u64 = 1;
+
+/// `n` as an unexpanded entry; `+ 0.0` turns `-0.0` into `+0.0`.
+#[inline]
+fn pack(n: Neighbor) -> u64 {
+    let dist = n.dist + 0.0;
+    debug_assert!(dist >= 0.0 || dist.is_nan(), "negative distance {dist} for id {}", n.id);
+    let bits = if dist.is_nan() { f32::NAN.to_bits() } else { dist.to_bits() };
+    u64::from(bits) << 33 | u64::from(n.id) << 1
+}
+
+#[inline]
+fn unpack(entry: u64) -> Neighbor {
+    Neighbor { id: (entry >> 1) as u32, dist: f32::from_bits((entry >> 33) as u32) }
 }
 
 impl SortedBuffer {
@@ -72,34 +99,37 @@ impl SortedBuffer {
     /// Panics if `capacity == 0`.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "beam width must be positive");
-        Self { entries: Vec::with_capacity(capacity + 1), capacity }
+        Self { entries: Vec::with_capacity(capacity + 1), capacity, cursor: 0 }
     }
 
     /// Attempts to insert `n`; returns `true` if it was retained (i.e. it
-    /// beat the current worst or the buffer had room). Duplicate ids are
-    /// rejected.
+    /// beat the current worst or the buffer had room). An exact duplicate is
+    /// rejected; the type's caller contract rules out any other.
     pub fn insert(&mut self, n: Neighbor) -> bool {
-        if self.entries.len() == self.capacity && n >= self.entries[self.capacity - 1].0 {
+        // `>> 1` drops the flag: a retained twin is a duplicate expanded or not.
+        let key = pack(n);
+        if self.entries.get(self.capacity - 1).is_some_and(|&worst| key >> 1 >= worst >> 1) {
             return false;
         }
-        let pos = self.entries.partition_point(|(e, _)| *e < n);
-        // Reject exact duplicates (same id) anywhere in the buffer.
-        if self.entries.iter().any(|(e, _)| e.id == n.id) {
+        let pos = self.entries.partition_point(|&e| e < key);
+        if self.entries.get(pos).is_some_and(|&e| e >> 1 == key >> 1) {
             return false;
         }
-        self.entries.insert(pos, (n, false));
-        if self.entries.len() > self.capacity {
-            self.entries.pop();
-        }
+        debug_assert!(self.entries.iter().all(|&e| unpack(e).id != n.id), "re-scored {n:?}");
+        self.entries.insert(pos, key);
+        self.entries.truncate(self.capacity);
+        self.cursor = self.cursor.min(pos);
         true
     }
 
-    /// Index of the closest not-yet-expanded entry, if any.
+    /// Marks the closest not-yet-expanded candidate expanded and returns
+    /// it, or `None` once every retained candidate has been expanded.
     pub fn next_unexpanded(&mut self) -> Option<Neighbor> {
-        for (n, expanded) in self.entries.iter_mut() {
-            if !*expanded {
-                *expanded = true;
-                return Some(*n);
+        while let Some(entry) = self.entries.get_mut(self.cursor) {
+            self.cursor += 1;
+            if *entry & EXPANDED == 0 {
+                *entry |= EXPANDED;
+                return Some(unpack(*entry));
             }
         }
         None
@@ -118,16 +148,12 @@ impl SortedBuffer {
     /// The current worst retained distance, or `f32::INFINITY` while the
     /// buffer is not yet full. Used as the beam-search pruning bound.
     pub fn bound(&self) -> f32 {
-        if self.entries.len() < self.capacity {
-            f32::INFINITY
-        } else {
-            self.entries[self.capacity - 1].0.dist
-        }
+        self.kth(self.capacity).map_or(f32::INFINITY, |worst| worst.dist)
     }
 
     /// The `k` closest candidates, closest first.
     pub fn top_k(&self, k: usize) -> Vec<Neighbor> {
-        self.entries.iter().take(k).map(|(n, _)| *n).collect()
+        self.entries.iter().take(k).map(|&e| unpack(e)).collect()
     }
 
     /// The `k`-th closest retained candidate (1-indexed), or `None` when
@@ -136,29 +162,26 @@ impl SortedBuffer {
     /// policies compare the frontier against.
     #[inline]
     pub fn kth(&self, k: usize) -> Option<Neighbor> {
-        if k == 0 || self.entries.len() < k {
-            None
-        } else {
-            Some(self.entries[k - 1].0)
-        }
+        self.entries.get(k.checked_sub(1)?).map(|&e| unpack(e))
     }
 
     /// All retained candidates, closest first.
     pub fn as_neighbors(&self) -> Vec<Neighbor> {
-        self.entries.iter().map(|(n, _)| *n).collect()
+        self.top_k(self.entries.len())
     }
 
     /// Clears the buffer, keeping its allocation (workhorse reuse across
     /// queries).
     pub fn clear(&mut self) {
         self.entries.clear();
+        self.cursor = 0;
     }
 
     /// Resets the retained-candidate capacity (and clears).
     pub fn reset(&mut self, capacity: usize) {
         assert!(capacity > 0, "beam width must be positive");
         self.capacity = capacity;
-        self.entries.clear();
+        self.clear();
     }
 }
 

@@ -17,12 +17,19 @@ use gass_core::graph::GraphView;
 use gass_core::nd::NdStrategy;
 use gass_core::neighbor::Neighbor;
 use gass_core::reorder::IdRemap;
-use gass_core::search::{beam_search, SearchScratch};
+use gass_core::search::{beam_search, greedy_search_budgeted, SearchScratch};
 use gass_core::seed::SeedProvider;
+use gass_core::visited::VisitedSet;
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::Mutex;
+
+thread_local! {
+    /// The greedy descent's visited set; per thread, as `&Hierarchy` descends concurrently.
+    static DESCENT_VISITED: RefCell<VisitedSet> = RefCell::new(VisitedSet::new(0));
+}
 
 /// One sparse layer: adjacency over a subset of global ids. Implements
 /// [`GraphView`] so the shared beam search runs on it unchanged.
@@ -133,7 +140,7 @@ impl Hierarchy {
         let query = space.store().get(id).to_vec();
 
         // Greedy descent from the top down to `level + 1`.
-        let (mut cur, top) = match self.entry {
+        let (entry, top) = match self.entry {
             Some((e, t)) => (e, t),
             None => {
                 for l in 0..level {
@@ -143,11 +150,7 @@ impl Hierarchy {
                 return;
             }
         };
-        let mut l = top as isize;
-        while l >= level as isize {
-            cur = greedy_on_layer(&self.layers[l as usize], space, &query, cur);
-            l -= 1;
-        }
+        let mut cur = self.descend_layers(space, &query, entry, level..=top, 0);
 
         // Beam search + RND selection on each layer from min(level, top+1)
         // down to 1 (layer index level-1 .. 0).
@@ -215,24 +218,37 @@ impl Hierarchy {
         query: &[f32],
         max_dists: usize,
     ) -> Option<u32> {
-        let (mut cur, top) = self.entry?;
-        let mut spent = 0usize;
-        for l in (0..=top).rev() {
-            let (node, used) = greedy_on_layer_budgeted(
-                &self.layers[l],
-                space,
-                query,
-                cur,
-                max_dists.saturating_sub(spent),
-                max_dists > 0,
-            );
-            cur = node;
-            spent += used;
-            if max_dists > 0 && spent >= max_dists {
-                break;
+        let (entry, top) = self.entry?;
+        Some(self.descend_layers(space, query, entry, 0..=top, max_dists))
+    }
+
+    /// Hill-climbs `layers` top-down from `entry` with the shared
+    /// [`greedy_search_budgeted`], at full precision whatever `space` carries;
+    /// `max_dists` (`0` = unlimited) caps the evaluations over all layers.
+    fn descend_layers(
+        &self,
+        space: Space<'_>,
+        query: &[f32],
+        entry: u32,
+        layers: std::ops::RangeInclusive<usize>,
+        max_dists: usize,
+    ) -> u32 {
+        let space = space.with_quant(None);
+        DESCENT_VISITED.with_borrow_mut(|visited| {
+            let (mut cur, mut spent) = (entry, 0usize);
+            for l in layers.rev() {
+                // Positive under a budget (see the `break`): never core's "0 = unlimited".
+                let left = max_dists.saturating_sub(spent);
+                let (best, stats) =
+                    greedy_search_budgeted(&self.layers[l], space, query, cur, visited, left);
+                cur = best.id;
+                spent += stats.evaluated;
+                if max_dists > 0 && spent >= max_dists {
+                    break;
+                }
             }
-        }
-        Some(cur)
+            cur
+        })
     }
 
     /// Number of hierarchy layers (excluding the base layer).
@@ -275,45 +291,6 @@ impl Hierarchy {
         }
         if let Some((e, _)) = self.entry.as_mut() {
             *e = map.to_new(*e);
-        }
-    }
-}
-
-fn greedy_on_layer(layer: &SparseLayer, space: Space<'_>, query: &[f32], entry: u32) -> u32 {
-    greedy_on_layer_budgeted(layer, space, query, entry, 0, false).0
-}
-
-/// Budgeted per-layer hill climb: stops once `budget` evaluations were
-/// spent (when `budgeted`), returning the best node found and the
-/// evaluation count. With `budgeted == false` the loop runs to the local
-/// minimum — exactly the historical `greedy_on_layer`.
-fn greedy_on_layer_budgeted(
-    layer: &SparseLayer,
-    space: Space<'_>,
-    query: &[f32],
-    entry: u32,
-    budget: usize,
-    budgeted: bool,
-) -> (u32, usize) {
-    let mut best = entry;
-    let mut best_d = space.dist_to(query, entry);
-    let mut spent = 1usize;
-    loop {
-        if budgeted && spent >= budget {
-            return (best, spent);
-        }
-        let mut improved = false;
-        for &nb in layer.neighbors(best) {
-            let d = space.dist_to(query, nb);
-            spent += 1;
-            if d < best_d {
-                best = nb;
-                best_d = d;
-                improved = true;
-            }
-        }
-        if !improved {
-            return (best, spent);
         }
     }
 }

@@ -66,3 +66,108 @@ fn different_seeds_differ() {
         "independent seeds produced identical structures"
     );
 }
+
+/// 64-bit FNV-1a over little-endian `u32` words.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Self(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, w: u32) {
+        for b in w.to_le_bytes() {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+/// Hash of every answer's `(id, dist.to_bits())` list and traversal stats.
+fn answers_hash(results: &[gass::core::SearchResult]) -> u64 {
+    let mut h = Fnv::new();
+    for r in results {
+        h.word(r.neighbors.len() as u32);
+        for n in &r.neighbors {
+            h.word(n.id);
+            h.word(n.dist.to_bits());
+        }
+        h.word(r.stats.hops as u32);
+        h.word(r.stats.evaluated as u32);
+    }
+    h.0
+}
+
+/// Golden pin, recorded on the commit *before* the candidate pool was
+/// rewritten (PR 13): the serial HNSW build's edge lists and the answers of
+/// 20 fixed queries on every serving path must stay bit-for-bit what they
+/// were. Any traversal refactor has to reproduce these constants; only the
+/// build's distance count may move, and only down.
+#[test]
+fn golden_hnsw_graph_and_answers() {
+    use gass::core::{CodecSpec, GraphView, PrebuiltIndex, RandomSeeds, TerminationPolicy};
+
+    const GRAPH: u64 = 0x628c_f64c_82ad_30d7;
+    const BUILD_DISTS_AT_PIN: u64 = 2_038_119;
+    const ANSWERS: [(&str, u64); 7] = [
+        ("f32 L=16", 0xf8dd_3235_ea30_5331),
+        ("f32 L=140", 0x71a1_a6f9_47a2_8572),
+        ("sq8 rerank 2 L=16", 0xd4a6_ab20_a0bb_55aa),
+        ("sq8 rerank 2 L=140", 0x99cc_3643_0c70_f848),
+        // rerank 14 makes the pool 140 entries at either beam width.
+        ("pq rerank 14 L=16", 0x3715_aa13_c9f6_6fe6),
+        ("coalesced sq8 batch of 8 L=16", 0x1892_0a64_8ba2_7976),
+        ("coalesced sq8 batch of 8 L=140", 0x17ce_be9a_17e0_f6ea),
+    ];
+
+    let base = gass::data::synth::deep_like(3000, 1);
+    let queries = gass::data::synth::deep_like(20, 2);
+    let mut index = HnswIndex::build(
+        base.clone(),
+        HnswParams { m: 16, ef_construction: 128, seed: 7, threads: 1 },
+    );
+
+    let graph = index.base_graph();
+    let mut h = Fnv::new();
+    for u in 0..graph.num_nodes() as u32 {
+        h.word(graph.neighbors(u).len() as u32);
+        graph.neighbors(u).iter().for_each(|&v| h.word(v));
+    }
+    assert_eq!(h.0, GRAPH, "the built graph's edge lists changed");
+    let build_dists = index.build_report().dist_calcs;
+    assert!(build_dists <= BUILD_DISTS_AT_PIN, "construction got dearer: {build_dists}");
+
+    let counter = DistCounter::new();
+    let params = |l: usize, rerank: usize| {
+        QueryParams::new(10, l).with_rerank_factor(rerank).with_term(TerminationPolicy::Fixed)
+    };
+    let run = |index: &dyn AnnIndex, p: QueryParams| {
+        let res: Vec<_> = (0..queries.len() as u32)
+            .map(|q| index.search(queries.get(q), &p, &counter))
+            .collect();
+        answers_hash(&res)
+    };
+    let mut got = Vec::new();
+    got.extend([16, 140].map(|l| run(&index, params(l, 4))));
+    index.quantize(CodecSpec::Sq8);
+    got.extend([16, 140].map(|l| run(&index, params(l, 2))));
+    index.quantize(CodecSpec::Pq { m: None });
+    got.push(run(&index, params(16, 14)));
+
+    // The lockstep multi-lane engine, as `gass serve` runs it.
+    let mut served = PrebuiltIndex::new(
+        base.clone(),
+        index.base_graph().clone(),
+        Box::new(RandomSeeds::per_query(base.len(), 99)),
+        "HNSW",
+    );
+    served.freeze();
+    served.quantize(CodecSpec::Sq8);
+    let batch: Vec<&[f32]> = (0..8).map(|q| queries.get(q)).collect();
+    got.extend(
+        [16, 140]
+            .map(|l| answers_hash(&served.search_coalesced(&batch, &params(l, 2), &counter))),
+    );
+
+    let got: Vec<(&str, u64)> = ANSWERS.iter().map(|(name, _)| *name).zip(got).collect();
+    assert_eq!(got, ANSWERS, "an answer or its traversal stats changed");
+}

@@ -209,3 +209,185 @@ proptest! {
         }
     }
 }
+
+/// The `SortedBuffer` every traversal ran on before PR 13, verbatim: a
+/// `(Neighbor, bool)` tuple per entry, a linear duplicate scan on insert
+/// and a rescan from slot 0 per expansion. Kept only as the oracle of
+/// `sorted_buffer_matches_reference_model`.
+struct ReferenceBuffer {
+    entries: Vec<(Neighbor, bool)>,
+    capacity: usize,
+}
+
+impl ReferenceBuffer {
+    /// Creates an empty buffer that retains at most `capacity` candidates.
+    ///
+    /// # Panics
+    /// Panics if `capacity == 0`.
+    fn new(capacity: usize) -> Self {
+        assert!(capacity > 0, "beam width must be positive");
+        Self { entries: Vec::with_capacity(capacity + 1), capacity }
+    }
+
+    /// Attempts to insert `n`; returns `true` if it was retained (i.e. it
+    /// beat the current worst or the buffer had room). Duplicate ids are
+    /// rejected.
+    fn insert(&mut self, n: Neighbor) -> bool {
+        if self.entries.len() == self.capacity && n >= self.entries[self.capacity - 1].0 {
+            return false;
+        }
+        let pos = self.entries.partition_point(|(e, _)| *e < n);
+        // Reject exact duplicates (same id) anywhere in the buffer.
+        if self.entries.iter().any(|(e, _)| e.id == n.id) {
+            return false;
+        }
+        self.entries.insert(pos, (n, false));
+        if self.entries.len() > self.capacity {
+            self.entries.pop();
+        }
+        true
+    }
+
+    /// Index of the closest not-yet-expanded entry, if any.
+    fn next_unexpanded(&mut self) -> Option<Neighbor> {
+        for (n, expanded) in self.entries.iter_mut() {
+            if !*expanded {
+                *expanded = true;
+                return Some(*n);
+            }
+        }
+        None
+    }
+
+    /// Current number of retained candidates.
+    fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// `true` when no candidates are retained.
+    fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// The current worst retained distance, or `f32::INFINITY` while the
+    /// buffer is not yet full. Used as the beam-search pruning bound.
+    fn bound(&self) -> f32 {
+        if self.entries.len() < self.capacity {
+            f32::INFINITY
+        } else {
+            self.entries[self.capacity - 1].0.dist
+        }
+    }
+
+    /// The `k` closest candidates, closest first.
+    fn top_k(&self, k: usize) -> Vec<Neighbor> {
+        self.entries.iter().take(k).map(|(n, _)| *n).collect()
+    }
+
+    /// The `k`-th closest retained candidate (1-indexed), or `None` when
+    /// fewer than `k` are retained. `kth(k)` is the current worst of the
+    /// would-be result set — the reference distance adaptive termination
+    /// policies compare the frontier against.
+    fn kth(&self, k: usize) -> Option<Neighbor> {
+        if k == 0 || self.entries.len() < k {
+            None
+        } else {
+            Some(self.entries[k - 1].0)
+        }
+    }
+
+    /// All retained candidates, closest first.
+    fn as_neighbors(&self) -> Vec<Neighbor> {
+        self.entries.iter().map(|(n, _)| *n).collect()
+    }
+
+    /// Clears the buffer, keeping its allocation (workhorse reuse across
+    /// queries).
+    fn clear(&mut self) {
+        self.entries.clear();
+    }
+
+    /// Resets the retained-candidate capacity (and clears).
+    fn reset(&mut self, capacity: usize) {
+        assert!(capacity > 0, "beam width must be positive");
+        self.capacity = capacity;
+        self.entries.clear();
+    }
+}
+
+/// A returned distance as comparable bits (the sign of zero and NaN
+/// payloads are not part of the ordering contract).
+fn dist_bits(dist: f32) -> u32 {
+    if dist.is_nan() { f32::NAN } else { dist + 0.0 }.to_bits()
+}
+
+fn bits(n: Neighbor) -> (u32, u32) {
+    (n.id, dist_bits(n.dist))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Model-based: the packed-key buffer and the reference answer every
+    /// call identically on random operation streams. A node's distance is a
+    /// function of its id (the traversal contract) drawn from a small
+    /// palette, so ties, `0.0`, `-0.0`, `+∞` and both NaN signs are all
+    /// heavy; ids are re-offered after acceptance, rejection and eviction;
+    /// inserts land before, at and after the expansion cursor and after the
+    /// pool has been drained.
+    #[test]
+    fn sorted_buffer_matches_reference_model(
+        cap in 1usize..=200,
+        palette in prop::collection::vec(0u8..=255, 300),
+        ops in prop::collection::vec((0u8..32, 0u32..300), 1..600),
+    ) {
+        let dist_of = |id: u32| match palette[id as usize] {
+            p if p % 8 == 0 => 0.0,
+            p if p % 8 == 1 => -0.0,
+            p if p % 8 == 2 => f32::INFINITY,
+            p if p % 8 == 3 => f32::NAN,
+            // The sign-set quiet NaN x86 produces for `∞ − ∞`.
+            p if p % 8 == 4 => -f32::NAN,
+            p => f32::from(p / 8) * 0.5,
+        };
+        let mut cap = cap;
+        let mut sut = SortedBuffer::new(cap);
+        let mut model = ReferenceBuffer::new(cap);
+        for (op, id) in ops {
+            match op {
+                0..=19 => {
+                    let n = Neighbor::new(id, dist_of(id));
+                    prop_assert_eq!(sut.insert(n), model.insert(n), "insert {n:?}");
+                }
+                20..=27 => prop_assert_eq!(
+                    sut.next_unexpanded().map(bits),
+                    model.next_unexpanded().map(bits)
+                ),
+                28 => loop {
+                    let (got, want) = (sut.next_unexpanded(), model.next_unexpanded());
+                    prop_assert_eq!(got.map(bits), want.map(bits));
+                    if want.is_none() {
+                        break;
+                    }
+                },
+                29 => {
+                    sut.clear();
+                    model.clear();
+                }
+                _ => {
+                    cap = 1 + id as usize % 200;
+                    sut.reset(cap);
+                    model.reset(cap);
+                }
+            }
+            prop_assert_eq!(sut.len(), model.len());
+            prop_assert_eq!(sut.is_empty(), model.is_empty());
+            prop_assert_eq!(dist_bits(sut.bound()), dist_bits(model.bound()));
+            let k = id as usize % (cap + 2);
+            prop_assert_eq!(sut.kth(k).map(bits), model.kth(k).map(bits));
+            let top = |v: Vec<Neighbor>| v.into_iter().map(bits).collect::<Vec<_>>();
+            prop_assert_eq!(top(sut.top_k(k)), top(model.top_k(k)));
+            prop_assert_eq!(top(sut.as_neighbors()), top(model.as_neighbors()));
+        }
+    }
+}
