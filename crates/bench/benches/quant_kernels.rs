@@ -5,7 +5,10 @@
 //! AVX2/NEON at runtime; the `*_scalar` rows pin the reference the
 //! dispatcher falls back to under `GASS_NO_SIMD`. The `pq_scan` rows are
 //! the 16-entry LUT compare-select scan over 4-bit PQ codes (m = dim/6
-//! subquantizers), the inner loop of PQ traversal.
+//! subquantizers), the inner loop of PQ traversal; `pq_prepare` is the
+//! once-per-query table construction in front of it and `pq_train` the
+//! codebook training + encoding of a 2000-row store, so a regression in
+//! either shows here without the end-to-end benchmark.
 //!
 //! Inputs come from real code stores so the rows carry the padded stride
 //! (SQ8) / chunked LUT layout (PQ) the serving path sees.
@@ -18,14 +21,14 @@ use gass_core::quant::{
 use gass_core::{PreparedQuery, QuantizedStore, VectorStore};
 use std::hint::black_box;
 
-fn sample_store(dim: usize) -> (VectorStore, Vec<f32>) {
+fn sample_store(dim: usize, rows: usize) -> (VectorStore, Vec<f32>) {
     let gen = |phase: f32| (0..dim).map(move |i| (i as f32 * 0.37 + phase).sin());
-    let flat: Vec<f32> = (0..5).flat_map(|v| gen(1.0 + v as f32)).collect();
+    let flat: Vec<f32> = (0..rows).flat_map(|v| gen(1.0 + v as f32)).collect();
     (VectorStore::from_flat(dim, flat), gen(0.0).collect())
 }
 
 fn quantized(dim: usize) -> (QuantizedStore, PreparedQuery) {
-    let (base, query) = sample_store(dim);
+    let (base, query) = sample_store(dim, 5);
     let store = QuantizedStore::from_store(&base);
     let mut pq = PreparedQuery::default();
     store.prepare_into(&query, &mut pq);
@@ -33,7 +36,7 @@ fn quantized(dim: usize) -> (QuantizedStore, PreparedQuery) {
 }
 
 fn pq_encoded(dim: usize) -> (PqStore, PreparedQuery) {
-    let (base, query) = sample_store(dim);
+    let (base, query) = sample_store(dim, 5);
     let store = PqStore::from_store(&base, None);
     let mut pq = PreparedQuery::default();
     store.prepare_into(&query, &mut pq);
@@ -96,6 +99,18 @@ fn bench_quant_kernels(c: &mut Criterion) {
             &dim,
             |bench, _| bench.iter(|| pq_scan_batch_scalar(black_box(lut), black_box(prows))),
         );
+    }
+    for dim in [96usize, 128, 960] {
+        // 2000 rows: enough that PQ trains its full 16 centroids.
+        let (base, query) = sample_store(dim, 2000);
+        let store = PqStore::from_store(&base, None);
+        let mut prepared = PreparedQuery::default();
+        group.bench_with_input(BenchmarkId::new("pq_prepare", dim), &dim, |bench, _| {
+            bench.iter(|| store.prepare_into(black_box(&query), &mut prepared))
+        });
+        group.bench_with_input(BenchmarkId::new("pq_train", dim), &dim, |bench, _| {
+            bench.iter(|| PqStore::from_store(black_box(&base), None))
+        });
     }
     group.finish();
 }

@@ -17,7 +17,7 @@
 //!   clusters reseeded at the farthest assigned point. Bit-identical to the
 //!   trainer PQ shipped with (guarded by the PQ proptests).
 
-use crate::distance::{l2_sq, DistCounter};
+use crate::distance::{argmin16, l2_sq, sub_dists16, to_dim_major16, DistCounter, LANES16};
 use crate::store::VectorStore;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
@@ -290,6 +290,105 @@ pub fn maximin_lloyd(train: &[f32], dsub: usize, ncent: usize, iters: usize) -> 
     let mut assignment = vec![0usize; n];
     let mut assigned_d = vec![0.0f32; n];
     for _ in 0..iters {
+        // Assign (strict `<`, so ties go to the lowest centroid index),
+        // sixteen centroids per kernel call.
+        let blocks: Vec<f32> =
+            centroids.chunks(LANES16 * dsub).flat_map(|b| to_dim_major16(b, dsub)).collect();
+        for (pos, slot) in assignment.iter_mut().enumerate() {
+            let v = sub(pos);
+            let (mut best, mut best_d) = (0usize, f32::INFINITY);
+            for (b, block) in blocks.chunks_exact(LANES16 * dsub).enumerate() {
+                let (c, d) = argmin16(&sub_dists16(v, block));
+                if d < best_d {
+                    best_d = d;
+                    best = b * LANES16 + c;
+                }
+            }
+            *slot = best;
+            assigned_d[pos] = best_d;
+        }
+        // Update: f64 sums in fixed row order.
+        let mut sums = vec![0.0f64; ncent * dsub];
+        let mut counts = vec![0usize; ncent];
+        for (pos, &c) in assignment.iter().enumerate() {
+            counts[c] += 1;
+            for (s, x) in sums[c * dsub..(c + 1) * dsub].iter_mut().zip(sub(pos)) {
+                *s += *x as f64;
+            }
+        }
+        for c in 0..ncent {
+            if counts[c] == 0 {
+                // Reseed at the farthest assigned point not yet consumed.
+                let far = assigned_d
+                    .iter()
+                    .enumerate()
+                    .max_by(|a, b| a.1.total_cmp(b.1).then(b.0.cmp(&a.0)))
+                    .map(|(pos, _)| pos)
+                    .unwrap_or(0);
+                assigned_d[far] = -1.0;
+                centroids[c * dsub..(c + 1) * dsub].copy_from_slice(sub(far));
+            } else {
+                for (dst, s) in centroids[c * dsub..(c + 1) * dsub]
+                    .iter_mut()
+                    .zip(&sums[c * dsub..(c + 1) * dsub])
+                {
+                    *dst = (*s / counts[c] as f64) as f32;
+                }
+            }
+        }
+    }
+    centroids
+}
+
+/// [`maximin_lloyd`] as it stood before the 16-centroid kernel (one
+/// dispatched `l2_sq` per point–centroid pair, a serial strict-`<` scan),
+/// kept verbatim as the oracle the kernel-based trainer must reproduce bit
+/// for bit.
+#[cfg(test)]
+pub(crate) fn maximin_lloyd_reference(
+    train: &[f32],
+    dsub: usize,
+    ncent: usize,
+    iters: usize,
+) -> Vec<f32> {
+    assert!(dsub > 0, "point dimension must be positive");
+    assert!(!train.is_empty(), "maximin k-means over empty training set");
+    assert!(train.len().is_multiple_of(dsub), "training data must be whole rows");
+    let n = train.len() / dsub;
+    let sub = |pos: usize| -> &[f32] { &train[pos * dsub..(pos + 1) * dsub] };
+    // Maximin (farthest-point) seeding: start from the subvector mean's
+    // nearest training point, then greedily add the point farthest from
+    // every chosen centroid. Deterministic, and far better than uniform
+    // index sampling on clustered data.
+    let mut centroids: Vec<f32> = Vec::with_capacity(ncent * dsub);
+    let mut mean = vec![0.0f64; dsub];
+    for pos in 0..n {
+        for (m, x) in mean.iter_mut().zip(sub(pos)) {
+            *m += *x as f64;
+        }
+    }
+    let mean: Vec<f32> = mean.iter().map(|m| (*m / n as f64) as f32).collect();
+    let first = (0..n)
+        .min_by(|&a, &b| l2_sq(sub(a), &mean).total_cmp(&l2_sq(sub(b), &mean)).then(a.cmp(&b)))
+        .unwrap_or(0);
+    centroids.extend_from_slice(sub(first));
+    let mut seed_d: Vec<f32> = (0..n).map(|pos| l2_sq(sub(pos), &centroids[..dsub])).collect();
+    for _ in 1..ncent {
+        let far = seed_d
+            .iter()
+            .enumerate()
+            .max_by(|a, b| a.1.total_cmp(b.1).then(b.0.cmp(&a.0)))
+            .map(|(pos, _)| pos)
+            .unwrap_or(0);
+        let chosen: Vec<f32> = sub(far).to_vec();
+        for (pos, d) in seed_d.iter_mut().enumerate() {
+            *d = d.min(l2_sq(sub(pos), &chosen));
+        }
+        centroids.extend_from_slice(&chosen);
+    }
+    let mut assignment = vec![0usize; n];
+    let mut assigned_d = vec![0.0f32; n];
+    for _ in 0..iters {
         // Assign (strict `<`, so ties go to the lowest centroid index).
         for (pos, slot) in assignment.iter_mut().enumerate() {
             let v = sub(pos);
@@ -361,6 +460,39 @@ mod tests {
         let b = maximin_lloyd(&flat, 2, 4, 10);
         assert_eq!(a, b, "seed-free trainer must be bit-stable");
         assert_eq!(a.len(), 4 * 2);
+    }
+
+    #[test]
+    fn maximin_lloyd_matches_the_per_centroid_reference() {
+        // Point sets with exact duplicates (ties, empty clusters to reseed)
+        // and without; centroid counts below, at and beyond one 16-lane
+        // block; point dimensions around the 8-lane chunk boundary.
+        let mut state = 7u32;
+        let mut next = |levels: u32| {
+            state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+            ((state >> 16) % levels) as f32 * 0.37 - 3.0
+        };
+        for (n, dsub, ncent, levels) in [
+            (1, 3, 1, 50),
+            (5, 6, 5, 50),
+            (16, 6, 16, 50),
+            (300, 6, 16, 1000),
+            (300, 1, 16, 5),
+            (200, 2, 16, 3),
+            (120, 9, 16, 1000),
+            (150, 16, 7, 1000),
+            (400, 4, 17, 1000),
+            (400, 5, 40, 4),
+        ] {
+            let train: Vec<f32> = (0..n * dsub).map(|_| next(levels)).collect();
+            let got = maximin_lloyd(&train, dsub, ncent, 25);
+            let want = maximin_lloyd_reference(&train, dsub, ncent, 25);
+            assert_eq!(
+                got.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                want.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                "n={n} dsub={dsub} ncent={ncent} levels={levels}"
+            );
+        }
     }
 
     #[test]

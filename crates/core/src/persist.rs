@@ -379,9 +379,11 @@ pub fn encode_codec(codec: &dyn CodecStore) -> Bytes {
         buf.put_slice(&q.to_packed_codes());
         buf.freeze()
     } else if let Some(q) = any.downcast_ref::<PqStore>() {
+        // Files keep the centroid-major order whatever the serving layout.
+        let centroids = q.centroids();
         let mut buf = header(
             KIND_CODEC,
-            33 + q.dim() * 4 + q.centroids().len() * 4 + q.len() * q.m().div_ceil(2),
+            33 + q.dim() * 4 + centroids.len() * 4 + q.len() * q.m().div_ceil(2),
         );
         buf.put_u8(CODEC_PQ);
         buf.put_u64_le(q.dim() as u64);
@@ -391,7 +393,7 @@ pub fn encode_codec(codec: &dyn CodecStore) -> Bytes {
         for &d in q.perm() {
             buf.put_u32_le(d);
         }
-        for &c in q.centroids() {
+        for c in centroids {
             buf.put_f32_le(c);
         }
         buf.put_slice(&q.to_packed_codes());
@@ -462,7 +464,7 @@ pub fn decode_codec(mut buf: Bytes) -> Result<Box<dyn CodecStore>, PersistError>
             }
             let mut packed = vec![0u8; want];
             buf.copy_to_slice(&mut packed);
-            Ok(Box::new(PqStore::from_parts(dim, m, ncent, perm, centroids, packed)))
+            Ok(Box::new(PqStore::from_parts(dim, m, ncent, perm, &centroids, packed)))
         }
         tag => Err(PersistError::UnknownCodec(tag)),
     }
@@ -780,7 +782,7 @@ pub fn save_codec_mapped(codec: &dyn CodecStore, path: &Path) -> Result<(), Pers
         for &d in q.perm() {
             head.put_u32_le(d);
         }
-        for &c in q.centroids() {
+        for c in q.centroids() {
             head.put_f32_le(c);
         }
         (q.len(), q.stride())
@@ -907,7 +909,7 @@ fn mapped_codec_view(buf: Arc<MmapBuf>) -> Result<Box<dyn CodecStore>, PersistEr
             Box::new(Sq4Store::from_parts_mapped(dim, mins, deltas, head.len, region))
         }
         McodecParams::Pq { dim, m, ncent, perm, centroids } => Box::new(
-            PqStore::from_parts_mapped(dim, m, ncent, perm, centroids, head.len, region),
+            PqStore::from_parts_mapped(dim, m, ncent, perm, &centroids, head.len, region),
         ),
     })
 }
@@ -937,7 +939,7 @@ pub fn open_codec_mapped(path: &Path) -> Result<Box<dyn CodecStore>, PersistErro
             Box::new(Sq4Store::from_parts(dim, mins, deltas, packed))
         }
         McodecParams::Pq { dim, m, ncent, perm, centroids } => {
-            Box::new(PqStore::from_parts(dim, m, ncent, perm, centroids, packed))
+            Box::new(PqStore::from_parts(dim, m, ncent, perm, &centroids, packed))
         }
     })
 }

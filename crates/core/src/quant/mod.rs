@@ -294,7 +294,11 @@ pub trait CodecStore: std::fmt::Debug + Send + Sync {
 
     /// Prepares `query` for code-space scoring, reusing `out`'s buffers
     /// (affine codecs shift the query against the grid; PQ builds the
-    /// quantized distance LUT).
+    /// quantized distance LUT). **Precondition: every component of `query`
+    /// is finite.** A non-finite component never panics or reads out of
+    /// bounds, but the distances it yields are meaningless (PQ's lane-wise
+    /// table folding lets a NaN spread to the whole table); input from
+    /// outside the process is rejected where it enters (`gass serve`).
     fn prepare_into(&self, query: &[f32], out: &mut PreparedQuery);
 
     /// Code-space distance from a prepared query to vector `id`.
@@ -353,6 +357,10 @@ pub struct PreparedQuery {
     pub(crate) lut: Vec<u8>,
     pub(crate) lut_scale: f32,
     pub(crate) lut_bias: f32,
+    /// PQ scratch: the query dealt through the dimension permutation.
+    pub(crate) qperm: Vec<f32>,
+    /// PQ scratch: the exact residual table `T[j][c] − min_c T[j][c]`.
+    pub(crate) table: Vec<f32>,
 }
 
 impl PreparedQuery {

@@ -20,6 +20,14 @@
 //! odd `j` high nibble), rows pad to a multiple of 16 bytes from a
 //! 64-byte-aligned base.
 //!
+//! Codebooks are held **dimension-major** (`[j][i][c]`: the 16 centroids'
+//! `i`-th coordinates contiguous) — the only in-memory layout — so one
+//! [`sub_dists16`] call scores a subvector against a subquantizer's whole
+//! codebook with SIMD lanes = centroids, each lane bit-identical to the
+//! per-centroid `l2_sq`. Table construction, encoding and the trainer's
+//! assignment step all go through it. Persisted files keep the
+//! centroid-major `[j][c][i]` order ([`PqStore::centroids`]).
+//!
 //! ## Per-query LUT and the compare-select scan
 //!
 //! [`PqStore::prepare_into`] computes the exact `f32` table `T[j][c] =
@@ -45,12 +53,12 @@
 use super::{
     lines_as_bytes_mut, CodeBuf, CodeLine, CodecSpec, CodecStore, PreparedQuery, LINE_U8,
 };
-use crate::distance::l2_sq;
+use crate::distance::{argmin16, min16, sub_dists16, to_dim_major16};
 use crate::par::par_map;
 use crate::store::VectorStore;
 
-/// Centroids per subquantizer (4-bit codes).
-pub const KSUB: usize = 16;
+/// Centroids per subquantizer (4-bit codes) — one [`sub_dists16`] block.
+pub const KSUB: usize = crate::distance::LANES16;
 
 /// Training sample cap: k-means sees every `ceil(n / PQ_TRAIN_MAX)`-th row.
 const PQ_TRAIN_MAX: usize = 32_768;
@@ -120,8 +128,8 @@ fn balanced_dim_order(store: &VectorStore, train: &[u32], m: usize, dsub: usize)
 /// via the workspace's shared trainer [`crate::kmeans::maximin_lloyd`]:
 /// maximin seeding, fixed iterations, empty clusters reseeded at the
 /// current farthest-assigned points (successively, index tie-break). Same
-/// inputs always produce the same centroids. Returns `ncent` centroids
-/// flattened, zero-padded to [`KSUB`] rows.
+/// inputs always produce the same centroids. Returns the `ncent` centroids
+/// as one dimension-major block (`[i][c]`), padded to [`KSUB`] lanes.
 fn train_subquantizer(
     store: &VectorStore,
     train: &[u32],
@@ -138,9 +146,7 @@ fn train_subquantizer(
             perm_j.iter().map(move |&d| row[d as usize])
         })
         .collect();
-    let mut centroids = crate::kmeans::maximin_lloyd(&tv, dsub, ncent, PQ_KMEANS_ITERS);
-    centroids.resize(KSUB * dsub, 0.0);
-    centroids
+    to_dim_major16(&crate::kmeans::maximin_lloyd(&tv, dsub, ncent, PQ_KMEANS_ITERS), dsub)
 }
 
 /// Encodes every row of `store` against fixed codebooks: nearest centroid
@@ -148,31 +154,20 @@ fn train_subquantizer(
 /// Row-local, so it commutes with any row permutation.
 fn encode_rows(
     store: &VectorStore,
-    m: usize,
     dsub: usize,
-    ncent: usize,
-    centroids: &[f32],
+    ct: &[f32],
     perm: &[u32],
     stride: usize,
 ) -> Vec<CodeLine> {
+    let row_bytes = (perm.len() / dsub).div_ceil(2);
     let rows: Vec<Vec<u8>> = par_map(0, store.len(), |i| {
         let row = store.get(i as u32);
-        let mut sv = vec![0.0f32; dsub];
-        let mut packed = vec![0u8; m.div_ceil(2)];
-        for j in 0..m {
-            for (s, &d) in sv.iter_mut().zip(&perm[j * dsub..(j + 1) * dsub]) {
-                *s = row[d as usize];
-            }
-            let v = &sv[..];
-            let base = j * KSUB * dsub;
-            let (mut best, mut best_d) = (0usize, f32::INFINITY);
-            for c in 0..ncent {
-                let d = l2_sq(v, &centroids[base + c * dsub..base + (c + 1) * dsub]);
-                if d < best_d {
-                    best_d = d;
-                    best = c;
-                }
-            }
+        let sv: Vec<f32> = perm.iter().map(|&d| row[d as usize]).collect();
+        let mut packed = vec![0u8; row_bytes];
+        for (j, (v, ct_j)) in
+            sv.chunks_exact(dsub).zip(ct.chunks_exact(dsub * KSUB)).enumerate()
+        {
+            let (best, _) = argmin16(&sub_dists16(v, ct_j));
             packed[j / 2] |= (best as u8) << (4 * (j % 2));
         }
         packed
@@ -183,6 +178,23 @@ fn encode_rows(
         raw[i * stride..i * stride + row.len()].copy_from_slice(row);
     }
     codes
+}
+
+/// `x` rounded half away from zero and saturated to a byte — what
+/// `x.round().clamp(0.0, 255.0) as u8` computes — for `x ≥ 0` (or NaN,
+/// which yields 0), written so sixteen entries quantize as packed
+/// arithmetic: adding 2²³ leaves no fraction bits, so `(x + 2²³) − 2²³` is
+/// `x` rounded to the nearest integer with ties to even, exactly; the one
+/// case where that differs from ties-away is a remainder of exactly `+½`;
+/// and the result, an integer in `0..=255`, is the low byte of `r + 2²³`'s
+/// bit pattern.
+#[inline(always)]
+fn round_to_u8(x: f32) -> u8 {
+    const TWO23: f32 = 8_388_608.0;
+    let x = if x > 255.0 { 255.0 } else { x };
+    let even = (x + TWO23) - TWO23;
+    let r = if x - even == 0.5 { even + 1.0 } else { even };
+    (r + TWO23).to_bits() as u8
 }
 
 /// Product-quantized codes over a whole [`VectorStore`]: `m` subquantizer
@@ -200,9 +212,10 @@ pub struct PqStore {
     /// original dimension `perm[j*dsub + p]` (the variance-balanced snake
     /// deal from [`balanced_dim_order`]).
     perm: Vec<u32>,
-    /// `m * KSUB * dsub` floats; centroid `c` of subquantizer `j` at
-    /// `[(j*KSUB + c)*dsub ..][..dsub]` (rows past `ncent` are zero pads).
-    centroids: Vec<f32>,
+    /// `m * dsub * KSUB` floats, dimension-major: coordinate `i` of
+    /// subquantizer `j`'s centroid `c` at `[(j*dsub + i)*KSUB + c]` (lanes
+    /// past `ncent` repeat lane 0 — see [`to_dim_major16`]).
+    ct: Vec<f32>,
     codes: CodeBuf,
 }
 
@@ -226,22 +239,52 @@ impl PqStore {
         let train: Vec<u32> = (0..store.len() as u32).step_by(step).collect();
         let ncent = train.len().min(KSUB);
         let perm = balanced_dim_order(store, &train, m, dsub);
-        let centroids: Vec<f32> = par_map(0, m, |j| {
+        let ct: Vec<f32> = par_map(0, m, |j| {
             train_subquantizer(store, &train, &perm[j * dsub..(j + 1) * dsub], ncent)
         })
         .into_iter()
         .flatten()
         .collect();
         let stride = pq_stride(m);
-        let codes =
-            CodeBuf::Heap(encode_rows(store, m, dsub, ncent, &centroids, &perm, stride));
-        Self { dim, m, dsub, ncent, stride, len: store.len(), perm, centroids, codes }
+        let codes = CodeBuf::Heap(encode_rows(store, dsub, &ct, &perm, stride));
+        Self { dim, m, dsub, ncent, stride, len: store.len(), perm, ct, codes }
+    }
+
+    /// The argument checks shared by [`Self::from_parts`] and
+    /// [`Self::from_parts_mapped`]; returns `dsub` and the persisted
+    /// (`[j][c][i]`) codebooks re-laid dimension-major.
+    fn validate_parts(
+        dim: usize,
+        m: usize,
+        ncent: usize,
+        perm: &[u32],
+        centroids: &[f32],
+    ) -> (usize, Vec<f32>) {
+        assert!(dim > 0, "vector dimension must be positive");
+        assert!(m >= 1 && m <= dim && dim.is_multiple_of(m), "m={m} must divide dim={dim}");
+        assert!((1..=KSUB).contains(&ncent), "centroid count {ncent} out of range");
+        assert_eq!(perm.len(), dim, "dimension permutation length mismatch");
+        let mut seen = vec![false; dim];
+        for &d in perm {
+            assert!(
+                (d as usize) < dim && !std::mem::replace(&mut seen[d as usize], true),
+                "perm is not a permutation of 0..{dim}"
+            );
+        }
+        let dsub = dim / m;
+        assert_eq!(centroids.len(), m * KSUB * dsub, "codebook length mismatch");
+        let mut ct = Vec::with_capacity(centroids.len());
+        for rows in centroids.chunks_exact(KSUB * dsub) {
+            ct.extend(to_dim_major16(&rows[..ncent * dsub], dsub));
+        }
+        (dsub, ct)
     }
 
     /// Reassembles a store from persisted parts: the group-major dimension
-    /// permutation, full padded codebooks (`m * 16 * dsub` floats with
-    /// `dsub = dim/m`), the live centroid count, and packed code rows
-    /// (`ceil(m/2)` bytes each).
+    /// permutation, full padded codebooks in persisted `[j][c][i]` order
+    /// (`m * 16 * dsub` floats with `dsub = dim/m`, as
+    /// [`Self::centroids`] returns them), the live centroid count, and
+    /// packed code rows (`ceil(m/2)` bytes each).
     ///
     /// # Panics
     /// Panics if the lengths are inconsistent or `perm` is not a
@@ -251,22 +294,10 @@ impl PqStore {
         m: usize,
         ncent: usize,
         perm: Vec<u32>,
-        centroids: Vec<f32>,
+        centroids: &[f32],
         packed: Vec<u8>,
     ) -> Self {
-        assert!(dim > 0, "vector dimension must be positive");
-        assert!(m >= 1 && m <= dim && dim.is_multiple_of(m), "m={m} must divide dim={dim}");
-        assert!((1..=KSUB).contains(&ncent), "centroid count {ncent} out of range");
-        assert_eq!(perm.len(), dim, "dimension permutation length mismatch");
-        let mut seen = vec![false; dim];
-        for &d in &perm {
-            assert!(
-                (d as usize) < dim && !std::mem::replace(&mut seen[d as usize], true),
-                "perm is not a permutation of 0..{dim}"
-            );
-        }
-        let dsub = dim / m;
-        assert_eq!(centroids.len(), m * KSUB * dsub, "codebook length mismatch");
+        let (dsub, ct) = Self::validate_parts(dim, m, ncent, &perm, centroids);
         let row_bytes = m.div_ceil(2);
         assert!(
             packed.len().is_multiple_of(row_bytes),
@@ -281,7 +312,7 @@ impl PqStore {
         for (id, row) in packed.chunks_exact(row_bytes).enumerate() {
             raw[id * stride..id * stride + row_bytes].copy_from_slice(row);
         }
-        Self { dim, m, dsub, ncent, stride, len, perm, centroids, codes: CodeBuf::Heap(codes) }
+        Self { dim, m, dsub, ncent, stride, len, perm, ct, codes: CodeBuf::Heap(codes) }
     }
 
     /// Reassembles a store over a mapped code area (row geometry identical
@@ -295,40 +326,18 @@ impl PqStore {
         m: usize,
         ncent: usize,
         perm: Vec<u32>,
-        centroids: Vec<f32>,
+        centroids: &[f32],
         len: usize,
         region: crate::mmap::MmapRegion,
     ) -> Self {
-        assert!(dim > 0, "vector dimension must be positive");
-        assert!(m >= 1 && m <= dim && dim.is_multiple_of(m), "m={m} must divide dim={dim}");
-        assert!((1..=KSUB).contains(&ncent), "centroid count {ncent} out of range");
-        assert_eq!(perm.len(), dim, "dimension permutation length mismatch");
-        let mut seen = vec![false; dim];
-        for &d in &perm {
-            assert!(
-                (d as usize) < dim && !std::mem::replace(&mut seen[d as usize], true),
-                "perm is not a permutation of 0..{dim}"
-            );
-        }
-        let dsub = dim / m;
-        assert_eq!(centroids.len(), m * KSUB * dsub, "codebook length mismatch");
+        let (dsub, ct) = Self::validate_parts(dim, m, ncent, &perm, centroids);
         let stride = pq_stride(m);
         assert_eq!(
             region.len(),
             (len * stride).next_multiple_of(LINE_U8),
             "mapped code area size mismatch"
         );
-        Self {
-            dim,
-            m,
-            dsub,
-            ncent,
-            stride,
-            len,
-            perm,
-            centroids,
-            codes: CodeBuf::from_mapped(region),
-        }
+        Self { dim, m, dsub, ncent, stride, len, perm, ct, codes: CodeBuf::from_mapped(region) }
     }
 
     /// Number of encoded vectors.
@@ -367,10 +376,18 @@ impl PqStore {
         self.stride
     }
 
-    /// The full padded codebooks (`m * 16 * dsub` floats).
-    #[inline]
-    pub fn centroids(&self) -> &[f32] {
-        &self.centroids
+    /// The full padded codebooks in persisted centroid-major order
+    /// (`m * 16 * dsub` floats; centroid `c` of subquantizer `j` at
+    /// `[(j*16 + c)*dsub ..][..dsub]`, rows past `ncent` zero), gathered
+    /// from the dimension-major serving layout.
+    pub fn centroids(&self) -> Vec<f32> {
+        let mut out = vec![0.0f32; self.ct.len()];
+        for (j, rows) in out.chunks_exact_mut(KSUB * self.dsub).enumerate() {
+            for (c, row) in rows.chunks_exact_mut(self.dsub).take(self.ncent).enumerate() {
+                row.iter_mut().zip(self.centroid(j, c)).for_each(|(o, x)| *o = x);
+            }
+        }
+        out
     }
 
     /// The group-major dimension permutation (`dim` entries; subquantizer
@@ -380,11 +397,11 @@ impl PqStore {
         &self.perm
     }
 
-    /// Centroid `c` of subquantizer `j`.
+    /// Centroid `c` of subquantizer `j` (a stride-16 gather).
     #[inline]
-    fn centroid(&self, j: usize, c: usize) -> &[f32] {
-        let start = (j * KSUB + c) * self.dsub;
-        &self.centroids[start..start + self.dsub]
+    fn centroid(&self, j: usize, c: usize) -> impl Iterator<Item = f32> + '_ {
+        let block = self.dsub * KSUB;
+        self.ct[j * block..(j + 1) * block].iter().skip(c).step_by(KSUB).copied()
     }
 
     /// The full padded code row of vector `id` (`stride` bytes).
@@ -426,7 +443,7 @@ impl PqStore {
         Self {
             codes: CodeBuf::Heap(codes),
             perm: self.perm.clone(),
-            centroids: self.centroids.clone(),
+            ct: self.ct.clone(),
             ..*self
         }
     }
@@ -438,7 +455,7 @@ impl PqStore {
         let mut out = vec![0.0f32; self.dim];
         for j in 0..self.m {
             let c = ((row[j / 2] >> (4 * (j % 2))) & 0x0F) as usize;
-            for (&d, &x) in
+            for (&d, x) in
                 self.perm[j * self.dsub..(j + 1) * self.dsub].iter().zip(self.centroid(j, c))
             {
                 out[d as usize] = x;
@@ -452,41 +469,47 @@ impl PqStore {
     /// bias `Σ_j min_c T[j][c]` and shared scale `λ`, laid out chunk-major
     /// for the compare-select kernels. Padded subquantizers and dead
     /// centroid slots hold zero and are never selected by live codes.
+    ///
+    /// Row minima and the residual maximum are taken lane-wise (sixteen
+    /// independent chains; order-free for the non-NaN values a finite
+    /// query produces), the bias is summed in `j` order. Allocation-free
+    /// once `out`'s buffers have grown to this store's geometry.
     pub fn prepare_into(&self, query: &[f32], out: &mut PreparedQuery) {
         debug_assert_eq!(query.len(), self.dim, "query dimension mismatch");
+        debug_assert!(query.iter().all(|x| x.is_finite()), "query components must be finite");
         out.u.clear();
         out.s.clear();
         out.lut.clear();
         out.lut.resize((self.stride / 16) * LUT_CHUNK, 0);
-        let mut table = vec![0.0f32; self.m * KSUB];
-        let mut qsub = vec![0.0f32; self.dsub];
+        out.qperm.clear();
+        out.qperm.extend(self.perm.iter().map(|&d| query[d as usize]));
+        out.table.resize(self.m * KSUB, 0.0);
         let mut bias = 0.0f32;
-        let mut maxres = 0.0f32;
-        for j in 0..self.m {
-            for (s, &d) in qsub.iter_mut().zip(&self.perm[j * self.dsub..(j + 1) * self.dsub]) {
-                *s = query[d as usize];
-            }
-            let row = &mut table[j * KSUB..j * KSUB + self.ncent];
-            let mut mn = f32::INFINITY;
-            for (c, slot) in row.iter_mut().enumerate() {
-                let d = l2_sq(&qsub, self.centroid(j, c));
-                *slot = d;
-                mn = mn.min(d);
-            }
+        let mut maxes = [0.0f32; KSUB];
+        let subs =
+            out.qperm.chunks_exact(self.dsub).zip(self.ct.chunks_exact(self.dsub * KSUB));
+        for ((qsub, ct_j), row) in subs.zip(out.table.chunks_exact_mut(KSUB)) {
+            let d = sub_dists16(qsub, ct_j);
+            let mn = min16(&d);
             bias += mn;
-            for slot in row.iter_mut() {
-                *slot -= mn;
-                maxres = maxres.max(*slot);
+            for c in 0..KSUB {
+                row[c] = d[c] - mn;
+                maxes[c] = if row[c] > maxes[c] { row[c] } else { maxes[c] };
             }
         }
+        let maxres = maxes.iter().fold(0.0f32, |a, &b| if b > a { b } else { a });
         let inv = if maxres > 0.0 { 255.0 / maxres } else { 0.0 };
-        for j in 0..self.m {
-            // Chunk of 16 code bytes, lane within it, even/odd half.
-            let (chunk, lane, half) = (j / 32, (j % 32) / 2, j % 2);
-            let base = chunk * LUT_CHUNK + half * 16 + lane;
-            for c in 0..self.ncent {
-                let q = (table[j * KSUB + c] * inv).round().clamp(0.0, 255.0) as u8;
-                out.lut[base + c * 32] = q;
+        // One 512-byte LUT chunk per 16 code bytes = 32 subquantizers; entry
+        // `c` of the chunk's `jj`-th subquantizer sits at `c*32 + (jj odd)*16
+        // + jj/2`.
+        let chunks = out.table.chunks(32 * KSUB).zip(out.lut.chunks_exact_mut(LUT_CHUNK));
+        for (rows, lut) in chunks {
+            for (jj, row) in rows.chunks_exact(KSUB).enumerate() {
+                let at = (jj % 2) * 16 + jj / 2;
+                let bytes: [u8; KSUB] = std::array::from_fn(|c| round_to_u8(row[c] * inv));
+                for (c, &b) in bytes[..self.ncent].iter().enumerate() {
+                    lut[at + c * 32] = b;
+                }
             }
         }
         out.lut_scale = maxres / 255.0;
@@ -563,7 +586,7 @@ impl PqStore {
     /// code areas count zero; their residency is kernel-managed).
     pub fn heap_bytes(&self) -> usize {
         self.codes.heap_bytes()
-            + self.centroids.capacity() * std::mem::size_of::<f32>()
+            + self.ct.capacity() * std::mem::size_of::<f32>()
             + self.perm.capacity() * std::mem::size_of::<u32>()
     }
 
@@ -572,19 +595,11 @@ impl PqStore {
     #[cfg(test)]
     fn reencode(&self, store: &VectorStore) -> PqStore {
         assert_eq!(store.dim(), self.dim);
-        let codes = encode_rows(
-            store,
-            self.m,
-            self.dsub,
-            self.ncent,
-            &self.centroids,
-            &self.perm,
-            self.stride,
-        );
+        let codes = encode_rows(store, self.dsub, &self.ct, &self.perm, self.stride);
         Self {
             codes: CodeBuf::Heap(codes),
             perm: self.perm.clone(),
-            centroids: self.centroids.clone(),
+            ct: self.ct.clone(),
             len: store.len(),
             ..*self
         }
@@ -841,8 +856,127 @@ pub fn pq_scan_batch(lut: &[u8], codes: [&[u8]; 4]) -> [u32; 4] {
     }
 }
 
+/// PQ as it stood before the 16-centroid kernel — centroid-major
+/// codebooks, one dispatched `l2_sq` per point–centroid pair, serial
+/// `f32::min`/`max` folds, per-entry `round().clamp() as u8` — with the
+/// arithmetic kept verbatim: the oracle the dimension-major implementation
+/// must reproduce bit for bit.
+#[cfg(test)]
+mod oracle {
+    use super::{balanced_dim_order, pq_auto_m, pq_stride, KSUB, LUT_CHUNK, PQ_KMEANS_ITERS};
+    use crate::distance::l2_sq;
+    use crate::store::VectorStore;
+
+    pub(super) struct Oracle {
+        pub m: usize,
+        dsub: usize,
+        pub ncent: usize,
+        stride: usize,
+        pub perm: Vec<u32>,
+        /// `[j][c][i]`, zero-padded to `KSUB` rows per subquantizer.
+        pub centroids: Vec<f32>,
+        /// `ceil(m/2)` bytes per row.
+        pub packed: Vec<u8>,
+    }
+
+    impl Oracle {
+        pub(super) fn train(store: &VectorStore, m: Option<usize>) -> Self {
+            let dim = store.dim();
+            let m = m.unwrap_or_else(|| pq_auto_m(dim));
+            let dsub = dim / m;
+            let train: Vec<u32> = (0..store.len() as u32).collect();
+            let ncent = train.len().min(KSUB);
+            let perm = balanced_dim_order(store, &train, m, dsub);
+            let mut centroids = Vec::new();
+            for j in 0..m {
+                let perm_j = &perm[j * dsub..(j + 1) * dsub];
+                let tv: Vec<f32> = train
+                    .iter()
+                    .flat_map(|&id| {
+                        let row = store.get(id);
+                        perm_j.iter().map(move |&d| row[d as usize])
+                    })
+                    .collect();
+                let mut block =
+                    crate::kmeans::maximin_lloyd_reference(&tv, dsub, ncent, PQ_KMEANS_ITERS);
+                block.resize(KSUB * dsub, 0.0);
+                centroids.extend(block);
+            }
+            let mut packed = Vec::new();
+            for i in 0..store.len() {
+                let row = store.get(i as u32);
+                let mut sv = vec![0.0f32; dsub];
+                let mut code = vec![0u8; m.div_ceil(2)];
+                for j in 0..m {
+                    for (s, &d) in sv.iter_mut().zip(&perm[j * dsub..(j + 1) * dsub]) {
+                        *s = row[d as usize];
+                    }
+                    let v = &sv[..];
+                    let base = j * KSUB * dsub;
+                    let (mut best, mut best_d) = (0usize, f32::INFINITY);
+                    for c in 0..ncent {
+                        let d = l2_sq(v, &centroids[base + c * dsub..base + (c + 1) * dsub]);
+                        if d < best_d {
+                            best_d = d;
+                            best = c;
+                        }
+                    }
+                    code[j / 2] |= (best as u8) << (4 * (j % 2));
+                }
+                packed.extend(code);
+            }
+            Self { m, dsub, ncent, stride: pq_stride(m), perm, centroids, packed }
+        }
+
+        fn centroid(&self, j: usize, c: usize) -> &[f32] {
+            let start = (j * KSUB + c) * self.dsub;
+            &self.centroids[start..start + self.dsub]
+        }
+
+        /// The quantized table with its scale and bias.
+        pub(super) fn prepare(&self, query: &[f32]) -> (Vec<u8>, f32, f32) {
+            let mut lut = vec![0u8; (self.stride / 16) * LUT_CHUNK];
+            let mut table = vec![0.0f32; self.m * KSUB];
+            let mut qsub = vec![0.0f32; self.dsub];
+            let mut bias = 0.0f32;
+            let mut maxres = 0.0f32;
+            for j in 0..self.m {
+                for (s, &d) in
+                    qsub.iter_mut().zip(&self.perm[j * self.dsub..(j + 1) * self.dsub])
+                {
+                    *s = query[d as usize];
+                }
+                let row = &mut table[j * KSUB..j * KSUB + self.ncent];
+                let mut mn = f32::INFINITY;
+                for (c, slot) in row.iter_mut().enumerate() {
+                    let d = l2_sq(&qsub, self.centroid(j, c));
+                    *slot = d;
+                    mn = mn.min(d);
+                }
+                bias += mn;
+                for slot in row.iter_mut() {
+                    *slot -= mn;
+                    maxres = maxres.max(*slot);
+                }
+            }
+            let inv = if maxres > 0.0 { 255.0 / maxres } else { 0.0 };
+            for j in 0..self.m {
+                // Chunk of 16 code bytes, lane within it, even/odd half.
+                let (chunk, lane, half) = (j / 32, (j % 32) / 2, j % 2);
+                let base = chunk * LUT_CHUNK + half * 16 + lane;
+                for c in 0..self.ncent {
+                    let q = (table[j * KSUB + c] * inv).round().clamp(0.0, 255.0) as u8;
+                    lut[base + c * 32] = q;
+                }
+            }
+            (lut, maxres / 255.0, bias)
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::oracle::Oracle;
     use super::*;
 
     fn ramp_store(n: usize, dim: usize) -> VectorStore {
@@ -853,6 +987,145 @@ mod tests {
             s.push(&row);
         }
         s
+    }
+
+    /// A store with per-row, per-dimension structure at several scales
+    /// (so variances, and hence the dimension deal, are not degenerate).
+    fn mixed_store(n: usize, dim: usize, seed: u32) -> VectorStore {
+        let mut state = seed;
+        let mut s = VectorStore::new(dim);
+        for _ in 0..n {
+            let row: Vec<f32> = (0..dim)
+                .map(|d| {
+                    state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+                    ((state >> 8) as f32 / (1u32 << 24) as f32 - 0.5) * (1.0 + (d % 7) as f32)
+                })
+                .collect();
+            s.push(&row);
+        }
+        s
+    }
+
+    #[test]
+    fn codebooks_codes_and_tables_match_the_oracle_bit_for_bit() {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        // Single- and multi-chunk tables, dsub below / at / above one
+        // kernel chunk (1, 4, 5, 6, 64), stores too small for 16 centroids.
+        for (dim, m) in [(96, 16), (100, 20), (128, 32), (960, 160), (7, 7), (64, 1)] {
+            for n in [1usize, 5, 16, 40] {
+                let store = mixed_store(n, dim, (dim * 31 + n) as u32);
+                let (pq, want) =
+                    (PqStore::from_store(&store, Some(m)), Oracle::train(&store, Some(m)));
+                let label = format!("dim={dim} m={m} n={n}");
+                assert_eq!((pq.m(), pq.ncent()), (want.m, want.ncent), "{label}");
+                assert_eq!(pq.perm(), &want.perm[..], "{label}");
+                assert_eq!(bits(&pq.centroids()), bits(&want.centroids), "{label}: codebooks");
+                assert_eq!(pq.to_packed_codes(), want.packed, "{label}: codes");
+                let mut prepared = PreparedQuery::default();
+                for q in 0..3u32 {
+                    let query = mixed_store(1, dim, 1000 + q);
+                    pq.prepare_into(query.get(0), &mut prepared);
+                    let (lut, scale, bias) = want.prepare(query.get(0));
+                    assert_eq!(prepared.lut(), &lut[..], "{label} query {q}: table");
+                    assert_eq!(
+                        prepared.lut_scale().to_bits(),
+                        scale.to_bits(),
+                        "{label}: scale"
+                    );
+                    assert_eq!(prepared.lut_bias().to_bits(), bias.to_bits(), "{label}: bias");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn constant_store_folds_to_an_all_zero_table() {
+        // Every row equal: every centroid equal, every residual zero.
+        let store = VectorStore::from_flat(12, [1.5f32, -2.0, 0.25].repeat(4 * 20));
+        let (pq, want) = (PqStore::from_store(&store, Some(4)), Oracle::train(&store, Some(4)));
+        assert_eq!(pq.centroids(), want.centroids);
+        assert_eq!(pq.to_packed_codes(), want.packed);
+        let mut prepared = PreparedQuery::default();
+        for query in [[1.5f32, -2.0, 0.25].repeat(4), vec![0.0; 12], vec![9.0; 12]] {
+            pq.prepare_into(&query, &mut prepared);
+            let (lut, scale, bias) = want.prepare(&query);
+            assert!(lut.iter().all(|&b| b == 0) && scale == 0.0, "maxres must be zero");
+            assert_eq!(prepared.lut(), &lut[..]);
+            assert_eq!(prepared.lut_scale().to_bits(), scale.to_bits());
+            assert_eq!(prepared.lut_bias().to_bits(), bias.to_bits());
+        }
+    }
+
+    #[test]
+    fn round_to_u8_is_round_half_away_saturated() {
+        let want = |x: f32| x.round().clamp(0.0, 255.0) as u8;
+        for k in 0..=255u32 {
+            let tie = k as f32 + 0.5;
+            for x in [k as f32, tie.next_down(), tie, tie.next_up()] {
+                assert_eq!(round_to_u8(x), want(x), "x = {x:?}");
+            }
+        }
+        // Every 1/4096 step of [0, 256), plus what a table entry scaled by
+        // a rounded-up `255 / maxres` can overshoot to.
+        for i in 0..(256u32 << 12) {
+            let x = i as f32 / 4096.0;
+            assert_eq!(round_to_u8(x), want(x), "x = {x:?}");
+        }
+        for x in [255.0f32.next_up(), 255.5, 256.0, 1e9, f32::INFINITY, f32::NAN] {
+            assert_eq!(round_to_u8(x), want(x), "x = {x:?}");
+        }
+    }
+
+    #[test]
+    fn prepare_into_allocates_nothing_after_the_first_call() {
+        let store = mixed_store(40, 96, 3);
+        let pq = PqStore::from_store(&store, None);
+        let mut prepared = PreparedQuery::default();
+        pq.prepare_into(store.get(0), &mut prepared);
+        let buffers = |p: &PreparedQuery| {
+            [
+                (p.lut.as_ptr() as usize, p.lut.capacity()),
+                (p.qperm.as_ptr() as usize, p.qperm.capacity()),
+                (p.table.as_ptr() as usize, p.table.capacity()),
+                (p.u.as_ptr() as usize, p.u.capacity()),
+                (p.s.as_ptr() as usize, p.s.capacity()),
+            ]
+        };
+        let before = buffers(&prepared);
+        for i in 0..100u32 {
+            pq.prepare_into(store.get(i % 40), &mut prepared);
+            assert_eq!(buffers(&prepared), before, "call {i} moved or grew a buffer");
+        }
+    }
+
+    /// The precondition is finiteness; a caller inside the process that
+    /// breaks it gets meaningless distances, never a panic or a wild read
+    /// (debug builds assert the precondition instead).
+    #[test]
+    #[cfg_attr(debug_assertions, should_panic(expected = "must be finite"))]
+    fn non_finite_query_does_not_panic_in_release() {
+        use crate::distance::{DistCounter, QuantView, Space};
+        let store = mixed_store(200, 24, 5);
+        let pq = PqStore::from_store(&store, Some(4));
+        let mut graph = crate::graph::AdjacencyGraph::new(200);
+        for u in 0..200u32 {
+            for step in [1, 7, 31] {
+                graph.add_edge(u, (u + step) % 200);
+            }
+        }
+        let counter = DistCounter::new();
+        let space = Space::new(&store, &counter).with_quant(Some(QuantView::new(&pq, 4)));
+        let mut scratch = crate::search::SearchScratch::new(200, 16);
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let mut query = store.get(3).to_vec();
+            query[5] = bad;
+            let mut prepared = PreparedQuery::default();
+            pq.prepare_into(&query, &mut prepared);
+            let _ = pq.dist_prepared(&prepared, 0);
+            let res =
+                crate::search::beam_search(&graph, space, &query, &[0], 5, 16, &mut scratch);
+            assert!(res.neighbors.len() <= 5);
+        }
     }
 
     #[test]
@@ -970,7 +1243,7 @@ mod tests {
             q.m(),
             q.ncent(),
             q.perm().to_vec(),
-            q.centroids().to_vec(),
+            &q.centroids(),
             q.to_packed_codes(),
         );
         assert_eq!(back.len(), q.len());
@@ -1046,7 +1319,8 @@ mod props {
                     let (rsub, dsubv) = (sub(r), sub(&dec));
                     let err = crate::distance::l2_sq(&dsubv, &rsub);
                     for c in 0..q.ncent() {
-                        let alt = crate::distance::l2_sq(q.centroid(j, c), &rsub);
+                        let cent: Vec<f32> = q.centroid(j, c).collect();
+                        let alt = crate::distance::l2_sq(&cent, &rsub);
                         prop_assert!(
                             err <= alt + alt.abs() * 1e-5 + 1e-5,
                             "id {} subq {}: decode err {} beats centroid {} ({})",

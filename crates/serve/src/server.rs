@@ -702,20 +702,20 @@ fn enqueue_query(
     stats: &StatsInner,
     term: Option<gass_core::Termination>,
 ) {
-    if q.query.len() != index.dim() {
+    // Input from outside the process is checked where it enters: the
+    // codecs' query preparation requires finite components.
+    let rejection = if q.query.len() != index.dim() {
+        Some(format!("query dim {} != index dim {}", q.query.len(), index.dim()))
+    } else if q.k == 0 {
+        Some("k must be at least 1".to_string())
+    } else if !q.query.iter().all(|x| x.is_finite()) {
+        Some("query has a non-finite component".to_string())
+    } else {
+        None
+    };
+    if let Some(detail) = rejection {
         stats.bad_requests.fetch_add(1, Ordering::Relaxed);
-        reply.post(&Response::Rejected {
-            status: Status::BadRequest,
-            detail: format!("query dim {} != index dim {}", q.query.len(), index.dim()),
-        });
-        return;
-    }
-    if q.k == 0 {
-        stats.bad_requests.fetch_add(1, Ordering::Relaxed);
-        reply.post(&Response::Rejected {
-            status: Status::BadRequest,
-            detail: "k must be at least 1".to_string(),
-        });
+        reply.post(&Response::Rejected { status: Status::BadRequest, detail });
         return;
     }
     let mut params = QueryParams::new(q.k, q.beam_width.max(q.k))

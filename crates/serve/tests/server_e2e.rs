@@ -212,12 +212,23 @@ fn malformed_queries_are_rejected_not_fatal() {
         Response::Rejected { status: Status::BadRequest, .. } => {}
         other => panic!("expected bad-request, got {other:?}"),
     }
+    // A non-finite component, wherever it sits.
+    for (at, bad) in [(0, f32::NAN), (DIM / 2, f32::INFINITY), (DIM - 1, f32::NEG_INFINITY)] {
+        let mut query = [0.1f32; DIM];
+        query[at] = bad;
+        match client.query_simple(&query, K, 32).unwrap() {
+            Response::Rejected { status: Status::BadRequest, detail } => {
+                assert!(detail.contains("non-finite"), "detail: {detail}");
+            }
+            other => panic!("expected bad-request for {bad} at {at}, got {other:?}"),
+        }
+    }
     // The connection survives; a well-formed query still works.
     match client.query_simple(&[0.1; DIM], K, 32).unwrap() {
         Response::Neighbors(ns) => assert_eq!(ns.len(), K),
         other => panic!("expected neighbors, got {other:?}"),
     }
-    assert_eq!(handle.stats().bad_requests, 2);
+    assert_eq!(handle.stats().bad_requests, 5);
     handle.shutdown();
     handle.join();
 }

@@ -171,3 +171,71 @@ fn golden_hnsw_graph_and_answers() {
     let got: Vec<(&str, u64)> = ANSWERS.iter().map(|(name, _)| *name).zip(got).collect();
     assert_eq!(got, ANSWERS, "an answer or its traversal stats changed");
 }
+
+/// Golden pin, recorded on the commit *before* PQ query preparation and
+/// codebook training moved onto the 16-centroid kernel (PR 18): for a given
+/// store, the trained dimension map, codebooks (in persisted `[j][c][i]`
+/// order), packed codes, one prepared query's table with its scale and bias,
+/// and both persisted files must stay bit-for-bit what they were.
+#[test]
+fn golden_pq_codebooks_codes_tables_and_files() {
+    use gass::core::{save_codec, save_codec_mapped, PqStore, PreparedQuery};
+
+    // (label, trained state, prepared query, tagged codec file, mapped codec file)
+    const PINS: [(&str, usize, [u64; 4]); 2] = [
+        (
+            "deep-96 n=3000",
+            16,
+            [
+                0xfbb5_6f4d_898f_ccad,
+                0xe207_dc70_7aab_2133,
+                0xb3a1_d038_7e0b_dcb9,
+                0x830f_52d5_309c_cddb,
+            ],
+        ),
+        (
+            "gist-960 n=600",
+            160,
+            [
+                0x6c0c_acca_a7df_de2d,
+                0x81c6_098d_a7d4_948c,
+                0xa33d_5048_c79b_b2e1,
+                0x258f_cbbd_8596_2543,
+            ],
+        ),
+    ];
+    let stores = [
+        (gass::data::synth::deep_like(3000, 1), gass::data::synth::deep_like(1, 2)),
+        (gass::data::synth::gist_like(600, 1), gass::data::synth::gist_like(1, 2)),
+    ];
+    let dir = std::env::temp_dir().join(format!("gass_golden_pq_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let file_hash = |path: &std::path::Path| {
+        let mut h = Fnv::new();
+        std::fs::read(path).expect("codec file").iter().for_each(|&b| h.word(u32::from(b)));
+        h.0
+    };
+    let mut got = Vec::new();
+    for ((label, m, _), (base, query)) in PINS.iter().zip(&stores) {
+        let pq = PqStore::from_store(base, None);
+        assert_eq!(pq.m(), *m, "{label}");
+        let mut trained = Fnv::new();
+        pq.perm().iter().for_each(|&d| trained.word(d));
+        pq.centroids().iter().for_each(|c| trained.word(c.to_bits()));
+        pq.to_packed_codes().iter().for_each(|&b| trained.word(u32::from(b)));
+
+        let mut prepared = PreparedQuery::default();
+        pq.prepare_into(query.get(0), &mut prepared);
+        let mut table = Fnv::new();
+        prepared.lut().iter().for_each(|&b| table.word(u32::from(b)));
+        table.word(prepared.lut_scale().to_bits());
+        table.word(prepared.lut_bias().to_bits());
+
+        let (tagged, mapped) = (dir.join("pq.codec.gass"), dir.join("pq.mcodec.gass"));
+        save_codec(&pq, &tagged).expect("save tagged codec");
+        save_codec_mapped(&pq, &mapped).expect("save mapped codec");
+        got.push((*label, *m, [trained.0, table.0, file_hash(&tagged), file_hash(&mapped)]));
+    }
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(got, PINS, "PQ training, encoding, table folding or the file format changed");
+}
