@@ -166,7 +166,8 @@ pub fn run_mapped_sharded_tier(
     let t0 = std::time::Instant::now();
     ShardedIndex::build_to_dir(
         &base,
-        &ShardedParams::new(shards),
+        // Width 1: these tiers' peak-RSS evidence is "one shard resident".
+        &ShardedParams::new(shards).with_threads(1),
         &counter,
         &index_dir,
         |s, sub| {

@@ -50,11 +50,14 @@ COMMANDS:
             keeps each method's default (serial for the incremental-
             insertion methods, all cores for the rest).
             With --shards N, partition the store with balanced k-means and
-            build one --method graph per shard, one shard at a time (peak
-            memory stays near a single shard); --out becomes a directory
+            build one --method graph per shard; --out becomes a directory
             holding the shard table (centroids + id lists) and per-shard
             mapped stores and graphs. --nprobe K (default ceil(N/4)) sets
-            how many shards `query`/`serve` search per query.
+            how many shards `query`/`serve` search per query. --threads T
+            builds min(T, N) shards at a time (absent: one per core) and
+            hands each shard's builder T / min(T, N): the directory is
+            byte-identical at any T whose builders stay serial, and peak
+            memory is that many shards — --threads 1 keeps it at one.
 
   query     --store <file> --graph <file> --queries <file>
             | --sharded <dir> --queries <file> [--nprobe <K>]
@@ -383,6 +386,16 @@ fn run(args: Args) -> Result<(), String> {
                         }
                         params = params.with_nprobe(np);
                     }
+                    // --threads T goes to the shard level first: shards
+                    // share nothing, so that level is byte-identical at any
+                    // width and scales linearly, which batch-parallel
+                    // insertion inside one shard is not. What is left over,
+                    // T / width, goes to each shard's builder. Without the
+                    // flag the builders keep their own defaults.
+                    let total = gass_core::effective_threads(threads.unwrap_or(0));
+                    let width = total.min(k);
+                    let inner = threads.map(|_| (total / width).max(1));
+                    params = params.with_threads(width);
                     let counter = DistCounter::new();
                     gass_core::ShardedIndex::build_to_dir(
                         &store,
@@ -390,12 +403,14 @@ fn run(args: Args) -> Result<(), String> {
                         &counter,
                         Path::new(out),
                         |s, sub| {
-                            eprintln!(
-                                "shard {s}: building {method} over {} vectors",
-                                sub.len()
-                            );
-                            let graph = build_graph(method, sub.clone(), seed, threads)
+                            let t_shard = std::time::Instant::now();
+                            let graph = build_graph(method, sub.clone(), seed, inner)
                                 .expect("method validated above");
+                            eprintln!(
+                                "shard {s}: built {method} over {} vectors in {:.2}s",
+                                sub.len(),
+                                t_shard.elapsed().as_secs_f64()
+                            );
                             let n = sub.len();
                             let seeds: Box<dyn gass_core::SeedProvider> =
                                 Box::new(RandomSeeds::per_query(n, 7));
@@ -404,7 +419,8 @@ fn run(args: Args) -> Result<(), String> {
                     )
                     .map_err(|e| e.to_string())?;
                     println!(
-                        "built {method} x {k} shards over {} vectors in {:.2}s (nprobe {})",
+                        "built {method} x {k} shards over {} vectors in {:.2}s \
+                         (nprobe {}, {width} shards at a time)",
                         store.len(),
                         t.elapsed().as_secs_f64(),
                         params.nprobe.min(k),

@@ -339,6 +339,54 @@ fn sharded_build_query_roundtrip() {
     );
 }
 
+/// `--threads` goes to the shard level first, where it cannot change a
+/// byte: 1, 2 and the default (one shard per core, serial HNSW inside)
+/// write the same directory.
+#[test]
+fn sharded_build_is_byte_identical_across_threads() {
+    let dir = std::env::temp_dir().join("gass_cli_e2e_sharded_threads");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let store = dir.join("base.store.gass");
+    run_ok(gass().args([
+        "generate",
+        "--dataset",
+        "deep",
+        "--n",
+        "1500",
+        "--seed",
+        "5",
+        "--out",
+        store.to_str().unwrap(),
+    ]));
+    let build = |name: &str, threads: Option<&str>| {
+        let out_dir = dir.join(name);
+        let mut cmd = gass();
+        cmd.args(["build", "--method", "hnsw", "--store", store.to_str().unwrap()]);
+        cmd.args(["--out", out_dir.to_str().unwrap(), "--shards", "3"]);
+        if let Some(t) = threads {
+            cmd.args(["--threads", t]);
+        }
+        let stdout = run_ok(&mut cmd);
+        let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(&out_dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .map(|name| (name.clone(), std::fs::read(out_dir.join(name)).unwrap()))
+            .collect();
+        files.sort();
+        (stdout, files)
+    };
+    let (out1, serial) = build("t1", Some("1"));
+    let (out2, two) = build("t2", Some("2"));
+    let (_, default) = build("default", None);
+    assert!(out1.contains("1 shards at a time"), "{out1}");
+    assert!(out2.contains("2 shards at a time"), "{out2}");
+    assert_eq!(serial.len(), 1 + 2 * 3);
+    assert!(serial == two, "--threads 2 wrote different bytes than --threads 1");
+    assert!(serial == default, "the default width wrote different bytes than --threads 1");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn adaptive_termination_query_flags() {
     let dir = std::env::temp_dir().join("gass_cli_e2e_term");

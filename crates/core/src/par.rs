@@ -8,10 +8,11 @@
 //! parallel substrate is what lets many index types scale uniformly. This
 //! module is that substrate:
 //!
-//! * [`par_for`] / [`par_map`] / [`par_map_with`] — scoped worker-pool
-//!   helpers over an index range. `threads <= 1` runs inline on the caller
-//!   thread, executing exactly the code a serial loop would, so serial
-//!   builds stay bit-for-bit reproducible.
+//! * [`par_for`] / [`par_map`] / [`par_map_with`] / [`par_for_each_mut`] —
+//!   scoped worker-pool helpers over an index range (or a mutable slice).
+//!   `threads <= 1` runs inline on the caller thread, executing exactly the
+//!   code a serial loop would, so serial builds stay bit-for-bit
+//!   reproducible.
 //! * [`par_workers`] — worker-indexed fan-out for dynamic work queues
 //!   (query throughput measurement).
 //! * [`ConcurrentAdjacency`] — a graph under construction that many
@@ -22,6 +23,14 @@
 //!   graph of batches `< i`, so early inserts still see a mostly built
 //!   graph.
 //!
+//! **Nesting.** A *requested* width of `0` ("all cores") resolves to `1`
+//! when the call comes from inside a worker one of these helpers spawned:
+//! the outer level already occupies the cores, so an inner "all cores"
+//! would only oversubscribe them (shard-parallel `quantize(Pq)` → codebook
+//! training's own `par_map(0, …)` per shard). An explicit non-zero request
+//! is honoured at any depth, and a helper that ran *inline* (width 1) marks
+//! nothing, so the work it calls still sees every core.
+//!
 //! Everything here is plain `std` (scoped threads, mutexes, atomics); the
 //! workspace builds offline and carries no threading dependencies.
 //!
@@ -30,9 +39,15 @@
 //! total.
 
 use crate::graph::{AdjacencyGraph, GraphView};
-use std::cell::UnsafeCell;
+use std::cell::{Cell, UnsafeCell};
 use std::ops::Range;
 use std::sync::Mutex;
+
+thread_local! {
+    /// Set for the lifetime of every worker thread this module spawns; see
+    /// the module docs on nesting.
+    static IN_WORKER: Cell<bool> = const { Cell::new(false) };
+}
 
 /// Resolves a `threads` knob: `0` means "all available cores", anything
 /// else is taken as given.
@@ -42,6 +57,27 @@ pub fn effective_threads(requested: usize) -> usize {
     } else {
         requested
     }
+}
+
+/// [`effective_threads`] as the `par_*` helpers apply it: a requested `0`
+/// from inside one of their own workers is `1` (module docs, "Nesting").
+fn resolve(requested: usize) -> usize {
+    if requested == 0 && IN_WORKER.get() {
+        1
+    } else {
+        effective_threads(requested)
+    }
+}
+
+/// Spawns `f` on `scope` as a marked worker.
+fn spawn_worker<'scope, R: Send + 'scope>(
+    scope: &'scope std::thread::Scope<'scope, '_>,
+    f: impl FnOnce() -> R + Send + 'scope,
+) -> std::thread::ScopedJoinHandle<'scope, R> {
+    scope.spawn(move || {
+        IN_WORKER.set(true);
+        f()
+    })
 }
 
 fn shard(n: usize, workers: usize) -> impl Iterator<Item = Range<usize>> {
@@ -60,7 +96,7 @@ pub fn par_for<F>(threads: usize, n: usize, f: F)
 where
     F: Fn(Range<usize>) + Sync,
 {
-    let t = effective_threads(threads).min(n.max(1));
+    let t = resolve(threads).min(n.max(1));
     if t <= 1 {
         f(0..n);
         return;
@@ -71,7 +107,29 @@ where
                 continue;
             }
             let f = &f;
-            scope.spawn(move || f(range));
+            spawn_worker(scope, move || f(range));
+        }
+    });
+}
+
+/// Runs `f` once on every element of `items`, contiguous chunks on up to
+/// `threads` workers — [`par_for`] for state that is mutated in place
+/// (the per-shard serving ladder). Inline and in order at width 1.
+pub fn par_for_each_mut<T, F>(threads: usize, items: &mut [T], f: F)
+where
+    T: Send,
+    F: Fn(&mut T) + Sync,
+{
+    let t = resolve(threads).min(items.len().max(1));
+    if t <= 1 {
+        items.iter_mut().for_each(f);
+        return;
+    }
+    let chunk = items.len().div_ceil(t);
+    std::thread::scope(|scope| {
+        for part in items.chunks_mut(chunk) {
+            let f = &f;
+            spawn_worker(scope, move || part.iter_mut().for_each(f));
         }
     });
 }
@@ -96,7 +154,7 @@ where
     I: Fn() -> S + Sync,
     F: Fn(&mut S, usize) -> R + Sync,
 {
-    let t = effective_threads(threads).min(n.max(1));
+    let t = resolve(threads).min(n.max(1));
     if t <= 1 {
         let mut state = init();
         return (0..n).map(|i| f(&mut state, i)).collect();
@@ -109,13 +167,14 @@ where
                 continue;
             }
             let (init, f) = (&init, &f);
-            handles.push(scope.spawn(move || {
+            handles.push(spawn_worker(scope, move || {
                 let mut state = init();
                 range.map(|i| f(&mut state, i)).collect::<Vec<R>>()
             }));
         }
         for h in handles {
-            parts.push(h.join().expect("parallel worker panicked"));
+            // Re-raise a worker's own panic (the scope joins the rest first).
+            parts.push(h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
         }
     });
     parts.into_iter().flatten().collect()
@@ -128,7 +187,7 @@ pub fn par_workers<F>(threads: usize, f: F)
 where
     F: Fn(usize) + Sync,
 {
-    let t = effective_threads(threads);
+    let t = resolve(threads);
     if t <= 1 {
         f(0);
         return;
@@ -136,7 +195,7 @@ where
     std::thread::scope(|scope| {
         for w in 0..t {
             let f = &f;
-            scope.spawn(move || f(w));
+            spawn_worker(scope, move || f(w));
         }
     });
 }
@@ -352,6 +411,66 @@ mod tests {
         assert!(inits.load(Ordering::Relaxed) <= 4);
         // Within a worker's shard the reused state grows monotonically.
         assert_eq!(out[0], 1);
+    }
+
+    #[test]
+    fn par_for_each_mut_visits_every_element_once_in_place() {
+        for threads in [1, 2, 4, 9] {
+            let mut items: Vec<usize> = (0..7).collect();
+            par_for_each_mut(threads, &mut items, |x| *x = *x * 10 + 1);
+            assert_eq!(items, [1, 11, 21, 31, 41, 51, 61], "threads={threads}");
+        }
+        par_for_each_mut(4, &mut Vec::<usize>::new(), |_| unreachable!());
+    }
+
+    /// Inside a spawned worker a requested `0` runs inline (same thread id,
+    /// every item), an explicit width still spawns, and the caller's own
+    /// thread is never marked — neither by spawning nor by an inline run.
+    #[test]
+    fn nested_zero_runs_inline_and_explicit_widths_still_spawn() {
+        let me = || std::thread::current().id();
+        let outer = me();
+        let seen = par_map(2, 2, |_| {
+            let worker = me();
+            let inline = par_map(0, 8, |_| me());
+            let mut marks = vec![worker; 3];
+            par_for_each_mut(0, &mut marks, |m| *m = me());
+            let spawned = par_map(2, 2, |_| me());
+            // A worker of the explicit inner level is itself marked.
+            let innermost = par_map(2, 2, |_| par_map(0, 2, |_| me()) == vec![me(); 2]);
+            (worker, inline, marks, spawned, innermost)
+        });
+        for (worker, inline, marks, spawned, innermost) in seen {
+            assert_ne!(worker, outer, "width 2 over 2 items spawns");
+            assert_eq!(inline, vec![worker; 8], "requested 0 inside a worker is width 1");
+            assert_eq!(marks, vec![worker; 3]);
+            assert!(spawned.iter().all(|&id| id != worker), "explicit width is honoured");
+            assert_ne!(spawned[0], spawned[1]);
+            assert_eq!(innermost, [true, true]);
+        }
+        assert!(!IN_WORKER.get());
+        // Width 1 is inline and marks nothing: the work below it may still
+        // fan out (checked through the flag, since this host may have one core).
+        assert_eq!(par_map(1, 2, |_| (me(), IN_WORKER.get())), vec![(outer, false); 2]);
+    }
+
+    #[test]
+    fn a_worker_panic_reaches_the_caller_with_its_own_message_after_all_joined() {
+        let finished = AtomicUsize::new(0);
+        // All three workers are live when item 1 panics.
+        let all_started = std::sync::Barrier::new(3);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            par_map(3, 3, |i| {
+                all_started.wait();
+                if i == 1 {
+                    panic!("boom on item {i}");
+                }
+                finished.fetch_add(1, Ordering::SeqCst);
+            })
+        }));
+        let payload = caught.expect_err("the panic must propagate");
+        assert_eq!(payload.downcast_ref::<String>().unwrap(), "boom on item 1");
+        assert_eq!(finished.load(Ordering::SeqCst), 2, "siblings ran to completion first");
     }
 
     #[test]

@@ -1008,13 +1008,18 @@ pub fn decode_shard_table(mut buf: Bytes) -> Result<ShardTable, PersistError> {
     if dim == 0 || shards == 0 || nprobe == 0 || nprobe > shards {
         return Err(PersistError::Truncated);
     }
-    let cents = shards.checked_mul(dim).ok_or(PersistError::Truncated)?;
-    if buf.remaining() < cents * 4 {
-        return Err(PersistError::Truncated);
-    }
+    // Every count below sizes an allocation, so each is first bounded by
+    // the bytes that are actually left to back it.
+    let cents = shards.checked_mul(dim).filter(|&c| c <= buf.remaining() / 4);
+    let cents = cents.ok_or(PersistError::Truncated)?;
     let mut centroids = Vec::with_capacity(cents);
     for _ in 0..cents {
         centroids.push(buf.get_f32_le());
+    }
+    // What follows is `shards` length words and `total` ids.
+    let need = shards.checked_mul(8).and_then(|s| total.checked_mul(4)?.checked_add(s));
+    if need.is_none_or(|need| need > buf.remaining()) {
+        return Err(PersistError::Truncated);
     }
     let mut shard_ids = Vec::with_capacity(shards);
     let mut seen = vec![false; total];

@@ -33,6 +33,11 @@
 //! state persists through [`crate::persist`] as a shard table (centroids
 //! and per-shard global id lists) plus per-shard store/graph sections
 //! in the mapped layout; see [`ShardedIndex::save`].
+//!
+//! Set-up — build, persist, load, every ladder step — runs
+//! [`ShardedParams::threads`] shards at a time on [`crate::par`]. Shards
+//! share nothing, so the width changes neither a file byte nor an answer,
+//! only wall time and how many shards are resident at once.
 
 use crate::distance::{l2_sq, DistCounter, Space};
 use crate::fanout;
@@ -41,14 +46,18 @@ use crate::index::{AnnIndex, IndexStats, PrebuiltIndex, QueryParams};
 use crate::kmeans;
 use crate::neighbor::{BoundedMaxHeap, Neighbor};
 use crate::numa;
-use crate::par::par_map;
+use crate::par::{par_for_each_mut, par_map};
 use crate::persist::{self, PersistError, ShardTable};
 use crate::search::{SearchResult, SearchScratch, SearchStats};
 use crate::seed::{RandomSeeds, SeedProvider};
 use crate::store::VectorStore;
 use std::cell::RefCell;
-use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::convert::Infallible;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+
+/// The routing table: the file that makes a directory loadable ([`commit_dir`]).
+const TABLE_FILE: &str = "shards.gass";
 
 thread_local! {
     /// One reusable probe scratch per executor thread. Both the
@@ -76,6 +85,11 @@ pub struct ShardedParams {
     pub train_sample: usize,
     /// RNG seed for the k-means initialization.
     pub seed: u64,
+    /// Shards set up concurrently (`0` = all cores). Output is identical
+    /// at every width; [`ShardedIndex::build_to_dir`] keeps
+    /// `min(threads, shards)` shards resident, so pass `1` where one shard
+    /// is all the memory there is.
+    pub threads: usize,
 }
 
 impl ShardedParams {
@@ -90,6 +104,7 @@ impl ShardedParams {
             kmeans_iters: 10,
             train_sample: 65_536,
             seed: 42,
+            threads: 0,
         }
     }
 
@@ -102,6 +117,12 @@ impl ShardedParams {
     /// Overrides the k-means seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
+        self
+    }
+
+    /// Overrides the set-up width (`0` = all cores).
+    pub fn with_threads(mut self, threads: usize) -> Self {
+        self.threads = threads;
         self
     }
 }
@@ -132,13 +153,15 @@ pub struct ShardedIndex {
     /// index immutably while benches sweep the recall/QPS ladder without
     /// rebuilding.
     nprobe: AtomicUsize,
+    /// Width of the per-shard ladder steps ([`ShardedParams::threads`]).
+    threads: usize,
 }
 
 impl ShardedIndex {
     /// Partitions `store` and builds one graph per shard through `build`,
     /// which receives the shard number and the shard's (shard-local)
     /// store and returns its traversal graph and seed provider. Shards
-    /// build in parallel across the worker pool; `build` itself may also
+    /// build [`ShardedParams::threads`] at a time; `build` itself may also
     /// parallelize internally.
     ///
     /// # Panics
@@ -158,34 +181,29 @@ impl ShardedIndex {
         let centroids =
             VectorStore::from_rows(store.dim(), centroid_rows.iter().map(Vec::as_slice))
                 .to_aligned();
-        let shards: Vec<Shard> = par_map(0, shard_ids.len(), |s| {
-            // First-touch the shard's store and graph arenas on its home
-            // node (no-op off multi-node Linux; see `crate::numa`).
-            let home = numa::node_of_worker(s);
-            numa::run_on_node(home, || {
-                let ids = &shard_ids[s];
-                let sub = store.subset(ids);
-                let (graph, seeds) = build(s, &sub);
-                Shard {
-                    index: PrebuiltIndex::new(sub, graph, seeds, format!("shard-{s}")),
-                    to_global: ids.clone(),
-                    home_node: home,
-                }
+        let finish = |s: usize, sub, graph, seeds| {
+            Ok::<_, Infallible>(Shard {
+                index: PrebuiltIndex::new(sub, graph, seeds, format!("shard-{s}")),
+                to_global: shard_ids[s].clone(),
+                home_node: numa::node_of_worker(s),
             })
-        });
+        };
+        let Ok(shards) = build_shards(store, params, &shard_ids, &build, finish);
         let nprobe = AtomicUsize::new(params.nprobe.clamp(1, shards.len()));
-        Self { shards, centroids, dim: store.dim(), total, nprobe }
+        Self { shards, centroids, dim: store.dim(), total, nprobe, threads: params.threads }
     }
 
-    /// Builds the sharded state **one shard at a time**, persisting each
-    /// to `dir` and dropping it before the next — peak heap stays near a
-    /// single shard's footprint plus the (possibly mapped) source store.
+    /// Builds the sharded state straight to `dir`, [`ShardedParams::threads`]
+    /// shards at a time: each worker persists its shard and drops it before
+    /// taking the next, so peak heap is `min(threads, shards)` shards plus
+    /// the (possibly mapped) source store — one shard at `with_threads(1)`.
     /// This is the build path for tiers past RAM: pair it with a mapped
     /// source store and reload the result with [`Self::load`], which maps
     /// the per-shard stores back in on fault.
     ///
-    /// Layout matches [`Self::save`] exactly (`shards.gass` + per-shard
-    /// mapped store and graph files).
+    /// Layout and commit protocol match [`Self::save`] exactly; on failure
+    /// the first error in shard order is returned, workers stop taking new
+    /// shards, and `dir` holds no `shards.gass`.
     pub fn build_to_dir<F>(
         store: &VectorStore,
         params: &ShardedParams,
@@ -194,24 +212,20 @@ impl ShardedIndex {
         build: F,
     ) -> Result<(), PersistError>
     where
-        F: Fn(usize, &VectorStore) -> (FlatGraph, Box<dyn SeedProvider>),
+        F: Fn(usize, &VectorStore) -> (FlatGraph, Box<dyn SeedProvider>) + Sync,
     {
-        std::fs::create_dir_all(dir).map_err(PersistError::Io)?;
+        begin_dir(dir)?;
         let (centroid_rows, shard_ids) = partition(store, params, counter);
+        build_shards(store, params, &shard_ids, &build, |s, sub, graph, _| {
+            save_shard(dir, s, &sub, &graph)
+        })?;
         let table = ShardTable {
             nprobe: params.nprobe.clamp(1, shard_ids.len()),
             dim: store.dim(),
             centroids: centroid_rows.into_iter().flatten().collect(),
-            shard_ids: shard_ids.clone(),
+            shard_ids,
         };
-        persist::save_shard_table(&table, &dir.join("shards.gass"))?;
-        for (s, ids) in shard_ids.iter().enumerate() {
-            let sub = store.subset(ids);
-            let (graph, _seeds) = build(s, &sub);
-            persist::save_store_mapped(&sub, &dir.join(format!("shard-{s:03}.store.gass")))?;
-            persist::save_flat_graph(&graph, &dir.join(format!("shard-{s:03}.graph.gass")))?;
-        }
-        Ok(())
+        commit_dir(dir, &table)
     }
 
     /// Number of shards.
@@ -250,13 +264,18 @@ impl ShardedIndex {
 
     /// Re-aligns every shard's store rows to the SIMD stride (forwarded
     /// [`PrebuiltIndex::align_store`]; part of the serving configuration).
-    /// The re-laid rows are first-touched on each shard's home node, like
-    /// every other ladder step.
     pub fn align_store(&mut self) {
-        for shard in &mut self.shards {
-            let home = shard.home_node;
-            numa::run_on_node(home, || shard.index.align_store());
-        }
+        self.for_each_shard_mut(PrebuiltIndex::align_store);
+    }
+
+    /// One ladder step over every shard, `threads` shards at a time. Ladder
+    /// steps allocate fresh serving arenas (aligned rows, CSR slabs, codec
+    /// rows, permuted stores); running each pinned to its shard's home node
+    /// is what places the pages the probes will walk.
+    fn for_each_shard_mut(&mut self, step: impl Fn(&mut PrebuiltIndex) + Sync) {
+        par_for_each_mut(self.threads, &mut self.shards, |shard| {
+            numa::run_on_node(shard.home_node, || step(&mut shard.index))
+        });
     }
 
     /// Reassembles the full dataset in global id order by gathering every
@@ -483,7 +502,8 @@ impl ShardedIndex {
     /// Writes the sharded state under directory `dir`: `shards.gass` (the
     /// routing table) plus per-shard `shard-NNN.store.gass` (mapped
     /// layout, so huge tiers reload without heap residency) and
-    /// `shard-NNN.graph.gass`.
+    /// `shard-NNN.graph.gass`. The table is written last and renamed into
+    /// place ([`commit_dir`]): a directory that has one is complete.
     ///
     /// Persists the **pre-ladder** state, mirroring the CLI's convention
     /// for monolithic indexes: freeze/quantize/reorder are cheap,
@@ -494,7 +514,14 @@ impl ShardedIndex {
     /// Panics if a shard has been reordered (its store rows would no
     /// longer line up with the saved graph's ids).
     pub fn save(&self, dir: &Path) -> Result<(), PersistError> {
-        std::fs::create_dir_all(dir).map_err(PersistError::Io)?;
+        begin_dir(dir)?;
+        for (s, shard) in self.shards.iter().enumerate() {
+            assert!(
+                !shard.index.is_reordered(),
+                "save sharded state before reordering (the ladder re-applies on load)"
+            );
+            save_shard(dir, s, shard.index.store(), shard.index.graph())?;
+        }
         let table = ShardTable {
             nprobe: self.nprobe(),
             dim: self.dim,
@@ -503,22 +530,7 @@ impl ShardedIndex {
                 .collect(),
             shard_ids: self.shards.iter().map(|s| s.to_global.clone()).collect(),
         };
-        persist::save_shard_table(&table, &dir.join("shards.gass"))?;
-        for (s, shard) in self.shards.iter().enumerate() {
-            assert!(
-                !shard.index.is_reordered(),
-                "save sharded state before reordering (the ladder re-applies on load)"
-            );
-            persist::save_store_mapped(
-                shard.index.store(),
-                &dir.join(format!("shard-{s:03}.store.gass")),
-            )?;
-            persist::save_flat_graph(
-                shard.index.graph(),
-                &dir.join(format!("shard-{s:03}.graph.gass")),
-            )?;
-        }
-        Ok(())
+        commit_dir(dir, &table)
     }
 
     /// Reloads sharded state saved by [`Self::save`]. Shard stores come
@@ -527,7 +539,13 @@ impl ShardedIndex {
     /// a [`PrebuiltIndex`] with K-sampled random seeds, exactly like the
     /// CLI's monolithic load path.
     pub fn load(dir: &Path) -> Result<Self, PersistError> {
-        let table = persist::load_shard_table(&dir.join("shards.gass"))?;
+        Self::load_with(dir, 0)
+    }
+
+    /// [`Self::load`] opening (and later laddering) `threads` shards at a
+    /// time; the first error in shard order wins.
+    pub(crate) fn load_with(dir: &Path, threads: usize) -> Result<Self, PersistError> {
+        let table = persist::load_shard_table(&dir.join(TABLE_FILE))?;
         let dim = table.dim;
         let total: usize = table.shard_ids.iter().map(Vec::len).sum();
         let centroid_count = table.centroids.len() / dim.max(1);
@@ -537,33 +555,36 @@ impl ShardedIndex {
             return Err(PersistError::Truncated);
         }
         let centroids = VectorStore::from_flat(dim, table.centroids).to_aligned();
-        let mut shards = Vec::with_capacity(table.shard_ids.len());
-        for (s, ids) in table.shard_ids.into_iter().enumerate() {
-            // Parse (or map) each shard's serving state pinned to its
-            // home node so heap-parsed pages land locally; mapped stores
-            // fault in later from the node-pinned probe workers instead.
-            let home = numa::node_of_worker(s);
-            let shard = numa::run_on_node(home, || -> Result<Shard, PersistError> {
-                let store = persist::open_store(&dir.join(format!("shard-{s:03}.store.gass")))?;
-                let graph =
-                    persist::load_flat_graph(&dir.join(format!("shard-{s:03}.graph.gass")))?;
-                if store.len() != ids.len() || store.dim() != dim {
+        // Parse (or map) each shard's serving state pinned to its home
+        // node so heap-parsed pages land locally; mapped stores fault in
+        // later from the node-pinned probe workers instead.
+        let ids = &table.shard_ids;
+        let opened = par_map(threads, ids.len(), |s| {
+            numa::run_on_node(numa::node_of_worker(s), || {
+                let (store_path, graph_path) = shard_paths(dir, s);
+                let store = persist::open_store(&store_path)?;
+                let graph = persist::load_flat_graph(&graph_path)?;
+                if store.len() != ids[s].len() || store.dim() != dim {
                     return Err(PersistError::Truncated);
                 }
-                // Per-query-keyed draws: coalesced bucketing visits shards in
-                // a different order than the sequential loop, and only an
-                // order-independent provider keeps the two bit-identical.
-                let seeds = Box::new(RandomSeeds::per_query(store.len(), 7));
-                Ok(Shard {
-                    index: PrebuiltIndex::new(store, graph, seeds, format!("shard-{s}")),
-                    to_global: ids,
-                    home_node: home,
-                })
-            })?;
-            shards.push(shard);
+                Ok((store, graph))
+            })
+        });
+        let mut shards = Vec::with_capacity(ids.len());
+        for (s, (ids, opened)) in table.shard_ids.into_iter().zip(opened).enumerate() {
+            let (store, graph) = opened?;
+            // Per-query-keyed draws: coalesced bucketing visits shards in
+            // a different order than the sequential loop, and only an
+            // order-independent provider keeps the two bit-identical.
+            let seeds = Box::new(RandomSeeds::per_query(store.len(), 7));
+            shards.push(Shard {
+                index: PrebuiltIndex::new(store, graph, seeds, format!("shard-{s}")),
+                to_global: ids,
+                home_node: numa::node_of_worker(s),
+            });
         }
         let nprobe = AtomicUsize::new(table.nprobe.clamp(1, shards.len()));
-        Ok(Self { shards, centroids, dim, total, nprobe })
+        Ok(Self { shards, centroids, dim, total, nprobe, threads })
     }
 }
 
@@ -646,13 +667,7 @@ impl AnnIndex for ShardedIndex {
     }
 
     fn freeze(&mut self) {
-        // Ladder steps allocate fresh serving arenas (CSR slabs, codec
-        // rows, permuted stores); building them pinned to the shard's
-        // home node is what places the pages the probes will walk.
-        for shard in &mut self.shards {
-            let home = shard.home_node;
-            numa::run_on_node(home, || shard.index.freeze());
-        }
+        self.for_each_shard_mut(PrebuiltIndex::freeze);
     }
 
     fn is_frozen(&self) -> bool {
@@ -660,10 +675,7 @@ impl AnnIndex for ShardedIndex {
     }
 
     fn quantize(&mut self, spec: crate::quant::CodecSpec) {
-        for shard in &mut self.shards {
-            let home = shard.home_node;
-            numa::run_on_node(home, || shard.index.quantize(spec));
-        }
+        self.for_each_shard_mut(|index| index.quantize(spec));
     }
 
     fn is_quantized(&self) -> bool {
@@ -671,10 +683,7 @@ impl AnnIndex for ShardedIndex {
     }
 
     fn reorder(&mut self, strategy: crate::reorder::ReorderStrategy) {
-        for shard in &mut self.shards {
-            let home = shard.home_node;
-            numa::run_on_node(home, || shard.index.reorder(strategy));
-        }
+        self.for_each_shard_mut(|index| index.reorder(strategy));
     }
 
     fn is_reordered(&self) -> bool {
@@ -704,6 +713,93 @@ impl AnnIndex for ShardedIndex {
         out.avg_degree = if out.nodes > 0 { out.edges as f64 / out.nodes as f64 } else { 0.0 };
         out
     }
+}
+
+/// The shard-worker loop both build paths share: subset, `build` and
+/// `finish` every shard, [`ShardedParams::threads`] at a time, each pinned
+/// to its home node (first touch of the shard's store and graph arenas;
+/// see [`crate::numa`]). A worker holds one shard at a time — whatever
+/// `finish` does not return is dropped before its next. Results come back
+/// in shard order; after a failure no worker starts another shard and the
+/// first error in shard order wins.
+fn build_shards<R, E, F, G>(
+    store: &VectorStore,
+    params: &ShardedParams,
+    shard_ids: &[Vec<u32>],
+    build: &F,
+    finish: G,
+) -> Result<Vec<R>, E>
+where
+    R: Send,
+    E: Send,
+    F: Fn(usize, &VectorStore) -> (FlatGraph, Box<dyn SeedProvider>) + Sync,
+    G: Fn(usize, VectorStore, FlatGraph, Box<dyn SeedProvider>) -> Result<R, E> + Sync,
+{
+    let failed = AtomicBool::new(false);
+    let done = par_map(params.threads, shard_ids.len(), |s| {
+        if failed.load(Ordering::Relaxed) {
+            return None;
+        }
+        let result = numa::run_on_node(numa::node_of_worker(s), || {
+            let sub = store.subset(&shard_ids[s]);
+            let (graph, seeds) = build(s, &sub);
+            finish(s, sub, graph, seeds)
+        });
+        if result.is_err() {
+            failed.store(true, Ordering::Relaxed);
+        }
+        Some(result)
+    });
+    done.into_iter().flatten().collect()
+}
+
+/// Shard `s`'s store and graph files under `dir`.
+fn shard_paths(dir: &Path, s: usize) -> (PathBuf, PathBuf) {
+    (dir.join(format!("shard-{s:03}.store.gass")), dir.join(format!("shard-{s:03}.graph.gass")))
+}
+
+fn save_shard(
+    dir: &Path,
+    s: usize,
+    store: &VectorStore,
+    graph: &FlatGraph,
+) -> Result<(), PersistError> {
+    let (store_path, graph_path) = shard_paths(dir, s);
+    persist::save_store_mapped(store, &store_path)?;
+    persist::save_flat_graph(graph, &graph_path)
+}
+
+/// Opens `dir` for a new set of shard files: creates it and retracts the
+/// table of whatever it held, so that from here to [`commit_dir`] the
+/// directory does not load.
+fn begin_dir(dir: &Path) -> Result<(), PersistError> {
+    std::fs::create_dir_all(dir)?;
+    match std::fs::remove_file(dir.join(TABLE_FILE)) {
+        Err(e) if e.kind() != std::io::ErrorKind::NotFound => Err(e.into()),
+        _ => Ok(()),
+    }
+}
+
+/// Commits a shard directory whose shard files are all written: removes
+/// the `shard-NNN.*` files of shards a previous occupant had beyond
+/// `table`'s, then writes the table beside its final name and renames it
+/// into place — the table appears whole or not at all. (Covers a killed or
+/// failing build, not power loss: nothing is fsynced.)
+fn commit_dir(dir: &Path, table: &ShardTable) -> Result<(), PersistError> {
+    for entry in std::fs::read_dir(dir)? {
+        let name = entry?.file_name();
+        let shard_no = name
+            .to_str()
+            .and_then(|n| n.strip_prefix("shard-"))
+            .and_then(|rest| rest.split('.').next())
+            .and_then(|digits| digits.parse::<usize>().ok());
+        if shard_no.is_some_and(|s| s >= table.shard_ids.len()) {
+            std::fs::remove_file(dir.join(name))?;
+        }
+    }
+    let tmp = dir.join(format!("{TABLE_FILE}.tmp"));
+    persist::save_shard_table(table, &tmp)?;
+    Ok(std::fs::rename(tmp, dir.join(TABLE_FILE))?)
 }
 
 /// Balanced partition shared by the in-memory and to-disk build paths:
@@ -755,30 +851,111 @@ pub fn build_knn_sharded(
     degree: usize,
     counter: &DistCounter,
 ) -> ShardedIndex {
-    ShardedIndex::build_with(store, params, counter, |_, sub| {
-        let n = sub.len();
-        let mut adj = crate::graph::AdjacencyGraph::new(n);
-        let space = Space::new(sub, counter);
-        for v in 0..n as u32 {
-            let mut heap = BoundedMaxHeap::new(degree.min(n.saturating_sub(1)).max(1));
-            for u in 0..n as u32 {
-                if u != v {
-                    heap.push(Neighbor::new(u, space.dist(v, u)));
-                }
+    ShardedIndex::build_with(store, params, counter, |_, sub| knn_shard(sub, degree, counter))
+}
+
+/// One shard of [`build_knn_sharded`]: the exact `degree`-NN graph of `sub`.
+fn knn_shard(
+    sub: &VectorStore,
+    degree: usize,
+    counter: &DistCounter,
+) -> (FlatGraph, Box<dyn SeedProvider>) {
+    let n = sub.len();
+    let mut adj = crate::graph::AdjacencyGraph::new(n);
+    let space = Space::new(sub, counter);
+    for v in 0..n as u32 {
+        let mut heap = BoundedMaxHeap::new(degree.min(n.saturating_sub(1)).max(1));
+        for u in 0..n as u32 {
+            if u != v {
+                heap.push(Neighbor::new(u, space.dist(v, u)));
             }
-            adj.set_neighbors(v, heap.into_sorted().into_iter().map(|nb| nb.id).collect());
         }
-        let graph = FlatGraph::from_adjacency(&adj, None);
-        let seeds: Box<dyn SeedProvider> = Box::new(RandomSeeds::per_query(n, 7));
-        (graph, seeds)
-    })
+        adj.set_neighbors(v, heap.into_sorted().into_iter().map(|nb| nb.id).collect());
+    }
+    let graph = FlatGraph::from_adjacency(&adj, None);
+    (graph, Box::new(RandomSeeds::per_query(n, 7)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::quant::CodecSpec;
     use rand::rngs::SmallRng;
     use rand::{RngExt, SeedableRng};
+    use std::collections::BTreeMap;
+    use std::sync::Barrier;
+
+    /// A directory of this test's own under `temp_dir()`, removed on drop
+    /// (a stale `shard-003.*` from an older run must not meet a `read_dir`
+    /// byte-compare, and tests run concurrently).
+    struct TestDir(PathBuf);
+
+    impl TestDir {
+        fn new(tag: &str) -> Self {
+            static NEXT: AtomicUsize = AtomicUsize::new(0);
+            let unique = NEXT.fetch_add(1, Ordering::Relaxed);
+            let dir = std::env::temp_dir()
+                .join(format!("gass_sharded_{tag}_{}_{unique}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            Self(dir)
+        }
+
+        /// File name → bytes of everything in the directory.
+        fn files(&self) -> BTreeMap<String, Vec<u8>> {
+            std::fs::read_dir(&self.0)
+                .unwrap()
+                .map(|entry| {
+                    let name = entry.unwrap().file_name().into_string().unwrap();
+                    let bytes = std::fs::read(self.0.join(&name)).unwrap();
+                    (name, bytes)
+                })
+                .collect()
+        }
+    }
+
+    impl Drop for TestDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    /// Counts builder closures in flight; the guard it hands out leaves
+    /// again on drop, a panic's unwind included.
+    #[derive(Default)]
+    struct Gauge {
+        live: AtomicUsize,
+        high_water: AtomicUsize,
+        entered: AtomicUsize,
+    }
+
+    struct InFlight<'a>(&'a Gauge);
+
+    impl Gauge {
+        fn enter(&self) -> InFlight<'_> {
+            self.entered.fetch_add(1, Ordering::SeqCst);
+            let live = self.live.fetch_add(1, Ordering::SeqCst) + 1;
+            self.high_water.fetch_max(live, Ordering::SeqCst);
+            InFlight(self)
+        }
+    }
+
+    impl Drop for InFlight<'_> {
+        fn drop(&mut self) {
+            self.0.live.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+
+    /// `n` points on no particular structure: with `n` a multiple of the
+    /// shard count the capped assignment fills every shard exactly.
+    fn scattered(n: usize, dim: usize, seed: u64) -> VectorStore {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut store = VectorStore::new(dim);
+        for _ in 0..n {
+            let row: Vec<f32> = (0..dim).map(|_| rng.random_range(-4.0f32..4.0)).collect();
+            store.push(&row);
+        }
+        store
+    }
 
     fn blobs(n: usize, dim: usize, seed: u64) -> VectorStore {
         let mut rng = SmallRng::seed_from_u64(seed);
@@ -898,30 +1075,16 @@ mod tests {
         let store = blobs(100, 4, 9);
         let counter = DistCounter::default();
         let params = ShardedParams::new(3);
-        let dir_mem = std::env::temp_dir().join("gass_sharded_mem_save");
-        let dir_disk = std::env::temp_dir().join("gass_sharded_disk_build");
-        build_knn_sharded(&store, &params, 6, &counter).save(&dir_mem).unwrap();
-        ShardedIndex::build_to_dir(&store, &params, &counter, &dir_disk, |_, sub| {
-            let n = sub.len();
-            let mut adj = crate::graph::AdjacencyGraph::new(n);
-            let space = Space::new(sub, &counter);
-            for v in 0..n as u32 {
-                let mut heap = BoundedMaxHeap::new(6.min(n - 1).max(1));
-                for u in 0..n as u32 {
-                    if u != v {
-                        heap.push(Neighbor::new(u, space.dist(v, u)));
-                    }
-                }
-                adj.set_neighbors(v, heap.into_sorted().into_iter().map(|nb| nb.id).collect());
-            }
-            let seeds: Box<dyn SeedProvider> = Box::new(RandomSeeds::per_query(n, 7));
-            (FlatGraph::from_adjacency(&adj, None), seeds)
+        let (dir_mem, dir_disk) = (TestDir::new("mem_save"), TestDir::new("disk_build"));
+        build_knn_sharded(&store, &params, 6, &counter).save(&dir_mem.0).unwrap();
+        ShardedIndex::build_to_dir(&store, &params, &counter, &dir_disk.0, |_, sub| {
+            knn_shard(sub, 6, &counter)
         })
         .unwrap();
-        for entry in std::fs::read_dir(&dir_mem).unwrap() {
+        for entry in std::fs::read_dir(&dir_mem.0).unwrap() {
             let name = entry.unwrap().file_name();
-            let a = std::fs::read(dir_mem.join(&name)).unwrap();
-            let b = std::fs::read(dir_disk.join(&name)).unwrap();
+            let a = std::fs::read(dir_mem.0.join(&name)).unwrap();
+            let b = std::fs::read(dir_disk.0.join(&name)).unwrap();
             assert_eq!(a, b, "{name:?} differs between build paths");
         }
     }
@@ -943,17 +1106,16 @@ mod tests {
         let store = blobs(90, 5, 4);
         let counter = DistCounter::default();
         let idx = build_knn_sharded(&store, &ShardedParams::new(3), 6, &counter);
-        let dir = std::env::temp_dir().join("gass_sharded_roundtrip");
-        let dir2 = std::env::temp_dir().join("gass_sharded_roundtrip_2");
-        idx.save(&dir).unwrap();
-        let back = ShardedIndex::load(&dir).unwrap();
+        let (dir, dir2) = (TestDir::new("roundtrip"), TestDir::new("roundtrip_2"));
+        idx.save(&dir.0).unwrap();
+        let back = ShardedIndex::load(&dir.0).unwrap();
         assert_eq!(back.num_shards(), idx.num_shards());
         assert_eq!(back.num_vectors(), idx.num_vectors());
-        back.save(&dir2).unwrap();
-        for entry in std::fs::read_dir(&dir).unwrap() {
+        back.save(&dir2.0).unwrap();
+        for entry in std::fs::read_dir(&dir.0).unwrap() {
             let name = entry.unwrap().file_name();
-            let a = std::fs::read(dir.join(&name)).unwrap();
-            let b = std::fs::read(dir2.join(&name)).unwrap();
+            let a = std::fs::read(dir.0.join(&name)).unwrap();
+            let b = std::fs::read(dir2.0.join(&name)).unwrap();
             assert_eq!(a, b, "{name:?} differs after a save/load/save cycle");
         }
         // Loaded index answers, and full-probe answers are exact merges.
@@ -961,5 +1123,186 @@ mod tests {
         let params = QueryParams::new(3, 12);
         let res = back.search(&[5.0; 5], &params, &counter);
         assert_eq!(res.neighbors.len(), 3);
+    }
+
+    /// The tentpole's contract for the build half: the width decides when
+    /// a shard is built, never what is written. Every width writes the
+    /// directory `build_with(..).save(..)` writes, counts the same distances,
+    /// and the bytes are the ones the serial loop of the parent commit wrote.
+    #[test]
+    fn build_to_dir_is_byte_identical_at_every_width() {
+        let store = scattered(240, 6, 21);
+        let params = ShardedParams::new(6).with_nprobe(2).with_seed(5);
+        let c_mem = DistCounter::new();
+        let dir_mem = TestDir::new("width_mem");
+        build_knn_sharded(&store, &params, 6, &c_mem).save(&dir_mem.0).unwrap();
+        let want = dir_mem.files();
+        assert_eq!(want.len(), 1 + 2 * 6, "table + store and graph per shard");
+        for width in [1, 2, 8] {
+            let counter = DistCounter::new();
+            let dir = TestDir::new("width_disk");
+            let params = params.with_threads(width);
+            ShardedIndex::build_to_dir(&store, &params, &counter, &dir.0, |_, sub| {
+                knn_shard(sub, 6, &counter)
+            })
+            .unwrap();
+            assert!(dir.files() == want, "width {width} wrote different files");
+            assert_eq!(counter.get(), c_mem.get(), "distance count at width {width}");
+        }
+        // FNV-1a over (name, bytes) in name order, recorded by running this
+        // store/params/builder through the parent commit's serial loop.
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for (name, bytes) in &want {
+            for &b in name.as_bytes().iter().chain(bytes) {
+                hash = (hash ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        assert_eq!(hash, PARENT_DIR_HASH, "shard directory bytes moved: {hash:#018x}");
+    }
+
+    const PARENT_DIR_HASH: u64 = 0x7d78_d646_f0f9_6a60;
+
+    /// The other half: open and ladder a directory at widths 1 / 2 / 8 and
+    /// fifty queries cannot tell which one they are talking to.
+    #[test]
+    fn load_and_ladder_answer_identically_at_every_width() {
+        let store = scattered(360, 8, 33);
+        let counter = DistCounter::new();
+        let dir = TestDir::new("ladder");
+        build_knn_sharded(&store, &ShardedParams::new(6).with_nprobe(3), 8, &counter)
+            .save(&dir.0)
+            .unwrap();
+        let queries = scattered(50, 8, 34);
+        for codec in [CodecSpec::Sq8, CodecSpec::Pq { m: Some(4) }] {
+            let answers = |width: usize| {
+                let mut idx = ShardedIndex::load_with(&dir.0, width).unwrap();
+                idx.align_store();
+                idx.freeze();
+                idx.quantize(codec);
+                idx.reorder(crate::reorder::ReorderStrategy::Rcm);
+                assert!(idx.is_frozen() && idx.is_quantized() && idx.is_reordered());
+                let c = DistCounter::new();
+                let params = QueryParams::new(5, 24);
+                let found: Vec<_> = (0..queries.len() as u32)
+                    .map(|q| {
+                        let res = idx.search(queries.get(q), &params, &c);
+                        let hits: Vec<(u32, u32)> =
+                            res.neighbors.iter().map(|n| (n.id, n.dist.to_bits())).collect();
+                        (hits, res.stats)
+                    })
+                    .collect();
+                (found, c.get(), format!("{:?}", idx.stats()))
+            };
+            let serial = answers(1);
+            for width in [2, 8] {
+                assert!(answers(width) == serial, "{codec:?} at width {width}");
+            }
+        }
+    }
+
+    /// Never more than `min(threads, shards)` shards in flight — the memory
+    /// bound of `build_to_dir`. Each worker meets the others at a barrier
+    /// inside the builder, so the bound is also reached, not only kept.
+    #[test]
+    fn build_to_dir_holds_at_most_threads_shards_at_once() {
+        let store = scattered(240, 4, 8);
+        for (width, workers) in [(1, 1), (2, 2), (3, 3), (8, 6)] {
+            let gauge = Gauge::default();
+            let together = Barrier::new(workers);
+            let counter = DistCounter::new();
+            let dir = TestDir::new("high_water");
+            let params = ShardedParams::new(6).with_threads(width);
+            ShardedIndex::build_to_dir(&store, &params, &counter, &dir.0, |_, sub| {
+                let _here = gauge.enter();
+                together.wait();
+                knn_shard(sub, 4, &counter)
+            })
+            .unwrap();
+            assert_eq!(gauge.entered.load(Ordering::SeqCst), 6);
+            assert_eq!(gauge.high_water.load(Ordering::SeqCst), workers, "width {width}");
+        }
+    }
+
+    #[test]
+    fn a_panicking_builder_propagates_after_every_worker_is_joined() {
+        let store = scattered(240, 4, 9);
+        for width in [1, 2, 8] {
+            let gauge = Gauge::default();
+            let counter = DistCounter::new();
+            let dir = TestDir::new("panic");
+            let params = ShardedParams::new(6).with_threads(width);
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                ShardedIndex::build_to_dir(&store, &params, &counter, &dir.0, |s, sub| {
+                    let _here = gauge.enter();
+                    assert!(s != 2, "builder gave up on shard {s}");
+                    knn_shard(sub, 4, &counter)
+                })
+            }));
+            let payload = outcome.expect_err("the builder's panic must reach the caller");
+            assert_eq!(payload.downcast_ref::<String>().unwrap(), "builder gave up on shard 2");
+            assert_eq!(gauge.live.load(Ordering::SeqCst), 0, "a worker outlived the call");
+            assert!(!dir.0.join(TABLE_FILE).exists(), "width {width} left a table behind");
+        }
+    }
+
+    #[test]
+    fn a_failed_shard_write_is_an_err_and_commits_nothing() {
+        let store = scattered(240, 4, 10);
+        let counter = DistCounter::new();
+        for width in [1, 2, 8] {
+            let gauge = Gauge::default();
+            let dir = TestDir::new("write_err");
+            let params = ShardedParams::new(6).with_threads(width);
+            let build = |dir: &Path| {
+                ShardedIndex::build_to_dir(&store, &params, &counter, dir, |_, sub| {
+                    let _here = gauge.enter();
+                    knn_shard(sub, 4, &counter)
+                })
+            };
+            // A committed directory first: the failed rebuild must retract it.
+            build(&dir.0).unwrap();
+            assert!(dir.0.join(TABLE_FILE).exists());
+            let (blocked, _) = shard_paths(&dir.0, 1);
+            std::fs::remove_file(&blocked).unwrap();
+            std::fs::create_dir(&blocked).unwrap();
+            assert!(matches!(build(&dir.0), Err(PersistError::Io(_))), "width {width}");
+            assert_eq!(gauge.live.load(Ordering::SeqCst), 0, "a worker outlived the call");
+            assert!(!dir.0.join(TABLE_FILE).exists(), "width {width} left a table behind");
+            assert!(ShardedIndex::load(&dir.0).is_err());
+            if width == 1 {
+                // The serial loop stops where the parent's did: shards 0 and 1.
+                assert_eq!(gauge.entered.load(Ordering::SeqCst), 6 + 2);
+            }
+            // A directory that cannot exist: no builder runs at all.
+            let before = gauge.entered.load(Ordering::SeqCst);
+            let (file, _) = shard_paths(&dir.0, 0);
+            assert!(matches!(build(&file.join("sub")), Err(PersistError::Io(_))));
+            assert_eq!(gauge.entered.load(Ordering::SeqCst), before);
+        }
+    }
+
+    /// Re-building into a directory that held more shards leaves exactly
+    /// the new build's files: no stale `shard-NNN.*`, no `.tmp`.
+    #[test]
+    fn rebuilding_with_fewer_shards_removes_the_stale_files() {
+        let store = scattered(240, 4, 12);
+        let counter = DistCounter::new();
+        let build = |dir: &TestDir, shards: usize| {
+            let params = ShardedParams::new(shards);
+            ShardedIndex::build_to_dir(&store, &params, &counter, &dir.0, |_, sub| {
+                knn_shard(sub, 4, &counter)
+            })
+            .unwrap();
+        };
+        let (reused, fresh) = (TestDir::new("reused"), TestDir::new("fresh"));
+        build(&reused, 6);
+        build(&reused, 3);
+        build(&fresh, 3);
+        assert_eq!(reused.files().len(), 1 + 2 * 3);
+        assert!(reused.files() == fresh.files());
+        // `save` follows the same protocol.
+        build(&reused, 6);
+        ShardedIndex::load(&fresh.0).unwrap().save(&reused.0).unwrap();
+        assert!(reused.files() == fresh.files());
     }
 }
