@@ -6,14 +6,17 @@
 //! dispatcher falls back to under `GASS_NO_SIMD`. The `pq_scan` rows are
 //! the 16-entry LUT compare-select scan over 4-bit PQ codes (m = dim/6
 //! subquantizers), the inner loop of PQ traversal; `pq_prepare` is the
-//! once-per-query table construction in front of it and `pq_train` the
-//! codebook training + encoding of a 2000-row store, so a regression in
-//! either shows here without the end-to-end benchmark.
+//! once-per-query table construction in front of it, `kmeans_assign` the
+//! training/encoding kernel (one 8-point block against 16 centroids per
+//! iteration) and `pq_train` the codebook training + encoding of a
+//! 2000-row store, so a regression in any shows here without the
+//! end-to-end benchmark.
 //!
 //! Inputs come from real code stores so the rows carry the padded stride
 //! (SQ8) / chunked LUT layout (PQ) the serving path sees.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use gass_core::distance::{nearest8, to_blocks8};
 use gass_core::quant::{
     l2_sq_u8, l2_sq_u8_batch, l2_sq_u8_batch_scalar, l2_sq_u8_scalar, pq_scan, pq_scan_batch,
     pq_scan_batch_scalar, pq_scan_scalar, PqStore,
@@ -99,6 +102,18 @@ fn bench_quant_kernels(c: &mut Criterion) {
             &dim,
             |bench, _| bench.iter(|| pq_scan_batch_scalar(black_box(lut), black_box(prows))),
         );
+    }
+    for dsub in [6usize, 8, 16] {
+        // The k-means / PQ-encoding kernel: eight `dsub`-d points (one
+        // block) against a 16-centroid codebook; time ÷ 8 = ns per point.
+        let (rows, _) = sample_store(dsub, 24);
+        let flat = rows.to_flat_vec();
+        let block =
+            to_blocks8(8, dsub, |pos| flat[pos * dsub..(pos + 1) * dsub].iter().copied());
+        let cents = &flat[8 * dsub..];
+        group.bench_with_input(BenchmarkId::new("kmeans_assign", dsub), &dsub, |bench, _| {
+            bench.iter(|| nearest8(black_box(&block), black_box(cents)))
+        });
     }
     for dim in [96usize, 128, 960] {
         // 2000 rows: enough that PQ trains its full 16 centroids.

@@ -14,11 +14,14 @@
 //!
 //! ## Kernel dispatch
 //!
-//! The hot kernels ([`l2_sq`], [`l2_sq_batch`], [`dot`], and
-//! [`sub_dists16`] — one short vector against sixteen dimension-major
-//! ones, PQ's codebook kernel) are dispatched at runtime to an explicit
-//! SIMD implementation — AVX2 on x86-64, NEON on aarch64 (`sub_dists16`:
-//! AVX2 only) — with the unrolled scalar code as the portable fallback.
+//! The hot kernels ([`l2_sq`], [`l2_sq_batch`], [`dot`], and the two
+//! transposed kernels: [`sub_dists16`] — one short vector against sixteen
+//! dimension-major ones, PQ's per-query table kernel — and [`nearest8`] —
+//! eight dimension-major points against every centroid, the k-means and
+//! PQ-encoding kernel) are dispatched at runtime to an explicit SIMD
+//! implementation — AVX2 on x86-64, NEON on aarch64 (the transposed
+//! kernels: AVX2 only) — with the unrolled scalar code as the portable
+//! fallback.
 //! Detection runs once; `GASS_NO_SIMD=1` forces the scalar path for A/B
 //! runs, and [`set_simd_enabled`] toggles it in-process for ablation
 //! harnesses.
@@ -279,6 +282,81 @@ pub fn sub_dists16_scalar(v: &[f32], tm: &[f32]) -> [f32; LANES16] {
     out
 }
 
+/// Points scored per [`nearest8`] call (one AVX2 vector of lanes).
+pub const POINTS8: usize = 8;
+
+/// Per point of an 8-point block: the nearest centroid's index and its
+/// squared distance ([`nearest8`]).
+pub type Nearest8 = ([u32; POINTS8], [f32; POINTS8]);
+
+/// Lays `n` points of dimension `dim` out in **8-point dimension-major
+/// blocks** for [`nearest8`]: coordinate `i` of point `8b + l` lands at
+/// `[(b * dim + i) * 8 + l]`. `point(pos)` yields point `pos`'s `dim`
+/// coordinates. Lanes past `n` in the last block repeat point `n - 1`, so
+/// they score like a live point; callers drop their results.
+///
+/// # Panics
+/// Panics if `n == 0` or a point yields other than `dim` coordinates.
+pub fn to_blocks8<P: IntoIterator<Item = f32>>(
+    n: usize,
+    dim: usize,
+    point: impl Fn(usize) -> P,
+) -> Vec<f32> {
+    assert!(n > 0, "no points to lay out");
+    let mut out = vec![0.0f32; n.div_ceil(POINTS8) * POINTS8 * dim];
+    for (b, block) in out.chunks_exact_mut(POINTS8 * dim).enumerate() {
+        for lane in 0..POINTS8 {
+            let mut i = 0;
+            for x in point((b * POINTS8 + lane).min(n - 1)) {
+                block[i * POINTS8 + lane] = x;
+                i += 1;
+            }
+            assert_eq!(i, dim, "point of the wrong dimension");
+        }
+    }
+    out
+}
+
+/// Scalar reference for [`nearest8`]: for each lane `l`, the distance to
+/// every centroid runs exactly [`l2_sq_scalar`]'s operation sequence on
+/// point `l` of the dimension-major `block` and the centroid, and a strict
+/// `<` running minimum in centroid order, starting from `(0, +∞)`, keeps
+/// the first nearest — what a per-point scan of `l2_sq` calls selects.
+///
+/// # Panics
+/// Panics if `block` is empty or not whole 8-point columns, or `cents` is
+/// not whole centroids of `block.len() / 8` coordinates.
+pub fn nearest8_scalar(block: &[f32], cents: &[f32]) -> Nearest8 {
+    let dim = check_nearest8(block, cents);
+    let (mut best, mut best_d) = ([0u32; POINTS8], [f32::INFINITY; POINTS8]);
+    for (c, cent) in cents.chunks_exact(dim).enumerate() {
+        for lane in 0..POINTS8 {
+            let mut acc = [0.0f32; 8];
+            for (i, &y) in cent.iter().enumerate() {
+                let d = block[i * POINTS8 + lane] - y;
+                acc[i % 8] += d * d;
+            }
+            let d = reduce8(acc);
+            if d < best_d[lane] {
+                (best[lane], best_d[lane]) = (c as u32, d);
+            }
+        }
+    }
+    (best, best_d)
+}
+
+/// The shape checks every form of [`nearest8`] relies on; returns the
+/// point dimension.
+fn check_nearest8(block: &[f32], cents: &[f32]) -> usize {
+    let dim = block.len() / POINTS8;
+    assert!(dim > 0 && block.len() == dim * POINTS8, "block must hold 8 whole points");
+    assert!(
+        cents.len().is_multiple_of(dim),
+        "centroids must be whole rows of the point length"
+    );
+    dim
+}
+
 // --- AVX2 kernels -------------------------------------------------------
 
 #[cfg(target_arch = "x86_64")]
@@ -444,6 +522,114 @@ mod avx2 {
             _mm256_storeu_ps(out.as_mut_ptr().add(half * 8), r);
         }
         out
+    }
+
+    /// [`super::nearest8_scalar`] with SIMD lanes = points: the eight
+    /// canonical accumulators are eight registers, one centroid coordinate
+    /// is broadcast against a whole coordinate row of the block, and the
+    /// running minimum is a lane-wise `<` compare selecting distance and
+    /// index. `(c − p)²` equals `(p − c)²` bit for bit (IEEE subtraction is
+    /// sign-symmetric), which lets the block row be the memory operand.
+    ///
+    /// # Safety
+    /// Requires AVX2 and the shapes [`super::check_nearest8`] asserts.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn nearest8(block: &[f32], cents: &[f32]) -> super::Nearest8 {
+        // Monomorphised on the exact point dimension up to eight (PQ's
+        // `dsub` at the default rate is 5–8), beyond that on the
+        // coordinates past the last whole 8-chunk, so every accumulator
+        // index is a constant and stays in a register (a runtime `i % 8`
+        // index runs at half speed).
+        match block.len() / 8 {
+            1 => nearest8_dims::<1, true>(block, cents),
+            2 => nearest8_dims::<2, true>(block, cents),
+            3 => nearest8_dims::<3, true>(block, cents),
+            4 => nearest8_dims::<4, true>(block, cents),
+            5 => nearest8_dims::<5, true>(block, cents),
+            6 => nearest8_dims::<6, true>(block, cents),
+            7 => nearest8_dims::<7, true>(block, cents),
+            8 => nearest8_dims::<8, true>(block, cents),
+            dim => match dim % 8 {
+                0 => nearest8_dims::<0, false>(block, cents),
+                1 => nearest8_dims::<1, false>(block, cents),
+                2 => nearest8_dims::<2, false>(block, cents),
+                3 => nearest8_dims::<3, false>(block, cents),
+                4 => nearest8_dims::<4, false>(block, cents),
+                5 => nearest8_dims::<5, false>(block, cents),
+                6 => nearest8_dims::<6, false>(block, cents),
+                _ => nearest8_dims::<7, false>(block, cents),
+            },
+        }
+    }
+
+    /// `x + y`, or `x` when `y` is known to be `+0.0`.
+    #[inline(always)]
+    unsafe fn add_live(x: __m256, y: __m256, y_live: bool) -> __m256 {
+        if y_live {
+            _mm256_add_ps(x, y)
+        } else {
+            x
+        }
+    }
+
+    /// `TAIL` coordinates past the whole 8-chunks — or, when `SHORT`, all
+    /// `TAIL ≤ 8` coordinates, so accumulators `TAIL..8` stay `+0.0` and
+    /// the reduction skips them: exact, since an accumulator (a sum of
+    /// squares from `+0.0`) is never `-0.0` and `x + 0.0 == x` for every
+    /// other `x`.
+    #[inline(always)]
+    unsafe fn nearest8_dims<const TAIL: usize, const SHORT: bool>(
+        block: &[f32],
+        cents: &[f32],
+    ) -> super::Nearest8 {
+        let dim = block.len() / 8;
+        let (chunks, live) = if SHORT { (0, TAIL) } else { (dim / 8, 8) };
+        let mut best_d = _mm256_set1_ps(f32::INFINITY);
+        let mut best = _mm256_setzero_ps();
+        let mut c = _mm256_setzero_si256();
+        for cent in cents.chunks_exact(dim) {
+            // SAFETY (every pointer use below): `p` advances 8 floats and
+            // `q` one float per coordinate, `dim` coordinates in all, so
+            // each load lies inside the `8 * dim` floats of `block` and
+            // the `dim` floats of `cent` the caller's shape check covers.
+            let (mut p, mut q) = (block.as_ptr(), cent.as_ptr());
+            let mut acc = [_mm256_setzero_ps(); 8];
+            for _ in 0..chunks {
+                for a in &mut acc {
+                    let d = _mm256_sub_ps(_mm256_broadcast_ss(&*q), _mm256_loadu_ps(p));
+                    *a = _mm256_add_ps(*a, _mm256_mul_ps(d, d));
+                    (p, q) = (p.add(8), q.add(1));
+                }
+            }
+            for a in &mut acc[..TAIL] {
+                let d = _mm256_sub_ps(_mm256_broadcast_ss(&*q), _mm256_loadu_ps(p));
+                *a = _mm256_add_ps(*a, _mm256_mul_ps(d, d));
+                (p, q) = (p.add(8), q.add(1));
+            }
+            // The canonical tree, adding only accumulators that may be
+            // non-zero.
+            let h = [
+                add_live(acc[0], acc[4], 4 < live),
+                add_live(acc[1], acc[5], 5 < live),
+                add_live(acc[2], acc[6], 6 < live),
+                add_live(acc[3], acc[7], 7 < live),
+            ];
+            let d = add_live(
+                add_live(h[0], h[2], 2 < live),
+                add_live(h[1], h[3], 3 < live),
+                1 < live,
+            );
+            // `min(d, best)` is `d < best ? d : best` (ordered, so `best`
+            // on NaN) — the scalar strict `<` lane by lane.
+            let lt = _mm256_cmp_ps::<_CMP_LT_OQ>(d, best_d);
+            best_d = _mm256_min_ps(d, best_d);
+            best = _mm256_blendv_ps(best, _mm256_castsi256_ps(c), lt);
+            c = _mm256_add_epi32(c, _mm256_set1_epi32(1));
+        }
+        let (mut idx, mut dist) = ([0u32; 8], [0.0f32; 8]);
+        _mm256_storeu_si256(idx.as_mut_ptr().cast(), _mm256_castps_si256(best));
+        _mm256_storeu_ps(dist.as_mut_ptr(), best_d);
+        (idx, dist)
     }
 }
 
@@ -618,16 +804,28 @@ pub fn sub_dists16(v: &[f32], tm: &[f32]) -> [f32; LANES16] {
     }
 }
 
-/// The smallest lane and the lowest index holding it — what a strict-`<`
-/// scan in index order selects, for non-NaN lanes. The minimum is a short
-/// lane-wise tree instead of a 16-deep dependency chain.
+/// The nearest of `cents` (row-major, any count) for each of the eight
+/// points of a dimension-major `block` (see [`to_blocks8`]): per lane the
+/// index of the first centroid at the minimum squared distance, and that
+/// distance — `(0, +∞)` when no centroid scores below `+∞`. The kernel
+/// behind k-means seeding and assignment and PQ encoding, where many
+/// points meet the same few centroids; bit-identical on every backend to a
+/// per-point strict-`<` scan of `l2_sq` calls (see [`nearest8_scalar`]);
+/// aarch64 runs the scalar form.
+///
+/// # Panics
+/// Panics if `block` is empty or not whole 8-point columns, or `cents` is
+/// not whole centroids of `block.len() / 8` coordinates.
 #[inline]
-pub fn argmin16(d: &[f32; LANES16]) -> (usize, f32) {
-    let mn = min16(d);
-    // Branch-free first match: which lane wins is data-dependent, so an
-    // early-exit scan mispredicts about once per call.
-    let hits = d.iter().enumerate().fold(0u32, |m, (c, &x)| m | (u32::from(x == mn) << c));
-    (hits.trailing_zeros() as usize % LANES16, mn)
+pub fn nearest8(block: &[f32], cents: &[f32]) -> Nearest8 {
+    check_nearest8(block, cents);
+    match backend() {
+        // SAFETY: the backend is AVX2 only after runtime detection, and
+        // `check_nearest8` asserted the shapes the kernel's loads rely on.
+        #[cfg(target_arch = "x86_64")]
+        BACKEND_AVX2 => unsafe { avx2::nearest8(block, cents) },
+        _ => nearest8_scalar(block, cents),
+    }
 }
 
 /// Lane-wise minimum of sixteen non-NaN values.
@@ -983,31 +1181,30 @@ mod tests {
         assert_eq!(&tm[16..20], &[2.0, 4.0, 6.0, 2.0]);
         // Dead lanes therefore never beat, and never precede, a live one.
         let d = sub_dists16(&[5.0, 6.0], &tm);
-        assert_eq!(argmin16(&d), (2, 0.0));
+        assert_eq!(d[2], 0.0);
         assert_eq!(d[3..], [d[0]; 13]);
     }
 
     #[test]
-    fn argmin16_is_the_strict_less_scan() {
-        let scan = |d: &[f32; 16]| {
-            let (mut best, mut best_d) = (0usize, f32::INFINITY);
-            for (c, &x) in d.iter().enumerate() {
-                if x < best_d {
-                    (best, best_d) = (c, x);
-                }
-            }
-            (best, best_d)
-        };
-        let mut state = 9u32;
-        for case in 0..2000 {
-            // Few distinct values, so ties (and all-equal rows) are common.
-            let d: [f32; 16] = std::array::from_fn(|_| {
-                state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
-                [0.0, 0.5, 0.5, 2.0, 7.25, f32::INFINITY][(state >> 24) as usize % 6]
-            });
-            assert_eq!(argmin16(&d), scan(&d), "case {case}: {d:?}");
-        }
-        assert_eq!(argmin16(&[f32::INFINITY; 16]), (0, f32::INFINITY));
+    fn point_blocks_repeat_the_last_point() {
+        let rows = [1.0f32, 2.0, 3.0, 4.0, 5.0, 6.0]; // three 2-d points
+        let blocks = to_blocks8(3, 2, |pos| rows[pos * 2..pos * 2 + 2].iter().copied());
+        assert_eq!(
+            blocks,
+            [
+                [1.0, 3.0, 5.0, 5.0, 5.0, 5.0, 5.0, 5.0],
+                [2.0, 4.0, 6.0, 6.0, 6.0, 6.0, 6.0, 6.0]
+            ]
+            .concat()
+        );
+        // No centroid: every lane keeps the `(0, +∞)` start.
+        assert_eq!(nearest8(&blocks, &[]), ([0; 8], [f32::INFINITY; 8]));
+        // Equal centroids tie to the first; +∞ never beats the start.
+        let (idx, d) = nearest8(&blocks, &[9.0, 9.0, 3.0, 4.0, 3.0, 4.0, 1e30, 0.0]);
+        assert_eq!((idx[1], d[1]), (1, 0.0));
+        assert_eq!(idx[..3], [1, 1, 1]);
+        let far = nearest8(&blocks, &[1e30, 0.0, -1e30, 0.0]);
+        assert_eq!(far, ([0; 8], [f32::INFINITY; 8]));
     }
 
     #[test]
@@ -1154,6 +1351,86 @@ mod props {
             }
             for (c, row) in rows.iter().enumerate() {
                 prop_assert_eq!(l2_sq(&v, row).to_bits(), want[c]);
+            }
+        }
+    }
+
+    /// A palette heavy in duplicates (ties), signed zeros, subnormals and
+    /// magnitudes whose squares overflow (`+∞` ties) or underflow.
+    const PALETTE: [f32; 12] =
+        [0.0, -0.0, 1.0, 1.0, -2.0, 0.5, 1e-40, -3e-39, 1e18, -1e18, 1e-18, 3e19];
+
+    fn tie_value() -> impl Strategy<Value = f32> {
+        (0usize..16, -4.0f32..4.0).prop_map(|(pick, x)| *PALETTE.get(pick).unwrap_or(&x))
+    }
+
+    /// `n` points (never a whole number of blocks) and `ncent` centroids of
+    /// dimension `dsub`; every centroid after the first may instead copy an
+    /// earlier one, so exact ties in distance are common.
+    fn point_sets() -> impl Strategy<Value = (usize, Vec<f32>, Vec<f32>)> {
+        (1usize..=24, (0usize..3, 1usize..8), 1usize..=40).prop_flat_map(|(dsub, (b, r), k)| {
+            let n = b * POINTS8 + r;
+            let cents =
+                prop::collection::vec((prop::collection::vec(tie_value(), dsub), 0usize..4), k)
+                    .prop_map(move |rows| {
+                        let mut flat: Vec<f32> = Vec::with_capacity(rows.len() * dsub);
+                        for (c, (row, copy)) in rows.into_iter().enumerate() {
+                            let from = if copy == 0 && c > 0 { (c * 7 + 3) % c } else { c };
+                            if from == c {
+                                flat.extend(row);
+                            } else {
+                                flat.extend_from_within(from * dsub..(from + 1) * dsub);
+                            }
+                        }
+                        flat
+                    });
+            (prop::collection::vec(tie_value(), n * dsub), cents)
+                .prop_map(move |(points, cents)| (dsub, points, cents))
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Every form of the 8-point kernel — scalar reference, the AVX2
+        /// lanes called directly, the dispatcher — returns, per live point,
+        /// the index and distance bits of a strict-`<` scan of
+        /// `l2_sq_scalar` over the centroids in order.
+        #[test]
+        fn nearest8_is_the_strict_less_scan_of_l2_sq_scalar(case in point_sets()) {
+            let (dsub, points, cents) = case;
+            let n = points.len() / dsub;
+            let point = |pos: usize| &points[pos * dsub..(pos + 1) * dsub];
+            let want: Vec<(u32, u32)> = (0..n)
+                .map(|pos| {
+                    let (mut best, mut best_d) = (0u32, f32::INFINITY);
+                    for (c, cent) in cents.chunks_exact(dsub).enumerate() {
+                        let d = l2_sq_scalar(point(pos), cent);
+                        if d < best_d {
+                            (best, best_d) = (c as u32, d);
+                        }
+                    }
+                    (best, best_d.to_bits())
+                })
+                .collect();
+            let blocks = to_blocks8(n, dsub, |pos| point(pos).iter().copied());
+            let run = |kernel: &dyn Fn(&[f32]) -> Nearest8| -> Vec<(u32, u32)> {
+                blocks
+                    .chunks_exact(POINTS8 * dsub)
+                    .flat_map(|block| {
+                        let (idx, d) = kernel(block);
+                        (0..POINTS8).map(move |l| (idx[l], d[l].to_bits()))
+                    })
+                    .take(n)
+                    .collect()
+            };
+            prop_assert_eq!(run(&|b| nearest8_scalar(b, &cents)), want.clone());
+            prop_assert_eq!(run(&|b| nearest8(b, &cents)), want.clone());
+            #[cfg(target_arch = "x86_64")]
+            if std::arch::is_x86_feature_detected!("avx2") {
+                // SAFETY: AVX2 was just detected; `to_blocks8` returns whole
+                // 8-point blocks and `cents` holds whole `dsub` rows.
+                prop_assert_eq!(run(&|b| unsafe { avx2::nearest8(b, &cents) }), want.clone());
             }
         }
     }

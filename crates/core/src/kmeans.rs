@@ -17,7 +17,7 @@
 //!   clusters reseeded at the farthest assigned point. Bit-identical to the
 //!   trainer PQ shipped with (guarded by the PQ proptests).
 
-use crate::distance::{argmin16, l2_sq, sub_dists16, to_dim_major16, DistCounter, LANES16};
+use crate::distance::{l2_sq, nearest8, to_blocks8, DistCounter, POINTS8};
 use crate::store::VectorStore;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
@@ -256,7 +256,31 @@ pub fn maximin_lloyd(train: &[f32], dsub: usize, ncent: usize, iters: usize) -> 
     assert!(!train.is_empty(), "maximin k-means over empty training set");
     assert!(train.len().is_multiple_of(dsub), "training data must be whole rows");
     let n = train.len() / dsub;
-    let sub = |pos: usize| -> &[f32] { &train[pos * dsub..(pos + 1) * dsub] };
+    let blocks = to_blocks8(n, dsub, |pos| train[pos * dsub..(pos + 1) * dsub].iter().copied());
+    maximin_lloyd_blocks(&blocks, n, dsub, ncent, iters)
+}
+
+/// [`maximin_lloyd`] over `n` points already laid out in 8-point blocks
+/// ([`to_blocks8`]) — the form PQ gathers its training subvectors into
+/// directly. Every point ↔ centroid distance (mean-nearest seed, each
+/// farthest-point pass, each assignment) goes through [`nearest8`], eight
+/// points per call.
+pub(crate) fn maximin_lloyd_blocks(
+    blocks: &[f32],
+    n: usize,
+    dsub: usize,
+    ncent: usize,
+    iters: usize,
+) -> Vec<f32> {
+    assert!(
+        n > 0 && blocks.len() == n.div_ceil(POINTS8) * POINTS8 * dsub,
+        "{n} points of dimension {dsub} in 8-point blocks expected"
+    );
+    // Point `pos`'s coordinates: a stride-8 column of its block.
+    let sub = |pos: usize| {
+        let start = pos / POINTS8 * POINTS8 * dsub + pos % POINTS8;
+        blocks[start..].iter().step_by(POINTS8).take(dsub).copied()
+    };
     // Maximin (farthest-point) seeding: start from the subvector mean's
     // nearest training point, then greedily add the point farthest from
     // every chosen centroid. Deterministic, and far better than uniform
@@ -265,15 +289,16 @@ pub fn maximin_lloyd(train: &[f32], dsub: usize, ncent: usize, iters: usize) -> 
     let mut mean = vec![0.0f64; dsub];
     for pos in 0..n {
         for (m, x) in mean.iter_mut().zip(sub(pos)) {
-            *m += *x as f64;
+            *m += x as f64;
         }
     }
     let mean: Vec<f32> = mean.iter().map(|m| (*m / n as f64) as f32).collect();
-    let first = (0..n)
-        .min_by(|&a, &b| l2_sq(sub(a), &mean).total_cmp(&l2_sq(sub(b), &mean)).then(a.cmp(&b)))
-        .unwrap_or(0);
-    centroids.extend_from_slice(sub(first));
-    let mut seed_d: Vec<f32> = (0..n).map(|pos| l2_sq(sub(pos), &centroids[..dsub])).collect();
+    let mut seed_d = vec![0.0f32; n];
+    each_nearest(blocks, n, &mean, |pos, _, d| seed_d[pos] = d);
+    let first =
+        (0..n).min_by(|&a, &b| seed_d[a].total_cmp(&seed_d[b]).then(a.cmp(&b))).unwrap_or(0);
+    centroids.extend(sub(first));
+    each_nearest(blocks, n, &centroids, |pos, _, d| seed_d[pos] = d);
     for _ in 1..ncent {
         let far = seed_d
             .iter()
@@ -281,41 +306,25 @@ pub fn maximin_lloyd(train: &[f32], dsub: usize, ncent: usize, iters: usize) -> 
             .max_by(|a, b| a.1.total_cmp(b.1).then(b.0.cmp(&a.0)))
             .map(|(pos, _)| pos)
             .unwrap_or(0);
-        let chosen: Vec<f32> = sub(far).to_vec();
-        for (pos, d) in seed_d.iter_mut().enumerate() {
-            *d = d.min(l2_sq(sub(pos), &chosen));
-        }
+        let chosen: Vec<f32> = sub(far).collect();
+        each_nearest(blocks, n, &chosen, |pos, _, d| seed_d[pos] = seed_d[pos].min(d));
         centroids.extend_from_slice(&chosen);
     }
-    let mut assignment = vec![0usize; n];
     let mut assigned_d = vec![0.0f32; n];
     for _ in 0..iters {
-        // Assign (strict `<`, so ties go to the lowest centroid index),
-        // sixteen centroids per kernel call.
-        let blocks: Vec<f32> =
-            centroids.chunks(LANES16 * dsub).flat_map(|b| to_dim_major16(b, dsub)).collect();
-        for (pos, slot) in assignment.iter_mut().enumerate() {
-            let v = sub(pos);
-            let (mut best, mut best_d) = (0usize, f32::INFINITY);
-            for (b, block) in blocks.chunks_exact(LANES16 * dsub).enumerate() {
-                let (c, d) = argmin16(&sub_dists16(v, block));
-                if d < best_d {
-                    best_d = d;
-                    best = b * LANES16 + c;
-                }
-            }
-            *slot = best;
-            assigned_d[pos] = best_d;
-        }
-        // Update: f64 sums in fixed row order.
+        // Assign (strict `<`, so ties go to the lowest centroid index) and
+        // add each point to its centroid's f64 sum as it is assigned —
+        // points arrive in row order, so every sum keeps it.
         let mut sums = vec![0.0f64; ncent * dsub];
         let mut counts = vec![0usize; ncent];
-        for (pos, &c) in assignment.iter().enumerate() {
+        each_nearest(blocks, n, &centroids, |pos, c, d| {
+            let c = c as usize;
+            assigned_d[pos] = d;
             counts[c] += 1;
             for (s, x) in sums[c * dsub..(c + 1) * dsub].iter_mut().zip(sub(pos)) {
-                *s += *x as f64;
+                *s += x as f64;
             }
-        }
+        });
         for c in 0..ncent {
             if counts[c] == 0 {
                 // Reseed at the farthest assigned point not yet consumed.
@@ -326,7 +335,9 @@ pub fn maximin_lloyd(train: &[f32], dsub: usize, ncent: usize, iters: usize) -> 
                     .map(|(pos, _)| pos)
                     .unwrap_or(0);
                 assigned_d[far] = -1.0;
-                centroids[c * dsub..(c + 1) * dsub].copy_from_slice(sub(far));
+                for (dst, x) in centroids[c * dsub..(c + 1) * dsub].iter_mut().zip(sub(far)) {
+                    *dst = x;
+                }
             } else {
                 for (dst, s) in centroids[c * dsub..(c + 1) * dsub]
                     .iter_mut()
@@ -338,6 +349,25 @@ pub fn maximin_lloyd(train: &[f32], dsub: usize, ncent: usize, iters: usize) -> 
         }
     }
     centroids
+}
+
+/// Hands `each` every live point's position, nearest centroid of `cents`
+/// and squared distance to it, in point order, eight points per
+/// [`nearest8`] call; the repeated tail lanes of the last block are
+/// dropped.
+fn each_nearest(
+    blocks: &[f32],
+    n: usize,
+    cents: &[f32],
+    mut each: impl FnMut(usize, u32, f32),
+) {
+    let block_len = blocks.len() / n.div_ceil(POINTS8);
+    for (b, block) in blocks.chunks_exact(block_len).enumerate() {
+        let (idx, d) = nearest8(block, cents);
+        for lane in 0..POINTS8.min(n - b * POINTS8) {
+            each(b * POINTS8 + lane, idx[lane], d[lane]);
+        }
+    }
 }
 
 /// [`maximin_lloyd`] as it stood before the 16-centroid kernel (one

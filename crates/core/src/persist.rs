@@ -152,6 +152,21 @@ fn header(kind: u8, capacity: usize) -> BytesMut {
     buf
 }
 
+/// `Ok` when the `remaining` bytes can back `count` items of `width`
+/// bytes — the check every header-derived count passes before it sizes an
+/// allocation.
+fn backed(count: usize, width: usize, remaining: usize) -> Result<(), PersistError> {
+    match count.checked_mul(width) {
+        Some(bytes) if bytes <= remaining => Ok(()),
+        _ => Err(PersistError::Truncated),
+    }
+}
+
+/// `m * 16 * (dim / m)`: the float count of a PQ section's padded codebooks.
+fn pq_codebook_len(dim: usize, m: usize) -> Result<usize, PersistError> {
+    m.checked_mul(16).and_then(|x| x.checked_mul(dim / m)).ok_or(PersistError::Truncated)
+}
+
 fn check_header(buf: &mut Bytes, expected_kind: u8) -> Result<(), PersistError> {
     if buf.remaining() < 6 {
         return Err(PersistError::BadMagic);
@@ -197,9 +212,7 @@ pub fn decode_store(mut buf: Bytes) -> Result<VectorStore, PersistError> {
     let dim = buf.get_u64_le() as usize;
     let len = buf.get_u64_le() as usize;
     let want = dim.checked_mul(len).ok_or(PersistError::Truncated)?;
-    if buf.remaining() < want * 4 {
-        return Err(PersistError::Truncated);
-    }
+    backed(want, 4, buf.remaining())?;
     let mut data = Vec::with_capacity(want);
     for _ in 0..want {
         data.push(buf.get_f32_le());
@@ -238,28 +251,29 @@ pub fn decode_flat_graph(mut buf: Bytes) -> Result<FlatGraph, PersistError> {
     }
     let slots = buf.get_u64_le() as usize;
     let n = buf.get_u64_le() as usize;
-    if buf.remaining() < n * 4 {
-        return Err(PersistError::Truncated);
-    }
+    backed(n, 4, buf.remaining())?;
     let mut counts = Vec::with_capacity(n);
     for _ in 0..n {
         counts.push(buf.get_u32_le());
     }
     let want = n.checked_mul(slots).ok_or(PersistError::Truncated)?;
-    if buf.remaining() < want * 4 {
-        return Err(PersistError::Truncated);
-    }
-    // Rebuild through an adjacency graph to reuse the validated
-    // constructor.
-    let mut adj = crate::graph::AdjacencyGraph::new(n);
+    backed(want, 4, buf.remaining())?;
     let mut edges = Vec::with_capacity(want);
     for _ in 0..want {
         edges.push(buf.get_u32_le());
     }
-    for v in 0..n {
-        let c = (counts[v] as usize).min(slots);
-        adj.set_neighbors(v as u32, edges[v * slots..v * slots + c].to_vec());
-    }
+    // Rebuild through an adjacency graph to reuse the flat constructor;
+    // a neighbour id outside the graph could not be served.
+    let lists = (0..n)
+        .map(|v| {
+            let live = &edges[v * slots..v * slots + (counts[v] as usize).min(slots)];
+            if live.iter().any(|&e| e as usize >= n) {
+                return Err(PersistError::Truncated);
+            }
+            Ok(live.to_vec())
+        })
+        .collect::<Result<_, _>>()?;
+    let adj = crate::graph::AdjacencyGraph::from_lists(lists);
     Ok(FlatGraph::from_adjacency(&adj, Some(slots.max(1))))
 }
 
@@ -286,31 +300,7 @@ pub fn encode_quantized(quant: &QuantizedStore) -> Bytes {
 /// Decodes a quantized store (rebuilding the cache-line-padded layout).
 pub fn decode_quantized(mut buf: Bytes) -> Result<QuantizedStore, PersistError> {
     check_header(&mut buf, KIND_QUANT)?;
-    if buf.remaining() < 16 {
-        return Err(PersistError::Truncated);
-    }
-    let dim = buf.get_u64_le() as usize;
-    let len = buf.get_u64_le() as usize;
-    if dim == 0 {
-        return Err(PersistError::Truncated);
-    }
-    if buf.remaining() < dim * 8 {
-        return Err(PersistError::Truncated);
-    }
-    let mut mins = Vec::with_capacity(dim);
-    for _ in 0..dim {
-        mins.push(buf.get_f32_le());
-    }
-    let mut deltas = Vec::with_capacity(dim);
-    for _ in 0..dim {
-        deltas.push(buf.get_f32_le());
-    }
-    let want = dim.checked_mul(len).ok_or(PersistError::Truncated)?;
-    if buf.remaining() < want {
-        return Err(PersistError::Truncated);
-    }
-    let mut packed = vec![0u8; want];
-    buf.copy_to_slice(&mut packed);
+    let (dim, mins, deltas, packed) = get_affine_body(&mut buf, |dim| dim)?;
     Ok(QuantizedStore::from_parts(dim, mins, deltas, packed))
 }
 
@@ -339,9 +329,7 @@ fn get_affine_body(
     if dim == 0 {
         return Err(PersistError::Truncated);
     }
-    if buf.remaining() < dim * 8 {
-        return Err(PersistError::Truncated);
-    }
+    backed(dim, 8, buf.remaining())?;
     let mut mins = Vec::with_capacity(dim);
     for _ in 0..dim {
         mins.push(buf.get_f32_le());
@@ -351,9 +339,7 @@ fn get_affine_body(
         deltas.push(buf.get_f32_le());
     }
     let want = row_bytes(dim).checked_mul(len).ok_or(PersistError::Truncated)?;
-    if buf.remaining() < want {
-        return Err(PersistError::Truncated);
-    }
+    backed(want, 1, buf.remaining())?;
     let mut packed = vec![0u8; want];
     buf.copy_to_slice(&mut packed);
     Ok((dim, mins, deltas, packed))
@@ -435,9 +421,7 @@ pub fn decode_codec(mut buf: Bytes) -> Result<Box<dyn CodecStore>, PersistError>
             {
                 return Err(PersistError::Truncated);
             }
-            if buf.remaining() < dim * 4 {
-                return Err(PersistError::Truncated);
-            }
+            backed(dim, 4, buf.remaining())?;
             let mut perm = Vec::with_capacity(dim);
             let mut seen = vec![false; dim];
             for _ in 0..dim {
@@ -447,21 +431,14 @@ pub fn decode_codec(mut buf: Bytes) -> Result<Box<dyn CodecStore>, PersistError>
                 }
                 perm.push(d);
             }
-            let cents = m
-                .checked_mul(16)
-                .and_then(|x| x.checked_mul(dim / m))
-                .ok_or(PersistError::Truncated)?;
-            if buf.remaining() < cents * 4 {
-                return Err(PersistError::Truncated);
-            }
+            let cents = pq_codebook_len(dim, m)?;
+            backed(cents, 4, buf.remaining())?;
             let mut centroids = Vec::with_capacity(cents);
             for _ in 0..cents {
                 centroids.push(buf.get_f32_le());
             }
             let want = m.div_ceil(2).checked_mul(len).ok_or(PersistError::Truncated)?;
-            if buf.remaining() < want {
-                return Err(PersistError::Truncated);
-            }
+            backed(want, 1, buf.remaining())?;
             let mut packed = vec![0u8; want];
             buf.copy_to_slice(&mut packed);
             Ok(Box::new(PqStore::from_parts(dim, m, ncent, perm, &centroids, packed)))
@@ -593,6 +570,10 @@ impl<'a> Cursor<'a> {
         Ok(out)
     }
 
+    fn remaining(&self) -> usize {
+        self.bytes.len() - self.pos
+    }
+
     fn get_u8(&mut self) -> Result<u8, PersistError> {
         Ok(self.take(1)?[0])
     }
@@ -692,7 +673,9 @@ pub fn save_store_mapped(store: &VectorStore, path: &Path) -> Result<(), Persist
     w.finish()
 }
 
-fn mstore_header(bytes: &[u8]) -> Result<(usize, usize), PersistError> {
+/// A mapped store's `dim`, `len`, row stride and row-area bytes, once the
+/// file is known to hold that area.
+fn mstore_header(bytes: &[u8]) -> Result<(usize, usize, usize, usize), PersistError> {
     let mut cur = Cursor::new(bytes);
     cur.check_header(KIND_MSTORE)?;
     let dim = cur.get_u64_le()? as usize;
@@ -700,19 +683,19 @@ fn mstore_header(bytes: &[u8]) -> Result<(usize, usize), PersistError> {
     if dim == 0 {
         return Err(PersistError::Truncated);
     }
-    Ok((dim, len))
+    // Rounding `dim` up to whole lines cannot overflow once `dim + 15`
+    // does not.
+    dim.checked_add(15).ok_or(PersistError::Truncated)?;
+    let stride = crate::store::aligned_stride(dim);
+    let want = stride.checked_mul(4).and_then(|row| row.checked_mul(len));
+    let want = want.ok_or(PersistError::Truncated)?;
+    let rows_area = bytes.len().checked_sub(MAP_DATA_ALIGN).ok_or(PersistError::Truncated)?;
+    backed(want, 1, rows_area)?;
+    Ok((dim, len, stride, want))
 }
 
 fn mapped_store_view(buf: Arc<MmapBuf>) -> Result<VectorStore, PersistError> {
-    let (dim, len) = mstore_header(buf.as_bytes())?;
-    let stride = crate::store::aligned_stride(dim);
-    let want = len
-        .checked_mul(stride)
-        .and_then(|x| x.checked_mul(4))
-        .ok_or(PersistError::Truncated)?;
-    if buf.len() < MAP_DATA_ALIGN + want {
-        return Err(PersistError::Truncated);
-    }
+    let (dim, len, _, want) = mstore_header(buf.as_bytes())?;
     let region = MmapRegion::new(buf, MAP_DATA_ALIGN, want);
     // Graph traversal touches rows in id order only by accident.
     region.advise(Advice::Random);
@@ -729,22 +712,16 @@ pub fn open_store_mapped(path: &Path) -> Result<VectorStore, PersistError> {
         }
     }
     let raw = fs::read(path)?;
-    let (dim, len) = mstore_header(&raw)?;
-    let stride = crate::store::aligned_stride(dim);
-    let want = len
-        .checked_mul(stride)
-        .and_then(|x| x.checked_mul(4))
-        .ok_or(PersistError::Truncated)?;
-    if raw.len() < MAP_DATA_ALIGN + want {
-        return Err(PersistError::Truncated);
-    }
+    let (dim, len, stride, want) = mstore_header(&raw)?;
     let mut store = VectorStore::aligned_with_capacity(dim, len);
-    let mut row = vec![0f32; dim];
-    for i in 0..len {
-        let start = MAP_DATA_ALIGN + i * stride * 4;
-        for (x, b) in row.iter_mut().zip(raw[start..start + dim * 4].chunks_exact(4)) {
-            *x = f32::from_le_bytes(b.try_into().unwrap());
-        }
+    // Grown by the first row, so a header whose `dim` no row backs (an
+    // empty store) allocates nothing for it.
+    let mut row = Vec::new();
+    for line in raw[MAP_DATA_ALIGN..MAP_DATA_ALIGN + want].chunks_exact(stride * 4) {
+        row.clear();
+        row.extend(
+            line[..dim * 4].chunks_exact(4).map(|b| f32::from_le_bytes(b.try_into().unwrap())),
+        );
         store.push(&row);
     }
     Ok(store)
@@ -835,6 +812,7 @@ fn mcodec_header(bytes: &[u8]) -> Result<McodecHead, PersistError> {
             if dim == 0 {
                 return Err(PersistError::Truncated);
             }
+            backed(dim, 8, cur.remaining())?;
             let mut mins = Vec::with_capacity(dim);
             for _ in 0..dim {
                 mins.push(cur.get_f32_le()?);
@@ -863,6 +841,7 @@ fn mcodec_header(bytes: &[u8]) -> Result<McodecHead, PersistError> {
             {
                 return Err(PersistError::Truncated);
             }
+            backed(dim, 4, cur.remaining())?;
             let mut perm = Vec::with_capacity(dim);
             let mut seen = vec![false; dim];
             for _ in 0..dim {
@@ -872,7 +851,8 @@ fn mcodec_header(bytes: &[u8]) -> Result<McodecHead, PersistError> {
                 }
                 perm.push(d);
             }
-            let cents = m * 16 * (dim / m);
+            let cents = pq_codebook_len(dim, m)?;
+            backed(cents, 4, cur.remaining())?;
             let mut centroids = Vec::with_capacity(cents);
             for _ in 0..cents {
                 centroids.push(cur.get_f32_le()?);
@@ -889,9 +869,9 @@ fn mcodec_header(bytes: &[u8]) -> Result<McodecHead, PersistError> {
     let data_offset = cur.pos.next_multiple_of(MAP_DATA_ALIGN);
     let code_bytes = len
         .checked_mul(stride)
-        .map(|x| x.next_multiple_of(MAP_DATA_ALIGN))
+        .and_then(|x| x.checked_next_multiple_of(MAP_DATA_ALIGN))
         .ok_or(PersistError::Truncated)?;
-    if bytes.len() < data_offset + code_bytes {
+    if data_offset.checked_add(code_bytes).is_none_or(|end| end > bytes.len()) {
         return Err(PersistError::Truncated);
     }
     Ok(McodecHead { params, data_offset, code_bytes, row_bytes, stride, len })

@@ -22,11 +22,13 @@
 //!
 //! Codebooks are held **dimension-major** (`[j][i][c]`: the 16 centroids'
 //! `i`-th coordinates contiguous) — the only in-memory layout — so one
-//! [`sub_dists16`] call scores a subvector against a subquantizer's whole
-//! codebook with SIMD lanes = centroids, each lane bit-identical to the
-//! per-centroid `l2_sq`. Table construction, encoding and the trainer's
-//! assignment step all go through it. Persisted files keep the
-//! centroid-major `[j][c][i]` order ([`PqStore::centroids`]).
+//! [`sub_dists16`] call scores a query subvector against a subquantizer's
+//! whole codebook with SIMD lanes = centroids, each lane bit-identical to
+//! the per-centroid `l2_sq`: the per-query table. Training and encoding
+//! run the other way round — eight training points or rows per SIMD
+//! vector, [`nearest8`] against every centroid of a row-major book — with
+//! the same per-lane arithmetic. Persisted files keep the centroid-major
+//! `[j][c][i]` order ([`PqStore::centroids`]).
 //!
 //! ## Per-query LUT and the compare-select scan
 //!
@@ -53,7 +55,7 @@
 use super::{
     lines_as_bytes_mut, CodeBuf, CodeLine, CodecSpec, CodecStore, PreparedQuery, LINE_U8,
 };
-use crate::distance::{argmin16, min16, sub_dists16, to_dim_major16};
+use crate::distance::{min16, nearest8, sub_dists16, to_blocks8, to_dim_major16, POINTS8};
 use crate::par::par_map;
 use crate::store::VectorStore;
 
@@ -129,7 +131,7 @@ fn balanced_dim_order(store: &VectorStore, train: &[u32], m: usize, dsub: usize)
 /// maximin seeding, fixed iterations, empty clusters reseeded at the
 /// current farthest-assigned points (successively, index tie-break). Same
 /// inputs always produce the same centroids. Returns the `ncent` centroids
-/// as one dimension-major block (`[i][c]`), padded to [`KSUB`] lanes.
+/// row-major (`[c][i]`).
 fn train_subquantizer(
     store: &VectorStore,
     train: &[u32],
@@ -137,45 +139,49 @@ fn train_subquantizer(
     ncent: usize,
 ) -> Vec<f32> {
     let dsub = perm_j.len();
-    // Gather this subquantizer's (permuted) training subvectors once into
-    // a flat matrix so the k-means inner loops stay contiguous.
-    let tv: Vec<f32> = train
-        .iter()
-        .flat_map(|&id| {
-            let row = store.get(id);
-            perm_j.iter().map(move |&d| row[d as usize])
-        })
-        .collect();
-    to_dim_major16(&crate::kmeans::maximin_lloyd(&tv, dsub, ncent, PQ_KMEANS_ITERS), dsub)
+    // Gather this subquantizer's (permuted) training subvectors once,
+    // straight into the trainer's 8-point blocks.
+    let blocks = to_blocks8(train.len(), dsub, |pos| {
+        let row = store.get(train[pos]);
+        perm_j.iter().map(move |&d| row[d as usize])
+    });
+    crate::kmeans::maximin_lloyd_blocks(&blocks, train.len(), dsub, ncent, PQ_KMEANS_ITERS)
 }
 
-/// Encodes every row of `store` against fixed codebooks: nearest centroid
-/// per subquantizer (strict `<`, lowest index on ties), nibble-packed.
-/// Row-local, so it commutes with any row permutation.
+/// Encodes every row of `store` against fixed row-major codebooks (one
+/// `ncent * dsub` book per subquantizer): nearest centroid per
+/// subquantizer (strict `<`, lowest index on ties), nibble-packed, eight
+/// rows per kernel call. Row-local, so it commutes with any row
+/// permutation.
 fn encode_rows(
     store: &VectorStore,
-    dsub: usize,
-    ct: &[f32],
+    books: &[Vec<f32>],
     perm: &[u32],
     stride: usize,
 ) -> Vec<CodeLine> {
-    let row_bytes = (perm.len() / dsub).div_ceil(2);
-    let rows: Vec<Vec<u8>> = par_map(0, store.len(), |i| {
-        let row = store.get(i as u32);
-        let sv: Vec<f32> = perm.iter().map(|&d| row[d as usize]).collect();
-        let mut packed = vec![0u8; row_bytes];
-        for (j, (v, ct_j)) in
-            sv.chunks_exact(dsub).zip(ct.chunks_exact(dsub * KSUB)).enumerate()
-        {
-            let (best, _) = argmin16(&sub_dists16(v, ct_j));
-            packed[j / 2] |= (best as u8) << (4 * (j % 2));
+    let n = store.len();
+    let dsub = perm.len() / books.len();
+    let row_bytes = books.len().div_ceil(2);
+    let blocks: Vec<Vec<u8>> = par_map(0, n.div_ceil(POINTS8), |b| {
+        let live = POINTS8.min(n - b * POINTS8);
+        // Subquantizer `j`'s block is `[j][i][lane]`: `perm` is group-major.
+        let sv = to_blocks8(live, perm.len(), |lane| {
+            let row = store.get((b * POINTS8 + lane) as u32);
+            perm.iter().map(move |&d| row[d as usize])
+        });
+        let mut packed = vec![0u8; live * row_bytes];
+        for (j, (block, book)) in sv.chunks_exact(POINTS8 * dsub).zip(books).enumerate() {
+            let (best, _) = nearest8(block, book);
+            for (row, &c) in packed.chunks_exact_mut(row_bytes).zip(&best) {
+                row[j / 2] |= (c as u8) << (4 * (j % 2));
+            }
         }
         packed
     });
-    let mut codes = vec![CodeLine([0u8; LINE_U8]); (store.len() * stride).div_ceil(LINE_U8)];
+    let mut codes = vec![CodeLine([0u8; LINE_U8]); (n * stride).div_ceil(LINE_U8)];
     let raw = lines_as_bytes_mut(&mut codes);
-    for (i, row) in rows.iter().enumerate() {
-        raw[i * stride..i * stride + row.len()].copy_from_slice(row);
+    for (i, row) in blocks.iter().flat_map(|b| b.chunks_exact(row_bytes)).enumerate() {
+        raw[i * stride..i * stride + row_bytes].copy_from_slice(row);
     }
     codes
 }
@@ -239,14 +245,15 @@ impl PqStore {
         let train: Vec<u32> = (0..store.len() as u32).step_by(step).collect();
         let ncent = train.len().min(KSUB);
         let perm = balanced_dim_order(store, &train, m, dsub);
-        let ct: Vec<f32> = par_map(0, m, |j| {
+        let books = par_map(0, m, |j| {
             train_subquantizer(store, &train, &perm[j * dsub..(j + 1) * dsub], ncent)
-        })
-        .into_iter()
-        .flatten()
-        .collect();
+        });
         let stride = pq_stride(m);
-        let codes = CodeBuf::Heap(encode_rows(store, dsub, &ct, &perm, stride));
+        let codes = CodeBuf::Heap(encode_rows(store, &books, &perm, stride));
+        // Collected through the same `Flatten` as always: `ct`'s capacity is
+        // part of `heap_bytes`.
+        let ct_blocks: Vec<Vec<f32>> = books.iter().map(|b| to_dim_major16(b, dsub)).collect();
+        let ct: Vec<f32> = ct_blocks.into_iter().flatten().collect();
         Self { dim, m, dsub, ncent, stride, len: store.len(), perm, ct, codes }
     }
 
@@ -595,7 +602,10 @@ impl PqStore {
     #[cfg(test)]
     fn reencode(&self, store: &VectorStore) -> PqStore {
         assert_eq!(store.dim(), self.dim);
-        let codes = encode_rows(store, self.dsub, &self.ct, &self.perm, self.stride);
+        let books: Vec<Vec<f32>> = (0..self.m)
+            .map(|j| (0..self.ncent).flat_map(|c| self.centroid(j, c)).collect())
+            .collect();
+        let codes = encode_rows(store, &books, &self.perm, self.stride);
         Self {
             codes: CodeBuf::Heap(codes),
             perm: self.perm.clone(),
