@@ -4,8 +4,10 @@
 //! (`l2_sq_u8`, `l2_sq_u8_batch`, `pq_scan`, `pq_scan_batch`) pick
 //! AVX2/NEON at runtime; the `*_scalar` rows pin the reference the
 //! dispatcher falls back to under `GASS_NO_SIMD`. The `pq_scan` rows are
-//! the 16-entry LUT compare-select scan over 4-bit PQ codes (m = dim/6
-//! subquantizers), the inner loop of PQ traversal; `pq_prepare` is the
+//! the 16-entry LUT scan over 4-bit PQ codes (m = dim/6 subquantizers),
+//! the inner loop of PQ traversal — `pq_scan/{avx2,vbmi}` and
+//! `pq_scan_pair/vbmi` time the x86 kernels the dispatcher picks between
+//! (rows present only where the CPU has them); `pq_prepare` is the
 //! once-per-query table construction in front of it, `kmeans_assign` the
 //! training/encoding kernel (one 8-point block against 16 centroids per
 //! iteration) and `pq_train` the codebook training + encoding of a
@@ -21,6 +23,8 @@ use gass_core::quant::{
     l2_sq_u8, l2_sq_u8_batch, l2_sq_u8_batch_scalar, l2_sq_u8_scalar, pq_scan, pq_scan_batch,
     pq_scan_batch_scalar, pq_scan_scalar, PqStore,
 };
+#[cfg(target_arch = "x86_64")]
+use gass_core::quant::{pq_scan_avx2, pq_scan_pair_vbmi};
 use gass_core::{PreparedQuery, QuantizedStore, VectorStore};
 use std::hint::black_box;
 
@@ -102,6 +106,38 @@ fn bench_quant_kernels(c: &mut Criterion) {
             &dim,
             |bench, _| bench.iter(|| pq_scan_batch_scalar(black_box(lut), black_box(prows))),
         );
+
+        // The two x86 kernels behind `pq_scan/simd`, called directly: the
+        // AVX2 compare-select scan and the AVX-512 VBMI table lookup (a
+        // single row is a pair with itself; `pq_scan_pair` is two rows).
+        #[cfg(target_arch = "x86_64")]
+        if [96, 128, 960].contains(&dim) {
+            if pq_scan_avx2(lut, prow).is_some() {
+                group.bench_with_input(
+                    BenchmarkId::new("pq_scan/avx2", dim),
+                    &dim,
+                    |bench, _| bench.iter(|| pq_scan_avx2(black_box(lut), black_box(prow))),
+                );
+            }
+            if pq_scan_pair_vbmi(lut, prow, prow).is_some() {
+                group.bench_with_input(
+                    BenchmarkId::new("pq_scan/vbmi", dim),
+                    &dim,
+                    |bench, _| {
+                        bench.iter(|| pq_scan_pair_vbmi(black_box(lut), black_box(prow), prow))
+                    },
+                );
+                group.bench_with_input(
+                    BenchmarkId::new("pq_scan_pair/vbmi", dim),
+                    &dim,
+                    |bench, _| {
+                        bench.iter(|| {
+                            pq_scan_pair_vbmi(black_box(lut), black_box(prows[0]), prows[1])
+                        })
+                    },
+                );
+            }
+        }
     }
     for dsub in [6usize, 8, 16] {
         // The k-means / PQ-encoding kernel: eight `dsub`-d points (one

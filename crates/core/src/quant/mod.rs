@@ -16,7 +16,8 @@
 //! * [`PqStore`] (**PQ**, [`pq`]) — product quantization, `m`
 //!   subquantizers × 4-bit codes over k-means codebooks, distances scanned
 //!   from a per-query 16-entry LUT with SIMD compare-select kernels
-//!   (`vpshufb`/`tbl`-style register-resident tables).
+//!   (`vpshufb`/`tbl`-style register-resident tables), or `vpermi2b` table
+//!   lookups on AVX-512 VBMI.
 //!
 //! Every codec keeps the bit-identity discipline of [`crate::distance`]:
 //! the portable scalar kernel is the reference and the AVX2/NEON backends
@@ -33,8 +34,11 @@ pub mod sq4;
 pub mod sq8;
 
 pub use pq::{
-    pq_auto_m, pq_scan, pq_scan_batch, pq_scan_batch_scalar, pq_scan_scalar, PqStore,
+    pq_auto_m, pq_scan, pq_scan_batch, pq_scan_batch_scalar, pq_scan_pair, pq_scan_scalar,
+    PqStore,
 };
+#[cfg(target_arch = "x86_64")]
+pub use pq::{pq_scan_avx2, pq_scan_pair_vbmi};
 pub use sq4::{l2_sq_u4, l2_sq_u4_batch, l2_sq_u4_batch_scalar, l2_sq_u4_scalar, Sq4Store};
 pub use sq8::{
     l2_sq_u8, l2_sq_u8_batch, l2_sq_u8_batch_scalar, l2_sq_u8_scalar, QuantizedStore,
@@ -307,6 +311,13 @@ pub trait CodecStore: std::fmt::Debug + Send + Sync {
     /// Code-space distances to **four** vectors at once — bit-identical to
     /// four [`CodecStore::dist_prepared`] calls.
     fn dist_prepared_batch(&self, pq: &PreparedQuery, ids: [u32; 4]) -> [f32; 4];
+
+    /// Code-space distances to **two** vectors — bit-identical to two
+    /// [`CodecStore::dist_prepared`] calls, which is what the default does
+    /// (PQ scores both rows in one kernel call where the CPU allows).
+    fn dist_prepared_pair(&self, pq: &PreparedQuery, ids: [u32; 2]) -> [f32; 2] {
+        ids.map(|id| self.dist_prepared(pq, id))
+    }
 
     /// Hints the CPU to pull vector `id`'s code row toward L1.
     /// Semantically a no-op.

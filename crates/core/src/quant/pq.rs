@@ -51,6 +51,16 @@
 //! for each 16-byte group of code bytes (32 subquantizers), entry `c`
 //! stores 16 even-nibble bytes then 16 odd-nibble bytes at offset
 //! `chunk·512 + c·32`.
+//!
+//! ## Table lookups on AVX-512 VBMI
+//!
+//! Where the CPU has AVX-512 VBMI, a chunk's 512-byte table is four
+//! 128-byte groups that `vpermi2b` indexes directly, so a lane's entry is
+//! one lookup per group (four per chunk) instead of sixteen compare-select
+//! rounds, and a zmm holds **two** code rows. [`pq_scan_pair`] scores two
+//! rows per call, [`pq_scan`] a row paired with itself and
+//! [`pq_scan_batch`] two pairs; the table layout is the one above, and the
+//! sums are the same exact integers.
 
 use super::{
     lines_as_bytes_mut, CodeBuf, CodeLine, CodecSpec, CodecStore, PreparedQuery, LINE_U8,
@@ -525,10 +535,22 @@ impl PqStore {
 
     /// Code distance from a prepared query to vector `id`: exact integer
     /// LUT sum, mapped back through the query's scale and bias.
+    ///
+    /// # Panics
+    /// Panics if `pq` was not prepared by a store of this geometry (its
+    /// LUT does not cover a code row), or if `id` is out of bounds.
     #[inline]
     pub fn dist_prepared(&self, pq: &PreparedQuery, id: u32) -> f32 {
         let sum = pq_scan(&pq.lut, self.code_row(id));
         (sum as f32).mul_add(pq.lut_scale, pq.lut_bias)
+    }
+
+    /// Code distances to **two** vectors through [`pq_scan_pair`]
+    /// (bit-identical to two [`Self::dist_prepared`] calls).
+    #[inline]
+    pub fn dist_prepared_pair(&self, pq: &PreparedQuery, ids: [u32; 2]) -> [f32; 2] {
+        let sums = pq_scan_pair(&pq.lut, self.code_row(ids[0]), self.code_row(ids[1]));
+        sums.map(|s| (s as f32).mul_add(pq.lut_scale, pq.lut_bias))
     }
 
     /// Code distances to **four** vectors at once (bit-identical to four
@@ -645,6 +667,10 @@ impl CodecStore for PqStore {
         self.dist_prepared_batch(pq, ids)
     }
 
+    fn dist_prepared_pair(&self, pq: &PreparedQuery, ids: [u32; 2]) -> [f32; 2] {
+        self.dist_prepared_pair(pq, ids)
+    }
+
     fn prefetch(&self, id: u32) {
         self.prefetch(id);
     }
@@ -672,13 +698,32 @@ impl CodecStore for PqStore {
 
 // --- LUT scan kernels ---------------------------------------------------
 
+/// The precondition every scan kernel reads memory under: `codes` is whole
+/// 16-byte chunks and `lut` holds exactly one 512-byte table chunk per code
+/// chunk. Checked at every safe entry point, so a table prepared by another
+/// store (or never prepared) is a panic, not an out-of-bounds read.
+#[inline(always)]
+fn check_scan(lut: &[u8], codes: &[u8]) {
+    assert!(
+        codes.len().is_multiple_of(16) && lut.len() == codes.len() * 32,
+        "PQ scan of a {}-byte code row needs whole 16-byte chunks and a {}-byte LUT, got {} \
+         (was the query prepared by this store?)",
+        codes.len(),
+        codes.len() * 32,
+        lut.len()
+    );
+}
+
 /// Scalar reference for [`pq_scan`]: per 16-byte code chunk, each byte's
 /// two nibbles index the chunk's even/odd 16-entry tables. Pure integer —
 /// the SIMD backends must (and do) match it exactly.
+///
+/// # Panics
+/// Panics unless `codes` is whole 16-byte chunks and `lut` holds 32 bytes
+/// per code byte.
 #[inline]
 pub fn pq_scan_scalar(lut: &[u8], codes: &[u8]) -> u32 {
-    debug_assert!(codes.len().is_multiple_of(16), "code rows are 16-byte chunks");
-    debug_assert_eq!(lut.len(), codes.len() * 32, "LUT covers every chunk");
+    check_scan(lut, codes);
     let mut sum = 0u32;
     for (b, chunk) in codes.chunks_exact(16).enumerate() {
         let base = b * LUT_CHUNK;
@@ -744,6 +789,9 @@ mod avx2 {
         sel
     }
 
+    /// # Safety
+    /// The CPU supports AVX2; `codes` is whole 16-byte chunks and `lut`
+    /// holds 32 bytes per code byte.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn pq_scan(lut: &[u8], codes: &[u8]) -> u32 {
         debug_assert!(codes.len().is_multiple_of(16));
@@ -757,6 +805,8 @@ mod avx2 {
         sum_sad(acc)
     }
 
+    /// # Safety
+    /// As [`pq_scan`], for each of the four rows (all the same length).
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn pq_scan_batch(lut: &[u8], codes: [&[u8]; 4]) -> [u32; 4] {
         for c in codes {
@@ -794,6 +844,100 @@ mod avx2 {
     }
 }
 
+#[cfg(target_arch = "x86_64")]
+mod vbmi {
+    //! AVX-512 VBMI table-lookup LUT scan over **two** code rows, one per
+    //! 256-bit half of a zmm, each half laid out like the AVX2 kernel's
+    //! ymm: lane `L` < 16 holds byte `L`'s even-subquantizer (low) nibble,
+    //! lane `16 + i` byte `i`'s odd (high) nibble. A chunk's 512-byte table
+    //! is four 128-byte groups of four entries (`c = 4g .. 4g + 3`), and
+    //! `vpermi2b` looks a lane up inside one group with index
+    //! `(c & 3) << 5 | L` — byte `g·128 + (c & 3)·32 + L`, i.e. exactly
+    //! `lut[chunk·512 + c·32 + L]`. Each group's lookup is merge-masked to
+    //! the lanes whose code lies in it (`c >> 2 == g`) and writes over the
+    //! index register itself, so every lane is written exactly once and a
+    //! lane not yet written still holds its index for the later groups.
+    //! `vpsadbw` folds the selected bytes into `u64` lanes (0–3 row `a`,
+    //! 4–7 row `b`) — exact integer sums, so the result is the scalar
+    //! reference's by construction.
+
+    use core::arch::x86_64::*;
+
+    /// `i & 31` for every byte lane `i`: a lane's position within its row.
+    const LANE: [u8; 64] = {
+        let mut lane = [0u8; 64];
+        let mut i = 0;
+        while i < 64 {
+            lane[i] = (i & 31) as u8;
+            i += 1;
+        }
+        lane
+    };
+
+    /// # Safety
+    /// The CPU supports AVX-512F, AVX-512BW and AVX-512VBMI; `a` and `b`
+    /// are the same length, whole 16-byte chunks, and `lut` holds 32
+    /// bytes per code byte.
+    #[target_feature(enable = "avx512f,avx512bw,avx512vbmi")]
+    pub(super) unsafe fn pq_scan_pair(lut: &[u8], a: &[u8], b: &[u8]) -> [u32; 2] {
+        debug_assert!(a.len() == b.len() && a.len().is_multiple_of(16));
+        debug_assert_eq!(lut.len(), a.len() * 32);
+        let nibble = _mm512_set1_epi8(0x0F);
+        let lane = _mm512_loadu_si512(LANE.as_ptr().cast());
+        let mut acc = _mm512_setzero_si512();
+        for k in 0..a.len() / 16 {
+            // 128-bit lanes [a, a, b, b]; the second copy of each row is
+            // shifted down to its odd nibbles.
+            let ra =
+                _mm256_broadcastsi128_si256(_mm_loadu_si128(a.as_ptr().add(k * 16).cast()));
+            let rb =
+                _mm256_broadcastsi128_si256(_mm_loadu_si128(b.as_ptr().add(k * 16).cast()));
+            let rows = _mm512_inserti64x4::<1>(_mm512_castsi256_si512(ra), rb);
+            let c =
+                _mm512_and_si512(_mm512_mask_srli_epi16::<4>(rows, 0xFF00_FF00, rows), nibble);
+            // `(c & 3) << 5 | L` (0xEA: `(x & y) | z`), and `c & 0b1100`.
+            let mut sel = _mm512_ternarylogic_epi32::<0xEA>(
+                _mm512_slli_epi16::<5>(c),
+                _mm512_set1_epi8(0x60),
+                lane,
+            );
+            let group = _mm512_and_si512(c, _mm512_set1_epi8(0x0C));
+            let lp = lut.as_ptr().add(k * super::LUT_CHUNK);
+            for g in 0..4 {
+                let t0 = _mm512_loadu_si512(lp.add(g * 128).cast());
+                let t1 = _mm512_loadu_si512(lp.add(g * 128 + 64).cast());
+                let in_g = _mm512_cmpeq_epi8_mask(group, _mm512_set1_epi8(4 * g as i8));
+                sel = _mm512_mask2_permutex2var_epi8(t0, sel, in_g, t1);
+            }
+            acc = _mm512_add_epi64(acc, _mm512_sad_epu8(sel, _mm512_setzero_si512()));
+        }
+        [
+            _mm512_mask_reduce_add_epi64(0x0F, acc) as u32,
+            _mm512_mask_reduce_add_epi64(0xF0, acc) as u32,
+        ]
+    }
+}
+
+/// AVX-512F/BW/VBMI are present — a capability inside the AVX2 backend
+/// (every such CPU has AVX2), detected once.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+fn vbmi_available() -> bool {
+    use std::sync::atomic::{AtomicU8, Ordering};
+    static VBMI: AtomicU8 = AtomicU8::new(0);
+    match VBMI.load(Ordering::Relaxed) {
+        0 => {
+            let yes = std::arch::is_x86_feature_detected!("avx512f")
+                && std::arch::is_x86_feature_detected!("avx512bw")
+                && std::arch::is_x86_feature_detected!("avx512vbmi");
+            VBMI.store(if yes { 1 } else { 2 }, Ordering::Relaxed);
+            yes
+        }
+        1 => true,
+        _ => false,
+    }
+}
+
 #[cfg(target_arch = "aarch64")]
 mod neon {
     //! NEON compare-select LUT scan: `vceqq_u8` masks, `vandq`/`vorrq`
@@ -802,6 +946,9 @@ mod neon {
 
     use core::arch::aarch64::*;
 
+    /// # Safety
+    /// The CPU supports NEON; `codes` is whole 16-byte chunks and `lut`
+    /// holds 32 bytes per code byte.
     #[target_feature(enable = "neon")]
     pub(super) unsafe fn pq_scan(lut: &[u8], codes: &[u8]) -> u32 {
         debug_assert!(codes.len() % 16 == 0);
@@ -827,6 +974,8 @@ mod neon {
         vaddvq_u32(acc)
     }
 
+    /// # Safety
+    /// As [`pq_scan`], for each of the four rows.
     #[target_feature(enable = "neon")]
     pub(super) unsafe fn pq_scan_batch(lut: &[u8], codes: [&[u8]; 4]) -> [u32; 4] {
         let mut out = [0u32; 4];
@@ -841,10 +990,22 @@ mod neon {
 /// dispatched to the best available kernel (all backends exact — the sum
 /// is the same `u32` everywhere). `codes` is a whole number of 16-byte
 /// chunks; `lut` holds 512 bytes per chunk in the layout documented in
-/// the module docs.
+/// the module docs. On AVX-512 VBMI hosts the row runs through the pair
+/// kernel as a pair with itself.
+///
+/// # Panics
+/// Panics unless `codes` is whole 16-byte chunks and `lut` holds 32 bytes
+/// per code byte.
 #[inline]
 pub fn pq_scan(lut: &[u8], codes: &[u8]) -> u32 {
+    check_scan(lut, codes);
     match crate::distance::active_backend() {
+        // SAFETY (every arm): the backend's features were detected, and
+        // `check_scan` established the lengths the kernels read under.
+        #[cfg(target_arch = "x86_64")]
+        crate::distance::BACKEND_AVX2 if vbmi_available() => unsafe {
+            vbmi::pq_scan_pair(lut, codes, codes)[0]
+        },
         #[cfg(target_arch = "x86_64")]
         crate::distance::BACKEND_AVX2 => unsafe { avx2::pq_scan(lut, codes) },
         #[cfg(target_arch = "aarch64")]
@@ -854,16 +1015,79 @@ pub fn pq_scan(lut: &[u8], codes: &[u8]) -> u32 {
 }
 
 /// [`pq_scan`] against **four** code rows at once, sharing the broadcast
-/// and table loads. Identical results to four separate calls.
+/// and table loads (two pair-kernel calls on VBMI hosts). Identical
+/// results to four separate calls.
+///
+/// # Panics
+/// As [`pq_scan`], for any of the four rows.
 #[inline]
 pub fn pq_scan_batch(lut: &[u8], codes: [&[u8]; 4]) -> [u32; 4] {
+    for row in codes {
+        check_scan(lut, row);
+    }
     match crate::distance::active_backend() {
+        // SAFETY (every arm): as in `pq_scan`, for each row.
+        #[cfg(target_arch = "x86_64")]
+        crate::distance::BACKEND_AVX2 if vbmi_available() => unsafe {
+            let [s0, s1] = vbmi::pq_scan_pair(lut, codes[0], codes[1]);
+            let [s2, s3] = vbmi::pq_scan_pair(lut, codes[2], codes[3]);
+            [s0, s1, s2, s3]
+        },
         #[cfg(target_arch = "x86_64")]
         crate::distance::BACKEND_AVX2 => unsafe { avx2::pq_scan_batch(lut, codes) },
         #[cfg(target_arch = "aarch64")]
         crate::distance::BACKEND_NEON => unsafe { neon::pq_scan_batch(lut, codes) },
         _ => pq_scan_batch_scalar(lut, codes),
     }
+}
+
+/// [`pq_scan`] against **two** code rows: one VBMI kernel call for both on
+/// hosts that have it, two single-row scans everywhere else. Identical
+/// results to two separate calls.
+///
+/// # Panics
+/// As [`pq_scan`], for either row.
+#[inline]
+pub fn pq_scan_pair(lut: &[u8], a: &[u8], b: &[u8]) -> [u32; 2] {
+    check_scan(lut, a);
+    check_scan(lut, b);
+    match crate::distance::active_backend() {
+        // SAFETY: as in `pq_scan`, for both rows.
+        #[cfg(target_arch = "x86_64")]
+        crate::distance::BACKEND_AVX2 if vbmi_available() => unsafe {
+            vbmi::pq_scan_pair(lut, a, b)
+        },
+        _ => [pq_scan(lut, a), pq_scan(lut, b)],
+    }
+}
+
+/// The AVX2 compare-select kernel alone, bypassing dispatch (kernel
+/// benchmarks and tests compare it with the VBMI kernel); `None` when the
+/// CPU lacks AVX2.
+///
+/// # Panics
+/// As [`pq_scan`].
+#[cfg(target_arch = "x86_64")]
+#[inline]
+pub fn pq_scan_avx2(lut: &[u8], codes: &[u8]) -> Option<u32> {
+    check_scan(lut, codes);
+    // SAFETY: AVX2 detected just before the call; lengths checked above.
+    std::arch::is_x86_feature_detected!("avx2").then(|| unsafe { avx2::pq_scan(lut, codes) })
+}
+
+/// The VBMI pair kernel alone, bypassing dispatch; `None` when the CPU
+/// lacks AVX-512F/BW/VBMI.
+///
+/// # Panics
+/// As [`pq_scan`], for either row.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+pub fn pq_scan_pair_vbmi(lut: &[u8], a: &[u8], b: &[u8]) -> Option<[u32; 2]> {
+    check_scan(lut, a);
+    check_scan(lut, b);
+    // SAFETY: the features were detected (`vbmi_available`); lengths
+    // checked above.
+    vbmi_available().then(|| unsafe { vbmi::pq_scan_pair(lut, a, b) })
 }
 
 /// PQ as it stood before the 16-centroid kernel — centroid-major
@@ -1242,6 +1466,113 @@ mod tests {
                 "dim={dim} m={m}"
             );
         }
+    }
+
+    /// Scalar, AVX2-direct, VBMI-direct and dispatched kernels return the
+    /// same sums for singles, batches and pairs: rows of 1..=8 chunks, LUTs
+    /// of all-0, all-255 (the largest sums) or random bytes, codes of
+    /// all-0, all-15 or random nibbles, and pairs holding one row twice.
+    #[test]
+    fn every_scan_kernel_matches_the_scalar_reference() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut byte = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 32) as u8
+        };
+        #[cfg(target_arch = "x86_64")]
+        if pq_scan_pair_vbmi(&[0; LUT_CHUNK], &[0; 16], &[0; 16]).is_none() {
+            eprintln!("note: no AVX-512F/BW/VBMI on this CPU, VBMI leg skipped");
+        }
+        for chunks in 1..=8usize {
+            for (lut_kind, code_kind) in (0..3).flat_map(|l| (0..3).map(move |c| (l, c))) {
+                let mut fill = |len: usize, kind: usize, max: u8| -> Vec<u8> {
+                    (0..len).map(|_| [0, max, byte()][kind]).collect()
+                };
+                let lut = fill(chunks * LUT_CHUNK, lut_kind, 255);
+                let rows: Vec<Vec<u8>> =
+                    (0..4).map(|_| fill(chunks * 16, code_kind, 0xFF)).collect();
+                let r = [&rows[0][..], &rows[1][..], &rows[2][..], &rows[3][..]];
+                let want = r.map(|row| pq_scan_scalar(&lut, row));
+                let label = format!("chunks={chunks} lut={lut_kind} codes={code_kind}");
+                let pairs = [(0, 1), (2, 3), (3, 0), (1, 1)];
+                assert_eq!(r.map(|row| pq_scan(&lut, row)), want, "{label}: dispatched single");
+                assert_eq!(pq_scan_batch(&lut, r), want, "{label}: dispatched batch");
+                assert_eq!(pq_scan_batch_scalar(&lut, r), want, "{label}: scalar batch");
+                for (i, j) in pairs {
+                    let got = pq_scan_pair(&lut, r[i], r[j]);
+                    assert_eq!(got, [want[i], want[j]], "{label}: dispatched pair ({i}, {j})");
+                }
+                #[cfg(target_arch = "x86_64")]
+                {
+                    if std::arch::is_x86_feature_detected!("avx2") {
+                        let single = r.map(|row| pq_scan_avx2(&lut, row).unwrap());
+                        assert_eq!(single, want, "{label}: AVX2 single");
+                        // SAFETY: AVX2 detected; every row is whole chunks
+                        // and `lut` covers them.
+                        let batch = unsafe { avx2::pq_scan_batch(&lut, r) };
+                        assert_eq!(batch, want, "{label}: AVX2 batch");
+                    }
+                    for (i, j) in pairs {
+                        if let Some(got) = pq_scan_pair_vbmi(&lut, r[i], r[j]) {
+                            assert_eq!(
+                                got,
+                                [want[i], want[j]],
+                                "{label}: VBMI pair ({i}, {j})"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// A query prepared by another store (or never prepared) is refused by
+    /// a length check before any kernel reads the table — the same for
+    /// every public entry point.
+    #[test]
+    fn a_foreign_or_empty_prepared_query_panics_instead_of_reading_out_of_bounds() {
+        let small = PqStore::from_store(&mixed_store(40, 96, 1), Some(16));
+        let large = PqStore::from_store(&mixed_store(40, 960, 2), Some(160));
+        let mut foreign = PreparedQuery::default();
+        small.prepare_into(mixed_store(1, 96, 3).get(0), &mut foreign);
+        let empty = PreparedQuery::default();
+        let row = large.code_row(0);
+        let panics = |what: &str, f: &dyn Fn()| {
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+                .expect_err(&format!("{what} must panic"));
+            let msg = err.downcast_ref::<String>().map_or("", |s| s.as_str());
+            assert!(msg.contains("was the query prepared by this store"), "{what}: {msg}");
+        };
+        for (name, pq) in [("foreign", &foreign), ("empty", &empty)] {
+            panics(name, &|| {
+                let _ = large.dist_prepared(pq, 0);
+            });
+            panics(name, &|| {
+                let _ = large.dist_prepared_batch(pq, [0, 1, 2, 3]);
+            });
+            panics(name, &|| {
+                let _ = large.dist_prepared_pair(pq, [0, 1]);
+            });
+            panics(name, &|| {
+                let _ = pq_scan(pq.lut(), row);
+            });
+            panics(name, &|| {
+                let _ = pq_scan_batch(pq.lut(), [row; 4]);
+            });
+            panics(name, &|| {
+                let _ = pq_scan_pair(pq.lut(), row, row);
+            });
+        }
+        // A ragged row against a table sized for it; rows of two
+        // geometries in one pair.
+        panics("ragged row", &|| {
+            let _ = pq_scan(&[0; 17 * 32], &row[..17]);
+        });
+        panics("mixed pair", &|| {
+            let _ = pq_scan_pair(foreign.lut(), small.code_row(0), row);
+        });
     }
 
     #[test]

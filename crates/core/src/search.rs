@@ -49,11 +49,13 @@ pub struct SearchScratch {
 impl SearchScratch {
     /// Scratch sized for a graph of `n` nodes and beam width `l`.
     pub fn new(n: usize, l: usize) -> Self {
-        Self {
-            visited: VisitedSet::new(n),
-            buffer: SortedBuffer::new(l.max(1)),
-            prepared: PreparedQuery::default(),
-        }
+        // A search over `n` nodes inserts at most `n` candidates, so the
+        // buffer allocates for `min(l, n)` and `reset` sets the width `l`
+        // without allocating: a beam width read from the wire cannot
+        // reserve more memory than the graph can fill.
+        let mut buffer = SortedBuffer::new(l.clamp(1, n.max(1)));
+        buffer.reset(l.max(1));
+        Self { visited: VisitedSet::new(n), buffer, prepared: PreparedQuery::default() }
     }
 
     /// Readies the scratch for a search over `n` nodes with beam width `l`.
@@ -205,11 +207,8 @@ fn beam_search_quantized<G: GraphView + ?Sized>(
                 }
             }
         }
-        for &id in &pending[..fill] {
-            let d = space.qdist_to(&scratch.prepared, id);
-            stats.evaluated += 1;
-            scratch.buffer.insert(Neighbor::new(id, d));
-        }
+        score_quantized_tail(space, scratch, &pending[..fill]);
+        stats.evaluated += fill;
         tstate.note_expansion(&scratch.buffer);
     }
 
@@ -236,6 +235,25 @@ fn beam_search_quantized<G: GraphView + ?Sized>(
     exact.sort_unstable();
     exact.truncate(k);
     SearchResult { neighbors: exact, stats }
+}
+
+/// Scores a quantized traversal's pending tail — the fewer than four
+/// first-visit neighbours left after the 4-wide batches — in pairs (one
+/// pair-kernel call each where the codec has one), then a last single, and
+/// inserts them in pending order: the distances, evaluation order and
+/// buffer content of one-at-a-time scoring.
+#[inline]
+fn score_quantized_tail(space: Space<'_>, scratch: &mut SearchScratch, ids: &[u32]) {
+    let mut pairs = ids.chunks_exact(2);
+    for pair in &mut pairs {
+        let ds = space.qdist_to_pair(&scratch.prepared, [pair[0], pair[1]]);
+        scratch.buffer.insert(Neighbor::new(pair[0], ds[0]));
+        scratch.buffer.insert(Neighbor::new(pair[1], ds[1]));
+    }
+    for &id in pairs.remainder() {
+        let d = space.qdist_to(&scratch.prepared, id);
+        scratch.buffer.insert(Neighbor::new(id, d));
+    }
 }
 
 /// [`beam_search`] variant that can also record **every** evaluated node in
@@ -514,25 +532,18 @@ pub fn beam_search_coalesced<G: GraphView + ?Sized>(
             expanded[li] = false;
             let scratch = &mut scratches[li];
             let p = &mut pend[li];
-            // Same 4-wide grouping (and scalar tail) as the sequential
-            // quantized search — bit-identical distances in both arms.
-            let m = p.len();
-            let mut i = 0usize;
-            while i + 4 <= m {
-                let ids = [p[i], p[i + 1], p[i + 2], p[i + 3]];
+            // Same 4-wide grouping (and tail) as the sequential quantized
+            // search — bit-identical distances in both arms.
+            let mut quads = p.chunks_exact(4);
+            for quad in &mut quads {
+                let ids = [quad[0], quad[1], quad[2], quad[3]];
                 let ds = space.qdist_to_batch(&scratch.prepared, ids);
-                stats[li].evaluated += 4;
                 for (&id, &d) in ids.iter().zip(ds.iter()) {
                     scratch.buffer.insert(Neighbor::new(id, d));
                 }
-                i += 4;
             }
-            while i < m {
-                let d = space.qdist_to(&scratch.prepared, p[i]);
-                stats[li].evaluated += 1;
-                scratch.buffer.insert(Neighbor::new(p[i], d));
-                i += 1;
-            }
+            score_quantized_tail(space, scratch, quads.remainder());
+            stats[li].evaluated += p.len();
             p.clear();
             tstates[li].note_expansion(&scratch.buffer);
         }
@@ -1034,6 +1045,115 @@ mod tests {
         assert_eq!(counter_seq.get(), counter_co.get());
         assert_eq!(counter_seq.get_u8(), counter_co.get_u8());
         assert_eq!(counter_seq.get_f32(), counter_co.get_f32());
+    }
+
+    /// PQ codes that score one row per kernel call: the reference for the
+    /// batched and paired scoring of the quantized traversals.
+    #[derive(Clone, Debug)]
+    struct OneRowAtATime(crate::quant::PqStore);
+
+    impl crate::quant::CodecStore for OneRowAtATime {
+        fn spec(&self) -> crate::quant::CodecSpec {
+            crate::quant::CodecStore::spec(&self.0)
+        }
+        fn dim(&self) -> usize {
+            self.0.dim()
+        }
+        fn len(&self) -> usize {
+            self.0.len()
+        }
+        fn code_row(&self, id: u32) -> &[u8] {
+            self.0.code_row(id)
+        }
+        fn prepare_into(&self, query: &[f32], out: &mut PreparedQuery) {
+            self.0.prepare_into(query, out)
+        }
+        fn dist_prepared(&self, pq: &PreparedQuery, id: u32) -> f32 {
+            self.0.dist_prepared(pq, id)
+        }
+        fn dist_prepared_batch(&self, pq: &PreparedQuery, ids: [u32; 4]) -> [f32; 4] {
+            ids.map(|id| self.0.dist_prepared(pq, id))
+        }
+        fn prefetch(&self, id: u32) {
+            self.0.prefetch(id)
+        }
+        fn decode(&self, id: u32) -> Vec<f32> {
+            self.0.decode(id)
+        }
+        fn permute(&self, map: &crate::reorder::IdRemap) -> Box<dyn crate::quant::CodecStore> {
+            Box::new(Self(self.0.permute(map)))
+        }
+        fn heap_bytes(&self) -> usize {
+            self.0.heap_bytes()
+        }
+        fn clone_box(&self) -> Box<dyn crate::quant::CodecStore> {
+            Box::new(self.clone())
+        }
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+    }
+
+    #[test]
+    fn quantized_tails_scored_in_pairs_match_one_row_at_a_time() {
+        // Out-degrees 1..=7 around a ring, so expansions leave pending
+        // tails of one, two and three candidates after the 4-wide batches.
+        let (n, dim) = (300usize, 24usize);
+        let mut state = 0x51_7cc1_b727_220au64;
+        let flat: Vec<f32> = (0..n * dim)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state >> 40) as f32 / 4096.0 - 2048.0
+            })
+            .collect();
+        let store = VectorStore::from_flat(dim, flat);
+        let mut g = AdjacencyGraph::new(n);
+        for u in 0..n as u32 {
+            g.add_edge(u, (u + 1) % n as u32);
+            for j in 0..(u % 7) {
+                g.add_edge(u, (u * 37 + j * 101 + 7) % n as u32);
+            }
+        }
+        let pq = crate::quant::PqStore::from_store(&store, Some(6));
+        let reference = OneRowAtATime(pq.clone());
+        let queries: Vec<Vec<f32>> = (0..6).map(|q| store.get(q * 47 + 3).to_vec()).collect();
+        let query_refs: Vec<&[f32]> = queries.iter().map(|q| q.as_slice()).collect();
+        let seeds: Vec<Vec<u32>> = (0..6u32).map(|q| vec![q * 29 % n as u32]).collect();
+        let run = |codec: &dyn crate::quant::CodecStore| {
+            let counter = DistCounter::new();
+            let space =
+                Space::new(&store, &counter).with_quant(Some(crate::QuantView::new(codec, 3)));
+            let mut scratch = SearchScratch::new(n, 24);
+            let seq: Vec<SearchResult> = query_refs
+                .iter()
+                .zip(&seeds)
+                .map(|(q, s)| beam_search(&g, space, q, s, 5, 24, &mut scratch))
+                .collect();
+            let mut lanes: Vec<SearchScratch> =
+                (0..6).map(|_| SearchScratch::new(n, 24)).collect();
+            let co = beam_search_coalesced(
+                &g,
+                space,
+                &query_refs,
+                &seeds,
+                5,
+                24,
+                &mut lanes,
+                Termination::FIXED,
+            );
+            (seq, co, counter.get_u8(), counter.get_f32())
+        };
+        let (seq, co, u8s, f32s) = run(&pq);
+        let (want, _, want_u8s, want_f32s) = run(&reference);
+        assert_eq!((u8s, f32s), (want_u8s, want_f32s), "u8 / f32 evaluation counts");
+        for ((s, c), w) in seq.iter().zip(&co).zip(&want) {
+            assert_eq!(s.neighbors, w.neighbors, "sequential: ids and distance bits");
+            assert_eq!(s.stats, w.stats, "sequential: traversal work");
+            assert_eq!(c.neighbors, w.neighbors, "coalesced: ids and distance bits");
+            assert_eq!(c.stats, w.stats, "coalesced: traversal work");
+        }
     }
 
     #[test]

@@ -234,6 +234,56 @@ fn malformed_queries_are_rejected_not_fatal() {
 }
 
 #[test]
+fn hostile_beam_width_and_rerank_factor_get_a_reply() {
+    // The widest values the wire can carry, on a quantized index so the
+    // rerank pool is sized from them too. The search can hold at most the
+    // graph's N candidates, so the reply is the exhaustive one.
+    let base = gass_data::synth::manifold_mixture(N, DIM, 8, 16, 0.5, 0.1, 42);
+    let mut idx =
+        HnswIndex::build(base, HnswParams { m: 8, ef_construction: 64, seed: 42, threads: 2 });
+    idx.quantize(gass_core::CodecSpec::Sq8);
+    let index = Arc::new(idx);
+    let handle = serve(index.clone(), ServeConfig::default()).expect("bind ephemeral port");
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let query = vec![0.1f32; DIM];
+    let huge = u32::MAX as usize;
+    let counter = DistCounter::new();
+    let hostile = QueryParams::new(K, huge).with_seed_count(4).with_rerank_factor(huge);
+    for _ in 0..2 {
+        let reply = client
+            .query(QueryRequest {
+                k: K,
+                beam_width: huge,
+                seed_count: 4,
+                rerank_factor: huge,
+                deadline_us: 0,
+                query: query.clone(),
+            })
+            .unwrap();
+        let want = index.search(&query, &hostile, &counter).neighbors;
+        match reply {
+            Response::Neighbors(got) => {
+                let got: Vec<(u32, u32)> =
+                    got.iter().map(|(id, d)| (*id, d.to_bits())).collect();
+                let want: Vec<(u32, u32)> =
+                    want.iter().map(|n| (n.id, n.dist.to_bits())).collect();
+                assert_eq!(got, want);
+                assert_eq!(got.len(), K);
+            }
+            other => panic!("expected neighbors, got {other:?}"),
+        }
+    }
+    // The server is still serving ordinary queries.
+    match client.query_simple(&query, K, 32).unwrap() {
+        Response::Neighbors(ns) => assert_eq!(ns.len(), K),
+        other => panic!("expected neighbors, got {other:?}"),
+    }
+    assert_eq!(handle.stats().completed, 3);
+    handle.shutdown();
+    handle.join();
+}
+
+#[test]
 fn stats_endpoint_serves_well_formed_json() {
     let (_index, handle) = start(ServeConfig::default());
     let mut client = Client::connect(handle.addr()).unwrap();

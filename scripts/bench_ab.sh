@@ -35,6 +35,8 @@ done
 echo "parent = $(git -C "$parent" rev-parse --short HEAD)  change = $(git -C "$change" rev-parse --short HEAD)" \
     "$(git -C "$change" diff --quiet HEAD -- . ':!benchmark' || echo '+ uncommitted edits')"
 echo "host: available_parallelism = $(nproc), $(uname -sr)"
+echo "cpu: $(grep -m1 'model name' /proc/cpuinfo | cut -d: -f2- | sed 's/^ *//');" \
+    "SIMD flags: $(grep -m1 -o -w -E 'avx2|fma|avx512f|avx512bw|avx512vbmi' /proc/cpuinfo | tr '\n' ' ')"
 echo "seeds $first..$((first + seeds - 1)), odd seeds parent first, even seeds change first"
 echo
 
