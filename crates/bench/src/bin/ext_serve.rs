@@ -5,8 +5,9 @@
 //! Two server configurations over the *same* index and the same worker
 //! pool — batched (`max_batch = 16` with a 100 us coalescing window) and
 //! per-request (`max_batch = 1`: every request is its own dispatch, its
-//! own `search_batch_parallel` call, and its own reply write+flush — no
-//! cross-request coalescing anywhere) — are each swept over offered
+//! own `execute_coalesced` call, and its own reply write+flush — no
+//! cross-request coalescing anywhere; a batch's jobs run back to back
+//! through the same sequential search) — are each swept over offered
 //! arrival rates. A rate is *sustained* when the achieved throughput tracks the
 //! offered rate, nothing is shed, and client-observed p99 stays under the
 //! bound (10 ms). The acceptance shape: batched serving sustains ≥ 1.5×
@@ -145,10 +146,10 @@ const NOTES: &str = "Server, load generator, and OS share host_cores CPU core(s)
     on a 1-core host both configurations are search-dominated (~50 us/query of the \
     ~66-75 us/query capacity budget), loopback syscalls are cheap, and p99 at the \
     sustained points is set largely by host scheduler noise, so run-to-run variance \
-    of the sustained ratio is substantial. The batched advantage comes from the \
-    interleaved multi-lane execution engine (COALESCE_LANES queries in lockstep \
-    hiding dependent memory latency) plus per-wakeup amortization; its headroom \
-    grows with core count and with index size relative to LLC.";
+    of the sustained ratio is substantial. The batched advantage is per-wakeup \
+    amortization (one queue drain and one reply flush per batch); a batch's searches \
+    run back to back, since interleaving them in lockstep measured slower than \
+    sequential search (DESIGN.md section 12).";
 
 fn query_request(query: &[f32], beam: usize, rerank: usize) -> QueryRequest {
     QueryRequest {

@@ -307,7 +307,7 @@ fn serve_sharded_smoke() {
 /// once with the sequential probe loop, once with `--fanout-workers 2` —
 /// must produce byte-identical answers (ids and f32 distance bits) for
 /// every query. Exercises the fan-out pool end to end through the wire
-/// protocol, micro-batching, and the coalesced engine.
+/// protocol, micro-batching, and the batch engine.
 #[test]
 fn serve_sharded_fanout_answers_identically() {
     let dir = std::env::temp_dir().join("gass_cli_serve_e2e_fanout");

@@ -1073,34 +1073,6 @@ impl<'a> Space<'a> {
         self.quant.expect("qdist_to without a quant view").store().dist_prepared(pq, i)
     }
 
-    /// Counted quantized distances from a prepared query to four vectors
-    /// at once. Counts four `u8` evaluations.
-    ///
-    /// # Panics
-    /// Panics if no quant view is attached.
-    #[inline]
-    pub fn qdist_to_batch(&self, pq: &crate::quant::PreparedQuery, ids: [u32; 4]) -> [f32; 4] {
-        self.counter.add_u8(4);
-        self.quant
-            .expect("qdist_to_batch without a quant view")
-            .store()
-            .dist_prepared_batch(pq, ids)
-    }
-
-    /// Counted quantized distances from a prepared query to two vectors
-    /// (the traversal's pending tail). Counts two `u8` evaluations.
-    ///
-    /// # Panics
-    /// Panics if no quant view is attached.
-    #[inline]
-    pub fn qdist_to_pair(&self, pq: &crate::quant::PreparedQuery, ids: [u32; 2]) -> [f32; 2] {
-        self.counter.add_u8(2);
-        self.quant
-            .expect("qdist_to_pair without a quant view")
-            .store()
-            .dist_prepared_pair(pq, ids)
-    }
-
     /// Prefetch analog of [`Self::prefetch`] for the quantized code row of
     /// vector `i`. No-op without a quant view or with prefetch disabled.
     #[inline]

@@ -11,7 +11,7 @@ use crate::search::{SearchResult, SearchScratch};
 use std::sync::Mutex;
 
 /// Per-query parameters.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct QueryParams {
     /// Number of nearest neighbors to return.
     pub k: usize,
@@ -123,15 +123,13 @@ pub trait AnnIndex: Send + Sync {
 
     /// Answers a group of k-NN queries sharing `params`, in query order.
     ///
-    /// The default is the sequential per-query loop. Indexes with a
-    /// coalesced execution engine override it —
-    /// [`PrebuiltIndex`] interleaves up to
-    /// [`crate::search::COALESCE_LANES`] quantized searches in lockstep
-    /// on the calling thread (see
-    /// [`crate::search::beam_search_coalesced`]), hiding each query's
-    /// dependent memory latency under the other lanes' compute. Every
+    /// The default is the sequential per-query loop, which is what every
+    /// monolithic index runs: interleaving several queries' traversals in
+    /// lockstep on one thread measured slower than running them one after
+    /// another (DESIGN.md §12). [`crate::ShardedIndex`] overrides it to
+    /// route the whole group first and send each shard its bucket. Every
     /// implementation must answer bit-identically to the sequential
-    /// loop: coalescing is an execution strategy, not a semantic change.
+    /// loop: grouping is an execution strategy, not a semantic change.
     fn search_coalesced(
         &self,
         queries: &[&[f32]],
@@ -252,12 +250,6 @@ fn thread_hash() -> usize {
 thread_local! {
     static HOME_OVERRIDE: std::cell::Cell<Option<usize>> =
         const { std::cell::Cell::new(None) };
-    /// Per-thread lane scratches for [`AnnIndex::search_coalesced`]: the
-    /// interleaved engine needs one scratch per in-flight lane, and the
-    /// long-lived serving workers that call it keep these warm across
-    /// batches.
-    static LANE_SCRATCH: std::cell::RefCell<Vec<SearchScratch>> =
-        const { std::cell::RefCell::new(Vec::new()) };
 }
 
 /// Pins the calling thread's [`ScratchPool`] home shard to `shard`
@@ -502,30 +494,17 @@ impl PrebuiltIndex {
             Space::new(&self.store, counter).with_quant(self.serving.quant_view(params));
         let mut seeds = Vec::new();
         self.seeds.seeds(space, query, params.seed_count, &mut seeds);
-        // Match on the frozen layout outside the traversal so both
-        // arms monomorphize (no virtual dispatch per neighbor list).
-        let res = match self.serving.csr() {
-            Some(csr) => crate::search::beam_search_terminated(
-                csr,
-                space,
-                query,
-                &seeds,
-                params.k,
-                params.beam_width,
-                scratch,
-                params.termination(),
-            ),
-            None => crate::search::beam_search_terminated(
-                &self.graph,
-                space,
-                query,
-                &seeds,
-                params.k,
-                params.beam_width,
-                scratch,
-                params.termination(),
-            ),
-        };
+        let res = crate::search::beam_search_frozen(
+            &self.graph,
+            self.serving.csr(),
+            space,
+            query,
+            &seeds,
+            params.k,
+            params.beam_width,
+            scratch,
+            params.termination(),
+        );
         self.serving.finish(res)
     }
 }
@@ -552,69 +531,6 @@ impl AnnIndex for PrebuiltIndex {
         self.scratch.with(self.store.len(), params.beam_width, |scratch| {
             self.search_prepared(query, params, counter, scratch)
         })
-    }
-
-    fn search_coalesced(
-        &self,
-        queries: &[&[f32]],
-        params: &QueryParams,
-        counter: &DistCounter,
-    ) -> Vec<SearchResult> {
-        let space =
-            Space::new(&self.store, counter).with_quant(self.serving.quant_view(params));
-        if queries.len() < 2 || space.quant().is_none() {
-            // Nothing to interleave (or full-precision serving, whose
-            // in-query prefetching already covers its latency): the
-            // sequential loop is the same work.
-            return queries.iter().map(|q| self.search(q, params, counter)).collect();
-        }
-        let n = self.store.len();
-        let mut out = Vec::with_capacity(queries.len());
-        for chunk in queries.chunks(crate::search::COALESCE_LANES) {
-            // Seeds are drawn per query in order, exactly as the
-            // sequential loop would (per-query-keyed providers make this
-            // order-independent anyway).
-            let seeds: Vec<Vec<u32>> = chunk
-                .iter()
-                .map(|q| {
-                    let mut s = Vec::new();
-                    self.seeds.seeds(space, q, params.seed_count, &mut s);
-                    s
-                })
-                .collect();
-            LANE_SCRATCH.with(|cell| {
-                let mut lanes = cell.borrow_mut();
-                while lanes.len() < chunk.len() {
-                    lanes.push(SearchScratch::new(n, params.beam_width));
-                }
-                let res = match self.serving.csr() {
-                    Some(csr) => crate::search::beam_search_coalesced(
-                        csr,
-                        space,
-                        chunk,
-                        &seeds,
-                        params.k,
-                        params.beam_width,
-                        &mut lanes[..chunk.len()],
-                        params.termination(),
-                    ),
-                    None => crate::search::beam_search_coalesced(
-                        &self.graph,
-                        space,
-                        chunk,
-                        &seeds,
-                        params.k,
-                        params.beam_width,
-                        &mut lanes[..chunk.len()],
-                        params.termination(),
-                    ),
-                };
-                for r in res {
-                    out.push(self.serving.finish(r));
-                }
-            });
-        }
-        out
     }
 
     fn freeze(&mut self) {

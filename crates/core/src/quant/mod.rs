@@ -432,6 +432,51 @@ mod tests {
         assert_eq!(CodecSpec::Pq { m: Some(48) }.resolve(96), CodecSpec::Pq { m: Some(48) });
     }
 
+    /// The public SQ8/SQ4 kernels refuse operands the SIMD kernels would
+    /// read past — a short or long row, a ragged batch, steps of another
+    /// length, and for SQ4 a row that does not pack two lanes per byte —
+    /// with a panic before any kernel runs, on every backend.
+    #[test]
+    fn short_ragged_or_mismatched_affine_rows_panic_instead_of_reading_out_of_bounds() {
+        let panics = |what: &str, f: &dyn Fn()| {
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+                .expect_err(&format!("{what} must panic"));
+            let msg = err.downcast_ref::<String>().map_or("", |s| s.as_str());
+            assert!(msg.contains("kernel over"), "{what}: {msg}");
+        };
+        type Single = fn(&[f32], &[f32], &[u8]) -> f32;
+        type Batch = fn(&[f32], &[f32], [&[u8]; 4]) -> [f32; 4];
+        // Name, kernels, query lanes per code byte.
+        let kernels: [(&str, Single, Batch, usize); 2] =
+            [("sq8", l2_sq_u8, l2_sq_u8_batch, 1), ("sq4", l2_sq_u4, l2_sq_u4_batch, 2)];
+        for n in [1usize, 7, 24, 100, 960] {
+            let (u, s, bytes) = (vec![0.5f32; n], vec![0.25f32; n], vec![7u8; n + 2]);
+            for (name, single, batch, per_byte) in kernels {
+                let ok = &bytes[..n.div_ceil(per_byte)];
+                single(&u, &s, ok);
+                batch(&u, &s, [ok; 4]);
+                // `n` bytes — one per lane — also breaks SQ4's packing.
+                for len in [ok.len() - 1, ok.len() + 1, n] {
+                    if len != ok.len() {
+                        let row = &bytes[..len];
+                        panics(&format!("{name} {len}-byte row, n={n}"), &|| {
+                            single(&u, &s, row);
+                        });
+                        panics(&format!("{name} ragged batch, n={n}"), &|| {
+                            batch(&u, &s, [ok, ok, row, ok]);
+                        });
+                    }
+                }
+                panics(&format!("{name} short steps, n={n}"), &|| {
+                    single(&u, &s[..n - 1], ok);
+                });
+                panics(&format!("{name} batch with short steps, n={n}"), &|| {
+                    batch(&u, &s[..n - 1], [ok; 4]);
+                });
+            }
+        }
+    }
+
     #[test]
     fn build_dispatches_to_each_codec() {
         let store = VectorStore::from_flat(6, (0..24).map(|i| i as f32 * 0.5).collect());

@@ -659,18 +659,22 @@ impl CodecStore for PqStore {
         self.prepare_into(query, out);
     }
 
+    #[inline]
     fn dist_prepared(&self, pq: &PreparedQuery, id: u32) -> f32 {
         self.dist_prepared(pq, id)
     }
 
+    #[inline]
     fn dist_prepared_batch(&self, pq: &PreparedQuery, ids: [u32; 4]) -> [f32; 4] {
         self.dist_prepared_batch(pq, ids)
     }
 
+    #[inline]
     fn dist_prepared_pair(&self, pq: &PreparedQuery, ids: [u32; 2]) -> [f32; 2] {
         self.dist_prepared_pair(pq, ids)
     }
 
+    #[inline]
     fn prefetch(&self, id: u32) {
         self.prefetch(id);
     }

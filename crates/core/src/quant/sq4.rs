@@ -24,7 +24,7 @@
 //! scalar agree bitwise. A phantom high nibble after an odd final
 //! dimension meets `u = s = 0` and contributes `+0.0`.
 
-use super::sq8::{lane, reduce8};
+use super::sq8::{check_affine, lane, reduce8};
 use super::{
     lines_as_bytes_mut, CodeBuf, CodeLine, CodecSpec, CodecStore, PreparedQuery, LINE_U8,
 };
@@ -364,14 +364,17 @@ impl CodecStore for Sq4Store {
         self.prepare_into(query, out);
     }
 
+    #[inline]
     fn dist_prepared(&self, pq: &PreparedQuery, id: u32) -> f32 {
         self.dist_prepared(pq, id)
     }
 
+    #[inline]
     fn dist_prepared_batch(&self, pq: &PreparedQuery, ids: [u32; 4]) -> [f32; 4] {
         self.dist_prepared_batch(pq, ids)
     }
 
+    #[inline]
     fn prefetch(&self, id: u32) {
         self.prefetch(id);
     }
@@ -503,6 +506,9 @@ mod avx2 {
         (ub, sb, cb)
     }
 
+    /// # Safety
+    /// The CPU supports AVX2 and FMA; `s` is as long as `u`, and `codes`
+    /// holds exactly `u.len().div_ceil(2)` bytes.
     #[target_feature(enable = "avx2,fma")]
     pub(super) unsafe fn l2_sq_u4(u: &[f32], s: &[f32], codes: &[u8]) -> f32 {
         debug_assert_eq!(u.len(), s.len());
@@ -522,6 +528,8 @@ mod avx2 {
         reduce8(acc)
     }
 
+    /// # Safety
+    /// As [`l2_sq_u4`], for each of the four rows.
     #[target_feature(enable = "avx2,fma")]
     pub(super) unsafe fn l2_sq_u4_batch(u: &[f32], s: &[f32], codes: [&[u8]; 4]) -> [f32; 4] {
         for c in codes {
@@ -618,6 +626,9 @@ mod neon {
         accum(lo, hi, pu.add(8), ps.add(8), il.1);
     }
 
+    /// # Safety
+    /// The CPU supports NEON; `s` is as long as `u`, and `codes` holds
+    /// exactly `u.len().div_ceil(2)` bytes.
     #[target_feature(enable = "neon")]
     pub(super) unsafe fn l2_sq_u4(u: &[f32], s: &[f32], codes: &[u8]) -> f32 {
         debug_assert_eq!(u.len(), s.len());
@@ -644,6 +655,8 @@ mod neon {
         reduce8(lo, hi)
     }
 
+    /// # Safety
+    /// As [`l2_sq_u4`], for each of the four rows.
     #[target_feature(enable = "neon")]
     pub(super) unsafe fn l2_sq_u4_batch(u: &[f32], s: &[f32], codes: [&[u8]; 4]) -> [f32; 4] {
         let mut out = [0.0f32; 4];
@@ -658,9 +671,16 @@ mod neon {
 /// `Σ_d (u_d − s_d · c_d)²`, dispatched to the best available kernel (all
 /// backends bit-identical — see the module docs). `u`/`s` come from
 /// [`Sq4Store::prepare_into`]; `codes` holds `ceil(u.len()/2)` bytes.
+///
+/// # Panics
+/// Panics unless `s` is as long as `u` and `codes` holds exactly
+/// `ceil(u.len()/2)` bytes.
 #[inline]
 pub fn l2_sq_u4(u: &[f32], s: &[f32], codes: &[u8]) -> f32 {
+    check_affine("SQ4", u, s, &[codes], u.len().div_ceil(2));
     match crate::distance::active_backend() {
+        // SAFETY (every arm): the backend's features were detected, and
+        // `check_affine` established the lengths the kernels read under.
         #[cfg(target_arch = "x86_64")]
         crate::distance::BACKEND_AVX2 if super::sq8::fma_available() => unsafe {
             avx2::l2_sq_u4(u, s, codes)
@@ -673,9 +693,14 @@ pub fn l2_sq_u4(u: &[f32], s: &[f32], codes: &[u8]) -> f32 {
 
 /// [`l2_sq_u4`] against **four** code rows at once. Bit-identical to four
 /// separate calls.
+///
+/// # Panics
+/// As [`l2_sq_u4`], for any of the four rows.
 #[inline]
 pub fn l2_sq_u4_batch(u: &[f32], s: &[f32], codes: [&[u8]; 4]) -> [f32; 4] {
+    check_affine("SQ4", u, s, &codes, u.len().div_ceil(2));
     match crate::distance::active_backend() {
+        // SAFETY (every arm): as in `l2_sq_u4`, for each row.
         #[cfg(target_arch = "x86_64")]
         crate::distance::BACKEND_AVX2 if super::sq8::fma_available() => unsafe {
             avx2::l2_sq_u4_batch(u, s, codes)

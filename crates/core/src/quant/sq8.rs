@@ -396,14 +396,17 @@ impl CodecStore for QuantizedStore {
         self.prepare_into(query, out);
     }
 
+    #[inline]
     fn dist_prepared(&self, pq: &PreparedQuery, id: u32) -> f32 {
         self.dist_prepared(pq, id)
     }
 
+    #[inline]
     fn dist_prepared_batch(&self, pq: &PreparedQuery, ids: [u32; 4]) -> [f32; 4] {
         self.dist_prepared_batch(pq, ids)
     }
 
+    #[inline]
     fn prefetch(&self, id: u32) {
         self.prefetch(id);
     }
@@ -534,6 +537,9 @@ mod avx2 {
         _mm256_fmadd_ps(d, d, acc)
     }
 
+    /// # Safety
+    /// The CPU supports AVX2 and FMA; `u`, `s` and `codes` have the same
+    /// length (the kernel reads `u.len()` of each).
     #[target_feature(enable = "avx2,fma")]
     pub(super) unsafe fn l2_sq_u8(u: &[f32], s: &[f32], codes: &[u8]) -> f32 {
         debug_assert_eq!(u.len(), codes.len());
@@ -562,6 +568,8 @@ mod avx2 {
         reduce8(acc)
     }
 
+    /// # Safety
+    /// As [`l2_sq_u8`], for each of the four rows.
     #[target_feature(enable = "avx2,fma")]
     pub(super) unsafe fn l2_sq_u8_batch(u: &[f32], s: &[f32], codes: [&[u8]; 4]) -> [f32; 4] {
         for c in codes {
@@ -644,6 +652,9 @@ mod neon {
         *hi = vfmaq_f32(*hi, d1, d1);
     }
 
+    /// # Safety
+    /// The CPU supports NEON; `u`, `s` and `codes` have the same length
+    /// (the kernel reads `u.len()` of each).
     #[target_feature(enable = "neon")]
     pub(super) unsafe fn l2_sq_u8(u: &[f32], s: &[f32], codes: &[u8]) -> f32 {
         debug_assert_eq!(u.len(), codes.len());
@@ -669,6 +680,8 @@ mod neon {
         reduce8(lo, hi)
     }
 
+    /// # Safety
+    /// As [`l2_sq_u8`], for each of the four rows.
     #[target_feature(enable = "neon")]
     pub(super) unsafe fn l2_sq_u8_batch(u: &[f32], s: &[f32], codes: [&[u8]; 4]) -> [f32; 4] {
         let mut out = [0.0f32; 4];
@@ -699,13 +712,43 @@ pub(crate) fn fma_available() -> bool {
     }
 }
 
+/// The precondition the SIMD SQ8 and SQ4 kernels read memory under: `s`
+/// is as long as `u` and every code row holds `row_bytes` bytes (`u.len()`
+/// for SQ8, two lanes per byte for SQ4). Checked at every safe entry point,
+/// so a short, ragged or mismatched row is a panic, not an out-of-bounds
+/// read. The stores slice every operand to the kernel span just before the
+/// call, so on the traversal's path it compares lengths just set.
+#[inline(always)]
+pub(crate) fn check_affine(
+    codec: &str,
+    u: &[f32],
+    s: &[f32],
+    rows: &[&[u8]],
+    row_bytes: usize,
+) {
+    assert!(
+        s.len() == u.len() && rows.iter().all(|r| r.len() == row_bytes),
+        "{codec} kernel over {} query lanes needs as many steps and {row_bytes}-byte code rows, \
+         got {} steps and rows of {:?} bytes",
+        u.len(),
+        s.len(),
+        rows.iter().map(|r| r.len()).collect::<Vec<_>>()
+    );
+}
+
 /// Asymmetric squared distance in code space, `Σ (u_i − s_i · c_i)²`,
 /// dispatched to the best available kernel (all backends bit-identical —
 /// see the module docs). `u`/`s` come from
 /// [`QuantizedStore::prepare_into`].
+///
+/// # Panics
+/// Panics unless `u`, `s` and `codes` have the same length.
 #[inline]
 pub fn l2_sq_u8(u: &[f32], s: &[f32], codes: &[u8]) -> f32 {
+    check_affine("SQ8", u, s, &[codes], u.len());
     match crate::distance::active_backend() {
+        // SAFETY (every arm): the backend's features were detected, and
+        // `check_affine` established the lengths the kernels read under.
         #[cfg(target_arch = "x86_64")]
         crate::distance::BACKEND_AVX2 if fma_available() => unsafe {
             avx2::l2_sq_u8(u, s, codes)
@@ -718,9 +761,14 @@ pub fn l2_sq_u8(u: &[f32], s: &[f32], codes: &[u8]) -> f32 {
 
 /// [`l2_sq_u8`] against **four** code rows at once — the quantized beam
 /// search's batched kernel. Bit-identical to four separate calls.
+///
+/// # Panics
+/// As [`l2_sq_u8`], for any of the four rows.
 #[inline]
 pub fn l2_sq_u8_batch(u: &[f32], s: &[f32], codes: [&[u8]; 4]) -> [f32; 4] {
+    check_affine("SQ8", u, s, &codes, u.len());
     match crate::distance::active_backend() {
+        // SAFETY (every arm): as in `l2_sq_u8`, for each row.
         #[cfg(target_arch = "x86_64")]
         crate::distance::BACKEND_AVX2 if fma_available() => unsafe {
             avx2::l2_sq_u8_batch(u, s, codes)

@@ -7,12 +7,35 @@
 //! implementation shared by all methods in `gass-graphs`, which is exactly
 //! the normalization the paper performs across its twelve baselines.
 
-use crate::distance::Space;
+use crate::distance::{prefetch_enabled, Space};
 use crate::graph::GraphView;
 use crate::neighbor::{Neighbor, SortedBuffer};
-use crate::quant::PreparedQuery;
+use crate::quant::{CodecStore, PqStore, PreparedQuery, QuantizedStore, Sq4Store};
 use crate::term::{TermState, Termination};
 use crate::visited::VisitedSet;
+
+/// Evaluates `$body` with `$c` bound to the concrete codec behind the
+/// `&dyn CodecStore` `$codec` — SQ8, SQ4 or PQ, resolved once per search
+/// through [`CodecStore::as_any`] — so the traversal the body runs is
+/// instantiated per codec and every scoring and prefetch call inside its
+/// loop is static and inlinable. Any other codec runs the same traversal
+/// instantiated at `dyn CodecStore`.
+macro_rules! with_concrete_codec {
+    ($codec:expr, |$c:ident| $body:expr) => {{
+        let codec: &dyn CodecStore = $codec;
+        let any = codec.as_any();
+        if let Some($c) = any.downcast_ref::<QuantizedStore>() {
+            $body
+        } else if let Some($c) = any.downcast_ref::<Sq4Store>() {
+            $body
+        } else if let Some($c) = any.downcast_ref::<PqStore>() {
+            $body
+        } else {
+            let $c = codec;
+            $body
+        }
+    }};
+}
 
 /// Counters describing one beam-search invocation.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -134,27 +157,44 @@ pub fn beam_search_terminated<G: GraphView + ?Sized>(
     scratch: &mut SearchScratch,
     term: Termination,
 ) -> SearchResult {
-    if space.quant().is_some() {
-        return beam_search_quantized(graph, space, query, seeds, k, beam_width, scratch, term);
+    match space.quant() {
+        Some(qv) => with_concrete_codec!(qv.store(), |codec| {
+            beam_search_quantized(
+                graph,
+                space,
+                codec,
+                qv.rerank_factor(),
+                query,
+                seeds,
+                k,
+                beam_width,
+                scratch,
+                term,
+            )
+        }),
+        None => {
+            beam_search_full(graph, space, query, seeds, k, beam_width, scratch, None, term)
+        }
     }
-    beam_search_full(graph, space, query, seeds, k, beam_width, scratch, None, term)
 }
 
 /// Two-phase quantized beam search: the traversal is the exact shape of
-/// [`beam_search_with_sink`] but every candidate is scored with the `u8`
-/// asymmetric-distance kernel over the attached
-/// [`QuantizedStore`](crate::quant::QuantizedStore); the candidate buffer
-/// is widened to hold at least `rerank_factor * k` entries, and the
-/// leading `rerank_factor * k` candidates are re-scored with exact `f32`
-/// distances before the final top-`k` cut. Returned distances are
-/// therefore always exact; only the traversal ranking is approximate.
+/// [`beam_search_with_sink`] but every candidate is scored in code space
+/// by `codec`; the candidate buffer is widened to hold at least
+/// `rerank * k` entries, and the leading `rerank * k` candidates are
+/// re-scored with exact `f32` distances before the final top-`k` cut.
+/// Returned distances are therefore always exact; only the traversal
+/// ranking is approximate.
 ///
 /// `stats.evaluated` (and the [`DistCounter`](crate::distance::DistCounter)
-/// total) counts both phases — the `u8`/`f32` split is on the counter.
+/// total) counts both phases — the `u8`/`f32` split is on the counter,
+/// one `u8` evaluation per scored row, as [`Space::qdist_to`] charges it.
 #[allow(clippy::too_many_arguments)]
-fn beam_search_quantized<G: GraphView + ?Sized>(
+fn beam_search_quantized<G: GraphView + ?Sized, C: CodecStore + ?Sized>(
     graph: &G,
     space: Space<'_>,
+    codec: &C,
+    rerank: usize,
     query: &[f32],
     seeds: &[u32],
     k: usize,
@@ -162,21 +202,22 @@ fn beam_search_quantized<G: GraphView + ?Sized>(
     scratch: &mut SearchScratch,
     term: Termination,
 ) -> SearchResult {
-    let qv = space.quant().expect("quantized beam search without a quant view");
     let n = graph.num_nodes();
     let mut stats = SearchStats::default();
     if n == 0 || seeds.is_empty() {
         return SearchResult { neighbors: Vec::new(), stats };
     }
-    let rerank = qv.rerank_factor();
+    let counter = space.counter();
+    let prefetch = prefetch_enabled();
     let pool = beam_width.max(k.saturating_mul(rerank));
     scratch.prepare(n, pool);
-    qv.store().prepare_into(query, &mut scratch.prepared);
+    codec.prepare_into(query, &mut scratch.prepared);
     let mut tstate = TermState::new(term, k);
 
     for &s in seeds {
         if (s as usize) < n && scratch.visited.insert(s) {
-            let d = space.qdist_to(&scratch.prepared, s);
+            counter.bump_u8();
+            let d = codec.dist_prepared(&scratch.prepared, s);
             stats.evaluated += 1;
             scratch.buffer.insert(Neighbor::new(s, d));
         }
@@ -194,11 +235,14 @@ fn beam_search_quantized<G: GraphView + ?Sized>(
         let mut fill = 0usize;
         for &nb in graph.neighbors(current.id) {
             if scratch.visited.insert(nb) {
-                space.qprefetch(nb);
+                if prefetch {
+                    codec.prefetch(nb);
+                }
                 pending[fill] = nb;
                 fill += 1;
                 if fill == 4 {
-                    let ds = space.qdist_to_batch(&scratch.prepared, pending);
+                    counter.add_u8(4);
+                    let ds = codec.dist_prepared_batch(&scratch.prepared, pending);
                     stats.evaluated += 4;
                     for (&id, &d) in pending.iter().zip(ds.iter()) {
                         scratch.buffer.insert(Neighbor::new(id, d));
@@ -207,7 +251,22 @@ fn beam_search_quantized<G: GraphView + ?Sized>(
                 }
             }
         }
-        score_quantized_tail(space, scratch, &pending[..fill]);
+        // The pending tail (fewer than four) is scored in pairs — one
+        // pair-kernel call where the codec has one — then a last single,
+        // inserted in pending order: the distances, evaluation order and
+        // buffer content of one-at-a-time scoring.
+        let mut pairs = pending[..fill].chunks_exact(2);
+        for pair in &mut pairs {
+            counter.add_u8(2);
+            let ds = codec.dist_prepared_pair(&scratch.prepared, [pair[0], pair[1]]);
+            scratch.buffer.insert(Neighbor::new(pair[0], ds[0]));
+            scratch.buffer.insert(Neighbor::new(pair[1], ds[1]));
+        }
+        for &id in pairs.remainder() {
+            counter.bump_u8();
+            let d = codec.dist_prepared(&scratch.prepared, id);
+            scratch.buffer.insert(Neighbor::new(id, d));
+        }
         stats.evaluated += fill;
         tstate.note_expansion(&scratch.buffer);
     }
@@ -235,25 +294,6 @@ fn beam_search_quantized<G: GraphView + ?Sized>(
     exact.sort_unstable();
     exact.truncate(k);
     SearchResult { neighbors: exact, stats }
-}
-
-/// Scores a quantized traversal's pending tail — the fewer than four
-/// first-visit neighbours left after the 4-wide batches — in pairs (one
-/// pair-kernel call each where the codec has one), then a last single, and
-/// inserts them in pending order: the distances, evaluation order and
-/// buffer content of one-at-a-time scoring.
-#[inline]
-fn score_quantized_tail(space: Space<'_>, scratch: &mut SearchScratch, ids: &[u32]) {
-    let mut pairs = ids.chunks_exact(2);
-    for pair in &mut pairs {
-        let ds = space.qdist_to_pair(&scratch.prepared, [pair[0], pair[1]]);
-        scratch.buffer.insert(Neighbor::new(pair[0], ds[0]));
-        scratch.buffer.insert(Neighbor::new(pair[1], ds[1]));
-    }
-    for &id in pairs.remainder() {
-        let d = space.qdist_to(&scratch.prepared, id);
-        scratch.buffer.insert(Neighbor::new(id, d));
-    }
 }
 
 /// [`beam_search`] variant that can also record **every** evaluated node in
@@ -369,230 +409,6 @@ fn beam_search_full<G: GraphView + ?Sized>(
     SearchResult { neighbors: scratch.buffer.top_k(k), stats }
 }
 
-/// How many queries [`beam_search_coalesced`] interleaves in lockstep.
-///
-/// Calibrated with a dependent-chain microbenchmark on the serving path:
-/// one lane pays full memory latency per expansion (~130 ns/eval on the
-/// 100K SQ8 tier), four lanes reach the kernel's throughput floor
-/// (~28 ns/eval), and the curve is flat beyond that. Eight keeps margin
-/// on deeper memory systems without outgrowing L1 (8 lanes × one
-/// neighbor list of codes ≈ 24 KB in flight).
-pub const COALESCE_LANES: usize = 8;
-
-/// Interleaved multi-query quantized beam search: runs up to
-/// [`COALESCE_LANES`]-sized groups of independent queries in lockstep on
-/// *one* thread, alternating a traversal stage (pop the next candidate,
-/// visited-filter its neighbor list, software-prefetch the surviving
-/// code rows) with an evaluation stage across all lanes. Between a
-/// lane's prefetch and its evaluation the other lanes' traversal work
-/// executes, so each query's dependent memory accesses — the pop →
-/// adjacency row → code rows chain that in-query prefetching cannot
-/// cover, because the next frontier depends on the current distances —
-/// overlap another query's compute. This is the execution-level payoff
-/// of cross-request micro-batching (`gass-serve`): a batch is faster
-/// than the sum of its queries, not just cheaper to dispatch.
-///
-/// Every lane's state evolution — visited-filter order, 4-wide kernel
-/// grouping, candidate-buffer inserts, expansion sequence, exact rerank —
-/// is exactly that of the sequential [`beam_search`], so results
-/// (neighbors, distances, per-query stats, counter totals) are
-/// bit-identical to running the lanes one at a time; only the hardware
-/// sees the difference. Lanes without a quant view fall back to the
-/// sequential search per lane (the exact path's in-query 4-wide
-/// prefetching already covers most of its latency).
-///
-/// `seeds` holds one seed set per query; `scratches` one scratch per
-/// lane (prepared internally).
-///
-/// A lane whose [`Termination`] fires is *retired* — dropped from both
-/// stages while the remaining lanes keep interleaving — so a batch mixing
-/// easy and hard queries stops paying for its easy lanes as soon as each
-/// converges. With [`Termination::FIXED`] behavior and results are
-/// bit-identical to the pre-policy coalesced search.
-///
-/// # Panics
-/// Panics if `queries`, `seeds` and `scratches` lengths disagree
-/// (`scratches` may be longer).
-#[allow(clippy::too_many_arguments)]
-pub fn beam_search_coalesced<G: GraphView + ?Sized>(
-    graph: &G,
-    space: Space<'_>,
-    queries: &[&[f32]],
-    seeds: &[Vec<u32>],
-    k: usize,
-    beam_width: usize,
-    scratches: &mut [SearchScratch],
-    term: Termination,
-) -> Vec<SearchResult> {
-    assert_eq!(queries.len(), seeds.len(), "one seed set per query");
-    assert!(scratches.len() >= queries.len(), "one scratch per lane");
-    let Some(qv) = space.quant() else {
-        return queries
-            .iter()
-            .zip(seeds)
-            .enumerate()
-            .map(|(i, (q, s))| {
-                beam_search_terminated(
-                    graph,
-                    space,
-                    q,
-                    s,
-                    k,
-                    beam_width,
-                    &mut scratches[i],
-                    term,
-                )
-            })
-            .collect();
-    };
-
-    let n = graph.num_nodes();
-    let lanes = queries.len();
-    let rerank = qv.rerank_factor();
-    let pool = beam_width.max(k.saturating_mul(rerank));
-    let mut stats = vec![SearchStats::default(); lanes];
-    let mut active = vec![false; lanes];
-    let mut tstates = vec![TermState::new(term, k); lanes];
-    // Lanes that expanded a candidate this round: they owe a
-    // `note_expansion` after stage B even when the expansion produced no
-    // first-visit neighbors, matching the sequential search's
-    // per-expansion fingerprint updates exactly.
-    let mut expanded = vec![false; lanes];
-    // Per-lane first-visit neighbors awaiting evaluation (prefetch issued).
-    let mut pend: Vec<Vec<u32>> = vec![Vec::new(); lanes];
-
-    // Seed phase: filter + prefetch every lane first, then evaluate, so
-    // even the seed rows arrive under another lane's filter work. The
-    // per-lane visit/evaluation order matches the sequential search.
-    for li in 0..lanes {
-        let scratch = &mut scratches[li];
-        scratch.prepare(n, pool);
-        if n == 0 || seeds[li].is_empty() {
-            continue;
-        }
-        qv.store().prepare_into(queries[li], &mut scratch.prepared);
-        for &s in &seeds[li] {
-            if (s as usize) < n && scratch.visited.insert(s) {
-                space.qprefetch(s);
-                pend[li].push(s);
-            }
-        }
-        active[li] = true;
-    }
-    for li in 0..lanes {
-        let scratch = &mut scratches[li];
-        for &s in &pend[li] {
-            let d = space.qdist_to(&scratch.prepared, s);
-            stats[li].evaluated += 1;
-            scratch.buffer.insert(Neighbor::new(s, d));
-        }
-        pend[li].clear();
-    }
-
-    // Main loop: stage A (traverse + prefetch) then stage B (evaluate)
-    // across all still-active lanes, until every lane's buffer stabilizes.
-    loop {
-        let mut any = false;
-        for li in 0..lanes {
-            if !active[li] {
-                continue;
-            }
-            let scratch = &mut scratches[li];
-            match scratch.buffer.next_unexpanded() {
-                Some(current) => {
-                    // Per-lane emission-time termination → lane retirement.
-                    if tstates[li].should_stop(
-                        current.dist,
-                        &scratch.buffer,
-                        stats[li].evaluated,
-                    ) {
-                        active[li] = false;
-                        continue;
-                    }
-                    stats[li].hops += 1;
-                    expanded[li] = true;
-                    for &nb in graph.neighbors(current.id) {
-                        if scratch.visited.insert(nb) {
-                            space.qprefetch(nb);
-                            pend[li].push(nb);
-                        }
-                    }
-                    any = true;
-                }
-                None => active[li] = false,
-            }
-        }
-        if !any {
-            break;
-        }
-        for li in 0..lanes {
-            if !expanded[li] {
-                continue;
-            }
-            expanded[li] = false;
-            let scratch = &mut scratches[li];
-            let p = &mut pend[li];
-            // Same 4-wide grouping (and tail) as the sequential quantized
-            // search — bit-identical distances in both arms.
-            let mut quads = p.chunks_exact(4);
-            for quad in &mut quads {
-                let ids = [quad[0], quad[1], quad[2], quad[3]];
-                let ds = space.qdist_to_batch(&scratch.prepared, ids);
-                for (&id, &d) in ids.iter().zip(ds.iter()) {
-                    scratch.buffer.insert(Neighbor::new(id, d));
-                }
-            }
-            score_quantized_tail(space, scratch, quads.remainder());
-            stats[li].evaluated += p.len();
-            p.clear();
-            tstates[li].note_expansion(&scratch.buffer);
-        }
-    }
-
-    // Exact rerank, cross-lane pipelined the same way: prefetch every
-    // lane's candidate rows, then re-score lane by lane (the sequential
-    // search's exact 4-wide grouping, so distances stay bit-identical).
-    let mut cands: Vec<Vec<Neighbor>> = Vec::with_capacity(lanes);
-    for scratch in scratches.iter().take(lanes) {
-        let c = scratch.buffer.top_k(k.saturating_mul(rerank));
-        for nb in &c {
-            space.prefetch(nb.id);
-        }
-        cands.push(c);
-    }
-    let mut out = Vec::with_capacity(lanes);
-    for (li, lane_cands) in cands.iter().enumerate() {
-        let take = lane_cands.len();
-        let mut exact = Vec::with_capacity(take);
-        let mut i = 0usize;
-        while i + 4 <= take {
-            let ids = [
-                lane_cands[i].id,
-                lane_cands[i + 1].id,
-                lane_cands[i + 2].id,
-                lane_cands[i + 3].id,
-            ];
-            let ds = space.dist_to_batch(queries[li], ids);
-            for (&id, &d) in ids.iter().zip(ds.iter()) {
-                exact.push(Neighbor::new(id, d));
-            }
-            i += 4;
-        }
-        while i < take {
-            exact.push(Neighbor::new(
-                lane_cands[i].id,
-                space.dist_to(queries[li], lane_cands[i].id),
-            ));
-            i += 1;
-        }
-        stats[li].evaluated += take;
-        exact.sort_unstable();
-        exact.truncate(k);
-        out.push(SearchResult { neighbors: exact, stats: stats[li] });
-    }
-    out
-}
-
 /// [`beam_search`] over an index that may have been frozen into CSR form:
 /// traverses `csr` when present, `graph` otherwise. Both arms are
 /// statically dispatched — this is the one `match` every method's `search`
@@ -670,8 +486,10 @@ pub fn greedy_search_budgeted<G: GraphView + ?Sized>(
     visited: &mut VisitedSet,
     max_dists: usize,
 ) -> (Neighbor, SearchStats) {
-    if space.quant().is_some() {
-        return greedy_search_quantized(graph, space, query, entry, visited, max_dists);
+    if let Some(qv) = space.quant() {
+        return with_concrete_codec!(qv.store(), |codec| {
+            greedy_search_quantized(graph, space, codec, query, entry, visited, max_dists)
+        });
     }
     let mut stats = SearchStats::default();
     visited.resize(graph.num_nodes());
@@ -720,23 +538,26 @@ pub fn greedy_search_budgeted<G: GraphView + ?Sized>(
 }
 
 /// Quantized greedy descent (see [`greedy_search_with`]): same hill-climb,
-/// `u8` distances, exact re-score of the final best.
-fn greedy_search_quantized<G: GraphView + ?Sized>(
+/// code-space distances from `codec`, exact re-score of the final best.
+fn greedy_search_quantized<G: GraphView + ?Sized, C: CodecStore + ?Sized>(
     graph: &G,
     space: Space<'_>,
+    codec: &C,
     query: &[f32],
     entry: u32,
     visited: &mut VisitedSet,
     max_dists: usize,
 ) -> (Neighbor, SearchStats) {
-    let qv = space.quant().expect("quantized greedy search without a quant view");
+    let counter = space.counter();
+    let prefetch = prefetch_enabled();
     let mut stats = SearchStats::default();
     visited.resize(graph.num_nodes());
     visited.clear();
     visited.insert(entry);
     let mut pq = PreparedQuery::default();
-    qv.store().prepare_into(query, &mut pq);
-    let mut best = Neighbor::new(entry, space.qdist_to(&pq, entry));
+    codec.prepare_into(query, &mut pq);
+    counter.bump_u8();
+    let mut best = Neighbor::new(entry, codec.dist_prepared(&pq, entry));
     stats.evaluated += 1;
     loop {
         if max_dists > 0 && stats.evaluated >= max_dists {
@@ -752,11 +573,14 @@ fn greedy_search_quantized<G: GraphView + ?Sized>(
         let mut fill = 0usize;
         for &nb in graph.neighbors(best.id) {
             if visited.insert(nb) {
-                space.qprefetch(nb);
+                if prefetch {
+                    codec.prefetch(nb);
+                }
                 pending[fill] = nb;
                 fill += 1;
                 if fill == 4 {
-                    let ds = space.qdist_to_batch(&pq, pending);
+                    counter.add_u8(4);
+                    let ds = codec.dist_prepared_batch(&pq, pending);
                     stats.evaluated += 4;
                     for (&id, &d) in pending.iter().zip(ds.iter()) {
                         if d < best.dist {
@@ -769,7 +593,8 @@ fn greedy_search_quantized<G: GraphView + ?Sized>(
             }
         }
         for &id in &pending[..fill] {
-            let d = space.qdist_to(&pq, id);
+            counter.bump_u8();
+            let d = codec.dist_prepared(&pq, id);
             stats.evaluated += 1;
             if d < best.dist {
                 best = Neighbor::new(id, d);
@@ -980,232 +805,6 @@ mod tests {
         assert!((best.dist - 0.01).abs() < 1e-4, "{}", best.dist);
         assert_eq!(counter.get(), stats.evaluated as u64);
         assert_eq!(counter.get_f32(), 1, "exactly one exact re-score");
-    }
-
-    #[test]
-    fn coalesced_search_is_bit_identical_to_sequential() {
-        // A 16-d random-ish world big enough that lanes traverse distinct
-        // regions, with a connected ring plus chords.
-        let n = 400usize;
-        let dim = 16usize;
-        let mut flat = Vec::with_capacity(n * dim);
-        let mut state = 0x2545_f491_4f6c_dd1du64;
-        for _ in 0..n * dim {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            flat.push((state >> 40) as f32 / 1024.0 - 8.0);
-        }
-        let store = VectorStore::from_flat(dim, flat);
-        let mut g = AdjacencyGraph::new(n);
-        for i in 0..n as u32 {
-            g.add_undirected(i, (i + 1) % n as u32);
-            g.add_undirected(i, (i * 7 + 13) % n as u32);
-            g.add_undirected(i, (i * 31 + 5) % n as u32);
-        }
-        let qs = crate::quant::QuantizedStore::from_store(&store);
-
-        let queries: Vec<Vec<f32>> = (0..7)
-            .map(|q| (0..dim).map(|d| ((q * dim + d) % 17) as f32 - 8.0).collect())
-            .collect();
-        let query_refs: Vec<&[f32]> = queries.iter().map(|q| q.as_slice()).collect();
-        let seeds: Vec<Vec<u32>> = (0..7u32).map(|q| vec![q * 53 % n as u32, 0]).collect();
-
-        let counter_seq = DistCounter::new();
-        let space_seq =
-            Space::new(&store, &counter_seq).with_quant(Some(crate::QuantView::new(&qs, 3)));
-        let mut scratch = SearchScratch::new(n, 12);
-        let seq: Vec<SearchResult> = query_refs
-            .iter()
-            .zip(&seeds)
-            .map(|(q, s)| beam_search(&g, space_seq, q, s, 4, 12, &mut scratch))
-            .collect();
-
-        let counter_co = DistCounter::new();
-        let space_co =
-            Space::new(&store, &counter_co).with_quant(Some(crate::QuantView::new(&qs, 3)));
-        let mut lane_scratch: Vec<SearchScratch> =
-            (0..7).map(|_| SearchScratch::new(n, 12)).collect();
-        let co = beam_search_coalesced(
-            &g,
-            space_co,
-            &query_refs,
-            &seeds,
-            4,
-            12,
-            &mut lane_scratch,
-            Termination::FIXED,
-        );
-
-        assert_eq!(seq.len(), co.len());
-        for (s, c) in seq.iter().zip(&co) {
-            assert_eq!(s.neighbors, c.neighbors, "ids and exact distances must match bitwise");
-            assert_eq!(s.stats, c.stats, "traversal work must be identical");
-        }
-        assert_eq!(counter_seq.get(), counter_co.get());
-        assert_eq!(counter_seq.get_u8(), counter_co.get_u8());
-        assert_eq!(counter_seq.get_f32(), counter_co.get_f32());
-    }
-
-    /// PQ codes that score one row per kernel call: the reference for the
-    /// batched and paired scoring of the quantized traversals.
-    #[derive(Clone, Debug)]
-    struct OneRowAtATime(crate::quant::PqStore);
-
-    impl crate::quant::CodecStore for OneRowAtATime {
-        fn spec(&self) -> crate::quant::CodecSpec {
-            crate::quant::CodecStore::spec(&self.0)
-        }
-        fn dim(&self) -> usize {
-            self.0.dim()
-        }
-        fn len(&self) -> usize {
-            self.0.len()
-        }
-        fn code_row(&self, id: u32) -> &[u8] {
-            self.0.code_row(id)
-        }
-        fn prepare_into(&self, query: &[f32], out: &mut PreparedQuery) {
-            self.0.prepare_into(query, out)
-        }
-        fn dist_prepared(&self, pq: &PreparedQuery, id: u32) -> f32 {
-            self.0.dist_prepared(pq, id)
-        }
-        fn dist_prepared_batch(&self, pq: &PreparedQuery, ids: [u32; 4]) -> [f32; 4] {
-            ids.map(|id| self.0.dist_prepared(pq, id))
-        }
-        fn prefetch(&self, id: u32) {
-            self.0.prefetch(id)
-        }
-        fn decode(&self, id: u32) -> Vec<f32> {
-            self.0.decode(id)
-        }
-        fn permute(&self, map: &crate::reorder::IdRemap) -> Box<dyn crate::quant::CodecStore> {
-            Box::new(Self(self.0.permute(map)))
-        }
-        fn heap_bytes(&self) -> usize {
-            self.0.heap_bytes()
-        }
-        fn clone_box(&self) -> Box<dyn crate::quant::CodecStore> {
-            Box::new(self.clone())
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-    }
-
-    #[test]
-    fn quantized_tails_scored_in_pairs_match_one_row_at_a_time() {
-        // Out-degrees 1..=7 around a ring, so expansions leave pending
-        // tails of one, two and three candidates after the 4-wide batches.
-        let (n, dim) = (300usize, 24usize);
-        let mut state = 0x51_7cc1_b727_220au64;
-        let flat: Vec<f32> = (0..n * dim)
-            .map(|_| {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                (state >> 40) as f32 / 4096.0 - 2048.0
-            })
-            .collect();
-        let store = VectorStore::from_flat(dim, flat);
-        let mut g = AdjacencyGraph::new(n);
-        for u in 0..n as u32 {
-            g.add_edge(u, (u + 1) % n as u32);
-            for j in 0..(u % 7) {
-                g.add_edge(u, (u * 37 + j * 101 + 7) % n as u32);
-            }
-        }
-        let pq = crate::quant::PqStore::from_store(&store, Some(6));
-        let reference = OneRowAtATime(pq.clone());
-        let queries: Vec<Vec<f32>> = (0..6).map(|q| store.get(q * 47 + 3).to_vec()).collect();
-        let query_refs: Vec<&[f32]> = queries.iter().map(|q| q.as_slice()).collect();
-        let seeds: Vec<Vec<u32>> = (0..6u32).map(|q| vec![q * 29 % n as u32]).collect();
-        let run = |codec: &dyn crate::quant::CodecStore| {
-            let counter = DistCounter::new();
-            let space =
-                Space::new(&store, &counter).with_quant(Some(crate::QuantView::new(codec, 3)));
-            let mut scratch = SearchScratch::new(n, 24);
-            let seq: Vec<SearchResult> = query_refs
-                .iter()
-                .zip(&seeds)
-                .map(|(q, s)| beam_search(&g, space, q, s, 5, 24, &mut scratch))
-                .collect();
-            let mut lanes: Vec<SearchScratch> =
-                (0..6).map(|_| SearchScratch::new(n, 24)).collect();
-            let co = beam_search_coalesced(
-                &g,
-                space,
-                &query_refs,
-                &seeds,
-                5,
-                24,
-                &mut lanes,
-                Termination::FIXED,
-            );
-            (seq, co, counter.get_u8(), counter.get_f32())
-        };
-        let (seq, co, u8s, f32s) = run(&pq);
-        let (want, _, want_u8s, want_f32s) = run(&reference);
-        assert_eq!((u8s, f32s), (want_u8s, want_f32s), "u8 / f32 evaluation counts");
-        for ((s, c), w) in seq.iter().zip(&co).zip(&want) {
-            assert_eq!(s.neighbors, w.neighbors, "sequential: ids and distance bits");
-            assert_eq!(s.stats, w.stats, "sequential: traversal work");
-            assert_eq!(c.neighbors, w.neighbors, "coalesced: ids and distance bits");
-            assert_eq!(c.stats, w.stats, "coalesced: traversal work");
-        }
-    }
-
-    #[test]
-    fn coalesced_without_quant_falls_back_per_lane() {
-        let (store, g) = line_world();
-        let counter = DistCounter::new();
-        let space = Space::new(&store, &counter);
-        let queries: Vec<Vec<f32>> = vec![vec![7.2], vec![1.4]];
-        let query_refs: Vec<&[f32]> = queries.iter().map(|q| q.as_slice()).collect();
-        let seeds = vec![vec![0u32], vec![9u32]];
-        let mut lane_scratch: Vec<SearchScratch> =
-            (0..2).map(|_| SearchScratch::new(10, 4)).collect();
-        let res = beam_search_coalesced(
-            &g,
-            space,
-            &query_refs,
-            &seeds,
-            2,
-            4,
-            &mut lane_scratch,
-            Termination::FIXED,
-        );
-        assert_eq!(res[0].neighbors[0].id, 7);
-        assert_eq!(res[1].neighbors[0].id, 1);
-    }
-
-    #[test]
-    fn coalesced_handles_empty_and_out_of_range_lanes() {
-        let (store, g) = line_world();
-        let qs = crate::quant::QuantizedStore::from_store(&store);
-        let counter = DistCounter::new();
-        let space =
-            Space::new(&store, &counter).with_quant(Some(crate::QuantView::new(&qs, 2)));
-        let queries: Vec<Vec<f32>> = vec![vec![3.3], vec![5.0], vec![8.0]];
-        let query_refs: Vec<&[f32]> = queries.iter().map(|q| q.as_slice()).collect();
-        // Lane 1 has no seeds; lane 2 only an out-of-range seed.
-        let seeds = vec![vec![0u32], vec![], vec![99u32]];
-        let mut lane_scratch: Vec<SearchScratch> =
-            (0..3).map(|_| SearchScratch::new(10, 4)).collect();
-        let res = beam_search_coalesced(
-            &g,
-            space,
-            &query_refs,
-            &seeds,
-            2,
-            4,
-            &mut lane_scratch,
-            Termination::FIXED,
-        );
-        assert_eq!(res[0].neighbors[0].id, 3);
-        assert!(res[1].neighbors.is_empty());
-        assert!(res[2].neighbors.is_empty());
     }
 
     #[test]

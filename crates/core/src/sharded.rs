@@ -622,8 +622,8 @@ impl AnnIndex for ShardedIndex {
             // non-fixed batches run the per-query adaptive loop.
             return queries.iter().map(|q| self.search(q, params, counter)).collect();
         }
-        // Bucket queries by probed shard so each shard's engine coalesces
-        // its own visitors, then merge per query in that query's ranked
+        // Bucket queries by probed shard so each shard answers its own
+        // visitors in one call, then merge per query in that query's ranked
         // shard order — bit-identical to the sequential loop (each shard
         // search is, and the heap sees pushes in the same order).
         let ranked: Vec<Vec<usize>> =

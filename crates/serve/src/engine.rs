@@ -1,43 +1,23 @@
-//! Coalesced batch execution: the compute half of the server, separated
-//! from the socket half so tests can drive it directly.
+//! Batch execution: the compute half of the server, separated from the
+//! socket half so tests can drive it directly.
 //!
-//! A drained micro-batch is grouped by identical [`QueryParams`] (in
-//! practice one group — serving traffic shares a configuration), and the
-//! whole group is answered through one [`AnnIndex::search_coalesced`]
-//! call running inline on the worker's core. On a quantized
-//! [`gass_core::PrebuiltIndex`] that is the interleaved multi-lane
-//! engine ([`gass_core::beam_search_coalesced`]): the batch's queries
-//! advance in lockstep so each one's dependent memory latency hides
-//! under the others' compute — the batch executes *faster per query*
-//! than the same queries one at a time.
+//! A drained micro-batch is answered inline on the worker's core, one
+//! [`AnnIndex::search_coalesced`] call per run of consecutive jobs with
+//! equal [`QueryParams`] (in practice the whole batch): the sequential
+//! per-query loop on a monolithic index (DESIGN.md §12), routed
+//! per-shard buckets on a [`gass_core::ShardedIndex`] (DESIGN.md §13).
 //!
-//! Batching is observationally invisible: `search_coalesced` answers
-//! bit-identically to the sequential per-query loop, so a batch of N
-//! returns bit-identical neighbors, distances, and counter totals to N
-//! individual `index.search` calls (property-tested in
-//! `tests/batch_invisibility.rs`).
+//! Batching is observationally invisible: a batch of N returns
+//! bit-identical neighbors, distances, and counter totals to N individual
+//! `index.search` calls (property-tested in `tests/batch_invisibility.rs`).
 
 use gass_core::distance::DistCounter;
 use gass_core::index::{AnnIndex, QueryParams};
 use gass_core::search::SearchResult;
 
-/// Key of a coalescing group: every field of [`QueryParams`] that alters
-/// the search, including the termination policy (a deadline-clamped
-/// `max_dists` must not be grouped with unclamped jobs — they would run
-/// under the wrong budget).
-fn params_key(p: &QueryParams) -> (usize, usize, usize, usize, u8, u32, usize) {
-    use gass_core::TerminationPolicy as Tp;
-    let (policy, arg) = match p.term {
-        Tp::Fixed => (0u8, 0u32),
-        Tp::Saturation { patience } => (1, patience as u32),
-        Tp::DistRatio { eps } => (2, eps.to_bits()),
-    };
-    (p.k, p.beam_width, p.seed_count, p.rerank_factor, policy, arg, p.max_dists)
-}
-
-/// Answers `jobs` (query vector + params each) against `index`,
-/// coalescing params-identical runs into single batch calls. Results are
-/// returned in job order.
+/// Answers `jobs` (query vector + params each) against `index`, one
+/// `search_coalesced` call per run of consecutive equal-params jobs.
+/// Results are returned in job order.
 ///
 /// # Panics
 /// Panics if any query's dimensionality differs from the index's — the
@@ -48,30 +28,13 @@ pub fn execute_coalesced(
     counter: &DistCounter,
 ) -> Vec<SearchResult> {
     let dim = index.dim();
-    let mut results: Vec<Option<SearchResult>> = (0..jobs.len()).map(|_| None).collect();
-    // Group params-identical jobs, preserving first-seen group order and
-    // job order within each group.
-    let mut groups: Vec<(QueryParams, Vec<usize>)> = Vec::new();
-    for (i, (query, params)) in jobs.iter().enumerate() {
-        assert_eq!(query.len(), dim, "engine fed a dim-mismatched query");
-        match groups.iter_mut().find(|(p, _)| params_key(p) == params_key(params)) {
-            Some((_, idxs)) => idxs.push(i),
-            None => groups.push((*params, vec![i])),
-        }
+    assert!(jobs.iter().all(|(q, _)| q.len() == dim), "engine fed a dim-mismatched query");
+    let mut results = Vec::with_capacity(jobs.len());
+    for run in jobs.chunk_by(|a, b| a.1 == b.1) {
+        let queries: Vec<&[f32]> = run.iter().map(|(q, _)| q.as_slice()).collect();
+        results.extend(index.search_coalesced(&queries, &run[0].1, counter));
     }
-    for (params, idxs) in &groups {
-        // The group runs inline on this worker's core through the
-        // index's coalesced engine: `PrebuiltIndex` interleaves up to
-        // `COALESCE_LANES` quantized searches in lockstep so one lane's
-        // memory latency hides under another's compute; every index
-        // answers bit-identically to the sequential per-query loop.
-        let queries: Vec<&[f32]> = idxs.iter().map(|&i| jobs[i].0.as_slice()).collect();
-        let batch = index.search_coalesced(&queries, params, counter);
-        for (&i, res) in idxs.iter().zip(batch) {
-            results[i] = Some(res);
-        }
-    }
-    results.into_iter().map(|r| r.expect("every job answered")).collect()
+    results
 }
 
 #[cfg(test)]
@@ -79,26 +42,6 @@ mod tests {
     use super::*;
     use gass_core::index::SerialScanIndex;
     use gass_core::store::VectorStore;
-
-    #[test]
-    fn mixed_params_batches_scatter_back_in_job_order() {
-        let store = VectorStore::from_flat(1, (0..32).map(|i| i as f32).collect());
-        let index = SerialScanIndex::new(store);
-        let p1 = QueryParams::new(1, 4);
-        let p3 = QueryParams::new(3, 8);
-        let jobs = vec![(vec![4.2], p1), (vec![9.9], p3), (vec![0.1], p1), (vec![30.7], p3)];
-        let counter = DistCounter::new();
-        let out = execute_coalesced(&index, &jobs, &counter);
-        assert_eq!(out.len(), 4);
-        assert_eq!(out[0].neighbors.len(), 1);
-        assert_eq!(out[0].neighbors[0].id, 4);
-        assert_eq!(out[1].neighbors.len(), 3);
-        assert_eq!(out[1].neighbors[0].id, 10);
-        assert_eq!(out[2].neighbors[0].id, 0);
-        assert_eq!(out[3].neighbors[0].id, 31);
-        // Four scans of 32 vectors, coalesced into two batch calls.
-        assert_eq!(counter.get(), 4 * 32);
-    }
 
     #[test]
     fn empty_batch_is_fine() {

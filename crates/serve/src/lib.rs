@@ -3,17 +3,16 @@
 //! Turns the repo's offline searcher into a long-lived server:
 //! connection handlers admit requests into a bounded striped queue
 //! ([`queue::BatchQueue`]), per-core worker executors drain micro-batches
-//! and answer them through coalesced batch-search calls
+//! and answer each run of equal-params jobs with one batch-search call
 //! ([`engine::execute_coalesced`]), and admission control fast-rejects
 //! work beyond the configured backlog so overload degrades by shedding
 //! load rather than by unbounded queueing latency. The wire format is a
 //! length-prefixed binary protocol ([`protocol`]); a blocking
 //! [`client::Client`] speaks it for tests and load generation.
 //!
-//! Micro-batching is observationally invisible: a coalesced batch
-//! returns bit-identical results to per-request searches (the batch
-//! kernel at one thread *is* the sequential per-query loop), so batching
-//! changes throughput and latency, never answers.
+//! Micro-batching is observationally invisible: a batch returns
+//! bit-identical results to per-request searches, so batching changes
+//! throughput and latency, never answers.
 //!
 //! Zero external dependencies — plain `std` sockets and threads, in
 //! keeping with the workspace's offline shims discipline.

@@ -17,7 +17,7 @@
 //! * **worker executors** — `workers` threads (one per core by default),
 //!   each pinned to its own scratch-pool stripe
 //!   ([`gass_core::pin_scratch_home`]), draining micro-batches and
-//!   answering them through the coalesced engine
+//!   answering each run of equal-params jobs with one batch-search call
 //!   ([`crate::engine::execute_coalesced`]).
 //!
 //! Admission control is the queue's bounded depth: when the backlog hits
