@@ -149,6 +149,53 @@ pub fn set_prefetch_enabled(on: bool) {
     PREFETCH.store(if on { PF_ON } else { PF_OFF }, Ordering::Relaxed);
 }
 
+/// Rows spanning at most this many cache lines are prefetched whole; longer
+/// ones get their first two lines only (pulling all 60 lines of a Gist-960
+/// row slowed the HNSW build, DESIGN §8).
+const PREFETCH_WHOLE_LINES: usize = 8;
+
+/// Hints the CPU to pull the bytes of `row` toward L1: every cache line it
+/// touches when that is at most [`PREFETCH_WHOLE_LINES`], else the first
+/// two. Semantically a no-op; callers check [`prefetch_enabled`].
+#[inline(always)]
+pub(crate) fn prefetch_slice<T>(row: &[T]) {
+    let p = row.as_ptr().cast::<u8>();
+    let end = p.addr() + std::mem::size_of_val(row);
+    if end == p.addr() {
+        return;
+    }
+    let mut line = p.addr() & !63;
+    if end - line > PREFETCH_WHOLE_LINES * 64 {
+        prefetch_line(p);
+        prefetch_line(p.wrapping_add(64));
+        return;
+    }
+    while line < end {
+        prefetch_line(p.with_addr(line));
+        line += 64;
+    }
+}
+
+/// Issues one prefetch of the cache line holding `p`.
+#[inline(always)]
+fn prefetch_line(p: *const u8) {
+    // SAFETY: a prefetch is a hint: it reads nothing architecturally and
+    // never faults, whatever the address. `prefetch_slice` passes only
+    // addresses derived from a live, non-empty slice, inside its cache lines.
+    #[cfg(target_arch = "x86_64")]
+    unsafe {
+        use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        _mm_prefetch::<_MM_HINT_T0>(p.cast::<i8>());
+    }
+    // SAFETY: as above; `prfm` is a hint that never faults.
+    #[cfg(target_arch = "aarch64")]
+    unsafe {
+        core::arch::asm!("prfm pldl1keep, [{0}]", in(reg) p, options(nostack, preserves_flags));
+    }
+    #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
+    let _ = p;
+}
+
 // --- scalar reference kernels ------------------------------------------
 
 /// Reduces the eight canonical accumulator lanes in the fixed tree order

@@ -60,8 +60,9 @@ impl Ord for Neighbor {
 /// An entry is one `u64`, `dist.to_bits() << 33 | id << 1 | expanded`:
 /// non-negative floats, `+∞` and (canonicalized) NaN order like their bit
 /// patterns, so integer order on entries is [`Neighbor`]'s `(dist, id)`
-/// order. **Every slot before `cursor` is expanded**, so expansion resumes
-/// there. Insertion is an `O(log L)` search plus one `memmove`, the rest
+/// order. **Every slot before `cursor` is expanded and the one at `cursor`
+/// is not**, so expansion resumes there and the next pop can be peeked in
+/// `O(1)`. Insertion is an `O(log L)` search plus one `memmove`, the rest
 /// `O(1)`: branch-predictable and cache-resident at beam-search widths.
 ///
 /// # Caller contract (DESIGN.md §8 "Candidate pool"; asserted in debug builds)
@@ -125,14 +126,21 @@ impl SortedBuffer {
     /// Marks the closest not-yet-expanded candidate expanded and returns
     /// it, or `None` once every retained candidate has been expanded.
     pub fn next_unexpanded(&mut self) -> Option<Neighbor> {
-        while let Some(entry) = self.entries.get_mut(self.cursor) {
+        let entry = self.entries.get_mut(self.cursor)?;
+        *entry |= EXPANDED;
+        let popped = unpack(*entry);
+        self.cursor += 1;
+        while self.entries.get(self.cursor).is_some_and(|&e| e & EXPANDED != 0) {
             self.cursor += 1;
-            if *entry & EXPANDED == 0 {
-                *entry |= EXPANDED;
-                return Some(unpack(*entry));
-            }
         }
-        None
+        Some(popped)
+    }
+
+    /// The id [`Self::next_unexpanded`] would pop now, without popping it;
+    /// `None` exactly when that pop would be `None`.
+    #[inline]
+    pub fn peek_unexpanded(&self) -> Option<u32> {
+        self.entries.get(self.cursor).map(|&e| unpack(e).id)
     }
 
     /// Current number of retained candidates.

@@ -301,38 +301,7 @@ impl Sq4Store {
     /// a no-op.
     #[inline]
     pub fn prefetch(&self, id: u32) {
-        let start = id as usize * self.stride;
-        let raw = self.codes.bytes();
-        debug_assert!(start + self.dim.div_ceil(2) <= raw.len());
-        #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
-        unsafe {
-            let p = raw.as_ptr().add(start).cast::<i8>();
-            #[cfg(target_arch = "x86_64")]
-            {
-                use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-                _mm_prefetch::<_MM_HINT_T0>(p);
-                if self.dim > 2 * LINE_U8 {
-                    _mm_prefetch::<_MM_HINT_T0>(p.add(64));
-                }
-            }
-            #[cfg(target_arch = "aarch64")]
-            {
-                core::arch::asm!(
-                    "prfm pldl1keep, [{0}]",
-                    in(reg) p,
-                    options(nostack, preserves_flags)
-                );
-                if self.dim > 2 * LINE_U8 {
-                    core::arch::asm!(
-                        "prfm pldl1keep, [{0}]",
-                        in(reg) p.add(64),
-                        options(nostack, preserves_flags)
-                    );
-                }
-            }
-        }
-        #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
-        let _ = raw;
+        crate::distance::prefetch_slice(&self.code_row(id)[..self.dim.div_ceil(2)]);
     }
 
     /// Heap bytes held by the codes and affine parameters (mapped code

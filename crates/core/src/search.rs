@@ -7,7 +7,7 @@
 //! implementation shared by all methods in `gass-graphs`, which is exactly
 //! the normalization the paper performs across its twelve baselines.
 
-use crate::distance::{prefetch_enabled, Space};
+use crate::distance::{prefetch_enabled, prefetch_slice, DistCounter, Space};
 use crate::graph::GraphView;
 use crate::neighbor::{Neighbor, SortedBuffer};
 use crate::quant::{CodecStore, PqStore, PreparedQuery, QuantizedStore, Sq4Store};
@@ -178,17 +178,191 @@ pub fn beam_search_terminated<G: GraphView + ?Sized>(
     }
 }
 
-/// Two-phase quantized beam search: the traversal is the exact shape of
-/// [`beam_search_with_sink`] but every candidate is scored in code space
-/// by `codec`; the candidate buffer is widened to hold at least
-/// `rerank * k` entries, and the leading `rerank * k` candidates are
-/// re-scored with exact `f32` distances before the final top-`k` cut.
-/// Returned distances are therefore always exact; only the traversal
-/// ranking is approximate.
+/// How the one traversal loop ([`traverse`]) scores candidates. Each
+/// scorer charges its own counter precision and keeps its own kernels;
+/// every method is bit-identical to one-at-a-time [`Scorer::score`] calls
+/// in the same order, so the loop's evaluation order, buffer content and
+/// counter totals do not depend on how a scorer batches.
+trait Scorer {
+    /// Counted distance to vector `id`.
+    fn score(&self, id: u32) -> f32;
+    /// Counted distances to four vectors at once.
+    fn score4(&self, ids: [u32; 4]) -> [f32; 4];
+    /// Scores a pending tail (fewer than four ids), calling `emit` in
+    /// `ids` order.
+    fn score_tail(&self, ids: &[u32], emit: impl FnMut(u32, f32));
+    /// Hints the CPU to pull vector `id`'s row (or code row) toward L1.
+    fn prefetch(&self, id: u32);
+}
+
+/// Full-precision rows through [`Space`]: the batched `l2_sq_batch`
+/// kernel, a tail of singles, one `f32` count per row.
+struct FullRows<'a> {
+    space: Space<'a>,
+    query: &'a [f32],
+}
+
+impl Scorer for FullRows<'_> {
+    #[inline]
+    fn score(&self, id: u32) -> f32 {
+        self.space.dist_to(self.query, id)
+    }
+
+    #[inline]
+    fn score4(&self, ids: [u32; 4]) -> [f32; 4] {
+        self.space.dist_to_batch(self.query, ids)
+    }
+
+    #[inline]
+    fn score_tail(&self, ids: &[u32], mut emit: impl FnMut(u32, f32)) {
+        for &id in ids {
+            emit(id, self.score(id));
+        }
+    }
+
+    #[inline]
+    fn prefetch(&self, id: u32) {
+        self.space.store().prefetch(id);
+    }
+}
+
+/// Code rows of a concrete codec against a prepared query, one `u8` count
+/// per row (as [`Space::qdist_to`] charges it).
+struct CodeRows<'a, C: CodecStore + ?Sized> {
+    codec: &'a C,
+    prepared: &'a PreparedQuery,
+    counter: &'a DistCounter,
+}
+
+impl<C: CodecStore + ?Sized> Scorer for CodeRows<'_, C> {
+    #[inline]
+    fn score(&self, id: u32) -> f32 {
+        self.counter.bump_u8();
+        self.codec.dist_prepared(self.prepared, id)
+    }
+
+    #[inline]
+    fn score4(&self, ids: [u32; 4]) -> [f32; 4] {
+        self.counter.add_u8(4);
+        self.codec.dist_prepared_batch(self.prepared, ids)
+    }
+
+    /// Pairs — one pair-kernel call where the codec has one — then a last
+    /// single.
+    #[inline]
+    fn score_tail(&self, ids: &[u32], mut emit: impl FnMut(u32, f32)) {
+        let mut pairs = ids.chunks_exact(2);
+        for pair in &mut pairs {
+            self.counter.add_u8(2);
+            let ds = self.codec.dist_prepared_pair(self.prepared, [pair[0], pair[1]]);
+            emit(pair[0], ds[0]);
+            emit(pair[1], ds[1]);
+        }
+        for &id in pairs.remainder() {
+            emit(id, self.score(id));
+        }
+    }
+
+    #[inline]
+    fn prefetch(&self, id: u32) {
+        self.codec.prefetch(id);
+    }
+}
+
+/// Records one evaluated candidate: into `sink` when there is one, and
+/// offered to the buffer.
+#[inline]
+fn admit(buffer: &mut SortedBuffer, sink: &mut Option<&mut Vec<Neighbor>>, n: Neighbor) {
+    if let Some(sink) = sink.as_deref_mut() {
+        sink.push(n);
+    }
+    buffer.insert(n);
+}
+
+/// The beam-search loop (Algorithm 1) every traversal in this module runs:
+/// score the seeds, then repeatedly pop the closest unexpanded candidate,
+/// check `term`, visited-filter its neighbour list and score the fresh
+/// neighbours four at a time through `scorer`, the tail through
+/// [`Scorer::score_tail`]. `visited` and `buffer` must be prepared.
 ///
-/// `stats.evaluated` (and the [`DistCounter`](crate::distance::DistCounter)
-/// total) counts both phases — the `u8`/`f32` split is on the counter,
-/// one `u8` evaluation per scored row, as [`Space::qdist_to`] charges it.
+/// With prefetch on (read once per search), each hop first prefetches the
+/// neighbour list of the *next* unexpanded candidate — it is what the next
+/// hop reads unless this hop inserts a closer one — and each fresh
+/// neighbour's row as it joins the pending batch: the filter work on the
+/// rest of the list overlaps both fetches.
+#[allow(clippy::too_many_arguments)]
+fn traverse<G: GraphView + ?Sized, S: Scorer>(
+    graph: &G,
+    scorer: &S,
+    seeds: &[u32],
+    k: usize,
+    visited: &mut VisitedSet,
+    buffer: &mut SortedBuffer,
+    mut sink: Option<&mut Vec<Neighbor>>,
+    term: Termination,
+) -> SearchStats {
+    let n = graph.num_nodes();
+    let prefetch = prefetch_enabled();
+    let mut stats = SearchStats::default();
+    let mut tstate = TermState::new(term, k);
+    for &s in seeds {
+        if (s as usize) < n && visited.insert(s) {
+            let d = scorer.score(s);
+            stats.evaluated += 1;
+            admit(buffer, &mut sink, Neighbor::new(s, d));
+        }
+    }
+
+    while let Some(current) = buffer.next_unexpanded() {
+        // Emission-time termination: `current` is the closest unexpanded
+        // candidate, so the DistRatio margin and the budget are checked
+        // once per expansion, never per distance.
+        if tstate.should_stop(current.dist, buffer, stats.evaluated) {
+            break;
+        }
+        stats.hops += 1;
+        if prefetch {
+            if let Some(next) = buffer.peek_unexpanded() {
+                prefetch_slice(graph.neighbors(next));
+            }
+        }
+        let mut pending = [0u32; 4];
+        let mut fill = 0usize;
+        for &nb in graph.neighbors(current.id) {
+            if visited.insert(nb) {
+                if prefetch {
+                    scorer.prefetch(nb);
+                }
+                pending[fill] = nb;
+                fill += 1;
+                if fill == 4 {
+                    let ds = scorer.score4(pending);
+                    stats.evaluated += 4;
+                    for (&id, &d) in pending.iter().zip(ds.iter()) {
+                        admit(buffer, &mut sink, Neighbor::new(id, d));
+                    }
+                    fill = 0;
+                }
+            }
+        }
+        scorer.score_tail(&pending[..fill], |id, d| {
+            admit(buffer, &mut sink, Neighbor::new(id, d))
+        });
+        stats.evaluated += fill;
+        tstate.note_expansion(buffer);
+    }
+    stats
+}
+
+/// Two-phase quantized beam search: [`traverse`] with every candidate
+/// scored in code space by `codec`; the candidate buffer is widened to
+/// hold at least `rerank * k` entries, and the leading `rerank * k`
+/// candidates are re-scored with exact `f32` distances before the final
+/// top-`k` cut. Returned distances are therefore always exact; only the
+/// traversal ranking is approximate.
+///
+/// `stats.evaluated` (and the [`DistCounter`] total) counts both phases —
+/// the `u8`/`f32` split is on the counter.
 #[allow(clippy::too_many_arguments)]
 fn beam_search_quantized<G: GraphView + ?Sized, C: CodecStore + ?Sized>(
     graph: &G,
@@ -202,79 +376,19 @@ fn beam_search_quantized<G: GraphView + ?Sized, C: CodecStore + ?Sized>(
     scratch: &mut SearchScratch,
     term: Termination,
 ) -> SearchResult {
-    let n = graph.num_nodes();
-    let mut stats = SearchStats::default();
-    if n == 0 || seeds.is_empty() {
-        return SearchResult { neighbors: Vec::new(), stats };
+    if graph.num_nodes() == 0 || seeds.is_empty() {
+        return SearchResult::default();
     }
-    let counter = space.counter();
-    let prefetch = prefetch_enabled();
-    let pool = beam_width.max(k.saturating_mul(rerank));
-    scratch.prepare(n, pool);
+    scratch.prepare(graph.num_nodes(), beam_width.max(k.saturating_mul(rerank)));
     codec.prepare_into(query, &mut scratch.prepared);
-    let mut tstate = TermState::new(term, k);
-
-    for &s in seeds {
-        if (s as usize) < n && scratch.visited.insert(s) {
-            counter.bump_u8();
-            let d = codec.dist_prepared(&scratch.prepared, s);
-            stats.evaluated += 1;
-            scratch.buffer.insert(Neighbor::new(s, d));
-        }
-    }
-
-    while let Some(current) = scratch.buffer.next_unexpanded() {
-        // Emission-time termination: `current` is the closest unexpanded
-        // candidate, so the DistRatio margin and the budget are checked
-        // once per expansion, never per distance.
-        if tstate.should_stop(current.dist, &scratch.buffer, stats.evaluated) {
-            break;
-        }
-        stats.hops += 1;
-        let mut pending = [0u32; 4];
-        let mut fill = 0usize;
-        for &nb in graph.neighbors(current.id) {
-            if scratch.visited.insert(nb) {
-                if prefetch {
-                    codec.prefetch(nb);
-                }
-                pending[fill] = nb;
-                fill += 1;
-                if fill == 4 {
-                    counter.add_u8(4);
-                    let ds = codec.dist_prepared_batch(&scratch.prepared, pending);
-                    stats.evaluated += 4;
-                    for (&id, &d) in pending.iter().zip(ds.iter()) {
-                        scratch.buffer.insert(Neighbor::new(id, d));
-                    }
-                    fill = 0;
-                }
-            }
-        }
-        // The pending tail (fewer than four) is scored in pairs — one
-        // pair-kernel call where the codec has one — then a last single,
-        // inserted in pending order: the distances, evaluation order and
-        // buffer content of one-at-a-time scoring.
-        let mut pairs = pending[..fill].chunks_exact(2);
-        for pair in &mut pairs {
-            counter.add_u8(2);
-            let ds = codec.dist_prepared_pair(&scratch.prepared, [pair[0], pair[1]]);
-            scratch.buffer.insert(Neighbor::new(pair[0], ds[0]));
-            scratch.buffer.insert(Neighbor::new(pair[1], ds[1]));
-        }
-        for &id in pairs.remainder() {
-            counter.bump_u8();
-            let d = codec.dist_prepared(&scratch.prepared, id);
-            scratch.buffer.insert(Neighbor::new(id, d));
-        }
-        stats.evaluated += fill;
-        tstate.note_expansion(&scratch.buffer);
-    }
+    let SearchScratch { visited, buffer, prepared } = scratch;
+    let rows = CodeRows { codec, prepared, counter: space.counter() };
+    let mut stats = traverse(graph, &rows, seeds, k, visited, buffer, None, term);
 
     // Phase 2: exact rerank. Re-score the `rerank_factor * k` best
     // quantized candidates with full-precision distances (4-wide batched)
     // and return the exact top `k` of that pool.
-    let cands = scratch.buffer.top_k(k.saturating_mul(rerank));
+    let cands = buffer.top_k(k.saturating_mul(rerank));
     let take = cands.len();
     let mut exact = Vec::with_capacity(take);
     let mut i = 0usize;
@@ -328,8 +442,9 @@ pub fn beam_search_with_sink<G: GraphView + ?Sized>(
     )
 }
 
-/// Full-precision traversal shared by [`beam_search_with_sink`] (always
-/// Fixed) and the non-quantized arm of [`beam_search_terminated`].
+/// Full-precision search shared by [`beam_search_with_sink`] (always
+/// Fixed) and the non-quantized arm of [`beam_search_terminated`]:
+/// [`traverse`] over the `f32` rows of `space`.
 #[allow(clippy::too_many_arguments)]
 fn beam_search_full<G: GraphView + ?Sized>(
     graph: &G,
@@ -339,73 +454,16 @@ fn beam_search_full<G: GraphView + ?Sized>(
     k: usize,
     beam_width: usize,
     scratch: &mut SearchScratch,
-    mut sink: Option<&mut Vec<Neighbor>>,
+    sink: Option<&mut Vec<Neighbor>>,
     term: Termination,
 ) -> SearchResult {
-    let n = graph.num_nodes();
-    let mut stats = SearchStats::default();
-    if n == 0 || seeds.is_empty() {
-        return SearchResult { neighbors: Vec::new(), stats };
+    if graph.num_nodes() == 0 || seeds.is_empty() {
+        return SearchResult::default();
     }
-    scratch.prepare(n, beam_width.max(k));
-    let mut tstate = TermState::new(term, k);
-
-    for &s in seeds {
-        if (s as usize) < n && scratch.visited.insert(s) {
-            let d = space.dist_to(query, s);
-            stats.evaluated += 1;
-            if let Some(sink) = sink.as_deref_mut() {
-                sink.push(Neighbor::new(s, d));
-            }
-            scratch.buffer.insert(Neighbor::new(s, d));
-        }
-    }
-
-    while let Some(current) = scratch.buffer.next_unexpanded() {
-        if tstate.should_stop(current.dist, &scratch.buffer, stats.evaluated) {
-            break;
-        }
-        stats.hops += 1;
-        // First-visit neighbors are evaluated four at a time through the
-        // batched kernel (`l2_sq_batch`, bit-identical per vector), with a
-        // scalar tail. Evaluation order — and hence sink order, counter
-        // total, and buffer content — matches the one-at-a-time loop.
-        //
-        // Each accepted candidate's vector is software-prefetched as soon
-        // as it enters the pending batch: the remaining visited-filter work
-        // for the rest of the neighbor list overlaps the memory latency of
-        // the rows the batched kernel is about to touch.
-        let mut pending = [0u32; 4];
-        let mut fill = 0usize;
-        for &nb in graph.neighbors(current.id) {
-            if scratch.visited.insert(nb) {
-                space.prefetch(nb);
-                pending[fill] = nb;
-                fill += 1;
-                if fill == 4 {
-                    let ds = space.dist_to_batch(query, pending);
-                    stats.evaluated += 4;
-                    for (&id, &d) in pending.iter().zip(ds.iter()) {
-                        if let Some(sink) = sink.as_deref_mut() {
-                            sink.push(Neighbor::new(id, d));
-                        }
-                        scratch.buffer.insert(Neighbor::new(id, d));
-                    }
-                    fill = 0;
-                }
-            }
-        }
-        for &id in &pending[..fill] {
-            let d = space.dist_to(query, id);
-            stats.evaluated += 1;
-            if let Some(sink) = sink.as_deref_mut() {
-                sink.push(Neighbor::new(id, d));
-            }
-            scratch.buffer.insert(Neighbor::new(id, d));
-        }
-        tstate.note_expansion(&scratch.buffer);
-    }
-
+    scratch.prepare(graph.num_nodes(), beam_width.max(k));
+    let rows = FullRows { space, query };
+    let stats =
+        traverse(graph, &rows, seeds, k, &mut scratch.visited, &mut scratch.buffer, sink, term);
     SearchResult { neighbors: scratch.buffer.top_k(k), stats }
 }
 

@@ -296,44 +296,15 @@ impl VectorStore {
         &mut self.raw_mut()[start..start + dim]
     }
 
-    /// Hints the CPU to pull vector `id`'s row into L1 (up to the first
-    /// two cache lines — enough to cover the latency the beam-search
-    /// expansion loop needs to hide). Semantically a no-op; `id` must
-    /// still be in bounds.
+    /// Hints the CPU to pull vector `id`'s row into L1: the whole row when
+    /// it spans at most eight cache lines (Deep-96's 384 B), else its first
+    /// two. Semantically a no-op.
+    ///
+    /// # Panics
+    /// Panics if `id` is out of bounds.
     #[inline]
     pub fn prefetch(&self, id: u32) {
-        let start = id as usize * self.stride;
-        let raw = self.raw();
-        debug_assert!(start + self.dim <= raw.len());
-        #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
-        unsafe {
-            let p = raw.as_ptr().add(start).cast::<i8>();
-            #[cfg(target_arch = "x86_64")]
-            {
-                use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-                _mm_prefetch::<_MM_HINT_T0>(p);
-                if self.dim > LINE_F32 {
-                    _mm_prefetch::<_MM_HINT_T0>(p.add(64));
-                }
-            }
-            #[cfg(target_arch = "aarch64")]
-            {
-                core::arch::asm!(
-                    "prfm pldl1keep, [{0}]",
-                    in(reg) p,
-                    options(nostack, preserves_flags)
-                );
-                if self.dim > LINE_F32 {
-                    core::arch::asm!(
-                        "prfm pldl1keep, [{0}]",
-                        in(reg) p.add(64),
-                        options(nostack, preserves_flags)
-                    );
-                }
-            }
-        }
-        #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
-        let _ = raw;
+        crate::distance::prefetch_slice(self.get(id));
     }
 
     /// Iterates over `(id, vector)` pairs.

@@ -41,10 +41,21 @@ pub struct BatchQueue<T> {
     /// spread across stripes.
     next_stripe: AtomicUsize,
     closed: AtomicBool,
+    /// Consumers between announcing a sleep and waking from it (see
+    /// [`Self::pop_batch`]); a push rings `bell` only when this is nonzero.
+    sleepers: AtomicUsize,
     /// Sleeping consumers wait here; producers notify on push.
     gate: Mutex<()>,
     bell: Condvar,
+    /// Tests widen the gap between a consumer's last look at the queue and
+    /// its wait by this much, so a push can land inside it.
+    #[cfg(test)]
+    check_to_wait: Duration,
 }
+
+/// A sleeping consumer's timed wait: a backstop only, every push and
+/// `close` that a sleeper must see wakes it.
+const WAIT_TICK: Duration = Duration::from_millis(5);
 
 impl<T> BatchQueue<T> {
     /// A queue admitting at most `capacity` jobs, striped `stripes` ways
@@ -56,8 +67,11 @@ impl<T> BatchQueue<T> {
             capacity: capacity.max(1),
             next_stripe: AtomicUsize::new(0),
             closed: AtomicBool::new(false),
+            sleepers: AtomicUsize::new(0),
             gate: Mutex::new(()),
             bell: Condvar::new(),
+            #[cfg(test)]
+            check_to_wait: Duration::ZERO,
         }
     }
 
@@ -86,17 +100,32 @@ impl<T> BatchQueue<T> {
         // Reserve a depth slot first: concurrent producers may transiently
         // overshoot `capacity` by the number of racing pushes, but each
         // loser gives its slot back immediately, so the bound holds.
-        if self.depth.fetch_add(1, Ordering::AcqRel) >= self.capacity {
+        // SeqCst: pairs with the consumer's `sleepers` increment and depth
+        // load in `pop_batch` (see there).
+        if self.depth.fetch_add(1, Ordering::SeqCst) >= self.capacity {
             self.depth.fetch_sub(1, Ordering::AcqRel);
             return Err((PushError::Overloaded, item));
         }
         let s = self.next_stripe.fetch_add(1, Ordering::Relaxed) % self.stripes.len();
         self.stripes[s].lock().unwrap().push_back(item);
-        // Wake one sleeping consumer. notify under the gate lock would be
-        // stricter; the consumer side re-checks depth in a timed loop, so
-        // a lost wakeup only costs one timeout tick.
-        self.bell.notify_one();
+        if self.sleepers.load(Ordering::SeqCst) > 0 {
+            self.ring(false);
+        }
         Ok(())
+    }
+
+    /// Wakes one sleeping consumer (`all`: every one). Taking `gate` first
+    /// means a consumer that announced itself in `sleepers` is either
+    /// already waiting on `bell` or has not yet re-checked the queue under
+    /// `gate`, so the notify cannot fall between its check and its wait.
+    fn ring(&self, all: bool) {
+        // `gate` guards no data, so a poisoned lock is still a good fence.
+        drop(self.gate.lock().unwrap_or_else(std::sync::PoisonError::into_inner));
+        if all {
+            self.bell.notify_all();
+        } else {
+            self.bell.notify_one();
+        }
     }
 
     /// Closes the queue: future pushes fail with [`PushError::Closed`],
@@ -104,7 +133,7 @@ impl<T> BatchQueue<T> {
     /// returns `false`.
     pub fn close(&self) {
         self.closed.store(true, Ordering::Release);
-        self.bell.notify_all();
+        self.ring(true);
     }
 
     /// Pops up to `budget` jobs starting from the consumer's `home`
@@ -165,11 +194,18 @@ impl<T> BatchQueue<T> {
                 }
                 return false;
             }
+            // Announce the sleep, then re-check the queue. A push increments
+            // `depth` before it loads `sleepers`, both SeqCst, so either it
+            // sees this sleeper and rings (under `gate`, hence after the
+            // wait below has begun) or this load sees its job.
             let guard = self.gate.lock().unwrap();
-            if self.depth() == 0 && !self.is_closed() {
-                // Timed wait: robust to the racy notify in `push`.
-                let _ = self.bell.wait_timeout(guard, Duration::from_millis(5)).unwrap();
+            self.sleepers.fetch_add(1, Ordering::SeqCst);
+            if self.depth.load(Ordering::SeqCst) == 0 && !self.is_closed() {
+                #[cfg(test)]
+                std::thread::sleep(self.check_to_wait);
+                let _ = self.bell.wait_timeout(guard, WAIT_TICK).unwrap();
             }
+            self.sleepers.fetch_sub(1, Ordering::SeqCst);
         }
 
         // Phase 2: hold the batch open for stragglers. Sleep in fixed
@@ -274,6 +310,41 @@ mod tests {
         assert!(q.pop_batch(0, 5, Duration::from_millis(500), &mut out));
         producer.join().unwrap();
         assert_eq!(out.len(), 5, "late arrivals coalesced: {out:?}");
+    }
+
+    #[test]
+    fn a_push_racing_a_sleeping_consumer_always_wakes_it() {
+        // Each round the consumer blocks on an empty queue while the
+        // producer pushes after a spin of 0..100 µs, so pushes land before,
+        // inside and after the consumer's widened check-to-wait gap. A lost
+        // wakeup leaves the job queued until the `WAIT_TICK` backstop.
+        const ROUNDS: u32 = 500;
+        let mut q = BatchQueue::new(4, 1);
+        q.check_to_wait = Duration::from_micros(50);
+        let q = Arc::new(q);
+        let go = Arc::new(std::sync::Barrier::new(2));
+        let consumer = {
+            let (q, go) = (Arc::clone(&q), Arc::clone(&go));
+            std::thread::spawn(move || {
+                let (mut out, mut worst) = (Vec::new(), Duration::ZERO);
+                for round in 0..ROUNDS {
+                    go.wait();
+                    let t = Instant::now();
+                    assert!(q.pop_batch(0, 1, Duration::ZERO, &mut out));
+                    worst = worst.max(t.elapsed());
+                    assert_eq!(out, [round]);
+                }
+                worst
+            })
+        };
+        for round in 0..ROUNDS {
+            go.wait();
+            let spin = Instant::now();
+            while spin.elapsed() < Duration::from_micros(u64::from(round % 50) * 2) {}
+            q.push(round).unwrap();
+        }
+        let worst = consumer.join().unwrap();
+        assert!(worst < WAIT_TICK, "a pop waited {worst:?}, a whole {WAIT_TICK:?} tick");
     }
 
     #[test]

@@ -334,12 +334,13 @@ proptest! {
     /// palette, so ties, `0.0`, `-0.0`, `+∞` and both NaN signs are all
     /// heavy; ids are re-offered after acceptance, rejection and eviction;
     /// inserts land before, at and after the expansion cursor and after the
-    /// pool has been drained.
+    /// pool has been drained. A peek names exactly the id the next pop
+    /// returns, and is `None` exactly when that pop is.
     #[test]
     fn sorted_buffer_matches_reference_model(
         cap in 1usize..=200,
         palette in prop::collection::vec(0u8..=255, 300),
-        ops in prop::collection::vec((0u8..32, 0u32..300), 1..600),
+        ops in prop::collection::vec((0u8..34, 0u32..300), 1..600),
     ) {
         let dist_of = |id: u32| match palette[id as usize] {
             p if p % 8 == 0 => 0.0,
@@ -373,6 +374,12 @@ proptest! {
                 29 => {
                     sut.clear();
                     model.clear();
+                }
+                30..=31 => {
+                    let peeked = sut.peek_unexpanded();
+                    let (got, want) = (sut.next_unexpanded(), model.next_unexpanded());
+                    prop_assert_eq!(got.map(bits), want.map(bits));
+                    prop_assert_eq!(peeked, got.map(|n| n.id), "peek vs pop");
                 }
                 _ => {
                     cap = 1 + id as usize % 200;
