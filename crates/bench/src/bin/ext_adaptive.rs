@@ -474,8 +474,7 @@ fn main() {
     println!("wrote {}", path.display());
 }
 
-/// The shared parameter base: explicit `Fixed` so a `GASS_TERM` in the
-/// environment cannot skew the baseline.
+/// The shared parameter base: fixed termination, no budget.
 fn fixed_params(k: usize, beam: usize) -> QueryParams {
     QueryParams::new(k, beam)
         .with_seed_count(16)

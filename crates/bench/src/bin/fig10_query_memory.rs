@@ -1,12 +1,12 @@
 //! Figure 10: memory footprint during *query answering* — what must stay
 //! resident to serve searches (raw vectors + graph + seed structures +
 //! per-thread scratch), measured in the full serving configuration:
-//! frozen CSR, quantized codes, and (under `GASS_REORDER`) the id remap.
+//! frozen CSR and quantized codes.
 //!
 //! Paper shape: Vamana smallest (graph + data only, modest degree), ELPIS
 //! next (small leaf graphs but duplicated contiguous leaf storage), HNSW
 //! pays for slotted layout + hierarchy. The `of_which_serving` column
-//! isolates what freezing + quantization (+ reordering) add on top of the
+//! isolates what freezing + quantization add on top of the
 //! build-time structures; each method gets one row per codec ladder rung
 //! (SQ8 / SQ4 / PQ) so the ladder's shrinking code store is visible per
 //! method.
@@ -46,9 +46,8 @@ fn main() {
             let mut built = build_method(kind, base.clone(), 5);
             // Build-time structures only (flat graph + seed trees).
             let s0 = built.index.stats();
-            // The serving configuration adds the CSR snapshot, the codec
-            // store, and — when reordering is active — the id remap. One
-            // row per ladder rung: re-quantizing replaces the codes in
+            // The serving configuration adds the CSR snapshot and the
+            // codec store. One row per ladder rung: re-quantizing replaces the codes in
             // place, so the delta between rows is exactly the code store.
             built.freeze();
             for spec in gass_core::CodecSpec::ALL {

@@ -38,8 +38,7 @@ COMMANDS:
             Generate a synthetic dataset analog and save it. --format
             mapped writes the page-aligned mmap layout (rows padded to the
             SIMD stride) that loads by page fault instead of a heap copy;
-            absent it defers to the GASS_MMAP environment override
-            (GASS_MMAP=1 selects mapped) and defaults to packed.
+            the default is packed.
 
   build     --method <hnsw|vamana|nsg|ssg|kgraph|efanna|dpg|ngt|sptag-kdt|
                       sptag-bkt|hcnng|nsw|ii-rnd|ii-nond>
@@ -87,8 +86,7 @@ COMMANDS:
             --reorder relabels the frozen CSR, vectors, and codes with a
             locality-preserving permutation (implies --graph-layout csr);
             results are identical under every strategy — only speed
-            changes. Absent defers to the GASS_REORDER environment
-            override.
+            changes. Absent means none.
             --term picks the per-query termination policy: fixed (the
             default) expands until the beam is exhausted — bit-identical
             to every earlier release; saturation:p stops once the top-k
@@ -99,8 +97,7 @@ COMMANDS:
             distance computations spent per query (0 = unlimited).
             Adaptive policies trade a little recall for fewer distance
             computations; quantized rungs still re-score their candidate
-            pool exactly. Absent, both defer to the GASS_TERM /
-            GASS_MAX_DISTS environment overrides.
+            pool exactly. Absent, the policy is fixed with no budget.
             With --sharded, queries route through the shard table: rank
             shards by query-to-centroid distance, search the nearest
             --nprobe (overriding the table's default), and merge the
@@ -131,10 +128,10 @@ COMMANDS:
             changes throughput, never answers. Admission control
             fast-rejects queries beyond --queue-depth with `overloaded`
             instead of queueing without bound. --workers 0 uses all cores.
-            --quant/--reorder absent defer to the GASS_QUANT / GASS_REORDER
-            environment overrides. --term/--max-dists force a server-side
-            termination policy onto every query (see `query`); absent
-            they defer to GASS_TERM / GASS_MAX_DISTS. Queries carrying a
+            --quant/--reorder absent serve exact, unreordered. --term/
+            --max-dists force a server-side termination policy onto every
+            query (see `query`); absent, each query runs fixed with no
+            budget. Queries carrying a
             deadline are additionally budget-clamped mid-search when the
             remaining deadline cannot cover a mean query's distance
             computations. Stop with a Shutdown frame (the server
@@ -326,16 +323,8 @@ fn run(args: Args) -> Result<(), String> {
             let n: usize = args.get_or("n", 10_000).map_err(|e| e.to_string())?;
             let seed: u64 = args.get_or("seed", 42).map_err(|e| e.to_string())?;
             let out = args.require("out").map_err(|e| e.to_string())?;
-            // Explicit --format wins; absent defers to the GASS_MMAP
-            // override (the CI matrix leg that serves everything through
-            // the file-backed tier), default packed.
-            let format: String = match args.get_opt("format").map_err(|e| e.to_string())? {
-                Some(f) => f,
-                None => match std::env::var("GASS_MMAP").ok().as_deref() {
-                    Some("1") => "mapped".into(),
-                    _ => "packed".into(),
-                },
-            };
+            let format: String =
+                args.get_or("format", "packed".into()).map_err(|e| e.to_string())?;
             let store = kind.generate_base(n, seed);
             match format.as_str() {
                 "packed" => {
@@ -460,7 +449,7 @@ fn run(args: Args) -> Result<(), String> {
             let reorder: Option<gass_core::ReorderStrategy> =
                 match args.get_opt::<String>("reorder").map_err(|e| e.to_string())? {
                     Some(v) => Some(v.parse().map_err(|e: String| format!("--reorder: {e}"))?),
-                    None => gass_core::reorder_forced(),
+                    None => None,
                 };
             let rerank: usize = args.get_or("rerank-factor", 4).map_err(|e| e.to_string())?;
             if rerank == 0 {
@@ -471,9 +460,8 @@ fn run(args: Args) -> Result<(), String> {
                         .to_string(),
                 );
             }
-            // Explicit --term/--max-dists win; absent they leave the
-            // GASS_TERM / GASS_MAX_DISTS overrides (already folded into
-            // `QueryParams::new`) in charge.
+            // Absent --term/--max-dists keep `QueryParams::new`'s fixed
+            // policy with no budget.
             let term: Option<gass_core::TerminationPolicy> =
                 match args.get_opt::<String>("term").map_err(|e| e.to_string())? {
                     Some(v) => Some(v.parse().map_err(|e: String| format!("--term: {e}"))?),
@@ -683,15 +671,13 @@ fn run(args: Args) -> Result<(), String> {
             if rerank == 0 {
                 return Err("--rerank-factor must be at least 1".to_string());
             }
-            // Quant/reorder mirror `query`, except absent --quant also
-            // defers to the GASS_QUANT override so the CI matrix legs
-            // exercise compressed serving without flag plumbing.
-            let quant: Option<String> = args.get_opt("quant").map_err(|e| e.to_string())?;
+            // Quant/reorder mirror `query`.
+            let quant: String =
+                args.get_or("quant", "none".into()).map_err(|e| e.to_string())?;
             let pq_m: Option<usize> = args.get_opt("pq-m").map_err(|e| e.to_string())?;
-            let family: Option<gass_core::CodecSpec> = match quant.as_deref() {
-                None => gass_core::quant_forced(),
-                Some("none") => None,
-                Some(name) => Some(name.parse().map_err(|e: String| format!("--quant: {e}"))?),
+            let family: Option<gass_core::CodecSpec> = match quant.as_str() {
+                "none" => None,
+                name => Some(name.parse().map_err(|e: String| format!("--quant: {e}"))?),
             };
             if pq_m.is_some() && !matches!(family, Some(gass_core::CodecSpec::Pq { .. })) {
                 return Err("--pq-m requires --quant pq".to_string());
@@ -699,11 +685,11 @@ fn run(args: Args) -> Result<(), String> {
             let reorder: Option<gass_core::ReorderStrategy> =
                 match args.get_opt::<String>("reorder").map_err(|e| e.to_string())? {
                     Some(v) => Some(v.parse().map_err(|e: String| format!("--reorder: {e}"))?),
-                    None => gass_core::reorder_forced(),
+                    None => None,
                 };
             // --term/--max-dists force a server-side termination policy on
-            // every query; absent both, clients keep whatever GASS_TERM /
-            // GASS_MAX_DISTS dictate (folded in at QueryParams::new).
+            // every query; absent both, every query runs the
+            // `QueryParams::new` default, fixed with no budget.
             let term_policy: Option<gass_core::TerminationPolicy> =
                 match args.get_opt::<String>("term").map_err(|e| e.to_string())? {
                     Some(v) => Some(v.parse().map_err(|e: String| format!("--term: {e}"))?),

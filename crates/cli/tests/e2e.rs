@@ -18,40 +18,145 @@ fn run_ok(cmd: &mut Command) -> String {
     String::from_utf8_lossy(&out.stdout).into_owned()
 }
 
+/// The store and termination configurations the smoke and sharded
+/// round trips run under: `(label, --format, extra query flags)`. Each
+/// keeps the same recall floors.
+const CONFIGS: [(&str, &str, &[&str]); 3] = [
+    ("packed", "packed", &[]),
+    ("mapped", "mapped", &[]),
+    ("saturation", "packed", &["--term", "saturation"]),
+];
+
+/// The `recall@…  dists/query=…` line up to its timing field.
+fn stat_line(s: &str) -> String {
+    s.lines()
+        .find(|l| l.starts_with("recall@"))
+        .map(|l| l.split("ms/query").next().unwrap().trim().to_string())
+        .unwrap_or_else(|| panic!("no recall line in: {s}"))
+}
+
+fn recall_of(out: &str, k: usize) -> f64 {
+    out.split(&format!("recall@{k}="))
+        .nth(1)
+        .and_then(|s| s.split_whitespace().next())
+        .and_then(|s| s.parse().ok())
+        .unwrap_or_else(|| panic!("no recall in output: {out}"))
+}
+
 #[test]
 fn generate_build_query_roundtrip() {
-    let dir = std::env::temp_dir().join("gass_cli_e2e");
+    for (label, format, term) in CONFIGS {
+        let dir = std::env::temp_dir().join(format!("gass_cli_e2e_{label}"));
+        std::fs::create_dir_all(&dir).unwrap();
+        let store = dir.join("base.store.gass");
+        let graph = dir.join("base.hnsw.gass");
+        let queries = dir.join("q.store.gass");
+
+        let out = run_ok(gass().args([
+            "generate",
+            "--dataset",
+            "deep",
+            "--n",
+            "800",
+            "--seed",
+            "5",
+            "--format",
+            format,
+            "--out",
+            store.to_str().unwrap(),
+        ]));
+        assert!(
+            out.contains(&format!("800 x 96d, {format}")),
+            "unexpected generate output: {out}"
+        );
+
+        run_ok(gass().args([
+            "generate",
+            "--dataset",
+            "deep",
+            "--n",
+            "10",
+            "--seed",
+            "9",
+            "--out",
+            queries.to_str().unwrap(),
+        ]));
+
+        let out = run_ok(gass().args([
+            "build",
+            "--method",
+            "hnsw",
+            "--store",
+            store.to_str().unwrap(),
+            "--out",
+            graph.to_str().unwrap(),
+        ]));
+        assert!(out.contains("built hnsw over 800 nodes"), "{out}");
+
+        let out = run_ok(gass().args(["info", "--file", graph.to_str().unwrap()]));
+        assert!(out.contains("flat graph, 800 nodes"), "{out}");
+        let out = run_ok(gass().args(["info", "--file", store.to_str().unwrap()]));
+        assert!(out.contains("vector store") && out.contains("800 x 96d"), "{out}");
+
+        let query = |extra: &[&str]| {
+            let mut cmd = gass();
+            cmd.args([
+                "query",
+                "--store",
+                store.to_str().unwrap(),
+                "--graph",
+                graph.to_str().unwrap(),
+                "--queries",
+                queries.to_str().unwrap(),
+                "--k",
+                "5",
+                "--beam",
+                "64",
+            ]);
+            cmd.args(term).args(extra);
+            run_ok(&mut cmd)
+        };
+        let baseline = query(&[]);
+        let recall = recall_of(&baseline, 5);
+        assert!(recall > 0.8, "{label}: CLI query recall too low: {recall} ({baseline})");
+
+        // Reordered serving answers in original ids, so recall and
+        // per-query distance counts must match the unreordered run exactly.
+        for strategy in ["degree", "bfs", "rcm", "hub"] {
+            let out = query(&["--reorder", strategy]);
+            assert!(out.contains(&format!("reorder={strategy}")), "{out}");
+            assert_eq!(
+                stat_line(&baseline),
+                stat_line(&out),
+                "{label}: --reorder {strategy} changed results"
+            );
+        }
+    }
+}
+
+/// Codec, reorder, termination policy and budget come from flags only:
+/// the environment variables that once forced them must not reach a run.
+#[test]
+fn query_ignores_answer_changing_environment() {
+    let dir = std::env::temp_dir().join("gass_cli_e2e_env");
     std::fs::create_dir_all(&dir).unwrap();
     let store = dir.join("base.store.gass");
     let graph = dir.join("base.hnsw.gass");
     let queries = dir.join("q.store.gass");
-
-    let out = run_ok(gass().args([
-        "generate",
-        "--dataset",
-        "deep",
-        "--n",
-        "800",
-        "--seed",
-        "5",
-        "--out",
-        store.to_str().unwrap(),
-    ]));
-    assert!(out.contains("800 x 96d"), "unexpected generate output: {out}");
-
+    for (path, n, seed) in [(&store, "800", "5"), (&queries, "10", "9")] {
+        run_ok(gass().args([
+            "generate",
+            "--dataset",
+            "deep",
+            "--n",
+            n,
+            "--seed",
+            seed,
+            "--out",
+            path.to_str().unwrap(),
+        ]));
+    }
     run_ok(gass().args([
-        "generate",
-        "--dataset",
-        "deep",
-        "--n",
-        "10",
-        "--seed",
-        "9",
-        "--out",
-        queries.to_str().unwrap(),
-    ]));
-
-    let out = run_ok(gass().args([
         "build",
         "--method",
         "hnsw",
@@ -60,40 +165,9 @@ fn generate_build_query_roundtrip() {
         "--out",
         graph.to_str().unwrap(),
     ]));
-    assert!(out.contains("built hnsw over 800 nodes"), "{out}");
-
-    let out = run_ok(gass().args(["info", "--file", graph.to_str().unwrap()]));
-    assert!(out.contains("flat graph, 800 nodes"), "{out}");
-    let out = run_ok(gass().args(["info", "--file", store.to_str().unwrap()]));
-    assert!(out.contains("vector store, 800 x 96d"), "{out}");
-
-    let out = run_ok(gass().args([
-        "query",
-        "--store",
-        store.to_str().unwrap(),
-        "--graph",
-        graph.to_str().unwrap(),
-        "--queries",
-        queries.to_str().unwrap(),
-        "--k",
-        "5",
-        "--beam",
-        "64",
-    ]));
-    // recall@5=0.xxxx — parse and require a sane floor.
-    let recall: f64 = out
-        .split("recall@5=")
-        .nth(1)
-        .and_then(|s| s.split_whitespace().next())
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("no recall in output: {out}"));
-    assert!(recall > 0.8, "CLI query recall too low: {recall} ({out})");
-
-    // Reordered serving answers in original ids, so recall and per-query
-    // distance counts must match the unreordered run exactly.
-    let baseline = out;
-    for strategy in ["degree", "bfs", "rcm", "hub"] {
-        let out = run_ok(gass().args([
+    let query = |env: &[(&str, &str)]| {
+        let mut cmd = gass();
+        cmd.args([
             "query",
             "--store",
             store.to_str().unwrap(),
@@ -105,22 +179,24 @@ fn generate_build_query_roundtrip() {
             "5",
             "--beam",
             "64",
-            "--reorder",
-            strategy,
-        ]));
-        assert!(out.contains(&format!("reorder={strategy}")), "{out}");
-        let stat_line = |s: &str| {
-            s.lines()
-                .find(|l| l.starts_with("recall@"))
-                .map(|l| l.split("ms/query").next().unwrap().trim().to_string())
-                .unwrap_or_else(|| panic!("no recall line in: {s}"))
-        };
-        assert_eq!(
-            stat_line(&baseline),
-            stat_line(&out),
-            "--reorder {strategy} changed results"
+        ]);
+        cmd.envs(env.iter().copied());
+        run_ok(&mut cmd)
+    };
+    let clean = query(&[]);
+    let dirty = query(&[
+        ("GASS_QUANT", "pq"),
+        ("GASS_REORDER", "rcm"),
+        ("GASS_TERM", "saturation:1"),
+        ("GASS_MAX_DISTS", "50"),
+    ]);
+    for out in [&clean, &dirty] {
+        assert!(
+            out.contains("quant=none reorder=none term=fixed max-dists=0"),
+            "environment leaked into the configuration: {out}"
         );
     }
+    assert_eq!(stat_line(&clean), stat_line(&dirty), "environment changed the answers");
 }
 
 #[test]
@@ -195,137 +271,105 @@ fn quantized_query_ladder() {
             .and_then(|s| s.parse().ok())
             .unwrap_or_else(|| panic!("no u8 counter in output: {out}"));
         assert!(u8s > 0, "{quant} rung did not traverse on codes: {out}");
-        let recall: f64 = out
-            .split("recall@5=")
-            .nth(1)
-            .and_then(|s| s.split_whitespace().next())
-            .and_then(|s| s.parse().ok())
-            .unwrap_or_else(|| panic!("no recall in output: {out}"));
+        let recall = recall_of(&out, 5);
         assert!(recall > 0.7, "{quant} rung recall too low: {recall} ({out})");
     }
 }
 
 #[test]
 fn sharded_build_query_roundtrip() {
-    let dir = std::env::temp_dir().join("gass_cli_e2e_sharded");
-    std::fs::create_dir_all(&dir).unwrap();
-    let store = dir.join("base.store.gass");
-    let queries = dir.join("q.store.gass");
-    let sharded = dir.join("sharded_idx");
-    run_ok(gass().args([
-        "generate",
-        "--dataset",
-        "deep",
-        "--n",
-        "1500",
-        "--seed",
-        "5",
-        "--out",
-        store.to_str().unwrap(),
-    ]));
-    run_ok(gass().args([
-        "generate",
-        "--dataset",
-        "deep",
-        "--n",
-        "12",
-        "--seed",
-        "9",
-        "--out",
-        queries.to_str().unwrap(),
-    ]));
-    let out = run_ok(gass().args([
-        "build",
-        "--method",
-        "hnsw",
-        "--store",
-        store.to_str().unwrap(),
-        "--out",
-        sharded.to_str().unwrap(),
-        "--shards",
-        "3",
-        "--nprobe",
-        "1",
-    ]));
-    assert!(out.contains("built hnsw x 3 shards over 1500 vectors"), "{out}");
-    let out = run_ok(gass().args(["info", "--file", sharded.to_str().unwrap()]));
-    assert!(
-        out.contains("sharded index, 3 shards x 96d, 1500 vectors total, nprobe 1"),
-        "{out}"
-    );
-
-    let query = |nprobe: &str, extra_env: Option<(&str, &str)>| {
-        let mut cmd = gass();
-        cmd.args([
-            "query",
-            "--sharded",
-            sharded.to_str().unwrap(),
-            "--queries",
-            queries.to_str().unwrap(),
-            "--k",
+    for (label, format, term) in CONFIGS {
+        let dir = std::env::temp_dir().join(format!("gass_cli_e2e_sharded_{label}"));
+        std::fs::create_dir_all(&dir).unwrap();
+        let store = dir.join("base.store.gass");
+        let queries = dir.join("q.store.gass");
+        let sharded = dir.join("sharded_idx");
+        run_ok(gass().args([
+            "generate",
+            "--dataset",
+            "deep",
+            "--n",
+            "1500",
+            "--seed",
             "5",
-            "--beam",
-            "64",
+            "--format",
+            format,
+            "--out",
+            store.to_str().unwrap(),
+        ]));
+        run_ok(gass().args([
+            "generate",
+            "--dataset",
+            "deep",
+            "--n",
+            "12",
+            "--seed",
+            "9",
+            "--out",
+            queries.to_str().unwrap(),
+        ]));
+        let out = run_ok(gass().args([
+            "build",
+            "--method",
+            "hnsw",
+            "--store",
+            store.to_str().unwrap(),
+            "--out",
+            sharded.to_str().unwrap(),
+            "--shards",
+            "3",
             "--nprobe",
-            nprobe,
-        ]);
-        if let Some((k, v)) = extra_env {
-            cmd.env(k, v);
-        }
-        run_ok(&mut cmd)
-    };
-    let recall_of = |out: &str| -> f64 {
-        out.split("recall@5=")
-            .nth(1)
-            .and_then(|s| s.split_whitespace().next())
-            .and_then(|s| s.parse().ok())
-            .unwrap_or_else(|| panic!("no recall in output: {out}"))
-    };
+            "1",
+        ]));
+        assert!(out.contains("built hnsw x 3 shards over 1500 vectors"), "{out}");
+        let out = run_ok(gass().args(["info", "--file", sharded.to_str().unwrap()]));
+        assert!(
+            out.contains("sharded index, 3 shards x 96d, 1500 vectors total, nprobe 1"),
+            "{out}"
+        );
 
-    // Full probe merges every shard's answer: the recall floor holds, and
-    // probing a superset of shards can never lose a true neighbor (a true
-    // top-k member is displaced only by strictly closer vectors, all of
-    // which are themselves in the true top-k).
-    let full = query("3", None);
-    let one = query("1", None);
-    assert!(recall_of(&full) > 0.85, "full-probe recall too low: {full}");
-    assert!(
-        recall_of(&full) >= recall_of(&one),
-        "recall fell while probing more shards:\nnprobe=1: {one}\nnprobe=3: {full}"
-    );
+        let query = |nprobe: &str, extra: &[&str], env: &[(&str, &str)]| {
+            let mut cmd = gass();
+            cmd.args([
+                "query",
+                "--sharded",
+                sharded.to_str().unwrap(),
+                "--queries",
+                queries.to_str().unwrap(),
+                "--k",
+                "5",
+                "--beam",
+                "64",
+                "--nprobe",
+                nprobe,
+            ]);
+            cmd.args(term).args(extra).envs(env.iter().copied());
+            run_ok(&mut cmd)
+        };
 
-    // Shard stores are written in the mapped layout; the heap fallback
-    // (GASS_NO_MMAP=1) must be observationally identical to serving
-    // through the mapping.
-    let no_mmap = query("3", Some(("GASS_NO_MMAP", "1")));
-    let stat_line = |s: &str| {
-        s.lines()
-            .find(|l| l.starts_with("recall@"))
-            .map(|l| l.split("ms/query").next().unwrap().trim().to_string())
-            .unwrap_or_else(|| panic!("no recall line in: {s}"))
-    };
-    assert_eq!(stat_line(&full), stat_line(&no_mmap), "mmap and heap serving disagree");
+        // Full probe merges every shard's answer: the recall floor holds,
+        // and probing a superset of shards can never lose a true neighbor
+        // (a true top-k member is displaced only by strictly closer
+        // vectors, all of which are themselves in the true top-k).
+        let full = query("3", &[], &[]);
+        let one = query("1", &[], &[]);
+        assert!(recall_of(&full, 5) > 0.85, "{label}: full-probe recall too low: {full}");
+        assert!(
+            recall_of(&full, 5) >= recall_of(&one, 5),
+            "{label}: recall fell while probing more shards:\nnprobe=1: {one}\nnprobe=3: {full}"
+        );
 
-    // The quantized ladder applies per shard.
-    let mut cmd = gass();
-    cmd.args([
-        "query",
-        "--sharded",
-        sharded.to_str().unwrap(),
-        "--queries",
-        queries.to_str().unwrap(),
-        "--k",
-        "5",
-        "--beam",
-        "64",
-        "--nprobe",
-        "3",
-        "--quant",
-        "sq8",
-    ]);
-    let out = run_ok(&mut cmd);
-    assert!(out.contains("quant=sq8"), "{out}");
-    assert!(recall_of(&out) > 0.8, "sharded sq8 recall too low: {out}");
+        // Shard stores are written in the mapped layout; the heap fallback
+        // (GASS_NO_MMAP=1) must be observationally identical to serving
+        // through the mapping.
+        let no_mmap = query("3", &[], &[("GASS_NO_MMAP", "1")]);
+        assert_eq!(stat_line(&full), stat_line(&no_mmap), "{label}: mmap and heap disagree");
+
+        // The quantized ladder applies per shard.
+        let out = query("3", &["--quant", "sq8"], &[]);
+        assert!(out.contains("quant=sq8"), "{out}");
+        assert!(recall_of(&out, 5) > 0.8, "{label}: sharded sq8 recall too low: {out}");
+    }
 
     // --nprobe only makes sense against a sharded directory.
     let out = gass()
@@ -451,8 +495,6 @@ fn adaptive_termination_query_flags() {
             .unwrap_or_else(|| panic!("no {tag} in output: {out}"))
     };
 
-    // Pinned fixed baseline (immune to a GASS_TERM in the environment,
-    // e.g. the CI adaptive-smoke leg).
     let fixed = query(&["--term", "fixed"]);
     assert!(fixed.contains("term=fixed"), "{fixed}");
     let fixed_dists = stat(&fixed, "dists/query=");

@@ -15,18 +15,12 @@ use std::sync::Arc;
 
 const K: usize = 5;
 
-/// Recall-path query parameters: `(beam_width, rerank_factor)`. The CI
-/// matrix reruns this test with GASS_QUANT set, and the server defers to
-/// that override — the coarser the codec, the deeper the exact-rerank
+/// Recall-path operating points per served codec: `(--quant, beam_width,
+/// rerank_factor)`. The coarser the codec, the deeper the exact-rerank
 /// pool needed to hold the recall floor (same operating points as the
 /// quantized query ladder in `e2e.rs`).
-fn recall_params() -> (usize, usize) {
-    match std::env::var("GASS_QUANT").as_deref() {
-        Ok("pq") => (96, 16),
-        Ok("sq4") => (96, 8),
-        _ => (64, 4),
-    }
-}
+const RECALL_POINTS: [(&str, usize, usize); 4] =
+    [("none", 64, 4), ("sq8", 64, 4), ("sq4", 96, 8), ("pq", 96, 16)];
 
 /// Kills the server on drop so a failing assertion can't leak a live
 /// process (an orphaned server holds CI pipes open forever).
@@ -81,11 +75,15 @@ fn fixtures(dir: &Path) -> (PathBuf, PathBuf) {
     (store, graph)
 }
 
-/// Spawns `gass serve`, waits for the readiness line, returns the
+/// Spawns `gass serve` (with `env` set in the child only), waits for the readiness line, returns the
 /// guarded child, its (still-open) stdout reader, and the bound address.
-fn spawn_server(extra: &[&str]) -> (ChildGuard, BufReader<ChildStdout>, SocketAddr) {
+fn spawn_server(
+    extra: &[&str],
+    env: &[(&str, &str)],
+) -> (ChildGuard, BufReader<ChildStdout>, SocketAddr) {
     let mut cmd = gass();
-    cmd.args(["serve", "--port", "0"]).args(extra).stdout(Stdio::piped());
+    cmd.args(["serve", "--port", "0"]).args(extra).envs(env.iter().copied());
+    cmd.stdout(Stdio::piped());
     let mut child = cmd.spawn().expect("spawn gass serve");
     let mut reader = BufReader::new(child.stdout.take().unwrap());
     let mut line = String::new();
@@ -110,120 +108,184 @@ fn assert_clean_exit(mut guard: ChildGuard, mut reader: BufReader<ChildStdout>) 
     assert!(rest.contains("server drained and exited"), "missing drain message: {rest}");
 }
 
+/// Every query's answer as `(id, distance bits)`, over one connection.
+fn served_answers(
+    addr: SocketAddr,
+    queries: &gass_core::VectorStore,
+    beam: usize,
+    rerank: usize,
+) -> Vec<Vec<(u32, u32)>> {
+    let mut client = Client::connect(addr).unwrap();
+    (0..queries.len() as u32)
+        .map(|qi| {
+            match client
+                .query(QueryRequest {
+                    k: K,
+                    beam_width: beam,
+                    seed_count: 16,
+                    rerank_factor: rerank,
+                    deadline_us: 0,
+                    query: queries.get(qi).to_vec(),
+                })
+                .unwrap()
+            {
+                Response::Neighbors(ns) => {
+                    ns.iter().map(|(id, d)| (*id, d.to_bits())).collect()
+                }
+                other => panic!("expected neighbors, got {other:?}"),
+            }
+        })
+        .collect()
+}
+
 #[test]
 fn serve_smoke_recall_batching_and_shutdown() {
     let dir = std::env::temp_dir().join("gass_cli_serve_e2e");
     let (store_path, graph_path) = fixtures(&dir);
-    let (child, reader, addr) = spawn_server(&[
-        "--store",
-        store_path.to_str().unwrap(),
-        "--graph",
-        graph_path.to_str().unwrap(),
-        "--workers",
-        "2",
-        "--max-batch",
-        "8",
-        "--max-wait-us",
-        "5000",
-    ]);
-
-    // Ground truth from the very artifacts the server loaded.
+    // Ground truth from the very artifacts the server loads.
     let base = persist::load_store(&store_path).unwrap();
-    let queries = gass_data::DatasetKind::Deep.generate_base(40, 9);
+    let queries = Arc::new(gass_data::DatasetKind::Deep.generate_base(40, 9));
     assert_eq!(queries.dim(), base.dim());
-    let truth = gass_data::ground_truth(&base, &queries, K);
+    let truth = Arc::new(gass_data::ground_truth(&base, &queries, K));
 
-    let (beam, rerank) = recall_params();
-    let req = move |q: &[f32]| QueryRequest {
-        k: K,
-        beam_width: beam,
-        seed_count: 16,
-        rerank_factor: rerank,
-        deadline_us: 0,
-        query: q.to_vec(),
-    };
+    for (quant, beam, rerank) in RECALL_POINTS {
+        let (child, reader, addr) = spawn_server(
+            &[
+                "--store",
+                store_path.to_str().unwrap(),
+                "--graph",
+                graph_path.to_str().unwrap(),
+                "--workers",
+                "2",
+                "--max-batch",
+                "8",
+                "--max-wait-us",
+                "5000",
+                "--quant",
+                quant,
+            ],
+            &[],
+        );
+        let req = move |q: &[f32]| QueryRequest {
+            k: K,
+            beam_width: beam,
+            seed_count: 16,
+            rerank_factor: rerank,
+            deadline_us: 0,
+            query: q.to_vec(),
+        };
 
-    // Phase 1: single sequential queries over one connection.
-    let mut client = Client::connect(addr).unwrap();
-    client.ping().unwrap();
-    let mut recall = 0.0;
-    for (qi, row) in truth.iter().enumerate().take(10) {
-        match client.query(req(queries.get(qi as u32))).unwrap() {
-            Response::Neighbors(ns) => {
-                let got: Vec<gass_core::Neighbor> =
-                    ns.iter().map(|(id, d)| gass_core::Neighbor::new(*id, *d)).collect();
-                recall += gass_eval::recall_at_k(row, &got, K);
-            }
-            other => panic!("expected neighbors, got {other:?}"),
-        }
-    }
-    assert!(recall / 10.0 > 0.8, "served recall too low: {}", recall / 10.0);
-
-    // Phase 2: concurrent clients; the 5ms batch window must coalesce at
-    // least some of the 8 in-flight requests into shared batches.
-    let queries = Arc::new(queries);
-    let truth = Arc::new(truth);
-    let mut joins = Vec::new();
-    for t in 0..8usize {
-        let queries = Arc::clone(&queries);
-        let truth = Arc::clone(&truth);
-        joins.push(std::thread::spawn(move || {
-            let mut client = Client::connect(addr).unwrap();
-            let mut recall = 0.0;
-            let mut asked = 0;
-            for round in 0..5 {
-                let qi = ((t * 5 + round) % queries.len()) as u32;
-                match client.query(req(queries.get(qi))).unwrap() {
-                    Response::Neighbors(ns) => {
-                        let got: Vec<gass_core::Neighbor> = ns
-                            .iter()
-                            .map(|(id, d)| gass_core::Neighbor::new(*id, *d))
-                            .collect();
-                        recall += gass_eval::recall_at_k(&truth[qi as usize], &got, K);
-                        asked += 1;
-                    }
-                    other => panic!("expected neighbors, got {other:?}"),
+        // Phase 1: single sequential queries over one connection.
+        let mut client = Client::connect(addr).unwrap();
+        client.ping().unwrap();
+        let mut recall = 0.0;
+        for (qi, row) in truth.iter().enumerate().take(10) {
+            match client.query(req(queries.get(qi as u32))).unwrap() {
+                Response::Neighbors(ns) => {
+                    let got: Vec<gass_core::Neighbor> =
+                        ns.iter().map(|(id, d)| gass_core::Neighbor::new(*id, *d)).collect();
+                    recall += gass_eval::recall_at_k(row, &got, K);
                 }
+                other => panic!("expected neighbors, got {other:?}"),
             }
-            recall / asked as f64
-        }));
-    }
-    for j in joins {
-        assert!(j.join().unwrap() > 0.8, "concurrent-phase recall too low");
-    }
+        }
+        assert!(recall / 10.0 > 0.8, "{quant}: served recall too low: {}", recall / 10.0);
 
-    // The stats endpoint agrees: everything admitted completed, and the
-    // concurrent phase produced at least one multi-request batch.
-    let json = client.stats().unwrap();
-    assert!(json.contains("\"completed\":50"), "stats: {json}");
-    assert!(json.contains("\"overloaded\":0"), "stats: {json}");
-    let batches: u64 = json
-        .split("\"batches\":")
-        .nth(1)
-        .and_then(|s| s.split([',', '}']).next())
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("no batches field in {json}"));
-    assert!(batches < 50, "no cross-request coalescing happened: {json}");
-    // The per-query compute histogram saw every completed query and
-    // records real work (its p50 is a positive distance-evaluation
-    // count) — this is the live scoreboard for adaptive termination.
-    let dist_hist = json
-        .split("\"dists_per_query\":{")
-        .nth(1)
-        .and_then(|s| s.split('}').next())
-        .unwrap_or_else(|| panic!("no dists_per_query histogram in {json}"));
-    assert!(dist_hist.contains("\"count\":50"), "dists histogram incomplete: {json}");
-    let dist_p50: u64 = dist_hist
-        .split("\"p50\":")
-        .nth(1)
-        .and_then(|s| s.split([',', '}']).next())
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("no p50 in dists histogram: {json}"));
-    assert!(dist_p50 > 0, "dists-per-query p50 is zero: {json}");
+        // Phase 2: concurrent clients; the 5ms batch window must coalesce
+        // at least some of the 8 in-flight requests into shared batches.
+        let mut joins = Vec::new();
+        for t in 0..8usize {
+            let queries = Arc::clone(&queries);
+            let truth = Arc::clone(&truth);
+            joins.push(std::thread::spawn(move || {
+                let mut client = Client::connect(addr).unwrap();
+                let mut recall = 0.0;
+                let mut asked = 0;
+                for round in 0..5 {
+                    let qi = ((t * 5 + round) % queries.len()) as u32;
+                    match client.query(req(queries.get(qi))).unwrap() {
+                        Response::Neighbors(ns) => {
+                            let got: Vec<gass_core::Neighbor> = ns
+                                .iter()
+                                .map(|(id, d)| gass_core::Neighbor::new(*id, *d))
+                                .collect();
+                            recall += gass_eval::recall_at_k(&truth[qi as usize], &got, K);
+                            asked += 1;
+                        }
+                        other => panic!("expected neighbors, got {other:?}"),
+                    }
+                }
+                recall / asked as f64
+            }));
+        }
+        for j in joins {
+            assert!(j.join().unwrap() > 0.8, "{quant}: concurrent-phase recall too low");
+        }
 
-    // Phase 3: orderly shutdown over the wire.
-    client.shutdown().unwrap();
-    assert_clean_exit(child, reader);
+        // The stats endpoint agrees: everything admitted completed, and the
+        // concurrent phase produced at least one multi-request batch.
+        let json = client.stats().unwrap();
+        assert!(json.contains("\"completed\":50"), "{quant} stats: {json}");
+        assert!(json.contains("\"overloaded\":0"), "{quant} stats: {json}");
+        let batches: u64 = json
+            .split("\"batches\":")
+            .nth(1)
+            .and_then(|s| s.split([',', '}']).next())
+            .and_then(|s| s.parse().ok())
+            .unwrap_or_else(|| panic!("no batches field in {json}"));
+        assert!(batches < 50, "{quant}: no cross-request coalescing happened: {json}");
+        // The per-query compute histogram saw every completed query and
+        // records real work (its p50 is a positive distance-evaluation
+        // count) — this is the live scoreboard for adaptive termination.
+        let dist_hist = json
+            .split("\"dists_per_query\":{")
+            .nth(1)
+            .and_then(|s| s.split('}').next())
+            .unwrap_or_else(|| panic!("no dists_per_query histogram in {json}"));
+        assert!(dist_hist.contains("\"count\":50"), "dists histogram incomplete: {json}");
+        let dist_p50: u64 = dist_hist
+            .split("\"p50\":")
+            .nth(1)
+            .and_then(|s| s.split([',', '}']).next())
+            .and_then(|s| s.parse().ok())
+            .unwrap_or_else(|| panic!("no p50 in dists histogram: {json}"));
+        assert!(dist_p50 > 0, "dists-per-query p50 is zero: {json}");
+
+        // Phase 3: orderly shutdown over the wire.
+        client.shutdown().unwrap();
+        assert_clean_exit(child, reader);
+    }
+}
+
+/// Codec, reorder, termination policy and budget come from flags only:
+/// a server started with the environment variables that once forced them
+/// answers bit-for-bit like one started without.
+#[test]
+fn serve_ignores_answer_changing_environment() {
+    let dir = std::env::temp_dir().join("gass_cli_serve_e2e_env");
+    let (store_path, graph_path) = fixtures(&dir);
+    let queries = gass_data::DatasetKind::Deep.generate_base(12, 9);
+    let (_, beam, rerank) = RECALL_POINTS[0];
+    let envs: [&[(&str, &str)]; 2] = [
+        &[],
+        &[
+            ("GASS_QUANT", "pq"),
+            ("GASS_REORDER", "rcm"),
+            ("GASS_TERM", "saturation:1"),
+            ("GASS_MAX_DISTS", "50"),
+        ],
+    ];
+    let mut answers = Vec::new();
+    for env in envs {
+        let (child, reader, addr) = spawn_server(
+            &["--store", store_path.to_str().unwrap(), "--graph", graph_path.to_str().unwrap()],
+            env,
+        );
+        answers.push(served_answers(addr, &queries, beam, rerank));
+        Client::connect(addr).unwrap().shutdown().unwrap();
+        assert_clean_exit(child, reader);
+    }
+    assert_eq!(answers[0], answers[1], "the environment changed served answers");
 }
 
 #[test]
@@ -259,42 +321,25 @@ fn serve_sharded_smoke() {
 
     // Serve the sharded directory at full probe so the recall floor is
     // about the serving path, not the routing operating point.
-    let (child, reader, addr) = spawn_server(&[
-        "--sharded",
-        sharded.to_str().unwrap(),
-        "--nprobe",
-        "4",
-        "--workers",
-        "2",
-    ]);
+    let (child, reader, addr) = spawn_server(
+        &["--sharded", sharded.to_str().unwrap(), "--nprobe", "4", "--workers", "2"],
+        &[],
+    );
 
     let base = persist::load_store(&store_path).unwrap();
     let queries = gass_data::DatasetKind::Deep.generate_base(20, 9);
     let truth = gass_data::ground_truth(&base, &queries, K);
-    let (beam, rerank) = recall_params();
+    let (_, beam, rerank) = RECALL_POINTS[0];
 
     let mut client = Client::connect(addr).unwrap();
     client.ping().unwrap();
     let mut recall = 0.0;
-    for (qi, row) in truth.iter().enumerate() {
-        match client
-            .query(QueryRequest {
-                k: K,
-                beam_width: beam,
-                seed_count: 16,
-                rerank_factor: rerank,
-                deadline_us: 0,
-                query: queries.get(qi as u32).to_vec(),
-            })
-            .unwrap()
-        {
-            Response::Neighbors(ns) => {
-                let got: Vec<gass_core::Neighbor> =
-                    ns.iter().map(|(id, d)| gass_core::Neighbor::new(*id, *d)).collect();
-                recall += gass_eval::recall_at_k(row, &got, K);
-            }
-            other => panic!("expected neighbors, got {other:?}"),
-        }
+    for (row, ans) in truth.iter().zip(served_answers(addr, &queries, beam, rerank)) {
+        let got: Vec<gass_core::Neighbor> = ans
+            .iter()
+            .map(|&(id, d)| gass_core::Neighbor::new(id, f32::from_bits(d)))
+            .collect();
+        recall += gass_eval::recall_at_k(row, &got, K);
     }
     let recall = recall / truth.len() as f64;
     assert!(recall > 0.8, "sharded served recall too low: {recall}");
@@ -340,38 +385,22 @@ fn serve_sharded_fanout_answers_identically() {
     ]));
 
     let queries = gass_data::DatasetKind::Deep.generate_base(16, 13);
-    let (beam, rerank) = recall_params();
-    let mut answers: Vec<Vec<Vec<(u32, u32)>>> = Vec::new();
+    let (_, beam, rerank) = RECALL_POINTS[0];
+    let mut answers = Vec::new();
     for fanout in ["1", "2"] {
-        let (child, reader, addr) = spawn_server(&[
-            "--sharded",
-            sharded.to_str().unwrap(),
-            "--fanout-workers",
-            fanout,
-            "--workers",
-            "2",
-        ]);
-        let mut client = Client::connect(addr).unwrap();
-        let mut per_query = Vec::new();
-        for qi in 0..queries.len() as u32 {
-            match client
-                .query(QueryRequest {
-                    k: K,
-                    beam_width: beam,
-                    seed_count: 16,
-                    rerank_factor: rerank,
-                    deadline_us: 0,
-                    query: queries.get(qi).to_vec(),
-                })
-                .unwrap()
-            {
-                Response::Neighbors(ns) => per_query
-                    .push(ns.iter().map(|(id, d)| (*id, d.to_bits())).collect::<Vec<_>>()),
-                other => panic!("expected neighbors, got {other:?}"),
-            }
-        }
-        answers.push(per_query);
-        client.shutdown().unwrap();
+        let (child, reader, addr) = spawn_server(
+            &[
+                "--sharded",
+                sharded.to_str().unwrap(),
+                "--fanout-workers",
+                fanout,
+                "--workers",
+                "2",
+            ],
+            &[],
+        );
+        answers.push(served_answers(addr, &queries, beam, rerank));
+        Client::connect(addr).unwrap().shutdown().unwrap();
         assert_clean_exit(child, reader);
     }
     assert_eq!(answers[0], answers[1], "fan-out changed served answers");
@@ -383,20 +412,23 @@ fn serve_overload_fast_rejects_instead_of_queueing() {
     let (store_path, graph_path) = fixtures(&dir);
     // A server with almost no room: one worker, per-request batches, a
     // queue of depth 1, and expensive queries.
-    let (child, reader, addr) = spawn_server(&[
-        "--store",
-        store_path.to_str().unwrap(),
-        "--graph",
-        graph_path.to_str().unwrap(),
-        "--workers",
-        "1",
-        "--max-batch",
-        "1",
-        "--max-wait-us",
-        "0",
-        "--queue-depth",
-        "1",
-    ]);
+    let (child, reader, addr) = spawn_server(
+        &[
+            "--store",
+            store_path.to_str().unwrap(),
+            "--graph",
+            graph_path.to_str().unwrap(),
+            "--workers",
+            "1",
+            "--max-batch",
+            "1",
+            "--max-wait-us",
+            "0",
+            "--queue-depth",
+            "1",
+        ],
+        &[],
+    );
 
     let shed = Arc::new(AtomicUsize::new(0));
     let served = Arc::new(AtomicUsize::new(0));

@@ -37,17 +37,15 @@ pub struct QueryParams {
 
 impl QueryParams {
     /// `k`-NN with beam width `l`, `k` seeds and a 4× rerank pool.
-    /// Termination defaults to `Fixed` unless a `GASS_TERM` /
-    /// `GASS_MAX_DISTS` override is set (see [`crate::term::term_forced`]).
+    /// Termination is `Fixed` with no distance budget.
     pub fn new(k: usize, l: usize) -> Self {
-        let forced = crate::term::term_forced().unwrap_or(crate::term::Termination::FIXED);
         Self {
             k,
             beam_width: l.max(k),
             seed_count: k,
             rerank_factor: 4,
-            term: forced.policy,
-            max_dists: forced.max_dists,
+            term: crate::term::TerminationPolicy::Fixed,
+            max_dists: 0,
         }
     }
 

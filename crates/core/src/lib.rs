@@ -76,10 +76,10 @@ pub use persist::{
 };
 pub use quant::{
     l2_sq_u4, l2_sq_u4_batch, l2_sq_u8, l2_sq_u8_batch, pq_auto_m, pq_scan, pq_scan_batch,
-    quant_forced, CodecSpec, CodecStore, PqStore, PreparedQuery, QuantizedStore, Sq4Store,
+    CodecSpec, CodecStore, PqStore, PreparedQuery, QuantizedStore, Sq4Store,
 };
 pub use reorder::{
-    compute_permutation, mean_edge_span, reorder_forced, IdRemap, ReorderStrategy, ServingState,
+    compute_permutation, mean_edge_span, IdRemap, ReorderStrategy, ServingState,
 };
 pub use search::{
     beam_search, beam_search_frozen, beam_search_terminated, beam_search_with_sink,
@@ -90,5 +90,5 @@ pub use seed::{FixedSeed, MedoidSeed, RandomSeeds, SeedProvider, StaticSeeds};
 pub use sharded::{ShardedIndex, ShardedParams};
 pub use stats::Histogram;
 pub use store::VectorStore;
-pub use term::{term_forced, TermState, Termination, TerminationPolicy};
+pub use term::{TermState, Termination, TerminationPolicy};
 pub use visited::VisitedSet;

@@ -27,7 +27,6 @@
 
 use crate::reorder::IdRemap;
 use crate::store::VectorStore;
-use std::sync::atomic::{AtomicU8, Ordering};
 
 pub mod pq;
 pub mod sq4;
@@ -160,7 +159,7 @@ impl CodecSpec {
     /// Every concrete rung (PQ with auto `m`), in ladder order.
     pub const ALL: [CodecSpec; 3] = [CodecSpec::Sq8, CodecSpec::Sq4, CodecSpec::Pq { m: None }];
 
-    /// The CLI/env name of the codec family (`sq8`, `sq4`, `pq`).
+    /// The CLI name of the codec family (`sq8`, `sq4`, `pq`).
     pub const fn name(&self) -> &'static str {
         match self {
             CodecSpec::Sq8 => "sq8",
@@ -225,45 +224,6 @@ impl std::fmt::Display for CodecSpec {
             CodecSpec::Pq { m: Some(m) } => write!(f, "pq(m={m})"),
             other => f.write_str(other.name()),
         }
-    }
-}
-
-// --- GASS_QUANT override ------------------------------------------------
-
-// Tri-state cache so the env var is read once, lazily (same pattern as the
-// SIMD/prefetch toggles in `distance`).
-static QUANT_FORCED: AtomicU8 = AtomicU8::new(QF_UNINIT);
-const QF_UNINIT: u8 = 0;
-const QF_OFF: u8 = 1;
-const QF_SQ8: u8 = 2;
-const QF_SQ4: u8 = 3;
-const QF_PQ: u8 = 4;
-
-#[cold]
-fn init_quant_forced() -> u8 {
-    let q = match std::env::var("GASS_QUANT").as_deref() {
-        Ok("sq8") => QF_SQ8,
-        Ok("sq4") => QF_SQ4,
-        Ok("pq") => QF_PQ,
-        _ => QF_OFF,
-    };
-    QUANT_FORCED.store(q, Ordering::Relaxed);
-    q
-}
-
-/// The codec `GASS_QUANT=sq8|sq4|pq` asks for everywhere an index is built
-/// through the registry (the CI matrix legs use this to run the whole
-/// suite over each compressed serving path), or `None` when unset.
-pub fn quant_forced() -> Option<CodecSpec> {
-    let mut q = QUANT_FORCED.load(Ordering::Relaxed);
-    if q == QF_UNINIT {
-        q = init_quant_forced();
-    }
-    match q {
-        QF_SQ8 => Some(CodecSpec::Sq8),
-        QF_SQ4 => Some(CodecSpec::Sq4),
-        QF_PQ => Some(CodecSpec::Pq { m: None }),
-        _ => None,
     }
 }
 

@@ -21,7 +21,6 @@
 use std::collections::VecDeque;
 use std::fmt;
 use std::str::FromStr;
-use std::sync::atomic::{AtomicU8, Ordering};
 
 use crate::distance::QuantView;
 use crate::graph::{CsrGraph, GraphView};
@@ -313,46 +312,6 @@ pub fn mean_edge_span<G: GraphView + ?Sized>(graph: &G) -> f64 {
         0.0
     } else {
         sum / edges as f64
-    }
-}
-
-// `GASS_REORDER` forcing, mirroring the `GASS_QUANT` tri-state: the env
-// var is read once, then every registry build applies the strategy after
-// construction. 0 = unread, 1 = off, 2.. = strategy.
-const RF_UNINIT: u8 = 0;
-const RF_OFF: u8 = 1;
-static REORDER_FORCED: AtomicU8 = AtomicU8::new(RF_UNINIT);
-
-#[cold]
-fn init_reorder_forced() -> u8 {
-    let state = match std::env::var("GASS_REORDER") {
-        Ok(v) => match v.parse::<ReorderStrategy>() {
-            Ok(ReorderStrategy::None) | Err(_) => RF_OFF,
-            Ok(ReorderStrategy::DegreeDesc) => RF_OFF + 1,
-            Ok(ReorderStrategy::Bfs) => RF_OFF + 2,
-            Ok(ReorderStrategy::Rcm) => RF_OFF + 3,
-            Ok(ReorderStrategy::HubCluster) => RF_OFF + 4,
-        },
-        Err(_) => RF_OFF,
-    };
-    REORDER_FORCED.store(state, Ordering::Relaxed);
-    state
-}
-
-/// The strategy forced by `GASS_REORDER` (e.g. `rcm`), if any. Read once;
-/// the registry applies it to every freshly built method so the whole
-/// test suite can run over a reordered serving state.
-pub fn reorder_forced() -> Option<ReorderStrategy> {
-    let mut state = REORDER_FORCED.load(Ordering::Relaxed);
-    if state == RF_UNINIT {
-        state = init_reorder_forced();
-    }
-    match state {
-        s if s == RF_OFF + 1 => Some(ReorderStrategy::DegreeDesc),
-        s if s == RF_OFF + 2 => Some(ReorderStrategy::Bfs),
-        s if s == RF_OFF + 3 => Some(ReorderStrategy::Rcm),
-        s if s == RF_OFF + 4 => Some(ReorderStrategy::HubCluster),
-        _ => None,
     }
 }
 

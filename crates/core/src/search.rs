@@ -544,59 +544,18 @@ pub fn greedy_search_budgeted<G: GraphView + ?Sized>(
     visited: &mut VisitedSet,
     max_dists: usize,
 ) -> (Neighbor, SearchStats) {
-    if let Some(qv) = space.quant() {
-        return with_concrete_codec!(qv.store(), |codec| {
+    match space.quant() {
+        Some(qv) => with_concrete_codec!(qv.store(), |codec| {
             greedy_search_quantized(graph, space, codec, query, entry, visited, max_dists)
-        });
-    }
-    let mut stats = SearchStats::default();
-    visited.resize(graph.num_nodes());
-    visited.clear();
-    visited.insert(entry);
-    let mut best = Neighbor::new(entry, space.dist_to(query, entry));
-    stats.evaluated += 1;
-    loop {
-        if max_dists > 0 && stats.evaluated >= max_dists {
-            return (best, stats);
-        }
-        stats.hops += 1;
-        let mut improved = false;
-        let mut pending = [0u32; 4];
-        let mut fill = 0usize;
-        for &nb in graph.neighbors(best.id) {
-            if visited.insert(nb) {
-                space.prefetch(nb);
-                pending[fill] = nb;
-                fill += 1;
-                if fill == 4 {
-                    let ds = space.dist_to_batch(query, pending);
-                    stats.evaluated += 4;
-                    for (&id, &d) in pending.iter().zip(ds.iter()) {
-                        if d < best.dist {
-                            best = Neighbor::new(id, d);
-                            improved = true;
-                        }
-                    }
-                    fill = 0;
-                }
-            }
-        }
-        for &id in &pending[..fill] {
-            let d = space.dist_to(query, id);
-            stats.evaluated += 1;
-            if d < best.dist {
-                best = Neighbor::new(id, d);
-                improved = true;
-            }
-        }
-        if !improved {
-            return (best, stats);
-        }
+        }),
+        None => descend(graph, &FullRows { space, query }, entry, visited, max_dists),
     }
 }
 
-/// Quantized greedy descent (see [`greedy_search_with`]): same hill-climb,
-/// code-space distances from `codec`, exact re-score of the final best.
+/// Quantized greedy descent (see [`greedy_search_with`]): [`descend`] on
+/// code-space distances from `codec`, then an exact re-score of the final
+/// best — on a budget stop as on convergence, so the returned distance is
+/// always exact.
 fn greedy_search_quantized<G: GraphView + ?Sized, C: CodecStore + ?Sized>(
     graph: &G,
     space: Space<'_>,
@@ -606,63 +565,71 @@ fn greedy_search_quantized<G: GraphView + ?Sized, C: CodecStore + ?Sized>(
     visited: &mut VisitedSet,
     max_dists: usize,
 ) -> (Neighbor, SearchStats) {
-    let counter = space.counter();
+    let mut prepared = PreparedQuery::default();
+    codec.prepare_into(query, &mut prepared);
+    let rows = CodeRows { codec, prepared: &prepared, counter: space.counter() };
+    let (best, mut stats) = descend(graph, &rows, entry, visited, max_dists);
+    stats.evaluated += 1;
+    (Neighbor::new(best.id, space.dist_to(query, best.id)), stats)
+}
+
+/// The greedy hill-climb every descent runs: score `entry`, then
+/// repeatedly visited-filter the best node's neighbour list, score the
+/// fresh neighbours four at a time through `scorer` (the tail through
+/// [`Scorer::score_tail`]) and move to the closest, until a hop improves
+/// nothing or `max_dists` (`0` = unlimited) is spent. The budget is
+/// checked once per hop, before the list is touched; the prefetch switch
+/// is read once per descent. Distances are `scorer`'s.
+fn descend<G: GraphView + ?Sized, S: Scorer>(
+    graph: &G,
+    scorer: &S,
+    entry: u32,
+    visited: &mut VisitedSet,
+    max_dists: usize,
+) -> (Neighbor, SearchStats) {
     let prefetch = prefetch_enabled();
     let mut stats = SearchStats::default();
     visited.resize(graph.num_nodes());
     visited.clear();
     visited.insert(entry);
-    let mut pq = PreparedQuery::default();
-    codec.prepare_into(query, &mut pq);
-    counter.bump_u8();
-    let mut best = Neighbor::new(entry, codec.dist_prepared(&pq, entry));
+    let mut best = Neighbor::new(entry, scorer.score(entry));
     stats.evaluated += 1;
     loop {
         if max_dists > 0 && stats.evaluated >= max_dists {
-            // Exhausted mid-climb: re-score the running best exactly so
-            // the returned distance stays exact like the converged path.
-            let exact = space.dist_to(query, best.id);
-            stats.evaluated += 1;
-            return (Neighbor::new(best.id, exact), stats);
+            return (best, stats);
         }
         stats.hops += 1;
+        let list = graph.neighbors(best.id);
         let mut improved = false;
+        let mut offer = |id: u32, d: f32| {
+            if d < best.dist {
+                best = Neighbor::new(id, d);
+                improved = true;
+            }
+        };
         let mut pending = [0u32; 4];
         let mut fill = 0usize;
-        for &nb in graph.neighbors(best.id) {
+        for &nb in list {
             if visited.insert(nb) {
                 if prefetch {
-                    codec.prefetch(nb);
+                    scorer.prefetch(nb);
                 }
                 pending[fill] = nb;
                 fill += 1;
                 if fill == 4 {
-                    counter.add_u8(4);
-                    let ds = codec.dist_prepared_batch(&pq, pending);
+                    let ds = scorer.score4(pending);
                     stats.evaluated += 4;
                     for (&id, &d) in pending.iter().zip(ds.iter()) {
-                        if d < best.dist {
-                            best = Neighbor::new(id, d);
-                            improved = true;
-                        }
+                        offer(id, d);
                     }
                     fill = 0;
                 }
             }
         }
-        for &id in &pending[..fill] {
-            counter.bump_u8();
-            let d = codec.dist_prepared(&pq, id);
-            stats.evaluated += 1;
-            if d < best.dist {
-                best = Neighbor::new(id, d);
-                improved = true;
-            }
-        }
+        scorer.score_tail(&pending[..fill], &mut offer);
+        stats.evaluated += fill;
         if !improved {
-            let exact = space.dist_to(query, best.id);
-            stats.evaluated += 1;
-            return (Neighbor::new(best.id, exact), stats);
+            return (best, stats);
         }
     }
 }

@@ -25,7 +25,6 @@
 
 use crate::neighbor::SortedBuffer;
 use std::str::FromStr;
-use std::sync::OnceLock;
 
 /// When a beam search stops expanding candidates.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -217,32 +216,6 @@ impl TermState {
             }
         }
     }
-}
-
-/// `GASS_TERM` override, parsed once: forces a termination policy (and
-/// optionally a budget via `GASS_MAX_DISTS`) onto every
-/// [`crate::index::QueryParams`] built without an explicit policy, so
-/// whole test suites and CI legs run the adaptive paths without flag
-/// plumbing — the same pattern as `GASS_QUANT` / `GASS_REORDER`.
-/// Unparsable values behave as unset.
-pub fn term_forced() -> Option<Termination> {
-    static FORCED: OnceLock<Option<Termination>> = OnceLock::new();
-    *FORCED.get_or_init(|| {
-        let policy = match std::env::var("GASS_TERM") {
-            Ok(v) => v.parse::<TerminationPolicy>().ok()?,
-            Err(_) => TerminationPolicy::Fixed,
-        };
-        let max_dists = std::env::var("GASS_MAX_DISTS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or(0);
-        let term = Termination { policy, max_dists };
-        if term.is_fixed() && std::env::var("GASS_TERM").is_err() {
-            None
-        } else {
-            Some(term)
-        }
-    })
 }
 
 #[cfg(test)]

@@ -171,7 +171,7 @@ pub fn build_method_with_threads(
         32
     };
     let build_l = (degree * 4).max(64);
-    let mut built = match kind {
+    match kind {
         MethodKind::Hnsw => {
             let idx = HnswIndex::build(
                 store,
@@ -354,21 +354,7 @@ pub fn build_method_with_threads(
             let build = idx.build_report();
             BuiltMethod { index: Box::new(idx), build }
         }
-    };
-    // `GASS_QUANT=sq8|sq4|pq` force-quantizes every registry-built index
-    // with the named codec so the whole suite (CI legs) exercises each
-    // compressed serving path. Encoding is deterministic, so plain and
-    // frozen builds still answer in lockstep.
-    if let Some(spec) = gass_core::quant_forced() {
-        built.quantize(spec);
     }
-    // `GASS_REORDER=<strategy>` likewise force-reorders every
-    // registry-built index (freezing it first) so the CI leg runs the
-    // whole suite over relabeled serving layouts.
-    if let Some(strategy) = gass_core::reorder_forced() {
-        built.reorder(strategy);
-    }
-    built
 }
 
 #[cfg(test)]
@@ -378,29 +364,44 @@ mod tests {
     use gass_core::DistCounter;
     use gass_data::synth::deep_like;
 
+    /// The serving configurations every registry invariant is checked
+    /// under: full precision, then each codec installed in place on the
+    /// same built index.
+    const CODECS: [Option<gass_core::CodecSpec>; 4] = [
+        None,
+        Some(gass_core::CodecSpec::Sq8),
+        Some(gass_core::CodecSpec::Sq4),
+        Some(gass_core::CodecSpec::Pq { m: None }),
+    ];
+
+    fn codec_name(codec: Option<gass_core::CodecSpec>) -> &'static str {
+        codec.map_or("none", |c| c.name())
+    }
+
     #[test]
     fn every_method_builds_and_answers() {
         let base = deep_like(400, 1);
         for kind in MethodKind::all_sota() {
-            let built = build_method(kind, base.clone(), 7);
+            let mut built = build_method(kind, base.clone(), 7);
             assert_eq!(built.index.num_vectors(), 400, "{}", kind.name());
             assert!(built.build.dist_calcs > 0, "{}", kind.name());
-            let counter = DistCounter::new();
-            let res = built.index.search(
-                base.get(11),
-                &QueryParams::new(5, 48).with_seed_count(8),
-                &counter,
-            );
-            assert!(!res.neighbors.is_empty(), "{}", kind.name());
-            assert!(counter.get() > 0, "{}", kind.name());
-            // The query vector is a dataset member; any healthy method
-            // finds it at moderate beam width on easy data.
-            assert_eq!(
-                res.neighbors[0].id,
-                11,
-                "{} failed to find the exact member",
-                kind.name()
-            );
+            for codec in CODECS {
+                if let Some(spec) = codec {
+                    built.quantize(spec);
+                }
+                let name = format!("{} {}", kind.name(), codec_name(codec));
+                let counter = DistCounter::new();
+                let res = built.index.search(
+                    base.get(11),
+                    &QueryParams::new(5, 48).with_seed_count(8),
+                    &counter,
+                );
+                assert!(!res.neighbors.is_empty(), "{name}");
+                assert!(counter.get() > 0, "{name}");
+                // The query vector is a dataset member; any healthy method
+                // finds it at moderate beam width on easy data.
+                assert_eq!(res.neighbors[0].id, 11, "{name} failed to find the exact member");
+            }
         }
     }
 
@@ -408,7 +409,7 @@ mod tests {
     fn every_method_freezes_with_identical_results() {
         // Acceptance-level invariant: freezing into CSR changes the memory
         // layout only — same neighbors, same distances, same number of
-        // distance evaluations, for every registry method.
+        // distance evaluations, for every registry method and codec.
         // Stochastic seed providers (KS) advance an RNG per query, so the
         // fair comparison is two identically built indexes — one frozen —
         // queried in lockstep: identical RNG streams, identical everything
@@ -417,28 +418,31 @@ mod tests {
         let queries = deep_like(6, 9);
         let params = QueryParams::new(5, 32).with_seed_count(8);
         for kind in MethodKind::all_sota() {
-            let plain = build_method(kind, base.clone(), 7);
+            let mut plain = build_method(kind, base.clone(), 7);
             let mut frozen = build_method(kind, base.clone(), 7);
-            // A forced GASS_REORDER freezes at build time by design.
-            if gass_core::reorder_forced().is_none() {
-                assert!(!frozen.index.is_frozen(), "{} born frozen", kind.name());
-            }
+            assert!(!frozen.index.is_frozen(), "{} born frozen", kind.name());
             frozen.freeze();
             assert!(frozen.index.is_frozen(), "{} did not freeze", kind.name());
             frozen.freeze(); // idempotent
-            let (cp, cf) = (DistCounter::new(), DistCounter::new());
-            for q in 0..queries.len() as u32 {
-                let rp = plain.index.search(queries.get(q), &params, &cp);
-                let rf = frozen.index.search(queries.get(q), &params, &cf);
-                assert_eq!(rp.neighbors, rf.neighbors, "{} q{}", kind.name(), q);
-                assert_eq!(rp.stats, rf.stats, "{} q{}", kind.name(), q);
+            for codec in CODECS {
+                if let Some(spec) = codec {
+                    plain.quantize(spec);
+                    frozen.quantize(spec);
+                }
+                let name = format!("{} {}", kind.name(), codec_name(codec));
+                let (cp, cf) = (DistCounter::new(), DistCounter::new());
+                for q in 0..queries.len() as u32 {
+                    let rp = plain.index.search(queries.get(q), &params, &cp);
+                    let rf = frozen.index.search(queries.get(q), &params, &cf);
+                    assert_eq!(rp.neighbors, rf.neighbors, "{name} q{q}");
+                    assert_eq!(rp.stats, rf.stats, "{name} q{q}");
+                }
+                assert_eq!(
+                    cp.get(),
+                    cf.get(),
+                    "{name} dist-call totals differ between layouts"
+                );
             }
-            assert_eq!(
-                cp.get(),
-                cf.get(),
-                "{} dist-call totals differ between layouts",
-                kind.name()
-            );
         }
     }
 
@@ -447,23 +451,13 @@ mod tests {
         // Tentpole invariant: relabeling the frozen serving state with any
         // strategy is invisible to callers — same neighbor ids (original
         // label space), same distances, same traversal stats, same counted
-        // distance evaluations. As with freezing, stochastic seeders make
-        // the fair comparison two identically built indexes queried in
-        // lockstep.
+        // distance evaluations, at full precision and under every codec
+        // encoded after the relabeling. As with freezing, stochastic
+        // seeders make the fair comparison two identically built indexes
+        // queried in lockstep.
         let base = deep_like(300, 6);
         let queries = deep_like(6, 13);
         let params = QueryParams::new(5, 32).with_seed_count(8);
-        // Bitwise lockstep needs effectively tie-free candidate
-        // distances. The exact f32 path and the affine codecs qualify;
-        // forced PQ does not — its 16-entry integer LUT sums collide
-        // freely at this scale, and equal-distance candidates at the
-        // beam margin resolve in label order, so pool composition (and
-        // thus stats/results at the margin) is legitimately
-        // label-dependent. The PQ reorder contract — permuted code rows
-        // are bit-identical to the unreordered rows relabeled — is
-        // property-tested in `quant::pq` and `tests/reorder.rs`.
-        let lockstep =
-            !matches!(gass_core::quant_forced(), Some(gass_core::CodecSpec::Pq { .. }));
         for strategy in gass_core::ReorderStrategy::ALL {
             for kind in MethodKind::all_sota() {
                 let mut frozen = build_method(kind, base.clone(), 7);
@@ -473,11 +467,7 @@ mod tests {
                 if strategy == gass_core::ReorderStrategy::None {
                     // `None` is the explicit no-op: it must not even
                     // freeze, so the unreordered path stays bit-identical.
-                    // (A forced GASS_REORDER relabels at build time, so
-                    // only assert the no-op without forcing.)
-                    if gass_core::reorder_forced().is_none() {
-                        assert!(!reordered.index.is_reordered(), "{}", kind.name());
-                    }
+                    assert!(!reordered.index.is_reordered(), "{}", kind.name());
                     reordered.freeze();
                 } else {
                     assert!(reordered.index.is_frozen(), "{} reorder must freeze", kind.name());
@@ -488,29 +478,43 @@ mod tests {
                     );
                     assert_eq!(reordered.index.reorder_strategy(), strategy);
                 }
-                let (cf, cr) = (DistCounter::new(), DistCounter::new());
-                for q in 0..queries.len() as u32 {
-                    let rf = frozen.index.search(queries.get(q), &params, &cf);
-                    let rr = reordered.index.search(queries.get(q), &params, &cr);
+                for codec in CODECS {
+                    if let Some(spec) = codec {
+                        frozen.quantize(spec);
+                        reordered.quantize(spec);
+                    }
+                    let name = format!("{} {strategy} {}", kind.name(), codec_name(codec));
+                    // Bitwise lockstep needs effectively tie-free candidate
+                    // distances. The exact f32 path and the affine codecs
+                    // qualify (their per-dimension ranges do not depend on
+                    // row order either); PQ does not — its 16-entry integer
+                    // LUT sums collide freely at this scale, and
+                    // equal-distance candidates at the beam margin resolve
+                    // in label order, so pool composition (and thus
+                    // stats/results at the margin) is legitimately
+                    // label-dependent. The PQ reorder contract — permuted
+                    // code rows are bit-identical to the unreordered rows
+                    // relabeled — is property-tested in `quant::pq` and
+                    // `tests/reorder.rs`.
+                    let lockstep = !matches!(codec, Some(gass_core::CodecSpec::Pq { .. }));
+                    let (cf, cr) = (DistCounter::new(), DistCounter::new());
+                    for q in 0..queries.len() as u32 {
+                        let rf = frozen.index.search(queries.get(q), &params, &cf);
+                        let rr = reordered.index.search(queries.get(q), &params, &cr);
+                        if lockstep {
+                            assert_eq!(rf.neighbors, rr.neighbors, "{name} q{q}");
+                            assert_eq!(rf.stats, rr.stats, "{name} q{q}");
+                        } else {
+                            assert_eq!(rf.neighbors.len(), rr.neighbors.len(), "{name} q{q}");
+                        }
+                    }
                     if lockstep {
                         assert_eq!(
-                            rf.neighbors,
-                            rr.neighbors,
-                            "{} {strategy} q{q}",
-                            kind.name()
+                            cf.get(),
+                            cr.get(),
+                            "{name}: dist-call totals differ across labelings"
                         );
-                        assert_eq!(rf.stats, rr.stats, "{} {strategy} q{q}", kind.name());
-                    } else {
-                        assert_eq!(rf.neighbors.len(), rr.neighbors.len());
                     }
-                }
-                if lockstep {
-                    assert_eq!(
-                        cf.get(),
-                        cr.get(),
-                        "{} {strategy}: dist-call totals differ across labelings",
-                        kind.name()
-                    );
                 }
             }
         }

@@ -1,15 +1,15 @@
 //! Integration contract of compressed serving on a 10K dataset, walked
-//! down the whole codec ladder (SQ8 → SQ4 → PQ on one built graph): with
-//! a rerank factor >= 2, recall@10 stays within one point of the
-//! full-precision path, while the `DistCounter` split shows the code
-//! evaluations doing the bulk of the work and the `f32` evaluations
-//! reduced to the exact rerank (plus the HNSW hierarchy descent, which
-//! stays at full precision).
+//! down the whole codec ladder (SQ8 → SQ4 → PQ on one built graph, as
+//! built and RCM-reordered): with a rerank factor >= 2, recall@10 stays
+//! within one point of the full-precision path, while the `DistCounter`
+//! split shows the code evaluations doing the bulk of the work and the
+//! `f32` evaluations reduced to the exact rerank (plus the HNSW hierarchy
+//! descent, which stays at full precision).
 
 use gass_core::index::{AnnIndex, QueryParams};
 use gass_core::store::VectorStore;
-use gass_core::DistCounter;
 use gass_core::Neighbor;
+use gass_core::{DistCounter, ReorderStrategy};
 use gass_data::ground_truth::ground_truth;
 use gass_data::synth::deep_like;
 use gass_graphs::{HnswIndex, HnswParams};
@@ -40,12 +40,6 @@ fn quantized_recall_within_one_point_on_10k() {
     let mut index =
         HnswIndex::build(base, HnswParams { m: 12, ef_construction: 96, seed: 7, threads: 0 });
     index.freeze();
-    // Honor the CI reorder leg: this test bypasses the registry, so the
-    // forced relabeling is applied by hand. Results report original ids,
-    // so every assertion below is strategy-invariant.
-    if let Some(strategy) = gass_core::reorder_forced() {
-        index.reorder(strategy);
-    }
     let params = QueryParams::new(K, 128).with_seed_count(8);
 
     // Full-precision baseline on the exact same graph.
@@ -66,25 +60,32 @@ fn quantized_recall_within_one_point_on_10k() {
         (gass_core::CodecSpec::Sq4, 4),
         (gass_core::CodecSpec::Pq { m: Some(dim / 2) }, 16),
     ];
-    for (spec, rerank) in ladder {
-        index.quantize(spec);
-        assert!(index.is_quantized());
-        let params = params.with_rerank_factor(rerank);
-        let quant_counter = DistCounter::new();
-        let quant = recall_at_10(&index, &queries, &truth, &params, &quant_counter);
+    // The ladder runs twice: on the index as built, then relabeled by RCM
+    // (the PQ codes left by the first pass are permuted with it, and every
+    // rung re-encodes the relabeled store). Results report original ids,
+    // so every assertion is strategy-invariant.
+    for strategy in [ReorderStrategy::None, ReorderStrategy::Rcm] {
+        index.reorder(strategy);
+        for (spec, rerank) in ladder {
+            index.quantize(spec);
+            assert!(index.is_quantized());
+            let params = params.with_rerank_factor(rerank);
+            let quant_counter = DistCounter::new();
+            let quant = recall_at_10(&index, &queries, &truth, &params, &quant_counter);
 
-        assert!(
-            quant >= full - 0.01,
-            "{spec} recall {quant} more than 1pt below full-precision {full}"
-        );
-        // Traversal ran on the codes; f32 work shrank to the rerank pool
-        // and the hierarchy descent.
-        assert!(
-            quant_counter.get_u8() > quant_counter.get_f32(),
-            "{spec}: code evaluations should dominate: u8={} f32={}",
-            quant_counter.get_u8(),
-            quant_counter.get_f32()
-        );
-        assert!(quant_counter.get_u8() > 0 && quant_counter.get_f32() > 0);
+            assert!(
+                quant >= full - 0.01,
+                "{strategy} {spec} recall {quant} more than 1pt below full-precision {full}"
+            );
+            // Traversal ran on the codes; f32 work shrank to the rerank
+            // pool and the hierarchy descent.
+            assert!(
+                quant_counter.get_u8() > quant_counter.get_f32(),
+                "{strategy} {spec}: code evaluations should dominate: u8={} f32={}",
+                quant_counter.get_u8(),
+                quant_counter.get_f32()
+            );
+            assert!(quant_counter.get_u8() > 0 && quant_counter.get_f32() > 0);
+        }
     }
 }

@@ -67,8 +67,8 @@ pub struct ServeConfig {
     pub queue_depth: usize,
     /// Server-side termination policy applied to every admitted query
     /// (the wire format carries no policy — the operator chooses it).
-    /// `None` defers to [`gass_core::term_forced`] via the
-    /// [`QueryParams::new`] default.
+    /// `None` keeps the policy of each query's params — `Fixed` with no
+    /// budget, the [`QueryParams::new`] default, for every wire query.
     pub term: Option<gass_core::Termination>,
 }
 

@@ -92,8 +92,6 @@ proptest! {
     ) {
         let (points, edges) = sg;
         let (store, graph) = assemble(&points, &edges);
-        // Baseline pinned to Fixed explicitly so a GASS_TERM override in
-        // the environment cannot redefine what we compare against.
         let base = QueryParams::new(3, 8)
             .with_rerank_factor(2)
             .with_term(TerminationPolicy::Fixed)

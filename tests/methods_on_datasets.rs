@@ -3,38 +3,48 @@
 //! minimum bar for calling an implementation "working" before the figure
 //! harnesses compare them quantitatively.
 
+use gass::core::CodecSpec;
 use gass::prelude::*;
 use gass_eval::{evaluate_at, evaluate_params};
+
+/// Every floor holds at full precision and under each codec. Quantized
+/// serving reaches these floors through approximate code-space traversal;
+/// the exact rerank restores recall as long as the pool contains the true
+/// neighbors, so the coarser the codec the deeper the pool must be (PQ
+/// keeps ~0.67 bits/dim vs SQ4's 4 and SQ8's 8).
+const CODEC_RERANK: [(Option<CodecSpec>, usize); 4] = [
+    (None, 4),
+    (Some(CodecSpec::Sq8), 8),
+    (Some(CodecSpec::Sq4), 8),
+    (Some(CodecSpec::Pq { m: None }), 32),
+];
 
 fn run_roster(kinds: &[MethodKind], dataset: DatasetKind, n: usize, floor: f64) {
     let (base, queries) = dataset.generate(n, 10, 404);
     let k = 10;
     let truth = gass::data::ground_truth(&base, &queries, k);
-    // A forced codec serves these floors through approximate code-space
-    // traversal; the exact rerank restores recall as long as the pool
-    // contains the true neighbors, so the coarser the codec the deeper
-    // the pool must be (PQ keeps ~0.67 bits/dim vs SQ4's 4 and SQ8's 8).
-    let rerank = match gass::core::quant_forced() {
-        Some(gass::core::CodecSpec::Pq { .. }) => 32,
-        Some(_) => 8,
-        None => 4,
-    };
-    let params = QueryParams::new(k, 96).with_seed_count(16).with_rerank_factor(rerank);
     for &kind in kinds {
-        let built = build_method(kind, base.clone(), 17);
-        let p = evaluate_params(built.index.as_ref(), &queries, &truth, &params);
-        // The paper singles LSHAPG out as needing more computation for
-        // high accuracy (its probabilistic routing prunes promising
-        // neighbors); hold it to a proportionally lower floor.
-        let floor = if kind == MethodKind::Lshapg { floor - 0.10 } else { floor };
-        assert!(
-            p.recall >= floor,
-            "{} on {}: recall {:.3} below floor {floor}",
-            kind.name(),
-            dataset.name(),
-            p.recall
-        );
-        assert!(p.dist_calcs > 0, "{} reported no work", kind.name());
+        let mut built = build_method(kind, base.clone(), 17);
+        for (codec, rerank) in CODEC_RERANK {
+            if let Some(spec) = codec {
+                built.quantize(spec);
+            }
+            let params = QueryParams::new(k, 96).with_seed_count(16).with_rerank_factor(rerank);
+            let p = evaluate_params(built.index.as_ref(), &queries, &truth, &params);
+            // The paper singles LSHAPG out as needing more computation for
+            // high accuracy (its probabilistic routing prunes promising
+            // neighbors); hold it to a proportionally lower floor.
+            let floor = if kind == MethodKind::Lshapg { floor - 0.10 } else { floor };
+            let codec = codec.map_or("none", |c| c.name());
+            assert!(
+                p.recall >= floor,
+                "{} {codec} on {}: recall {:.3} below floor {floor}",
+                kind.name(),
+                dataset.name(),
+                p.recall
+            );
+            assert!(p.dist_calcs > 0, "{} {codec} reported no work", kind.name());
+        }
     }
 }
 

@@ -5,6 +5,7 @@
 
 use gass::prelude::*;
 use gass_core::seed::{FixedSeed, MedoidSeed, RandomSeeds};
+use gass_core::CodecSpec;
 use gass_core::Space;
 use gass_eval::recall_at_k;
 use gass_graphs::SnSeeds;
@@ -76,38 +77,48 @@ fn beam_width_tradeoff_is_monotone() {
     let base = gass::data::synth::seismic_like(700, 5);
     let queries = gass::data::synth::seismic_like(8, 6);
     let truth = gass::data::ground_truth(&base, &queries, 10);
-    let built = build_method(MethodKind::Hnsw, base, 7);
+    let mut built = build_method(MethodKind::Hnsw, base, 7);
 
-    // Under a forced codec the rerank pool must deepen with the code
-    // coarseness for the final floor to be about the graph, not the
-    // codec (PQ keeps well under a bit per dimension).
-    let rerank = match gass::core::quant_forced() {
-        Some(gass::core::CodecSpec::Pq { .. }) => 32,
-        Some(_) => 8,
-        None => 4,
-    };
-    let mut last_recall = -1.0f64;
-    let mut last_cost = 0u64;
-    for l in [10usize, 40, 160] {
-        let params = QueryParams::new(10, l).with_seed_count(8).with_rerank_factor(rerank);
-        let p = gass_eval::evaluate_params(built.index.as_ref(), &queries, &truth, &params);
-        assert!(
-            p.recall + 0.05 >= last_recall,
-            "recall dropped sharply with wider beam: {last_recall} -> {}",
-            p.recall
-        );
-        // A forced codec (`GASS_QUANT`) floors the candidate pool at
-        // `rerank_factor * k`, so small beams cost the same; strict
-        // growth only holds on the exact path.
-        if gass::core::quant_forced().is_some() {
-            assert!(p.dist_calcs >= last_cost, "wider beam must not do less work");
-        } else {
-            assert!(p.dist_calcs > last_cost, "wider beam must do more work");
+    // Under a codec the rerank pool must deepen with the code coarseness
+    // for the final floor to be about the graph, not the codec (PQ keeps
+    // well under a bit per dimension).
+    let codecs = [
+        (None, 4),
+        (Some(CodecSpec::Sq8), 8),
+        (Some(CodecSpec::Sq4), 8),
+        (Some(CodecSpec::Pq { m: None }), 32),
+    ];
+    for (codec, rerank) in codecs {
+        if let Some(spec) = codec {
+            built.quantize(spec);
         }
-        last_recall = p.recall;
-        last_cost = p.dist_calcs;
+        let name = codec.map_or("none", |c| c.name());
+        let mut last_recall = -1.0f64;
+        let mut last_cost = 0u64;
+        for l in [10usize, 40, 160] {
+            let params = QueryParams::new(10, l).with_seed_count(8).with_rerank_factor(rerank);
+            let p = gass_eval::evaluate_params(built.index.as_ref(), &queries, &truth, &params);
+            assert!(
+                p.recall + 0.05 >= last_recall,
+                "{name}: recall dropped sharply with wider beam: {last_recall} -> {}",
+                p.recall
+            );
+            // A codec floors the candidate pool at `rerank_factor * k`, so
+            // small beams cost the same; strict growth only holds on the
+            // exact path.
+            if codec.is_some() {
+                assert!(p.dist_calcs >= last_cost, "{name}: wider beam must not do less work");
+            } else {
+                assert!(p.dist_calcs > last_cost, "wider beam must do more work");
+            }
+            last_recall = p.recall;
+            last_cost = p.dist_calcs;
+        }
+        assert!(
+            last_recall > 0.6,
+            "{name}: L=160 recall too low on seismic analog: {last_recall}"
+        );
     }
-    assert!(last_recall > 0.6, "L=160 recall too low on seismic analog: {last_recall}");
 }
 
 /// Divide-and-conquer sanity: ELPIS's leaf pruning never returns results

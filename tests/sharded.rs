@@ -45,9 +45,6 @@ proptest! {
         let counter = DistCounter::new();
         let idx = build_knn_sharded(&store, &ShardedParams::new(shards), 8, &counter);
         idx.set_nprobe(idx.num_shards());
-        // Pinned Fixed: an adaptive policy (e.g. a GASS_TERM override)
-        // governs *routing* only — probed shards always search Fixed —
-        // so the manual per-shard loop must run Fixed to match.
         let params = QueryParams::new(k, 24).with_term(TerminationPolicy::Fixed);
         let got = idx.search(&query, &params, &counter);
 
@@ -159,9 +156,6 @@ fn sharded_persist_roundtrip_is_byte_stable_and_observationally_equal() {
     assert_eq!(back.num_shards(), idx.num_shards());
     assert_eq!(back.num_vectors(), idx.num_vectors());
     back.set_nprobe(back.num_shards());
-    // Pinned Fixed so the manual per-shard merge matches the sharded
-    // search even under a GASS_TERM override (probed shards run Fixed
-    // regardless of the routing policy).
     let params = QueryParams::new(5, 32).with_term(TerminationPolicy::Fixed);
     let queries = gass_data::synth::deep_like(10, 91);
     for qi in 0..queries.len() as u32 {
