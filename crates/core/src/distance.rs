@@ -911,7 +911,10 @@ pub fn cosine_distance(a: &[f32], b: &[f32]) -> f32 {
 ///
 /// Cloning is cheap (an `Arc` bump); clones observe the same count, which is
 /// what parallel index construction needs. Counting uses relaxed atomics —
-/// the total is read only after the workload quiesces.
+/// the total is read only after the workload quiesces. The shared beam and
+/// greedy searches tally their evaluations locally and publish them with
+/// one `add` / `add_u8` per precision when they return, so a search's
+/// count appears all at once, after it finishes.
 #[derive(Clone, Debug, Default)]
 pub struct DistCounter(Arc<DistCounts>);
 

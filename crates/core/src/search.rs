@@ -7,7 +7,9 @@
 //! implementation shared by all methods in `gass-graphs`, which is exactly
 //! the normalization the paper performs across its twelve baselines.
 
-use crate::distance::{prefetch_enabled, prefetch_slice, DistCounter, Space};
+use crate::distance::{
+    l2_sq, l2_sq_batch, prefetch_enabled, prefetch_slice, DistCounter, Space,
+};
 use crate::graph::GraphView;
 use crate::neighbor::{Neighbor, SortedBuffer};
 use crate::quant::{CodecStore, PqStore, PreparedQuery, QuantizedStore, Sq4Store};
@@ -179,24 +181,31 @@ pub fn beam_search_terminated<G: GraphView + ?Sized>(
 }
 
 /// How the one traversal loop ([`traverse`]) scores candidates. Each
-/// scorer charges its own counter precision and keeps its own kernels;
+/// scorer keeps its own kernels and charges its own counter precision;
 /// every method is bit-identical to one-at-a-time [`Scorer::score`] calls
-/// in the same order, so the loop's evaluation order, buffer content and
-/// counter totals do not depend on how a scorer batches.
+/// in the same order, so the loop's evaluation order and buffer content
+/// do not depend on how a scorer batches.
+///
+/// Scoring does not count: a search tallies its evaluations in a local
+/// and hands the total to [`Scorer::publish`] once, when it returns — one
+/// shared-counter update per search instead of one per scored batch.
 trait Scorer {
-    /// Counted distance to vector `id`.
+    /// Distance to vector `id`.
     fn score(&self, id: u32) -> f32;
-    /// Counted distances to four vectors at once.
+    /// Distances to four vectors at once.
     fn score4(&self, ids: [u32; 4]) -> [f32; 4];
     /// Scores a pending tail (fewer than four ids), calling `emit` in
     /// `ids` order.
     fn score_tail(&self, ids: &[u32], emit: impl FnMut(u32, f32));
     /// Hints the CPU to pull vector `id`'s row (or code row) toward L1.
     fn prefetch(&self, id: u32);
+    /// Adds `n` evaluations to the search's [`DistCounter`] at this
+    /// scorer's precision.
+    fn publish(&self, n: usize);
 }
 
-/// Full-precision rows through [`Space`]: the batched `l2_sq_batch`
-/// kernel, a tail of singles, one `f32` count per row.
+/// Full-precision rows of [`Space`]'s store: the batched `l2_sq_batch`
+/// kernel, a tail of singles, `f32` counts.
 struct FullRows<'a> {
     space: Space<'a>,
     query: &'a [f32],
@@ -205,12 +214,13 @@ struct FullRows<'a> {
 impl Scorer for FullRows<'_> {
     #[inline]
     fn score(&self, id: u32) -> f32 {
-        self.space.dist_to(self.query, id)
+        l2_sq(self.query, self.space.store().get(id))
     }
 
     #[inline]
     fn score4(&self, ids: [u32; 4]) -> [f32; 4] {
-        self.space.dist_to_batch(self.query, ids)
+        let store = self.space.store();
+        l2_sq_batch(self.query, ids.map(|id| store.get(id)))
     }
 
     #[inline]
@@ -224,10 +234,14 @@ impl Scorer for FullRows<'_> {
     fn prefetch(&self, id: u32) {
         self.space.store().prefetch(id);
     }
+
+    fn publish(&self, n: usize) {
+        self.space.counter().add(n as u64);
+    }
 }
 
-/// Code rows of a concrete codec against a prepared query, one `u8` count
-/// per row (as [`Space::qdist_to`] charges it).
+/// Code rows of a concrete codec against a prepared query, `u8` counts
+/// (as [`Space::qdist_to`] charges them).
 struct CodeRows<'a, C: CodecStore + ?Sized> {
     codec: &'a C,
     prepared: &'a PreparedQuery,
@@ -237,13 +251,11 @@ struct CodeRows<'a, C: CodecStore + ?Sized> {
 impl<C: CodecStore + ?Sized> Scorer for CodeRows<'_, C> {
     #[inline]
     fn score(&self, id: u32) -> f32 {
-        self.counter.bump_u8();
         self.codec.dist_prepared(self.prepared, id)
     }
 
     #[inline]
     fn score4(&self, ids: [u32; 4]) -> [f32; 4] {
-        self.counter.add_u8(4);
         self.codec.dist_prepared_batch(self.prepared, ids)
     }
 
@@ -253,7 +265,6 @@ impl<C: CodecStore + ?Sized> Scorer for CodeRows<'_, C> {
     fn score_tail(&self, ids: &[u32], mut emit: impl FnMut(u32, f32)) {
         let mut pairs = ids.chunks_exact(2);
         for pair in &mut pairs {
-            self.counter.add_u8(2);
             let ds = self.codec.dist_prepared_pair(self.prepared, [pair[0], pair[1]]);
             emit(pair[0], ds[0]);
             emit(pair[1], ds[1]);
@@ -267,6 +278,38 @@ impl<C: CodecStore + ?Sized> Scorer for CodeRows<'_, C> {
     fn prefetch(&self, id: u32) {
         self.codec.prefetch(id);
     }
+
+    fn publish(&self, n: usize) {
+        self.counter.add_u8(n as u64);
+    }
+}
+
+/// Scores `fresh` (ids already visited-filtered) four at a time through
+/// [`Scorer::score4`], the tail through [`Scorer::score_tail`], calling
+/// `emit` in `fresh` order. Returns how many were scored.
+#[inline(always)]
+fn score_in_fours<S: Scorer>(
+    scorer: &S,
+    fresh: impl Iterator<Item = u32>,
+    mut emit: impl FnMut(u32, f32),
+) -> usize {
+    let mut pending = [0u32; 4];
+    let mut fill = 0usize;
+    let mut scored = 0usize;
+    for id in fresh {
+        pending[fill] = id;
+        fill += 1;
+        if fill == 4 {
+            let ds = scorer.score4(pending);
+            for (&id, &d) in pending.iter().zip(ds.iter()) {
+                emit(id, d);
+            }
+            scored += 4;
+            fill = 0;
+        }
+    }
+    scorer.score_tail(&pending[..fill], emit);
+    scored + fill
 }
 
 /// Records one evaluated candidate: into `sink` when there is one, and
@@ -280,16 +323,21 @@ fn admit(buffer: &mut SortedBuffer, sink: &mut Option<&mut Vec<Neighbor>>, n: Ne
 }
 
 /// The beam-search loop (Algorithm 1) every traversal in this module runs:
-/// score the seeds, then repeatedly pop the closest unexpanded candidate,
-/// check `term`, visited-filter its neighbour list and score the fresh
-/// neighbours four at a time through `scorer`, the tail through
-/// [`Scorer::score_tail`]. `visited` and `buffer` must be prepared.
+/// visited-filter the in-range seeds and score them through
+/// [`score_in_fours`], then repeatedly pop the closest unexpanded
+/// candidate, check `term`, visited-filter its neighbour list and score the
+/// fresh neighbours four at a time, the tail through
+/// [`Scorer::score_tail`]. Every scored id is admitted in list order.
+/// `visited` and `buffer` must be prepared. The evaluation count is
+/// published once, when the loop ends.
 ///
-/// With prefetch on (read once per search), each hop first prefetches the
-/// neighbour list of the *next* unexpanded candidate — it is what the next
-/// hop reads unless this hop inserts a closer one — and each fresh
-/// neighbour's row as it joins the pending batch: the filter work on the
-/// rest of the list overlaps both fetches.
+/// With prefetch on (read once per search), every in-range seed's row is
+/// prefetched before the first seed is scored, so the warm-up's loads
+/// overlap each other. Each hop first prefetches the neighbour list of the
+/// *next* unexpanded candidate — it is what the next hop reads unless this
+/// hop inserts a closer one — and each fresh neighbour's row as it passes
+/// the filter: the filter work on the rest of the list overlaps both
+/// fetches.
 #[allow(clippy::too_many_arguments)]
 fn traverse<G: GraphView + ?Sized, S: Scorer>(
     graph: &G,
@@ -305,13 +353,14 @@ fn traverse<G: GraphView + ?Sized, S: Scorer>(
     let prefetch = prefetch_enabled();
     let mut stats = SearchStats::default();
     let mut tstate = TermState::new(term, k);
-    for &s in seeds {
-        if (s as usize) < n && visited.insert(s) {
-            let d = scorer.score(s);
-            stats.evaluated += 1;
-            admit(buffer, &mut sink, Neighbor::new(s, d));
-        }
+    let in_range = seeds.iter().copied().filter(|&s| (s as usize) < n);
+    if prefetch {
+        in_range.clone().for_each(|s| scorer.prefetch(s));
     }
+    stats.evaluated +=
+        score_in_fours(scorer, in_range.filter(|&s| visited.insert(s)), |id, d| {
+            admit(buffer, &mut sink, Neighbor::new(id, d))
+        });
 
     while let Some(current) = buffer.next_unexpanded() {
         // Emission-time termination: `current` is the closest unexpanded
@@ -351,6 +400,7 @@ fn traverse<G: GraphView + ?Sized, S: Scorer>(
         stats.evaluated += fill;
         tstate.note_expansion(buffer);
     }
+    scorer.publish(stats.evaluated);
     stats
 }
 
@@ -362,7 +412,7 @@ fn traverse<G: GraphView + ?Sized, S: Scorer>(
 /// traversal ranking is approximate.
 ///
 /// `stats.evaluated` (and the [`DistCounter`] total) counts both phases —
-/// the `u8`/`f32` split is on the counter.
+/// the `u8`/`f32` split is on the counter, published once per phase.
 #[allow(clippy::too_many_arguments)]
 fn beam_search_quantized<G: GraphView + ?Sized, C: CodecStore + ?Sized>(
     graph: &G,
@@ -387,24 +437,20 @@ fn beam_search_quantized<G: GraphView + ?Sized, C: CodecStore + ?Sized>(
 
     // Phase 2: exact rerank. Re-score the `rerank_factor * k` best
     // quantized candidates with full-precision distances (4-wide batched)
-    // and return the exact top `k` of that pool.
+    // and return the exact top `k` of that pool. The pool's rows are cold
+    // (the traversal read codes), so with prefetch on they are all
+    // requested before the first is scored.
     let cands = buffer.top_k(k.saturating_mul(rerank));
-    let take = cands.len();
-    let mut exact = Vec::with_capacity(take);
-    let mut i = 0usize;
-    while i + 4 <= take {
-        let ids = [cands[i].id, cands[i + 1].id, cands[i + 2].id, cands[i + 3].id];
-        let ds = space.dist_to_batch(query, ids);
-        for (&id, &d) in ids.iter().zip(ds.iter()) {
-            exact.push(Neighbor::new(id, d));
-        }
-        i += 4;
+    let exact_rows = FullRows { space, query };
+    if prefetch_enabled() {
+        cands.iter().for_each(|c| exact_rows.prefetch(c.id));
     }
-    while i < take {
-        exact.push(Neighbor::new(cands[i].id, space.dist_to(query, cands[i].id)));
-        i += 1;
-    }
-    stats.evaluated += take;
+    let mut exact = Vec::with_capacity(cands.len());
+    let scored = score_in_fours(&exact_rows, cands.iter().map(|c| c.id), |id, d| {
+        exact.push(Neighbor::new(id, d))
+    });
+    exact_rows.publish(scored);
+    stats.evaluated += scored;
     exact.sort_unstable();
     exact.truncate(k);
     SearchResult { neighbors: exact, stats }
@@ -577,9 +623,10 @@ fn greedy_search_quantized<G: GraphView + ?Sized, C: CodecStore + ?Sized>(
 /// repeatedly visited-filter the best node's neighbour list, score the
 /// fresh neighbours four at a time through `scorer` (the tail through
 /// [`Scorer::score_tail`]) and move to the closest, until a hop improves
-/// nothing or `max_dists` (`0` = unlimited) is spent. The budget is
-/// checked once per hop, before the list is touched; the prefetch switch
-/// is read once per descent. Distances are `scorer`'s.
+/// nothing or `max_dists` (`0` = unlimited) is spent.
+/// The budget is checked once per hop, before the list is touched; the
+/// prefetch switch is read once per descent. Distances are `scorer`'s;
+/// the evaluation count is published on either exit.
 fn descend<G: GraphView + ?Sized, S: Scorer>(
     graph: &G,
     scorer: &S,
@@ -596,6 +643,7 @@ fn descend<G: GraphView + ?Sized, S: Scorer>(
     stats.evaluated += 1;
     loop {
         if max_dists > 0 && stats.evaluated >= max_dists {
+            scorer.publish(stats.evaluated);
             return (best, stats);
         }
         stats.hops += 1;
@@ -629,6 +677,7 @@ fn descend<G: GraphView + ?Sized, S: Scorer>(
         scorer.score_tail(&pending[..fill], &mut offer);
         stats.evaluated += fill;
         if !improved {
+            scorer.publish(stats.evaluated);
             return (best, stats);
         }
     }

@@ -19,6 +19,7 @@ use gass_core::neighbor::Neighbor;
 use gass_core::reorder::ReorderStrategy;
 use gass_core::search::{SearchResult, SearchScratch, SearchStats};
 use gass_core::seed::SeedProvider;
+use gass_core::term::TermState;
 use gass_hash::{LshIndex, LshSeeds};
 
 /// LSHAPG construction parameters.
@@ -86,7 +87,10 @@ impl LshapgIndex {
     }
 
     /// The probabilistic-routing traversal, generic over the base graph's
-    /// layout so the frozen CSR form dispatches statically.
+    /// layout so the frozen CSR form dispatches statically. It honours
+    /// `params.term` and `params.max_dists` as `beam_search_terminated`
+    /// does: checked once per expansion, right after the pop and before the
+    /// neighbour list is touched; the exact rerank still runs after a stop.
     fn routed_traversal<G: GraphView + ?Sized>(
         &self,
         graph: &G,
@@ -114,8 +118,9 @@ impl LshapgIndex {
                 q.store().prepare_into(query, &mut scratch.prepared);
             }
             let SearchScratch { visited, buffer, prepared } = scratch;
+            let mut tstate = TermState::new(params.termination(), params.k);
             for &s in seeds {
-                if visited.insert(s) {
+                if (s as usize) < graph.num_nodes() && visited.insert(s) {
                     let d = match quant {
                         Some(_) => space.qdist_to(prepared, s),
                         None => space.dist_to(query, s),
@@ -125,6 +130,9 @@ impl LshapgIndex {
                 }
             }
             while let Some(cur) = buffer.next_unexpanded() {
+                if tstate.should_stop(cur.dist, buffer, stats.evaluated) {
+                    break;
+                }
                 stats.hops += 1;
                 let bound = buffer.bound();
                 for &nb in graph.neighbors(cur.id) {
@@ -155,6 +163,7 @@ impl LshapgIndex {
                     stats.evaluated += 1;
                     buffer.insert(Neighbor::new(nb, d));
                 }
+                tstate.note_expansion(buffer);
             }
             match quant {
                 Some(q) => {
@@ -315,6 +324,83 @@ mod tests {
         let rr = recall(&routed, &base, &queries, 48);
         let ru = recall(&unrouted, &base, &queries, 48);
         assert!(rr <= ru + 0.05, "routing recall {rr} implausibly above unrouted {ru}");
+    }
+
+    /// `--term` and `--max-dists` reach the routed traversal: a budget
+    /// stops it within one expansion of the cap, DistRatio stops it
+    /// before Fixed does, and Fixed answers what it always answered.
+    #[test]
+    fn lshapg_honours_termination_and_budget() {
+        use gass_core::TerminationPolicy;
+
+        /// FNV-1a over every answer's ids, distance bits, hops and
+        /// evaluations, recorded before the routed traversal read `term`.
+        const FIXED_ANSWERS: u64 = 0x7233_c4af_37ba_d385;
+
+        let base = deep_like(800, 5);
+        let queries = deep_like(10, 6);
+        let idx = LshapgIndex::build(base, LshapgParams::small());
+        let max_degree = idx.stats().max_degree;
+        let fixed = QueryParams::new(10, 160).with_seed_count(12);
+        let run = |params: QueryParams| -> Vec<SearchResult> {
+            let counter = DistCounter::new();
+            (0..queries.len() as u32)
+                .map(|q| idx.search(queries.get(q), &params, &counter))
+                .collect()
+        };
+
+        let fixed_res = run(fixed);
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut word = |w: u32| {
+            for b in w.to_le_bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for r in &fixed_res {
+            word(r.neighbors.len() as u32);
+            for n in &r.neighbors {
+                word(n.id);
+                word(n.dist.to_bits());
+            }
+            word(r.stats.hops as u32);
+            word(r.stats.evaluated as u32);
+        }
+        assert_eq!(h, FIXED_ANSWERS, "Fixed LSHAPG answers changed");
+
+        for (r, f) in run(fixed.with_max_dists(50)).iter().zip(&fixed_res) {
+            assert!(
+                r.stats.evaluated <= 50 + max_degree,
+                "budget 50 overshot by more than one expansion: {}",
+                r.stats.evaluated
+            );
+            assert!(
+                r.stats.evaluated < f.stats.evaluated,
+                "the budget never stopped the search"
+            );
+            assert_eq!(r.neighbors.len(), 10, "a budget stop still returns its best prefix");
+        }
+        // Routing at this beam width evaluates little past the buffer's
+        // first fill, so DistRatio is checked where the traversal runs on:
+        // the same index with routing off.
+        let unrouted = LshapgIndex::build(
+            deep_like(800, 5),
+            LshapgParams { gamma: f32::INFINITY, ..LshapgParams::small() },
+        );
+        let unrouted_total = |params: QueryParams| -> usize {
+            let counter = DistCounter::new();
+            (0..queries.len() as u32)
+                .map(|q| unrouted.search(queries.get(q), &params, &counter).stats.evaluated)
+                .sum()
+        };
+        let narrow = QueryParams::new(10, 64).with_seed_count(12);
+        let (fixed_total, ratio_total) = (
+            unrouted_total(narrow),
+            unrouted_total(narrow.with_term(TerminationPolicy::DistRatio { eps: 0.1 })),
+        );
+        assert!(
+            ratio_total < fixed_total,
+            "DistRatio must evaluate fewer distances than Fixed: {ratio_total} vs {fixed_total}"
+        );
     }
 
     #[test]

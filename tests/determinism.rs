@@ -239,3 +239,109 @@ fn golden_pq_codebooks_codes_tables_and_files() {
     std::fs::remove_dir_all(&dir).ok();
     assert_eq!(got, PINS, "PQ training, encoding, table folding or the file format changed");
 }
+
+/// Hashes the `u8` / `f32` totals of a counter.
+fn counter_words(h: &mut Fnv, counter: &DistCounter) {
+    for total in [counter.get_u8(), counter.get_f32()] {
+        h.word(total as u32);
+        h.word((total >> 32) as u32);
+    }
+}
+
+/// Golden pin, recorded on the commit *before* probe set-up was batched
+/// (seed warm-up scored four at a time, rerank rows prefetched, distance
+/// counts published once per search): a six-shard index over HNSW base
+/// graphs, probed five at a time, must answer 20 fixed queries with the
+/// same ids, distance bits, hops, evaluation counts and `u8` / `f32`
+/// counter totals — full precision, and SQ8 codes over RCM-relabelled
+/// shards.
+#[test]
+fn golden_sharded_answers_and_counts() {
+    use gass::core::{CodecSpec, RandomSeeds, ReorderStrategy, ShardedIndex, ShardedParams};
+
+    const PINS: [(&str, u64); 2] =
+        [("f32", 0xc8b5_83ff_c85f_d0ef), ("sq8 + rcm", 0xc585_23b2_0602_278c)];
+
+    let base = gass::data::synth::deep_like(3000, 1);
+    let queries = gass::data::synth::deep_like(20, 2);
+    let counter = DistCounter::new();
+    let mut index = ShardedIndex::build_with(
+        &base,
+        &ShardedParams::new(6).with_nprobe(5),
+        &counter,
+        |_, sub| {
+            let hnsw = HnswIndex::build(
+                sub.clone(),
+                HnswParams { m: 12, ef_construction: 64, seed: 7, threads: 1 },
+            );
+            let seeds: Box<dyn SeedProvider> = Box::new(RandomSeeds::per_query(sub.len(), 7));
+            (hnsw.base_graph().clone(), seeds)
+        },
+    );
+    let params = QueryParams::new(10, 16).with_seed_count(16).with_rerank_factor(2);
+    let run = |index: &ShardedIndex| {
+        let counter = DistCounter::new();
+        let res: Vec<_> = (0..queries.len() as u32)
+            .map(|q| index.search(queries.get(q), &params, &counter))
+            .collect();
+        let mut h = Fnv(answers_hash(&res));
+        counter_words(&mut h, &counter);
+        h.0
+    };
+    let mut got = vec![run(&index)];
+    index.freeze();
+    index.quantize(CodecSpec::Sq8);
+    index.reorder(ReorderStrategy::Rcm);
+    got.push(run(&index));
+
+    let got: Vec<(&str, u64)> = PINS.iter().map(|(name, _)| *name).zip(got).collect();
+    assert_eq!(got, PINS, "a sharded answer, its stats or its counter split changed");
+}
+
+/// Golden pin, recorded with the sharded pin above: the order in which a
+/// multi-seed search records its evaluations in the sink — duplicate seeds
+/// scored once, out-of-range seeds skipped — and its answers, hops and
+/// evaluation counts.
+#[test]
+fn golden_multi_seed_sink_order() {
+    use gass::core::beam_search_with_sink;
+    use gass::core::{SearchScratch, Space};
+
+    const PIN: u64 = 0xcde5_2d6b_0b5d_a823;
+    const SEEDS: [u32; 16] =
+        [17, 17, 999_999, 3, 640, 3, 1000, 88, u32::MAX, 451, 17, 902, 5, 260, 999, 640];
+
+    let base = gass::data::synth::deep_like(1000, 3);
+    let queries = gass::data::synth::deep_like(10, 4);
+    let index = HnswIndex::build(
+        base.clone(),
+        HnswParams { m: 12, ef_construction: 64, seed: 5, threads: 1 },
+    );
+    let counter = DistCounter::new();
+    let space = Space::new(&base, &counter);
+    let mut scratch = SearchScratch::new(base.len(), 32);
+    let mut h = Fnv::new();
+    for q in 0..queries.len() as u32 {
+        let mut sink = Vec::new();
+        let res = beam_search_with_sink(
+            index.base_graph(),
+            space,
+            queries.get(q),
+            &SEEDS,
+            10,
+            32,
+            &mut scratch,
+            Some(&mut sink),
+        );
+        assert_eq!(sink.len(), res.stats.evaluated);
+        h.word(sink.len() as u32);
+        for n in &sink {
+            h.word(n.id);
+            h.word(n.dist.to_bits());
+        }
+        h.0 ^= answers_hash(std::slice::from_ref(&res));
+        h.word(0);
+    }
+    counter_words(&mut h, &counter);
+    assert_eq!(h.0, PIN, "the sink order or a multi-seed answer changed");
+}
