@@ -1100,39 +1100,6 @@ impl<'a> Space<'a> {
             ],
         )
     }
-
-    /// Hints the CPU to pull stored vector `i` into cache (see
-    /// [`VectorStore::prefetch`]). Free of semantic effect; a no-op when
-    /// prefetching is disabled via `GASS_NO_PREFETCH` /
-    /// [`set_prefetch_enabled`].
-    #[inline]
-    pub fn prefetch(&self, i: u32) {
-        if prefetch_enabled() {
-            self.store.prefetch(i);
-        }
-    }
-
-    /// Counted quantized distance from a prepared query to vector `i`.
-    /// Only meaningful when a quant view is attached.
-    ///
-    /// # Panics
-    /// Panics if no quant view is attached.
-    #[inline]
-    pub fn qdist_to(&self, pq: &crate::quant::PreparedQuery, i: u32) -> f32 {
-        self.counter.bump_u8();
-        self.quant.expect("qdist_to without a quant view").store().dist_prepared(pq, i)
-    }
-
-    /// Prefetch analog of [`Self::prefetch`] for the quantized code row of
-    /// vector `i`. No-op without a quant view or with prefetch disabled.
-    #[inline]
-    pub fn qprefetch(&self, i: u32) {
-        if prefetch_enabled() {
-            if let Some(q) = self.quant {
-                q.store().prefetch(i);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1330,8 +1297,6 @@ mod tests {
         let space = Space::new(&store, &counter);
         assert!((space.dist(0, 1) - 25.0).abs() < 1e-6);
         assert!((space.dist_to(&[0.0, 0.0], 1) - 25.0).abs() < 1e-6);
-        assert_eq!(counter.get(), 2);
-        space.prefetch(1); // semantic no-op, must not affect the counter
         assert_eq!(counter.get(), 2);
     }
 }

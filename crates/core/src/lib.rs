@@ -82,9 +82,9 @@ pub use reorder::{
     compute_permutation, mean_edge_span, IdRemap, ReorderStrategy, ServingState,
 };
 pub use search::{
-    beam_search, beam_search_frozen, beam_search_terminated, beam_search_with_sink,
-    greedy_search, greedy_search_budgeted, greedy_search_with, serial_scan, SearchResult,
-    SearchScratch, SearchStats,
+    beam_search, beam_search_frozen, beam_search_gated, beam_search_terminated,
+    beam_search_with_sink, greedy_search, greedy_search_budgeted, greedy_search_with,
+    serial_scan, SearchResult, SearchScratch, SearchStats,
 };
 pub use seed::{FixedSeed, MedoidSeed, RandomSeeds, SeedProvider, StaticSeeds};
 pub use sharded::{ShardedIndex, ShardedParams};

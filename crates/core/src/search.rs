@@ -172,11 +172,89 @@ pub fn beam_search_terminated<G: GraphView + ?Sized>(
                 beam_width,
                 scratch,
                 term,
+                |_, _| true,
             )
         }),
-        None => {
-            beam_search_full(graph, space, query, seeds, k, beam_width, scratch, None, term)
-        }
+        None => beam_search_full(
+            graph,
+            space,
+            query,
+            seeds,
+            k,
+            beam_width,
+            scratch,
+            None,
+            term,
+            |_, _| true,
+        ),
+    }
+}
+
+/// [`beam_search_frozen`] with a `gate` on the traversal: each neighbour
+/// that passes the visited filter is offered to `gate(id, bound)` before
+/// it is scored, where `bound` is the buffer's [`SortedBuffer::bound`]
+/// read once at the start of the hop. A rejected neighbour stays visited
+/// and is never scored, counted or admitted; seeds are not gated.
+/// Everything else — scoring kernels, codec dispatch, prefetch,
+/// termination, the exact rerank and the counter publish — is the same
+/// loop every other search runs. LSHAPG's probabilistic routing (a sketch
+/// estimate against the bound) is this gate.
+#[allow(clippy::too_many_arguments)]
+pub fn beam_search_gated<G: GraphView + ?Sized>(
+    graph: &G,
+    csr: Option<&crate::graph::CsrGraph>,
+    space: Space<'_>,
+    query: &[f32],
+    seeds: &[u32],
+    k: usize,
+    beam_width: usize,
+    scratch: &mut SearchScratch,
+    term: Termination,
+    gate: impl FnMut(u32, f32) -> bool,
+) -> SearchResult {
+    match csr {
+        Some(c) => search_gated(c, space, query, seeds, k, beam_width, scratch, term, gate),
+        None => search_gated(graph, space, query, seeds, k, beam_width, scratch, term, gate),
+    }
+}
+
+/// The codec dispatch of [`beam_search_gated`]. [`beam_search_terminated`]
+/// keeps its own copy rather than forwarding here with an always-true
+/// gate: in a 10-pair A/B the forwarding form lost 8 `gist-pq` `qps_norm`
+/// pairs (median 0.970), this form 6 or 7 in each of three, although the
+/// searches the benchmark times compile to the same instructions in both
+/// (DESIGN.md §8 has the runs).
+#[allow(clippy::too_many_arguments)]
+fn search_gated<G: GraphView + ?Sized>(
+    graph: &G,
+    space: Space<'_>,
+    query: &[f32],
+    seeds: &[u32],
+    k: usize,
+    beam_width: usize,
+    scratch: &mut SearchScratch,
+    term: Termination,
+    gate: impl FnMut(u32, f32) -> bool,
+) -> SearchResult {
+    match space.quant() {
+        Some(qv) => with_concrete_codec!(qv.store(), |codec| {
+            beam_search_quantized(
+                graph,
+                space,
+                codec,
+                qv.rerank_factor(),
+                query,
+                seeds,
+                k,
+                beam_width,
+                scratch,
+                term,
+                gate,
+            )
+        }),
+        None => beam_search_full(
+            graph, space, query, seeds, k, beam_width, scratch, None, term, gate,
+        ),
     }
 }
 
@@ -240,8 +318,7 @@ impl Scorer for FullRows<'_> {
     }
 }
 
-/// Code rows of a concrete codec against a prepared query, `u8` counts
-/// (as [`Space::qdist_to`] charges them).
+/// Code rows of a concrete codec against a prepared query, `u8` counts.
 struct CodeRows<'a, C: CodecStore + ?Sized> {
     codec: &'a C,
     prepared: &'a PreparedQuery,
@@ -325,8 +402,9 @@ fn admit(buffer: &mut SortedBuffer, sink: &mut Option<&mut Vec<Neighbor>>, n: Ne
 /// The beam-search loop (Algorithm 1) every traversal in this module runs:
 /// visited-filter the in-range seeds and score them through
 /// [`score_in_fours`], then repeatedly pop the closest unexpanded
-/// candidate, check `term`, visited-filter its neighbour list and score the
-/// fresh neighbours four at a time, the tail through
+/// candidate, check `term`, visited-filter its neighbour list, offer each
+/// fresh neighbour to `gate` (with the buffer's bound as it stood when the
+/// hop began) and score the admitted ones four at a time, the tail through
 /// [`Scorer::score_tail`]. Every scored id is admitted in list order.
 /// `visited` and `buffer` must be prepared. The evaluation count is
 /// published once, when the loop ends.
@@ -348,6 +426,7 @@ fn traverse<G: GraphView + ?Sized, S: Scorer>(
     buffer: &mut SortedBuffer,
     mut sink: Option<&mut Vec<Neighbor>>,
     term: Termination,
+    mut gate: impl FnMut(u32, f32) -> bool,
 ) -> SearchStats {
     let n = graph.num_nodes();
     let prefetch = prefetch_enabled();
@@ -370,6 +449,7 @@ fn traverse<G: GraphView + ?Sized, S: Scorer>(
             break;
         }
         stats.hops += 1;
+        let bound = buffer.bound();
         if prefetch {
             if let Some(next) = buffer.peek_unexpanded() {
                 prefetch_slice(graph.neighbors(next));
@@ -381,6 +461,9 @@ fn traverse<G: GraphView + ?Sized, S: Scorer>(
             if visited.insert(nb) {
                 if prefetch {
                     scorer.prefetch(nb);
+                }
+                if !gate(nb, bound) {
+                    continue;
                 }
                 pending[fill] = nb;
                 fill += 1;
@@ -425,6 +508,7 @@ fn beam_search_quantized<G: GraphView + ?Sized, C: CodecStore + ?Sized>(
     beam_width: usize,
     scratch: &mut SearchScratch,
     term: Termination,
+    gate: impl FnMut(u32, f32) -> bool,
 ) -> SearchResult {
     if graph.num_nodes() == 0 || seeds.is_empty() {
         return SearchResult::default();
@@ -433,7 +517,7 @@ fn beam_search_quantized<G: GraphView + ?Sized, C: CodecStore + ?Sized>(
     codec.prepare_into(query, &mut scratch.prepared);
     let SearchScratch { visited, buffer, prepared } = scratch;
     let rows = CodeRows { codec, prepared, counter: space.counter() };
-    let mut stats = traverse(graph, &rows, seeds, k, visited, buffer, None, term);
+    let mut stats = traverse(graph, &rows, seeds, k, visited, buffer, None, term, gate);
 
     // Phase 2: exact rerank. Re-score the `rerank_factor * k` best
     // quantized candidates with full-precision distances (4-wide batched)
@@ -485,12 +569,13 @@ pub fn beam_search_with_sink<G: GraphView + ?Sized>(
         scratch,
         sink,
         Termination::FIXED,
+        |_, _| true,
     )
 }
 
 /// Full-precision search shared by [`beam_search_with_sink`] (always
-/// Fixed) and the non-quantized arm of [`beam_search_terminated`]:
-/// [`traverse`] over the `f32` rows of `space`.
+/// Fixed) and the non-quantized arms of [`beam_search_terminated`] and
+/// [`search_gated`]: [`traverse`] over the `f32` rows of `space`.
 #[allow(clippy::too_many_arguments)]
 fn beam_search_full<G: GraphView + ?Sized>(
     graph: &G,
@@ -502,14 +587,24 @@ fn beam_search_full<G: GraphView + ?Sized>(
     scratch: &mut SearchScratch,
     sink: Option<&mut Vec<Neighbor>>,
     term: Termination,
+    gate: impl FnMut(u32, f32) -> bool,
 ) -> SearchResult {
     if graph.num_nodes() == 0 || seeds.is_empty() {
         return SearchResult::default();
     }
     scratch.prepare(graph.num_nodes(), beam_width.max(k));
     let rows = FullRows { space, query };
-    let stats =
-        traverse(graph, &rows, seeds, k, &mut scratch.visited, &mut scratch.buffer, sink, term);
+    let stats = traverse(
+        graph,
+        &rows,
+        seeds,
+        k,
+        &mut scratch.visited,
+        &mut scratch.buffer,
+        sink,
+        term,
+        gate,
+    );
     SearchResult { neighbors: scratch.buffer.top_k(k), stats }
 }
 
@@ -825,14 +920,69 @@ mod tests {
     #[test]
     fn beam_search_duplicate_seeds_counted_once() {
         let (store, g) = line_world();
+        let mut scratch = SearchScratch::new(10, 4);
+        let (c1, c3) = (DistCounter::new(), DistCounter::new());
+        let once = beam_search(&g, Space::new(&store, &c1), &[0.0], &[5], 1, 4, &mut scratch);
+        let thrice =
+            beam_search(&g, Space::new(&store, &c3), &[0.0], &[5, 5, 5], 1, 4, &mut scratch);
+        assert_eq!(once.neighbors[0].id, 0);
+        // Seed 5 is scored once despite triplication: the same walk, the
+        // same evaluations, the same counter total.
+        assert_eq!(thrice.neighbors, once.neighbors);
+        assert_eq!(thrice.stats, once.stats);
+        assert_eq!(c3.get(), c1.get());
+    }
+
+    #[test]
+    fn a_gated_neighbour_stays_visited_and_unscored() {
+        let (store, g) = line_world();
+        let mut scratch = SearchScratch::new(10, 4);
         let counter = DistCounter::new();
         let space = Space::new(&store, &counter);
-        let mut scratch = SearchScratch::new(10, 4);
-        let res = beam_search(&g, space, &[0.0], &[5, 5, 5], 1, 4, &mut scratch);
-        assert_eq!(res.neighbors[0].id, 0);
-        // Seed 5 evaluated exactly once despite triplication.
-        let evaluated_seed_phase = 1;
-        assert!(res.stats.evaluated >= evaluated_seed_phase);
+        let all = beam_search_gated(
+            &g,
+            None,
+            space,
+            &[9.0],
+            &[4],
+            1,
+            4,
+            &mut scratch,
+            Termination::FIXED,
+            |_, _| true,
+        );
+        let plain = beam_search(&g, space, &[9.0], &[4], 1, 4, &mut scratch);
+        assert_eq!((all.neighbors, all.stats), (plain.neighbors, plain.stats));
+
+        // Rejecting node 5 cuts the chain: 6..=9 are never reached, 5 is
+        // offered once and never scored, and only 0..=4 are counted.
+        let counter = DistCounter::new();
+        let space = Space::new(&store, &counter);
+        let mut offered = Vec::new();
+        let gated = beam_search_gated(
+            &g,
+            None,
+            space,
+            &[9.0],
+            &[4],
+            1,
+            4,
+            &mut scratch,
+            Termination::FIXED,
+            |id, bound| {
+                offered.push((id, bound));
+                id != 5
+            },
+        );
+        assert_eq!(gated.neighbors[0].id, 4);
+        assert_eq!(gated.stats.evaluated, 5);
+        assert_eq!(counter.get(), 5);
+        assert_eq!(offered.iter().filter(|&&(id, _)| id == 5).count(), 1);
+        assert!(!offered.iter().any(|&(id, _)| id == 4), "seeds are not gated");
+        // The bound is the buffer's, read at the start of each hop: +inf
+        // until the 4-wide buffer holds four candidates.
+        assert_eq!(offered[..2], [(3, f32::INFINITY), (5, f32::INFINITY)]);
+        assert!(offered.iter().any(|&(_, b)| b.is_finite()), "{offered:?}");
     }
 
     #[test]

@@ -252,8 +252,7 @@ impl HnswIndex {
         self.serving.csr()
     }
 
-    /// The compressed codes, once [`AnnIndex::quantize`] has run (LSHAPG
-    /// routes its probabilistic traversal through these directly).
+    /// The compressed codes, once [`AnnIndex::quantize`] has run.
     pub fn quantized(&self) -> Option<&dyn gass_core::CodecStore> {
         self.serving.quant()
     }

@@ -13,13 +13,10 @@
 use crate::common::BuildReport;
 use crate::hnsw::{HnswIndex, HnswParams};
 use gass_core::distance::{DistCounter, Space};
-use gass_core::graph::GraphView;
 use gass_core::index::{AnnIndex, IndexStats, QueryParams, ScratchPool};
-use gass_core::neighbor::Neighbor;
 use gass_core::reorder::ReorderStrategy;
-use gass_core::search::{SearchResult, SearchScratch, SearchStats};
+use gass_core::search::{beam_search_gated, SearchResult};
 use gass_core::seed::SeedProvider;
-use gass_core::term::TermState;
 use gass_hash::{LshIndex, LshSeeds};
 
 /// LSHAPG construction parameters.
@@ -85,103 +82,6 @@ impl LshapgIndex {
     pub fn lsh(&self) -> &LshIndex {
         self.lsh.index()
     }
-
-    /// The probabilistic-routing traversal, generic over the base graph's
-    /// layout so the frozen CSR form dispatches statically. It honours
-    /// `params.term` and `params.max_dists` as `beam_search_terminated`
-    /// does: checked once per expansion, right after the pop and before the
-    /// neighbour list is touched; the exact rerank still runs after a stop.
-    fn routed_traversal<G: GraphView + ?Sized>(
-        &self,
-        graph: &G,
-        space: Space<'_>,
-        query: &[f32],
-        seeds: &[u32],
-        params: &QueryParams,
-        stats: &mut SearchStats,
-    ) -> Vec<Neighbor> {
-        let sketch = self.lsh.index().query_sketch(query);
-        let gamma = self.gamma;
-        // Quantized serving routes the gated evaluations through the SQ8
-        // codes (the "CSR path" carries a quant view on its `Space`); the
-        // sketch still decides *whether* a neighbor is scored at all, the
-        // codes decide *how cheaply*. The candidate pool is widened to
-        // `rerank_factor * k` so the exact phase-2 re-score below can
-        // recover from quantization error.
-        let quant = space.quant();
-        let pool = match quant {
-            Some(q) => params.beam_width.max(params.k.saturating_mul(q.rerank_factor())),
-            None => params.beam_width,
-        };
-        self.scratch.with(space.len(), pool, |scratch| {
-            if let Some(q) = quant {
-                q.store().prepare_into(query, &mut scratch.prepared);
-            }
-            let SearchScratch { visited, buffer, prepared } = scratch;
-            let mut tstate = TermState::new(params.termination(), params.k);
-            for &s in seeds {
-                if (s as usize) < graph.num_nodes() && visited.insert(s) {
-                    let d = match quant {
-                        Some(_) => space.qdist_to(prepared, s),
-                        None => space.dist_to(query, s),
-                    };
-                    stats.evaluated += 1;
-                    buffer.insert(Neighbor::new(s, d));
-                }
-            }
-            while let Some(cur) = buffer.next_unexpanded() {
-                if tstate.should_stop(cur.dist, buffer, stats.evaluated) {
-                    break;
-                }
-                stats.hops += 1;
-                let bound = buffer.bound();
-                for &nb in graph.neighbors(cur.id) {
-                    if !visited.insert(nb) {
-                        continue;
-                    }
-                    // Start pulling the vector (or its code line) while the
-                    // sketch estimate is computed; if routing prunes the
-                    // neighbor the prefetch is wasted bandwidth, otherwise
-                    // it hides the load.
-                    if quant.is_some() {
-                        space.qprefetch(nb);
-                    } else {
-                        space.prefetch(nb);
-                    }
-                    // Probabilistic routing: sketch estimate gates the
-                    // (quantized or exact) evaluation.
-                    if bound.is_finite() {
-                        let est = self.lsh.index().projected_dist_sq(&sketch, nb);
-                        if est > gamma * bound {
-                            continue;
-                        }
-                    }
-                    let d = match quant {
-                        Some(_) => space.qdist_to(prepared, nb),
-                        None => space.dist_to(query, nb),
-                    };
-                    stats.evaluated += 1;
-                    buffer.insert(Neighbor::new(nb, d));
-                }
-                tstate.note_expansion(buffer);
-            }
-            match quant {
-                Some(q) => {
-                    // Phase 2: exact re-score of the widened pool, then
-                    // keep the true top k.
-                    let mut cands = buffer.top_k(params.k.saturating_mul(q.rerank_factor()));
-                    for n in &mut cands {
-                        n.dist = space.dist_to(query, n.id);
-                    }
-                    stats.evaluated += cands.len();
-                    cands.sort_unstable();
-                    cands.truncate(params.k);
-                    cands
-                }
-                None => buffer.top_k(params.k),
-            }
-        })
-    }
 }
 
 impl AnnIndex for LshapgIndex {
@@ -203,28 +103,39 @@ impl AnnIndex for LshapgIndex {
         params: &QueryParams,
         counter: &DistCounter,
     ) -> SearchResult {
-        let store = self.base.store();
-        let space = Space::new(store, counter).with_quant(
-            self.base.quantized().map(|q| gass_core::QuantView::new(q, params.rerank_factor)),
-        );
+        let serving = self.base.serving();
+        let space =
+            Space::new(self.base.store(), counter).with_quant(serving.quant_view(params));
         let mut seeds = Vec::new();
         self.lsh.seeds(space, query, params.seed_count.max(4), &mut seeds);
-        let mut stats = SearchStats::default();
-        let neighbors = match self.base.csr() {
-            Some(csr) => self.routed_traversal(csr, space, query, &seeds, params, &mut stats),
-            None => self.routed_traversal(
+        // Probabilistic routing: a fresh neighbour is scored (on codes when
+        // the base carries them, then reranked exactly) unless its sketch
+        // estimate exceeds `γ ·` the buffer's bound at the start of the hop
+        // (`+∞` until the buffer fills). The negated `>` scores a NaN
+        // estimate, as the rejection test `est > γ · bound` always has.
+        let (lsh, gamma) = (self.lsh.index(), self.gamma);
+        let sketch = lsh.query_sketch(query);
+        #[allow(clippy::neg_cmp_op_on_partial_ord)]
+        let gate = |nb: u32, bound: f32| {
+            !bound.is_finite() || !(lsh.projected_dist_sq(&sketch, nb) > gamma * bound)
+        };
+        let res = self.scratch.with(space.len(), params.beam_width, |scratch| {
+            beam_search_gated(
                 self.base.base_graph(),
+                serving.csr(),
                 space,
                 query,
                 &seeds,
-                params,
-                &mut stats,
-            ),
-        };
-        // The routed traversal runs in the base graph's (possibly
-        // relabeled) id space; the base serving state owns the new→old
-        // translation.
-        self.base.serving().finish(SearchResult { neighbors, stats })
+                params.k,
+                params.beam_width,
+                scratch,
+                params.termination(),
+                gate,
+            )
+        });
+        // The traversal runs in the base graph's (possibly relabeled) id
+        // space; the base serving state owns the new→old translation.
+        serving.finish(res)
     }
 
     fn freeze(&mut self) {

@@ -51,6 +51,10 @@ pub struct BatchQueue<T> {
     /// its wait by this much, so a push can land inside it.
     #[cfg(test)]
     check_to_wait: Duration,
+    /// Tests stretch the sleeping consumer's timed wait to this, so a pop
+    /// that the `WAIT_TICK` backstop would end shows as a long wait.
+    #[cfg(test)]
+    wait_tick: Duration,
 }
 
 /// A sleeping consumer's timed wait: a backstop only, every push and
@@ -72,6 +76,8 @@ impl<T> BatchQueue<T> {
             bell: Condvar::new(),
             #[cfg(test)]
             check_to_wait: Duration::ZERO,
+            #[cfg(test)]
+            wait_tick: WAIT_TICK,
         }
     }
 
@@ -203,7 +209,11 @@ impl<T> BatchQueue<T> {
             if self.depth.load(Ordering::SeqCst) == 0 && !self.is_closed() {
                 #[cfg(test)]
                 std::thread::sleep(self.check_to_wait);
-                let _ = self.bell.wait_timeout(guard, WAIT_TICK).unwrap();
+                #[cfg(test)]
+                let tick = self.wait_tick;
+                #[cfg(not(test))]
+                let tick = WAIT_TICK;
+                let _ = self.bell.wait_timeout(guard, tick).unwrap();
             }
             self.sleepers.fetch_sub(1, Ordering::SeqCst);
         }
@@ -317,34 +327,48 @@ mod tests {
         // Each round the consumer blocks on an empty queue while the
         // producer pushes after a spin of 0..100 µs, so pushes land before,
         // inside and after the consumer's widened check-to-wait gap. A lost
-        // wakeup leaves the job queued until the `WAIT_TICK` backstop.
+        // wakeup leaves the job queued until the timed-wait backstop, here
+        // stretched to 10 s: far beyond any scheduler delay, so a slow pop
+        // means a missed ring, never a descheduled consumer.
         const ROUNDS: u32 = 500;
+        const TICK: Duration = Duration::from_secs(10);
         let mut q = BatchQueue::new(4, 1);
         q.check_to_wait = Duration::from_micros(50);
+        q.wait_tick = TICK;
         let q = Arc::new(q);
         let go = Arc::new(std::sync::Barrier::new(2));
+        // Set by the consumer after its first slow pop: both sides stop at
+        // the next barrier instead of sitting out a backstop every round.
+        let lost = Arc::new(AtomicBool::new(false));
         let consumer = {
-            let (q, go) = (Arc::clone(&q), Arc::clone(&go));
+            let (q, go, lost) = (Arc::clone(&q), Arc::clone(&go), Arc::clone(&lost));
             std::thread::spawn(move || {
                 let (mut out, mut worst) = (Vec::new(), Duration::ZERO);
                 for round in 0..ROUNDS {
                     go.wait();
+                    if lost.load(Ordering::SeqCst) {
+                        break;
+                    }
                     let t = Instant::now();
                     assert!(q.pop_batch(0, 1, Duration::ZERO, &mut out));
                     worst = worst.max(t.elapsed());
                     assert_eq!(out, [round]);
+                    lost.store(worst >= TICK / 2, Ordering::SeqCst);
                 }
                 worst
             })
         };
         for round in 0..ROUNDS {
             go.wait();
+            if lost.load(Ordering::SeqCst) {
+                break;
+            }
             let spin = Instant::now();
             while spin.elapsed() < Duration::from_micros(u64::from(round % 50) * 2) {}
             q.push(round).unwrap();
         }
         let worst = consumer.join().unwrap();
-        assert!(worst < WAIT_TICK, "a pop waited {worst:?}, a whole {WAIT_TICK:?} tick");
+        assert!(worst < TICK / 2, "a pop waited {worst:?}: a push did not wake its sleeper");
     }
 
     #[test]

@@ -104,6 +104,41 @@ fn every_search_publishes_exactly_what_it_evaluated() {
     }
 }
 
+/// LSHAPG's routed search publishes what it reports too: the sketch gate
+/// rejects neighbours without scoring them, so the counter holds the
+/// traversal's evaluations plus, on codes, the exact rerank pool.
+#[test]
+fn lshapg_search_publishes_exactly_what_it_evaluated() {
+    use gass::graphs::{LshapgIndex, LshapgParams};
+
+    let base = gass::data::synth::deep_like(600, 13);
+    let queries = gass::data::synth::deep_like(6, 14);
+    let mut index = LshapgIndex::build(base, LshapgParams::small());
+    index.freeze();
+    let fixed = QueryParams::new(K, 32).with_seed_count(12).with_rerank_factor(RERANK);
+    let grid = [
+        ("fixed", fixed),
+        ("budget 3", fixed.with_max_dists(3)),
+        ("dist-ratio", fixed.with_term(TerminationPolicy::DistRatio { eps: 0.05 })),
+    ];
+    for leg in ["f32", "sq8"] {
+        if leg == "sq8" {
+            index.quantize(CodecSpec::Sq8);
+        }
+        for q in 0..queries.len() as u32 {
+            for (mode, params) in &grid {
+                let counter = DistCounter::new();
+                let res = index.search(queries.get(q), params, &counter);
+                let e = res.stats.evaluated as u64;
+                let expected =
+                    if leg == "f32" { (0, e) } else { quantized_split(counter.get_u8()) };
+                let label = format!("lshapg {leg} {mode} query {q}");
+                assert_conserved(&label, &counter, res.stats.evaluated, expected);
+            }
+        }
+    }
+}
+
 /// A sharded search publishes each probe's counts from whichever thread ran
 /// the probe: at fan-out width 1 and 2 the counter holds the centroid
 /// ranking plus exactly what every probed shard's own search publishes.

@@ -345,3 +345,76 @@ fn golden_multi_seed_sink_order() {
     counter_words(&mut h, &counter);
     assert_eq!(h.0, PIN, "the sink order or a multi-seed answer changed");
 }
+
+/// Golden pin, recorded on the commit *before* LSHAPG's probabilistic
+/// routing moved onto the shared beam loop as a gate: a frozen LSHAPG index
+/// must answer 30 fixed queries with the same ids, distance bits, hops,
+/// evaluation counts and `u8` / `f32` counter totals under every codec,
+/// as built and RCM-relabelled, at a Fixed beam, under a distance budget
+/// and at `L = 8`, below `k` and the rerank pool.
+#[test]
+fn golden_lshapg_answers_and_counts() {
+    use gass::core::{CodecSpec, ReorderStrategy};
+    use gass::graphs::{LshapgIndex, LshapgParams};
+
+    const PINS: [(&str, u64); 24] = [
+        ("as built f32 L=64", 0xc893_799f_5d3a_e917),
+        ("as built f32 budget 60", 0xe23a_f722_0481_a307),
+        ("as built f32 L=8", 0x9270_ec63_8a3b_3ce1),
+        ("as built sq8 L=64", 0xd8fd_0c31_ea91_3585),
+        ("as built sq8 budget 60", 0x45f4_570e_66c0_cf5a),
+        ("as built sq8 L=8", 0x82d8_01c6_cb61_189b),
+        ("as built sq4 L=64", 0x0514_f02b_774a_430a),
+        ("as built sq4 budget 60", 0xb60a_69f2_8f01_dc27),
+        ("as built sq4 L=8", 0xe73a_e686_2afa_5ba4),
+        ("as built pq L=64", 0x7a15_aa13_fda5_92a5),
+        ("as built pq budget 60", 0x67d3_e60d_7f04_fbeb),
+        ("as built pq L=8", 0x8baa_ee9d_dc40_e62b),
+        ("rcm f32 L=64", 0xc893_799f_5d3a_e917),
+        ("rcm f32 budget 60", 0xe23a_f722_0481_a307),
+        ("rcm f32 L=8", 0x9270_ec63_8a3b_3ce1),
+        ("rcm sq8 L=64", 0xd8fd_0c31_ea91_3585),
+        ("rcm sq8 budget 60", 0x45f4_570e_66c0_cf5a),
+        ("rcm sq8 L=8", 0x82d8_01c6_cb61_189b),
+        ("rcm sq4 L=64", 0x0514_f02b_774a_430a),
+        ("rcm sq4 budget 60", 0xb60a_69f2_8f01_dc27),
+        ("rcm sq4 L=8", 0xe73a_e686_2afa_5ba4),
+        ("rcm pq L=64", 0x94f4_bbbc_f64c_9adb),
+        ("rcm pq budget 60", 0xcf40_e811_5af5_8002),
+        ("rcm pq L=8", 0x56a5_8236_8d62_b69f),
+    ];
+
+    let base = gass::data::synth::deep_like(1500, 11);
+    let queries = gass::data::synth::deep_like(30, 12);
+    let grid = [
+        QueryParams::new(10, 64).with_seed_count(12),
+        QueryParams::new(10, 64).with_seed_count(12).with_max_dists(60),
+        QueryParams::new(10, 8).with_seed_count(12),
+    ];
+    let run = |index: &LshapgIndex, params: &QueryParams| {
+        let counter = DistCounter::new();
+        let res: Vec<_> = (0..queries.len() as u32)
+            .map(|q| index.search(queries.get(q), params, &counter))
+            .collect();
+        let mut h = Fnv(answers_hash(&res));
+        counter_words(&mut h, &counter);
+        h.0
+    };
+    let mut got = Vec::new();
+    for layout in [ReorderStrategy::None, ReorderStrategy::Rcm] {
+        let mut index = LshapgIndex::build(base.clone(), LshapgParams::small());
+        index.freeze();
+        index.reorder(layout);
+        for codec in
+            [None, Some(CodecSpec::Sq8), Some(CodecSpec::Sq4), Some(CodecSpec::Pq { m: None })]
+        {
+            if let Some(spec) = codec {
+                index.quantize(spec);
+            }
+            got.extend(grid.iter().map(|params| run(&index, params)));
+        }
+    }
+
+    let got: Vec<(&str, u64)> = PINS.iter().map(|(name, _)| *name).zip(got).collect();
+    assert_eq!(got, PINS, "an LSHAPG answer, its stats or its counter split changed");
+}
