@@ -1,8 +1,8 @@
 //! Scalar vs SIMD code-space distance micro-benchmarks at the paper's
 //! dataset dimensionalities (Glove 25/100, Deep 96, Sift 128, Gist 960),
 //! mirroring `simd_kernels` for the f32 path. The dispatched kernels
-//! (`l2_sq_u8`, `l2_sq_u8_batch`, `pq_scan`, `pq_scan_batch`) pick
-//! AVX2/NEON at runtime; the `*_scalar` rows pin the reference the
+//! (`l2_sq_u8`, `l2_sq_u8_batch`, `l2_sq_u4`, `l2_sq_u4_batch`, `pq_scan`,
+//! `pq_scan_batch`) pick AVX2/NEON at runtime; the `*_scalar` rows pin the reference the
 //! dispatcher falls back to under `GASS_NO_SIMD`. The `pq_scan` rows are
 //! the 16-entry LUT scan over 4-bit PQ codes (m = dim/6 subquantizers),
 //! the inner loop of PQ traversal — `pq_scan/{avx2,vbmi}` and
@@ -14,18 +14,20 @@
 //! 2000-row store, so a regression in any shows here without the
 //! end-to-end benchmark.
 //!
-//! Inputs come from real code stores so the rows carry the padded stride
-//! (SQ8) / chunked LUT layout (PQ) the serving path sees.
+//! Inputs come from real code stores so the rows carry the cache-line
+//! alignment (SQ8, SQ4) / chunked LUT layout (PQ) the serving path sees;
+//! affine rows are sliced to the kernel span the store scores.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gass_core::distance::{nearest8, to_blocks8};
 use gass_core::quant::{
-    l2_sq_u8, l2_sq_u8_batch, l2_sq_u8_batch_scalar, l2_sq_u8_scalar, pq_scan, pq_scan_batch,
-    pq_scan_batch_scalar, pq_scan_scalar, PqStore,
+    l2_sq_u4, l2_sq_u4_batch, l2_sq_u4_batch_scalar, l2_sq_u4_scalar, l2_sq_u8, l2_sq_u8_batch,
+    l2_sq_u8_batch_scalar, l2_sq_u8_scalar, pq_scan, pq_scan_batch, pq_scan_batch_scalar,
+    pq_scan_scalar, AffineStore, PqStore, Width, U4, U8,
 };
 #[cfg(target_arch = "x86_64")]
 use gass_core::quant::{pq_scan_avx2, pq_scan_pair_vbmi};
-use gass_core::{PreparedQuery, QuantizedStore, VectorStore};
+use gass_core::{PreparedQuery, VectorStore};
 use std::hint::black_box;
 
 fn sample_store(dim: usize, rows: usize) -> (VectorStore, Vec<f32>) {
@@ -34,9 +36,9 @@ fn sample_store(dim: usize, rows: usize) -> (VectorStore, Vec<f32>) {
     (VectorStore::from_flat(dim, flat), gen(0.0).collect())
 }
 
-fn quantized(dim: usize) -> (QuantizedStore, PreparedQuery) {
+fn quantized<W: Width>(dim: usize) -> (AffineStore<W>, PreparedQuery) {
     let (base, query) = sample_store(dim, 5);
-    let store = QuantizedStore::from_store(&base);
+    let store = AffineStore::<W>::from_store(&base);
     let mut pq = PreparedQuery::default();
     store.prepare_into(&query, &mut pq);
     (store, pq)
@@ -50,36 +52,60 @@ fn pq_encoded(dim: usize) -> (PqStore, PreparedQuery) {
     (store, pq)
 }
 
+/// The dispatched and scalar single-row and 4-row kernels of one affine
+/// width, over a prepared query and rows sliced to the kernel span.
+macro_rules! affine_rows {
+    ($group:expr, $dim:expr, $w:ty, $name:literal, $batch_name:literal,
+     [$single:ident, $batch:ident, $single_ref:ident, $batch_ref:ident]) => {{
+        let (store, pq) = quantized::<$w>($dim);
+        let (u, s) = (pq.u(), pq.s());
+        let span = u.len() / <$w as Width>::PER_BYTE;
+        let row = &store.code_row(0)[..span];
+        let rows = [1, 2, 3, 4].map(|id| &store.code_row(id)[..span]);
+        $group.bench_with_input(
+            BenchmarkId::new(concat!($name, "/simd"), $dim),
+            &$dim,
+            |b, _| b.iter(|| $single(black_box(u), black_box(s), black_box(row))),
+        );
+        $group.bench_with_input(
+            BenchmarkId::new(concat!($name, "/scalar"), $dim),
+            &$dim,
+            |b, _| b.iter(|| $single_ref(black_box(u), black_box(s), black_box(row))),
+        );
+        $group.bench_with_input(
+            BenchmarkId::new(concat!($batch_name, "/simd"), $dim),
+            &$dim,
+            |b, _| b.iter(|| $batch(black_box(u), black_box(s), black_box(rows))),
+        );
+        $group.bench_with_input(
+            BenchmarkId::new(concat!($batch_name, "/scalar"), $dim),
+            &$dim,
+            |b, _| b.iter(|| $batch_ref(black_box(u), black_box(s), black_box(rows))),
+        );
+    }};
+}
+
 fn bench_quant_kernels(c: &mut Criterion) {
     let mut group = c.benchmark_group("quant_kernels");
     group.sample_size(30);
     group.measurement_time(std::time::Duration::from_secs(3));
     group.warm_up_time(std::time::Duration::from_secs(1));
     for dim in [25usize, 96, 100, 128, 960] {
-        let (store, pq) = quantized(dim);
-        let (u, s) = (pq.u(), pq.s());
-        let row = store.code_row(0);
-        let rows = [store.code_row(1), store.code_row(2), store.code_row(3), store.code_row(4)];
-        group.bench_with_input(BenchmarkId::new("l2_sq_u8/simd", dim), &dim, |bench, _| {
-            bench.iter(|| l2_sq_u8(black_box(u), black_box(s), black_box(row)))
-        });
-        group.bench_with_input(BenchmarkId::new("l2_sq_u8/scalar", dim), &dim, |bench, _| {
-            bench.iter(|| l2_sq_u8_scalar(black_box(u), black_box(s), black_box(row)))
-        });
-        group.bench_with_input(
-            BenchmarkId::new("l2_sq_u8_batch/simd", dim),
-            &dim,
-            |bench, _| {
-                bench.iter(|| l2_sq_u8_batch(black_box(u), black_box(s), black_box(rows)))
-            },
+        affine_rows!(
+            group,
+            dim,
+            U8,
+            "l2_sq_u8",
+            "l2_sq_u8_batch",
+            [l2_sq_u8, l2_sq_u8_batch, l2_sq_u8_scalar, l2_sq_u8_batch_scalar]
         );
-        group.bench_with_input(
-            BenchmarkId::new("l2_sq_u8_batch/scalar", dim),
-            &dim,
-            |bench, _| {
-                bench
-                    .iter(|| l2_sq_u8_batch_scalar(black_box(u), black_box(s), black_box(rows)))
-            },
+        affine_rows!(
+            group,
+            dim,
+            U4,
+            "l2_sq_u4",
+            "l2_sq_u4_batch",
+            [l2_sq_u4, l2_sq_u4_batch, l2_sq_u4_scalar, l2_sq_u4_batch_scalar]
         );
 
         // PQ LUT scan at the same dims (m = dim/6 subquantizers, 4-bit

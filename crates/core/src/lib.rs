@@ -69,10 +69,10 @@ pub use par::{
     prefix_doubling_batches, ConcurrentAdjacency,
 };
 pub use persist::{
-    load_codec, load_flat_graph, load_permutation, load_quantized, load_shard_table,
-    load_store, open_codec, open_store, peek_kind, save_codec, save_codec_mapped,
-    save_flat_graph, save_permutation, save_quantized, save_shard_table, save_store,
-    save_store_mapped, MappedStoreWriter, PersistError, ShardTable,
+    load_codec, load_flat_graph, load_permutation, load_shard_table, load_store, open_codec,
+    open_store, peek_kind, save_codec, save_codec_mapped, save_flat_graph, save_permutation,
+    save_shard_table, save_store, save_store_mapped, MappedStoreWriter, PersistError,
+    ShardTable,
 };
 pub use quant::{
     l2_sq_u4, l2_sq_u4_batch, l2_sq_u8, l2_sq_u8_batch, pq_auto_m, pq_scan, pq_scan_batch,

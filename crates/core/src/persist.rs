@@ -13,20 +13,19 @@
 //! Payloads:
 //! * store — `dim:u64 | len:u64 | f32 data`
 //! * flat graph — `slots:u64 | nodes:u64 | counts:u32[] | edges:u32[]`
-//! * quantized store — `dim:u64 | len:u64 | mins:f32[dim] | deltas:f32[dim]
-//!   | codes:u8[len*dim]` (rows packed, cache-line padding stripped; the
-//!   aligned layout is rebuilt on load)
 //! * permutation — `n:u64 | new_to_old:u32[n]` (the reorder placement
 //!   order; the inverse table is rebuilt — and the bijection re-validated —
 //!   on load)
 //! * codec store — `codec:u8 | codec payload`, where the codec tag selects
-//!   the body: SQ8/SQ4 reuse the quantized-store shape (`dim | len | mins |
-//!   deltas | packed codes` with SQ4 rows `ceil(dim/2)` bytes), PQ is
+//!   the body: the affine codecs (SQ8, SQ4) are `dim:u64 | len:u64 |
+//!   mins:f32[dim] | deltas:f32[dim] | codes:u8[len*row_bytes]` (rows
+//!   packed, cache-line padding stripped and rebuilt on load; `row_bytes`
+//!   is `dim` for SQ8 and `ceil(dim/2)` for SQ4), PQ is
 //!   `dim:u64 | m:u64 | ncent:u64 | len:u64 | perm:u32[dim]
 //!   | centroids:f32[m*16*(dim/m)] | codes:u8[len*ceil(m/2)]` (`perm` is
 //!   the variance-balanced dimension deal, validated as a permutation on
-//!   load). The legacy `KIND_QUANT` section remains readable and is
-//!   exactly the SQ8 body.
+//!   load). Kind 3, an SQ8-only section that predates the codec tag, is
+//!   retired: [`open_codec`] rejects it with an error.
 //!
 //! ## Mapped sections
 //!
@@ -53,7 +52,7 @@
 
 use crate::graph::FlatGraph;
 use crate::mmap::{Advice, MmapBuf, MmapRegion};
-use crate::quant::{CodecStore, PqStore, QuantizedStore, Sq4Store};
+use crate::quant::{AffineStore, CodecStore, PqStore, QuantizedStore, Sq4Store, Width, U4, U8};
 use crate::reorder::IdRemap;
 use crate::store::VectorStore;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -70,8 +69,8 @@ const VERSION: u8 = 1;
 pub const KIND_STORE: u8 = 1;
 /// Section kind: flat adjacency graph.
 pub const KIND_FLAT_GRAPH: u8 = 2;
-/// Section kind: SQ8 quantized store (legacy single-codec section).
-pub const KIND_QUANT: u8 = 3;
+// Section kind 3 is retired (the SQ8-only section the codec kind replaced);
+// it is never reused, so an old file fails with `WrongKind`.
 /// Section kind: reorder permutation.
 pub const KIND_PERM: u8 = 4;
 /// Section kind: codec store (SQ8/SQ4/PQ, packed).
@@ -277,50 +276,31 @@ pub fn decode_flat_graph(mut buf: Bytes) -> Result<FlatGraph, PersistError> {
     Ok(FlatGraph::from_adjacency(&adj, Some(slots.max(1))))
 }
 
-/// Encodes a quantized store (codes packed, padding stripped — see the
-/// module docs). Quantization is deterministic, so an equal alternative to
-/// persisting this section is re-encoding from the saved `f32` store on
-/// load; persisting skips the extra pass and keeps the codes usable even
-/// where the raw vectors are not shipped.
-pub fn encode_quantized(quant: &QuantizedStore) -> Bytes {
-    let dim = quant.dim();
-    let mut buf = header(KIND_QUANT, 16 + dim * 8 + quant.len() * dim);
-    buf.put_u64_le(dim as u64);
-    buf.put_u64_le(quant.len() as u64);
-    for &m in quant.mins() {
+/// Writes an affine codec's tag and parameters: `codec | dim | len | mins
+/// | deltas`.
+fn put_affine_head<W: Width>(buf: &mut BytesMut, tag: u8, q: &AffineStore<W>) {
+    buf.put_u8(tag);
+    buf.put_u64_le(q.dim() as u64);
+    buf.put_u64_le(q.len() as u64);
+    for &m in q.mins() {
         buf.put_f32_le(m);
     }
-    for &d in quant.deltas() {
+    for &d in q.deltas() {
         buf.put_f32_le(d);
     }
-    buf.put_slice(&quant.to_packed_codes());
+}
+
+/// An affine codec section at width `W`, padding stripped.
+fn encode_affine<W: Width>(tag: u8, q: &AffineStore<W>) -> Bytes {
+    let codes = q.to_packed_codes();
+    let mut buf = header(KIND_CODEC, 17 + q.dim() * 8 + codes.len());
+    put_affine_head(&mut buf, tag, q);
+    buf.put_slice(&codes);
     buf.freeze()
 }
 
-/// Decodes a quantized store (rebuilding the cache-line-padded layout).
-pub fn decode_quantized(mut buf: Bytes) -> Result<QuantizedStore, PersistError> {
-    check_header(&mut buf, KIND_QUANT)?;
-    let (dim, mins, deltas, packed) = get_affine_body(&mut buf, |dim| dim)?;
-    Ok(QuantizedStore::from_parts(dim, mins, deltas, packed))
-}
-
-fn put_affine_body(buf: &mut BytesMut, dim: usize, len: usize, mins: &[f32], deltas: &[f32]) {
-    buf.put_u64_le(dim as u64);
-    buf.put_u64_le(len as u64);
-    for &m in mins {
-        buf.put_f32_le(m);
-    }
-    for &d in deltas {
-        buf.put_f32_le(d);
-    }
-}
-
-type AffineBody = (usize, Vec<f32>, Vec<f32>, Vec<u8>);
-
-fn get_affine_body(
-    buf: &mut Bytes,
-    row_bytes: fn(usize) -> usize,
-) -> Result<AffineBody, PersistError> {
+/// Reads an affine codec body at width `W` (after its tag).
+fn decode_affine<W: Width>(buf: &mut Bytes) -> Result<Box<dyn CodecStore>, PersistError> {
     if buf.remaining() < 16 {
         return Err(PersistError::Truncated);
     }
@@ -338,11 +318,12 @@ fn get_affine_body(
     for _ in 0..dim {
         deltas.push(buf.get_f32_le());
     }
-    let want = row_bytes(dim).checked_mul(len).ok_or(PersistError::Truncated)?;
+    let want =
+        AffineStore::<W>::row_bytes(dim).checked_mul(len).ok_or(PersistError::Truncated)?;
     backed(want, 1, buf.remaining())?;
     let mut packed = vec![0u8; want];
     buf.copy_to_slice(&mut packed);
-    Ok((dim, mins, deltas, packed))
+    Ok(Box::new(AffineStore::<W>::from_parts(dim, mins, deltas, packed)))
 }
 
 /// Encodes any [`CodecStore`] as a tagged codec section (see the module
@@ -351,19 +332,9 @@ fn get_affine_body(
 pub fn encode_codec(codec: &dyn CodecStore) -> Bytes {
     let any = codec.as_any();
     if let Some(q) = any.downcast_ref::<QuantizedStore>() {
-        let dim = q.dim();
-        let mut buf = header(KIND_CODEC, 17 + dim * 8 + q.len() * dim);
-        buf.put_u8(CODEC_SQ8);
-        put_affine_body(&mut buf, dim, q.len(), q.mins(), q.deltas());
-        buf.put_slice(&q.to_packed_codes());
-        buf.freeze()
+        encode_affine(CODEC_SQ8, q)
     } else if let Some(q) = any.downcast_ref::<Sq4Store>() {
-        let dim = q.dim();
-        let mut buf = header(KIND_CODEC, 17 + dim * 8 + q.len() * dim.div_ceil(2));
-        buf.put_u8(CODEC_SQ4);
-        put_affine_body(&mut buf, dim, q.len(), q.mins(), q.deltas());
-        buf.put_slice(&q.to_packed_codes());
-        buf.freeze()
+        encode_affine(CODEC_SQ4, q)
     } else if let Some(q) = any.downcast_ref::<PqStore>() {
         // Files keep the centroid-major order whatever the serving layout.
         let centroids = q.centroids();
@@ -396,14 +367,8 @@ pub fn decode_codec(mut buf: Bytes) -> Result<Box<dyn CodecStore>, PersistError>
         return Err(PersistError::Truncated);
     }
     match buf.get_u8() {
-        CODEC_SQ8 => {
-            let (dim, mins, deltas, packed) = get_affine_body(&mut buf, |dim| dim)?;
-            Ok(Box::new(QuantizedStore::from_parts(dim, mins, deltas, packed)))
-        }
-        CODEC_SQ4 => {
-            let (dim, mins, deltas, packed) = get_affine_body(&mut buf, |dim| dim.div_ceil(2))?;
-            Ok(Box::new(Sq4Store::from_parts(dim, mins, deltas, packed)))
-        }
+        CODEC_SQ8 => decode_affine::<U8>(&mut buf),
+        CODEC_SQ4 => decode_affine::<U4>(&mut buf),
         CODEC_PQ => {
             if buf.remaining() < 32 {
                 return Err(PersistError::Truncated);
@@ -495,17 +460,6 @@ pub fn save_flat_graph(graph: &FlatGraph, path: &Path) -> Result<(), PersistErro
 /// Reads a flat graph from `path`.
 pub fn load_flat_graph(path: &Path) -> Result<FlatGraph, PersistError> {
     decode_flat_graph(Bytes::from(fs::read(path)?))
-}
-
-/// Writes a quantized store to `path`.
-pub fn save_quantized(quant: &QuantizedStore, path: &Path) -> Result<(), PersistError> {
-    fs::write(path, encode_quantized(quant))?;
-    Ok(())
-}
-
-/// Reads a quantized store from `path`.
-pub fn load_quantized(path: &Path) -> Result<QuantizedStore, PersistError> {
-    decode_quantized(Bytes::from(fs::read(path)?))
 }
 
 /// Writes a codec store to `path`.
@@ -743,12 +697,10 @@ pub fn save_codec_mapped(codec: &dyn CodecStore, path: &Path) -> Result<(), Pers
     let any = codec.as_any();
     let mut head = header(KIND_MCODEC, 64);
     let (len, stride): (usize, usize) = if let Some(q) = any.downcast_ref::<QuantizedStore>() {
-        head.put_u8(CODEC_SQ8);
-        put_affine_body(&mut head, q.dim(), q.len(), q.mins(), q.deltas());
+        put_affine_head(&mut head, CODEC_SQ8, q);
         (q.len(), q.stride())
     } else if let Some(q) = any.downcast_ref::<Sq4Store>() {
-        head.put_u8(CODEC_SQ4);
-        put_affine_body(&mut head, q.dim(), q.len(), q.mins(), q.deltas());
+        put_affine_head(&mut head, CODEC_SQ4, q);
         (q.len(), q.stride())
     } else if let Some(q) = any.downcast_ref::<PqStore>() {
         head.put_u8(CODEC_PQ);
@@ -822,9 +774,9 @@ fn mcodec_header(bytes: &[u8]) -> Result<McodecHead, PersistError> {
                 deltas.push(cur.get_f32_le()?);
             }
             let (row_bytes, stride) = if tag == CODEC_SQ8 {
-                (dim, crate::quant::sq8::quant_stride(dim))
+                (QuantizedStore::row_bytes(dim), QuantizedStore::stride_for(dim))
             } else {
-                (dim.div_ceil(2), crate::quant::sq4::sq4_stride(dim))
+                (Sq4Store::row_bytes(dim), Sq4Store::stride_for(dim))
             };
             (McodecParams::Affine { tag, dim, mins, deltas }, len, row_bytes, stride)
         }
@@ -924,12 +876,11 @@ pub fn open_codec_mapped(path: &Path) -> Result<Box<dyn CodecStore>, PersistErro
     })
 }
 
-/// Opens a codec file of any representation: tagged codec section, legacy
-/// SQ8 quantized section, or mapped codec.
+/// Opens a codec file of either representation: tagged codec section or
+/// mapped codec.
 pub fn open_codec(path: &Path) -> Result<Box<dyn CodecStore>, PersistError> {
     match peek_kind(path)? {
         KIND_MCODEC => open_codec_mapped(path),
-        KIND_QUANT => Ok(Box::new(load_quantized(path)?)),
         _ => load_codec(path),
     }
 }
@@ -1090,49 +1041,6 @@ mod tests {
     }
 
     #[test]
-    fn quantized_roundtrip_preserves_codes_and_distances() {
-        let store = VectorStore::from_flat(
-            5,
-            (0..65).map(|i| ((i * 17) as f32 * 0.23).sin() * 4.0).collect(),
-        );
-        let quant = QuantizedStore::from_store(&store);
-        let decoded = decode_quantized(encode_quantized(&quant)).unwrap();
-        assert_eq!(decoded.len(), quant.len());
-        assert_eq!(decoded.dim(), quant.dim());
-        assert_eq!(decoded.mins(), quant.mins());
-        assert_eq!(decoded.deltas(), quant.deltas());
-        let query = [0.5f32, -1.0, 2.0, 0.0, 1.25];
-        let mut pq_a = crate::quant::PreparedQuery::default();
-        let mut pq_b = crate::quant::PreparedQuery::default();
-        quant.prepare_into(&query, &mut pq_a);
-        decoded.prepare_into(&query, &mut pq_b);
-        for id in 0..quant.len() as u32 {
-            assert_eq!(decoded.code_row(id), quant.code_row(id), "row {id}");
-            assert_eq!(
-                decoded.dist_prepared(&pq_b, id).to_bits(),
-                quant.dist_prepared(&pq_a, id).to_bits(),
-                "distance {id}"
-            );
-        }
-    }
-
-    #[test]
-    fn quantized_file_roundtrip_and_truncation() {
-        let store = sample_store();
-        let quant = QuantizedStore::from_store(&store);
-        let dir = std::env::temp_dir().join("gass_persist_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("quant.gass");
-        save_quantized(&quant, &path).unwrap();
-        assert_eq!(load_quantized(&path).unwrap().len(), 2);
-        let bytes = encode_quantized(&quant);
-        let cut = bytes.slice(0..bytes.len() - 1);
-        assert!(matches!(decode_quantized(cut).unwrap_err(), PersistError::Truncated));
-        let err = decode_quantized(encode_store(&store)).unwrap_err();
-        assert!(matches!(err, PersistError::WrongKind { .. }));
-    }
-
-    #[test]
     fn codec_roundtrip_preserves_codes_for_every_codec() {
         let store = VectorStore::from_flat(
             6,
@@ -1193,6 +1101,21 @@ mod tests {
         assert!(matches!(
             decode_codec(Bytes::from(raw)).unwrap_err(),
             PersistError::UnknownCodec(99)
+        ));
+    }
+
+    /// Kind 3, the retired SQ8-only section, is refused with an error.
+    #[test]
+    fn retired_kind_3_is_an_error_not_a_panic() {
+        let dir = std::env::temp_dir().join("gass_persist_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("kind3.gass");
+        let mut raw = encode_codec(&QuantizedStore::from_store(&sample_store())).to_vec();
+        raw[5] = 3; // kind byte
+        std::fs::write(&path, raw).unwrap();
+        assert!(matches!(
+            open_codec(&path).unwrap_err(),
+            PersistError::WrongKind { found: 3, expected: KIND_CODEC }
         ));
     }
 

@@ -8,11 +8,12 @@
 //! `rerank_factor · k` candidate pool with exact `f32` distances before
 //! returning (kANNolo's and Faiss's standard scheme). Three rungs:
 //!
-//! * [`QuantizedStore`] (**SQ8**, [`sq8`]) — per-dimension affine `u8`
-//!   codes, 4× less traffic than `f32`, near-lossless traversal ranking;
-//! * [`Sq4Store`] (**SQ4**, [`sq4`]) — per-dimension affine 4-bit codes,
-//!   two dimensions per byte, 8× less traffic, widened SIMD unpack into
-//!   the same fused asymmetric arithmetic;
+//! * [`QuantizedStore`] (**SQ8**) and [`Sq4Store`] (**SQ4**) — one
+//!   per-dimension affine store, [`AffineStore`], generic over the code
+//!   [`Width`]: `u8` codes ([`U8`]: 4× less traffic than `f32`,
+//!   near-lossless traversal ranking) or 4-bit codes two per byte ([`U4`]:
+//!   8× less traffic, widened SIMD unpack into the same fused asymmetric
+//!   arithmetic). Each width's kernels live in [`sq8`] / [`sq4`];
 //! * [`PqStore`] (**PQ**, [`pq`]) — product quantization, `m`
 //!   subquantizers × 4-bit codes over k-means codebooks, distances scanned
 //!   from a per-query 16-entry LUT with SIMD compare-select kernels
@@ -28,20 +29,20 @@
 use crate::reorder::IdRemap;
 use crate::store::VectorStore;
 
+mod affine;
 pub mod pq;
 pub mod sq4;
 pub mod sq8;
 
+pub use affine::{AffineStore, QuantizedStore, Sq4Store, Width, U4, U8};
 pub use pq::{
     pq_auto_m, pq_scan, pq_scan_batch, pq_scan_batch_scalar, pq_scan_pair, pq_scan_scalar,
     PqStore,
 };
 #[cfg(target_arch = "x86_64")]
 pub use pq::{pq_scan_avx2, pq_scan_pair_vbmi};
-pub use sq4::{l2_sq_u4, l2_sq_u4_batch, l2_sq_u4_batch_scalar, l2_sq_u4_scalar, Sq4Store};
-pub use sq8::{
-    l2_sq_u8, l2_sq_u8_batch, l2_sq_u8_batch_scalar, l2_sq_u8_scalar, QuantizedStore,
-};
+pub use sq4::{l2_sq_u4, l2_sq_u4_batch, l2_sq_u4_batch_scalar, l2_sq_u4_scalar};
+pub use sq8::{l2_sq_u8, l2_sq_u8_batch, l2_sq_u8_batch_scalar, l2_sq_u8_scalar};
 
 /// Codes per 64-byte cache line — the row-stride granularity shared by the
 /// byte-packed codecs.
@@ -54,19 +55,26 @@ pub const LINE_U8: usize = 64;
 #[repr(align(64))]
 pub(crate) struct CodeLine(#[allow(dead_code)] pub(crate) [u8; LINE_U8]); // read via pointer casts
 
+// The byte views below rely on a line being exactly its 64 bytes.
+const _: () = assert!(std::mem::size_of::<CodeLine>() == LINE_U8);
+
 /// Reinterprets a line vector as its raw bytes.
-///
-/// Sound: `CodeLine` is `repr(align(64))` over `[u8; 64]`, fully
-/// initialized, so the allocation is `len*64` valid bytes.
 #[inline]
 pub(crate) fn lines_as_bytes(lines: &[CodeLine]) -> &[u8] {
+    // SAFETY: `CodeLine` is `repr(align(64))` over `[u8; 64]`, so it has
+    // no padding (its size is checked to be 64 at compile time above) and
+    // every byte is initialized: `lines` is `len · 64` readable bytes, `u8`
+    // needs no alignment, and the borrow of `lines` bounds the returned
+    // slice's lifetime.
     unsafe { std::slice::from_raw_parts(lines.as_ptr().cast::<u8>(), lines.len() * LINE_U8) }
 }
 
-/// Mutable view of a line vector's raw bytes (same soundness argument as
-/// [`lines_as_bytes`]).
+/// Mutable view of a line vector's raw bytes.
 #[inline]
 pub(crate) fn lines_as_bytes_mut(lines: &mut [CodeLine]) -> &mut [u8] {
+    // SAFETY: as in `lines_as_bytes`; the exclusive borrow of `lines` makes
+    // the returned view the only access, and any byte written is a valid
+    // `u8`, so every `CodeLine` stays valid.
     unsafe {
         std::slice::from_raw_parts_mut(lines.as_mut_ptr().cast::<u8>(), lines.len() * LINE_U8)
     }
@@ -118,21 +126,6 @@ impl CodeBuf {
             CodeBuf::Heap(lines) => lines.capacity() * std::mem::size_of::<CodeLine>(),
             CodeBuf::Mapped(_) => 0,
         }
-    }
-
-    /// Appends a line; the backing must be heap (encoders only).
-    #[inline]
-    pub(crate) fn push(&mut self, line: CodeLine) {
-        match self {
-            CodeBuf::Heap(lines) => lines.push(line),
-            CodeBuf::Mapped(_) => panic!("mapped code rows are read-only"),
-        }
-    }
-}
-
-impl From<Vec<CodeLine>> for CodeBuf {
-    fn from(lines: Vec<CodeLine>) -> Self {
-        CodeBuf::Heap(lines)
     }
 }
 
@@ -335,14 +328,15 @@ pub struct PreparedQuery {
 }
 
 impl PreparedQuery {
-    /// The query shifted to the grid origin, `q_d − min_d`
-    /// (stride-padded; affine codecs).
+    /// The query shifted to the grid origin, `q_d − min_d` (padded to the
+    /// kernel span; affine codecs).
     #[inline]
     pub fn u(&self) -> &[f32] {
         &self.u
     }
 
-    /// Per-dimension steps `Δ_d` (stride-padded; affine codecs).
+    /// Per-dimension steps `Δ_d` (padded to the kernel span; affine
+    /// codecs).
     #[inline]
     pub fn s(&self) -> &[f32] {
         &self.s

@@ -159,35 +159,7 @@ pub fn beam_search_terminated<G: GraphView + ?Sized>(
     scratch: &mut SearchScratch,
     term: Termination,
 ) -> SearchResult {
-    match space.quant() {
-        Some(qv) => with_concrete_codec!(qv.store(), |codec| {
-            beam_search_quantized(
-                graph,
-                space,
-                codec,
-                qv.rerank_factor(),
-                query,
-                seeds,
-                k,
-                beam_width,
-                scratch,
-                term,
-                |_, _| true,
-            )
-        }),
-        None => beam_search_full(
-            graph,
-            space,
-            query,
-            seeds,
-            k,
-            beam_width,
-            scratch,
-            None,
-            term,
-            |_, _| true,
-        ),
-    }
+    search_gated(graph, space, query, seeds, k, beam_width, scratch, term, |_, _| true)
 }
 
 /// [`beam_search_frozen`] with a `gate` on the traversal: each neighbour
@@ -218,12 +190,10 @@ pub fn beam_search_gated<G: GraphView + ?Sized>(
     }
 }
 
-/// The codec dispatch of [`beam_search_gated`]. [`beam_search_terminated`]
-/// keeps its own copy rather than forwarding here with an always-true
-/// gate: in a 10-pair A/B the forwarding form lost 8 `gist-pq` `qps_norm`
-/// pairs (median 0.970), this form 6 or 7 in each of three, although the
-/// searches the benchmark times compile to the same instructions in both
-/// (DESIGN.md §8 has the runs).
+/// The one codec dispatch of the beam search: [`beam_search_gated`]
+/// passes its caller's gate, [`beam_search_terminated`] an always-true one.
+/// The second copy `beam_search_terminated` used to keep showed no
+/// measurable gain when folded here (DESIGN.md §8 has the runs).
 #[allow(clippy::too_many_arguments)]
 fn search_gated<G: GraphView + ?Sized>(
     graph: &G,

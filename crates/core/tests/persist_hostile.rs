@@ -1,6 +1,6 @@
 //! Hostile bytes against every section decoder behind `load_*` / `open_*`:
-//! packed store, flat graph, legacy SQ8 section, the three codec sections
-//! and their four mapped counterparts (read both through a live mapping and
+//! packed store, flat graph, the three codec sections and their four
+//! mapped counterparts (read both through a live mapping and
 //! through the heap fallback). Whatever a file holds, decoding returns `Ok`
 //! or `Err` without a panic and without an allocation sized by a header
 //! field the file cannot back.
@@ -15,9 +15,8 @@
 use gass_core::graph::{AdjacencyGraph, FlatGraph};
 use gass_core::mmap::set_mmap_enabled;
 use gass_core::persist::{
-    decode_codec, decode_flat_graph, decode_quantized, decode_store, encode_codec,
-    encode_flat_graph, encode_quantized, encode_store, open_codec, open_store,
-    save_codec_mapped, save_store_mapped,
+    decode_codec, decode_flat_graph, decode_store, encode_codec, encode_flat_graph,
+    encode_store, open_codec, open_store, save_codec_mapped, save_store_mapped,
 };
 use gass_core::quant::{CodecStore, PqStore, QuantizedStore, Sq4Store};
 use gass_core::VectorStore;
@@ -63,7 +62,6 @@ static MMAP_MODE: Mutex<()> = Mutex::new(());
 enum Format {
     Store,
     FlatGraph,
-    LegacyQuant,
     CodecSq8,
     CodecSq4,
     CodecPq,
@@ -73,10 +71,9 @@ enum Format {
     MappedPq,
 }
 
-const FORMATS: [Format; 10] = [
+const FORMATS: [Format; 9] = [
     Format::Store,
     Format::FlatGraph,
-    Format::LegacyQuant,
     Format::CodecSq8,
     Format::CodecSq4,
     Format::CodecPq,
@@ -109,9 +106,7 @@ impl Format {
     /// magic/version/kind header, and after the codec tag byte for codecs.
     fn count_fields(self) -> &'static [usize] {
         match self {
-            Format::Store | Format::FlatGraph | Format::LegacyQuant | Format::MappedStore => {
-                &[6, 14]
-            }
+            Format::Store | Format::FlatGraph | Format::MappedStore => &[6, 14],
             Format::CodecSq8 | Format::CodecSq4 | Format::MappedSq8 | Format::MappedSq4 => {
                 &[7, 15]
             }
@@ -149,9 +144,6 @@ impl Format {
                 }
                 encode_flat_graph(&FlatGraph::from_adjacency(&g, Some(3))).to_vec()
             }
-            Format::LegacyQuant => {
-                encode_quantized(&QuantizedStore::from_store(store)).to_vec()
-            }
             Format::CodecSq8 | Format::CodecSq4 | Format::CodecPq => {
                 encode_codec(codec().as_ref()).to_vec()
             }
@@ -176,7 +168,6 @@ impl Format {
             let ok = match self {
                 Format::Store => decode_store(input).is_ok(),
                 Format::FlatGraph => decode_flat_graph(input).is_ok(),
-                Format::LegacyQuant => decode_quantized(input).is_ok(),
                 _ => decode_codec(input).is_ok(),
             };
             return (ok, LARGEST.get());
@@ -292,8 +283,9 @@ fn the_reported_headers_are_errs() {
     reported(Format::MappedPq, sample_store(12, 8, 3), &[(7, 1 << 40), (15, 1 << 40)]);
     // PQ dim = m = 2^62: `dim * 4` wrapped to 0.
     reported(Format::CodecPq, sample_store(12, 8, 3), &[(7, 1 << 62), (15, 1 << 62)]);
-    // Legacy SQ8 dim = 2^61: `dim * 8` wrapped to 0.
-    reported(Format::LegacyQuant, sample_store(4, 3, 5), &[(6, 1 << 61)]);
+    // SQ8 dim = 2^61: `dim * 8` wrapped to 0 (first seen in the retired
+    // SQ8-only section, whose body parser the codec section shares).
+    reported(Format::CodecSq8, sample_store(4, 3, 5), &[(7, 1 << 61)]);
     // A one-dimensional store of 2^62 rows: `want * 4` wrapped to 0.
     reported(Format::Store, sample_store(4, 1, 5), &[(14, 1 << 62)]);
     // A graph of 2^62 nodes: `n * 4` wrapped to 0.
