@@ -345,7 +345,6 @@ fn main() {
                 let params = QueryParams::new(K, beam).with_seed_count(16);
                 let mut base_p50 = 0.0f64;
                 for workers in [1usize, 2, 4, 8] {
-                    gass_core::set_fanout_enabled(true);
                     gass_core::set_fanout_workers(workers);
                     let (recall, _) = deterministic_pass(&idx, &queries, &truth, &params);
                     let t = best_throughput(&idx, &queries, &params);

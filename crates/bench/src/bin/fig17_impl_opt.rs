@@ -9,8 +9,8 @@
 //! * distance kernel: runtime-dispatched SIMD vs the scalar reference;
 //! * vector layout: cache-line-aligned padded store vs packed;
 //! * software prefetch of pending candidates: on vs off;
-//! * graph reordering: RCM and hub-cluster relabelings of the CSR +
-//!   aligned store, translated back to original ids;
+//! * graph reordering: the RCM relabeling of the CSR + aligned store,
+//!   translated back to original ids;
 //! * compressed serving: the SQ8 / SQ4 / PQ codec ladder with exact
 //!   rerank.
 //!
@@ -58,21 +58,13 @@ fn main() {
     }
     let csr = CsrGraph::from_view(flat);
     let aligned_store = index.store().to_aligned();
-    // Locality-preserving relabelings of the serving pair (CSR + aligned
-    // store), seeded from the hierarchy's entry point like the library
-    // path. Traversal runs in the new id space; results translate back.
+    // The RCM relabeling of the serving pair (CSR + aligned store), seeded
+    // from the hierarchy's entry point like the library path. Traversal
+    // runs in the new id space; results translate back.
     let entry_seed: Vec<u32> = index.hierarchy().entry_node().into_iter().collect();
-    let reorderings: Vec<(&str, gass_core::IdRemap)> = [
-        ("rcm", gass_core::ReorderStrategy::Rcm),
-        ("hub", gass_core::ReorderStrategy::HubCluster),
-    ]
-    .into_iter()
-    .map(|(label, s)| (label, gass_core::compute_permutation(&csr, s, &entry_seed)))
-    .collect();
-    let reordered: Vec<(&str, CsrGraph, gass_core::VectorStore)> = reorderings
-        .iter()
-        .map(|(label, map)| (*label, csr.permute(map), aligned_store.permute(map)))
-        .collect();
+    let rcm =
+        gass_core::compute_permutation(&csr, gass_core::ReorderStrategy::Rcm, &entry_seed);
+    let (rcm_csr, rcm_store) = (csr.permute(&rcm), aligned_store.permute(&rcm));
     // Code stores for the quantization ablation rows (built once each;
     // the encodes are deterministic). One ladder rung per codec, with the
     // rerank sweep deepening as the code rate drops: SQ8 keeps 8 bits/dim,
@@ -153,18 +145,16 @@ fn main() {
         // Reordering ablation: same traversal, relabeled layout. Results
         // translate back to original ids, so recall and distance counts
         // match the serving row exactly; only cache behavior changes.
-        for ((label, map), (_, rcsr, rstore)) in reorderings.iter().zip(&reordered) {
-            let space_r = Space::new(rstore, &counter);
-            run(&format!("serving, reorder={label}"), &mut |q, e| {
-                let mut found =
-                    beam_search(rcsr, space_r, q, &[map.to_new(e)], k, l, &mut scratch)
-                        .neighbors;
-                for nb in &mut found {
-                    nb.id = map.to_old(nb.id);
-                }
-                found
-            });
-        }
+        let space_r = Space::new(&rcm_store, &counter);
+        run("serving, reorder=rcm", &mut |q, e| {
+            let mut found =
+                beam_search(&rcm_csr, space_r, q, &[rcm.to_new(e)], k, l, &mut scratch)
+                    .neighbors;
+            for nb in &mut found {
+                nb.id = rcm.to_old(nb.id);
+            }
+            found
+        });
         // Quantization ablation: code-space traversal with exact rerank on
         // top of the serving configuration, one rung per codec. Unlike
         // every row above, these rows are *approximate* — traversal runs

@@ -65,7 +65,7 @@ COMMANDS:
             [--layout <packed|aligned>] [--graph-layout <flat|csr>]
             [--simd <on|off>] [--prefetch <on|off>]
             [--quant <sq8|sq4|pq|none>] [--pq-m <m>] [--rerank-factor <4>]
-            [--reorder <none|degree|bfs|rcm|hub>]
+            [--reorder <none|bfs|rcm>]
             [--term <fixed|saturation[:p]|distratio[:e]>] [--max-dists <n>]
             Answer k-NN queries from a saved graph; reports recall against
             exact ground truth and distance calculations per query.
@@ -105,10 +105,8 @@ COMMANDS:
             --nprobe N over N shards is exactly the merged union of all
             per-shard searches. --fanout-workers W runs each query's
             probes on W executors (0 = all cores; 1, the default, keeps
-            the sequential loop) pinned NUMA-node-affine to the shards
-            they probe; answers are identical at every W — only latency
-            changes. Absent defers to GASS_FANOUT_WORKERS, and
-            GASS_NO_FANOUT=1 forces the sequential loop.
+            the sequential loop); answers are identical at every W — only
+            latency changes. Absent defers to GASS_FANOUT_WORKERS.
 
   serve     --store <file> [--graph <file>] [--method <hnsw|...>]
             | --sharded <dir> [--nprobe <K>] [--fanout-workers <1>]
@@ -116,7 +114,7 @@ COMMANDS:
             [--max-batch <16>] [--max-wait-us <200>] [--queue-depth <1024>]
             [--seed <u64>] [--threads <t>]
             [--quant <sq8|sq4|pq|none>] [--pq-m <m>] [--rerank-factor <4>]
-            [--reorder <none|degree|bfs|rcm|hub>]
+            [--reorder <none|bfs|rcm>]
             [--term <fixed|saturation[:p]|distratio[:e]>] [--max-dists <n>]
             Serve k-NN queries over TCP (length-prefixed binary frames).
             With --graph, serves the saved graph; without it, builds
@@ -139,11 +137,9 @@ COMMANDS:
             With --sharded, serves a `build --shards` directory through
             centroid-routed nprobe search; shard stores saved in the
             mapped layout fault in per page, so untouched shards cost no
-            resident memory (disable with GASS_NO_MMAP=1). Executors pin
-            to NUMA nodes round-robin, matching the shards' home-node
-            placement; --fanout-workers W additionally fans each query's
-            probes out across W shard-affine executors (identical
-            answers, lower single-query latency).
+            resident memory (disable with GASS_NO_MMAP=1).
+            --fanout-workers W fans each query's probes out across W
+            executors (identical answers, lower single-query latency).
 
   info      --file <file>
             Describe a saved store (packed or mapped), graph, or shard

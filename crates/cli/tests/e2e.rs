@@ -122,7 +122,7 @@ fn generate_build_query_roundtrip() {
 
         // Reordered serving answers in original ids, so recall and
         // per-query distance counts must match the unreordered run exactly.
-        for strategy in ["degree", "bfs", "rcm", "hub"] {
+        for strategy in ["bfs", "rcm"] {
             let out = query(&["--reorder", strategy]);
             assert!(out.contains(&format!("reorder={strategy}")), "{out}");
             assert_eq!(

@@ -8,7 +8,8 @@
 //! parked on a condvar; submitting a fan-out is one queue push + wake,
 //! and the **caller participates in claiming**, so every probe completes
 //! even if pool workers are busy elsewhere (no handoff deadlock, and
-//! `workers = 1` degenerates to exactly the sequential loop).
+//! `workers = 1` degenerates to exactly the sequential loop). Work is one
+//! index list behind one atomic cursor.
 //!
 //! Determinism contract (the same one every optimization since PR 1
 //! carries): fan-out only reorders *which thread* runs each probe.
@@ -18,54 +19,36 @@
 //! order after the barrier — so neighbors, distance bits, and counter
 //! totals are bit-identical to the sequential loop at any worker count.
 //!
-//! Work is claimed **node-affine**: submissions present one index list
-//! per NUMA node, each worker drains its own node's list before stealing
-//! from the next ([`crate::numa`] pins pool worker `w` to node
-//! `w % num_nodes`), so probes run on the socket that holds the shard's
-//! memory when placement is available — and degrade to plain work
-//! stealing when it is not.
+//! A panicking probe does not wedge the pool: every execution runs under
+//! `catch_unwind` and counts towards the barrier either way, and the
+//! caller re-raises the first payload once every execution has finished
+//! (the rule [`crate::par::par_map_with`] follows).
 //!
-//! Toggles mirror the SIMD/mmap pattern: `GASS_NO_FANOUT=1` /
-//! [`set_fanout_enabled`] for A/B runs, and `GASS_FANOUT_WORKERS` /
-//! [`set_fanout_workers`] for the executor count (`0` = all cores;
-//! unset defaults to `1`, i.e. fan-out stays off unless asked for —
-//! per-query parallelism spends the same cores inter-query serving
-//! would, so it is an explicit latency-over-throughput choice).
+//! One knob: [`set_fanout_workers`] / `GASS_FANOUT_WORKERS` sets the
+//! executor count (`0` = all cores; unset defaults to `1`, i.e. fan-out
+//! stays off unless asked for — per-query parallelism spends the same
+//! cores inter-query serving would, so it is an explicit
+//! latency-over-throughput choice).
 
-use crate::numa;
+use std::any::Any;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-const FANOUT_UNINIT: u8 = 0;
-const FANOUT_ON: u8 = 1;
-const FANOUT_OFF: u8 = 2;
-
-static FANOUT_MODE: AtomicU8 = AtomicU8::new(FANOUT_UNINIT);
-
-#[cold]
-fn init_fanout_mode() -> u8 {
-    let off = std::env::var("GASS_NO_FANOUT").is_ok_and(|v| !v.is_empty() && v != "0");
-    let m = if off { FANOUT_OFF } else { FANOUT_ON };
-    FANOUT_MODE.store(m, Ordering::Relaxed);
-    m
-}
-
-/// Whether fan-out is allowed at all (not disabled via `GASS_NO_FANOUT=1`
-/// or [`set_fanout_enabled`]). Even when enabled, fan-out only engages
-/// once [`set_fanout_workers`] (or `GASS_FANOUT_WORKERS`) asks for more
-/// than one executor.
-#[inline]
-pub fn fanout_enabled() -> bool {
-    let m = FANOUT_MODE.load(Ordering::Relaxed);
-    let m = if m == FANOUT_UNINIT { init_fanout_mode() } else { m };
-    m == FANOUT_ON
-}
-
-/// In-process override for A/B runs: `false` forces the sequential probe
-/// loop regardless of the worker knob.
+/// Retired toggle, removed by ROADMAP item 5: `false` sets one worker, `true` keeps the count.
 pub fn set_fanout_enabled(on: bool) {
-    FANOUT_MODE.store(if on { FANOUT_ON } else { FANOUT_OFF }, Ordering::Relaxed);
+    if !on {
+        set_fanout_workers(1);
+    }
+}
+
+/// Retired NUMA toggle, a no-op; removed by ROADMAP item 5.
+pub fn set_numa_enabled(_on: bool) {}
+
+/// Retired NUMA node count, always 1; removed by ROADMAP item 5.
+pub fn num_nodes() -> usize {
+    1
 }
 
 /// Requested executor count. `usize::MAX` = unset (consult the
@@ -87,66 +70,69 @@ fn init_fanout_workers() -> usize {
 }
 
 /// The executor count a fan-out would use right now, after resolving the
-/// knob, the environment default, and the A/B toggle. `1` means the
-/// sequential loop runs.
+/// knob and the environment default. `1` means the sequential loop runs.
 pub fn fanout_workers() -> usize {
-    if !fanout_enabled() {
-        return 1;
-    }
     let n = FANOUT_WORKERS.load(Ordering::Relaxed);
     let n = if n == usize::MAX { init_fanout_workers() } else { n };
     crate::par::effective_threads(n)
 }
 
-/// One submitted fan-out: a lifetime-erased closure plus per-node work
-/// lists and the completion barrier. The submitting caller blocks in
-/// [`FanoutPool::run`] until `pending` drains, which is what makes the
-/// raw `ctx` pointer sound — the closure (and everything it borrows)
-/// provably outlives every execution.
+/// One submitted fan-out: a lifetime-erased closure plus its work list
+/// and the completion barrier. The submitting caller blocks in
+/// [`FanoutPool::run`] until `pending` drains, which is what keeps the
+/// raw `ctx` pointer valid — the closure (and everything it borrows)
+/// outlives every execution.
 struct TaskState {
     ctx: *const (),
     run: unsafe fn(*const (), usize),
-    /// Work indices grouped by preferred NUMA node.
-    lists: Vec<Vec<usize>>,
-    /// Per-node claim cursors; claims past a list's end spill to the
-    /// next node (work stealing in node order).
-    cursors: Vec<AtomicUsize>,
+    indices: Vec<usize>,
+    /// Next position of `indices` to claim; claims past the end fail.
+    cursor: AtomicUsize,
     /// Executions not yet finished; the last decrement signals `done`.
     pending: AtomicUsize,
     done: Mutex<bool>,
     cv: Condvar,
+    /// The first panic payload any execution raised.
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
 }
 
-// SAFETY: `ctx` points at a closure the submitting thread keeps alive
-// until `pending` reaches zero (it blocks on `done` in `run`), and the
-// closure is required to be `Sync` at the only construction site.
+// SAFETY: the only non-thread-safe field is `ctx`, which points at a
+// `Sync` closure (the bound on `FanoutPool::run`). Workers dereference it
+// only inside `execute`, and the submitting caller blocks on the `done`
+// barrier until every `execute` has returned, so the closure is alive
+// and shared immutably for as long as any thread can reach it.
 unsafe impl Send for TaskState {}
+// SAFETY: shared references only read `ctx`, inside `execute`, which
+// every thread finishes before the `done` barrier releases the caller;
+// every other field is `Sync`.
 unsafe impl Sync for TaskState {}
 
 impl TaskState {
-    /// Claims one not-yet-run index, preferring `node`'s list and
-    /// stealing from subsequent nodes in order. `None` once exhausted.
-    fn claim(&self, node: usize) -> Option<usize> {
-        let nodes = self.lists.len();
-        for off in 0..nodes {
-            let n = (node + off) % nodes;
-            let c = self.cursors[n].fetch_add(1, Ordering::Relaxed);
-            if c < self.lists[n].len() {
-                return Some(self.lists[n][c]);
-            }
-        }
-        None
+    /// Claims one not-yet-run index. `None` once exhausted.
+    fn claim(&self) -> Option<usize> {
+        let c = self.cursor.fetch_add(1, Ordering::Relaxed);
+        self.indices.get(c).copied()
     }
 
     /// Whether every index has been claimed (not necessarily finished).
     fn exhausted(&self) -> bool {
-        self.cursors.iter().zip(&self.lists).all(|(c, l)| c.load(Ordering::Relaxed) >= l.len())
+        self.cursor.load(Ordering::Relaxed) >= self.indices.len()
     }
 
-    /// Runs one claimed index and signals the barrier on the last one.
+    /// Runs one claimed index, keeps its panic (if any) for the caller,
+    /// and signals the barrier on the last one.
     fn execute(&self, idx: usize) {
-        // SAFETY: see the Send/Sync justification — ctx is live and Sync.
-        unsafe { (self.run)(self.ctx, idx) };
+        // SAFETY: `idx` was claimed and has not finished, so `pending`
+        // has not reached zero and the caller has not passed the `done`
+        // barrier in `FanoutPool::run`: `ctx` points at its live `&F`, and
+        // `run` is the `call::<F>` built from that same `F`.
+        let out = catch_unwind(AssertUnwindSafe(|| unsafe { (self.run)(self.ctx, idx) }));
+        if let Err(payload) = out {
+            self.panic
+                .lock()
+                .expect("no code panics holding the payload lock")
+                .get_or_insert(payload);
+        }
         // AcqRel: release this execution's writes into the counter's RMW
         // chain; the final decrementer acquires them all before signaling.
         if self.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
@@ -177,8 +163,7 @@ pub struct FanoutPool {
 
 impl FanoutPool {
     /// A pool presenting `executors` total executors (clamped to ≥ 1):
-    /// the caller plus `executors - 1` resident workers, each pinned to
-    /// NUMA node `w % num_nodes` where placement is available.
+    /// the caller plus `executors - 1` resident workers.
     pub fn new(executors: usize) -> Self {
         let executors = executors.max(1);
         let inner = Arc::new(PoolInner {
@@ -190,11 +175,7 @@ impl FanoutPool {
                 let inner = Arc::clone(&inner);
                 std::thread::Builder::new()
                     .name(format!("gass-fanout-{w}"))
-                    .spawn(move || {
-                        let node = numa::node_of_worker(w);
-                        numa::pin_to_node(node);
-                        worker_loop(&inner, node);
-                    })
+                    .spawn(move || worker_loop(&inner))
                     .expect("spawn fan-out worker")
             })
             .collect();
@@ -206,72 +187,69 @@ impl FanoutPool {
         self.executors
     }
 
-    /// Runs `f(i)` once for every index in `lists` (one list per NUMA
-    /// node; workers prefer their own node's list) and returns after all
+    /// Runs `f(i)` once for every `i` in `indices` and returns after all
     /// executions finish. The caller claims work too, so completion never
-    /// waits on pool scheduling.
-    pub fn run<F>(&self, lists: Vec<Vec<usize>>, f: &F)
+    /// waits on pool scheduling. If any execution panics, the others still
+    /// run, and the first payload is re-raised here after the barrier.
+    pub fn run<F>(&self, indices: Vec<usize>, f: &F)
     where
         F: Fn(usize) + Sync,
     {
-        let total: usize = lists.iter().map(Vec::len).sum();
-        if total == 0 {
+        if indices.is_empty() {
             return;
         }
+        /// # Safety
+        /// `ctx` must come from an `&F` that is alive for the call.
         unsafe fn call<F: Fn(usize)>(ctx: *const (), i: usize) {
-            // SAFETY: ctx was erased from an `&F` that outlives the task.
+            // SAFETY: per the contract above; `TaskState::execute` calls
+            // this only while `run` is blocked on the task's barrier.
             unsafe { (*(ctx as *const F))(i) }
         }
-        let cursors = lists.iter().map(|_| AtomicUsize::new(0)).collect();
         let task = Arc::new(TaskState {
             ctx: f as *const F as *const (),
             run: call::<F>,
-            lists,
-            cursors,
-            pending: AtomicUsize::new(total),
+            pending: AtomicUsize::new(indices.len()),
+            indices,
+            cursor: AtomicUsize::new(0),
             done: Mutex::new(false),
             cv: Condvar::new(),
+            panic: Mutex::new(None),
         });
         {
             let mut q = self.inner.queue.lock().unwrap();
             q.tasks.push_back(Arc::clone(&task));
         }
         self.inner.cv.notify_all();
-        // The caller is executor 0: drain from node 0's list first.
-        while let Some(idx) = task.claim(0) {
+        while let Some(idx) = task.claim() {
             task.execute(idx);
         }
         let mut done = task.done.lock().unwrap();
         while !*done {
             done = task.cv.wait(done).unwrap();
         }
+        drop(done);
+        let panicked =
+            task.panic.lock().expect("no code panics holding the payload lock").take();
+        if let Some(payload) = panicked {
+            resume_unwind(payload);
+        }
     }
 
-    /// [`Self::run`] returning per-index results: slot `i` of the output
-    /// holds `Some(f(i))` for every `i` in `lists` (`None` for indices
-    /// `< n` the lists skip).
+    /// [`Self::run`] over the concatenated `lists`, returning per-index
+    /// results: slot `i` of the output holds `Some(f(i))` for every `i`
+    /// the lists name (`None` for indices `< n` they skip).
     pub fn map<R, F>(&self, lists: Vec<Vec<usize>>, n: usize, f: F) -> Vec<Option<R>>
     where
         R: Send,
         F: Fn(usize) -> R + Sync,
     {
-        use std::cell::UnsafeCell;
-        struct Slots<'a, R>(&'a [UnsafeCell<Option<R>>]);
-        // SAFETY: each slot is written by exactly one claimant (claim
-        // hands out every index once), and reads happen only after the
-        // run barrier.
-        unsafe impl<R: Send> Sync for Slots<'_, R> {}
-        impl<R> Slots<'_, R> {
-            fn set(&self, i: usize, v: R) {
-                // SAFETY: unique writer per slot, see the Sync impl.
-                unsafe { *self.0[i].get() = Some(v) };
-            }
-        }
-        let slots: Vec<UnsafeCell<Option<R>>> = (0..n).map(|_| UnsafeCell::new(None)).collect();
-        let view = Slots(&slots);
-        let view = &view;
-        self.run(lists, &|i| view.set(i, f(i)));
-        slots.into_iter().map(UnsafeCell::into_inner).collect()
+        const UNPOISONED: &str = "a slot is locked only to store a finished result";
+        let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
+        self.run(lists.concat(), &|i| {
+            let r = f(i);
+            *slots[i].lock().expect(UNPOISONED) = Some(r);
+        });
+        slots.into_iter().map(|s| s.into_inner().expect(UNPOISONED)).collect()
     }
 }
 
@@ -288,7 +266,7 @@ impl Drop for FanoutPool {
     }
 }
 
-fn worker_loop(inner: &PoolInner, node: usize) {
+fn worker_loop(inner: &PoolInner) {
     loop {
         let task = {
             let mut q = inner.queue.lock().unwrap();
@@ -305,7 +283,7 @@ fn worker_loop(inner: &PoolInner, node: usize) {
                 q = inner.cv.wait(q).unwrap();
             }
         };
-        while let Some(idx) = task.claim(node) {
+        while let Some(idx) = task.claim() {
             task.execute(idx);
         }
     }
@@ -357,7 +335,7 @@ mod tests {
         let pool = FanoutPool::new(1); // no pool threads: caller drains all
         for round in 0..3 {
             let hits = AtomicUsize::new(0);
-            pool.run(vec![(0..50).collect()], &|_| {
+            pool.run((0..50).collect(), &|_| {
                 hits.fetch_add(1, Ordering::Relaxed);
             });
             assert_eq!(hits.load(Ordering::Relaxed), 50, "round={round}");
@@ -370,16 +348,68 @@ mod tests {
         let pool = FanoutPool::new(4);
         for n in [0usize, 1, 5, 33] {
             let sum = AtomicUsize::new(0);
-            pool.run(vec![(0..n).collect()], &|i| {
+            pool.run((0..n).collect(), &|i| {
                 sum.fetch_add(i + 1, Ordering::Relaxed);
             });
             assert_eq!(sum.load(Ordering::Relaxed), n * (n + 1) / 2, "n={n}");
         }
     }
 
+    /// A probe that panics on a pool worker and one that panics on the
+    /// caller both reach the caller, only after every other index ran,
+    /// and leave the pool serving. Runs on a helper thread under a time
+    /// limit, so a lost barrier fails the test instead of hanging it. Uses
+    /// the shared pool where `GASS_FANOUT_WORKERS` configures one.
     #[test]
-    fn knobs_resolve_and_gate_the_shared_pool() {
-        set_fanout_enabled(true);
+    fn a_panicking_probe_propagates_to_the_caller_and_the_pool_survives() {
+        use std::time::{Duration, Instant};
+        const N: usize = 16;
+        let (tx, rx) = std::sync::mpsc::channel();
+        let helper = std::thread::spawn(move || {
+            let pool = shared_pool().unwrap_or_else(|| Arc::new(FanoutPool::new(2)));
+            let caller = std::thread::current().id();
+            // Side 0 is the caller, side 1 the pool worker.
+            for panicking_side in [1, 0] {
+                let ran: Vec<AtomicUsize> = (0..N).map(|_| AtomicUsize::new(0)).collect();
+                let started = [AtomicUsize::new(0), AtomicUsize::new(0)];
+                let out = catch_unwind(AssertUnwindSafe(|| {
+                    pool.map(vec![(0..N).collect()], N, |i| {
+                        let side = usize::from(std::thread::current().id() != caller);
+                        let first = started[side].fetch_add(1, Ordering::SeqCst) == 0;
+                        // Hold each side's first probe until the other side
+                        // has claimed one too, so both sides run work.
+                        let t0 = Instant::now();
+                        while started[1 - side].load(Ordering::SeqCst) == 0
+                            && t0.elapsed() < Duration::from_secs(5)
+                        {
+                            std::thread::yield_now();
+                        }
+                        if first && side == panicking_side {
+                            panic!("probe {i} fails on side {side}");
+                        }
+                        ran[i].fetch_add(1, Ordering::SeqCst);
+                    })
+                }));
+                let ran: usize = ran.iter().map(|r| r.load(Ordering::SeqCst)).sum();
+                tx.send((out.is_err(), ran)).unwrap();
+            }
+            let next = pool.map(vec![(0..8).collect()], 8, |i| i + 1);
+            tx.send((false, next.into_iter().flatten().sum())).unwrap();
+        });
+        let limit = Duration::from_secs(10);
+        for side in ["worker", "caller"] {
+            let (caught, ran) =
+                rx.recv_timeout(limit).unwrap_or_else(|_| panic!("a {side}-side panic wedged"));
+            assert!(caught, "a {side}-side panic must reach the caller");
+            assert_eq!(ran, N - 1, "every other index runs after a {side}-side panic");
+        }
+        let (_, sum) = rx.recv_timeout(limit).expect("the pool stopped serving");
+        assert_eq!(sum, (1..=8).sum::<usize>(), "the same pool answers the next map");
+        helper.join().expect("the helper thread finished");
+    }
+
+    #[test]
+    fn one_knob_resolves_and_gates_the_shared_pool() {
         set_fanout_workers(1);
         assert_eq!(fanout_workers(), 1);
         assert!(shared_pool().is_none(), "one executor means the sequential loop");
@@ -394,10 +424,10 @@ mod tests {
         let c = shared_pool().unwrap();
         assert_eq!(c.executors(), 2, "count change rebuilds the pool");
 
-        set_fanout_enabled(false);
-        assert_eq!(fanout_workers(), 1);
-        assert!(shared_pool().is_none(), "A/B toggle forces sequential");
         set_fanout_enabled(true);
-        set_fanout_workers(1);
+        assert_eq!(fanout_workers(), 2, "the retired toggle's `true` keeps the count");
+        set_fanout_enabled(false);
+        assert_eq!(fanout_workers(), 1, "the retired toggle's `false` is one worker");
+        assert!(shared_pool().is_none());
     }
 }

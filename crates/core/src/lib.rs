@@ -34,7 +34,6 @@ pub mod kmeans;
 pub mod mmap;
 pub mod nd;
 pub mod neighbor;
-pub mod numa;
 pub mod par;
 pub mod persist;
 pub mod quant;
@@ -52,7 +51,8 @@ pub use distance::{
     simd_backend, DistCounter, QuantView, Space,
 };
 pub use fanout::{
-    fanout_enabled, fanout_workers, set_fanout_enabled, set_fanout_workers, FanoutPool,
+    fanout_workers, num_nodes, set_fanout_enabled, set_fanout_workers, set_numa_enabled,
+    FanoutPool,
 };
 pub use graph::{AdjacencyGraph, CsrGraph, FlatGraph, GraphView};
 pub use index::{
@@ -63,7 +63,6 @@ pub use kmeans::{balanced_kmeans, kmeans as kmeans_cluster, maximin_lloyd, Clust
 pub use mmap::{mmap_enabled, MmapBuf, MmapRegion};
 pub use nd::NdStrategy;
 pub use neighbor::{BoundedMaxHeap, Neighbor, SortedBuffer};
-pub use numa::{num_nodes, numa_enabled, pin_to_node, run_on_node, set_numa_enabled};
 pub use par::{
     bounded_prefix_batches, effective_threads, par_for, par_map, par_map_with, par_workers,
     prefix_doubling_batches, ConcurrentAdjacency,

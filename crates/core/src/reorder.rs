@@ -36,9 +36,6 @@ pub enum ReorderStrategy {
     /// index that was never reordered.
     #[default]
     None,
-    /// Sort nodes by out-degree, descending (hubs first). Ties keep
-    /// construction order.
-    DegreeDesc,
     /// Breadth-first order seeded from the method's entry point(s);
     /// unreached components are traversed from the lowest remaining id.
     Bfs,
@@ -46,29 +43,19 @@ pub enum ReorderStrategy {
     /// degree order, final order reversed. The classic bandwidth-
     /// minimizing ordering for sparse matrices.
     Rcm,
-    /// Pack the top-degree hubs first, then each hub's neighborhood, then
-    /// the remainder in degree order.
-    HubCluster,
 }
 
 impl ReorderStrategy {
     /// All strategies, in sweep order.
-    pub const ALL: [ReorderStrategy; 5] = [
-        ReorderStrategy::None,
-        ReorderStrategy::DegreeDesc,
-        ReorderStrategy::Bfs,
-        ReorderStrategy::Rcm,
-        ReorderStrategy::HubCluster,
-    ];
+    pub const ALL: [ReorderStrategy; 3] =
+        [ReorderStrategy::None, ReorderStrategy::Bfs, ReorderStrategy::Rcm];
 
     /// Canonical lowercase name (accepted back by [`FromStr`]).
     pub fn as_str(&self) -> &'static str {
         match self {
             ReorderStrategy::None => "none",
-            ReorderStrategy::DegreeDesc => "degree",
             ReorderStrategy::Bfs => "bfs",
             ReorderStrategy::Rcm => "rcm",
-            ReorderStrategy::HubCluster => "hub",
         }
     }
 }
@@ -85,13 +72,9 @@ impl FromStr for ReorderStrategy {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s.to_ascii_lowercase().as_str() {
             "none" | "off" => Ok(ReorderStrategy::None),
-            "degree" | "degree_desc" | "degreedesc" => Ok(ReorderStrategy::DegreeDesc),
             "bfs" => Ok(ReorderStrategy::Bfs),
             "rcm" => Ok(ReorderStrategy::Rcm),
-            "hub" | "hubcluster" | "hub_cluster" => Ok(ReorderStrategy::HubCluster),
-            other => Err(format!(
-                "unknown reorder strategy '{other}' (expected none|degree|bfs|rcm|hub)"
-            )),
+            other => Err(format!("unknown reorder strategy '{other}' (expected none|bfs|rcm)")),
         }
     }
 }
@@ -193,19 +176,12 @@ pub fn compute_permutation<G: GraphView + ?Sized>(
     let n = graph.num_nodes();
     let order: Vec<u32> = match strategy {
         ReorderStrategy::None => (0..n as u32).collect(),
-        ReorderStrategy::DegreeDesc => {
-            let mut ids: Vec<u32> = (0..n as u32).collect();
-            // Stable: equal degrees keep construction order.
-            ids.sort_by_key(|&u| std::cmp::Reverse(graph.neighbors(u).len()));
-            ids
-        }
         ReorderStrategy::Bfs => bfs_order(graph, entries, false),
         ReorderStrategy::Rcm => {
             let mut order = bfs_order(graph, entries, true);
             order.reverse();
             order
         }
-        ReorderStrategy::HubCluster => hub_cluster_order(graph),
     };
     IdRemap::from_new_to_old(order).expect("computed order is a permutation")
 }
@@ -258,37 +234,6 @@ fn bfs_order<G: GraphView + ?Sized>(graph: &G, entries: &[u32], by_degree: bool)
         }
         if order.len() == n {
             break;
-        }
-    }
-    order
-}
-
-/// Hubs (top ~3% by degree) first, then each hub's unplaced neighborhood,
-/// then the remainder in degree order.
-fn hub_cluster_order<G: GraphView + ?Sized>(graph: &G) -> Vec<u32> {
-    let n = graph.num_nodes();
-    let mut by_degree: Vec<u32> = (0..n as u32).collect();
-    by_degree.sort_by_key(|&u| std::cmp::Reverse(graph.neighbors(u).len()));
-    let hub_count = (n / 32).max(1).min(n);
-    let mut placed = vec![false; n];
-    let mut order: Vec<u32> = Vec::with_capacity(n);
-    for &h in &by_degree[..hub_count] {
-        placed[h as usize] = true;
-        order.push(h);
-    }
-    for hi in 0..hub_count {
-        let h = order[hi];
-        for &v in graph.neighbors(h) {
-            if !placed[v as usize] {
-                placed[v as usize] = true;
-                order.push(v);
-            }
-        }
-    }
-    for &u in &by_degree {
-        if !placed[u as usize] {
-            placed[u as usize] = true;
-            order.push(u);
         }
     }
     order
@@ -597,22 +542,6 @@ mod tests {
     }
 
     #[test]
-    fn degree_desc_places_hubs_first() {
-        let mut g = AdjacencyGraph::new(8);
-        // Node 5 is a hub connected to everyone.
-        for i in 0..8u32 {
-            if i != 5 {
-                g.add_undirected(5, i);
-            }
-        }
-        let csr = CsrGraph::from_view(&g);
-        for s in [ReorderStrategy::DegreeDesc, ReorderStrategy::HubCluster] {
-            let map = compute_permutation(&csr, s, &[]);
-            assert_eq!(map.to_old(0), 5, "{s} must place the hub first");
-        }
-    }
-
-    #[test]
     fn compose_chains_two_remaps() {
         let a = IdRemap::from_new_to_old(vec![2, 0, 1]).unwrap();
         let b = IdRemap::from_new_to_old(vec![1, 2, 0]).unwrap();
@@ -628,6 +557,10 @@ mod tests {
         for s in ReorderStrategy::ALL {
             assert_eq!(s.as_str().parse::<ReorderStrategy>().unwrap(), s);
         }
-        assert!("bogus".parse::<ReorderStrategy>().is_err());
+        // Bogus names and the removed `degree` / `hub` strategies are named errors.
+        for bad in ["bogus", "degree", "hub"] {
+            let err = bad.parse::<ReorderStrategy>().unwrap_err();
+            assert!(err.contains(bad) && err.contains("none|bfs|rcm"), "{err}");
+        }
     }
 }

@@ -23,8 +23,7 @@
 //! At query time the planned probes either run sequentially on the
 //! caller or fan out across the resident [`crate::fanout::FanoutPool`]
 //! (when `--fanout-workers`/[`crate::fanout::set_fanout_workers`] asks
-//! for more than one executor), with workers pinned to each shard's home
-//! NUMA node ([`crate::numa`]). Both paths merge per-shard results in
+//! for more than one executor). Both paths merge per-shard results in
 //! ranked-centroid order and are observationally identical — same
 //! neighbors, same distance bits, same counter totals.
 //!
@@ -45,7 +44,6 @@ use crate::graph::FlatGraph;
 use crate::index::{AnnIndex, IndexStats, PrebuiltIndex, QueryParams};
 use crate::kmeans;
 use crate::neighbor::{BoundedMaxHeap, Neighbor};
-use crate::numa;
 use crate::par::{par_for_each_mut, par_map};
 use crate::persist::{self, PersistError, ShardTable};
 use crate::search::{SearchResult, SearchScratch, SearchStats};
@@ -135,10 +133,6 @@ struct Shard {
     /// shard's own store, which [`PrebuiltIndex`] already reports in
     /// *original* (pre-reorder) local space.
     to_global: Vec<u32>,
-    /// The NUMA node this shard's serving state was first-touched on
-    /// (`shard % num_nodes`); fan-out workers prefer probes whose shard
-    /// lives on their node. `0` everywhere placement is a no-op.
-    home_node: usize,
 }
 
 /// A balanced-k-means-partitioned collection of per-shard graph indexes
@@ -185,7 +179,6 @@ impl ShardedIndex {
             Ok::<_, Infallible>(Shard {
                 index: PrebuiltIndex::new(sub, graph, seeds, format!("shard-{s}")),
                 to_global: shard_ids[s].clone(),
-                home_node: numa::node_of_worker(s),
             })
         };
         let Ok(shards) = build_shards(store, params, &shard_ids, &build, finish);
@@ -268,14 +261,9 @@ impl ShardedIndex {
         self.for_each_shard_mut(PrebuiltIndex::align_store);
     }
 
-    /// One ladder step over every shard, `threads` shards at a time. Ladder
-    /// steps allocate fresh serving arenas (aligned rows, CSR slabs, codec
-    /// rows, permuted stores); running each pinned to its shard's home node
-    /// is what places the pages the probes will walk.
+    /// One ladder step over every shard, `threads` shards at a time.
     fn for_each_shard_mut(&mut self, step: impl Fn(&mut PrebuiltIndex) + Sync) {
-        par_for_each_mut(self.threads, &mut self.shards, |shard| {
-            numa::run_on_node(shard.home_node, || step(&mut shard.index))
-        });
+        par_for_each_mut(self.threads, &mut self.shards, |shard| step(&mut shard.index));
     }
 
     /// Reassembles the full dataset in global id order by gathering every
@@ -356,9 +344,8 @@ impl ShardedIndex {
 
     /// Runs `f` once per shard in `plan`, returning results in plan
     /// order. With a configured fan-out pool and more than one planned
-    /// shard, the jobs run concurrently, grouped by each shard's home
-    /// node so pinned workers probe local memory; otherwise this is the
-    /// plain sequential loop. Either way the output order (and therefore
+    /// shard, the jobs run concurrently; otherwise this is the plain
+    /// sequential loop. Either way the output order (and therefore
     /// every downstream merge) is identical — per-shard work is
     /// independent and deterministic, and `DistCounter` totals commute.
     fn for_each_planned<R, F>(&self, plan: &[usize], f: F) -> Vec<R>
@@ -368,13 +355,8 @@ impl ShardedIndex {
     {
         if plan.len() > 1 {
             if let Some(pool) = fanout::shared_pool() {
-                let nodes = numa::num_nodes();
-                let mut lists: Vec<Vec<usize>> = vec![Vec::new(); nodes];
-                for (rank, &s) in plan.iter().enumerate() {
-                    lists[self.shards[s].home_node % nodes].push(rank);
-                }
                 return pool
-                    .map(lists, plan.len(), |rank| f(plan[rank]))
+                    .map(vec![(0..plan.len()).collect()], plan.len(), |rank| f(plan[rank]))
                     .into_iter()
                     .map(|r| r.expect("every planned shard job ran"))
                     .collect();
@@ -555,20 +537,15 @@ impl ShardedIndex {
             return Err(PersistError::Truncated);
         }
         let centroids = VectorStore::from_flat(dim, table.centroids).to_aligned();
-        // Parse (or map) each shard's serving state pinned to its home
-        // node so heap-parsed pages land locally; mapped stores fault in
-        // later from the node-pinned probe workers instead.
         let ids = &table.shard_ids;
         let opened = par_map(threads, ids.len(), |s| {
-            numa::run_on_node(numa::node_of_worker(s), || {
-                let (store_path, graph_path) = shard_paths(dir, s);
-                let store = persist::open_store(&store_path)?;
-                let graph = persist::load_flat_graph(&graph_path)?;
-                if store.len() != ids[s].len() || store.dim() != dim {
-                    return Err(PersistError::Truncated);
-                }
-                Ok((store, graph))
-            })
+            let (store_path, graph_path) = shard_paths(dir, s);
+            let store = persist::open_store(&store_path)?;
+            let graph = persist::load_flat_graph(&graph_path)?;
+            if store.len() != ids[s].len() || store.dim() != dim {
+                return Err(PersistError::Truncated);
+            }
+            Ok((store, graph))
         });
         let mut shards = Vec::with_capacity(ids.len());
         for (s, (ids, opened)) in table.shard_ids.into_iter().zip(opened).enumerate() {
@@ -580,7 +557,6 @@ impl ShardedIndex {
             shards.push(Shard {
                 index: PrebuiltIndex::new(store, graph, seeds, format!("shard-{s}")),
                 to_global: ids,
-                home_node: numa::node_of_worker(s),
             });
         }
         let nprobe = AtomicUsize::new(table.nprobe.clamp(1, shards.len()));
@@ -716,12 +692,11 @@ impl AnnIndex for ShardedIndex {
 }
 
 /// The shard-worker loop both build paths share: subset, `build` and
-/// `finish` every shard, [`ShardedParams::threads`] at a time, each pinned
-/// to its home node (first touch of the shard's store and graph arenas;
-/// see [`crate::numa`]). A worker holds one shard at a time — whatever
-/// `finish` does not return is dropped before its next. Results come back
-/// in shard order; after a failure no worker starts another shard and the
-/// first error in shard order wins.
+/// `finish` every shard, [`ShardedParams::threads`] at a time. A worker
+/// holds one shard at a time — whatever `finish` does not return is
+/// dropped before its next. Results come back in shard order; after a
+/// failure no worker starts another shard and the first error in shard
+/// order wins.
 fn build_shards<R, E, F, G>(
     store: &VectorStore,
     params: &ShardedParams,
@@ -740,11 +715,9 @@ where
         if failed.load(Ordering::Relaxed) {
             return None;
         }
-        let result = numa::run_on_node(numa::node_of_worker(s), || {
-            let sub = store.subset(&shard_ids[s]);
-            let (graph, seeds) = build(s, &sub);
-            finish(s, sub, graph, seeds)
-        });
+        let sub = store.subset(&shard_ids[s]);
+        let (graph, seeds) = build(s, &sub);
+        let result = finish(s, sub, graph, seeds);
         if result.is_err() {
             failed.store(true, Ordering::Relaxed);
         }

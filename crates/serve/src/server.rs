@@ -520,11 +520,6 @@ fn worker_loop(
     // Distinct stripes guaranteed: the index's ScratchPool is striped at
     // least 8 ways and `hash` collisions are replaced by the worker id.
     gass_core::pin_scratch_home(w);
-    // Shard-affine execution on multi-node hosts: executor `w` runs on
-    // node `w % nodes`, matching the sharded index's round-robin home
-    // placement, so its probes (and any fan-out it triggers) walk local
-    // memory. A no-op on single-node hosts and off Linux.
-    gass_core::pin_to_node(gass_core::numa::node_of_worker(w));
     let mut batch: Vec<Job> = Vec::with_capacity(max_batch);
     let mut live: Vec<Job> = Vec::with_capacity(max_batch);
     let mut queries: Vec<(Vec<f32>, QueryParams)> = Vec::with_capacity(max_batch);

@@ -2,8 +2,7 @@
 //!
 //! The build environment has no registry access, so this shim declares
 //! exactly the subset the workspace uses: the memory-mapping calls behind
-//! `gass-core::mmap` and the scheduler-affinity calls behind
-//! `gass-core::numa`. No code is vendored: `std` already links the
+//! `gass-core::mmap`. No code is vendored: `std` already links the
 //! platform C library, so an `extern "C"` block is all a binding needs —
 //! the loader resolves the symbols from the same `libc.so`/`libSystem`
 //! the real crate would.
@@ -37,31 +36,6 @@ pub const MADV_RANDOM: c_int = 1;
 pub const MADV_SEQUENTIAL: c_int = 2;
 /// Expect access soon (fault pages in ahead of use).
 pub const MADV_WILLNEED: c_int = 3;
-
-/// C `pid_t` (thread/process id; `0` means the calling thread for the
-/// affinity calls below).
-#[cfg(target_os = "linux")]
-pub type pid_t = i32;
-
-/// CPU affinity mask covering the kernel ABI default of 1024 CPUs
-/// (`CPU_SETSIZE`), as an array of bit words. The real crate hides the
-/// field behind `CPU_SET` macros; the workspace manipulates the bits
-/// directly, so the shim exposes them.
-#[cfg(target_os = "linux")]
-#[derive(Clone, Copy)]
-#[repr(C)]
-pub struct cpu_set_t {
-    /// One bit per CPU, little-endian within each word.
-    pub bits: [u64; 16],
-}
-
-#[cfg(target_os = "linux")]
-extern "C" {
-    /// Restricts `pid` (0 = calling thread) to the CPUs set in `mask`.
-    pub fn sched_setaffinity(pid: pid_t, cpusetsize: size_t, mask: *const cpu_set_t) -> c_int;
-    /// Reads `pid`'s (0 = calling thread) current CPU affinity mask.
-    pub fn sched_getaffinity(pid: pid_t, cpusetsize: size_t, mask: *mut cpu_set_t) -> c_int;
-}
 
 #[cfg(unix)]
 extern "C" {
