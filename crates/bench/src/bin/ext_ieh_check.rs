@@ -14,7 +14,7 @@ use gass_bench::{beam_sweep, num_queries, results_dir, tiers};
 use gass_core::index::AnnIndex;
 use gass_data::DatasetKind;
 use gass_eval::{sweep, Table};
-use gass_graphs::{EfannaIndex, EfannaParams, IehIndex, IehParams, KGraphIndex, KGraphParams};
+use gass_graphs::{efanna, ieh, kgraph, EfannaParams, IehParams, KGraphParams};
 
 fn main() {
     let n = tiers()[0].n;
@@ -23,9 +23,9 @@ fn main() {
     let truth = gass_data::ground_truth(&base, &queries, k);
     println!("Extension: IEH vs EFANNA vs KGraph on Deep (n={n})\n");
 
-    let ieh = IehIndex::build(base.clone(), IehParams::small());
-    let efanna = EfannaIndex::build(base.clone(), EfannaParams::small());
-    let kgraph = KGraphIndex::build(base.clone(), KGraphParams::small());
+    let ieh = ieh::build(base.clone(), IehParams::small());
+    let efanna = efanna::build(base.clone(), EfannaParams::small());
+    let kgraph = kgraph::build(base.clone(), KGraphParams::small());
 
     let mut table = Table::new(vec!["method", "build_dists", "L", "recall", "dists_per_query"]);
     let indexes: Vec<(&dyn AnnIndex, u64)> = vec![

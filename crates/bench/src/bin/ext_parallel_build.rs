@@ -23,9 +23,7 @@ use gass_core::distance::DistCounter;
 use gass_core::index::{AnnIndex, QueryParams};
 use gass_data::DatasetKind;
 use gass_eval::recall_at_k;
-use gass_graphs::{
-    HnswIndex, HnswParams, KGraphIndex, KGraphParams, VamanaIndex, VamanaParams,
-};
+use gass_graphs::{kgraph, vamana, HnswIndex, HnswParams, KGraphParams, VamanaParams};
 use std::time::Instant;
 
 const K: usize = 10;
@@ -86,7 +84,7 @@ fn main() {
         ("vamana", {
             let base = base.clone();
             Box::new(move |t| {
-                let idx = VamanaIndex::build(
+                let idx = vamana::build(
                     base.clone(),
                     VamanaParams { threads: t, ..VamanaParams::small() },
                 );
@@ -97,7 +95,7 @@ fn main() {
         ("kgraph", {
             let base = base.clone();
             Box::new(move |t| {
-                let idx = KGraphIndex::build(
+                let idx = kgraph::build(
                     base.clone(),
                     KGraphParams { threads: t, ..KGraphParams::small() },
                 );

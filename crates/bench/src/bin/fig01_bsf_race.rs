@@ -15,7 +15,7 @@ use gass_core::distance::{DistCounter, Space};
 use gass_core::index::{AnnIndex, QueryParams};
 use gass_data::DatasetKind;
 use gass_eval::Table;
-use gass_graphs::{EfannaIndex, EfannaParams, ElpisIndex, ElpisParams};
+use gass_graphs::{efanna, EfannaParams, ElpisIndex, ElpisParams};
 
 fn main() {
     let n = tiers()[2].n;
@@ -23,7 +23,7 @@ fn main() {
     println!("Figure 1: best-so-far race on ImageNet-like, n={n}\n");
 
     let elpis = ElpisIndex::build(base.clone(), ElpisParams::small());
-    let efanna = EfannaIndex::build(base.clone(), EfannaParams::small());
+    let efanna = efanna::build(base.clone(), EfannaParams::small());
 
     let mut table = Table::new(vec!["method", "mean_ms_to_answer", "answers_match_exact"]);
     let mut rows: Vec<(String, f64, usize)> = Vec::new();

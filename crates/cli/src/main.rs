@@ -214,7 +214,7 @@ fn build_graph(
                 threads: t_serial,
                 ..graphs::VamanaParams::small()
             };
-            graphs::VamanaIndex::build(store, p).graph().clone()
+            graphs::vamana::build(store, p).graph().clone()
         }
         "nsg" => {
             let p = graphs::NsgParams {
@@ -227,7 +227,7 @@ fn build_graph(
                 },
                 ..graphs::NsgParams::small()
             };
-            graphs::NsgIndex::build(store, p).graph().clone()
+            graphs::nsg::build(store, p).graph().clone()
         }
         "ssg" => {
             let p = graphs::SsgParams {
@@ -240,48 +240,48 @@ fn build_graph(
                 },
                 ..graphs::SsgParams::small()
             };
-            graphs::SsgIndex::build(store, p).graph().clone()
+            graphs::ssg::build(store, p).graph().clone()
         }
         "kgraph" => {
             let p =
                 graphs::KGraphParams { seed, threads: t_auto, ..graphs::KGraphParams::small() };
-            graphs::KGraphIndex::build(store, p).graph().clone()
+            graphs::kgraph::build(store, p).graph().clone()
         }
         "efanna" => {
             let p =
                 graphs::EfannaParams { seed, threads: t_auto, ..graphs::EfannaParams::small() };
-            graphs::EfannaIndex::build(store, p).graph().clone()
+            graphs::efanna::build(store, p).graph().clone()
         }
         "dpg" => {
             let p = graphs::DpgParams { seed, threads: t_auto, ..graphs::DpgParams::small() };
-            adj_to_flat(graphs::DpgIndex::build(store, p).graph())
+            adj_to_flat(graphs::dpg::build(store, p).graph())
         }
         "ngt" => {
             let p = graphs::NgtParams { seed, ..graphs::NgtParams::small() };
-            adj_to_flat(graphs::NgtIndex::build(store, p).graph())
+            adj_to_flat(graphs::ngt::build(store, p).graph())
         }
         "sptag-kdt" => {
             let p = graphs::SptagParams {
                 seed,
                 ..graphs::SptagParams::small(graphs::SptagVariant::Kdt)
             };
-            graphs::SptagIndex::build(store, p).graph().clone()
+            graphs::sptag::build(store, p).graph().clone()
         }
         "sptag-bkt" => {
             let p = graphs::SptagParams {
                 seed,
                 ..graphs::SptagParams::small(graphs::SptagVariant::Bkt)
             };
-            graphs::SptagIndex::build(store, p).graph().clone()
+            graphs::sptag::build(store, p).graph().clone()
         }
         "hcnng" => {
             let p =
                 graphs::HcnngParams { seed, threads: t_auto, ..graphs::HcnngParams::small() };
-            adj_to_flat(graphs::HcnngIndex::build(store, p).graph())
+            adj_to_flat(graphs::hcnng::build(store, p).graph())
         }
         "nsw" => {
             let p = graphs::NswParams { seed, ..graphs::NswParams::small() };
-            adj_to_flat(graphs::NswIndex::build(store, p).graph())
+            adj_to_flat(graphs::nsw::build(store, p).graph())
         }
         "ii-rnd" => {
             let p = graphs::IiParams {
@@ -306,6 +306,20 @@ fn build_graph(
             ))
         }
     })
+}
+
+/// Loads the graph file at `path` for serving over `store`: a graph built
+/// over another store is a named error naming both counts, not a panic.
+fn load_graph_for(store: &VectorStore, path: &str) -> Result<FlatGraph, String> {
+    let graph = persist::load_flat_graph(Path::new(path)).map_err(|e| e.to_string())?;
+    if graph.num_nodes() != store.len() {
+        return Err(format!(
+            "graph has {} nodes but the store has {} vectors",
+            graph.num_nodes(),
+            store.len()
+        ));
+    }
+    Ok(graph)
 }
 
 fn run(args: Args) -> Result<(), String> {
@@ -536,10 +550,10 @@ fn run(args: Args) -> Result<(), String> {
                             args.require("store").map_err(|e| e.to_string())?,
                         ))
                         .map_err(|e| e.to_string())?;
-                        let graph = persist::load_flat_graph(Path::new(
+                        let graph = load_graph_for(
+                            &store,
                             args.require("graph").map_err(|e| e.to_string())?,
-                        ))
-                        .map_err(|e| e.to_string())?;
+                        )?;
                         let n = store.len();
                         let truth = gass_data::ground_truth(&store, &queries, k);
                         let mut idx = PrebuiltIndex::new(
@@ -752,18 +766,7 @@ fn run(args: Args) -> Result<(), String> {
                     let graph_path: Option<String> =
                         args.get_opt("graph").map_err(|e| e.to_string())?;
                     let (graph, label) = match graph_path {
-                        Some(p) => {
-                            let g = persist::load_flat_graph(Path::new(&p))
-                                .map_err(|e| e.to_string())?;
-                            if g.num_nodes() != store.len() {
-                                return Err(format!(
-                                    "graph has {} nodes but the store has {} vectors",
-                                    g.num_nodes(),
-                                    store.len()
-                                ));
-                            }
-                            (g, "loaded".to_string())
-                        }
+                        Some(p) => (load_graph_for(&store, &p)?, "loaded".to_string()),
                         None => {
                             let method: String = args
                                 .get_or("method", "hnsw".into())

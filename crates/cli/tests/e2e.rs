@@ -643,6 +643,54 @@ fn rejects_pq_m_not_dividing_dim() {
 }
 
 #[test]
+fn query_rejects_a_graph_built_over_another_store() {
+    let dir = std::env::temp_dir().join("gass_cli_e2e_mismatch");
+    std::fs::create_dir_all(&dir).unwrap();
+    let (small, large) = (dir.join("small.store.gass"), dir.join("large.store.gass"));
+    let graph = dir.join("large.hnsw.gass");
+    for (n, store) in [("200", &small), ("300", &large)] {
+        run_ok(gass().args([
+            "generate",
+            "--dataset",
+            "deep",
+            "--n",
+            n,
+            "--seed",
+            "5",
+            "--out",
+            store.to_str().unwrap(),
+        ]));
+    }
+    run_ok(gass().args([
+        "build",
+        "--method",
+        "hnsw",
+        "--store",
+        large.to_str().unwrap(),
+        "--out",
+        graph.to_str().unwrap(),
+    ]));
+    // A 300-node graph over a 200-vector store: a named error naming both
+    // counts, not a panic.
+    let out = gass()
+        .args([
+            "query",
+            "--store",
+            small.to_str().unwrap(),
+            "--graph",
+            graph.to_str().unwrap(),
+            "--queries",
+            small.to_str().unwrap(),
+        ])
+        .output()
+        .unwrap();
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("300") && err.contains("200"), "unhelpful mismatch error: {err}");
+    assert!(!err.contains("panicked"), "mismatch must not panic: {err}");
+}
+
+#[test]
 fn helpful_errors() {
     let out = gass().args(["frobnicate"]).output().unwrap();
     assert!(!out.status.success());

@@ -28,6 +28,8 @@ pub trait GraphView {
     fn num_nodes(&self) -> usize;
     /// Out-neighbors of `node`.
     fn neighbors(&self, node: u32) -> &[u32];
+    /// Heap bytes the layout holds (Figures 8–9 count it as graph memory).
+    fn heap_bytes(&self) -> usize;
 
     /// Total number of directed edges.
     fn num_edges(&self) -> usize {
@@ -132,13 +134,6 @@ impl AdjacencyGraph {
         }
     }
 
-    /// Heap bytes used by the adjacency lists.
-    pub fn heap_bytes(&self) -> usize {
-        let lists: usize =
-            self.adj.iter().map(|l| l.capacity() * std::mem::size_of::<u32>()).sum();
-        lists + self.adj.capacity() * std::mem::size_of::<Vec<u32>>()
-    }
-
     /// Nodes reachable from `start` (BFS). Used by connectivity repair
     /// (NSG/SSG) and by tests.
     pub fn reachable_from(&self, start: u32) -> Vec<bool> {
@@ -176,6 +171,12 @@ impl GraphView for AdjacencyGraph {
     fn neighbors(&self, node: u32) -> &[u32] {
         &self.adj[node as usize]
     }
+
+    fn heap_bytes(&self) -> usize {
+        let lists: usize =
+            self.adj.iter().map(|l| l.capacity() * std::mem::size_of::<u32>()).sum();
+        lists + self.adj.capacity() * std::mem::size_of::<Vec<u32>>()
+    }
 }
 
 /// Immutable contiguous-layout graph: `slots` entries reserved per node, a
@@ -210,12 +211,6 @@ impl FlatGraph {
     pub fn slots(&self) -> usize {
         self.slots
     }
-
-    /// Heap bytes used by the flat layout (counts + edge block).
-    pub fn heap_bytes(&self) -> usize {
-        self.counts.capacity() * std::mem::size_of::<u32>()
-            + self.edges.capacity() * std::mem::size_of::<u32>()
-    }
 }
 
 impl GraphView for FlatGraph {
@@ -228,6 +223,11 @@ impl GraphView for FlatGraph {
     fn neighbors(&self, node: u32) -> &[u32] {
         let base = node as usize * self.slots;
         &self.edges[base..base + self.counts[node as usize] as usize]
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.counts.capacity() * std::mem::size_of::<u32>()
+            + self.edges.capacity() * std::mem::size_of::<u32>()
     }
 }
 
@@ -268,11 +268,6 @@ impl CsrGraph {
         Self { offsets, neighbors }
     }
 
-    /// Heap bytes used by the CSR arrays.
-    pub fn heap_bytes(&self) -> usize {
-        (self.offsets.capacity() + self.neighbors.capacity()) * std::mem::size_of::<u32>()
-    }
-
     /// Relabels the graph through `map`: the node now labeled `u` gets the
     /// neighbor list of the node previously labeled `map.to_old(u)`, with
     /// every neighbor id rewritten to its new label. Neighbor order within
@@ -303,6 +298,10 @@ impl GraphView for CsrGraph {
         let lo = self.offsets[node as usize] as usize;
         let hi = self.offsets[node as usize + 1] as usize;
         &self.neighbors[lo..hi]
+    }
+
+    fn heap_bytes(&self) -> usize {
+        (self.offsets.capacity() + self.neighbors.capacity()) * std::mem::size_of::<u32>()
     }
 
     #[inline]

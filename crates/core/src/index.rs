@@ -1,5 +1,7 @@
-//! The common index interface every method implements, and the scratch
-//! pool that makes concurrent querying allocation-free.
+//! The common index interface every method answers through, the one
+//! index type every graph-plus-seeds method is served by
+//! ([`PrebuiltIndex`]), and the scratch pool that makes concurrent
+//! querying allocation-free.
 //!
 //! The paper evaluates twelve methods under one procedure: build, then
 //! answer k-NN queries at a given beam width while counting distance
@@ -7,6 +9,7 @@
 //! harness (`gass-eval`) and every figure/table bin are generic over it.
 
 use crate::distance::{DistCounter, Space};
+use crate::graph::GraphView;
 use crate::search::{SearchResult, SearchScratch};
 use std::sync::Mutex;
 
@@ -97,6 +100,16 @@ pub struct IndexStats {
     pub aux_bytes: usize,
 }
 
+/// What a build cost: wall-clock seconds and counted distance calls
+/// (Figures 7–8 and Table 2 inputs).
+#[derive(Clone, Copy, Debug, Default)]
+pub struct BuildReport {
+    /// Wall-clock construction time in seconds.
+    pub seconds: f64,
+    /// Distance evaluations performed during construction.
+    pub dist_calcs: u64,
+}
+
 /// A built approximate-nearest-neighbor index.
 ///
 /// Implementations own their `VectorStore`; the query-time distance counter
@@ -181,8 +194,9 @@ pub trait AnnIndex: Send + Sync {
 
     /// Relabels the serving state with a locality-preserving permutation
     /// (see [`crate::reorder`]): forces a [`Self::freeze`], permutes the
-    /// CSR graph, the vector rows, and the SQ8 codes together, and remaps
-    /// the method's seed structures. Search results keep reporting
+    /// CSR graph, the vector rows, and the codes of whichever codec is
+    /// installed (SQ8, SQ4 or PQ) together, and remaps the method's seed
+    /// structures. Search results keep reporting
     /// *original* ids; with [`crate::reorder::ReorderStrategy::None`] the
     /// call is a no-op and the index stays bit-identical. A no-op for
     /// indexes with nothing to reorder (e.g. the serial scan).
@@ -212,12 +226,11 @@ const SCRATCH_SHARDS_MIN: usize = 8;
 /// The stripe count is sized from the host's worker count (every core may
 /// host a serving thread), with a floor of 8 — a fixed stripe count would
 /// re-introduce borrow contention as soon as `--threads` exceeds it.
-/// [`ScratchPool::with_shards`] pins an explicit count (the serve-crate
-/// executors use one stripe per worker).
 ///
 /// Each thread hashes its id to a *home shard* and borrows/returns there,
 /// so under the parallel serving mode ([`search_batch_parallel`]) distinct
-/// threads almost always touch distinct mutexes. Borrowing falls back to
+/// threads almost always touch distinct mutexes; the serve-crate executors
+/// pin distinct home stripes instead ([`pin_scratch_home`]). Borrowing falls back to
 /// scanning the other shards (`try_lock`, never blocking) before
 /// allocating fresh scratch.
 #[derive(Debug)]
@@ -227,7 +240,7 @@ pub struct ScratchPool {
 
 impl Default for ScratchPool {
     fn default() -> Self {
-        Self::with_shards(crate::par::effective_threads(0))
+        Self::new()
     }
 }
 
@@ -260,15 +273,9 @@ pub fn pin_scratch_home(shard: usize) {
 }
 
 impl ScratchPool {
-    /// A pool striped for the host's worker count.
+    /// A pool striped for the host's worker count (at least 8 stripes).
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A pool with exactly `max(workers, 8)` stripes — one per expected
-    /// concurrent borrower.
-    pub fn with_shards(workers: usize) -> Self {
-        let n = workers.max(SCRATCH_SHARDS_MIN);
+        let n = crate::par::effective_threads(0).max(SCRATCH_SHARDS_MIN);
         Self { shards: (0..n).map(|_| Mutex::new(Vec::new())).collect() }
     }
 
@@ -277,9 +284,11 @@ impl ScratchPool {
         self.shards.len()
     }
 
-    /// Borrows a scratch (allocating one only when every shard is busy or
-    /// empty), prepared for `n` nodes and beam width `l`, runs `f`, and
-    /// returns the scratch to the calling thread's home shard.
+    /// Borrows a scratch (allocating one for `n` nodes and beam width `l`
+    /// only when every shard is busy or empty), runs `f`, and returns the
+    /// scratch to the calling thread's home shard. The scratch comes back
+    /// as the last search left it: every `beam_search_*` entry prepares it
+    /// for its own graph and beam.
     pub fn with<R>(&self, n: usize, l: usize, f: impl FnOnce(&mut SearchScratch) -> R) -> R {
         let shards = self.shards.len();
         let home = HOME_OVERRIDE.with(|c| c.get()).unwrap_or_else(thread_hash) % shards;
@@ -293,7 +302,6 @@ impl ScratchPool {
             }
         }
         let mut scratch = scratch.unwrap_or_else(|| SearchScratch::new(n, l));
-        scratch.prepare(n, l);
         let out = f(&mut scratch);
         // Return to the home shard; the critical sections are a push/pop,
         // so blocking here (only if try_lock loses a race) is momentary.
@@ -383,30 +391,44 @@ impl AnnIndex for SerialScanIndex {
     }
 }
 
-/// An index assembled from previously built (e.g. persisted) parts: a
-/// vector store, a frozen graph, and a seed provider. Lets any saved
-/// graph be served again without re-running construction.
-pub struct PrebuiltIndex {
+/// The index every graph-plus-seeds method serves through: a vector store,
+/// a graph, and a seed provider. The paper's normalisation is that methods
+/// differ only in the graph they build and the seeds they start from, and
+/// answer with the same beam search (Algorithm 1); so KGraph, NSW, NSG,
+/// SSG, DPG, EFANNA, HCNNG, NGT, SPTAG, Vamana and IEH are builders that
+/// return one of these, and a persisted graph is served again through
+/// [`PrebuiltIndex::new`] without re-running construction.
+///
+/// `G` is the graph as built: [`crate::graph::FlatGraph`] for the
+/// slot-layout methods (and loaded files), [`crate::graph::AdjacencyGraph`]
+/// for the unbounded-degree ones, so Figures 8–9 report each method's own
+/// layout. [`AnnIndex::freeze`] adds the CSR serving copy either way.
+pub struct PrebuiltIndex<G: GraphView = crate::graph::FlatGraph> {
     store: crate::store::VectorStore,
-    graph: crate::graph::FlatGraph,
+    graph: G,
     serving: crate::reorder::ServingState,
     seeds: Box<dyn crate::seed::SeedProvider>,
+    /// Entry nodes that seed the BFS / RCM relabelling (NSG's and
+    /// Vamana's medoid), in the current id space.
+    entries: Vec<u32>,
     label: String,
+    build: BuildReport,
     scratch: ScratchPool,
 }
 
-impl PrebuiltIndex {
-    /// Wraps the parts. `label` names the method the graph came from.
+impl<G: GraphView> PrebuiltIndex<G> {
+    /// Wraps the parts. `label` names the method the graph came from. The
+    /// build report is zero and there are no reorder entries until
+    /// [`Self::with_build_report`] / [`Self::with_entries`] set them.
     ///
     /// # Panics
     /// Panics if the graph and store disagree on the number of vectors.
     pub fn new(
         store: crate::store::VectorStore,
-        graph: crate::graph::FlatGraph,
+        graph: G,
         seeds: Box<dyn crate::seed::SeedProvider>,
         label: impl Into<String>,
     ) -> Self {
-        use crate::graph::GraphView;
         assert_eq!(
             store.len(),
             graph.num_nodes(),
@@ -417,9 +439,34 @@ impl PrebuiltIndex {
             graph,
             serving: crate::reorder::ServingState::new(),
             seeds,
+            entries: Vec::new(),
             label: label.into(),
+            build: BuildReport::default(),
             scratch: ScratchPool::new(),
         }
+    }
+
+    /// Records what construction cost.
+    pub fn with_build_report(mut self, build: BuildReport) -> Self {
+        self.build = build;
+        self
+    }
+
+    /// Sets the entry nodes a BFS / RCM [`AnnIndex::reorder`] starts from.
+    pub fn with_entries(mut self, entries: Vec<u32>) -> Self {
+        self.entries = entries;
+        self
+    }
+
+    /// Construction cost (zero for an index assembled from loaded parts).
+    pub fn build_report(&self) -> BuildReport {
+        self.build
+    }
+
+    /// The reorder entry nodes, in the current id space (NSG's and
+    /// Vamana's medoid; empty for the other methods).
+    pub fn entries(&self) -> &[u32] {
+        &self.entries
     }
 
     /// Installs a previously loaded code store (the persisted form),
@@ -457,8 +504,9 @@ impl PrebuiltIndex {
         }
     }
 
-    /// The wrapped graph.
-    pub fn graph(&self) -> &crate::graph::FlatGraph {
+    /// The graph as built (construction ids; a reorder permutes only the
+    /// CSR serving copy).
+    pub fn graph(&self) -> &G {
         &self.graph
     }
 
@@ -466,22 +514,9 @@ impl PrebuiltIndex {
     /// index's [`ScratchPool`]. The sharded fan-out path keeps one
     /// scratch per executor thread and reuses it across probes, shards,
     /// and batches — no per-probe pool borrow/return, and identical
-    /// results (scratch contents never influence the traversal; they are
-    /// epoch-cleared and reset by `prepare`).
+    /// results (scratch contents never influence the traversal: the beam
+    /// search prepares it for this graph and beam).
     pub fn search_with_scratch(
-        &self,
-        query: &[f32],
-        params: &QueryParams,
-        counter: &DistCounter,
-        scratch: &mut SearchScratch,
-    ) -> SearchResult {
-        scratch.prepare(self.store.len(), params.beam_width);
-        self.search_prepared(query, params, counter, scratch)
-    }
-
-    /// The search body shared by the pool and caller-scratch entry
-    /// points; expects `scratch` already prepared for this index's size.
-    fn search_prepared(
         &self,
         query: &[f32],
         params: &QueryParams,
@@ -507,7 +542,7 @@ impl PrebuiltIndex {
     }
 }
 
-impl AnnIndex for PrebuiltIndex {
+impl<G: GraphView + Send + Sync> AnnIndex for PrebuiltIndex<G> {
     fn name(&self) -> String {
         self.label.clone()
     }
@@ -527,7 +562,7 @@ impl AnnIndex for PrebuiltIndex {
         counter: &DistCounter,
     ) -> SearchResult {
         self.scratch.with(self.store.len(), params.beam_width, |scratch| {
-            self.search_prepared(query, params, counter, scratch)
+            self.search_with_scratch(query, params, counter, scratch)
         })
     }
 
@@ -548,8 +583,13 @@ impl AnnIndex for PrebuiltIndex {
     }
 
     fn reorder(&mut self, strategy: crate::reorder::ReorderStrategy) {
-        if let Some(map) = self.serving.reorder(&self.graph, &mut self.store, strategy, &[]) {
+        if let Some(map) =
+            self.serving.reorder(&self.graph, &mut self.store, strategy, &self.entries)
+        {
             self.seeds.reorder(&map);
+            for entry in &mut self.entries {
+                *entry = map.to_new(*entry);
+            }
         }
     }
 
@@ -562,14 +602,13 @@ impl AnnIndex for PrebuiltIndex {
     }
 
     fn stats(&self) -> IndexStats {
-        use crate::graph::GraphView;
         IndexStats {
             nodes: self.graph.num_nodes(),
             edges: self.graph.num_edges(),
             avg_degree: self.graph.avg_degree(),
             max_degree: self.graph.max_degree(),
             graph_bytes: self.graph.heap_bytes() + self.serving.graph_bytes(),
-            aux_bytes: self.serving.aux_bytes(),
+            aux_bytes: self.seeds.heap_bytes() + self.serving.aux_bytes(),
         }
     }
 }
@@ -592,12 +631,15 @@ mod tests {
     fn scratch_pool_reuses_buffers() {
         let pool = ScratchPool::new();
         let cap1 = pool.with(100, 8, |s| {
+            s.prepare(100, 8);
             s.visited.insert(3);
             s.visited.capacity()
         });
-        // Second borrow must see a cleared set of at least same capacity.
+        // Second borrow gets the same buffers back: at least the same
+        // capacity, cleared by the search's own `prepare`.
         pool.with(50, 8, |s| {
             assert!(s.visited.capacity() >= cap1.min(100));
+            s.prepare(50, 8);
             assert!(!s.visited.contains(3));
         });
     }
@@ -689,6 +731,7 @@ mod tests {
                 scope.spawn(|| {
                     for i in 0..100u32 {
                         pool.with(64, 8, |s| {
+                            s.prepare(64, 8);
                             assert!(s.visited.insert(i % 64));
                             assert!(!s.visited.insert(i % 64));
                         });
@@ -696,17 +739,17 @@ mod tests {
                 });
             }
         });
-        // Everything was returned: a fresh borrow sees cleared scratch.
-        pool.with(64, 8, |s| assert!(!s.visited.contains(0)));
+        // Everything was returned: a prepared borrow sees cleared scratch.
+        pool.with(64, 8, |s| {
+            s.prepare(64, 8);
+            assert!(!s.visited.contains(0));
+        });
     }
 
     #[test]
     fn scratch_pool_stripes_scale_with_workers() {
         // The historical fixed 8 shards serialized borrows past 8 threads;
-        // stripes now track the requested worker count (floored at 8).
-        assert_eq!(ScratchPool::with_shards(1).num_shards(), 8);
-        assert_eq!(ScratchPool::with_shards(8).num_shards(), 8);
-        assert_eq!(ScratchPool::with_shards(32).num_shards(), 32);
+        // stripes now track the host's worker count (floored at 8).
         let host = crate::par::effective_threads(0);
         assert_eq!(ScratchPool::new().num_shards(), host.max(8));
     }

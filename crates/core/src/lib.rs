@@ -17,8 +17,10 @@
 //!   RRND, MOND) and the NoND baseline;
 //! * [`seed`] — the Seed Selection abstraction with the structure-free
 //!   strategies (SF, MD, KS);
-//! * [`index`] — the [`index::AnnIndex`] trait all methods implement, and
-//!   the scratch pool for allocation-free querying.
+//! * [`index`] — the [`index::AnnIndex`] trait all methods answer
+//!   through, [`index::PrebuiltIndex`] (graph + seed provider, the index
+//!   type of every graph-plus-seeds method), and the scratch pool for
+//!   allocation-free querying.
 //!
 //! Methods themselves live in `gass-graphs`; tree and hash substrates in
 //! `gass-trees` and `gass-hash`.
@@ -56,8 +58,8 @@ pub use fanout::{
 };
 pub use graph::{AdjacencyGraph, CsrGraph, FlatGraph, GraphView};
 pub use index::{
-    pin_scratch_home, search_batch_parallel, AnnIndex, IndexStats, PrebuiltIndex, QueryParams,
-    ScratchPool, SerialScanIndex,
+    pin_scratch_home, search_batch_parallel, AnnIndex, BuildReport, IndexStats, PrebuiltIndex,
+    QueryParams, ScratchPool, SerialScanIndex,
 };
 pub use kmeans::{balanced_kmeans, kmeans as kmeans_cluster, maximin_lloyd, Clustering};
 pub use mmap::{mmap_enabled, MmapBuf, MmapRegion};

@@ -357,6 +357,13 @@ impl GraphView for ConcurrentAdjacency {
         // read path in phases with no concurrent writers.
         unsafe { &*self.lists[node as usize].get() }
     }
+
+    fn heap_bytes(&self) -> usize {
+        let lists: usize = (0..self.lists.len() as u32)
+            .map(|u| self.with(u, |list| list.capacity() * std::mem::size_of::<u32>()))
+            .sum();
+        lists + self.lists.capacity() * std::mem::size_of::<UnsafeCell<Vec<u32>>>()
+    }
 }
 
 #[cfg(test)]

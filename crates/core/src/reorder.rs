@@ -264,8 +264,10 @@ pub fn mean_edge_span<G: GraphView + ?Sized>(graph: &G) -> f64 {
 /// carries: the CSR snapshot, the optional compressed code store (SQ8,
 /// SQ4 or PQ), and the id remap introduced by reordering.
 ///
-/// Methods hold one `ServingState` instead of separate `csr`/`quant`
-/// fields, so `freeze`/`quantize`/`reorder` wiring lands once. The state
+/// [`crate::index::PrebuiltIndex`] holds one for every graph-plus-seeds
+/// method, and the indexes with their own `AnnIndex` impl (HNSW, HVS,
+/// the II baseline, ELPIS per leaf) hold one each, so the
+/// `freeze`/`quantize`/`reorder` wiring lands once. The state
 /// machine is: `freeze()` snapshots the graph into CSR; `quantize()`
 /// encodes the (current) store with the requested codec; `reorder()`
 /// forces a freeze, permutes CSR + store + codes in place, and records
@@ -338,8 +340,9 @@ impl ServingState {
     }
 
     /// Relabels the whole serving state with `strategy`: forces a freeze,
-    /// permutes the CSR graph, the vector store, and the SQ8 codes (if
-    /// present), and records the composed id remap. `entries` seed the
+    /// permutes the CSR graph, the vector store, and the codes of the
+    /// installed codec (SQ8, SQ4 or PQ, if any), and records the composed
+    /// id remap. `entries` seed the
     /// BFS/RCM orders and are interpreted in the *current* id space.
     ///
     /// Returns the incremental remap (current → newest ids) so the caller

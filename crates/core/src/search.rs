@@ -580,7 +580,7 @@ fn beam_search_full<G: GraphView + ?Sized>(
 
 /// [`beam_search`] over an index that may have been frozen into CSR form:
 /// traverses `csr` when present, `graph` otherwise. Both arms are
-/// statically dispatched — this is the one `match` every method's `search`
+/// statically dispatched — this is the one `match` every index's `search`
 /// does, hoisted out of the traversal so the hot loop never pays virtual
 /// dispatch per neighbor list.
 #[allow(clippy::too_many_arguments)]

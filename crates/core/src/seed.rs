@@ -47,6 +47,13 @@ pub trait SeedProvider: Send + Sync {
     /// ids and silently skipped relabeling would seed the beam search with
     /// the wrong vectors.
     fn reorder(&mut self, map: &IdRemap);
+
+    /// Heap bytes of the seed structure (trees, hash tables, pyramids),
+    /// counted as auxiliary index memory (Figures 8–9). No default, for
+    /// the same reason as [`Self::reorder`]: a structure that forgot to
+    /// report would vanish from the footprint. The id-only strategies
+    /// here report 0.
+    fn heap_bytes(&self) -> usize;
 }
 
 /// **SF** — Single Fixed random entry point: one node chosen once, used for
@@ -88,6 +95,10 @@ impl SeedProvider for FixedSeed {
     fn reorder(&mut self, map: &IdRemap) {
         self.entry = map.to_new(self.entry);
     }
+
+    fn heap_bytes(&self) -> usize {
+        0
+    }
 }
 
 /// **MD** — the dataset medoid (approximated, as in NSG/Vamana, by the
@@ -125,6 +136,10 @@ impl SeedProvider for MedoidSeed {
 
     fn reorder(&mut self, map: &IdRemap) {
         self.medoid = map.to_new(self.medoid);
+    }
+
+    fn heap_bytes(&self) -> usize {
+        0
     }
 }
 
@@ -239,6 +254,12 @@ impl SeedProvider for RandomSeeds {
             None => self.translate = Some(map.old_to_new().to_vec()),
         }
     }
+
+    /// 0: the translate table a reorder installs is left out, so
+    /// relabelling a served index does not move its footprint.
+    fn heap_bytes(&self) -> usize {
+        0
+    }
 }
 
 /// A fixed explicit seed list (useful in tests and for composing methods).
@@ -267,6 +288,10 @@ impl SeedProvider for StaticSeeds {
         for id in &mut self.ids {
             *id = map.to_new(*id);
         }
+    }
+
+    fn heap_bytes(&self) -> usize {
+        0
     }
 }
 

@@ -1,6 +1,7 @@
 //! Shared construction utilities used by several methods: reverse-edge
 //! insertion with pruning, DFS connectivity repair, exact per-subset k-NN
-//! graphs, and the build report every method returns.
+//! graphs, and the build report every method returns (defined in
+//! `gass-core`, re-exported here).
 
 use gass_core::distance::Space;
 use gass_core::graph::{AdjacencyGraph, GraphView};
@@ -8,15 +9,7 @@ use gass_core::nd::NdStrategy;
 use gass_core::neighbor::{BoundedMaxHeap, Neighbor};
 use gass_core::par::ConcurrentAdjacency;
 
-/// What a build cost: wall-clock seconds and counted distance calls
-/// (Figures 7–8 and Table 2 inputs).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct BuildReport {
-    /// Wall-clock construction time in seconds.
-    pub seconds: f64,
-    /// Distance evaluations performed during construction.
-    pub dist_calcs: u64,
-}
+pub use gass_core::index::BuildReport;
 
 /// Adds the reverse edge `to -> from` for every selected neighbor; when a
 /// reverse list exceeds `max_degree` it is re-pruned with `nd` (the

@@ -10,12 +10,10 @@
 use crate::common::BuildReport;
 use crate::nndescent::KnnGraphState;
 use gass_core::distance::{DistCounter, Space};
-use gass_core::graph::{AdjacencyGraph, GraphView};
-use gass_core::index::{AnnIndex, IndexStats, QueryParams, ScratchPool};
+use gass_core::graph::AdjacencyGraph;
+use gass_core::index::PrebuiltIndex;
 use gass_core::nd::NdStrategy;
-use gass_core::reorder::{ReorderStrategy, ServingState};
-use gass_core::search::{beam_search_frozen, SearchResult};
-use gass_core::seed::{RandomSeeds, SeedProvider};
+use gass_core::seed::RandomSeeds;
 use gass_core::store::VectorStore;
 
 /// DPG construction parameters.
@@ -53,158 +51,52 @@ impl DpgParams {
     }
 }
 
-/// A built DPG index.
-pub struct DpgIndex {
-    store: VectorStore,
-    graph: AdjacencyGraph,
-    serving: ServingState,
-    seeds: RandomSeeds,
-    scratch: ScratchPool,
-    build: BuildReport,
-}
-
-impl DpgIndex {
-    /// Builds the index: KGraph base → diversify → undirected closure.
-    pub fn build(store: VectorStore, params: DpgParams) -> Self {
-        assert!(store.len() > params.base_k, "need more points than base_k");
-        let counter = DistCounter::new();
-        let start = std::time::Instant::now();
-        let graph = {
-            let space = Space::new(&store, &counter);
-            let threads = gass_core::effective_threads(params.threads);
-            let mut state = KnnGraphState::random_init(space, params.base_k, params.seed);
-            state.run_with(
-                space,
-                params.iters,
-                params.base_k + 8,
-                0.002,
-                params.seed ^ 0xd,
-                threads,
-            );
-            // Per-node diversification only reads the frozen lists.
-            let kept_lists: Vec<Vec<u32>> = gass_core::par_map(threads, store.len(), |u| {
-                params
-                    .nd
-                    .diversify(space, u as u32, &state.lists()[u], params.target_degree)
-                    .into_iter()
-                    .map(|n| n.id)
-                    .collect()
-            });
-            let mut g = AdjacencyGraph::new(store.len());
-            for (u, kept) in kept_lists.into_iter().enumerate() {
-                g.set_neighbors(u as u32, kept);
-            }
-            g.undirected_closure();
-            g
-        };
-        let build =
-            BuildReport { seconds: start.elapsed().as_secs_f64(), dist_calcs: counter.get() };
-        let seeds = RandomSeeds::new(store.len(), params.seed ^ 0x5eed);
-        Self {
-            store,
-            graph,
-            seeds,
-            serving: ServingState::new(),
-            scratch: ScratchPool::new(),
-            build,
-        }
-    }
-
-    /// Construction cost report.
-    pub fn build_report(&self) -> BuildReport {
-        self.build
-    }
-
-    /// The underlying (undirected) graph.
-    pub fn graph(&self) -> &AdjacencyGraph {
-        &self.graph
-    }
-}
-
-impl AnnIndex for DpgIndex {
-    fn name(&self) -> String {
-        "DPG".to_string()
-    }
-
-    fn num_vectors(&self) -> usize {
-        self.store.len()
-    }
-
-    fn dim(&self) -> usize {
-        self.store.dim()
-    }
-
-    fn search(
-        &self,
-        query: &[f32],
-        params: &QueryParams,
-        counter: &DistCounter,
-    ) -> SearchResult {
-        let space =
-            Space::new(&self.store, counter).with_quant(self.serving.quant_view(params));
-        let mut seeds = Vec::new();
-        self.seeds.seeds(space, query, params.seed_count, &mut seeds);
-        let res = self.scratch.with(self.store.len(), params.beam_width, |scratch| {
-            beam_search_frozen(
-                &self.graph,
-                self.serving.csr(),
-                space,
-                query,
-                &seeds,
-                params.k,
-                params.beam_width,
-                scratch,
-                params.termination(),
-            )
+/// Builds a DPG index: KGraph base → diversify → undirected closure,
+/// served with K-sampled random seeds. The graph stays an adjacency list
+/// (the closure leaves degrees unbounded).
+pub fn build(store: VectorStore, params: DpgParams) -> PrebuiltIndex<AdjacencyGraph> {
+    assert!(store.len() > params.base_k, "need more points than base_k");
+    let counter = DistCounter::new();
+    let start = std::time::Instant::now();
+    let graph = {
+        let space = Space::new(&store, &counter);
+        let threads = gass_core::effective_threads(params.threads);
+        let mut state = KnnGraphState::random_init(space, params.base_k, params.seed);
+        state.run_with(
+            space,
+            params.iters,
+            params.base_k + 8,
+            0.002,
+            params.seed ^ 0xd,
+            threads,
+        );
+        // Per-node diversification only reads the frozen lists.
+        let kept_lists: Vec<Vec<u32>> = gass_core::par_map(threads, store.len(), |u| {
+            params
+                .nd
+                .diversify(space, u as u32, &state.lists()[u], params.target_degree)
+                .into_iter()
+                .map(|n| n.id)
+                .collect()
         });
-        self.serving.finish(res)
-    }
-
-    fn freeze(&mut self) {
-        self.serving.freeze(&self.graph);
-    }
-
-    fn is_frozen(&self) -> bool {
-        self.serving.is_frozen()
-    }
-
-    fn quantize(&mut self, spec: gass_core::CodecSpec) {
-        self.serving.quantize(&self.store, spec);
-    }
-
-    fn is_quantized(&self) -> bool {
-        self.serving.is_quantized()
-    }
-
-    fn reorder(&mut self, strategy: ReorderStrategy) {
-        if let Some(map) = self.serving.reorder(&self.graph, &mut self.store, strategy, &[]) {
-            self.seeds.reorder(&map);
+        let mut g = AdjacencyGraph::new(store.len());
+        for (u, kept) in kept_lists.into_iter().enumerate() {
+            g.set_neighbors(u as u32, kept);
         }
-    }
-
-    fn is_reordered(&self) -> bool {
-        self.serving.is_reordered()
-    }
-
-    fn reorder_strategy(&self) -> ReorderStrategy {
-        self.serving.strategy()
-    }
-
-    fn stats(&self) -> IndexStats {
-        IndexStats {
-            nodes: self.graph.num_nodes(),
-            edges: self.graph.num_edges(),
-            avg_degree: self.graph.avg_degree(),
-            max_degree: self.graph.max_degree(),
-            graph_bytes: self.graph.heap_bytes() + self.serving.graph_bytes(),
-            aux_bytes: self.serving.aux_bytes(),
-        }
-    }
+        g.undirected_closure();
+        g
+    };
+    let build =
+        BuildReport { seconds: start.elapsed().as_secs_f64(), dist_calcs: counter.get() };
+    let seeds = RandomSeeds::new(store.len(), params.seed ^ 0x5eed);
+    PrebuiltIndex::new(store, graph, Box::new(seeds), "DPG").with_build_report(build)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gass_core::graph::GraphView;
+    use gass_core::index::{AnnIndex, QueryParams};
     use gass_data::ground_truth::ground_truth;
     use gass_data::synth::deep_like;
 
@@ -212,7 +104,7 @@ mod tests {
     fn dpg_recall_is_reasonable() {
         let base = deep_like(500, 1);
         let queries = deep_like(15, 2);
-        let idx = DpgIndex::build(base.clone(), DpgParams::small());
+        let idx = build(base.clone(), DpgParams::small());
         let gt = ground_truth(&base, &queries, 10);
         let counter = DistCounter::new();
         let params = QueryParams::new(10, 80).with_seed_count(12);
@@ -228,7 +120,7 @@ mod tests {
     #[test]
     fn closure_makes_graph_symmetric() {
         let base = deep_like(200, 3);
-        let idx = DpgIndex::build(base, DpgParams::small());
+        let idx = build(base, DpgParams::small());
         let g = idx.graph();
         for u in 0..g.num_nodes() as u32 {
             for &v in g.neighbors(u) {
@@ -240,9 +132,8 @@ mod tests {
     #[test]
     fn rnd_variant_prunes_harder_than_mond() {
         let base = deep_like(300, 5);
-        let mond = DpgIndex::build(base.clone(), DpgParams::small());
-        let rnd =
-            DpgIndex::build(base, DpgParams { nd: NdStrategy::Rnd, ..DpgParams::small() });
+        let mond = build(base.clone(), DpgParams::small());
+        let rnd = build(base, DpgParams { nd: NdStrategy::Rnd, ..DpgParams::small() });
         assert!(
             rnd.stats().edges <= mond.stats().edges,
             "RND ({}) should not keep more edges than MOND ({})",

@@ -6,11 +6,8 @@
 use crate::common::BuildReport;
 use crate::nndescent::KnnGraphState;
 use gass_core::distance::{DistCounter, Space};
-use gass_core::graph::{AdjacencyGraph, FlatGraph, GraphView};
-use gass_core::index::{AnnIndex, IndexStats, QueryParams, ScratchPool};
-use gass_core::reorder::{ReorderStrategy, ServingState};
-use gass_core::search::{beam_search_frozen, SearchResult};
-use gass_core::seed::SeedProvider;
+use gass_core::graph::{AdjacencyGraph, FlatGraph};
+use gass_core::index::PrebuiltIndex;
 use gass_core::store::VectorStore;
 use gass_trees::kdtree::KdForest;
 
@@ -54,165 +51,49 @@ impl EfannaParams {
     }
 }
 
-/// A built EFANNA index: refined k-NN graph + the K-D forest it was
-/// bootstrapped from (reused for seed selection).
-pub struct EfannaIndex {
-    store: VectorStore,
-    graph: FlatGraph,
-    serving: ServingState,
-    forest: KdForest,
-    scratch: ScratchPool,
-    build: BuildReport,
+/// Builds an EFANNA index: forest → initial candidates → NNDescent. The
+/// K-D forest it was bootstrapped from is its seed provider (**KD**).
+pub fn build(store: VectorStore, params: EfannaParams) -> PrebuiltIndex {
+    let (graph, forest, build) = build_parts(&store, params);
+    PrebuiltIndex::new(store, graph, Box::new(forest), "EFANNA").with_build_report(build)
 }
 
-impl EfannaIndex {
-    /// Builds the index: forest → initial candidates → NNDescent.
-    pub fn build(store: VectorStore, params: EfannaParams) -> Self {
-        assert!(store.len() > params.k, "need more points than k");
-        let counter = DistCounter::new();
-        let start = std::time::Instant::now();
-        let forest = KdForest::build(&store, params.num_trees, params.leaf_size, params.seed);
-        let graph = {
-            let space = Space::new(&store, &counter);
-            let threads = gass_core::effective_threads(params.threads);
-            // Per-node forest lookups are independent reads.
-            let candidates: Vec<Vec<u32>> = gass_core::par_map(threads, store.len(), |u| {
-                forest.candidates(store.get(u as u32), params.init_candidates)
-            });
-            let mut state = KnnGraphState::from_candidates(space, params.k, candidates);
-            state.pad_random(space, params.seed ^ 0x9ad);
-            state.run_with(
-                space,
-                params.iters,
-                params.sample,
-                0.002,
-                params.seed ^ 0xefa,
-                threads,
-            );
-            let mut g = AdjacencyGraph::new(store.len());
-            for (u, list) in state.lists().iter().enumerate() {
-                g.set_neighbors(u as u32, list.iter().map(|n| n.id).collect());
-            }
-            FlatGraph::from_adjacency(&g, Some(params.k))
-        };
-        let build =
-            BuildReport { seconds: start.elapsed().as_secs_f64(), dist_calcs: counter.get() };
-        Self {
-            store,
-            graph,
-            forest,
-            serving: ServingState::new(),
-            scratch: ScratchPool::new(),
-            build,
-        }
-    }
-
-    /// Construction cost report.
-    pub fn build_report(&self) -> BuildReport {
-        self.build
-    }
-
-    /// The refined k-NN graph.
-    pub fn graph(&self) -> &FlatGraph {
-        &self.graph
-    }
-
-    /// The K-D forest (EFANNA's base structure; NSG and SSG reuse it).
-    pub fn forest(&self) -> &KdForest {
-        &self.forest
-    }
-
-    /// Consumes the index, handing the pieces to a derived method (NSG and
-    /// SSG both take "an EFANNA graph" as their base).
-    pub fn into_parts(self) -> (VectorStore, FlatGraph, KdForest, BuildReport) {
-        (self.store, self.graph, self.forest, self.build)
-    }
-}
-
-impl AnnIndex for EfannaIndex {
-    fn name(&self) -> String {
-        "EFANNA".to_string()
-    }
-
-    fn num_vectors(&self) -> usize {
-        self.store.len()
-    }
-
-    fn dim(&self) -> usize {
-        self.store.dim()
-    }
-
-    fn search(
-        &self,
-        query: &[f32],
-        params: &QueryParams,
-        counter: &DistCounter,
-    ) -> SearchResult {
-        let space =
-            Space::new(&self.store, counter).with_quant(self.serving.quant_view(params));
-        let mut seeds = Vec::new();
-        self.forest.seeds(space, query, params.seed_count, &mut seeds);
-        let res = self.scratch.with(self.store.len(), params.beam_width, |scratch| {
-            beam_search_frozen(
-                &self.graph,
-                self.serving.csr(),
-                space,
-                query,
-                &seeds,
-                params.k,
-                params.beam_width,
-                scratch,
-                params.termination(),
-            )
+/// The refined k-NN graph, the K-D forest it was bootstrapped from, and
+/// what building both cost. NSG and SSG take "an EFANNA graph" as their
+/// base and drop the forest.
+pub(crate) fn build_parts(
+    store: &VectorStore,
+    params: EfannaParams,
+) -> (FlatGraph, KdForest, BuildReport) {
+    assert!(store.len() > params.k, "need more points than k");
+    let counter = DistCounter::new();
+    let start = std::time::Instant::now();
+    let forest = KdForest::build(store, params.num_trees, params.leaf_size, params.seed);
+    let graph = {
+        let space = Space::new(store, &counter);
+        let threads = gass_core::effective_threads(params.threads);
+        // Per-node forest lookups are independent reads.
+        let candidates: Vec<Vec<u32>> = gass_core::par_map(threads, store.len(), |u| {
+            forest.candidates(store.get(u as u32), params.init_candidates)
         });
-        self.serving.finish(res)
-    }
-
-    fn freeze(&mut self) {
-        self.serving.freeze(&self.graph);
-    }
-
-    fn is_frozen(&self) -> bool {
-        self.serving.is_frozen()
-    }
-
-    fn quantize(&mut self, spec: gass_core::CodecSpec) {
-        self.serving.quantize(&self.store, spec);
-    }
-
-    fn is_quantized(&self) -> bool {
-        self.serving.is_quantized()
-    }
-
-    fn reorder(&mut self, strategy: ReorderStrategy) {
-        if let Some(map) = self.serving.reorder(&self.graph, &mut self.store, strategy, &[]) {
-            self.forest.reorder(&map);
+        let mut state = KnnGraphState::from_candidates(space, params.k, candidates);
+        state.pad_random(space, params.seed ^ 0x9ad);
+        state.run_with(space, params.iters, params.sample, 0.002, params.seed ^ 0xefa, threads);
+        let mut g = AdjacencyGraph::new(store.len());
+        for (u, list) in state.lists().iter().enumerate() {
+            g.set_neighbors(u as u32, list.iter().map(|n| n.id).collect());
         }
-    }
-
-    fn is_reordered(&self) -> bool {
-        self.serving.is_reordered()
-    }
-
-    fn reorder_strategy(&self) -> ReorderStrategy {
-        self.serving.strategy()
-    }
-
-    fn stats(&self) -> IndexStats {
-        IndexStats {
-            nodes: self.graph.num_nodes(),
-            edges: self.graph.num_edges(),
-            avg_degree: self.graph.avg_degree(),
-            max_degree: self.graph.max_degree(),
-            graph_bytes: self.graph.heap_bytes() + self.serving.graph_bytes(),
-            aux_bytes: self.forest.heap_bytes() + self.serving.aux_bytes(),
-        }
-    }
+        FlatGraph::from_adjacency(&g, Some(params.k))
+    };
+    let build =
+        BuildReport { seconds: start.elapsed().as_secs_f64(), dist_calcs: counter.get() };
+    (graph, forest, build)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gass_core::index::{AnnIndex, QueryParams};
     use gass_data::ground_truth::ground_truth;
     use gass_data::synth::deep_like;
 
@@ -220,7 +101,7 @@ mod tests {
     fn efanna_recall_with_kd_seeds() {
         let base = deep_like(500, 1);
         let queries = deep_like(15, 2);
-        let idx = EfannaIndex::build(base.clone(), EfannaParams::small());
+        let idx = build(base.clone(), EfannaParams::small());
         let gt = ground_truth(&base, &queries, 10);
         let counter = DistCounter::new();
         let params = QueryParams::new(10, 80).with_seed_count(16);
@@ -258,7 +139,7 @@ mod tests {
     #[test]
     fn stats_include_forest_bytes() {
         let base = deep_like(150, 5);
-        let idx = EfannaIndex::build(base, EfannaParams::small());
+        let idx = build(base, EfannaParams::small());
         assert!(idx.stats().aux_bytes > 0, "forest must be accounted");
         assert_eq!(idx.name(), "EFANNA");
     }

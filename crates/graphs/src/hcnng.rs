@@ -7,11 +7,8 @@
 
 use crate::common::BuildReport;
 use gass_core::distance::{DistCounter, Space};
-use gass_core::graph::{AdjacencyGraph, GraphView};
-use gass_core::index::{AnnIndex, IndexStats, QueryParams, ScratchPool};
-use gass_core::reorder::{ReorderStrategy, ServingState};
-use gass_core::search::{beam_search_frozen, SearchResult};
-use gass_core::seed::SeedProvider;
+use gass_core::graph::AdjacencyGraph;
+use gass_core::index::PrebuiltIndex;
 use gass_core::store::VectorStore;
 use gass_trees::kdtree::KdForest;
 use gass_trees::mst::prim_mst;
@@ -91,158 +88,51 @@ fn random_divide(
     random_divide(space, &right, leaf_size, rng, leaves);
 }
 
-/// A built HCNNG index.
-pub struct HcnngIndex {
-    store: VectorStore,
-    graph: AdjacencyGraph,
-    serving: ServingState,
-    forest: KdForest,
-    scratch: ScratchPool,
-    build: BuildReport,
-}
-
-impl HcnngIndex {
-    /// Builds the index: repeated clusterings → per-leaf MSTs → merge.
-    /// Clusterings run in parallel (deterministic per-clustering seeds,
-    /// merged in order).
-    pub fn build(store: VectorStore, params: HcnngParams) -> Self {
-        assert!(store.len() > 2, "need at least three vectors");
-        let counter = DistCounter::new();
-        let start = std::time::Instant::now();
-        let n = store.len();
-        let all_ids: Vec<u32> = (0..n as u32).collect();
-        let threads = gass_core::effective_threads(params.threads);
-        let graph = {
-            let space = Space::new(&store, &counter);
-            let edge_sets: Vec<Vec<(u32, u32)>> =
-                gass_core::par_map(threads, params.num_clusterings.max(1), |c| {
-                    let mut rng = SmallRng::seed_from_u64(params.seed.wrapping_add(c as u64));
-                    let mut leaves = Vec::new();
-                    random_divide(space, &all_ids, params.leaf_size, &mut rng, &mut leaves);
-                    let mut edges = Vec::new();
-                    for leaf in &leaves {
-                        for e in prim_mst(space, leaf, params.mst_degree) {
-                            edges.push((e.a, e.b));
-                        }
+/// Builds an HCNNG index: repeated clusterings → per-leaf MSTs → merge,
+/// served with K-D-tree seeds. Clusterings run in parallel (deterministic
+/// per-clustering seeds, merged in order); the merged graph stays an
+/// adjacency list.
+pub fn build(store: VectorStore, params: HcnngParams) -> PrebuiltIndex<AdjacencyGraph> {
+    assert!(store.len() > 2, "need at least three vectors");
+    let counter = DistCounter::new();
+    let start = std::time::Instant::now();
+    let n = store.len();
+    let all_ids: Vec<u32> = (0..n as u32).collect();
+    let threads = gass_core::effective_threads(params.threads);
+    let graph = {
+        let space = Space::new(&store, &counter);
+        let edge_sets: Vec<Vec<(u32, u32)>> =
+            gass_core::par_map(threads, params.num_clusterings.max(1), |c| {
+                let mut rng = SmallRng::seed_from_u64(params.seed.wrapping_add(c as u64));
+                let mut leaves = Vec::new();
+                random_divide(space, &all_ids, params.leaf_size, &mut rng, &mut leaves);
+                let mut edges = Vec::new();
+                for leaf in &leaves {
+                    for e in prim_mst(space, leaf, params.mst_degree) {
+                        edges.push((e.a, e.b));
                     }
-                    edges
-                });
-            let mut g = AdjacencyGraph::with_degree_hint(n, params.mst_degree * 2);
-            for edges in edge_sets {
-                for (a, b) in edges {
-                    g.add_undirected(a, b);
                 }
+                edges
+            });
+        let mut g = AdjacencyGraph::with_degree_hint(n, params.mst_degree * 2);
+        for edges in edge_sets {
+            for (a, b) in edges {
+                g.add_undirected(a, b);
             }
-            g
-        };
-        let forest = KdForest::build(&store, params.num_seed_trees, 16, params.seed ^ 0x4d);
-        let build =
-            BuildReport { seconds: start.elapsed().as_secs_f64(), dist_calcs: counter.get() };
-        Self {
-            store,
-            graph,
-            forest,
-            serving: ServingState::new(),
-            scratch: ScratchPool::new(),
-            build,
         }
-    }
-
-    /// Construction cost report.
-    pub fn build_report(&self) -> BuildReport {
-        self.build
-    }
-
-    /// The merged MST graph.
-    pub fn graph(&self) -> &AdjacencyGraph {
-        &self.graph
-    }
-}
-
-impl AnnIndex for HcnngIndex {
-    fn name(&self) -> String {
-        "HCNNG".to_string()
-    }
-
-    fn num_vectors(&self) -> usize {
-        self.store.len()
-    }
-
-    fn dim(&self) -> usize {
-        self.store.dim()
-    }
-
-    fn search(
-        &self,
-        query: &[f32],
-        params: &QueryParams,
-        counter: &DistCounter,
-    ) -> SearchResult {
-        let space =
-            Space::new(&self.store, counter).with_quant(self.serving.quant_view(params));
-        let mut seeds = Vec::new();
-        self.forest.seeds(space, query, params.seed_count, &mut seeds);
-        let res = self.scratch.with(self.store.len(), params.beam_width, |scratch| {
-            beam_search_frozen(
-                &self.graph,
-                self.serving.csr(),
-                space,
-                query,
-                &seeds,
-                params.k,
-                params.beam_width,
-                scratch,
-                params.termination(),
-            )
-        });
-        self.serving.finish(res)
-    }
-
-    fn freeze(&mut self) {
-        self.serving.freeze(&self.graph);
-    }
-
-    fn is_frozen(&self) -> bool {
-        self.serving.is_frozen()
-    }
-
-    fn quantize(&mut self, spec: gass_core::CodecSpec) {
-        self.serving.quantize(&self.store, spec);
-    }
-
-    fn is_quantized(&self) -> bool {
-        self.serving.is_quantized()
-    }
-
-    fn reorder(&mut self, strategy: ReorderStrategy) {
-        if let Some(map) = self.serving.reorder(&self.graph, &mut self.store, strategy, &[]) {
-            self.forest.reorder(&map);
-        }
-    }
-
-    fn is_reordered(&self) -> bool {
-        self.serving.is_reordered()
-    }
-
-    fn reorder_strategy(&self) -> ReorderStrategy {
-        self.serving.strategy()
-    }
-
-    fn stats(&self) -> IndexStats {
-        IndexStats {
-            nodes: self.graph.num_nodes(),
-            edges: self.graph.num_edges(),
-            avg_degree: self.graph.avg_degree(),
-            max_degree: self.graph.max_degree(),
-            graph_bytes: self.graph.heap_bytes() + self.serving.graph_bytes(),
-            aux_bytes: self.forest.heap_bytes() + self.serving.aux_bytes(),
-        }
-    }
+        g
+    };
+    let forest = KdForest::build(&store, params.num_seed_trees, 16, params.seed ^ 0x4d);
+    let build =
+        BuildReport { seconds: start.elapsed().as_secs_f64(), dist_calcs: counter.get() };
+    PrebuiltIndex::new(store, graph, Box::new(forest), "HCNNG").with_build_report(build)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gass_core::graph::GraphView;
+    use gass_core::index::{AnnIndex, QueryParams};
     use gass_data::ground_truth::ground_truth;
     use gass_data::synth::deep_like;
 
@@ -250,7 +140,7 @@ mod tests {
     fn hcnng_recall() {
         let base = deep_like(500, 1);
         let queries = deep_like(15, 2);
-        let idx = HcnngIndex::build(base.clone(), HcnngParams::small());
+        let idx = build(base.clone(), HcnngParams::small());
         let gt = ground_truth(&base, &queries, 10);
         let counter = DistCounter::new();
         let params = QueryParams::new(10, 80).with_seed_count(16);
@@ -266,7 +156,7 @@ mod tests {
     #[test]
     fn merged_graph_is_undirected() {
         let base = deep_like(250, 3);
-        let idx = HcnngIndex::build(base, HcnngParams::small());
+        let idx = build(base, HcnngParams::small());
         let g = idx.graph();
         for u in 0..g.num_nodes() as u32 {
             for &v in g.neighbors(u) {
@@ -278,22 +168,17 @@ mod tests {
     #[test]
     fn more_clusterings_add_edges() {
         let base = deep_like(300, 5);
-        let few = HcnngIndex::build(
-            base.clone(),
-            HcnngParams { num_clusterings: 2, ..HcnngParams::small() },
-        );
-        let many = HcnngIndex::build(
-            base,
-            HcnngParams { num_clusterings: 10, ..HcnngParams::small() },
-        );
+        let few =
+            build(base.clone(), HcnngParams { num_clusterings: 2, ..HcnngParams::small() });
+        let many = build(base, HcnngParams { num_clusterings: 10, ..HcnngParams::small() });
         assert!(many.stats().edges > few.stats().edges);
     }
 
     #[test]
     fn build_is_deterministic() {
         let base = deep_like(200, 7);
-        let a = HcnngIndex::build(base.clone(), HcnngParams::small());
-        let b = HcnngIndex::build(base, HcnngParams::small());
+        let a = build(base.clone(), HcnngParams::small());
+        let b = build(base, HcnngParams::small());
         assert_eq!(a.stats().edges, b.stats().edges);
         for u in 0..a.graph().num_nodes() as u32 {
             let mut na = a.graph().neighbors(u).to_vec();

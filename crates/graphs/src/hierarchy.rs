@@ -58,10 +58,6 @@ impl SparseLayer {
     pub fn is_empty(&self) -> bool {
         self.adj.is_empty()
     }
-
-    fn heap_bytes(&self) -> usize {
-        self.adj.values().map(|v| v.capacity() * std::mem::size_of::<u32>() + 24).sum()
-    }
 }
 
 impl GraphView for SparseLayer {
@@ -71,6 +67,10 @@ impl GraphView for SparseLayer {
 
     fn neighbors(&self, node: u32) -> &[u32] {
         self.adj.get(&node).map_or(&[], Vec::as_slice)
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.adj.values().map(|v| v.capacity() * std::mem::size_of::<u32>() + 24).sum()
     }
 }
 
@@ -316,11 +316,6 @@ impl SnSeeds {
     pub fn hierarchy(&self) -> &Hierarchy {
         &self.hierarchy
     }
-
-    /// Approximate heap bytes.
-    pub fn heap_bytes(&self) -> usize {
-        self.hierarchy.heap_bytes()
-    }
 }
 
 impl SeedProvider for SnSeeds {
@@ -336,6 +331,10 @@ impl SeedProvider for SnSeeds {
 
     fn reorder(&mut self, map: &IdRemap) {
         self.hierarchy.reorder(map);
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.hierarchy.heap_bytes()
     }
 }
 

@@ -141,11 +141,6 @@ impl VoronoiPyramid {
         self.levels.len()
     }
 
-    /// Approximate heap bytes.
-    pub fn heap_bytes(&self) -> usize {
-        self.levels.iter().map(Level::heap_bytes).sum()
-    }
-
     /// Relabels the per-centroid representatives through `map` after the
     /// store was permuted. Centroids are raw vectors, so the counted
     /// descent itself is unchanged.
@@ -171,6 +166,10 @@ impl SeedProvider for VoronoiPyramid {
 
     fn reorder(&mut self, map: &gass_core::reorder::IdRemap) {
         VoronoiPyramid::reorder(self, map);
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.levels.iter().map(Level::heap_bytes).sum()
     }
 }
 

@@ -14,11 +14,8 @@
 use crate::common::BuildReport;
 use crate::nndescent::KnnGraphState;
 use gass_core::distance::{DistCounter, Space};
-use gass_core::graph::{AdjacencyGraph, FlatGraph, GraphView};
-use gass_core::index::{AnnIndex, IndexStats, QueryParams, ScratchPool};
-use gass_core::reorder::{ReorderStrategy, ServingState};
-use gass_core::search::{beam_search_frozen, SearchResult};
-use gass_core::seed::SeedProvider;
+use gass_core::graph::{AdjacencyGraph, FlatGraph};
+use gass_core::index::PrebuiltIndex;
 use gass_core::store::VectorStore;
 use gass_hash::{LshIndex, LshSeeds};
 
@@ -58,153 +55,45 @@ impl IehParams {
     }
 }
 
-/// A built IEH index.
-pub struct IehIndex {
-    store: VectorStore,
-    graph: FlatGraph,
-    serving: ServingState,
-    seeds: LshSeeds,
-    scratch: ScratchPool,
-    build: BuildReport,
-}
-
-impl IehIndex {
-    /// Builds the index: LSH candidates → NNDescent refinement.
-    pub fn build(store: VectorStore, params: IehParams) -> Self {
-        assert!(store.len() > params.k, "need more points than k");
-        let counter = DistCounter::new();
-        let start = std::time::Instant::now();
-        let lsh = LshIndex::build_scaled(
-            &store,
-            params.tables,
-            params.projections,
-            params.width,
-            params.seed ^ 0x1e4,
-        );
-        let graph = {
-            let space = Space::new(&store, &counter);
-            let candidates: Vec<Vec<u32>> = (0..store.len() as u32)
-                .map(|u| lsh.candidates(store.get(u), params.init_candidates))
-                .collect();
-            let mut state = KnnGraphState::from_candidates(space, params.k, candidates);
-            // Hash buckets can be empty (sparse collisions on smooth
-            // data); pad with random neighbors so NNDescent can converge.
-            state.pad_random(space, params.seed ^ 0x9ad);
-            state.run(space, params.iters, params.k + 8, 0.002, params.seed ^ 0x1e5);
-            let mut g = AdjacencyGraph::new(store.len());
-            for (u, list) in state.lists().iter().enumerate() {
-                g.set_neighbors(u as u32, list.iter().map(|n| n.id).collect());
-            }
-            FlatGraph::from_adjacency(&g, Some(params.k))
-        };
-        let build =
-            BuildReport { seconds: start.elapsed().as_secs_f64(), dist_calcs: counter.get() };
-        let seeds = LshSeeds::new(lsh, 0);
-        Self {
-            store,
-            graph,
-            seeds,
-            serving: ServingState::new(),
-            scratch: ScratchPool::new(),
-            build,
+/// Builds an IEH index: LSH candidates → NNDescent refinement, served
+/// with the same LSH tables as seed provider.
+pub fn build(store: VectorStore, params: IehParams) -> PrebuiltIndex {
+    assert!(store.len() > params.k, "need more points than k");
+    let counter = DistCounter::new();
+    let start = std::time::Instant::now();
+    let lsh = LshIndex::build_scaled(
+        &store,
+        params.tables,
+        params.projections,
+        params.width,
+        params.seed ^ 0x1e4,
+    );
+    let graph = {
+        let space = Space::new(&store, &counter);
+        let candidates: Vec<Vec<u32>> = (0..store.len() as u32)
+            .map(|u| lsh.candidates(store.get(u), params.init_candidates))
+            .collect();
+        let mut state = KnnGraphState::from_candidates(space, params.k, candidates);
+        // Hash buckets can be empty (sparse collisions on smooth
+        // data); pad with random neighbors so NNDescent can converge.
+        state.pad_random(space, params.seed ^ 0x9ad);
+        state.run(space, params.iters, params.k + 8, 0.002, params.seed ^ 0x1e5);
+        let mut g = AdjacencyGraph::new(store.len());
+        for (u, list) in state.lists().iter().enumerate() {
+            g.set_neighbors(u as u32, list.iter().map(|n| n.id).collect());
         }
-    }
-
-    /// Construction cost report.
-    pub fn build_report(&self) -> BuildReport {
-        self.build
-    }
-
-    /// The refined graph.
-    pub fn graph(&self) -> &FlatGraph {
-        &self.graph
-    }
-}
-
-impl AnnIndex for IehIndex {
-    fn name(&self) -> String {
-        "IEH".to_string()
-    }
-
-    fn num_vectors(&self) -> usize {
-        self.store.len()
-    }
-
-    fn dim(&self) -> usize {
-        self.store.dim()
-    }
-
-    fn search(
-        &self,
-        query: &[f32],
-        params: &QueryParams,
-        counter: &DistCounter,
-    ) -> SearchResult {
-        let space =
-            Space::new(&self.store, counter).with_quant(self.serving.quant_view(params));
-        let mut seeds = Vec::new();
-        self.seeds.seeds(space, query, params.seed_count, &mut seeds);
-        let res = self.scratch.with(self.store.len(), params.beam_width, |scratch| {
-            beam_search_frozen(
-                &self.graph,
-                self.serving.csr(),
-                space,
-                query,
-                &seeds,
-                params.k,
-                params.beam_width,
-                scratch,
-                params.termination(),
-            )
-        });
-        self.serving.finish(res)
-    }
-
-    fn freeze(&mut self) {
-        self.serving.freeze(&self.graph);
-    }
-
-    fn is_frozen(&self) -> bool {
-        self.serving.is_frozen()
-    }
-
-    fn quantize(&mut self, spec: gass_core::CodecSpec) {
-        self.serving.quantize(&self.store, spec);
-    }
-
-    fn is_quantized(&self) -> bool {
-        self.serving.is_quantized()
-    }
-
-    fn reorder(&mut self, strategy: ReorderStrategy) {
-        if let Some(map) = self.serving.reorder(&self.graph, &mut self.store, strategy, &[]) {
-            self.seeds.reorder(&map);
-        }
-    }
-
-    fn is_reordered(&self) -> bool {
-        self.serving.is_reordered()
-    }
-
-    fn reorder_strategy(&self) -> ReorderStrategy {
-        self.serving.strategy()
-    }
-
-    fn stats(&self) -> IndexStats {
-        IndexStats {
-            nodes: self.graph.num_nodes(),
-            edges: self.graph.num_edges(),
-            avg_degree: self.graph.avg_degree(),
-            max_degree: self.graph.max_degree(),
-            graph_bytes: self.graph.heap_bytes() + self.serving.graph_bytes(),
-            aux_bytes: self.seeds.heap_bytes() + self.serving.aux_bytes(),
-        }
-    }
+        FlatGraph::from_adjacency(&g, Some(params.k))
+    };
+    let build =
+        BuildReport { seconds: start.elapsed().as_secs_f64(), dist_calcs: counter.get() };
+    let seeds = LshSeeds::new(lsh, 0);
+    PrebuiltIndex::new(store, graph, Box::new(seeds), "IEH").with_build_report(build)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gass_core::index::{AnnIndex, QueryParams};
     use gass_data::ground_truth::ground_truth;
     use gass_data::synth::deep_like;
 
@@ -212,7 +101,7 @@ mod tests {
     fn ieh_builds_and_answers() {
         let base = deep_like(500, 1);
         let queries = deep_like(12, 2);
-        let idx = IehIndex::build(base.clone(), IehParams::small());
+        let idx = build(base.clone(), IehParams::small());
         let gt = ground_truth(&base, &queries, 10);
         let counter = DistCounter::new();
         let params = QueryParams::new(10, 96).with_seed_count(16);

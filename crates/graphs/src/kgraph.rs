@@ -6,11 +6,9 @@
 use crate::common::BuildReport;
 use crate::nndescent::KnnGraphState;
 use gass_core::distance::{DistCounter, Space};
-use gass_core::graph::{AdjacencyGraph, FlatGraph, GraphView};
-use gass_core::index::{AnnIndex, IndexStats, QueryParams, ScratchPool};
-use gass_core::reorder::{ReorderStrategy, ServingState};
-use gass_core::search::{beam_search_frozen, SearchResult};
-use gass_core::seed::{RandomSeeds, SeedProvider};
+use gass_core::graph::{AdjacencyGraph, FlatGraph};
+use gass_core::index::PrebuiltIndex;
+use gass_core::seed::RandomSeeds;
 use gass_core::store::VectorStore;
 
 /// KGraph construction parameters.
@@ -39,148 +37,40 @@ impl KGraphParams {
     }
 }
 
-/// A built KGraph index.
-pub struct KGraphIndex {
-    store: VectorStore,
-    graph: FlatGraph,
-    serving: ServingState,
-    seeds: RandomSeeds,
-    scratch: ScratchPool,
-    build: BuildReport,
-}
-
-impl KGraphIndex {
-    /// Builds the index (random init + NNDescent).
-    pub fn build(store: VectorStore, params: KGraphParams) -> Self {
-        assert!(store.len() > params.k, "need more points than k");
-        let counter = DistCounter::new();
-        let start = std::time::Instant::now();
-        let graph = {
-            let space = Space::new(&store, &counter);
-            let threads = gass_core::effective_threads(params.threads);
-            let mut state = KnnGraphState::random_init(space, params.k, params.seed);
-            state.run_with(
-                space,
-                params.iters,
-                params.sample,
-                params.delta,
-                params.seed ^ 0xd5,
-                threads,
-            );
-            let mut g = AdjacencyGraph::new(store.len());
-            for (u, list) in state.lists().iter().enumerate() {
-                g.set_neighbors(u as u32, list.iter().map(|n| n.id).collect());
-            }
-            FlatGraph::from_adjacency(&g, Some(params.k))
-        };
-        let build =
-            BuildReport { seconds: start.elapsed().as_secs_f64(), dist_calcs: counter.get() };
-        let seeds = RandomSeeds::new(store.len(), params.seed ^ 0x5eed);
-        Self {
-            store,
-            graph,
-            seeds,
-            serving: ServingState::new(),
-            scratch: ScratchPool::new(),
-            build,
+/// Builds a KGraph index (random init + NNDescent), served with
+/// K-sampled random seeds.
+pub fn build(store: VectorStore, params: KGraphParams) -> PrebuiltIndex {
+    assert!(store.len() > params.k, "need more points than k");
+    let counter = DistCounter::new();
+    let start = std::time::Instant::now();
+    let graph = {
+        let space = Space::new(&store, &counter);
+        let threads = gass_core::effective_threads(params.threads);
+        let mut state = KnnGraphState::random_init(space, params.k, params.seed);
+        state.run_with(
+            space,
+            params.iters,
+            params.sample,
+            params.delta,
+            params.seed ^ 0xd5,
+            threads,
+        );
+        let mut g = AdjacencyGraph::new(store.len());
+        for (u, list) in state.lists().iter().enumerate() {
+            g.set_neighbors(u as u32, list.iter().map(|n| n.id).collect());
         }
-    }
-
-    /// Construction cost report.
-    pub fn build_report(&self) -> BuildReport {
-        self.build
-    }
-
-    /// The underlying graph.
-    pub fn graph(&self) -> &FlatGraph {
-        &self.graph
-    }
-}
-
-impl AnnIndex for KGraphIndex {
-    fn name(&self) -> String {
-        "KGraph".to_string()
-    }
-
-    fn num_vectors(&self) -> usize {
-        self.store.len()
-    }
-
-    fn dim(&self) -> usize {
-        self.store.dim()
-    }
-
-    fn search(
-        &self,
-        query: &[f32],
-        params: &QueryParams,
-        counter: &DistCounter,
-    ) -> SearchResult {
-        let space =
-            Space::new(&self.store, counter).with_quant(self.serving.quant_view(params));
-        let mut seeds = Vec::new();
-        self.seeds.seeds(space, query, params.seed_count, &mut seeds);
-        let res = self.scratch.with(self.store.len(), params.beam_width, |scratch| {
-            beam_search_frozen(
-                &self.graph,
-                self.serving.csr(),
-                space,
-                query,
-                &seeds,
-                params.k,
-                params.beam_width,
-                scratch,
-                params.termination(),
-            )
-        });
-        self.serving.finish(res)
-    }
-
-    fn freeze(&mut self) {
-        self.serving.freeze(&self.graph);
-    }
-
-    fn is_frozen(&self) -> bool {
-        self.serving.is_frozen()
-    }
-
-    fn quantize(&mut self, spec: gass_core::CodecSpec) {
-        self.serving.quantize(&self.store, spec);
-    }
-
-    fn is_quantized(&self) -> bool {
-        self.serving.is_quantized()
-    }
-
-    fn reorder(&mut self, strategy: ReorderStrategy) {
-        if let Some(map) = self.serving.reorder(&self.graph, &mut self.store, strategy, &[]) {
-            self.seeds.reorder(&map);
-        }
-    }
-
-    fn is_reordered(&self) -> bool {
-        self.serving.is_reordered()
-    }
-
-    fn reorder_strategy(&self) -> ReorderStrategy {
-        self.serving.strategy()
-    }
-
-    fn stats(&self) -> IndexStats {
-        IndexStats {
-            nodes: self.graph.num_nodes(),
-            edges: self.graph.num_edges(),
-            avg_degree: self.graph.avg_degree(),
-            max_degree: self.graph.max_degree(),
-            graph_bytes: self.graph.heap_bytes() + self.serving.graph_bytes(),
-            aux_bytes: self.serving.aux_bytes(),
-        }
-    }
+        FlatGraph::from_adjacency(&g, Some(params.k))
+    };
+    let build =
+        BuildReport { seconds: start.elapsed().as_secs_f64(), dist_calcs: counter.get() };
+    let seeds = RandomSeeds::new(store.len(), params.seed ^ 0x5eed);
+    PrebuiltIndex::new(store, graph, Box::new(seeds), "KGraph").with_build_report(build)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gass_core::index::{AnnIndex, QueryParams};
     use gass_data::ground_truth::ground_truth;
     use gass_data::synth::deep_like;
 
@@ -188,7 +78,7 @@ mod tests {
     fn kgraph_reaches_reasonable_recall() {
         let base = deep_like(500, 1);
         let queries = deep_like(15, 2);
-        let idx = KGraphIndex::build(base.clone(), KGraphParams::small());
+        let idx = build(base.clone(), KGraphParams::small());
         let gt = ground_truth(&base, &queries, 10);
         let counter = DistCounter::new();
         let params = QueryParams::new(10, 80).with_seed_count(16);
@@ -204,7 +94,7 @@ mod tests {
     #[test]
     fn build_report_is_populated() {
         let base = deep_like(120, 3);
-        let idx = KGraphIndex::build(base, KGraphParams::small());
+        let idx = build(base, KGraphParams::small());
         assert!(idx.build_report().dist_calcs > 0);
         assert!(idx.build_report().seconds >= 0.0);
         assert_eq!(idx.name(), "KGraph");

@@ -31,7 +31,14 @@
 //!
 //! All methods answer queries with the *same* beam search
 //! (`gass_core::search::beam_search`, the paper's Algorithm 1) and expose
-//! the same [`gass_core::index::AnnIndex`] interface.
+//! the same [`gass_core::index::AnnIndex`] interface. A method that is a
+//! graph plus a seed strategy is only its construction code: its module's
+//! `build` returns a [`gass_core::PrebuiltIndex`] holding the graph and a
+//! boxed [`gass_core::SeedProvider`] (KGraph, IEH, NSW, EFANNA, DPG, NGT,
+//! NSG, SPTAG, Vamana, SSG, HCNNG). HNSW, ELPIS, LSHAPG and HVS carry
+//! routing state beyond one graph and one seed provider, and the II
+//! baseline takes a seed provider per call, so they keep their own index
+//! types.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
@@ -59,21 +66,21 @@ pub mod vamana;
 
 pub use baseline::{IiGraph, IiParams};
 pub use common::BuildReport;
-pub use dpg::{DpgIndex, DpgParams};
-pub use efanna::{EfannaIndex, EfannaParams};
+pub use dpg::DpgParams;
+pub use efanna::EfannaParams;
 pub use elpis::{ElpisIndex, ElpisParams};
-pub use hcnng::{HcnngIndex, HcnngParams};
+pub use hcnng::HcnngParams;
 pub use hierarchy::{Hierarchy, SnSeeds};
 pub use hnsw::{HnswIndex, HnswParams};
 pub use hvs::{HvsIndex, HvsParams, VoronoiPyramid};
-pub use ieh::{IehIndex, IehParams};
-pub use kgraph::{KGraphIndex, KGraphParams};
+pub use ieh::IehParams;
+pub use kgraph::KGraphParams;
 pub use lshapg::{LshapgIndex, LshapgParams};
-pub use ngt::{NgtIndex, NgtParams};
+pub use ngt::NgtParams;
 pub use nndescent::KnnGraphState;
-pub use nsg::{NsgIndex, NsgParams};
-pub use nsw::{NswIndex, NswParams};
+pub use nsg::NsgParams;
+pub use nsw::NswParams;
 pub use registry::{build_method, build_method_with_threads, BuiltMethod, MethodKind};
-pub use sptag::{SptagIndex, SptagParams, SptagVariant};
-pub use ssg::{SsgIndex, SsgParams};
-pub use vamana::{VamanaIndex, VamanaParams};
+pub use sptag::{SptagParams, SptagVariant};
+pub use ssg::SsgParams;
+pub use vamana::VamanaParams;

@@ -7,12 +7,9 @@ use crate::common::BuildReport;
 use crate::nndescent::KnnGraphState;
 use gass_core::distance::{DistCounter, Space};
 use gass_core::graph::{AdjacencyGraph, GraphView};
-use gass_core::index::{AnnIndex, IndexStats, QueryParams, ScratchPool};
+use gass_core::index::PrebuiltIndex;
 use gass_core::nd::NdStrategy;
 use gass_core::neighbor::Neighbor;
-use gass_core::reorder::{ReorderStrategy, ServingState};
-use gass_core::search::{beam_search_frozen, SearchResult};
-use gass_core::seed::SeedProvider;
 use gass_core::store::VectorStore;
 use gass_trees::vptree::VpSeeds;
 
@@ -38,154 +35,42 @@ impl NgtParams {
     }
 }
 
-/// A built NGT index.
-pub struct NgtIndex {
-    store: VectorStore,
-    graph: AdjacencyGraph,
-    serving: ServingState,
-    vp: VpSeeds,
-    scratch: ScratchPool,
-    build: BuildReport,
-}
-
-impl NgtIndex {
-    /// Builds the index: approximate k-NN graph → bi-direct → RND prune →
-    /// VP-tree for seeds.
-    pub fn build(store: VectorStore, params: NgtParams) -> Self {
-        assert!(store.len() > params.base_k, "need more points than base_k");
-        let counter = DistCounter::new();
-        let start = std::time::Instant::now();
-        let (graph, vp) = {
-            let space = Space::new(&store, &counter);
-            let mut state = KnnGraphState::random_init(space, params.base_k, params.seed);
-            state.run(space, params.iters, params.base_k + 8, 0.002, params.seed ^ 0x17);
-            // Bi-directed k-NN graph.
-            let mut g = AdjacencyGraph::new(store.len());
-            for (u, list) in state.lists().iter().enumerate() {
-                for nb in list {
-                    g.add_undirected(u as u32, nb.id);
-                }
+/// Builds an NGT index: approximate k-NN graph → bi-direct → RND prune,
+/// served with VP-tree seeds. The pruned graph stays an adjacency list.
+pub fn build(store: VectorStore, params: NgtParams) -> PrebuiltIndex<AdjacencyGraph> {
+    assert!(store.len() > params.base_k, "need more points than base_k");
+    let counter = DistCounter::new();
+    let start = std::time::Instant::now();
+    let (graph, vp) = {
+        let space = Space::new(&store, &counter);
+        let mut state = KnnGraphState::random_init(space, params.base_k, params.seed);
+        state.run(space, params.iters, params.base_k + 8, 0.002, params.seed ^ 0x17);
+        // Bi-directed k-NN graph.
+        let mut g = AdjacencyGraph::new(store.len());
+        for (u, list) in state.lists().iter().enumerate() {
+            for nb in list {
+                g.add_undirected(u as u32, nb.id);
             }
-            // RND prune every (now enlarged) neighborhood.
-            for u in 0..store.len() as u32 {
-                let scored: Vec<Neighbor> = g
-                    .neighbors(u)
-                    .iter()
-                    .map(|&v| Neighbor::new(v, space.dist(u, v)))
-                    .collect();
-                let kept = NdStrategy::Rnd.diversify(space, u, &scored, params.max_degree);
-                g.set_neighbors(u, kept.into_iter().map(|n| n.id).collect());
-            }
-            let vp = VpSeeds::build(space, params.vp_leaf, params.seed ^ 0x9d);
-            (g, vp)
-        };
-        let build =
-            BuildReport { seconds: start.elapsed().as_secs_f64(), dist_calcs: counter.get() };
-        Self {
-            store,
-            graph,
-            vp,
-            serving: ServingState::new(),
-            scratch: ScratchPool::new(),
-            build,
         }
-    }
-
-    /// Construction cost report.
-    pub fn build_report(&self) -> BuildReport {
-        self.build
-    }
-
-    /// The pruned graph.
-    pub fn graph(&self) -> &AdjacencyGraph {
-        &self.graph
-    }
-}
-
-impl AnnIndex for NgtIndex {
-    fn name(&self) -> String {
-        "NGT".to_string()
-    }
-
-    fn num_vectors(&self) -> usize {
-        self.store.len()
-    }
-
-    fn dim(&self) -> usize {
-        self.store.dim()
-    }
-
-    fn search(
-        &self,
-        query: &[f32],
-        params: &QueryParams,
-        counter: &DistCounter,
-    ) -> SearchResult {
-        let space =
-            Space::new(&self.store, counter).with_quant(self.serving.quant_view(params));
-        let mut seeds = Vec::new();
-        self.vp.seeds(space, query, params.seed_count, &mut seeds);
-        let res = self.scratch.with(self.store.len(), params.beam_width, |scratch| {
-            beam_search_frozen(
-                &self.graph,
-                self.serving.csr(),
-                space,
-                query,
-                &seeds,
-                params.k,
-                params.beam_width,
-                scratch,
-                params.termination(),
-            )
-        });
-        self.serving.finish(res)
-    }
-
-    fn freeze(&mut self) {
-        self.serving.freeze(&self.graph);
-    }
-
-    fn is_frozen(&self) -> bool {
-        self.serving.is_frozen()
-    }
-
-    fn quantize(&mut self, spec: gass_core::CodecSpec) {
-        self.serving.quantize(&self.store, spec);
-    }
-
-    fn is_quantized(&self) -> bool {
-        self.serving.is_quantized()
-    }
-
-    fn reorder(&mut self, strategy: ReorderStrategy) {
-        if let Some(map) = self.serving.reorder(&self.graph, &mut self.store, strategy, &[]) {
-            self.vp.reorder(&map);
+        // RND prune every (now enlarged) neighborhood.
+        for u in 0..store.len() as u32 {
+            let scored: Vec<Neighbor> =
+                g.neighbors(u).iter().map(|&v| Neighbor::new(v, space.dist(u, v))).collect();
+            let kept = NdStrategy::Rnd.diversify(space, u, &scored, params.max_degree);
+            g.set_neighbors(u, kept.into_iter().map(|n| n.id).collect());
         }
-    }
-
-    fn is_reordered(&self) -> bool {
-        self.serving.is_reordered()
-    }
-
-    fn reorder_strategy(&self) -> ReorderStrategy {
-        self.serving.strategy()
-    }
-
-    fn stats(&self) -> IndexStats {
-        IndexStats {
-            nodes: self.graph.num_nodes(),
-            edges: self.graph.num_edges(),
-            avg_degree: self.graph.avg_degree(),
-            max_degree: self.graph.max_degree(),
-            graph_bytes: self.graph.heap_bytes() + self.serving.graph_bytes(),
-            aux_bytes: self.vp.heap_bytes() + self.serving.aux_bytes(),
-        }
-    }
+        let vp = VpSeeds::build(space, params.vp_leaf, params.seed ^ 0x9d);
+        (g, vp)
+    };
+    let build =
+        BuildReport { seconds: start.elapsed().as_secs_f64(), dist_calcs: counter.get() };
+    PrebuiltIndex::new(store, graph, Box::new(vp), "NGT").with_build_report(build)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gass_core::index::{AnnIndex, QueryParams};
     use gass_data::ground_truth::ground_truth;
     use gass_data::synth::deep_like;
 
@@ -193,7 +78,7 @@ mod tests {
     fn ngt_recall_with_vp_seeds() {
         let base = deep_like(500, 1);
         let queries = deep_like(15, 2);
-        let idx = NgtIndex::build(base.clone(), NgtParams::small());
+        let idx = build(base.clone(), NgtParams::small());
         let gt = ground_truth(&base, &queries, 10);
         let counter = DistCounter::new();
         let params = QueryParams::new(10, 128).with_seed_count(16);
@@ -209,7 +94,7 @@ mod tests {
     #[test]
     fn degree_bounded_after_pruning() {
         let base = deep_like(300, 3);
-        let idx = NgtIndex::build(base, NgtParams::small());
+        let idx = build(base, NgtParams::small());
         assert!(idx.stats().max_degree <= 16);
         assert!(idx.stats().aux_bytes > 0, "VP tree must be accounted");
         assert_eq!(idx.name(), "NGT");

@@ -6,17 +6,14 @@
 //! warm-up seeds — MD+KS).
 
 use crate::common::{add_reverse_edges, repair_connectivity, BuildReport};
-use crate::efanna::{EfannaIndex, EfannaParams};
+use crate::efanna::EfannaParams;
 use gass_core::distance::{DistCounter, Space};
 use gass_core::graph::{AdjacencyGraph, FlatGraph, GraphView};
-use gass_core::index::{AnnIndex, IndexStats, QueryParams, ScratchPool};
+use gass_core::index::PrebuiltIndex;
 use gass_core::nd::NdStrategy;
 use gass_core::neighbor::Neighbor;
-use gass_core::reorder::{ReorderStrategy, ServingState};
-use gass_core::search::{
-    beam_search_frozen, beam_search_with_sink, SearchResult, SearchScratch,
-};
-use gass_core::seed::{RandomSeeds, SeedProvider};
+use gass_core::search::{beam_search_with_sink, SearchScratch};
+use gass_core::seed::RandomSeeds;
 use gass_core::store::VectorStore;
 
 /// NSG construction parameters.
@@ -45,210 +42,86 @@ impl NsgParams {
     }
 }
 
-/// A built NSG index.
-pub struct NsgIndex {
+/// Builds NSG from scratch, including its EFANNA base (the paper's
+/// indexing-time figures charge NSG for both phases).
+pub fn build(store: VectorStore, params: NsgParams) -> PrebuiltIndex {
+    let (base_graph, _, base_build) = crate::efanna::build_parts(&store, params.base);
+    from_base(store, &base_graph, base_build, params)
+}
+
+/// Builds NSG on a pre-built base graph whose cost was `base_build`. The
+/// index is served from the medoid plus K-sampled random seeds (MD+KS),
+/// and the medoid is its reorder entry.
+pub fn from_base(
     store: VectorStore,
-    graph: FlatGraph,
-    serving: ServingState,
-    seeds: RandomSeeds,
-    medoid: u32,
-    scratch: ScratchPool,
-    build: BuildReport,
+    base_graph: &FlatGraph,
     base_build: BuildReport,
-}
-
-impl NsgIndex {
-    /// Builds NSG from scratch (including its EFANNA base; the paper's
-    /// indexing-time figures charge NSG for both phases).
-    pub fn build(store: VectorStore, params: NsgParams) -> Self {
-        let efanna = EfannaIndex::build(store, params.base);
-        let (store, base_graph, _forest, base_build) = efanna.into_parts();
-        Self::from_base(store, &base_graph, base_build, params)
-    }
-
-    /// Builds NSG on a pre-built base graph.
-    pub fn from_base(
-        store: VectorStore,
-        base_graph: &FlatGraph,
-        base_build: BuildReport,
-        params: NsgParams,
-    ) -> Self {
-        let counter = DistCounter::new();
-        let start = std::time::Instant::now();
-        let n = store.len();
-        let (graph, medoid) = {
-            let space = Space::new(&store, &counter);
-            let medoid = store.centroid_medoid();
-            let threads = gass_core::effective_threads(params.threads);
-            // Phase A: candidate generation reads only the immutable base
-            // graph, never the NSG under construction — so the per-node
-            // searches parallelize freely.
-            let prepared: Vec<Vec<Neighbor>> = gass_core::par_map_with(
-                threads,
-                n,
-                || (SearchScratch::new(n, params.build_l), Vec::new()),
-                |state, u| {
-                    let (scratch, sink) = state;
-                    let u = u as u32;
-                    sink.clear();
-                    beam_search_with_sink(
-                        base_graph,
-                        space,
-                        store.get(u),
-                        &[medoid],
-                        params.build_l,
-                        params.build_l,
-                        scratch,
-                        Some(sink),
-                    );
-                    // Candidate pool: everything visited plus the node's
-                    // base neighbors.
-                    for &v in base_graph.neighbors(u) {
-                        if !sink.iter().any(|s| s.id == v) {
-                            sink.push(Neighbor::new(v, space.dist(u, v)));
-                        }
-                    }
-                    NdStrategy::Rnd.diversify(space, u, sink, params.max_degree)
-                },
-            );
-            // Phase B: serial apply in node order — identical to the
-            // sequential build.
-            let mut g = AdjacencyGraph::with_degree_hint(n, params.max_degree + 1);
-            for (u, kept) in prepared.iter().enumerate() {
+    params: NsgParams,
+) -> PrebuiltIndex {
+    let counter = DistCounter::new();
+    let start = std::time::Instant::now();
+    let n = store.len();
+    let (graph, medoid) = {
+        let space = Space::new(&store, &counter);
+        let medoid = store.centroid_medoid();
+        let threads = gass_core::effective_threads(params.threads);
+        // Phase A: candidate generation reads only the immutable base
+        // graph, never the NSG under construction — so the per-node
+        // searches parallelize freely.
+        let prepared: Vec<Vec<Neighbor>> = gass_core::par_map_with(
+            threads,
+            n,
+            || (SearchScratch::new(n, params.build_l), Vec::new()),
+            |state, u| {
+                let (scratch, sink) = state;
                 let u = u as u32;
-                g.set_neighbors(u, kept.iter().map(|k| k.id).collect());
-                add_reverse_edges(space, &mut g, u, kept, params.max_degree, NdStrategy::Rnd);
-            }
-            repair_connectivity(space, &mut g, medoid);
-            (g, medoid)
-        };
-        let build = BuildReport {
-            seconds: start.elapsed().as_secs_f64() + base_build.seconds,
-            dist_calcs: counter.get() + base_build.dist_calcs,
-        };
-        let flat = FlatGraph::from_adjacency(&graph, None);
-        let seeds = RandomSeeds::with_anchor(n, medoid, params.seed ^ 0x5eed);
-        Self {
-            store,
-            graph: flat,
-            seeds,
-            medoid,
-            serving: ServingState::new(),
-            scratch: ScratchPool::new(),
-            build,
-            base_build,
+                sink.clear();
+                beam_search_with_sink(
+                    base_graph,
+                    space,
+                    store.get(u),
+                    &[medoid],
+                    params.build_l,
+                    params.build_l,
+                    scratch,
+                    Some(sink),
+                );
+                // Candidate pool: everything visited plus the node's
+                // base neighbors.
+                for &v in base_graph.neighbors(u) {
+                    if !sink.iter().any(|s| s.id == v) {
+                        sink.push(Neighbor::new(v, space.dist(u, v)));
+                    }
+                }
+                NdStrategy::Rnd.diversify(space, u, sink, params.max_degree)
+            },
+        );
+        // Phase B: serial apply in node order — identical to the
+        // sequential build.
+        let mut g = AdjacencyGraph::with_degree_hint(n, params.max_degree + 1);
+        for (u, kept) in prepared.iter().enumerate() {
+            let u = u as u32;
+            g.set_neighbors(u, kept.iter().map(|k| k.id).collect());
+            add_reverse_edges(space, &mut g, u, kept, params.max_degree, NdStrategy::Rnd);
         }
-    }
-
-    /// Total construction cost (EFANNA base + NSG refinement).
-    pub fn build_report(&self) -> BuildReport {
-        self.build
-    }
-
-    /// Cost of the EFANNA base alone.
-    pub fn base_build_report(&self) -> BuildReport {
-        self.base_build
-    }
-
-    /// The medoid entry node.
-    pub fn medoid(&self) -> u32 {
-        self.medoid
-    }
-
-    /// The refined graph.
-    pub fn graph(&self) -> &FlatGraph {
-        &self.graph
-    }
-}
-
-impl AnnIndex for NsgIndex {
-    fn name(&self) -> String {
-        "NSG".to_string()
-    }
-
-    fn num_vectors(&self) -> usize {
-        self.store.len()
-    }
-
-    fn dim(&self) -> usize {
-        self.store.dim()
-    }
-
-    fn search(
-        &self,
-        query: &[f32],
-        params: &QueryParams,
-        counter: &DistCounter,
-    ) -> SearchResult {
-        let space =
-            Space::new(&self.store, counter).with_quant(self.serving.quant_view(params));
-        let mut seeds = Vec::new();
-        self.seeds.seeds(space, query, params.seed_count, &mut seeds);
-        let res = self.scratch.with(self.store.len(), params.beam_width, |scratch| {
-            beam_search_frozen(
-                &self.graph,
-                self.serving.csr(),
-                space,
-                query,
-                &seeds,
-                params.k,
-                params.beam_width,
-                scratch,
-                params.termination(),
-            )
-        });
-        self.serving.finish(res)
-    }
-
-    fn freeze(&mut self) {
-        self.serving.freeze(&self.graph);
-    }
-
-    fn is_frozen(&self) -> bool {
-        self.serving.is_frozen()
-    }
-
-    fn quantize(&mut self, spec: gass_core::CodecSpec) {
-        self.serving.quantize(&self.store, spec);
-    }
-
-    fn is_quantized(&self) -> bool {
-        self.serving.is_quantized()
-    }
-
-    fn reorder(&mut self, strategy: ReorderStrategy) {
-        let entries = [self.medoid];
-        if let Some(map) =
-            self.serving.reorder(&self.graph, &mut self.store, strategy, &entries)
-        {
-            self.seeds.reorder(&map);
-            self.medoid = map.to_new(self.medoid);
-        }
-    }
-
-    fn is_reordered(&self) -> bool {
-        self.serving.is_reordered()
-    }
-
-    fn reorder_strategy(&self) -> ReorderStrategy {
-        self.serving.strategy()
-    }
-
-    fn stats(&self) -> IndexStats {
-        IndexStats {
-            nodes: self.graph.num_nodes(),
-            edges: self.graph.num_edges(),
-            avg_degree: self.graph.avg_degree(),
-            max_degree: self.graph.max_degree(),
-            graph_bytes: self.graph.heap_bytes() + self.serving.graph_bytes(),
-            aux_bytes: self.serving.aux_bytes(),
-        }
-    }
+        repair_connectivity(space, &mut g, medoid);
+        (g, medoid)
+    };
+    let build = BuildReport {
+        seconds: start.elapsed().as_secs_f64() + base_build.seconds,
+        dist_calcs: counter.get() + base_build.dist_calcs,
+    };
+    let flat = FlatGraph::from_adjacency(&graph, None);
+    let seeds = RandomSeeds::with_anchor(n, medoid, params.seed ^ 0x5eed);
+    PrebuiltIndex::new(store, flat, Box::new(seeds), "NSG")
+        .with_build_report(build)
+        .with_entries(vec![medoid])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gass_core::index::{AnnIndex, QueryParams};
     use gass_data::ground_truth::ground_truth;
     use gass_data::synth::deep_like;
 
@@ -256,7 +129,7 @@ mod tests {
     fn nsg_high_recall() {
         let base = deep_like(500, 1);
         let queries = deep_like(15, 2);
-        let idx = NsgIndex::build(base.clone(), NsgParams::small());
+        let idx = build(base.clone(), NsgParams::small());
         let gt = ground_truth(&base, &queries, 10);
         let counter = DistCounter::new();
         let params = QueryParams::new(10, 64).with_seed_count(8);
@@ -272,13 +145,14 @@ mod tests {
     #[test]
     fn graph_is_connected_from_medoid() {
         let base = deep_like(300, 3);
-        let idx = NsgIndex::build(base, NsgParams::small());
+        let idx = build(base, NsgParams::small());
         // FlatGraph has the same adjacency; rebuild adjacency reachability
         // through the flat view.
         let g = idx.graph();
         let mut seen = vec![false; g.num_nodes()];
-        let mut queue = std::collections::VecDeque::from([idx.medoid()]);
-        seen[idx.medoid() as usize] = true;
+        let medoid = idx.entries()[0];
+        let mut queue = std::collections::VecDeque::from([medoid]);
+        seen[medoid as usize] = true;
         while let Some(u) = queue.pop_front() {
             for &v in g.neighbors(u) {
                 if !seen[v as usize] {
@@ -293,8 +167,9 @@ mod tests {
     #[test]
     fn build_charges_base_graph_too() {
         let base = deep_like(200, 5);
-        let idx = NsgIndex::build(base, NsgParams::small());
-        assert!(idx.build_report().dist_calcs > idx.base_build_report().dist_calcs);
+        let (_, _, base_build) = crate::efanna::build_parts(&base, NsgParams::small().base);
+        let idx = build(base, NsgParams::small());
+        assert!(idx.build_report().dist_calcs > base_build.dist_calcs);
         assert_eq!(idx.name(), "NSG");
     }
 }

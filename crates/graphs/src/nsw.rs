@@ -7,10 +7,9 @@
 
 use crate::common::BuildReport;
 use gass_core::distance::{DistCounter, Space};
-use gass_core::graph::{AdjacencyGraph, GraphView};
-use gass_core::index::{AnnIndex, IndexStats, QueryParams, ScratchPool};
-use gass_core::reorder::{ReorderStrategy, ServingState};
-use gass_core::search::{beam_search, beam_search_frozen, SearchResult, SearchScratch};
+use gass_core::graph::AdjacencyGraph;
+use gass_core::index::PrebuiltIndex;
+use gass_core::search::{beam_search, SearchScratch};
 use gass_core::seed::{RandomSeeds, SeedProvider};
 use gass_core::store::VectorStore;
 
@@ -33,160 +32,53 @@ impl NswParams {
     }
 }
 
-/// A built NSW index. NSW keeps adjacency lists (degrees are unbounded —
+/// Builds an NSW index by incremental insertion, served with K-sampled
+/// random seeds. NSW keeps adjacency lists (degrees are unbounded —
 /// reverse edges accumulate on hub nodes, which is part of why HNSW later
 /// added pruning).
-pub struct NswIndex {
-    store: VectorStore,
-    graph: AdjacencyGraph,
-    serving: ServingState,
-    seeds: RandomSeeds,
-    scratch: ScratchPool,
-    build: BuildReport,
-}
-
-impl NswIndex {
-    /// Builds the index by incremental insertion.
-    pub fn build(store: VectorStore, params: NswParams) -> Self {
-        assert!(store.len() >= 2, "need at least two vectors");
-        let counter = DistCounter::new();
-        let start = std::time::Instant::now();
-        let n = store.len();
-        let mut graph = AdjacencyGraph::with_degree_hint(n, params.m * 2);
-        {
-            let space = Space::new(&store, &counter);
-            let build_seeder = RandomSeeds::new(n, params.seed ^ 0x5eed);
-            let mut scratch = SearchScratch::new(n, params.ef_construction);
-            let mut seed_buf = Vec::new();
-            for id in 1..n as u32 {
-                seed_buf.clear();
-                seed_buf.push(0);
-                let mut raw = Vec::new();
-                build_seeder.seeds(space, store.get(id), 4, &mut raw);
-                seed_buf.extend(raw.into_iter().map(|s| s % id));
-                seed_buf.dedup();
-                let res = beam_search(
-                    &graph,
-                    space,
-                    store.get(id),
-                    &seed_buf,
-                    params.m,
-                    params.ef_construction,
-                    &mut scratch,
-                );
-                for nb in res.neighbors.iter().take(params.m) {
-                    graph.add_undirected(id, nb.id);
-                }
+pub fn build(store: VectorStore, params: NswParams) -> PrebuiltIndex<AdjacencyGraph> {
+    assert!(store.len() >= 2, "need at least two vectors");
+    let counter = DistCounter::new();
+    let start = std::time::Instant::now();
+    let n = store.len();
+    let mut graph = AdjacencyGraph::with_degree_hint(n, params.m * 2);
+    {
+        let space = Space::new(&store, &counter);
+        let build_seeder = RandomSeeds::new(n, params.seed ^ 0x5eed);
+        let mut scratch = SearchScratch::new(n, params.ef_construction);
+        let mut seed_buf = Vec::new();
+        for id in 1..n as u32 {
+            seed_buf.clear();
+            seed_buf.push(0);
+            let mut raw = Vec::new();
+            build_seeder.seeds(space, store.get(id), 4, &mut raw);
+            seed_buf.extend(raw.into_iter().map(|s| s % id));
+            seed_buf.dedup();
+            let res = beam_search(
+                &graph,
+                space,
+                store.get(id),
+                &seed_buf,
+                params.m,
+                params.ef_construction,
+                &mut scratch,
+            );
+            for nb in res.neighbors.iter().take(params.m) {
+                graph.add_undirected(id, nb.id);
             }
         }
-        let build =
-            BuildReport { seconds: start.elapsed().as_secs_f64(), dist_calcs: counter.get() };
-        let seeds = RandomSeeds::new(n, params.seed ^ 0xbeef);
-        Self {
-            store,
-            graph,
-            seeds,
-            serving: ServingState::new(),
-            scratch: ScratchPool::new(),
-            build,
-        }
     }
-
-    /// Construction cost report.
-    pub fn build_report(&self) -> BuildReport {
-        self.build
-    }
-
-    /// The underlying graph.
-    pub fn graph(&self) -> &AdjacencyGraph {
-        &self.graph
-    }
-}
-
-impl AnnIndex for NswIndex {
-    fn name(&self) -> String {
-        "NSW".to_string()
-    }
-
-    fn num_vectors(&self) -> usize {
-        self.store.len()
-    }
-
-    fn dim(&self) -> usize {
-        self.store.dim()
-    }
-
-    fn search(
-        &self,
-        query: &[f32],
-        params: &QueryParams,
-        counter: &DistCounter,
-    ) -> SearchResult {
-        let space =
-            Space::new(&self.store, counter).with_quant(self.serving.quant_view(params));
-        let mut seeds = Vec::new();
-        self.seeds.seeds(space, query, params.seed_count, &mut seeds);
-        let res = self.scratch.with(self.store.len(), params.beam_width, |scratch| {
-            beam_search_frozen(
-                &self.graph,
-                self.serving.csr(),
-                space,
-                query,
-                &seeds,
-                params.k,
-                params.beam_width,
-                scratch,
-                params.termination(),
-            )
-        });
-        self.serving.finish(res)
-    }
-
-    fn freeze(&mut self) {
-        self.serving.freeze(&self.graph);
-    }
-
-    fn is_frozen(&self) -> bool {
-        self.serving.is_frozen()
-    }
-
-    fn quantize(&mut self, spec: gass_core::CodecSpec) {
-        self.serving.quantize(&self.store, spec);
-    }
-
-    fn is_quantized(&self) -> bool {
-        self.serving.is_quantized()
-    }
-
-    fn reorder(&mut self, strategy: ReorderStrategy) {
-        if let Some(map) = self.serving.reorder(&self.graph, &mut self.store, strategy, &[]) {
-            self.seeds.reorder(&map);
-        }
-    }
-
-    fn is_reordered(&self) -> bool {
-        self.serving.is_reordered()
-    }
-
-    fn reorder_strategy(&self) -> ReorderStrategy {
-        self.serving.strategy()
-    }
-
-    fn stats(&self) -> IndexStats {
-        IndexStats {
-            nodes: self.graph.num_nodes(),
-            edges: self.graph.num_edges(),
-            avg_degree: self.graph.avg_degree(),
-            max_degree: self.graph.max_degree(),
-            graph_bytes: self.graph.heap_bytes() + self.serving.graph_bytes(),
-            aux_bytes: self.serving.aux_bytes(),
-        }
-    }
+    let build =
+        BuildReport { seconds: start.elapsed().as_secs_f64(), dist_calcs: counter.get() };
+    let seeds = RandomSeeds::new(n, params.seed ^ 0xbeef);
+    PrebuiltIndex::new(store, graph, Box::new(seeds), "NSW").with_build_report(build)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gass_core::graph::GraphView;
+    use gass_core::index::{AnnIndex, QueryParams};
     use gass_data::ground_truth::ground_truth;
     use gass_data::synth::deep_like;
 
@@ -194,7 +86,7 @@ mod tests {
     fn nsw_graph_is_navigable() {
         let base = deep_like(400, 1);
         let queries = deep_like(12, 2);
-        let idx = NswIndex::build(base.clone(), NswParams::small());
+        let idx = build(base.clone(), NswParams::small());
         let gt = ground_truth(&base, &queries, 10);
         let counter = DistCounter::new();
         let params = QueryParams::new(10, 64).with_seed_count(8);
@@ -212,7 +104,7 @@ mod tests {
         // Without pruning, early-inserted vertices become hubs: their
         // degree exceeds M (the long-range link phenomenon).
         let base = deep_like(500, 3);
-        let idx = NswIndex::build(base, NswParams::small());
+        let idx = build(base, NswParams::small());
         let early_deg = idx.graph().neighbors(0).len();
         assert!(early_deg > 12, "node 0 degree {early_deg} should exceed M");
         assert_eq!(idx.name(), "NSW");
@@ -221,7 +113,7 @@ mod tests {
     #[test]
     fn graph_is_connected_from_first_node() {
         let base = deep_like(200, 5);
-        let idx = NswIndex::build(base, NswParams::small());
+        let idx = build(base, NswParams::small());
         assert!(idx.graph().is_connected_from(0));
     }
 }

@@ -4,19 +4,20 @@
 
 use crate::baseline::{IiGraph, IiParams};
 use crate::common::BuildReport;
-use crate::dpg::{DpgIndex, DpgParams};
-use crate::efanna::{EfannaIndex, EfannaParams};
+use crate::dpg::DpgParams;
+use crate::efanna::EfannaParams;
 use crate::elpis::{ElpisIndex, ElpisParams};
-use crate::hcnng::{HcnngIndex, HcnngParams};
+use crate::hcnng::HcnngParams;
 use crate::hnsw::{HnswIndex, HnswParams};
-use crate::kgraph::{KGraphIndex, KGraphParams};
+use crate::kgraph::KGraphParams;
 use crate::lshapg::{LshapgIndex, LshapgParams};
-use crate::ngt::{NgtIndex, NgtParams};
-use crate::nsg::{NsgIndex, NsgParams};
-use crate::nsw::{NswIndex, NswParams};
-use crate::sptag::{SptagIndex, SptagParams, SptagVariant};
-use crate::ssg::{SsgIndex, SsgParams};
-use crate::vamana::{VamanaIndex, VamanaParams};
+use crate::ngt::NgtParams;
+use crate::nsg::NsgParams;
+use crate::nsw::NswParams;
+use crate::sptag::{SptagParams, SptagVariant};
+use crate::ssg::SsgParams;
+use crate::vamana::VamanaParams;
+use crate::{dpg, efanna, hcnng, kgraph, ngt, nsg, nsw, sptag, ssg, vamana};
 use gass_core::index::AnnIndex;
 use gass_core::nd::NdStrategy;
 use gass_core::store::VectorStore;
@@ -181,7 +182,7 @@ pub fn build_method_with_threads(
             BuiltMethod { index: Box::new(idx), build }
         }
         MethodKind::Nsg => {
-            let idx = NsgIndex::build(
+            let idx = nsg::build(
                 store,
                 NsgParams {
                     max_degree: degree,
@@ -195,7 +196,7 @@ pub fn build_method_with_threads(
             BuiltMethod { index: Box::new(idx), build }
         }
         MethodKind::Ssg => {
-            let idx = SsgIndex::build(
+            let idx = ssg::build(
                 store,
                 SsgParams {
                     max_degree: degree,
@@ -209,7 +210,7 @@ pub fn build_method_with_threads(
             BuiltMethod { index: Box::new(idx), build }
         }
         MethodKind::Vamana => {
-            let idx = VamanaIndex::build(
+            let idx = vamana::build(
                 store,
                 VamanaParams {
                     max_degree: degree,
@@ -223,7 +224,7 @@ pub fn build_method_with_threads(
             BuiltMethod { index: Box::new(idx), build }
         }
         MethodKind::Dpg => {
-            let idx = DpgIndex::build(
+            let idx = dpg::build(
                 store,
                 DpgParams {
                     base_k: degree,
@@ -238,7 +239,7 @@ pub fn build_method_with_threads(
             BuiltMethod { index: Box::new(idx), build }
         }
         MethodKind::Efanna => {
-            let idx = EfannaIndex::build(
+            let idx = efanna::build(
                 store,
                 EfannaParams { k: degree, seed, threads: t_auto, ..EfannaParams::small() },
             );
@@ -246,7 +247,7 @@ pub fn build_method_with_threads(
             BuiltMethod { index: Box::new(idx), build }
         }
         MethodKind::Hcnng => {
-            let idx = HcnngIndex::build(
+            let idx = hcnng::build(
                 store,
                 HcnngParams { seed, threads: t_auto, ..HcnngParams::small() },
             );
@@ -254,7 +255,7 @@ pub fn build_method_with_threads(
             BuiltMethod { index: Box::new(idx), build }
         }
         MethodKind::KGraph => {
-            let idx = KGraphIndex::build(
+            let idx = kgraph::build(
                 store,
                 KGraphParams { k: degree, seed, threads: t_auto, ..KGraphParams::small() },
             );
@@ -262,7 +263,7 @@ pub fn build_method_with_threads(
             BuiltMethod { index: Box::new(idx), build }
         }
         MethodKind::Ngt => {
-            let idx = NgtIndex::build(
+            let idx = ngt::build(
                 store,
                 NgtParams { base_k: degree, max_degree: degree, seed, ..NgtParams::small() },
             );
@@ -270,7 +271,7 @@ pub fn build_method_with_threads(
             BuiltMethod { index: Box::new(idx), build }
         }
         MethodKind::SptagKdt => {
-            let idx = SptagIndex::build(
+            let idx = sptag::build(
                 store,
                 SptagParams { seed, ..SptagParams::small(SptagVariant::Kdt) },
             );
@@ -278,7 +279,7 @@ pub fn build_method_with_threads(
             BuiltMethod { index: Box::new(idx), build }
         }
         MethodKind::SptagBkt => {
-            let idx = SptagIndex::build(
+            let idx = sptag::build(
                 store,
                 SptagParams { seed, ..SptagParams::small(SptagVariant::Bkt) },
             );
@@ -332,10 +333,8 @@ pub fn build_method_with_threads(
             BuiltMethod { index: Box::new(idx), build }
         }
         MethodKind::Nsw => {
-            let idx = NswIndex::build(
-                store,
-                NswParams { m: degree / 2, ef_construction: build_l, seed },
-            );
+            let idx =
+                nsw::build(store, NswParams { m: degree / 2, ef_construction: build_l, seed });
             let build = idx.build_report();
             BuiltMethod { index: Box::new(idx), build }
         }

@@ -8,11 +8,9 @@
 use crate::common::{exact_knn_subset, BuildReport};
 use gass_core::distance::{DistCounter, Space};
 use gass_core::graph::{AdjacencyGraph, FlatGraph, GraphView};
-use gass_core::index::{AnnIndex, IndexStats, QueryParams, ScratchPool};
+use gass_core::index::PrebuiltIndex;
 use gass_core::nd::NdStrategy;
 use gass_core::neighbor::Neighbor;
-use gass_core::reorder::{IdRemap, ReorderStrategy, ServingState};
-use gass_core::search::{beam_search_frozen, SearchResult};
 use gass_core::seed::SeedProvider;
 use gass_core::store::VectorStore;
 use gass_trees::bkt::BktSeeds;
@@ -57,210 +55,68 @@ impl SptagParams {
     }
 }
 
-enum Seeder {
-    Kdt(KdForest),
-    Bkt(BktSeeds),
-}
-
-impl Seeder {
-    fn seeds(&self, space: Space<'_>, query: &[f32], count: usize, out: &mut Vec<u32>) {
-        match self {
-            Seeder::Kdt(f) => f.seeds(space, query, count, out),
-            Seeder::Bkt(b) => b.seeds(space, query, count, out),
-        }
-    }
-
-    fn heap_bytes(&self) -> usize {
-        match self {
-            Seeder::Kdt(f) => f.heap_bytes(),
-            Seeder::Bkt(b) => b.heap_bytes(),
-        }
-    }
-
-    fn reorder(&mut self, map: &IdRemap) {
-        match self {
-            Seeder::Kdt(f) => f.reorder(map),
-            Seeder::Bkt(b) => b.reorder(map),
-        }
-    }
-}
-
-/// A built SPTAG index.
-pub struct SptagIndex {
-    store: VectorStore,
-    graph: FlatGraph,
-    serving: ServingState,
-    seeder: Seeder,
-    variant: SptagVariant,
-    scratch: ScratchPool,
-    build: BuildReport,
-}
-
-impl SptagIndex {
-    /// Builds the index: repeated TP divisions → per-leaf exact k-NN →
-    /// merge → RND refine → seed trees.
-    pub fn build(store: VectorStore, params: SptagParams) -> Self {
-        assert!(store.len() > params.leaf_size, "dataset smaller than one leaf");
-        let counter = DistCounter::new();
-        let start = std::time::Instant::now();
-        let n = store.len();
-        let all_ids: Vec<u32> = (0..n as u32).collect();
-        let (graph, seeder) = {
-            let space = Space::new(&store, &counter);
-            let mut merged = AdjacencyGraph::with_degree_hint(n, params.knn_k * 2);
-            for div in 0..params.divisions.max(1) {
-                let part = TpPartition::build(
-                    &store,
-                    &all_ids,
-                    params.leaf_size,
-                    params.seed.wrapping_add(div as u64),
-                );
-                for leaf in part.leaves() {
-                    let lists = exact_knn_subset(space, leaf, params.knn_k);
-                    for (pos, list) in lists.iter().enumerate() {
-                        let u = leaf[pos];
-                        for nb in list {
-                            merged.add_edge(u, nb.id);
-                        }
+/// Builds a SPTAG index: repeated TP divisions → per-leaf exact k-NN →
+/// merge → RND refine, served with the variant's seed trees.
+pub fn build(store: VectorStore, params: SptagParams) -> PrebuiltIndex {
+    assert!(store.len() > params.leaf_size, "dataset smaller than one leaf");
+    let counter = DistCounter::new();
+    let start = std::time::Instant::now();
+    let n = store.len();
+    let all_ids: Vec<u32> = (0..n as u32).collect();
+    let (graph, seeder) = {
+        let space = Space::new(&store, &counter);
+        let mut merged = AdjacencyGraph::with_degree_hint(n, params.knn_k * 2);
+        for div in 0..params.divisions.max(1) {
+            let part = TpPartition::build(
+                &store,
+                &all_ids,
+                params.leaf_size,
+                params.seed.wrapping_add(div as u64),
+            );
+            for leaf in part.leaves() {
+                let lists = exact_knn_subset(space, leaf, params.knn_k);
+                for (pos, list) in lists.iter().enumerate() {
+                    let u = leaf[pos];
+                    for nb in list {
+                        merged.add_edge(u, nb.id);
                     }
                 }
             }
-            // RND refinement of merged neighborhoods.
-            for u in 0..n as u32 {
-                let scored: Vec<Neighbor> = merged
-                    .neighbors(u)
-                    .iter()
-                    .map(|&v| Neighbor::new(v, space.dist(u, v)))
-                    .collect();
-                let kept = NdStrategy::Rnd.diversify(space, u, &scored, params.max_degree);
-                merged.set_neighbors(u, kept.into_iter().map(|k| k.id).collect());
-            }
-            let seeder = match params.variant {
-                SptagVariant::Kdt => {
-                    Seeder::Kdt(KdForest::build(&store, 4, 16, params.seed ^ 0x4d))
-                }
-                SptagVariant::Bkt => {
-                    Seeder::Bkt(BktSeeds::build(space, 8, 24, params.seed ^ 0xb4))
-                }
-            };
-            (merged, seeder)
+        }
+        // RND refinement of merged neighborhoods.
+        for u in 0..n as u32 {
+            let scored: Vec<Neighbor> = merged
+                .neighbors(u)
+                .iter()
+                .map(|&v| Neighbor::new(v, space.dist(u, v)))
+                .collect();
+            let kept = NdStrategy::Rnd.diversify(space, u, &scored, params.max_degree);
+            merged.set_neighbors(u, kept.into_iter().map(|k| k.id).collect());
+        }
+        let seeder: Box<dyn SeedProvider> = match params.variant {
+            SptagVariant::Kdt => Box::new(KdForest::build(&store, 4, 16, params.seed ^ 0x4d)),
+            SptagVariant::Bkt => Box::new(BktSeeds::build(space, 8, 24, params.seed ^ 0xb4)),
         };
-        let build =
-            BuildReport { seconds: start.elapsed().as_secs_f64(), dist_calcs: counter.get() };
-        let flat = FlatGraph::from_adjacency(&graph, Some(params.max_degree));
-        Self {
-            store,
-            graph: flat,
-            seeder,
-            variant: params.variant,
-            serving: ServingState::new(),
-            scratch: ScratchPool::new(),
-            build,
-        }
-    }
-
-    /// Construction cost report.
-    pub fn build_report(&self) -> BuildReport {
-        self.build
-    }
-
-    /// The merged, refined graph.
-    pub fn graph(&self) -> &FlatGraph {
-        &self.graph
-    }
-}
-
-impl AnnIndex for SptagIndex {
-    fn name(&self) -> String {
-        match self.variant {
-            SptagVariant::Kdt => "SPTAG-KDT".to_string(),
-            SptagVariant::Bkt => "SPTAG-BKT".to_string(),
-        }
-    }
-
-    fn num_vectors(&self) -> usize {
-        self.store.len()
-    }
-
-    fn dim(&self) -> usize {
-        self.store.dim()
-    }
-
-    fn search(
-        &self,
-        query: &[f32],
-        params: &QueryParams,
-        counter: &DistCounter,
-    ) -> SearchResult {
-        let space =
-            Space::new(&self.store, counter).with_quant(self.serving.quant_view(params));
-        let mut seeds = Vec::new();
-        self.seeder.seeds(space, query, params.seed_count, &mut seeds);
-        let res = self.scratch.with(self.store.len(), params.beam_width, |scratch| {
-            beam_search_frozen(
-                &self.graph,
-                self.serving.csr(),
-                space,
-                query,
-                &seeds,
-                params.k,
-                params.beam_width,
-                scratch,
-                params.termination(),
-            )
-        });
-        self.serving.finish(res)
-    }
-
-    fn freeze(&mut self) {
-        self.serving.freeze(&self.graph);
-    }
-
-    fn is_frozen(&self) -> bool {
-        self.serving.is_frozen()
-    }
-
-    fn quantize(&mut self, spec: gass_core::CodecSpec) {
-        self.serving.quantize(&self.store, spec);
-    }
-
-    fn is_quantized(&self) -> bool {
-        self.serving.is_quantized()
-    }
-
-    fn reorder(&mut self, strategy: ReorderStrategy) {
-        if let Some(map) = self.serving.reorder(&self.graph, &mut self.store, strategy, &[]) {
-            self.seeder.reorder(&map);
-        }
-    }
-
-    fn is_reordered(&self) -> bool {
-        self.serving.is_reordered()
-    }
-
-    fn reorder_strategy(&self) -> ReorderStrategy {
-        self.serving.strategy()
-    }
-
-    fn stats(&self) -> IndexStats {
-        IndexStats {
-            nodes: self.graph.num_nodes(),
-            edges: self.graph.num_edges(),
-            avg_degree: self.graph.avg_degree(),
-            max_degree: self.graph.max_degree(),
-            graph_bytes: self.graph.heap_bytes() + self.serving.graph_bytes(),
-            aux_bytes: self.seeder.heap_bytes() + self.serving.aux_bytes(),
-        }
-    }
+        (merged, seeder)
+    };
+    let build =
+        BuildReport { seconds: start.elapsed().as_secs_f64(), dist_calcs: counter.get() };
+    let flat = FlatGraph::from_adjacency(&graph, Some(params.max_degree));
+    let label = match params.variant {
+        SptagVariant::Kdt => "SPTAG-KDT",
+        SptagVariant::Bkt => "SPTAG-BKT",
+    };
+    PrebuiltIndex::new(store, flat, seeder, label).with_build_report(build)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gass_core::index::{AnnIndex, QueryParams};
     use gass_data::ground_truth::ground_truth;
     use gass_data::synth::deep_like;
 
-    fn recall(idx: &SptagIndex, base: &VectorStore, queries: &VectorStore) -> f64 {
+    fn recall(idx: &PrebuiltIndex, base: &VectorStore, queries: &VectorStore) -> f64 {
         let gt = ground_truth(base, queries, 10);
         let counter = DistCounter::new();
         let params = QueryParams::new(10, 80).with_seed_count(16);
@@ -276,7 +132,7 @@ mod tests {
     fn sptag_kdt_recall() {
         let base = deep_like(500, 1);
         let queries = deep_like(15, 2);
-        let idx = SptagIndex::build(base.clone(), SptagParams::small(SptagVariant::Kdt));
+        let idx = build(base.clone(), SptagParams::small(SptagVariant::Kdt));
         let r = recall(&idx, &base, &queries);
         assert!(r > 0.85, "SPTAG-KDT recall too low: {r}");
         assert_eq!(idx.name(), "SPTAG-KDT");
@@ -286,7 +142,7 @@ mod tests {
     fn sptag_bkt_recall() {
         let base = deep_like(500, 3);
         let queries = deep_like(15, 4);
-        let idx = SptagIndex::build(base.clone(), SptagParams::small(SptagVariant::Bkt));
+        let idx = build(base.clone(), SptagParams::small(SptagVariant::Bkt));
         let r = recall(&idx, &base, &queries);
         assert!(r > 0.85, "SPTAG-BKT recall too low: {r}");
         assert_eq!(idx.name(), "SPTAG-BKT");
@@ -295,14 +151,12 @@ mod tests {
     #[test]
     fn more_divisions_cost_more_but_connect_more() {
         let base = deep_like(400, 5);
-        let one = SptagIndex::build(
+        let one = build(
             base.clone(),
             SptagParams { divisions: 1, ..SptagParams::small(SptagVariant::Kdt) },
         );
-        let four = SptagIndex::build(
-            base,
-            SptagParams { divisions: 4, ..SptagParams::small(SptagVariant::Kdt) },
-        );
+        let four =
+            build(base, SptagParams { divisions: 4, ..SptagParams::small(SptagVariant::Kdt) });
         assert!(four.build_report().dist_calcs > one.build_report().dist_calcs);
         assert!(four.stats().edges >= one.stats().edges);
     }

@@ -6,15 +6,13 @@
 //! NSG's single medoid-rooted tree. Queries use K-sampled random seeds.
 
 use crate::common::{add_reverse_edges, repair_connectivity, BuildReport};
-use crate::efanna::{EfannaIndex, EfannaParams};
+use crate::efanna::EfannaParams;
 use gass_core::distance::{DistCounter, Space};
 use gass_core::graph::{AdjacencyGraph, FlatGraph, GraphView};
-use gass_core::index::{AnnIndex, IndexStats, QueryParams, ScratchPool};
+use gass_core::index::PrebuiltIndex;
 use gass_core::nd::NdStrategy;
 use gass_core::neighbor::Neighbor;
-use gass_core::reorder::{ReorderStrategy, ServingState};
-use gass_core::search::{beam_search_frozen, SearchResult};
-use gass_core::seed::{RandomSeeds, SeedProvider};
+use gass_core::seed::RandomSeeds;
 use gass_core::store::VectorStore;
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
@@ -57,194 +55,85 @@ impl SsgParams {
     }
 }
 
-/// A built SSG index.
-pub struct SsgIndex {
-    store: VectorStore,
-    graph: FlatGraph,
-    serving: ServingState,
-    seeds: RandomSeeds,
-    scratch: ScratchPool,
-    build: BuildReport,
+/// Builds SSG from scratch, including its EFANNA base.
+pub fn build(store: VectorStore, params: SsgParams) -> PrebuiltIndex {
+    let (base_graph, _, base_build) = crate::efanna::build_parts(&store, params.base);
+    from_base(store, &base_graph, base_build, params)
 }
 
-impl SsgIndex {
-    /// Builds SSG from scratch (including its EFANNA base).
-    pub fn build(store: VectorStore, params: SsgParams) -> Self {
-        let efanna = EfannaIndex::build(store, params.base);
-        let (store, base_graph, _forest, base_build) = efanna.into_parts();
-        Self::from_base(store, &base_graph, base_build, params)
-    }
-
-    /// Builds SSG on a pre-built base graph.
-    pub fn from_base(
-        store: VectorStore,
-        base_graph: &FlatGraph,
-        base_build: BuildReport,
-        params: SsgParams,
-    ) -> Self {
-        let counter = DistCounter::new();
-        let start = std::time::Instant::now();
-        let n = store.len();
-        let mond = NdStrategy::Mond { theta_deg: params.theta_deg };
-        let graph = {
-            let space = Space::new(&store, &counter);
-            let threads = gass_core::effective_threads(params.threads);
-            // Phase A: two-hop expansion + MOND pruning read only the
-            // immutable base graph, so the per-node work parallelizes
-            // freely.
-            let prepared: Vec<Vec<Neighbor>> =
-                gass_core::par_map_with(threads, n, Vec::new, |pool: &mut Vec<u32>, u| {
-                    let u = u as u32;
-                    // Two-hop local expansion on the base graph.
-                    pool.clear();
-                    pool.extend_from_slice(base_graph.neighbors(u));
-                    'outer: for &v in base_graph.neighbors(u) {
-                        for &w in base_graph.neighbors(v) {
-                            if w != u {
-                                pool.push(w);
-                                if pool.len() >= params.pool_size {
-                                    break 'outer;
-                                }
+/// Builds SSG on a pre-built base graph whose cost was `base_build`,
+/// served with K-sampled random seeds.
+pub fn from_base(
+    store: VectorStore,
+    base_graph: &FlatGraph,
+    base_build: BuildReport,
+    params: SsgParams,
+) -> PrebuiltIndex {
+    let counter = DistCounter::new();
+    let start = std::time::Instant::now();
+    let n = store.len();
+    let mond = NdStrategy::Mond { theta_deg: params.theta_deg };
+    let graph = {
+        let space = Space::new(&store, &counter);
+        let threads = gass_core::effective_threads(params.threads);
+        // Phase A: two-hop expansion + MOND pruning read only the
+        // immutable base graph, so the per-node work parallelizes
+        // freely.
+        let prepared: Vec<Vec<Neighbor>> =
+            gass_core::par_map_with(threads, n, Vec::new, |pool: &mut Vec<u32>, u| {
+                let u = u as u32;
+                // Two-hop local expansion on the base graph.
+                pool.clear();
+                pool.extend_from_slice(base_graph.neighbors(u));
+                'outer: for &v in base_graph.neighbors(u) {
+                    for &w in base_graph.neighbors(v) {
+                        if w != u {
+                            pool.push(w);
+                            if pool.len() >= params.pool_size {
+                                break 'outer;
                             }
                         }
                     }
-                    pool.sort_unstable();
-                    pool.dedup();
-                    let scored: Vec<Neighbor> = pool
-                        .iter()
-                        .filter(|&&v| v != u)
-                        .map(|&v| Neighbor::new(v, space.dist(u, v)))
-                        .collect();
-                    mond.diversify(space, u, &scored, params.max_degree)
-                });
-            // Phase B: serial apply in node order — identical to the
-            // sequential build.
-            let mut g = AdjacencyGraph::with_degree_hint(n, params.max_degree + 1);
-            for (u, kept) in prepared.iter().enumerate() {
-                let u = u as u32;
-                g.set_neighbors(u, kept.iter().map(|k| k.id).collect());
-                add_reverse_edges(space, &mut g, u, kept, params.max_degree, mond);
-            }
-
-            // Multiple random-rooted connectivity repairs.
-            let mut rng = SmallRng::seed_from_u64(params.seed ^ 0x55);
-            for _ in 0..params.num_trees.max(1) {
-                let root = rng.random_range(0..n as u32);
-                repair_connectivity(space, &mut g, root);
-            }
-            g
-        };
-        let build = BuildReport {
-            seconds: start.elapsed().as_secs_f64() + base_build.seconds,
-            dist_calcs: counter.get() + base_build.dist_calcs,
-        };
-        let flat = FlatGraph::from_adjacency(&graph, None);
-        let seeds = RandomSeeds::new(n, params.seed ^ 0x5eed);
-        Self {
-            store,
-            graph: flat,
-            seeds,
-            serving: ServingState::new(),
-            scratch: ScratchPool::new(),
-            build,
+                }
+                pool.sort_unstable();
+                pool.dedup();
+                let scored: Vec<Neighbor> = pool
+                    .iter()
+                    .filter(|&&v| v != u)
+                    .map(|&v| Neighbor::new(v, space.dist(u, v)))
+                    .collect();
+                mond.diversify(space, u, &scored, params.max_degree)
+            });
+        // Phase B: serial apply in node order — identical to the
+        // sequential build.
+        let mut g = AdjacencyGraph::with_degree_hint(n, params.max_degree + 1);
+        for (u, kept) in prepared.iter().enumerate() {
+            let u = u as u32;
+            g.set_neighbors(u, kept.iter().map(|k| k.id).collect());
+            add_reverse_edges(space, &mut g, u, kept, params.max_degree, mond);
         }
-    }
 
-    /// Total construction cost (base + refinement).
-    pub fn build_report(&self) -> BuildReport {
-        self.build
-    }
-
-    /// The refined graph.
-    pub fn graph(&self) -> &FlatGraph {
-        &self.graph
-    }
-}
-
-impl AnnIndex for SsgIndex {
-    fn name(&self) -> String {
-        "SSG".to_string()
-    }
-
-    fn num_vectors(&self) -> usize {
-        self.store.len()
-    }
-
-    fn dim(&self) -> usize {
-        self.store.dim()
-    }
-
-    fn search(
-        &self,
-        query: &[f32],
-        params: &QueryParams,
-        counter: &DistCounter,
-    ) -> SearchResult {
-        let space =
-            Space::new(&self.store, counter).with_quant(self.serving.quant_view(params));
-        let mut seeds = Vec::new();
-        self.seeds.seeds(space, query, params.seed_count, &mut seeds);
-        let res = self.scratch.with(self.store.len(), params.beam_width, |scratch| {
-            beam_search_frozen(
-                &self.graph,
-                self.serving.csr(),
-                space,
-                query,
-                &seeds,
-                params.k,
-                params.beam_width,
-                scratch,
-                params.termination(),
-            )
-        });
-        self.serving.finish(res)
-    }
-
-    fn freeze(&mut self) {
-        self.serving.freeze(&self.graph);
-    }
-
-    fn is_frozen(&self) -> bool {
-        self.serving.is_frozen()
-    }
-
-    fn quantize(&mut self, spec: gass_core::CodecSpec) {
-        self.serving.quantize(&self.store, spec);
-    }
-
-    fn is_quantized(&self) -> bool {
-        self.serving.is_quantized()
-    }
-
-    fn reorder(&mut self, strategy: ReorderStrategy) {
-        if let Some(map) = self.serving.reorder(&self.graph, &mut self.store, strategy, &[]) {
-            self.seeds.reorder(&map);
+        // Multiple random-rooted connectivity repairs.
+        let mut rng = SmallRng::seed_from_u64(params.seed ^ 0x55);
+        for _ in 0..params.num_trees.max(1) {
+            let root = rng.random_range(0..n as u32);
+            repair_connectivity(space, &mut g, root);
         }
-    }
-
-    fn is_reordered(&self) -> bool {
-        self.serving.is_reordered()
-    }
-
-    fn reorder_strategy(&self) -> ReorderStrategy {
-        self.serving.strategy()
-    }
-
-    fn stats(&self) -> IndexStats {
-        IndexStats {
-            nodes: self.graph.num_nodes(),
-            edges: self.graph.num_edges(),
-            avg_degree: self.graph.avg_degree(),
-            max_degree: self.graph.max_degree(),
-            graph_bytes: self.graph.heap_bytes() + self.serving.graph_bytes(),
-            aux_bytes: self.serving.aux_bytes(),
-        }
-    }
+        g
+    };
+    let build = BuildReport {
+        seconds: start.elapsed().as_secs_f64() + base_build.seconds,
+        dist_calcs: counter.get() + base_build.dist_calcs,
+    };
+    let flat = FlatGraph::from_adjacency(&graph, None);
+    let seeds = RandomSeeds::new(n, params.seed ^ 0x5eed);
+    PrebuiltIndex::new(store, flat, Box::new(seeds), "SSG").with_build_report(build)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gass_core::index::{AnnIndex, QueryParams};
     use gass_data::ground_truth::ground_truth;
     use gass_data::synth::deep_like;
 
@@ -252,7 +141,7 @@ mod tests {
     fn ssg_high_recall() {
         let base = deep_like(500, 1);
         let queries = deep_like(15, 2);
-        let idx = SsgIndex::build(base.clone(), SsgParams::small());
+        let idx = build(base.clone(), SsgParams::small());
         let gt = ground_truth(&base, &queries, 10);
         let counter = DistCounter::new();
         let params = QueryParams::new(10, 96).with_seed_count(16);
@@ -269,10 +158,10 @@ mod tests {
     fn local_expansion_avoids_per_node_beam_search() {
         // SSG's construction should cost fewer distance calls than NSG's
         // per-node beam searches on the same data/base parameters.
-        use crate::nsg::{NsgIndex, NsgParams};
+        use crate::nsg::NsgParams;
         let base = deep_like(300, 3);
-        let ssg = SsgIndex::build(base.clone(), SsgParams::small());
-        let nsg = NsgIndex::build(base, NsgParams::small());
+        let ssg = build(base.clone(), SsgParams::small());
+        let nsg = crate::nsg::build(base, NsgParams::small());
         assert!(
             ssg.build_report().dist_calcs < nsg.build_report().dist_calcs,
             "SSG {} should undercut NSG {}",

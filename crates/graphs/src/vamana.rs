@@ -9,15 +9,12 @@
 use crate::common::{add_reverse_edges, add_reverse_edges_concurrent, BuildReport};
 use gass_core::distance::{DistCounter, Space};
 use gass_core::graph::{AdjacencyGraph, FlatGraph, GraphView};
-use gass_core::index::{AnnIndex, IndexStats, QueryParams, ScratchPool};
+use gass_core::index::PrebuiltIndex;
 use gass_core::nd::NdStrategy;
 use gass_core::neighbor::Neighbor;
 use gass_core::par::ConcurrentAdjacency;
-use gass_core::reorder::{ReorderStrategy, ServingState};
-use gass_core::search::{
-    beam_search_frozen, beam_search_with_sink, SearchResult, SearchScratch,
-};
-use gass_core::seed::{RandomSeeds, SeedProvider};
+use gass_core::search::{beam_search_with_sink, SearchScratch};
+use gass_core::seed::RandomSeeds;
 use gass_core::store::VectorStore;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
@@ -54,259 +51,143 @@ impl VamanaParams {
     }
 }
 
-/// A built Vamana index.
-pub struct VamanaIndex {
-    store: VectorStore,
-    graph: FlatGraph,
-    serving: ServingState,
-    seeds: RandomSeeds,
-    medoid: u32,
-    scratch: ScratchPool,
-    build: BuildReport,
-}
+/// Builds a Vamana index (random init + two refinement passes), served
+/// from the medoid plus K-sampled random seeds (MD+KS); the medoid is its
+/// reorder entry.
+pub fn build(store: VectorStore, params: VamanaParams) -> PrebuiltIndex {
+    assert!(store.len() > params.max_degree, "need more points than R");
+    let counter = DistCounter::new();
+    let start = std::time::Instant::now();
+    let n = store.len();
+    let (graph, medoid) = {
+        let space = Space::new(&store, &counter);
+        let medoid = store.centroid_medoid();
+        let mut rng = SmallRng::seed_from_u64(params.seed);
 
-impl VamanaIndex {
-    /// Builds the index (random init + two refinement passes).
-    pub fn build(store: VectorStore, params: VamanaParams) -> Self {
-        assert!(store.len() > params.max_degree, "need more points than R");
-        let counter = DistCounter::new();
-        let start = std::time::Instant::now();
-        let n = store.len();
-        let (graph, medoid) = {
-            let space = Space::new(&store, &counter);
-            let medoid = store.centroid_medoid();
-            let mut rng = SmallRng::seed_from_u64(params.seed);
-
-            // Random init: degree ~ max(R/2, ceil(log2 n)) random
-            // out-neighbors per node (Erdős–Rényi-style connectivity).
-            let init_degree =
-                ((n as f64).log2().ceil() as usize).max(params.max_degree / 2).min(n - 1);
-            let mut g = AdjacencyGraph::with_degree_hint(n, params.max_degree + 1);
-            for u in 0..n as u32 {
-                while g.neighbors(u).len() < init_degree {
-                    let v = rng.random_range(0..n as u32);
-                    g.add_edge(u, v);
-                }
+        // Random init: degree ~ max(R/2, ceil(log2 n)) random
+        // out-neighbors per node (Erdős–Rényi-style connectivity).
+        let init_degree =
+            ((n as f64).log2().ceil() as usize).max(params.max_degree / 2).min(n - 1);
+        let mut g = AdjacencyGraph::with_degree_hint(n, params.max_degree + 1);
+        for u in 0..n as u32 {
+            while g.neighbors(u).len() < init_degree {
+                let v = rng.random_range(0..n as u32);
+                g.add_edge(u, v);
             }
+        }
 
-            let mut order: Vec<u32> = (0..n as u32).collect();
-            let threads = gass_core::effective_threads(params.threads.max(1));
-            if threads <= 1 {
-                let mut scratch = SearchScratch::new(n, params.build_l);
-                let mut sink: Vec<Neighbor> = Vec::new();
-                for pass in 0..2 {
-                    let alpha = if pass == 0 { 1.0 } else { params.alpha };
-                    let nd = NdStrategy::Rrnd { alpha };
-                    order.shuffle(&mut rng);
-                    for &u in &order {
-                        sink.clear();
-                        beam_search_with_sink(
-                            &g,
-                            space,
-                            store.get(u),
-                            &[medoid],
-                            params.build_l,
-                            params.build_l,
-                            &mut scratch,
-                            Some(&mut sink),
-                        );
-                        for &v in g.neighbors(u) {
-                            if !sink.iter().any(|s| s.id == v) {
-                                sink.push(Neighbor::new(v, space.dist(u, v)));
-                            }
+        let mut order: Vec<u32> = (0..n as u32).collect();
+        let threads = gass_core::effective_threads(params.threads.max(1));
+        if threads <= 1 {
+            let mut scratch = SearchScratch::new(n, params.build_l);
+            let mut sink: Vec<Neighbor> = Vec::new();
+            for pass in 0..2 {
+                let alpha = if pass == 0 { 1.0 } else { params.alpha };
+                let nd = NdStrategy::Rrnd { alpha };
+                order.shuffle(&mut rng);
+                for &u in &order {
+                    sink.clear();
+                    beam_search_with_sink(
+                        &g,
+                        space,
+                        store.get(u),
+                        &[medoid],
+                        params.build_l,
+                        params.build_l,
+                        &mut scratch,
+                        Some(&mut sink),
+                    );
+                    for &v in g.neighbors(u) {
+                        if !sink.iter().any(|s| s.id == v) {
+                            sink.push(Neighbor::new(v, space.dist(u, v)));
                         }
-                        let kept = nd.diversify(space, u, &sink, params.max_degree);
-                        g.set_neighbors(u, kept.iter().map(|k| k.id).collect());
-                        // Overflowing reverse lists re-prune with RND, per
-                        // the original algorithm.
-                        add_reverse_edges(
-                            space,
-                            &mut g,
-                            u,
-                            &kept,
-                            params.max_degree,
-                            NdStrategy::Rnd,
-                        );
                     }
+                    let kept = nd.diversify(space, u, &sink, params.max_degree);
+                    g.set_neighbors(u, kept.iter().map(|k| k.id).collect());
+                    // Overflowing reverse lists re-prune with RND, per
+                    // the original algorithm.
+                    add_reverse_edges(
+                        space,
+                        &mut g,
+                        u,
+                        &kept,
+                        params.max_degree,
+                        NdStrategy::Rnd,
+                    );
                 }
-                (g, medoid)
-            } else {
-                let conc = ConcurrentAdjacency::from_adjacency(g);
-                for pass in 0..2 {
-                    let alpha = if pass == 0 { 1.0 } else { params.alpha };
-                    let nd = NdStrategy::Rrnd { alpha };
-                    order.shuffle(&mut rng);
-                    for chunk in order.chunks(PARALLEL_CHUNK) {
-                        // Phase A: read-only searches + pruning against the
-                        // graph frozen at the chunk boundary.
-                        let prepared: Vec<(u32, Vec<Neighbor>)> = gass_core::par_map_with(
-                            threads,
-                            chunk.len(),
-                            || (SearchScratch::new(n, params.build_l), Vec::new()),
-                            |state, i| {
-                                let (scratch, sink) = state;
-                                let u = chunk[i];
-                                sink.clear();
-                                beam_search_with_sink(
-                                    &conc,
-                                    space,
-                                    store.get(u),
-                                    &[medoid],
-                                    params.build_l,
-                                    params.build_l,
-                                    scratch,
-                                    Some(sink),
-                                );
-                                for v in conc.snapshot(u) {
-                                    if !sink.iter().any(|s| s.id == v) {
-                                        sink.push(Neighbor::new(v, space.dist(u, v)));
-                                    }
-                                }
-                                (u, nd.diversify(space, u, sink, params.max_degree))
-                            },
-                        );
-                        // Phase B: apply under the stripe locks.
-                        gass_core::par_for(threads, prepared.len(), |range| {
-                            for (u, kept) in &prepared[range] {
-                                conc.set_neighbors(*u, kept.iter().map(|k| k.id).collect());
-                                add_reverse_edges_concurrent(
-                                    space,
-                                    &conc,
-                                    *u,
-                                    kept,
-                                    params.max_degree,
-                                    NdStrategy::Rnd,
-                                );
-                            }
-                        });
-                    }
-                }
-                (conc.freeze(), medoid)
             }
-        };
-        let build =
-            BuildReport { seconds: start.elapsed().as_secs_f64(), dist_calcs: counter.get() };
-        let flat = FlatGraph::from_adjacency(&graph, Some(params.max_degree));
-        let seeds = RandomSeeds::with_anchor(n, medoid, params.seed ^ 0x5eed);
-        Self {
-            store,
-            graph: flat,
-            seeds,
-            medoid,
-            serving: ServingState::new(),
-            scratch: ScratchPool::new(),
-            build,
+            (g, medoid)
+        } else {
+            let conc = ConcurrentAdjacency::from_adjacency(g);
+            for pass in 0..2 {
+                let alpha = if pass == 0 { 1.0 } else { params.alpha };
+                let nd = NdStrategy::Rrnd { alpha };
+                order.shuffle(&mut rng);
+                for chunk in order.chunks(PARALLEL_CHUNK) {
+                    // Phase A: read-only searches + pruning against the
+                    // graph frozen at the chunk boundary.
+                    let prepared: Vec<(u32, Vec<Neighbor>)> = gass_core::par_map_with(
+                        threads,
+                        chunk.len(),
+                        || (SearchScratch::new(n, params.build_l), Vec::new()),
+                        |state, i| {
+                            let (scratch, sink) = state;
+                            let u = chunk[i];
+                            sink.clear();
+                            beam_search_with_sink(
+                                &conc,
+                                space,
+                                store.get(u),
+                                &[medoid],
+                                params.build_l,
+                                params.build_l,
+                                scratch,
+                                Some(sink),
+                            );
+                            for v in conc.snapshot(u) {
+                                if !sink.iter().any(|s| s.id == v) {
+                                    sink.push(Neighbor::new(v, space.dist(u, v)));
+                                }
+                            }
+                            (u, nd.diversify(space, u, sink, params.max_degree))
+                        },
+                    );
+                    // Phase B: apply under the stripe locks.
+                    gass_core::par_for(threads, prepared.len(), |range| {
+                        for (u, kept) in &prepared[range] {
+                            conc.set_neighbors(*u, kept.iter().map(|k| k.id).collect());
+                            add_reverse_edges_concurrent(
+                                space,
+                                &conc,
+                                *u,
+                                kept,
+                                params.max_degree,
+                                NdStrategy::Rnd,
+                            );
+                        }
+                    });
+                }
+            }
+            (conc.freeze(), medoid)
         }
-    }
-
-    /// Construction cost report.
-    pub fn build_report(&self) -> BuildReport {
-        self.build
-    }
-
-    /// The medoid entry node.
-    pub fn medoid(&self) -> u32 {
-        self.medoid
-    }
-
-    /// The refined graph.
-    pub fn graph(&self) -> &FlatGraph {
-        &self.graph
-    }
-}
-
-impl AnnIndex for VamanaIndex {
-    fn name(&self) -> String {
-        "Vamana".to_string()
-    }
-
-    fn num_vectors(&self) -> usize {
-        self.store.len()
-    }
-
-    fn dim(&self) -> usize {
-        self.store.dim()
-    }
-
-    fn search(
-        &self,
-        query: &[f32],
-        params: &QueryParams,
-        counter: &DistCounter,
-    ) -> SearchResult {
-        let space =
-            Space::new(&self.store, counter).with_quant(self.serving.quant_view(params));
-        let mut seeds = Vec::new();
-        self.seeds.seeds(space, query, params.seed_count, &mut seeds);
-        let res = self.scratch.with(self.store.len(), params.beam_width, |scratch| {
-            beam_search_frozen(
-                &self.graph,
-                self.serving.csr(),
-                space,
-                query,
-                &seeds,
-                params.k,
-                params.beam_width,
-                scratch,
-                params.termination(),
-            )
-        });
-        self.serving.finish(res)
-    }
-
-    fn freeze(&mut self) {
-        self.serving.freeze(&self.graph);
-    }
-
-    fn is_frozen(&self) -> bool {
-        self.serving.is_frozen()
-    }
-
-    fn quantize(&mut self, spec: gass_core::CodecSpec) {
-        self.serving.quantize(&self.store, spec);
-    }
-
-    fn is_quantized(&self) -> bool {
-        self.serving.is_quantized()
-    }
-
-    fn reorder(&mut self, strategy: ReorderStrategy) {
-        let entries = [self.medoid];
-        if let Some(map) =
-            self.serving.reorder(&self.graph, &mut self.store, strategy, &entries)
-        {
-            self.seeds.reorder(&map);
-            self.medoid = map.to_new(self.medoid);
-        }
-    }
-
-    fn is_reordered(&self) -> bool {
-        self.serving.is_reordered()
-    }
-
-    fn reorder_strategy(&self) -> ReorderStrategy {
-        self.serving.strategy()
-    }
-
-    fn stats(&self) -> IndexStats {
-        IndexStats {
-            nodes: self.graph.num_nodes(),
-            edges: self.graph.num_edges(),
-            avg_degree: self.graph.avg_degree(),
-            max_degree: self.graph.max_degree(),
-            graph_bytes: self.graph.heap_bytes() + self.serving.graph_bytes(),
-            aux_bytes: self.serving.aux_bytes(),
-        }
-    }
+    };
+    let build =
+        BuildReport { seconds: start.elapsed().as_secs_f64(), dist_calcs: counter.get() };
+    let flat = FlatGraph::from_adjacency(&graph, Some(params.max_degree));
+    let seeds = RandomSeeds::with_anchor(n, medoid, params.seed ^ 0x5eed);
+    PrebuiltIndex::new(store, flat, Box::new(seeds), "Vamana")
+        .with_build_report(build)
+        .with_entries(vec![medoid])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gass_core::index::{AnnIndex, QueryParams};
     use gass_data::ground_truth::ground_truth;
     use gass_data::synth::{deep_like, seismic_like};
 
-    fn recall(idx: &VamanaIndex, base: &VectorStore, queries: &VectorStore, l: usize) -> f64 {
+    fn recall(idx: &PrebuiltIndex, base: &VectorStore, queries: &VectorStore, l: usize) -> f64 {
         let gt = ground_truth(base, queries, 10);
         let counter = DistCounter::new();
         let params = QueryParams::new(10, l).with_seed_count(8);
@@ -322,7 +203,7 @@ mod tests {
     fn vamana_high_recall() {
         let base = deep_like(600, 1);
         let queries = deep_like(15, 2);
-        let idx = VamanaIndex::build(base.clone(), VamanaParams::small());
+        let idx = build(base.clone(), VamanaParams::small());
         let r = recall(&idx, &base, &queries, 64);
         assert!(r > 0.93, "Vamana recall too low: {r}");
     }
@@ -330,7 +211,7 @@ mod tests {
     #[test]
     fn degree_bound_holds() {
         let base = seismic_like(300, 3);
-        let idx = VamanaIndex::build(base, VamanaParams::small());
+        let idx = build(base, VamanaParams::small());
         assert!(idx.stats().max_degree <= 24);
         assert_eq!(idx.name(), "Vamana");
     }
@@ -340,9 +221,8 @@ mod tests {
         // α > 1 prunes less aggressively, so the relaxed build should keep
         // at least as many edges as a pure-RND (α = 1) double pass.
         let base = deep_like(300, 5);
-        let relaxed = VamanaIndex::build(base.clone(), VamanaParams::small());
-        let strict =
-            VamanaIndex::build(base, VamanaParams { alpha: 1.0, ..VamanaParams::small() });
+        let relaxed = build(base.clone(), VamanaParams::small());
+        let strict = build(base, VamanaParams { alpha: 1.0, ..VamanaParams::small() });
         assert!(
             relaxed.stats().edges >= strict.stats().edges,
             "relaxed {} vs strict {}",

@@ -15,9 +15,7 @@ use gass_core::store::VectorStore;
 use gass_core::DistCounter;
 use gass_data::ground_truth::ground_truth;
 use gass_data::synth::deep_like;
-use gass_graphs::{
-    HnswIndex, HnswParams, KGraphIndex, KGraphParams, VamanaIndex, VamanaParams,
-};
+use gass_graphs::{kgraph, vamana, HnswIndex, HnswParams, KGraphParams, VamanaParams};
 
 const N: usize = 2_000;
 const K: usize = 10;
@@ -60,9 +58,9 @@ fn hnsw_parallel_recall_matches_serial() {
 fn vamana_parallel_recall_matches_serial() {
     let base = deep_like(N, 21);
     let queries = deep_like(40, 22);
-    let serial = VamanaIndex::build(base.clone(), VamanaParams::small());
+    let serial = vamana::build(base.clone(), VamanaParams::small());
     let parallel =
-        VamanaIndex::build(base.clone(), VamanaParams { threads: 4, ..VamanaParams::small() });
+        vamana::build(base.clone(), VamanaParams { threads: 4, ..VamanaParams::small() });
     let rs = recall_at_10(&serial, &base, &queries);
     let rp = recall_at_10(&parallel, &base, &queries);
     assert!((rs - rp).abs() <= 0.01, "Vamana parallel recall {rp} drifted from serial {rs}");
@@ -80,9 +78,9 @@ fn kgraph_parallel_build_is_identical_to_serial() {
     let base = deep_like(N, 31);
     let queries = deep_like(40, 32);
     let serial =
-        KGraphIndex::build(base.clone(), KGraphParams { threads: 1, ..KGraphParams::small() });
+        kgraph::build(base.clone(), KGraphParams { threads: 1, ..KGraphParams::small() });
     let parallel =
-        KGraphIndex::build(base.clone(), KGraphParams { threads: 4, ..KGraphParams::small() });
+        kgraph::build(base.clone(), KGraphParams { threads: 4, ..KGraphParams::small() });
     assert_eq!(
         edges_of(serial.graph()),
         edges_of(parallel.graph()),
@@ -112,9 +110,8 @@ fn hnsw_threads_one_is_deterministic_serial_path() {
 #[test]
 fn kgraph_threads_one_is_deterministic_serial_path() {
     let base = deep_like(800, 51);
-    let a =
-        KGraphIndex::build(base.clone(), KGraphParams { threads: 1, ..KGraphParams::small() });
-    let b = KGraphIndex::build(base, KGraphParams { threads: 1, ..KGraphParams::small() });
+    let a = kgraph::build(base.clone(), KGraphParams { threads: 1, ..KGraphParams::small() });
+    let b = kgraph::build(base, KGraphParams { threads: 1, ..KGraphParams::small() });
     assert_eq!(edges_of(a.graph()), edges_of(b.graph()));
     assert_eq!(a.build_report().dist_calcs, b.build_report().dist_calcs);
 }

@@ -290,11 +290,6 @@ impl LshSeeds {
     pub fn index(&self) -> &LshIndex {
         &self.index
     }
-
-    /// Approximate heap bytes.
-    pub fn heap_bytes(&self) -> usize {
-        self.index.heap_bytes()
-    }
 }
 
 impl SeedProvider for LshSeeds {
@@ -314,6 +309,10 @@ impl SeedProvider for LshSeeds {
     fn reorder(&mut self, map: &IdRemap) {
         self.index.reorder(map);
         self.fallback = map.to_new(self.fallback);
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.index.heap_bytes()
     }
 }
 

@@ -165,11 +165,6 @@ impl BktSeeds {
     pub fn tree(&self) -> &BkTree {
         &self.tree
     }
-
-    /// Approximate heap bytes.
-    pub fn heap_bytes(&self) -> usize {
-        self.tree.heap_bytes()
-    }
 }
 
 impl SeedProvider for BktSeeds {
@@ -195,6 +190,10 @@ impl SeedProvider for BktSeeds {
             }
             None => map.new_to_old().to_vec(),
         });
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.tree.heap_bytes()
     }
 }
 

@@ -54,15 +54,6 @@ impl CentroidSeeds {
     pub fn num_centroids(&self) -> usize {
         self.centroids.len()
     }
-
-    /// Approximate heap bytes.
-    pub fn heap_bytes(&self) -> usize {
-        let c: usize =
-            self.centroids.iter().map(|v| v.capacity() * std::mem::size_of::<f32>()).sum();
-        let m: usize =
-            self.members.iter().map(|v| v.capacity() * std::mem::size_of::<u32>()).sum();
-        c + m
-    }
 }
 
 impl SeedProvider for CentroidSeeds {
@@ -112,6 +103,14 @@ impl SeedProvider for CentroidSeeds {
                 *id = map.to_new(*id);
             }
         }
+    }
+
+    fn heap_bytes(&self) -> usize {
+        let c: usize =
+            self.centroids.iter().map(|v| v.capacity() * std::mem::size_of::<f32>()).sum();
+        let m: usize =
+            self.members.iter().map(|v| v.capacity() * std::mem::size_of::<u32>()).sum();
+        c + m
     }
 }
 

@@ -238,11 +238,6 @@ impl KdForest {
     pub fn num_trees(&self) -> usize {
         self.trees.len()
     }
-
-    /// Approximate heap bytes across trees.
-    pub fn heap_bytes(&self) -> usize {
-        self.trees.iter().map(KdTree::heap_bytes).sum()
-    }
 }
 
 impl SeedProvider for KdForest {
@@ -265,6 +260,10 @@ impl SeedProvider for KdForest {
             }
             None => map.new_to_old().to_vec(),
         });
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.trees.iter().map(KdTree::heap_bytes).sum()
     }
 }
 

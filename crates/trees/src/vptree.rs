@@ -195,11 +195,6 @@ impl VpSeeds {
     pub fn tree(&self) -> &VpTree {
         &self.tree
     }
-
-    /// Approximate heap bytes.
-    pub fn heap_bytes(&self) -> usize {
-        self.tree.heap_bytes()
-    }
 }
 
 impl SeedProvider for VpSeeds {
@@ -225,6 +220,10 @@ impl SeedProvider for VpSeeds {
             }
             None => map.new_to_old().to_vec(),
         });
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.tree.heap_bytes()
     }
 }
 

@@ -60,8 +60,7 @@ fn main() {
 
     // --- EFANNA (slower graph family in Fig. 1) -----------------------
     let t = std::time::Instant::now();
-    let efanna =
-        gass::graphs::EfannaIndex::build(base.clone(), gass::graphs::EfannaParams::small());
+    let efanna = gass::graphs::efanna::build(base.clone(), gass::graphs::EfannaParams::small());
     let ef_build = t.elapsed().as_secs_f64();
     let counter = DistCounter::new();
     let t = std::time::Instant::now();

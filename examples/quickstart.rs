@@ -52,6 +52,8 @@ fn main() {
 
     // --- 4. The search is the paper's Algorithm 1 ---------------------
     // Every method in this workspace answers queries through the same
-    // beam search; try swapping `HnswIndex` for `VamanaIndex`,
-    // `ElpisIndex`, or any `MethodKind` via `build_method`.
+    // beam search; try swapping `HnswIndex::build` for
+    // `vamana::build(base.clone(), VamanaParams::small())` (a graph plus
+    // seeds, served as a `PrebuiltIndex`), `ElpisIndex::build`, or any
+    // `MethodKind` via `build_method`.
 }

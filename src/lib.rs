@@ -53,12 +53,13 @@ pub use gass_trees as trees;
 /// Commonly used items for application code.
 pub mod prelude {
     pub use gass_core::{
-        AnnIndex, DistCounter, NdStrategy, Neighbor, QueryParams, SeedProvider, VectorStore,
+        AnnIndex, DistCounter, NdStrategy, Neighbor, PrebuiltIndex, QueryParams, SeedProvider,
+        VectorStore,
     };
     pub use gass_data::DatasetKind;
     pub use gass_graphs::{
-        build_method, ElpisIndex, ElpisParams, HnswIndex, HnswParams, IiGraph, IiParams,
-        MethodKind, NsgIndex, NsgParams, VamanaIndex, VamanaParams,
+        build_method, nsg, vamana, ElpisIndex, ElpisParams, HnswIndex, HnswParams, IiGraph,
+        IiParams, MethodKind, NsgParams, VamanaParams,
     };
 }
 

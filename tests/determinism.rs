@@ -34,8 +34,8 @@ fn hnsw_builds_are_reproducible() {
 fn vamana_builds_are_reproducible() {
     let base = gass::data::synth::sift_like(400, 79);
     let queries = gass::data::synth::sift_like(8, 80);
-    let a = VamanaIndex::build(base.clone(), VamanaParams::small());
-    let b = VamanaIndex::build(base, VamanaParams::small());
+    let a = gass::graphs::vamana::build(base.clone(), VamanaParams::small());
+    let b = gass::graphs::vamana::build(base, VamanaParams::small());
     assert_eq!(a.stats().edges, b.stats().edges);
     assert_eq!(results_of(&a, &queries), results_of(&b, &queries));
 }
@@ -563,4 +563,92 @@ fn golden_lshapg_answers_and_counts() {
 
     let got: Vec<(&str, u64)> = PINS.iter().map(|(name, _)| *name).zip(got).collect();
     assert_eq!(got, PINS, "an LSHAPG answer, its stats or its counter split changed");
+}
+
+/// IEH and HVS are not in the registry, so the method pin builds them
+/// directly; each comes with its construction distance count.
+fn built_directly(base: &VectorStore) -> Vec<(Box<dyn AnnIndex>, u64)> {
+    use gass::graphs::{HvsIndex, HvsParams, IehParams};
+    let ieh = gass::graphs::ieh::build(base.clone(), IehParams::small());
+    let ieh_dists = ieh.build_report().dist_calcs;
+    let hvs = HvsIndex::build(base.clone(), HvsParams::small());
+    let hvs_dists = hvs.build_report().dist_calcs;
+    vec![(Box::new(ieh), ieh_dists), (Box::new(hvs), hvs_dists)]
+}
+
+/// Golden pin, recorded on the commit *before* the graph-plus-seeds
+/// methods were folded into one index type: every method — the paper's
+/// twelve, NSW, the II baseline, IEH and HVS — built once over 600 Deep
+/// vectors must answer 20 fixed queries with the same ids, distance bits,
+/// hops, evaluation counts and `u8` / `f32` counter totals, and report the
+/// same name, `IndexStats` and construction distance count, as built,
+/// after `freeze` + SQ8, and after an RCM relabelling on top.
+#[test]
+fn golden_method_answers_and_stats() {
+    use gass::core::{CodecSpec, ReorderStrategy};
+
+    const PINS: [(&str, [u64; 3]); 17] = [
+        ("HNSW", [0x25e5_1789_6b9a_0f12, 0xd2d2_34e6_b6c3_7155, 0x2703_39d5_a076_bff0]),
+        ("NSG", [0x11e3_4d11_2e1e_e452, 0xd08f_48ab_f7ba_381e, 0x607d_5cc7_4e5c_2cd7]),
+        ("SSG", [0xab6b_7f7d_37b3_5af6, 0xa2d3_d479_f1d4_1678, 0xaa6f_3572_d087_72b4]),
+        ("Vamana", [0x7084_81ba_b7b1_bf06, 0x3683_92ca_c651_c18f, 0xdb06_2545_8372_c405]),
+        ("DPG", [0x99f0_8f7d_a475_f412, 0x099c_6da2_344d_9132, 0x3382_0f6b_6787_e577]),
+        ("EFANNA", [0x16d6_7b1f_5814_300d, 0xe974_2a63_6106_a18d, 0xee67_743b_31ad_0a84]),
+        ("HCNNG", [0xaff9_88f5_8704_d49f, 0xab53_e414_7015_85b5, 0xca92_c8c5_b992_ab60]),
+        ("KGraph", [0xdc2d_a95c_b4d0_92bf, 0xe6c8_8388_c616_2db6, 0x8e5a_881c_f9a5_17f6]),
+        ("NGT", [0x14e4_d152_3d8b_c2b1, 0x8033_e364_0c28_0526, 0xde09_c59b_2a4c_0033]),
+        ("SPTAG-KDT", [0x3a3a_3d64_c834_7454, 0x1533_253b_6a78_07cf, 0xfcf9_5c48_db92_2aee]),
+        ("SPTAG-BKT", [0xb935_cab0_e937_48a5, 0x2753_a5a7_2efd_a84e, 0x65cb_931c_d2ce_f32c]),
+        ("ELPIS", [0x8121_5834_fb7c_d456, 0x04af_29b5_7955_dff5, 0xe2d7_4a35_6fa4_9472]),
+        ("LSHAPG", [0x586b_49ec_eca3_4d29, 0x0a4f_e7c6_2624_ea7b, 0xbdb2_8f6e_dd45_aad4]),
+        ("NSW", [0x2a92_b8e6_8a4f_e2a4, 0x00ee_b989_7b02_57c2, 0x594b_376f_227f_7c29]),
+        ("II+RND", [0xd7a9_9ecf_38ec_f937, 0xa60b_8d01_ab87_02a4, 0x6ffd_4bd7_c108_18dc]),
+        ("IEH", [0xae64_6151_ec3c_4eff, 0x752c_4ef3_1c20_dcdc, 0x8f3b_0f0a_008d_c219]),
+        ("HVS", [0x3f1c_5633_f431_328b, 0xf1bc_c5a5_37e7_c600, 0x12eb_e6ca_9b3d_7623]),
+    ];
+
+    let base = gass::data::synth::deep_like(600, 21);
+    let queries = gass::data::synth::deep_like(20, 22);
+    let params = QueryParams::new(10, 40).with_seed_count(8);
+    let mut methods: Vec<(Box<dyn AnnIndex>, u64)> = MethodKind::all_sota()
+        .into_iter()
+        .chain([MethodKind::Nsw, MethodKind::Baseline(NdStrategy::Rnd)])
+        .map(|kind| {
+            let built = build_method(kind, base.clone(), 7);
+            (built.index, built.build.dist_calcs)
+        })
+        .collect();
+    methods.extend(built_directly(&base));
+    let stage = |index: &dyn AnnIndex, build_dists: u64| {
+        let counter = DistCounter::new();
+        let res: Vec<_> = (0..queries.len() as u32)
+            .map(|q| index.search(queries.get(q), &params, &counter))
+            .collect();
+        let mut h = Fnv(answers_hash(&res));
+        counter_words(&mut h, &counter);
+        index.name().bytes().for_each(|b| h.word(u32::from(b)));
+        let s = index.stats();
+        let words = [s.nodes, s.edges, s.max_degree, s.graph_bytes, s.aux_bytes]
+            .map(|w| w as u64)
+            .into_iter()
+            .chain([s.avg_degree.to_bits(), build_dists]);
+        for w in words {
+            h.word(w as u32);
+            h.word((w >> 32) as u32);
+        }
+        h.0
+    };
+    let mut got = Vec::new();
+    for (mut index, build_dists) in methods {
+        let as_built = stage(index.as_ref(), build_dists);
+        index.freeze();
+        index.quantize(CodecSpec::Sq8);
+        let sq8 = stage(index.as_ref(), build_dists);
+        index.reorder(ReorderStrategy::Rcm);
+        let rcm = stage(index.as_ref(), build_dists);
+        got.push((index.name(), [as_built, sq8, rcm]));
+    }
+
+    let got: Vec<(&str, [u64; 3])> = got.iter().map(|(name, h)| (name.as_str(), *h)).collect();
+    assert_eq!(got, PINS, "a method's answers, counters, stats or build cost changed");
 }

@@ -21,14 +21,14 @@ fn hnsw_exhibits_ii_and_sn() {
 
 #[test]
 fn nsw_exhibits_ii_without_nd() {
-    let idx = gass::graphs::NswIndex::build(deep(500, 2), gass::graphs::NswParams::small());
+    let idx = gass::graphs::nsw::build(deep(500, 2), gass::graphs::NswParams::small());
     // No pruning: hub degrees exceed M by a lot.
     assert!(idx.stats().max_degree > 2 * 12, "NSW hubs missing: {}", idx.stats().max_degree);
 }
 
 #[test]
 fn dpg_is_undirected_and_diversified() {
-    let idx = gass::graphs::DpgIndex::build(deep(400, 3), gass::graphs::DpgParams::small());
+    let idx = gass::graphs::dpg::build(deep(400, 3), gass::graphs::DpgParams::small());
     let g = idx.graph();
     for u in 0..g.num_nodes() as u32 {
         for &v in g.neighbors(u) {
@@ -39,11 +39,11 @@ fn dpg_is_undirected_and_diversified() {
 
 #[test]
 fn nsg_is_connected_from_its_medoid() {
-    let idx = gass::graphs::NsgIndex::build(deep(400, 4), gass::graphs::NsgParams::small());
+    let idx = gass::graphs::nsg::build(deep(400, 4), gass::graphs::NsgParams::small());
     let g = idx.graph();
     let mut seen = vec![false; g.num_nodes()];
-    let mut q = std::collections::VecDeque::from([idx.medoid()]);
-    seen[idx.medoid() as usize] = true;
+    let mut q = std::collections::VecDeque::from([idx.entries()[0]]);
+    seen[idx.entries()[0] as usize] = true;
     while let Some(u) = q.pop_front() {
         for &v in g.neighbors(u) {
             if !seen[v as usize] {
@@ -57,8 +57,7 @@ fn nsg_is_connected_from_its_medoid() {
 
 #[test]
 fn vamana_respects_its_degree_bound() {
-    let idx =
-        gass::graphs::VamanaIndex::build(deep(400, 5), gass::graphs::VamanaParams::small());
+    let idx = gass::graphs::vamana::build(deep(400, 5), gass::graphs::VamanaParams::small());
     assert!(idx.stats().max_degree <= 24);
     // RRND with alpha > 1 keeps denser neighborhoods than plain RND would:
     // mean degree should be a healthy fraction of R.
@@ -74,7 +73,7 @@ fn elpis_partitions_cover_the_dataset() {
 
 #[test]
 fn hcnng_is_a_merged_mst_union() {
-    let idx = gass::graphs::HcnngIndex::build(deep(400, 7), gass::graphs::HcnngParams::small());
+    let idx = gass::graphs::hcnng::build(deep(400, 7), gass::graphs::HcnngParams::small());
     let g = idx.graph();
     // Undirected (MST edges added both ways) and sparse (MST degree cap ×
     // number of clusterings bounds the degree).
@@ -88,7 +87,7 @@ fn hcnng_is_a_merged_mst_union() {
 
 #[test]
 fn kgraph_lists_are_exactly_k_sized() {
-    let idx = gass::graphs::KGraphIndex::build(
+    let idx = gass::graphs::kgraph::build(
         deep(300, 8),
         gass::graphs::KGraphParams { k: 15, ..gass::graphs::KGraphParams::small() },
     );
@@ -101,11 +100,11 @@ fn kgraph_lists_are_exactly_k_sized() {
 #[test]
 fn sptag_variants_share_graph_recipe_but_not_seeds() {
     let base = deep(600, 9);
-    let kdt = gass::graphs::SptagIndex::build(
+    let kdt = gass::graphs::sptag::build(
         base.clone(),
         gass::graphs::SptagParams::small(gass::graphs::SptagVariant::Kdt),
     );
-    let bkt = gass::graphs::SptagIndex::build(
+    let bkt = gass::graphs::sptag::build(
         base,
         gass::graphs::SptagParams::small(gass::graphs::SptagVariant::Bkt),
     );
@@ -120,7 +119,7 @@ fn lshapg_and_ieh_carry_hash_structures() {
     let base = deep(400, 10);
     let lshapg =
         gass::graphs::LshapgIndex::build(base.clone(), gass::graphs::LshapgParams::small());
-    let ieh = gass::graphs::IehIndex::build(base, gass::graphs::IehParams::small());
+    let ieh = gass::graphs::ieh::build(base, gass::graphs::IehParams::small());
     assert!(lshapg.stats().aux_bytes > 0);
     assert!(ieh.stats().aux_bytes > 0);
     assert!(lshapg.lsh().num_tables() >= 1);
