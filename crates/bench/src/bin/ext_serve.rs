@@ -425,21 +425,18 @@ fn main() {
     println!("Extension: micro-batched serving, Deep (n={n}, dim={dim}), k={K}\n");
 
     eprintln!("building HNSW ({host_cores} threads)...");
-    let mut index = HnswIndex::build(
+    let built = HnswIndex::build(
         base.clone(),
         HnswParams { m: 16, ef_construction: 128, seed: 333, threads: host_cores },
     );
-    index.freeze();
-    index.align_store();
     // Serve on the SQ8 rung (the serving configuration from the
     // compression-ladder work): traversal on codes with exact rerank
     // keeps recall while cutting per-query time, which is exactly the
     // regime where fixed per-request overhead — wakeups, locking,
     // scheduling — is worth amortizing across a batch.
-    let graph = index.base_graph().clone();
     let mut prebuilt = gass_core::PrebuiltIndex::new(
         base,
-        graph,
+        built.base_graph().clone(),
         Box::new(gass_core::RandomSeeds::per_query(n, 7)),
         "serve-bench",
     );

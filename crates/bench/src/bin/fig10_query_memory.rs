@@ -5,11 +5,12 @@
 //!
 //! Paper shape: Vamana smallest (graph + data only, modest degree), ELPIS
 //! next (small leaf graphs but duplicated contiguous leaf storage), HNSW
-//! pays for slotted layout + hierarchy. The `of_which_serving` column
-//! isolates what freezing + quantization add on top of the
-//! build-time structures; each method gets one row per codec ladder rung
-//! (SQ8 / SQ4 / PQ) so the ladder's shrinking code store is visible per
-//! method.
+//! pays for slotted layout + hierarchy. Freezing moves every build graph
+//! into CSR, so the slot slack is a build-time cost (Figures 8–9) and
+//! not a serving one here. The `of_which_serving` column is the serving
+//! layout itself — the CSR graph plus the codec store; each method gets
+//! one row per codec ladder rung (SQ8 / SQ4 / PQ) so the ladder's
+//! shrinking code store is visible per method.
 //!
 //! ```sh
 //! cargo run --release -p gass-bench --bin fig10_query_memory
@@ -44,16 +45,16 @@ fn main() {
             MethodKind::SptagBkt,
         ] {
             let mut built = build_method(kind, base.clone(), 5);
-            // Build-time structures only (flat graph + seed trees).
-            let s0 = built.index.stats();
-            // The serving configuration adds the CSR snapshot and the
-            // codec store. One row per ladder rung: re-quantizing replaces the codes in
-            // place, so the delta between rows is exactly the code store.
             built.freeze();
+            // Frozen: the CSR graph and the seed structures, no codes yet.
+            let frozen_aux = built.index.stats().aux_bytes;
+            // One row per ladder rung: re-quantizing replaces the codes in
+            // place, so the aux growth over the frozen state is exactly the
+            // code store.
             for spec in gass_core::CodecSpec::ALL {
                 built.quantize(spec);
                 let s = built.index.stats();
-                let serving = (s.graph_bytes - s0.graph_bytes) + (s.aux_bytes - s0.aux_bytes);
+                let serving = s.graph_bytes + (s.aux_bytes - frozen_aux);
                 // Query-time scratch: visited stamps (4B/node) + beam buffer.
                 let scratch = tier.n * 4 + 320 * std::mem::size_of::<(u64, bool)>();
                 table.row(vec![

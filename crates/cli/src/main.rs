@@ -518,6 +518,14 @@ fn run(args: Args) -> Result<(), String> {
             // Either one monolithic store+graph pair, or a `build --shards`
             // directory. Exact ground truth needs the base vectors either
             // way; the sharded path gathers them back out of the shards.
+            // Both check the query dimension before computing it.
+            let same_dim = |dim: usize| {
+                if queries.dim() == dim {
+                    Ok(())
+                } else {
+                    Err(format!("query dim {} != store dim {dim}", queries.dim()))
+                }
+            };
             let (mut index, truth): (Box<dyn AnnIndex>, Vec<Vec<gass_core::Neighbor>>) =
                 match &sharded_dir {
                     Some(dir) => {
@@ -538,6 +546,7 @@ fn run(args: Args) -> Result<(), String> {
                         if let Some(np) = nprobe {
                             idx.set_nprobe(np);
                         }
+                        same_dim(idx.dim())?;
                         let base = idx.gather_store();
                         let truth = gass_data::ground_truth(&base, &queries, k);
                         if layout == "aligned" {
@@ -550,6 +559,7 @@ fn run(args: Args) -> Result<(), String> {
                             args.require("store").map_err(|e| e.to_string())?,
                         ))
                         .map_err(|e| e.to_string())?;
+                        same_dim(store.dim())?;
                         let graph = load_graph_for(
                             &store,
                             args.require("graph").map_err(|e| e.to_string())?,
@@ -599,13 +609,6 @@ fn run(args: Args) -> Result<(), String> {
             }
             if let Some(v) = &prefetch {
                 gass_core::set_prefetch_enabled(on_off("prefetch", v)?);
-            }
-            if queries.dim() != index.dim() {
-                return Err(format!(
-                    "query dim {} != store dim {}",
-                    queries.dim(),
-                    index.dim()
-                ));
             }
             if graph_layout == "csr" {
                 index.freeze();

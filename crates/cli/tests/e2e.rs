@@ -713,3 +713,41 @@ fn help_lists_all_commands() {
         assert!(out.contains(cmd), "help missing `{cmd}`");
     }
 }
+
+#[test]
+fn query_rejects_queries_of_another_dimension() {
+    let dir = std::env::temp_dir().join("gass_cli_e2e_query_dim");
+    std::fs::create_dir_all(&dir).unwrap();
+    let (store, queries) = (dir.join("deep.store.gass"), dir.join("sift.store.gass"));
+    let (graph, sharded) = (dir.join("deep.kgraph.gass"), dir.join("deep.sharded"));
+    for (dataset, n, out) in [("deep", "300", &store), ("sift", "5", &queries)] {
+        run_ok(
+            gass()
+                .args(["generate", "--dataset", dataset, "--n", n, "--seed", "3"])
+                .args(["--out", out.to_str().unwrap()]),
+        );
+    }
+    let build = ["build", "--store", store.to_str().unwrap(), "--out"];
+    run_ok(gass().args(build).args([graph.to_str().unwrap(), "--method", "kgraph"]));
+    run_ok(gass().args(build).args([
+        sharded.to_str().unwrap(),
+        "--method",
+        "hnsw",
+        "--shards",
+        "2",
+    ]));
+    // 128-d SIFT queries against a 96-d Deep index, monolithic and
+    // sharded: a named error before any ground truth is computed.
+    let (s, g, q) =
+        (store.to_str().unwrap(), graph.to_str().unwrap(), queries.to_str().unwrap());
+    for args in [
+        vec!["query", "--store", s, "--graph", g, "--queries", q],
+        vec!["query", "--sharded", sharded.to_str().unwrap(), "--queries", q],
+    ] {
+        let out = gass().args(&args).output().unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+        assert!(err.contains("query dim 128 != store dim 96"), "{args:?}: {err}");
+        assert!(!err.contains("panicked"), "{args:?} must not panic: {err}");
+    }
+}

@@ -181,8 +181,8 @@ impl GraphView for AdjacencyGraph {
 
 /// Immutable contiguous-layout graph: `slots` entries reserved per node, a
 /// per-node count, one allocation. The query-time layout of hnswlib and
-/// ParlayANN.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+/// ParlayANN. The default is the empty graph a frozen index leaves behind.
+#[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct FlatGraph {
     slots: usize,
     counts: Vec<u32>,

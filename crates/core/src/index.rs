@@ -161,12 +161,14 @@ pub trait AnnIndex: Send + Sync {
         s.graph_bytes + s.aux_bytes
     }
 
-    /// Freezes the index for serving: converts its traversal graph(s) into
+    /// Freezes the index for serving: moves its traversal graph(s) into
     /// the contiguous CSR layout ([`crate::graph::CsrGraph`]) so queries
-    /// stop chasing per-node `Vec` pointers. Idempotent, and a no-op for
-    /// indexes with nothing to freeze (e.g. the serial scan). Search
-    /// results are identical before and after — only memory layout (and
-    /// hence speed) changes.
+    /// stop chasing per-node `Vec` pointers, and drops the build layout —
+    /// a frozen index holds one graph, and `stats().graph_bytes` drops to
+    /// the CSR's. Idempotent, and a no-op for indexes with nothing to
+    /// freeze (e.g. the serial scan). Search results and the structural
+    /// stats are identical before and after — only memory layout (and
+    /// hence speed and footprint) changes.
     fn freeze(&mut self) {}
 
     /// `true` once [`Self::freeze`] has taken effect (always `false` for
@@ -402,11 +404,10 @@ impl AnnIndex for SerialScanIndex {
 /// `G` is the graph as built: [`crate::graph::FlatGraph`] for the
 /// slot-layout methods (and loaded files), [`crate::graph::AdjacencyGraph`]
 /// for the unbounded-degree ones, so Figures 8–9 report each method's own
-/// layout. [`AnnIndex::freeze`] adds the CSR serving copy either way.
-pub struct PrebuiltIndex<G: GraphView = crate::graph::FlatGraph> {
+/// layout. [`AnnIndex::freeze`] moves it into CSR either way.
+pub struct PrebuiltIndex<G: GraphView + Default = crate::graph::FlatGraph> {
     store: crate::store::VectorStore,
-    graph: G,
-    serving: crate::reorder::ServingState,
+    serving: crate::reorder::ServingState<G>,
     seeds: Box<dyn crate::seed::SeedProvider>,
     /// Entry nodes that seed the BFS / RCM relabelling (NSG's and
     /// Vamana's medoid), in the current id space.
@@ -416,7 +417,7 @@ pub struct PrebuiltIndex<G: GraphView = crate::graph::FlatGraph> {
     scratch: ScratchPool,
 }
 
-impl<G: GraphView> PrebuiltIndex<G> {
+impl<G: GraphView + Default> PrebuiltIndex<G> {
     /// Wraps the parts. `label` names the method the graph came from. The
     /// build report is zero and there are no reorder entries until
     /// [`Self::with_build_report`] / [`Self::with_entries`] set them.
@@ -436,8 +437,7 @@ impl<G: GraphView> PrebuiltIndex<G> {
         );
         Self {
             store,
-            graph,
-            serving: crate::reorder::ServingState::new(),
+            serving: crate::reorder::ServingState::new(graph),
             seeds,
             entries: Vec::new(),
             label: label.into(),
@@ -486,8 +486,9 @@ impl<G: GraphView> PrebuiltIndex<G> {
         self.serving.quant()
     }
 
-    /// The shared serving state (frozen CSR / compressed codes / id remap).
-    pub fn serving(&self) -> &crate::reorder::ServingState {
+    /// The shared serving state (the graph, as built or moved into CSR /
+    /// compressed codes / id remap).
+    pub fn serving(&self) -> &crate::reorder::ServingState<G> {
         &self.serving
     }
 
@@ -504,10 +505,10 @@ impl<G: GraphView> PrebuiltIndex<G> {
         }
     }
 
-    /// The graph as built (construction ids; a reorder permutes only the
-    /// CSR serving copy).
+    /// The graph as built (construction ids). Empty once frozen: the CSR
+    /// in [`Self::serving`] is then the only graph the index holds.
     pub fn graph(&self) -> &G {
-        &self.graph
+        self.serving.graph()
     }
 
     /// [`AnnIndex::search`] through a caller-owned scratch instead of the
@@ -528,7 +529,7 @@ impl<G: GraphView> PrebuiltIndex<G> {
         let mut seeds = Vec::new();
         self.seeds.seeds(space, query, params.seed_count, &mut seeds);
         let res = crate::search::beam_search_frozen(
-            &self.graph,
+            self.serving.graph(),
             self.serving.csr(),
             space,
             query,
@@ -542,7 +543,7 @@ impl<G: GraphView> PrebuiltIndex<G> {
     }
 }
 
-impl<G: GraphView + Send + Sync> AnnIndex for PrebuiltIndex<G> {
+impl<G: GraphView + Default + Send + Sync> AnnIndex for PrebuiltIndex<G> {
     fn name(&self) -> String {
         self.label.clone()
     }
@@ -567,7 +568,7 @@ impl<G: GraphView + Send + Sync> AnnIndex for PrebuiltIndex<G> {
     }
 
     fn freeze(&mut self) {
-        self.serving.freeze(&self.graph);
+        self.serving.freeze();
     }
 
     fn is_frozen(&self) -> bool {
@@ -583,9 +584,7 @@ impl<G: GraphView + Send + Sync> AnnIndex for PrebuiltIndex<G> {
     }
 
     fn reorder(&mut self, strategy: crate::reorder::ReorderStrategy) {
-        if let Some(map) =
-            self.serving.reorder(&self.graph, &mut self.store, strategy, &self.entries)
-        {
+        if let Some(map) = self.serving.reorder(&mut self.store, strategy, &self.entries) {
             self.seeds.reorder(&map);
             for entry in &mut self.entries {
                 *entry = map.to_new(*entry);
@@ -602,14 +601,9 @@ impl<G: GraphView + Send + Sync> AnnIndex for PrebuiltIndex<G> {
     }
 
     fn stats(&self) -> IndexStats {
-        IndexStats {
-            nodes: self.graph.num_nodes(),
-            edges: self.graph.num_edges(),
-            avg_degree: self.graph.avg_degree(),
-            max_degree: self.graph.max_degree(),
-            graph_bytes: self.graph.heap_bytes() + self.serving.graph_bytes(),
-            aux_bytes: self.seeds.heap_bytes() + self.serving.aux_bytes(),
-        }
+        let mut s = self.serving.stats();
+        s.aux_bytes += self.seeds.heap_bytes();
+        s
     }
 }
 

@@ -23,8 +23,8 @@ use std::fmt;
 use std::str::FromStr;
 
 use crate::distance::QuantView;
-use crate::graph::{CsrGraph, GraphView};
-use crate::index::QueryParams;
+use crate::graph::{CsrGraph, FlatGraph, GraphView};
+use crate::index::{IndexStats, QueryParams};
 use crate::quant::{CodecSpec, CodecStore};
 use crate::search::SearchResult;
 use crate::store::VectorStore;
@@ -260,37 +260,50 @@ pub fn mean_edge_span<G: GraphView + ?Sized>(graph: &G) -> f64 {
     }
 }
 
-/// The shared frozen/quantized/reordered serving state every method
-/// carries: the CSR snapshot, the optional compressed code store (SQ8,
-/// SQ4 or PQ), and the id remap introduced by reordering.
+/// The shared serving state every method carries: the one traversal
+/// graph (as built, or its CSR form once frozen), the optional compressed
+/// code store (SQ8, SQ4 or PQ), and the id remap introduced by
+/// reordering.
 ///
 /// [`crate::index::PrebuiltIndex`] holds one for every graph-plus-seeds
 /// method, and the indexes with their own `AnnIndex` impl (HNSW, HVS,
 /// the II baseline, ELPIS per leaf) hold one each, so the
-/// `freeze`/`quantize`/`reorder` wiring lands once. The state
-/// machine is: `freeze()` snapshots the graph into CSR; `quantize()`
-/// encodes the (current) store with the requested codec; `reorder()`
-/// forces a freeze, permutes CSR + store + codes in place, and records
-/// the composed [`IdRemap`] so [`ServingState::finish`] can translate
-/// result ids back to the original space.
-#[derive(Clone, Debug, Default)]
-pub struct ServingState {
+/// `freeze`/`quantize`/`reorder` wiring and the graph's share of
+/// [`IndexStats`] land once. The state machine is: `freeze()` moves the
+/// build graph into CSR and drops it, so a frozen index holds one graph;
+/// `quantize()` encodes the (current) store with the requested codec;
+/// `reorder()` forces a freeze, permutes CSR + store + codes in place,
+/// and records the composed [`IdRemap`] so [`ServingState::finish`] can
+/// translate result ids back to the original space.
+#[derive(Clone, Debug)]
+pub struct ServingState<G = FlatGraph> {
+    graph: G,
     csr: Option<CsrGraph>,
     quant: Option<Box<dyn CodecStore>>,
     remap: Option<IdRemap>,
     strategy: ReorderStrategy,
 }
 
-impl ServingState {
-    /// Fresh state: not frozen, not quantized, not reordered.
-    pub fn new() -> Self {
-        Self::default()
+impl<G: GraphView + Default> ServingState<G> {
+    /// Fresh state over the graph as built: not frozen, not quantized,
+    /// not reordered.
+    pub fn new(graph: G) -> Self {
+        Self { graph, csr: None, quant: None, remap: None, strategy: ReorderStrategy::None }
     }
 
-    /// Snapshots `graph` into the contiguous CSR layout (idempotent).
-    pub fn freeze<G: GraphView + ?Sized>(&mut self, graph: &G) {
+    /// The graph as built (construction ids). Once frozen it is an empty
+    /// placeholder: the CSR is the only graph left, and
+    /// [`crate::search::beam_search_frozen`] ignores `graph` whenever it
+    /// is handed a CSR.
+    pub fn graph(&self) -> &G {
+        &self.graph
+    }
+
+    /// Moves the build graph into the contiguous CSR layout and drops it
+    /// (idempotent).
+    pub fn freeze(&mut self) {
         if self.csr.is_none() {
-            self.csr = Some(CsrGraph::from_view(graph));
+            self.csr = Some(CsrGraph::from_view(&std::mem::take(&mut self.graph)));
         }
     }
 
@@ -302,6 +315,29 @@ impl ServingState {
     /// The CSR snapshot, if frozen.
     pub fn csr(&self) -> Option<&CsrGraph> {
         self.csr.as_ref()
+    }
+
+    /// The live graph's share of [`IndexStats`] — nodes, edges, degrees
+    /// and `graph_bytes` of the CSR once frozen, of the build graph
+    /// before — with the codes and the remap as `aux_bytes`. Freezing
+    /// moves only `graph_bytes`: the CSR holds the same edges.
+    pub fn stats(&self) -> IndexStats {
+        fn of<V: GraphView + ?Sized>(g: &V, aux_bytes: usize) -> IndexStats {
+            IndexStats {
+                nodes: g.num_nodes(),
+                edges: g.num_edges(),
+                avg_degree: g.avg_degree(),
+                max_degree: g.max_degree(),
+                graph_bytes: g.heap_bytes(),
+                aux_bytes,
+            }
+        }
+        let aux_bytes = self.quant.as_ref().map_or(0, |q| q.heap_bytes())
+            + self.remap.as_ref().map_or(0, |m| m.heap_bytes());
+        match &self.csr {
+            Some(csr) => of(csr, aux_bytes),
+            None => of(&self.graph, aux_bytes),
+        }
     }
 
     /// Encodes `store` with the codec named by `spec`. Idempotent when the
@@ -339,19 +375,18 @@ impl ServingState {
         self.quant.as_deref().map(|q| QuantView::new(q, params.rerank_factor))
     }
 
-    /// Relabels the whole serving state with `strategy`: forces a freeze,
-    /// permutes the CSR graph, the vector store, and the codes of the
-    /// installed codec (SQ8, SQ4 or PQ, if any), and records the composed
-    /// id remap. `entries` seed the
+    /// Relabels the whole serving state with `strategy`: freezes (moving
+    /// the build graph into CSR), permutes the CSR graph, the vector
+    /// store, and the codes of the installed codec (SQ8, SQ4 or PQ, if
+    /// any), and records the composed id remap. `entries` seed the
     /// BFS/RCM orders and are interpreted in the *current* id space.
     ///
     /// Returns the incremental remap (current → newest ids) so the caller
     /// can relabel its seed structures; `None` when `strategy` is
     /// [`ReorderStrategy::None`] (a no-op that leaves the state
     /// bit-identical).
-    pub fn reorder<G: GraphView + ?Sized>(
+    pub fn reorder(
         &mut self,
-        graph: &G,
         store: &mut VectorStore,
         strategy: ReorderStrategy,
         entries: &[u32],
@@ -359,7 +394,7 @@ impl ServingState {
         if strategy == ReorderStrategy::None {
             return None;
         }
-        self.freeze(graph);
+        self.freeze();
         let csr = self.csr.as_ref().expect("frozen above");
         let map = compute_permutation(csr, strategy, entries);
         self.csr = Some(csr.permute(&map));
@@ -391,13 +426,6 @@ impl ServingState {
         self.remap.as_ref()
     }
 
-    /// Installs a previously persisted remap (for indexes whose
-    /// substrates were saved already-permuted). Does not move any data.
-    pub fn install_remap(&mut self, remap: IdRemap, strategy: ReorderStrategy) {
-        self.remap = Some(remap);
-        self.strategy = strategy;
-    }
-
     /// Maps an *original* id into the current id space (identity when not
     /// reordered). Use for hard-coded fallback entries like node `0`.
     #[inline]
@@ -427,18 +455,6 @@ impl ServingState {
             }
         }
         res
-    }
-
-    /// Heap bytes of the CSR snapshot (counted as graph memory).
-    pub fn graph_bytes(&self) -> usize {
-        self.csr.as_ref().map_or(0, |c| c.heap_bytes())
-    }
-
-    /// Heap bytes of the code store plus the id remap (counted as
-    /// auxiliary serving memory).
-    pub fn aux_bytes(&self) -> usize {
-        self.quant.as_ref().map_or(0, |q| q.heap_bytes())
-            + self.remap.as_ref().map_or(0, |m| m.heap_bytes())
     }
 }
 
@@ -480,7 +496,7 @@ mod tests {
             8,
             (0..64).map(|i| ((i * 7) as f32 * 0.43).sin() * 4.0).collect(),
         );
-        let mut s = ServingState::new();
+        let mut s = ServingState::new(FlatGraph::default());
         s.quantize(&store, CodecSpec::Sq8);
         assert_eq!(s.quant().unwrap().spec(), CodecSpec::Sq8);
         // Same family: no re-encode.

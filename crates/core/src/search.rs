@@ -579,7 +579,9 @@ fn beam_search_full<G: GraphView + ?Sized>(
 }
 
 /// [`beam_search`] over an index that may have been frozen into CSR form:
-/// traverses `csr` when present, `graph` otherwise. Both arms are
+/// traverses `csr` when present, `graph` otherwise — a frozen index's
+/// `graph` is the empty placeholder its build graph left, and is never
+/// read. Both arms are
 /// statically dispatched — this is the one `match` every index's `search`
 /// does, hoisted out of the traversal so the hot loop never pays virtual
 /// dispatch per neighbor list.

@@ -255,10 +255,9 @@ impl SeedProvider for RandomSeeds {
         }
     }
 
-    /// 0: the translate table a reorder installs is left out, so
-    /// relabelling a served index does not move its footprint.
+    /// The translate table a reorder installs (0 before any reorder).
     fn heap_bytes(&self) -> usize {
-        0
+        self.translate.as_ref().map_or(0, |t| t.capacity() * std::mem::size_of::<u32>())
     }
 }
 
@@ -418,6 +417,18 @@ mod tests {
         }
         let translated: Vec<u32> = out_a.iter().map(|&id| map.to_new(id)).collect();
         assert_eq!(out_b, translated);
+    }
+
+    #[test]
+    fn random_seeds_count_the_translate_table_a_reorder_installs() {
+        let mut p = RandomSeeds::per_query(10, 3);
+        assert_eq!(p.heap_bytes(), 0);
+        let map = IdRemap::from_new_to_old((0..10u32).rev().collect()).unwrap();
+        p.reorder(&map);
+        assert_eq!(p.heap_bytes(), 10 * std::mem::size_of::<u32>());
+        // A second reorder rewrites the table in place.
+        p.reorder(&map);
+        assert_eq!(p.heap_bytes(), 10 * std::mem::size_of::<u32>());
     }
 
     #[test]

@@ -493,15 +493,15 @@ impl ShardedIndex {
     /// rebuilt rather than shipped.
     ///
     /// # Panics
-    /// Panics if a shard has been reordered (its store rows would no
-    /// longer line up with the saved graph's ids).
+    /// Panics if a shard has been frozen (its build graph has moved into
+    /// CSR, and a reorder would also have permuted its store rows).
     pub fn save(&self, dir: &Path) -> Result<(), PersistError> {
+        assert!(
+            !self.shards.iter().any(|s| s.index.is_frozen()),
+            "save sharded state before freezing or reordering (the ladder re-applies on load)"
+        );
         begin_dir(dir)?;
         for (s, shard) in self.shards.iter().enumerate() {
-            assert!(
-                !shard.index.is_reordered(),
-                "save sharded state before reordering (the ladder re-applies on load)"
-            );
             save_shard(dir, s, shard.index.store(), shard.index.graph())?;
         }
         let table = ShardTable {
@@ -1072,6 +1072,16 @@ mod tests {
         for i in 0..store.len() as u32 {
             assert_eq!(back.get(i), store.get(i), "row {i} differs");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "before freezing or reordering")]
+    fn save_rejects_frozen_shards() {
+        let store = blobs(60, 4, 8);
+        let mut idx = build_knn_sharded(&store, &ShardedParams::new(2), 5, &DistCounter::new());
+        idx.freeze();
+        let dir = TestDir::new("frozen_save");
+        let _ = idx.save(&dir.0);
     }
 
     #[test]

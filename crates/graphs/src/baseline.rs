@@ -11,7 +11,7 @@
 
 use crate::common::{add_reverse_edges, add_reverse_edges_concurrent, BuildReport};
 use gass_core::distance::{DistCounter, Space};
-use gass_core::graph::{AdjacencyGraph, FlatGraph, GraphView};
+use gass_core::graph::{AdjacencyGraph, FlatGraph};
 use gass_core::index::{AnnIndex, IndexStats, QueryParams, ScratchPool};
 use gass_core::nd::NdStrategy;
 use gass_core::par::ConcurrentAdjacency;
@@ -79,7 +79,6 @@ fn insertion_seeds(
 /// A built baseline II graph.
 pub struct IiGraph {
     store: VectorStore,
-    graph: FlatGraph,
     serving: ServingState,
     params: IiParams,
     default_seeds: Box<dyn SeedProvider>,
@@ -219,10 +218,9 @@ impl IiGraph {
         let label = format!("II+{}", params.nd.label());
         Self {
             store,
-            graph: flat,
             params,
             default_seeds,
-            serving: ServingState::new(),
+            serving: ServingState::new(flat),
             scratch: ScratchPool::new(),
             build,
             label,
@@ -250,7 +248,7 @@ impl IiGraph {
         provider.seeds(space, query, params.seed_count, &mut seeds);
         let res = self.scratch.with(self.store.len(), params.beam_width, |scratch| {
             beam_search_frozen(
-                &self.graph,
+                self.serving.graph(),
                 self.serving.csr(),
                 space,
                 query,
@@ -269,9 +267,10 @@ impl IiGraph {
         self.build
     }
 
-    /// The frozen graph (for ablation and inspection).
+    /// The graph as built (for ablation and inspection). Empty once
+    /// frozen: the CSR is then the only graph the index holds.
     pub fn graph(&self) -> &FlatGraph {
-        &self.graph
+        self.serving.graph()
     }
 
     /// The vector store.
@@ -313,7 +312,7 @@ impl AnnIndex for IiGraph {
     }
 
     fn freeze(&mut self) {
-        self.serving.freeze(&self.graph);
+        self.serving.freeze();
     }
 
     fn is_frozen(&self) -> bool {
@@ -329,7 +328,7 @@ impl AnnIndex for IiGraph {
     }
 
     fn reorder(&mut self, strategy: ReorderStrategy) {
-        if let Some(map) = self.serving.reorder(&self.graph, &mut self.store, strategy, &[]) {
+        if let Some(map) = self.serving.reorder(&mut self.store, strategy, &[]) {
             self.default_seeds.reorder(&map);
         }
     }
@@ -343,20 +342,14 @@ impl AnnIndex for IiGraph {
     }
 
     fn stats(&self) -> IndexStats {
-        IndexStats {
-            nodes: self.graph.num_nodes(),
-            edges: self.graph.num_edges(),
-            avg_degree: self.graph.avg_degree(),
-            max_degree: self.graph.max_degree(),
-            graph_bytes: self.graph.heap_bytes() + self.serving.graph_bytes(),
-            aux_bytes: self.serving.aux_bytes(),
-        }
+        self.serving.stats()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gass_core::graph::GraphView;
     use gass_data::ground_truth::ground_truth;
     use gass_data::synth::deep_like;
 

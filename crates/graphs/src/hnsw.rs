@@ -54,7 +54,6 @@ impl HnswParams {
 /// A built HNSW index.
 pub struct HnswIndex {
     store: VectorStore,
-    base: FlatGraph,
     serving: ServingState,
     hierarchy: Hierarchy,
     params: HnswParams,
@@ -134,8 +133,7 @@ impl HnswIndex {
         let base = FlatGraph::from_adjacency(&base, Some(m0));
         Self {
             store,
-            base,
-            serving: ServingState::new(),
+            serving: ServingState::new(base),
             hierarchy,
             params,
             scratch: ScratchPool::new(),
@@ -241,9 +239,10 @@ impl HnswIndex {
         self.build
     }
 
-    /// The base-layer graph.
+    /// The base-layer graph as built. Empty once frozen: the CSR
+    /// ([`Self::csr`]) is then the only base layer the index holds.
     pub fn base_graph(&self) -> &FlatGraph {
-        &self.base
+        self.serving.graph()
     }
 
     /// The frozen CSR form of the base layer, once
@@ -257,7 +256,8 @@ impl HnswIndex {
         self.serving.quant()
     }
 
-    /// The serving state (CSR + codes + reorder map).
+    /// The serving state (base layer as built or as CSR + codes +
+    /// reorder map).
     pub fn serving(&self) -> &ServingState {
         &self.serving
     }
@@ -268,7 +268,7 @@ impl HnswIndex {
     /// when `strategy` is [`ReorderStrategy::None`].
     pub fn reorder_with(&mut self, strategy: ReorderStrategy) -> Option<IdRemap> {
         let entries: Vec<u32> = self.hierarchy.entry_node().into_iter().collect();
-        let map = self.serving.reorder(&self.base, &mut self.store, strategy, &entries)?;
+        let map = self.serving.reorder(&mut self.store, strategy, &entries)?;
         self.hierarchy.reorder(&map);
         Some(map)
     }
@@ -329,7 +329,7 @@ impl AnnIndex for HnswIndex {
             .unwrap_or_else(|| self.serving.to_new(0));
         let res = self.scratch.with(self.store.len(), params.beam_width, |scratch| {
             beam_search_frozen(
-                &self.base,
+                self.serving.graph(),
                 self.serving.csr(),
                 space,
                 query,
@@ -344,7 +344,7 @@ impl AnnIndex for HnswIndex {
     }
 
     fn freeze(&mut self) {
-        self.serving.freeze(&self.base);
+        self.serving.freeze();
     }
 
     fn is_frozen(&self) -> bool {
@@ -372,14 +372,9 @@ impl AnnIndex for HnswIndex {
     }
 
     fn stats(&self) -> IndexStats {
-        IndexStats {
-            nodes: self.base.num_nodes(),
-            edges: self.base.num_edges(),
-            avg_degree: self.base.avg_degree(),
-            max_degree: self.base.max_degree(),
-            graph_bytes: self.base.heap_bytes() + self.serving.graph_bytes(),
-            aux_bytes: self.hierarchy.heap_bytes() + self.serving.aux_bytes(),
-        }
+        let mut s = self.serving.stats();
+        s.aux_bytes += self.hierarchy.heap_bytes();
+        s
     }
 }
 

@@ -19,7 +19,7 @@
 
 use crate::common::BuildReport;
 use gass_core::distance::{l2_sq, DistCounter, Space};
-use gass_core::graph::{AdjacencyGraph, FlatGraph, GraphView};
+use gass_core::graph::{AdjacencyGraph, FlatGraph};
 use gass_core::index::{AnnIndex, IndexStats, QueryParams, ScratchPool};
 use gass_core::nd::NdStrategy;
 use gass_core::reorder::{ReorderStrategy, ServingState};
@@ -177,7 +177,6 @@ impl SeedProvider for VoronoiPyramid {
 /// the Voronoi pyramid for seed selection.
 pub struct HvsIndex {
     store: VectorStore,
-    base: FlatGraph,
     serving: ServingState,
     pyramid: VoronoiPyramid,
     scratch: ScratchPool,
@@ -235,8 +234,7 @@ impl HvsIndex {
             BuildReport { seconds: start.elapsed().as_secs_f64(), dist_calcs: counter.get() };
         Self {
             store,
-            base,
-            serving: ServingState::new(),
+            serving: ServingState::new(base),
             pyramid,
             scratch: ScratchPool::new(),
             build,
@@ -282,7 +280,7 @@ impl AnnIndex for HvsIndex {
         }
         let res = self.scratch.with(self.store.len(), params.beam_width, |scratch| {
             beam_search_frozen(
-                &self.base,
+                self.serving.graph(),
                 self.serving.csr(),
                 space,
                 query,
@@ -297,7 +295,7 @@ impl AnnIndex for HvsIndex {
     }
 
     fn freeze(&mut self) {
-        self.serving.freeze(&self.base);
+        self.serving.freeze();
     }
 
     fn is_frozen(&self) -> bool {
@@ -313,7 +311,7 @@ impl AnnIndex for HvsIndex {
     }
 
     fn reorder(&mut self, strategy: ReorderStrategy) {
-        if let Some(map) = self.serving.reorder(&self.base, &mut self.store, strategy, &[]) {
+        if let Some(map) = self.serving.reorder(&mut self.store, strategy, &[]) {
             self.pyramid.reorder(&map);
         }
     }
@@ -327,14 +325,9 @@ impl AnnIndex for HvsIndex {
     }
 
     fn stats(&self) -> IndexStats {
-        IndexStats {
-            nodes: self.base.num_nodes(),
-            edges: self.base.num_edges(),
-            avg_degree: self.base.avg_degree(),
-            max_degree: self.base.max_degree(),
-            graph_bytes: self.base.heap_bytes() + self.serving.graph_bytes(),
-            aux_bytes: self.pyramid.heap_bytes() + self.serving.aux_bytes(),
-        }
+        let mut s = self.serving.stats();
+        s.aux_bytes += self.pyramid.heap_bytes();
+        s
     }
 }
 

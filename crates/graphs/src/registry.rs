@@ -520,6 +520,65 @@ mod tests {
     }
 
     #[test]
+    fn every_method_serves_one_graph_when_frozen() {
+        // Freezing moves the build graph into CSR and drops it; an RCM
+        // reorder permutes that CSR. After either, the index reports the
+        // structure it was built with, and its graph bytes are the CSR's
+        // alone: `nodes + 1` offsets and one word per edge for each graph
+        // it keeps (ELPIS keeps one per leaf; HNSW's upper layers count as
+        // auxiliary), with no build layout beside them.
+        use crate::hvs::{HvsIndex, HvsParams};
+        use gass_core::graph::GraphView;
+        use gass_core::ReorderStrategy;
+        let base = deep_like(300, 3);
+        let mut methods: Vec<(Box<dyn AnnIndex>, usize)> = MethodKind::all_sota()
+            .into_iter()
+            .filter(|&kind| kind != MethodKind::Elpis)
+            .chain([MethodKind::Baseline(NdStrategy::Rnd)])
+            .map(|kind| (build_method(kind, base.clone(), 7).index, 1))
+            .collect();
+        let elpis = ElpisIndex::build(base.clone(), ElpisParams::small());
+        let leaves = elpis.num_leaves();
+        methods.push((Box::new(elpis), leaves));
+        methods.push((Box::new(HvsIndex::build(base.clone(), HvsParams::small())), 1));
+        assert_eq!(methods.len(), 15);
+        for (mut index, graphs) in methods {
+            let shape = |s: gass_core::IndexStats| {
+                (s.nodes, s.edges, s.max_degree, s.avg_degree.to_bits())
+            };
+            let built = shape(index.stats());
+            let check = |index: &dyn AnnIndex, stage: &str| {
+                let s = index.stats();
+                let name = format!("{} after {stage}", index.name());
+                assert_eq!(shape(s), built, "{name}: structure changed");
+                let csr_bytes = (s.nodes + graphs + s.edges) * std::mem::size_of::<u32>();
+                assert_eq!(s.graph_bytes, csr_bytes, "{name}: graph bytes are not the CSR's");
+            };
+            index.freeze();
+            check(index.as_ref(), "freeze");
+            index.reorder(ReorderStrategy::Rcm);
+            check(index.as_ref(), "rcm");
+        }
+
+        // The build graph is released, not merely left uncounted.
+        fn releases<I: AnnIndex>(mut index: I, build_graph_bytes: impl Fn(&I) -> usize) {
+            assert!(build_graph_bytes(&index) > 0, "{} built no graph", index.name());
+            index.freeze();
+            assert_eq!(build_graph_bytes(&index), 0, "{} kept its build graph", index.name());
+            index.reorder(ReorderStrategy::Rcm);
+            assert_eq!(build_graph_bytes(&index), 0, "{} rebuilt its graph", index.name());
+        }
+        releases(HnswIndex::build(base.clone(), HnswParams::small()), |i| {
+            i.base_graph().heap_bytes()
+        });
+        releases(nsg::build(base.clone(), NsgParams::small()), |i| i.graph().heap_bytes());
+        releases(dpg::build(base.clone(), DpgParams::small()), |i| i.graph().heap_bytes());
+        releases(IiGraph::build(base, IiParams::small(NdStrategy::Rnd)), |i| {
+            i.graph().heap_bytes()
+        });
+    }
+
+    #[test]
     fn every_method_quantizes_and_still_answers() {
         // Compressed serving contract, for all 13 methods × all codecs:
         // `quantize(spec)` is idempotent per family, flips

@@ -582,29 +582,33 @@ fn built_directly(base: &VectorStore) -> Vec<(Box<dyn AnnIndex>, u64)> {
 /// vectors must answer 20 fixed queries with the same ids, distance bits,
 /// hops, evaluation counts and `u8` / `f32` counter totals, and report the
 /// same name, `IndexStats` and construction distance count, as built,
-/// after `freeze` + SQ8, and after an RCM relabelling on top.
+/// after `freeze` + SQ8, and after an RCM relabelling on top. The last two
+/// columns were re-recorded once, when `freeze` began dropping the build
+/// graph (`graph_bytes` keeps only the CSR) and KS seeds began counting
+/// the translate table a reorder installs (`aux_bytes`);
+/// [`golden_method_layout_and_answers`] held everything else still.
 #[test]
 fn golden_method_answers_and_stats() {
     use gass::core::{CodecSpec, ReorderStrategy};
 
     const PINS: [(&str, [u64; 3]); 17] = [
-        ("HNSW", [0x25e5_1789_6b9a_0f12, 0xd2d2_34e6_b6c3_7155, 0x2703_39d5_a076_bff0]),
-        ("NSG", [0x11e3_4d11_2e1e_e452, 0xd08f_48ab_f7ba_381e, 0x607d_5cc7_4e5c_2cd7]),
-        ("SSG", [0xab6b_7f7d_37b3_5af6, 0xa2d3_d479_f1d4_1678, 0xaa6f_3572_d087_72b4]),
-        ("Vamana", [0x7084_81ba_b7b1_bf06, 0x3683_92ca_c651_c18f, 0xdb06_2545_8372_c405]),
-        ("DPG", [0x99f0_8f7d_a475_f412, 0x099c_6da2_344d_9132, 0x3382_0f6b_6787_e577]),
-        ("EFANNA", [0x16d6_7b1f_5814_300d, 0xe974_2a63_6106_a18d, 0xee67_743b_31ad_0a84]),
-        ("HCNNG", [0xaff9_88f5_8704_d49f, 0xab53_e414_7015_85b5, 0xca92_c8c5_b992_ab60]),
-        ("KGraph", [0xdc2d_a95c_b4d0_92bf, 0xe6c8_8388_c616_2db6, 0x8e5a_881c_f9a5_17f6]),
-        ("NGT", [0x14e4_d152_3d8b_c2b1, 0x8033_e364_0c28_0526, 0xde09_c59b_2a4c_0033]),
-        ("SPTAG-KDT", [0x3a3a_3d64_c834_7454, 0x1533_253b_6a78_07cf, 0xfcf9_5c48_db92_2aee]),
-        ("SPTAG-BKT", [0xb935_cab0_e937_48a5, 0x2753_a5a7_2efd_a84e, 0x65cb_931c_d2ce_f32c]),
-        ("ELPIS", [0x8121_5834_fb7c_d456, 0x04af_29b5_7955_dff5, 0xe2d7_4a35_6fa4_9472]),
-        ("LSHAPG", [0x586b_49ec_eca3_4d29, 0x0a4f_e7c6_2624_ea7b, 0xbdb2_8f6e_dd45_aad4]),
-        ("NSW", [0x2a92_b8e6_8a4f_e2a4, 0x00ee_b989_7b02_57c2, 0x594b_376f_227f_7c29]),
-        ("II+RND", [0xd7a9_9ecf_38ec_f937, 0xa60b_8d01_ab87_02a4, 0x6ffd_4bd7_c108_18dc]),
-        ("IEH", [0xae64_6151_ec3c_4eff, 0x752c_4ef3_1c20_dcdc, 0x8f3b_0f0a_008d_c219]),
-        ("HVS", [0x3f1c_5633_f431_328b, 0xf1bc_c5a5_37e7_c600, 0x12eb_e6ca_9b3d_7623]),
+        ("HNSW", [0x25e5_1789_6b9a_0f12, 0x886d_f24c_b5bd_45c2, 0xcca9_728c_0370_607b]),
+        ("NSG", [0x11e3_4d11_2e1e_e452, 0x3373_f4f1_6006_cc29, 0xb3cd_b2c2_e667_66f2]),
+        ("SSG", [0xab6b_7f7d_37b3_5af6, 0x47b5_78a7_77f4_597b, 0xca0f_eafb_bc78_e671]),
+        ("Vamana", [0x7084_81ba_b7b1_bf06, 0x0dd8_fd16_63ef_7c62, 0xaaa3_b739_0f5a_9be2]),
+        ("DPG", [0x99f0_8f7d_a475_f412, 0xc868_434f_4138_6cb1, 0xe16c_2a9f_bc62_079e]),
+        ("EFANNA", [0x16d6_7b1f_5814_300d, 0x54fb_8d0d_ff04_d9fb, 0xec54_d9e8_2388_1516]),
+        ("HCNNG", [0xaff9_88f5_8704_d49f, 0x954c_a615_079a_ba7c, 0x54a7_84b4_f40b_34a1]),
+        ("KGraph", [0xdc2d_a95c_b4d0_92bf, 0x6b3c_007e_a58d_4c30, 0x9518_dc4d_4831_cf86]),
+        ("NGT", [0x14e4_d152_3d8b_c2b1, 0x457b_f8b8_88b5_c5df, 0x060f_6a7e_11b7_1072]),
+        ("SPTAG-KDT", [0x3a3a_3d64_c834_7454, 0xff99_f566_a3d4_ee08, 0xfed0_e001_56e1_177d]),
+        ("SPTAG-BKT", [0xb935_cab0_e937_48a5, 0x8c70_ed11_c48d_e371, 0x436e_e93a_b59e_1e3f]),
+        ("ELPIS", [0x8121_5834_fb7c_d456, 0xc39c_d1c4_af70_6c9c, 0x017f_08cd_45f8_7b8f]),
+        ("LSHAPG", [0x586b_49ec_eca3_4d29, 0xa069_9609_0e92_80f8, 0x2eb5_fd31_768d_a037]),
+        ("NSW", [0x2a92_b8e6_8a4f_e2a4, 0xf6d5_f5d9_df8d_4f04, 0xdd14_7200_85b7_3191]),
+        ("II+RND", [0xd7a9_9ecf_38ec_f937, 0x471c_ebd5_0806_8064, 0x8f11_2684_66c5_095c]),
+        ("IEH", [0xae64_6151_ec3c_4eff, 0xd661_d892_0bc0_b5d2, 0x6913_6b26_39c4_05c3]),
+        ("HVS", [0x3f1c_5633_f431_328b, 0x10a8_aa96_9573_cd23, 0x18ae_e932_d1a6_ad80]),
     ];
 
     let base = gass::data::synth::deep_like(600, 21);
@@ -651,4 +655,81 @@ fn golden_method_answers_and_stats() {
 
     let got: Vec<(&str, [u64; 3])> = got.iter().map(|(name, h)| (name.as_str(), *h)).collect();
     assert_eq!(got, PINS, "a method's answers, counters, stats or build cost changed");
+}
+
+/// Golden pin, recorded on the commit *before* `freeze` started moving the
+/// build graph into CSR instead of copying it: the same methods, queries
+/// and stages as [`golden_method_answers_and_stats`], hashing everything
+/// that pin hashes except the two byte counts (`graph_bytes`,
+/// `aux_bytes`) — answers, counter totals, name, nodes, edges,
+/// `max_degree`, `avg_degree` bits and the build distance count. A change
+/// to where the serving graph lives may move memory, never this.
+#[test]
+fn golden_method_layout_and_answers() {
+    use gass::core::{CodecSpec, ReorderStrategy};
+
+    const PINS: [(&str, [u64; 3]); 17] = [
+        ("HNSW", [0x708f_bb60_b287_db62, 0xcea0_3835_5890_71da, 0xcea0_3835_5890_71da]),
+        ("NSG", [0x26af_254b_b288_ea13, 0x9817_9944_ebac_ce26, 0xd085_d9e4_9f8e_d53d]),
+        ("SSG", [0x5dc5_c620_5ed6_4923, 0x5f08_1d1e_6cda_5d24, 0xe383_7999_1806_9092]),
+        ("Vamana", [0x0ac6_8e1d_fe99_ca9f, 0x4f6b_2ab9_9968_1855, 0xc8cb_2320_1e7d_1691]),
+        ("DPG", [0x1adf_7fa9_14c5_9ad8, 0x1c97_13e3_e375_f296, 0xb3b9_4d30_2301_32d1]),
+        ("EFANNA", [0x0ea2_d424_fd37_42b3, 0x5c40_4a70_7a5f_2b27, 0x5c40_4a70_7a5f_2b27]),
+        ("HCNNG", [0x8d84_7b00_442b_159f, 0x7307_9cc5_6233_e566, 0x7307_9cc5_6233_e566]),
+        ("KGraph", [0x431a_42c3_89c8_d196, 0xfa37_47d2_68f1_fcc5, 0x8635_540b_4631_8c07]),
+        ("NGT", [0x536d_2b80_cc2f_cd2b, 0x7284_2198_0cd5_d724, 0x7284_2198_0cd5_d724]),
+        ("SPTAG-KDT", [0x542f_5a9f_d912_4ebd, 0x27c0_fc2f_1726_6649, 0x27c0_fc2f_1726_6649]),
+        ("SPTAG-BKT", [0x1644_8b8e_ada5_076f, 0x5d70_9994_7859_3395, 0x5d70_9994_7859_3395]),
+        ("ELPIS", [0xaecd_f164_147a_5e9e, 0x2538_95b1_0b57_b4a4, 0x2538_95b1_0b57_b4a4]),
+        ("LSHAPG", [0x3554_971d_62a1_6523, 0x86b3_cad5_325f_5816, 0x86b3_cad5_325f_5816]),
+        ("NSW", [0xff7c_e34b_b968_49d2, 0xe86b_8663_a82a_3fae, 0x6514_8d39_f48b_c8f3]),
+        ("II+RND", [0x3501_e13c_e2d7_0642, 0xe4f1_9992_c53a_8dfa, 0xb97f_da0c_cddc_e698]),
+        ("IEH", [0xa5aa_82ec_af05_8487, 0x4534_78e4_ce5d_cde6, 0x4534_78e4_ce5d_cde6]),
+        ("HVS", [0x195b_5fa3_db6b_95bf, 0x216a_69cc_21ae_b8f7, 0x216a_69cc_21ae_b8f7]),
+    ];
+
+    let base = gass::data::synth::deep_like(600, 21);
+    let queries = gass::data::synth::deep_like(20, 22);
+    let params = QueryParams::new(10, 40).with_seed_count(8);
+    let mut methods: Vec<(Box<dyn AnnIndex>, u64)> = MethodKind::all_sota()
+        .into_iter()
+        .chain([MethodKind::Nsw, MethodKind::Baseline(NdStrategy::Rnd)])
+        .map(|kind| {
+            let built = build_method(kind, base.clone(), 7);
+            (built.index, built.build.dist_calcs)
+        })
+        .collect();
+    methods.extend(built_directly(&base));
+    let stage = |index: &dyn AnnIndex, build_dists: u64| {
+        let counter = DistCounter::new();
+        let res: Vec<_> = (0..queries.len() as u32)
+            .map(|q| index.search(queries.get(q), &params, &counter))
+            .collect();
+        let mut h = Fnv(answers_hash(&res));
+        counter_words(&mut h, &counter);
+        index.name().bytes().for_each(|b| h.word(u32::from(b)));
+        let s = index.stats();
+        let words = [s.nodes, s.edges, s.max_degree]
+            .map(|w| w as u64)
+            .into_iter()
+            .chain([s.avg_degree.to_bits(), build_dists]);
+        for w in words {
+            h.word(w as u32);
+            h.word((w >> 32) as u32);
+        }
+        h.0
+    };
+    let mut got = Vec::new();
+    for (mut index, build_dists) in methods {
+        let as_built = stage(index.as_ref(), build_dists);
+        index.freeze();
+        index.quantize(CodecSpec::Sq8);
+        let sq8 = stage(index.as_ref(), build_dists);
+        index.reorder(ReorderStrategy::Rcm);
+        let rcm = stage(index.as_ref(), build_dists);
+        got.push((index.name(), [as_built, sq8, rcm]));
+    }
+
+    let got: Vec<(&str, [u64; 3])> = got.iter().map(|(name, h)| (name.as_str(), *h)).collect();
+    assert_eq!(got, PINS, "a method's answers, counters, structure or build cost changed");
 }
