@@ -230,11 +230,11 @@ const SCRATCH_SHARDS_MIN: usize = 8;
 /// re-introduce borrow contention as soon as `--threads` exceeds it.
 ///
 /// Each thread hashes its id to a *home shard* and borrows/returns there,
-/// so under the parallel serving mode ([`search_batch_parallel`]) distinct
-/// threads almost always touch distinct mutexes; the serve-crate executors
-/// pin distinct home stripes instead ([`pin_scratch_home`]). Borrowing falls back to
-/// scanning the other shards (`try_lock`, never blocking) before
-/// allocating fresh scratch.
+/// so concurrent searches from distinct threads almost always touch
+/// distinct mutexes; the serve-crate executors pin distinct home stripes
+/// instead ([`pin_scratch_home`]). Borrowing falls back to scanning the
+/// other shards (`try_lock`, never blocking) before allocating fresh
+/// scratch.
 #[derive(Debug)]
 pub struct ScratchPool {
     shards: Vec<Mutex<Vec<SearchScratch>>>,
@@ -326,28 +326,6 @@ pub fn search_batch<I: AnnIndex + ?Sized>(
     counter: &DistCounter,
 ) -> Vec<SearchResult> {
     (0..queries.len() as u32).map(|q| index.search(queries.get(q), params, counter)).collect()
-}
-
-/// Parallel serving mode: answers the whole query set across `threads`
-/// worker threads (`0` = all cores), returning results in query order.
-///
-/// This is an explicit opt-in for throughput-oriented serving — the
-/// paper's evaluation methodology stays the sequential [`search_batch`].
-/// Per-query results and the final [`DistCounter`] totals are identical to
-/// the sequential batch (searches are read-only and independent); only
-/// interleaving differs. Worker threads share the index's [`ScratchPool`],
-/// whose lock striping keeps the borrow/return traffic off a single
-/// mutex.
-pub fn search_batch_parallel<I: AnnIndex + ?Sized>(
-    index: &I,
-    queries: &crate::store::VectorStore,
-    params: &QueryParams,
-    counter: &DistCounter,
-    threads: usize,
-) -> Vec<SearchResult> {
-    crate::par::par_map(threads, queries.len(), |q| {
-        index.search(queries.get(q as u32), params, counter)
-    })
 }
 
 /// A trivial exact index: serial scan. Implements [`AnnIndex`] so the
@@ -697,24 +675,6 @@ mod tests {
         assert_eq!(res.len(), 2);
         assert_eq!(res[0].neighbors[0].id, 0);
         assert_eq!(res[1].neighbors[0].id, 2);
-    }
-
-    #[test]
-    fn parallel_batch_matches_sequential() {
-        let store = VectorStore::from_flat(1, (0..50).map(|i| i as f32).collect());
-        let idx = SerialScanIndex::new(store);
-        let queries =
-            VectorStore::from_flat(1, (0..17).map(|i| i as f32 * 2.9 + 0.3).collect());
-        let params = QueryParams::new(3, 3);
-        let counter_seq = DistCounter::new();
-        let seq = search_batch(&idx, &queries, &params, &counter_seq);
-        let counter_par = DistCounter::new();
-        let par = search_batch_parallel(&idx, &queries, &params, &counter_par, 4);
-        assert_eq!(seq.len(), par.len());
-        for (s, p) in seq.iter().zip(&par) {
-            assert_eq!(s.neighbors, p.neighbors);
-        }
-        assert_eq!(counter_seq.get(), counter_par.get());
     }
 
     #[test]

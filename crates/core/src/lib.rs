@@ -58,8 +58,8 @@ pub use fanout::{
 };
 pub use graph::{AdjacencyGraph, CsrGraph, FlatGraph, GraphView};
 pub use index::{
-    pin_scratch_home, search_batch_parallel, AnnIndex, BuildReport, IndexStats, PrebuiltIndex,
-    QueryParams, ScratchPool, SerialScanIndex,
+    pin_scratch_home, AnnIndex, BuildReport, IndexStats, PrebuiltIndex, QueryParams,
+    ScratchPool, SerialScanIndex,
 };
 pub use kmeans::{balanced_kmeans, kmeans as kmeans_cluster, maximin_lloyd, Clustering};
 pub use mmap::{mmap_enabled, MmapBuf, MmapRegion};

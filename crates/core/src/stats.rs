@@ -1,10 +1,9 @@
 //! Log-bucketed latency histogram for serving-path measurement.
 //!
-//! The serving layer (`gass-serve`) and the open-loop load generator
-//! (`ext_serve`) both need latency quantiles over millions of samples
-//! without keeping the samples: a fixed-size histogram whose buckets grow
-//! geometrically, so relative error is bounded (~4% per bucket) across
-//! nine orders of magnitude of latency. Recording is a single counter
+//! The serving layer (`gass-serve`) needs latency quantiles over millions
+//! of samples without keeping the samples: a fixed-size histogram whose
+//! buckets grow geometrically, so relative error is bounded (~4% per
+//! bucket) across nine orders of magnitude of latency. Recording is a single counter
 //! increment — cheap enough for the per-request hot path — and histograms
 //! recorded independently by worker threads [`Histogram::merge`] into one
 //! distribution for the stats endpoint, exactly like HdrHistogram-style

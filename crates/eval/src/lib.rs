@@ -24,4 +24,4 @@ pub use complexity::{dataset_complexity, ComplexityReport};
 pub use mem::{current_rss_bytes, footprint, vm_peak_bytes, FootprintReport};
 pub use recall::{cost_to_reach, evaluate_at, evaluate_params, recall_at_k, sweep, SweepPoint};
 pub use report::{fmt_bytes, fmt_count, write_json, Table};
-pub use throughput::{measure_throughput, measure_throughput_batch, ThroughputReport};
+pub use throughput::{measure_throughput, ThroughputReport};

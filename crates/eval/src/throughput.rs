@@ -91,48 +91,6 @@ pub fn measure_throughput(
     }
 }
 
-/// [`measure_throughput`] through the *batch* serving entry point
-/// ([`gass_core::index::search_batch_parallel`]) instead of the hand-rolled
-/// work queue above: the query set is answered `rounds` times, each round
-/// as one parallel batch over the index's shared scratch pool.
-///
-/// This is the explicit opt-in parallel serving mode — the default
-/// evaluation path stays the sequential [`gass_core::index::search_batch`]
-/// (the paper times queries one at a time). Per-query results and distance
-/// totals are identical to the sequential batch; only scheduling differs.
-/// Batch mode has no per-query timer, so `mean_us` is the amortized
-/// per-query wall time and the percentile fields are reported as 0.
-pub fn measure_throughput_batch(
-    index: &dyn AnnIndex,
-    queries: &VectorStore,
-    params: &QueryParams,
-    threads: usize,
-    rounds: usize,
-) -> ThroughputReport {
-    assert!(!queries.is_empty(), "throughput over empty query set");
-    let threads = threads.max(1);
-    let rounds = rounds.max(1);
-    let total = queries.len() * rounds;
-    let counter = DistCounter::new();
-    let wall = std::time::Instant::now();
-    for _ in 0..rounds {
-        let res =
-            gass_core::index::search_batch_parallel(index, queries, params, &counter, threads);
-        std::hint::black_box(res);
-    }
-    let wall_s = wall.elapsed().as_secs_f64();
-    ThroughputReport {
-        queries: total,
-        threads,
-        qps: total as f64 / wall_s.max(1e-12),
-        mean_us: wall_s * 1e6 / total as f64,
-        p50_us: 0.0,
-        p95_us: 0.0,
-        p99_us: 0.0,
-        dist_calcs: counter.get(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -161,18 +119,6 @@ mod tests {
         let rep = measure_throughput(&idx, &queries, &QueryParams::new(3, 3), 1, 1);
         assert_eq!(rep.queries, 5);
         assert!(rep.mean_us > 0.0);
-    }
-
-    #[test]
-    fn batch_mode_does_the_same_work() {
-        let base = deep_like(200, 5);
-        let queries = deep_like(8, 6);
-        let idx = SerialScanIndex::new(base);
-        let rep = measure_throughput_batch(&idx, &queries, &QueryParams::new(5, 5), 4, 2);
-        assert_eq!(rep.queries, 16);
-        assert!(rep.qps > 0.0);
-        // Same distance totals as the sequential path would produce.
-        assert_eq!(rep.dist_calcs, 16 * 200);
     }
 
     #[test]

@@ -342,7 +342,9 @@ impl AnnIndex for IiGraph {
     }
 
     fn stats(&self) -> IndexStats {
-        self.serving.stats()
+        let mut s = self.serving.stats();
+        s.aux_bytes += self.default_seeds.heap_bytes();
+        s
     }
 }
 
@@ -427,6 +429,23 @@ mod tests {
         // Both should find the exact point (it is in the dataset).
         assert_eq!(default_res.neighbors[0].id, 17);
         assert_eq!(fixed_res.neighbors[0].id, 17);
+    }
+
+    #[test]
+    fn stats_count_the_installed_seed_provider() {
+        let base = deep_like(300, 9);
+        let mut g = IiGraph::build(base.clone(), IiParams::small(NdStrategy::Rnd));
+        let counter = DistCounter::new();
+        let providers: Vec<Box<dyn SeedProvider>> = vec![
+            Box::new(gass_trees::KdForest::build(&base, 2, 16, 5)),
+            Box::new(gass_trees::VpSeeds::build(Space::new(&base, &counter), 16, 5)),
+        ];
+        for provider in providers {
+            let bytes = provider.heap_bytes();
+            assert!(bytes > 0, "{} reports no bytes", provider.label());
+            g.set_seed_provider(provider);
+            assert!(g.stats().aux_bytes >= bytes, "aux_bytes leaves out the seed provider");
+        }
     }
 
     #[test]

@@ -20,11 +20,9 @@
 use crate::common::BuildReport;
 use gass_core::distance::{l2_sq, DistCounter, Space};
 use gass_core::graph::{AdjacencyGraph, FlatGraph};
-use gass_core::index::{AnnIndex, IndexStats, QueryParams, ScratchPool};
+use gass_core::index::PrebuiltIndex;
 use gass_core::nd::NdStrategy;
-use gass_core::reorder::{ReorderStrategy, ServingState};
-use gass_core::search::SearchResult;
-use gass_core::search::{beam_search, beam_search_frozen, SearchScratch};
+use gass_core::search::{beam_search, SearchScratch};
 use gass_core::seed::SeedProvider;
 use gass_core::store::VectorStore;
 use gass_trees::kmeans::kmeans;
@@ -79,6 +77,9 @@ impl Level {
 /// The Voronoi pyramid, usable as a standalone seed provider.
 pub struct VoronoiPyramid {
     levels: Vec<Level>, // coarse -> fine
+    /// The seed when the descent picks nothing (every centroid distance
+    /// NaN or infinite): stored vector 0, in the current id space.
+    entry: u32,
 }
 
 impl VoronoiPyramid {
@@ -115,7 +116,7 @@ impl VoronoiPyramid {
             levels.push(Level { centroids, representatives });
             size = size.saturating_mul(params.growth.max(2));
         }
-        Self { levels }
+        Self { levels, entry: 0 }
     }
 
     /// Descends the pyramid: at each level, keep the centroid nearest to
@@ -140,32 +141,27 @@ impl VoronoiPyramid {
     pub fn num_levels(&self) -> usize {
         self.levels.len()
     }
-
-    /// Relabels the per-centroid representatives through `map` after the
-    /// store was permuted. Centroids are raw vectors, so the counted
-    /// descent itself is unchanged.
-    pub fn reorder(&mut self, map: &gass_core::reorder::IdRemap) {
-        for level in &mut self.levels {
-            for rep in &mut level.representatives {
-                *rep = map.to_new(*rep);
-            }
-        }
-    }
 }
 
 impl SeedProvider for VoronoiPyramid {
     fn seeds(&self, space: Space<'_>, query: &[f32], _count: usize, out: &mut Vec<u32>) {
-        if let Some(s) = self.descend(space, query) {
-            out.push(s);
-        }
+        out.push(self.descend(space, query).unwrap_or(self.entry));
     }
 
     fn label(&self) -> &'static str {
         "HVS"
     }
 
+    /// Relabels the per-centroid representatives and the entry through
+    /// `map` after the store was permuted. Centroids are raw vectors, so
+    /// the counted descent itself is unchanged.
     fn reorder(&mut self, map: &gass_core::reorder::IdRemap) {
-        VoronoiPyramid::reorder(self, map);
+        for level in &mut self.levels {
+            for rep in &mut level.representatives {
+                *rep = map.to_new(*rep);
+            }
+        }
+        self.entry = map.to_new(self.entry);
     }
 
     fn heap_bytes(&self) -> usize {
@@ -173,167 +169,55 @@ impl SeedProvider for VoronoiPyramid {
     }
 }
 
-/// A built HVS index: II+RND base graph (as in HNSW's base layer) plus
-/// the Voronoi pyramid for seed selection.
-pub struct HvsIndex {
-    store: VectorStore,
-    serving: ServingState,
-    pyramid: VoronoiPyramid,
-    scratch: ScratchPool,
-    build: BuildReport,
-}
-
-impl HvsIndex {
-    /// Builds the index.
-    pub fn build(store: VectorStore, params: HvsParams) -> Self {
-        assert!(store.len() >= 2, "need at least two vectors");
-        let counter = DistCounter::new();
-        let start = std::time::Instant::now();
-        let n = store.len();
-        let m0 = params.max_degree;
-        let (base, pyramid) = {
-            let space = Space::new(&store, &counter);
-            let pyramid = VoronoiPyramid::build(space, &params, params.seed ^ 0xb5);
-            // Base layer: incremental insertion with RND pruning, seeded by
-            // pyramid descent (HVS builds on HNSW's base layer).
-            let mut base = AdjacencyGraph::with_degree_hint(n, m0 + 1);
-            let mut scratch = SearchScratch::new(n, params.ef_construction);
-            for id in 1..n as u32 {
-                let query = store.get(id);
-                // Seed only among already-inserted nodes; fall back to the
-                // first node when the pyramid's pick isn't inserted yet.
-                let entry = pyramid.descend(space, query).filter(|&e| e < id).unwrap_or(0);
-                let res = beam_search(
-                    &base,
-                    space,
-                    query,
-                    &[entry],
-                    params.ef_construction,
-                    params.ef_construction,
-                    &mut scratch,
-                );
-                let cands = if res.neighbors.is_empty() {
-                    vec![gass_core::Neighbor::new(0, space.dist_to(query, 0))]
-                } else {
-                    res.neighbors
-                };
-                let kept = NdStrategy::Rnd.diversify(space, id, &cands, m0);
-                base.set_neighbors(id, kept.iter().map(|k| k.id).collect());
-                crate::common::add_reverse_edges(
-                    space,
-                    &mut base,
-                    id,
-                    &kept,
-                    m0,
-                    NdStrategy::Rnd,
-                );
-            }
-            (FlatGraph::from_adjacency(&base, Some(m0)), pyramid)
-        };
-        let build =
-            BuildReport { seconds: start.elapsed().as_secs_f64(), dist_calcs: counter.get() };
-        Self {
-            store,
-            serving: ServingState::new(base),
-            pyramid,
-            scratch: ScratchPool::new(),
-            build,
-        }
-    }
-
-    /// Construction cost report.
-    pub fn build_report(&self) -> BuildReport {
-        self.build
-    }
-
-    /// The seed pyramid.
-    pub fn pyramid(&self) -> &VoronoiPyramid {
-        &self.pyramid
-    }
-}
-
-impl AnnIndex for HvsIndex {
-    fn name(&self) -> String {
-        "HVS".to_string()
-    }
-
-    fn num_vectors(&self) -> usize {
-        self.store.len()
-    }
-
-    fn dim(&self) -> usize {
-        self.store.dim()
-    }
-
-    fn search(
-        &self,
-        query: &[f32],
-        params: &QueryParams,
-        counter: &DistCounter,
-    ) -> SearchResult {
-        let space =
-            Space::new(&self.store, counter).with_quant(self.serving.quant_view(params));
-        let mut seeds = Vec::new();
-        self.pyramid.seeds(space, query, params.seed_count, &mut seeds);
-        if seeds.is_empty() {
-            seeds.push(self.serving.to_new(0));
-        }
-        let res = self.scratch.with(self.store.len(), params.beam_width, |scratch| {
-            beam_search_frozen(
-                self.serving.graph(),
-                self.serving.csr(),
+/// Builds an HVS index: an II+RND base graph (as in HNSW's base layer)
+/// served with the Voronoi pyramid as seed provider.
+pub fn build(store: VectorStore, params: HvsParams) -> PrebuiltIndex {
+    assert!(store.len() >= 2, "need at least two vectors");
+    let counter = DistCounter::new();
+    let start = std::time::Instant::now();
+    let n = store.len();
+    let m0 = params.max_degree;
+    let (base, pyramid) = {
+        let space = Space::new(&store, &counter);
+        let pyramid = VoronoiPyramid::build(space, &params, params.seed ^ 0xb5);
+        // Base layer: incremental insertion with RND pruning, seeded by
+        // pyramid descent (HVS builds on HNSW's base layer).
+        let mut base = AdjacencyGraph::with_degree_hint(n, m0 + 1);
+        let mut scratch = SearchScratch::new(n, params.ef_construction);
+        for id in 1..n as u32 {
+            let query = store.get(id);
+            // Seed only among already-inserted nodes; fall back to the
+            // first node when the pyramid's pick isn't inserted yet.
+            let entry = pyramid.descend(space, query).filter(|&e| e < id).unwrap_or(0);
+            let res = beam_search(
+                &base,
                 space,
                 query,
-                &seeds,
-                params.k,
-                params.beam_width,
-                scratch,
-                params.termination(),
-            )
-        });
-        self.serving.finish(res)
-    }
-
-    fn freeze(&mut self) {
-        self.serving.freeze();
-    }
-
-    fn is_frozen(&self) -> bool {
-        self.serving.is_frozen()
-    }
-
-    fn quantize(&mut self, spec: gass_core::CodecSpec) {
-        self.serving.quantize(&self.store, spec);
-    }
-
-    fn is_quantized(&self) -> bool {
-        self.serving.is_quantized()
-    }
-
-    fn reorder(&mut self, strategy: ReorderStrategy) {
-        if let Some(map) = self.serving.reorder(&mut self.store, strategy, &[]) {
-            self.pyramid.reorder(&map);
+                &[entry],
+                params.ef_construction,
+                params.ef_construction,
+                &mut scratch,
+            );
+            let cands = if res.neighbors.is_empty() {
+                vec![gass_core::Neighbor::new(0, space.dist_to(query, 0))]
+            } else {
+                res.neighbors
+            };
+            let kept = NdStrategy::Rnd.diversify(space, id, &cands, m0);
+            base.set_neighbors(id, kept.iter().map(|k| k.id).collect());
+            crate::common::add_reverse_edges(space, &mut base, id, &kept, m0, NdStrategy::Rnd);
         }
-    }
-
-    fn is_reordered(&self) -> bool {
-        self.serving.is_reordered()
-    }
-
-    fn reorder_strategy(&self) -> ReorderStrategy {
-        self.serving.strategy()
-    }
-
-    fn stats(&self) -> IndexStats {
-        let mut s = self.serving.stats();
-        s.aux_bytes += self.pyramid.heap_bytes();
-        s
-    }
+        (FlatGraph::from_adjacency(&base, Some(m0)), pyramid)
+    };
+    let build =
+        BuildReport { seconds: start.elapsed().as_secs_f64(), dist_calcs: counter.get() };
+    PrebuiltIndex::new(store, base, Box::new(pyramid), "HVS").with_build_report(build)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gass_core::index::{AnnIndex, QueryParams};
     use gass_data::ground_truth::ground_truth;
     use gass_data::synth::deep_like;
 
@@ -341,7 +225,7 @@ mod tests {
     fn hvs_reasonable_recall() {
         let base = deep_like(600, 1);
         let queries = deep_like(15, 2);
-        let idx = HvsIndex::build(base.clone(), HvsParams::small());
+        let idx = build(base.clone(), HvsParams::small());
         let gt = ground_truth(&base, &queries, 10);
         let counter = DistCounter::new();
         let params = QueryParams::new(10, 80);
@@ -384,5 +268,23 @@ mod tests {
         dists.sort_by(f32::total_cmp);
         // Representative should be well inside the closest quartile.
         assert!(d_rep <= dists[200], "descent landed badly: {d_rep} vs {}", dists[200]);
+    }
+
+    #[test]
+    fn a_query_the_descent_cannot_place_seeds_at_the_relabelled_entry() {
+        let base = deep_like(300, 4);
+        let counter = DistCounter::new();
+        let space = Space::new(&base, &counter);
+        let mut p = VoronoiPyramid::build(space, &HvsParams::small(), 3);
+        let nan = vec![f32::NAN; base.dim()];
+        let mut out = Vec::new();
+        p.seeds(space, &nan, 1, &mut out);
+        assert_eq!(out, [0]);
+        let map =
+            gass_core::reorder::IdRemap::from_new_to_old((0..300).rev().collect()).unwrap();
+        p.reorder(&map);
+        out.clear();
+        p.seeds(space, &nan, 1, &mut out);
+        assert_eq!(out, [map.to_new(0)]);
     }
 }

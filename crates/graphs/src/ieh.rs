@@ -7,9 +7,8 @@
 //!
 //! The paper *excluded* IEH from its evaluation "due to suboptimal
 //! performance" (citing earlier studies). We implement it anyway — the
-//! taxonomy is part of the contribution — and the `ext_ieh_check` harness
-//! verifies the exclusion was justified by comparing it against EFANNA
-//! (same NP core, tree seeds instead of hash seeds).
+//! taxonomy is part of the contribution; it shares EFANNA's NP core, with
+//! hash seeds instead of tree seeds.
 
 use crate::common::BuildReport;
 use crate::nndescent::KnnGraphState;

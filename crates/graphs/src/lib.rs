@@ -14,7 +14,7 @@
 //! | Module | Method | Paradigms |
 //! |---|---|---|
 //! | [`kgraph`] | KGraph | NP |
-//! | [`ieh`] | IEH (excluded from the paper's evaluation; see `ext_ieh_check`) | NP + LSH seeds |
+//! | [`ieh`] | IEH (excluded from the paper's evaluation) | NP + LSH seeds |
 //! | [`hvs`] | HVS (the paper could not run the official code; ours is faithful-in-spirit) | II + RND + Voronoi-pyramid seeds |
 //! | [`nsw`] | NSW | II |
 //! | [`efanna`] | EFANNA | NP + KD seeds |
@@ -35,10 +35,10 @@
 //! graph plus a seed strategy is only its construction code: its module's
 //! `build` returns a [`gass_core::PrebuiltIndex`] holding the graph and a
 //! boxed [`gass_core::SeedProvider`] (KGraph, IEH, NSW, EFANNA, DPG, NGT,
-//! NSG, SPTAG, Vamana, SSG, HCNNG). HNSW, ELPIS, LSHAPG and HVS carry
-//! routing state beyond one graph and one seed provider, and the II
-//! baseline takes a seed provider per call, so they keep their own index
-//! types.
+//! NSG, SPTAG, Vamana, SSG, HCNNG, and HVS with its Voronoi pyramid).
+//! HNSW, ELPIS and LSHAPG carry routing state beyond one graph and one
+//! seed provider, and the II baseline takes a seed provider per call, so
+//! they keep their own index types.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
@@ -72,7 +72,7 @@ pub use elpis::{ElpisIndex, ElpisParams};
 pub use hcnng::HcnngParams;
 pub use hierarchy::{Hierarchy, SnSeeds};
 pub use hnsw::{HnswIndex, HnswParams};
-pub use hvs::{HvsIndex, HvsParams, VoronoiPyramid};
+pub use hvs::{HvsParams, VoronoiPyramid};
 pub use ieh::IehParams;
 pub use kgraph::KGraphParams;
 pub use lshapg::{LshapgIndex, LshapgParams};

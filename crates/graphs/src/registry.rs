@@ -527,7 +527,7 @@ mod tests {
         // alone: `nodes + 1` offsets and one word per edge for each graph
         // it keeps (ELPIS keeps one per leaf; HNSW's upper layers count as
         // auxiliary), with no build layout beside them.
-        use crate::hvs::{HvsIndex, HvsParams};
+        use crate::hvs::{self, HvsParams};
         use gass_core::graph::GraphView;
         use gass_core::ReorderStrategy;
         let base = deep_like(300, 3);
@@ -540,7 +540,7 @@ mod tests {
         let elpis = ElpisIndex::build(base.clone(), ElpisParams::small());
         let leaves = elpis.num_leaves();
         methods.push((Box::new(elpis), leaves));
-        methods.push((Box::new(HvsIndex::build(base.clone(), HvsParams::small())), 1));
+        methods.push((Box::new(hvs::build(base.clone(), HvsParams::small())), 1));
         assert_eq!(methods.len(), 15);
         for (mut index, graphs) in methods {
             let shape = |s: gass_core::IndexStats| {

@@ -1,6 +1,6 @@
 //! A minimal blocking client for the serving protocol.
 //!
-//! Used by the CLI e2e tests and the `ext_serve` load generator; speaks
+//! Used by the CLI and serve e2e tests; speaks
 //! exactly the [`crate::protocol`] encoders/decoders, so every client
 //! round-trip also exercises the real wire format.
 

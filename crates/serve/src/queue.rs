@@ -7,8 +7,7 @@
 //! `max_batch` jobs per wakeup. Striping keeps producers from serializing
 //! on one mutex under heavy arrival rates, and batch draining means a
 //! consumer takes each stripe lock once per *batch*, not once per job —
-//! that amortization is where cross-request batching wins its throughput
-//! (see `ext_serve`).
+//! that amortization is where cross-request batching wins its throughput.
 //!
 //! Admission control is a single atomic depth counter checked before the
 //! stripe push: when the queue holds `capacity` jobs the push is refused

@@ -12,30 +12,23 @@
 //! * [`kmeans`] — Lloyd's and balanced k-means clustering;
 //! * [`eapca`] — EAPCA summarization + Hercules tree (ELPIS's partitioner
 //!   and lower-bounding pruner);
-//! * [`mst`] — minimum spanning trees (HCNNG's per-cluster graphs);
-//! * [`centroid_seeds`] — **CS**, a data-adaptive seed strategy built for
-//!   the paper's "future work" direction (see the `ext_adaptive_ss`
-//!   harness).
+//! * [`mst`] — minimum spanning trees (HCNNG's per-cluster graphs).
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
 pub mod bkt;
-pub mod centroid_seeds;
 pub mod eapca;
 pub mod kdtree;
 pub mod kmeans;
 pub mod mst;
-pub mod summaries;
 pub mod tptree;
 pub mod vptree;
 
 pub use bkt::{BkTree, BktSeeds};
-pub use centroid_seeds::CentroidSeeds;
 pub use eapca::{summarize, EapcaSummary, HerculesLeaf, HerculesTree};
 pub use kdtree::{KdForest, KdTree};
 pub use kmeans::{balanced_kmeans, kmeans, Clustering};
 pub use mst::{prim_mst, MstEdge};
-pub use summaries::{paa, paa_lower_bound, sax, sax_mindist_sq, Paa, Sax};
 pub use tptree::TpPartition;
 pub use vptree::{VpSeeds, VpTree};

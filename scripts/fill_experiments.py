@@ -107,10 +107,6 @@ SECTIONS = {
     "FIG17": lambda: full("fig17_impl_opt"),
     "FIG18": lambda: full("fig18_recommend"),
     "TABLE3": lambda: full("table3_summary"),
-    "EXT_SS": lambda: full("ext_adaptive_ss", limit=24),
-    "EXT_IEH": lambda: high_recall_slice("ext_ieh_check", 3, 0),
-    "EXT_HVS": lambda: high_recall_slice("ext_hvs_seeds", 3, 0),
-    "EXT_QPS": lambda: full("ext_throughput"),
 }
 
 

@@ -24,10 +24,6 @@ BINS=(
   fig14_search_100g
   fig16_search_1b
   fig18_recommend
-  ext_adaptive_ss
-  ext_ieh_check
-  ext_hvs_seeds
-  ext_throughput
 )
 
 cargo build --release -p gass-bench --bins

@@ -127,7 +127,14 @@ fn lshapg_and_ieh_carry_hash_structures() {
 
 #[test]
 fn hvs_pyramid_replaces_random_levels() {
-    let idx = gass::graphs::HvsIndex::build(deep(500, 11), gass::graphs::HvsParams::small());
-    assert_eq!(idx.pyramid().num_levels(), 3);
+    let params = gass::graphs::HvsParams::small();
+    let base = deep(500, 11);
+    // The pyramid `hvs::build` installs: same parameters, same seed.
+    let counter = DistCounter::new();
+    let space = gass_core::Space::new(&base, &counter);
+    let pyramid = gass::graphs::VoronoiPyramid::build(space, &params, params.seed ^ 0xb5);
+    let idx = gass::graphs::hvs::build(base, params);
+    assert_eq!(pyramid.num_levels(), 3);
     assert!(idx.stats().aux_bytes > 0);
+    assert_eq!(idx.stats().aux_bytes, pyramid.heap_bytes());
 }
