@@ -15,14 +15,14 @@ use gass_core::distance::{DistCounter, Space};
 use gass_core::index::{AnnIndex, QueryParams};
 use gass_data::DatasetKind;
 use gass_eval::Table;
-use gass_graphs::{efanna, EfannaParams, ElpisIndex, ElpisParams};
+use gass_graphs::{efanna, elpis, EfannaParams, ElpisParams};
 
 fn main() {
     let n = tiers()[2].n;
     let (base, queries) = DatasetKind::ImageNet.generate(n, 10, 11);
     println!("Figure 1: best-so-far race on ImageNet-like, n={n}\n");
 
-    let elpis = ElpisIndex::build(base.clone(), ElpisParams::small());
+    let elpis = elpis::build(base.clone(), ElpisParams::small());
     let efanna = efanna::build(base.clone(), EfannaParams::small());
 
     let mut table = Table::new(vec!["method", "mean_ms_to_answer", "answers_match_exact"]);

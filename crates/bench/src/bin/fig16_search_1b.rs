@@ -26,9 +26,10 @@
 use gass_bench::{
     beam_sweep, mapped_tier_n, num_queries, results_dir, run_mapped_sharded_tier, tiers,
 };
+use gass_core::set_fanout_workers;
 use gass_data::DatasetKind;
 use gass_eval::{sweep, Table};
-use gass_graphs::{build_method, ElpisIndex, ElpisParams, HnswParams, MethodKind};
+use gass_graphs::{build_method, elpis, ElpisParams, HnswParams, MethodKind};
 
 /// The paper's 1B Deep tier in rows (sized down via `GASS_FULL_N`).
 const PAPER_1B_ROWS: usize = 1_000_000_000;
@@ -57,19 +58,22 @@ fn main() {
     }
 
     // ELPIS with intra-query parallelism — the configuration behind its
-    // Fig. 16 wall-clock lead.
+    // Fig. 16 wall-clock lead: one query's leaf probes fan out over the
+    // resident pool on every core.
     let leaf = (n / 8).clamp(128, 4096);
-    let par = ElpisIndex::build(
+    let par = elpis::build(
         base.clone(),
         ElpisParams {
             leaf_size: leaf,
             hnsw: HnswParams { m: 10, ef_construction: 64, seed: 107, threads: 1 },
             nprobe: 8,
-            parallel_query: true,
             ..ElpisParams::small()
         },
     );
-    for p in sweep(&par, &queries, &truth, k, &beam_sweep(), 16) {
+    set_fanout_workers(0);
+    let points = sweep(&par, &queries, &truth, k, &beam_sweep(), 16);
+    set_fanout_workers(1);
+    for p in points {
         table.row(vec![
             "ELPIS(par)".to_string(),
             p.beam_width.to_string(),

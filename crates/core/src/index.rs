@@ -10,6 +10,7 @@
 
 use crate::distance::{DistCounter, Space};
 use crate::graph::GraphView;
+use crate::partition::PartIndex;
 use crate::search::{SearchResult, SearchScratch};
 use std::sync::Mutex;
 
@@ -315,19 +316,6 @@ impl ScratchPool {
     }
 }
 
-/// Convenience: evaluate recall-oriented searches over a whole query set,
-/// returning per-query results. Sequential on purpose — the paper processes
-/// queries one at a time, "mimicking a real-world scenario where queries
-/// are unpredictable".
-pub fn search_batch<I: AnnIndex + ?Sized>(
-    index: &I,
-    queries: &crate::store::VectorStore,
-    params: &QueryParams,
-    counter: &DistCounter,
-) -> Vec<SearchResult> {
-    (0..queries.len() as u32).map(|q| index.search(queries.get(q), params, counter)).collect()
-}
-
 /// A trivial exact index: serial scan. Implements [`AnnIndex`] so the
 /// figure harnesses can include the exact baseline uniformly.
 pub struct SerialScanIndex {
@@ -488,14 +476,15 @@ impl<G: GraphView + Default> PrebuiltIndex<G> {
     pub fn graph(&self) -> &G {
         self.serving.graph()
     }
+}
 
-    /// [`AnnIndex::search`] through a caller-owned scratch instead of the
-    /// index's [`ScratchPool`]. The sharded fan-out path keeps one
-    /// scratch per executor thread and reuses it across probes, shards,
-    /// and batches — no per-probe pool borrow/return, and identical
-    /// results (scratch contents never influence the traversal: the beam
-    /// search prepares it for this graph and beam).
-    pub fn search_with_scratch(
+/// A part of a [`crate::partition::Partitioned`] index searches through the
+/// prober's per-thread scratch instead of the index's [`ScratchPool`]: no
+/// pool borrow/return per probe, and identical results (scratch contents
+/// never influence the traversal — the beam search prepares it for this
+/// graph and beam).
+impl<G: GraphView + Default + Send + Sync> PartIndex for PrebuiltIndex<G> {
+    fn search_with_scratch(
         &self,
         query: &[f32],
         params: &QueryParams,
@@ -663,18 +652,6 @@ mod tests {
             Box::new(crate::seed::StaticSeeds::new(vec![0])),
             "bad",
         );
-    }
-
-    #[test]
-    fn search_batch_runs_all_queries() {
-        let store = VectorStore::from_flat(1, vec![0.0, 1.0, 2.0]);
-        let idx = SerialScanIndex::new(store);
-        let queries = VectorStore::from_flat(1, vec![0.1, 1.9]);
-        let counter = DistCounter::new();
-        let res = search_batch(&idx, &queries, &QueryParams::new(1, 1), &counter);
-        assert_eq!(res.len(), 2);
-        assert_eq!(res[0].neighbors[0].id, 0);
-        assert_eq!(res[1].neighbors[0].id, 2);
     }
 
     #[test]

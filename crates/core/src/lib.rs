@@ -37,6 +37,7 @@ pub mod mmap;
 pub mod nd;
 pub mod neighbor;
 pub mod par;
+pub mod partition;
 pub mod persist;
 pub mod quant;
 pub mod reorder;
@@ -69,6 +70,7 @@ pub use par::{
     bounded_prefix_batches, effective_threads, par_for, par_map, par_map_with, par_workers,
     prefix_doubling_batches, ConcurrentAdjacency,
 };
+pub use partition::{PartIndex, Partitioned, Router};
 pub use persist::{
     load_codec, load_flat_graph, load_permutation, load_shard_table, load_store, open_codec,
     open_store, peek_kind, save_codec, save_codec_mapped, save_flat_graph, save_permutation,
@@ -87,8 +89,8 @@ pub use search::{
     beam_search_with_sink, greedy_search, greedy_search_budgeted, greedy_search_with,
     serial_scan, SearchResult, SearchScratch, SearchStats,
 };
-pub use seed::{FixedSeed, MedoidSeed, RandomSeeds, SeedProvider, StaticSeeds};
-pub use sharded::{ShardedIndex, ShardedParams};
+pub use seed::{FixedSeed, MedoidSeed, OriginalIds, RandomSeeds, SeedProvider, StaticSeeds};
+pub use sharded::{CentroidRouter, ShardedIndex, ShardedParams};
 pub use stats::Histogram;
 pub use store::VectorStore;
 pub use term::{TermState, Termination, TerminationPolicy};

@@ -56,6 +56,43 @@ pub trait SeedProvider: Send + Sync {
     fn heap_bytes(&self) -> usize;
 }
 
+/// The `new → old` table a relabelled seed structure keeps (KD forest,
+/// VP-tree, BKT). Candidates are ordered, deduplicated and truncated by
+/// *original* id, so the seeds a query gets — and their order — are the
+/// same before and after any reorder.
+#[derive(Clone, Debug, Default)]
+pub struct OriginalIds {
+    new_to_old: Option<Vec<u32>>,
+}
+
+impl OriginalIds {
+    /// Sorts `ids` by original id, drops repeats and keeps the first
+    /// `count`.
+    pub fn select(&self, ids: &mut Vec<u32>, count: usize) {
+        match &self.new_to_old {
+            Some(orig) => ids.sort_unstable_by_key(|&id| orig[id as usize]),
+            None => ids.sort_unstable(),
+        }
+        ids.dedup();
+        ids.truncate(count);
+    }
+
+    /// Composes the table with a fresh relabelling.
+    pub fn reorder(&mut self, map: &IdRemap) {
+        self.new_to_old = Some(match self.new_to_old.take() {
+            Some(prev) => {
+                (0..prev.len()).map(|id| prev[map.to_old(id as u32) as usize]).collect()
+            }
+            None => map.new_to_old().to_vec(),
+        });
+    }
+
+    /// Heap bytes of the table (0 before any reorder).
+    pub fn heap_bytes(&self) -> usize {
+        self.new_to_old.as_ref().map_or(0, |t| t.capacity() * std::mem::size_of::<u32>())
+    }
+}
+
 /// **SF** — Single Fixed random entry point: one node chosen once, used for
 /// every query. The paper's baseline strategy (not used by any SotA
 /// method, included to isolate the value of smarter selection).

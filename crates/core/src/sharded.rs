@@ -20,10 +20,14 @@
 //! `nprobe` trades that risk back — `nprobe = shards` searches every
 //! shard and is exactly the merged union of all per-shard searches.
 //!
-//! At query time the planned probes either run sequentially on the
-//! caller or fan out across the resident [`crate::fanout::FanoutPool`]
-//! (when `--fanout-workers`/[`crate::fanout::set_fanout_workers`] asks
-//! for more than one executor). Both paths merge per-shard results in
+//! The query loop is not sharding's own: a [`ShardedIndex`] is a
+//! [`Partitioned`] index behind a [`CentroidRouter`], and probes, merges,
+//! carries the budget and fans out exactly as every partitioned index
+//! does (ELPIS is the same type over its leaves). The planned probes
+//! either run sequentially on the caller or fan out across the resident
+//! [`crate::fanout::FanoutPool`] (when
+//! `--fanout-workers`/[`crate::fanout::set_fanout_workers`] asks for more
+//! than one executor). Both paths merge per-shard results in
 //! ranked-centroid order and are observationally identical — same
 //! neighbors, same distance bits, same counter totals.
 //!
@@ -39,33 +43,21 @@
 //! only wall time and how many shards are resident at once.
 
 use crate::distance::{l2_sq, DistCounter, Space};
-use crate::fanout;
 use crate::graph::FlatGraph;
-use crate::index::{AnnIndex, IndexStats, PrebuiltIndex, QueryParams};
+use crate::index::{AnnIndex, PrebuiltIndex};
 use crate::kmeans;
 use crate::neighbor::{BoundedMaxHeap, Neighbor};
-use crate::par::{par_for_each_mut, par_map};
+use crate::par::par_map;
+use crate::partition::{Partitioned, Router};
 use crate::persist::{self, PersistError, ShardTable};
-use crate::search::{SearchResult, SearchScratch, SearchStats};
 use crate::seed::{RandomSeeds, SeedProvider};
 use crate::store::VectorStore;
-use std::cell::RefCell;
 use std::convert::Infallible;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// The routing table: the file that makes a directory loadable ([`commit_dir`]).
 const TABLE_FILE: &str = "shards.gass";
-
-thread_local! {
-    /// One reusable probe scratch per executor thread. Both the
-    /// sequential probe loop and every fan-out worker search through this
-    /// slot, so the visited-set/candidate allocations persist across
-    /// probes, shards, and batches instead of being re-borrowed from (or
-    /// freshly allocated by) each shard's [`crate::index::ScratchPool`]
-    /// per probe.
-    static PROBE_SCRATCH: RefCell<SearchScratch> = RefCell::new(SearchScratch::new(0, 1));
-}
 
 /// Partitioning parameters for [`ShardedIndex::build_with`].
 #[derive(Clone, Copy, Debug)]
@@ -125,33 +117,48 @@ impl ShardedParams {
     }
 }
 
-/// One partition: a full per-shard index plus the translation from
-/// shard-local ids back to dataset ids.
-struct Shard {
-    index: PrebuiltIndex,
-    /// `to_global[local] = global`; local ids are positions in the
-    /// shard's own store, which [`PrebuiltIndex`] already reports in
-    /// *original* (pre-reorder) local space.
-    to_global: Vec<u32>,
+/// Routes by query-to-centroid distance: every centroid evaluation is
+/// counted, ties go to the lower shard number, and no shard is pruned (a
+/// centroid distance bounds nothing inside its cell).
+pub struct CentroidRouter {
+    /// Aligned `shards × dim` store of partition centroids.
+    centroids: VectorStore,
+}
+
+impl Router for CentroidRouter {
+    fn rank(&self, query: &[f32], counter: &DistCounter) -> Vec<(f32, usize)> {
+        let mut order: Vec<(f32, usize)> = (0..self.centroids.len())
+            .map(|s| {
+                counter.bump();
+                (l2_sq(query, self.centroids.get(s as u32)), s)
+            })
+            .collect();
+        order.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        order
+    }
+
+    fn rank_cost(&self) -> usize {
+        self.centroids.len()
+    }
+
+    fn prunes(&self) -> bool {
+        false
+    }
+
+    fn name(&self) -> String {
+        format!("Sharded({}x)", self.centroids.len())
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.centroids.heap_bytes()
+    }
 }
 
 /// A balanced-k-means-partitioned collection of per-shard graph indexes
 /// with centroid-routed `nprobe` search — see the module docs.
-pub struct ShardedIndex {
-    shards: Vec<Shard>,
-    /// Aligned `shards × dim` store of partition centroids.
-    centroids: VectorStore,
-    dim: usize,
-    total: usize,
-    /// Shards searched per query. Atomic so serving threads can share the
-    /// index immutably while benches sweep the recall/QPS ladder without
-    /// rebuilding.
-    nprobe: AtomicUsize,
-    /// Width of the per-shard ladder steps ([`ShardedParams::threads`]).
-    threads: usize,
-}
+pub type ShardedIndex = Partitioned<PrebuiltIndex, CentroidRouter>;
 
-impl ShardedIndex {
+impl Partitioned<PrebuiltIndex, CentroidRouter> {
     /// Partitions `store` and builds one graph per shard through `build`,
     /// which receives the shard number and the shard's (shard-local)
     /// store and returns its traversal graph and seed provider. Shards
@@ -170,20 +177,16 @@ impl ShardedIndex {
     where
         F: Fn(usize, &VectorStore) -> (FlatGraph, Box<dyn SeedProvider>) + Sync,
     {
-        let total = store.len();
         let (centroid_rows, shard_ids) = partition(store, params, counter);
         let centroids =
             VectorStore::from_rows(store.dim(), centroid_rows.iter().map(Vec::as_slice))
                 .to_aligned();
         let finish = |s: usize, sub, graph, seeds| {
-            Ok::<_, Infallible>(Shard {
-                index: PrebuiltIndex::new(sub, graph, seeds, format!("shard-{s}")),
-                to_global: shard_ids[s].clone(),
-            })
+            let index = PrebuiltIndex::new(sub, graph, seeds, format!("shard-{s}"));
+            Ok::<_, Infallible>((index, shard_ids[s].clone()))
         };
         let Ok(shards) = build_shards(store, params, &shard_ids, &build, finish);
-        let nprobe = AtomicUsize::new(params.nprobe.clamp(1, shards.len()));
-        Self { shards, centroids, dim: store.dim(), total, nprobe, threads: params.threads }
+        Self::new(shards, CentroidRouter { centroids }, params.nprobe, params.threads)
     }
 
     /// Builds the sharded state straight to `dir`, [`ShardedParams::threads`]
@@ -221,49 +224,15 @@ impl ShardedIndex {
         commit_dir(dir, &table)
     }
 
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Shards searched per query.
-    pub fn nprobe(&self) -> usize {
-        self.nprobe.load(Ordering::Relaxed)
-    }
-
-    /// Sets the shards searched per query (clamped to `1..=shards`).
-    /// Takes `&self`: serving threads may share the index while a
-    /// controller sweeps the recall/QPS ladder.
-    pub fn set_nprobe(&self, nprobe: usize) {
-        self.nprobe.store(nprobe.clamp(1, self.shards.len()), Ordering::Relaxed);
-    }
-
     /// The partition centroids (`num_shards` rows).
     pub fn centroids(&self) -> &VectorStore {
-        &self.centroids
-    }
-
-    /// The global ids shard `s` holds, in shard-local order.
-    pub fn shard_ids(&self, s: usize) -> &[u32] {
-        &self.shards[s].to_global
-    }
-
-    /// Shard `s`'s index (the full per-shard ladder applies through the
-    /// [`AnnIndex`] forwarding methods; this accessor serves inspection
-    /// and per-shard rebuild flows).
-    pub fn shard(&self, s: usize) -> &PrebuiltIndex {
-        &self.shards[s].index
+        &self.router.centroids
     }
 
     /// Re-aligns every shard's store rows to the SIMD stride (forwarded
     /// [`PrebuiltIndex::align_store`]; part of the serving configuration).
     pub fn align_store(&mut self) {
         self.for_each_shard_mut(PrebuiltIndex::align_store);
-    }
-
-    /// One ladder step over every shard, `threads` shards at a time.
-    fn for_each_shard_mut(&mut self, step: impl Fn(&mut PrebuiltIndex) + Sync) {
-        par_for_each_mut(self.threads, &mut self.shards, |shard| step(&mut shard.index));
     }
 
     /// Reassembles the full dataset in global id order by gathering every
@@ -275,11 +244,11 @@ impl ShardedIndex {
     /// permuted local order and no longer gatherable by original id.
     pub fn gather_store(&self) -> VectorStore {
         assert!(
-            !self.shards.iter().any(|s| s.index.is_reordered()),
+            !self.parts.iter().any(|s| s.index.is_reordered()),
             "gather_store requires pre-reorder shard stores"
         );
         let mut flat = vec![0.0f32; self.total * self.dim];
-        for shard in &self.shards {
+        for shard in &self.parts {
             let store = shard.index.store();
             for (local, &global) in shard.to_global.iter().enumerate() {
                 let dst = global as usize * self.dim;
@@ -287,198 +256,6 @@ impl ShardedIndex {
             }
         }
         VectorStore::from_flat(self.dim, flat)
-    }
-
-    /// Shard indices in ascending query-to-centroid distance (ties by
-    /// shard number). Centroid evaluations go through `counter`.
-    fn ranked_shards(&self, query: &[f32], counter: &DistCounter) -> Vec<usize> {
-        self.ranked_shards_with_dists(query, counter).into_iter().map(|(_, s)| s).collect()
-    }
-
-    /// [`Self::ranked_shards`] keeping each shard's centroid distance —
-    /// the margin adaptive probing compares against the merged top-`k`.
-    fn ranked_shards_with_dists(
-        &self,
-        query: &[f32],
-        counter: &DistCounter,
-    ) -> Vec<(f32, usize)> {
-        let mut order: Vec<(f32, usize)> = (0..self.shards.len())
-            .map(|s| {
-                counter.bump();
-                (l2_sq(query, self.centroids.get(s as u32)), s)
-            })
-            .collect();
-        order.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        order
-    }
-
-    /// The probe plan every search path shares: shard indices in ranked
-    /// centroid order, truncated to the current `nprobe`. Merging in plan
-    /// order is what keeps sequential, coalesced, and fanned-out serving
-    /// observationally identical.
-    fn probe_plan(&self, query: &[f32], counter: &DistCounter) -> Vec<usize> {
-        let nprobe = self.nprobe().min(self.shards.len());
-        let mut ranked = self.ranked_shards(query, counter);
-        ranked.truncate(nprobe);
-        ranked
-    }
-
-    /// One shard probe through the calling thread's reusable scratch slot
-    /// (see [`PROBE_SCRATCH`]).
-    fn probe(
-        &self,
-        s: usize,
-        query: &[f32],
-        params: &QueryParams,
-        counter: &DistCounter,
-    ) -> SearchResult {
-        PROBE_SCRATCH.with(|cell| {
-            self.shards[s].index.search_with_scratch(
-                query,
-                params,
-                counter,
-                &mut cell.borrow_mut(),
-            )
-        })
-    }
-
-    /// Runs `f` once per shard in `plan`, returning results in plan
-    /// order. With a configured fan-out pool and more than one planned
-    /// shard, the jobs run concurrently; otherwise this is the plain
-    /// sequential loop. Either way the output order (and therefore
-    /// every downstream merge) is identical — per-shard work is
-    /// independent and deterministic, and `DistCounter` totals commute.
-    fn for_each_planned<R, F>(&self, plan: &[usize], f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize) -> R + Sync,
-    {
-        if plan.len() > 1 {
-            if let Some(pool) = fanout::shared_pool() {
-                return pool
-                    .map(vec![(0..plan.len()).collect()], plan.len(), |rank| f(plan[rank]))
-                    .into_iter()
-                    .map(|r| r.expect("every planned shard job ran"))
-                    .collect();
-            }
-        }
-        plan.iter().map(|&s| f(s)).collect()
-    }
-
-    /// Merges one shard's result into the shared heap, translating local
-    /// ids to dataset ids. Returns `true` when the probe improved the
-    /// merged top-`k` (any push was retained) — the saturation signal
-    /// adaptive probing watches across probes.
-    fn merge(
-        &self,
-        s: usize,
-        res: SearchResult,
-        heap: &mut BoundedMaxHeap,
-        stats: &mut SearchStats,
-    ) -> bool {
-        stats.hops += res.stats.hops;
-        stats.evaluated += res.stats.evaluated;
-        let mut improved = false;
-        for n in res.neighbors {
-            improved |=
-                heap.push(Neighbor::new(self.shards[s].to_global[n.id as usize], n.dist));
-        }
-        improved
-    }
-
-    /// [`AnnIndex::search`] also reporting how many shards were probed.
-    ///
-    /// With a fixed [`crate::term::Termination`] this is the classic
-    /// plan-then-probe path (always exactly `nprobe` probes, fanned out
-    /// across the pool when configured). With an adaptive policy,
-    /// `nprobe` becomes a **cap**: shards are probed sequentially in
-    /// centroid-distance order and the loop stops early when
-    ///
-    /// * `DistRatio { eps }` — the next shard's centroid is farther than
-    ///   `(1+eps)×` the *nearest* centroid's distance (the IVF routing
-    ///   margin: only shards competitively close to the query get
-    ///   probed; a query deep inside one partition probes few, a query
-    ///   on a partition boundary probes many), or
-    /// * `Saturation { patience }` — `patience` consecutive probes
-    ///   retained nothing in the merged heap, or
-    /// * `max_dists` — the accumulated evaluation budget is spent
-    ///   (each probe's sub-search receives the remaining budget, so the
-    ///   cap holds across shard boundaries too).
-    ///
-    /// The policy governs **routing**: each probed shard still runs its
-    /// traversal under `Fixed` (plus any remaining budget), so every
-    /// probe contributes its full-quality slice answer and early
-    /// stopping only skips whole shards — recall holds while mean
-    /// probes drop.
-    ///
-    /// The adaptive loop is inherently sequential — whether to issue
-    /// probe `i+1` depends on probe `i`'s merge — so it bypasses the
-    /// fan-out pool; the saved probes are the point.
-    pub fn search_with_probes(
-        &self,
-        query: &[f32],
-        params: &QueryParams,
-        counter: &DistCounter,
-    ) -> (SearchResult, usize) {
-        let term = params.termination();
-        let mut heap = BoundedMaxHeap::new(params.k);
-        let mut stats = SearchStats { hops: 0, evaluated: self.shards.len() };
-        if term.is_fixed() {
-            let plan = self.probe_plan(query, counter);
-            let results =
-                self.for_each_planned(&plan, |s| self.probe(s, query, params, counter));
-            for (&s, res) in plan.iter().zip(results) {
-                self.merge(s, res, &mut heap, &mut stats);
-            }
-            let probes = plan.len();
-            return (SearchResult { neighbors: heap.into_sorted(), stats }, probes);
-        }
-
-        let cap = self.nprobe().min(self.shards.len());
-        let ranked = self.ranked_shards_with_dists(query, counter);
-        let nearest = ranked.first().map_or(0.0, |&(d, _)| d);
-        let mut probes = 0usize;
-        let mut stale = 0usize;
-        for &(cdist, s) in ranked.iter().take(cap) {
-            if probes > 0 {
-                if term.max_dists > 0 && stats.evaluated >= term.max_dists {
-                    break;
-                }
-                match term.policy {
-                    crate::term::TerminationPolicy::DistRatio { eps } => {
-                        if cdist > (1.0 + eps) * nearest {
-                            break;
-                        }
-                    }
-                    crate::term::TerminationPolicy::Saturation { patience } => {
-                        if stale >= patience.max(1) {
-                            break;
-                        }
-                    }
-                    crate::term::TerminationPolicy::Fixed => {}
-                }
-            }
-            // Routing is adaptive; the traversal inside a probed shard is
-            // not — it runs `Fixed` so the shard contributes its
-            // full-quality slice answer. Only the hard budget crosses the
-            // boundary (floor 1 so a probe can always at least seed):
-            // the whole query obeys `max_dists`, not each probe
-            // independently.
-            let mut sub = *params;
-            sub.term = crate::term::TerminationPolicy::Fixed;
-            sub.max_dists = 0;
-            if term.max_dists > 0 {
-                sub.max_dists = term.max_dists.saturating_sub(stats.evaluated).max(1);
-            }
-            let res = self.probe(s, query, &sub, counter);
-            if self.merge(s, res, &mut heap, &mut stats) {
-                stale = 0;
-            } else {
-                stale += 1;
-            }
-            probes += 1;
-        }
-        (SearchResult { neighbors: heap.into_sorted(), stats }, probes)
     }
 
     /// Writes the sharded state under directory `dir`: `shards.gass` (the
@@ -497,20 +274,20 @@ impl ShardedIndex {
     /// CSR, and a reorder would also have permuted its store rows).
     pub fn save(&self, dir: &Path) -> Result<(), PersistError> {
         assert!(
-            !self.shards.iter().any(|s| s.index.is_frozen()),
+            !self.parts.iter().any(|s| s.index.is_frozen()),
             "save sharded state before freezing or reordering (the ladder re-applies on load)"
         );
         begin_dir(dir)?;
-        for (s, shard) in self.shards.iter().enumerate() {
+        for (s, shard) in self.parts.iter().enumerate() {
             save_shard(dir, s, shard.index.store(), shard.index.graph())?;
         }
         let table = ShardTable {
             nprobe: self.nprobe(),
             dim: self.dim,
-            centroids: (0..self.centroids.len() as u32)
-                .flat_map(|s| self.centroids.get(s).iter().copied())
+            centroids: (0..self.centroids().len() as u32)
+                .flat_map(|s| self.centroids().get(s).iter().copied())
                 .collect(),
-            shard_ids: self.shards.iter().map(|s| s.to_global.clone()).collect(),
+            shard_ids: self.parts.iter().map(|s| s.to_global.clone()).collect(),
         };
         commit_dir(dir, &table)
     }
@@ -529,7 +306,6 @@ impl ShardedIndex {
     pub(crate) fn load_with(dir: &Path, threads: usize) -> Result<Self, PersistError> {
         let table = persist::load_shard_table(&dir.join(TABLE_FILE))?;
         let dim = table.dim;
-        let total: usize = table.shard_ids.iter().map(Vec::len).sum();
         let centroid_count = table.centroids.len() / dim.max(1);
         if centroid_count != table.shard_ids.len()
             || centroid_count * dim != table.centroids.len()
@@ -554,140 +330,9 @@ impl ShardedIndex {
             // a different order than the sequential loop, and only an
             // order-independent provider keeps the two bit-identical.
             let seeds = Box::new(RandomSeeds::per_query(store.len(), 7));
-            shards.push(Shard {
-                index: PrebuiltIndex::new(store, graph, seeds, format!("shard-{s}")),
-                to_global: ids,
-            });
+            shards.push((PrebuiltIndex::new(store, graph, seeds, format!("shard-{s}")), ids));
         }
-        let nprobe = AtomicUsize::new(table.nprobe.clamp(1, shards.len()));
-        Ok(Self { shards, centroids, dim, total, nprobe, threads })
-    }
-}
-
-impl AnnIndex for ShardedIndex {
-    fn name(&self) -> String {
-        format!("Sharded({}x)", self.shards.len())
-    }
-
-    fn num_vectors(&self) -> usize {
-        self.total
-    }
-
-    fn dim(&self) -> usize {
-        self.dim
-    }
-
-    fn search(
-        &self,
-        query: &[f32],
-        params: &QueryParams,
-        counter: &DistCounter,
-    ) -> SearchResult {
-        self.search_with_probes(query, params, counter).0
-    }
-
-    fn search_coalesced(
-        &self,
-        queries: &[&[f32]],
-        params: &QueryParams,
-        counter: &DistCounter,
-    ) -> Vec<SearchResult> {
-        if queries.len() < 2 || !params.termination().is_fixed() {
-            // Adaptive probing decides each query's next probe from its
-            // own merged heap — there is no shared plan to bucket by, so
-            // non-fixed batches run the per-query adaptive loop.
-            return queries.iter().map(|q| self.search(q, params, counter)).collect();
-        }
-        // Bucket queries by probed shard so each shard answers its own
-        // visitors in one call, then merge per query in that query's ranked
-        // shard order — bit-identical to the sequential loop (each shard
-        // search is, and the heap sees pushes in the same order).
-        let ranked: Vec<Vec<usize>> =
-            queries.iter().map(|q| self.probe_plan(q, counter)).collect();
-        let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
-        for (qi, probes) in ranked.iter().enumerate() {
-            for &s in probes {
-                buckets[s].push(qi);
-            }
-        }
-        // Each non-empty bucket is an independent per-shard batch; the
-        // fan-out pool runs them shard-affine, and results scatter back
-        // into rank slots exactly as the serial bucket loop would.
-        let active: Vec<usize> =
-            (0..buckets.len()).filter(|&s| !buckets[s].is_empty()).collect();
-        let per_shard = self.for_each_planned(&active, |s| {
-            let qs: Vec<&[f32]> = buckets[s].iter().map(|&qi| queries[qi]).collect();
-            self.shards[s].index.search_coalesced(&qs, params, counter)
-        });
-        let mut slots: Vec<Vec<Option<SearchResult>>> =
-            ranked.iter().map(|r| vec![None; r.len()]).collect();
-        for (&s, res) in active.iter().zip(per_shard) {
-            for (&qi, r) in buckets[s].iter().zip(res) {
-                let rank = ranked[qi].iter().position(|&x| x == s).unwrap();
-                slots[qi][rank] = Some(r);
-            }
-        }
-        slots
-            .into_iter()
-            .enumerate()
-            .map(|(qi, per_shard)| {
-                let mut heap = BoundedMaxHeap::new(params.k);
-                let mut stats = SearchStats { hops: 0, evaluated: self.shards.len() };
-                for (rank, res) in per_shard.into_iter().enumerate() {
-                    let res = res.expect("every probed shard answered");
-                    self.merge(ranked[qi][rank], res, &mut heap, &mut stats);
-                }
-                SearchResult { neighbors: heap.into_sorted(), stats }
-            })
-            .collect()
-    }
-
-    fn freeze(&mut self) {
-        self.for_each_shard_mut(PrebuiltIndex::freeze);
-    }
-
-    fn is_frozen(&self) -> bool {
-        !self.shards.is_empty() && self.shards.iter().all(|s| s.index.is_frozen())
-    }
-
-    fn quantize(&mut self, spec: crate::quant::CodecSpec) {
-        self.for_each_shard_mut(|index| index.quantize(spec));
-    }
-
-    fn is_quantized(&self) -> bool {
-        !self.shards.is_empty() && self.shards.iter().all(|s| s.index.is_quantized())
-    }
-
-    fn reorder(&mut self, strategy: crate::reorder::ReorderStrategy) {
-        self.for_each_shard_mut(|index| index.reorder(strategy));
-    }
-
-    fn is_reordered(&self) -> bool {
-        !self.shards.is_empty() && self.shards.iter().all(|s| s.index.is_reordered())
-    }
-
-    fn reorder_strategy(&self) -> crate::reorder::ReorderStrategy {
-        self.shards
-            .first()
-            .map(|s| s.index.reorder_strategy())
-            .unwrap_or(crate::reorder::ReorderStrategy::None)
-    }
-
-    fn stats(&self) -> IndexStats {
-        let mut out = IndexStats::default();
-        for shard in &self.shards {
-            let s = shard.index.stats();
-            out.nodes += s.nodes;
-            out.edges += s.edges;
-            out.max_degree = out.max_degree.max(s.max_degree);
-            out.graph_bytes += s.graph_bytes;
-            out.aux_bytes += s.aux_bytes;
-            // The routing structures are auxiliary state.
-            out.aux_bytes += shard.to_global.capacity() * std::mem::size_of::<u32>();
-        }
-        out.aux_bytes += self.centroids.heap_bytes();
-        out.avg_degree = if out.nodes > 0 { out.edges as f64 / out.nodes as f64 } else { 0.0 };
-        out
+        Ok(Self::new(shards, CentroidRouter { centroids }, table.nprobe, threads))
     }
 }
 
@@ -852,10 +497,13 @@ fn knn_shard(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::QueryParams;
     use crate::quant::CodecSpec;
+    use crate::search::SearchResult;
     use rand::rngs::SmallRng;
     use rand::{RngExt, SeedableRng};
     use std::collections::BTreeMap;
+    use std::sync::atomic::AtomicUsize;
     use std::sync::Barrier;
 
     /// A directory of this test's own under `temp_dir()`, removed on drop
@@ -1019,12 +667,13 @@ mod tests {
         let query: Vec<f32> = (0..6).map(|d| d as f32 * 1.7).collect();
 
         let c_ref = DistCounter::new();
-        let plan = idx.probe_plan(&query, &c_ref);
+        let mut plan = idx.router().rank(&query, &c_ref);
+        plan.truncate(idx.nprobe());
         let mut heap = BoundedMaxHeap::new(params.k);
-        let mut stats = SearchStats { hops: 0, evaluated: idx.shards.len() };
-        for &s in &plan {
-            let res = idx.shards[s].index.search(&query, &params, &c_ref);
-            idx.merge(s, res, &mut heap, &mut stats);
+        for &(_, s) in &plan {
+            for n in idx.shard(s).search(&query, &params, &c_ref).neighbors {
+                heap.push(Neighbor::new(idx.shard_ids(s)[n.id as usize], n.dist));
+            }
         }
         let want = heap.into_sorted();
 

@@ -17,7 +17,7 @@ use gass_core::nd::NdStrategy;
 use gass_core::par::ConcurrentAdjacency;
 use gass_core::reorder::{ReorderStrategy, ServingState};
 use gass_core::search::{beam_search, beam_search_frozen, SearchResult, SearchScratch};
-use gass_core::seed::{RandomSeeds, SeedProvider, StaticSeeds};
+use gass_core::seed::{RandomSeeds, SeedProvider};
 use gass_core::store::VectorStore;
 
 /// Parallel batches are capped at 1/8 of the already-built prefix (see
@@ -282,11 +282,6 @@ impl IiGraph {
     pub fn params(&self) -> &IiParams {
         &self.params
     }
-
-    /// A provider that always seeds at a fixed entry (used by tests).
-    pub fn entry_seeds(&self) -> StaticSeeds {
-        StaticSeeds::new(vec![0])
-    }
 }
 
 impl AnnIndex for IiGraph {
@@ -352,6 +347,7 @@ impl AnnIndex for IiGraph {
 mod tests {
     use super::*;
     use gass_core::graph::GraphView;
+    use gass_core::seed::StaticSeeds;
     use gass_data::ground_truth::ground_truth;
     use gass_data::synth::deep_like;
 

@@ -3,16 +3,19 @@
 //! built *in parallel* on every leaf; at query time the leaves are ranked
 //! by EAPCA lower-bounding distance, the best leaf is searched first, and
 //! only leaves whose lower bound can still improve the running k-th best
-//! answer are searched afterwards (up to `nprobe` leaves, optionally
-//! concurrently).
+//! answer are searched afterwards (up to `nprobe` leaves).
+//!
+//! ELPIS is a [`Router`] over its leaves: the index is the same
+//! [`Partitioned`] type sharded serving uses, so it shares the one probe
+//! loop — the bound pruning, the budget carried from leaf to leaf, adaptive
+//! routing and the resident fan-out pool ([`gass_core::fanout`]) that
+//! answers one query with several threads (its 1B-scale advantage in
+//! Fig. 16).
 
 use crate::common::BuildReport;
 use crate::hnsw::{HnswIndex, HnswParams};
 use gass_core::distance::DistCounter;
-use gass_core::index::{AnnIndex, IndexStats, QueryParams};
-use gass_core::neighbor::Neighbor;
-use gass_core::reorder::ReorderStrategy;
-use gass_core::search::{SearchResult, SearchStats};
+use gass_core::partition::{Partitioned, Router};
 use gass_core::store::VectorStore;
 use gass_trees::eapca::HerculesTree;
 
@@ -29,9 +32,6 @@ pub struct ElpisParams {
     pub hnsw: HnswParams,
     /// Maximum number of leaves searched per query (`nprobe`).
     pub nprobe: usize,
-    /// Search candidate leaves concurrently (ELPIS answers a single query
-    /// with multiple threads — its 1B-scale advantage in Fig. 16).
-    pub parallel_query: bool,
     /// Construction worker threads (0 = all available cores). Leaf graphs
     /// are independent with derived per-leaf seeds, so any thread count
     /// builds the identical index.
@@ -46,253 +46,89 @@ impl ElpisParams {
             leaf_size: 256,
             hnsw: HnswParams { m: 8, ef_construction: 48, seed: 42, threads: 1 },
             nprobe: 4,
-            parallel_query: false,
             threads: 0,
         }
     }
 }
 
-struct Leaf {
-    /// Global ids, parallel to the leaf HNSW's local ids.
-    ids: Vec<u32>,
-    index: HnswIndex,
-}
-
-/// A built ELPIS index.
-pub struct ElpisIndex {
-    dim: usize,
-    n: usize,
+/// Ranks leaves by the EAPCA lower bound of the query's distance to any
+/// vector in the leaf. The bounds cost no vector distance, so none is
+/// counted; and since they bound, a leaf whose bound is `>=` the merged
+/// k-th distance is pruned.
+pub struct EapcaRouter {
     tree: HerculesTree,
-    leaves: Vec<Leaf>,
-    params: ElpisParams,
-    build: BuildReport,
-    raw_bytes: usize,
 }
 
-impl ElpisIndex {
-    /// Builds the index: Hercules partition, then one HNSW per leaf, built
-    /// in parallel.
-    pub fn build(store: VectorStore, params: ElpisParams) -> Self {
-        assert!(store.len() >= 4, "need at least four vectors");
-        let counter = DistCounter::new();
-        let start = std::time::Instant::now();
-        let segments = params.segments.min(store.dim());
-        let tree = HerculesTree::build(&store, segments, params.leaf_size);
-
-        // Build leaf graphs in parallel; each leaf gets a deterministic
-        // seed derived from its position.
-        let threads = gass_core::effective_threads(params.threads);
-        let leaves: Vec<Leaf> = gass_core::par_map(threads, tree.num_leaves(), |li| {
-            let ids = tree.leaves()[li].ids.clone();
-            let sub = store.subset(&ids);
-            let index = if sub.len() >= 2 {
-                HnswIndex::build(
-                    sub,
-                    HnswParams {
-                        seed: params.hnsw.seed.wrapping_add(li as u64),
-                        ..params.hnsw
-                    },
-                )
-            } else {
-                // A singleton leaf still needs a searchable index;
-                // pad by duplicating the lone vector (the duplicate
-                // maps back to the same global id).
-                let mut padded = store.subset(&ids);
-                padded.push(store.get(ids[0]));
-                HnswIndex::build(padded, params.hnsw)
-            };
-            counter.add(index.build_report().dist_calcs);
-            Leaf { ids, index }
-        });
-
-        let build =
-            BuildReport { seconds: start.elapsed().as_secs_f64(), dist_calcs: counter.get() };
-        let raw_bytes = store.heap_bytes();
-        Self { dim: store.dim(), n: store.len(), tree, leaves, params, build, raw_bytes }
+impl Router for EapcaRouter {
+    fn rank(&self, query: &[f32], _counter: &DistCounter) -> Vec<(f32, usize)> {
+        let summary = self.tree.summarize_query(query);
+        self.tree.leaf_order(&summary).into_iter().map(|(leaf, lb)| (lb, leaf)).collect()
     }
 
-    /// Construction cost report.
-    pub fn build_report(&self) -> BuildReport {
-        self.build
+    fn rank_cost(&self) -> usize {
+        0
     }
 
-    /// Number of partitions.
-    pub fn num_leaves(&self) -> usize {
-        self.leaves.len()
+    fn prunes(&self) -> bool {
+        true
     }
 
-    /// Search parameters (nprobe etc.).
-    pub fn params(&self) -> &ElpisParams {
-        &self.params
-    }
-
-    fn search_leaf(
-        &self,
-        li: usize,
-        query: &[f32],
-        params: &QueryParams,
-        counter: &DistCounter,
-    ) -> (Vec<Neighbor>, SearchStats) {
-        let leaf = &self.leaves[li];
-        let res = leaf.index.search(query, params, counter);
-        let mapped = res
-            .neighbors
-            .into_iter()
-            .map(|n| Neighbor::new(leaf.ids[(n.id as usize).min(leaf.ids.len() - 1)], n.dist))
-            .collect();
-        (mapped, res.stats)
-    }
-}
-
-impl AnnIndex for ElpisIndex {
     fn name(&self) -> String {
         "ELPIS".to_string()
     }
 
-    fn num_vectors(&self) -> usize {
-        self.n
-    }
-
-    fn dim(&self) -> usize {
-        self.dim
-    }
-
-    fn search(
-        &self,
-        query: &[f32],
-        params: &QueryParams,
-        counter: &DistCounter,
-    ) -> SearchResult {
-        let qs = self.tree.summarize_query(query);
-        let order = self.tree.leaf_order(&qs);
-        let mut stats = SearchStats::default();
-        let mut merged: Vec<Neighbor> = Vec::new();
-
-        // Initial leaf.
-        let (first, st) = self.search_leaf(order[0].0, query, params, counter);
-        stats.hops += st.hops;
-        stats.evaluated += st.evaluated;
-        merged.extend(first);
-        merged.sort_unstable();
-        merged.dedup_by_key(|n| n.id);
-
-        let kth = |m: &Vec<Neighbor>| -> f32 {
-            m.get(params.k.saturating_sub(1)).map_or(f32::INFINITY, |n| n.dist)
-        };
-
-        // Candidate leaves whose lower bound can still improve the answer.
-        let mut bound = kth(&merged);
-        let candidates: Vec<usize> = order[1..]
-            .iter()
-            .filter(|&&(_, lb)| lb < bound)
-            .take(self.params.nprobe.saturating_sub(1))
-            .map(|&(li, _)| li)
-            .collect();
-
-        if self.params.parallel_query && candidates.len() > 1 {
-            let results: Vec<(Vec<Neighbor>, SearchStats)> =
-                gass_core::par_map(candidates.len(), candidates.len(), |i| {
-                    self.search_leaf(candidates[i], query, params, counter)
-                });
-            for (neighbors, st) in results {
-                stats.hops += st.hops;
-                stats.evaluated += st.evaluated;
-                merged.extend(neighbors);
-            }
-        } else {
-            for li in candidates {
-                // Re-check the bound as answers improve (sequential mode
-                // prunes harder than parallel mode, same results).
-                let lb = self.tree.leaves()[li]
-                    .lower_bound(&qs, &segment_lengths(self.dim, self.tree.segments()));
-                if lb >= bound {
-                    continue;
-                }
-                let (neighbors, st) = self.search_leaf(li, query, params, counter);
-                stats.hops += st.hops;
-                stats.evaluated += st.evaluated;
-                merged.extend(neighbors);
-                merged.sort_unstable();
-                merged.dedup_by_key(|n| n.id);
-                bound = kth(&merged);
-            }
-        }
-
-        merged.sort_unstable();
-        merged.dedup_by_key(|n| n.id);
-        merged.truncate(params.k);
-        SearchResult { neighbors: merged, stats }
-    }
-
-    fn freeze(&mut self) {
-        // ELPIS has no monolithic graph; freezing delegates to every
-        // per-leaf HNSW so all partition traversals run over CSR.
-        for leaf in &mut self.leaves {
-            leaf.index.freeze();
-        }
-    }
-
-    fn is_frozen(&self) -> bool {
-        self.leaves.iter().all(|l| l.index.is_frozen())
-    }
-
-    fn quantize(&mut self, spec: gass_core::CodecSpec) {
-        // No monolithic store either: quantization delegates to every
-        // per-leaf HNSW, which encodes its leaf-local vector copy.
-        for leaf in &mut self.leaves {
-            leaf.index.quantize(spec);
-        }
-    }
-
-    fn is_quantized(&self) -> bool {
-        self.leaves.iter().all(|l| l.index.is_quantized())
-    }
-
-    fn reorder(&mut self, strategy: ReorderStrategy) {
-        // Each leaf HNSW is relabeled independently; leaf search results
-        // come back in leaf-local *original* ids, so the `leaf.ids`
-        // global translation stays valid untouched.
-        for leaf in &mut self.leaves {
-            leaf.index.reorder(strategy);
-        }
-    }
-
-    fn is_reordered(&self) -> bool {
-        self.leaves.iter().all(|l| l.index.is_reordered())
-    }
-
-    fn reorder_strategy(&self) -> ReorderStrategy {
-        self.leaves.first().map_or(ReorderStrategy::None, |l| l.index.reorder_strategy())
-    }
-
-    fn stats(&self) -> IndexStats {
-        let mut s = IndexStats { nodes: self.n, ..Default::default() };
-        for leaf in &self.leaves {
-            let ls = leaf.index.stats();
-            s.edges += ls.edges;
-            s.graph_bytes += ls.graph_bytes;
-            s.aux_bytes += ls.aux_bytes;
-            s.max_degree = s.max_degree.max(ls.max_degree);
-        }
-        // Tree + duplicated leaf stores count as auxiliary overhead; the
-        // global raw store is reported separately by the harness.
-        s.aux_bytes += self.tree.heap_bytes();
-        s.aux_bytes += self.raw_bytes; // leaf-local vector copies
-        s.avg_degree = if self.n > 0 { s.edges as f64 / self.n as f64 } else { 0.0 };
-        s
+    fn heap_bytes(&self) -> usize {
+        self.tree.heap_bytes()
     }
 }
 
-fn segment_lengths(dim: usize, segments: usize) -> Vec<usize> {
-    let base = dim / segments;
-    let mut lens = vec![base; segments];
-    *lens.last_mut().expect("segments > 0") += dim - base * segments;
-    lens
+/// A built ELPIS index: HNSW leaves behind the EAPCA router.
+pub type ElpisIndex = Partitioned<HnswIndex, EapcaRouter>;
+
+/// Builds the index: Hercules partition, then one HNSW per leaf, built in
+/// parallel.
+///
+/// # Panics
+/// Panics if `store` holds fewer than four vectors.
+pub fn build(store: VectorStore, params: ElpisParams) -> ElpisIndex {
+    assert!(store.len() >= 4, "need at least four vectors");
+    let counter = DistCounter::new();
+    let start = std::time::Instant::now();
+    let segments = params.segments.min(store.dim());
+    let mut tree = HerculesTree::build(&store, segments, params.leaf_size);
+    let leaf_ids = tree.take_leaf_ids();
+
+    // Build leaf graphs in parallel; each leaf gets a deterministic seed
+    // derived from its position.
+    let threads = gass_core::effective_threads(params.threads);
+    let leaves = gass_core::par_map(threads, leaf_ids.len(), |li| {
+        let ids = &leaf_ids[li];
+        let mut sub = store.subset(ids);
+        let hnsw = if sub.len() >= 2 {
+            HnswParams { seed: params.hnsw.seed.wrapping_add(li as u64), ..params.hnsw }
+        } else {
+            // A singleton leaf still needs a searchable index: pad it with
+            // a copy of its vector, whose local id falls past the leaf's id
+            // table and is dropped when the probe merges.
+            sub.push(store.get(ids[0]));
+            params.hnsw
+        };
+        let index = HnswIndex::build(sub, hnsw);
+        counter.add(index.build_report().dist_calcs);
+        index
+    });
+
+    let build =
+        BuildReport { seconds: start.elapsed().as_secs_f64(), dist_calcs: counter.get() };
+    let parts = leaves.into_iter().zip(leaf_ids).collect();
+    Partitioned::new(parts, EapcaRouter { tree }, params.nprobe, params.threads)
+        .with_build_report(build)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gass_core::index::{AnnIndex, QueryParams};
     use gass_data::ground_truth::ground_truth;
     use gass_data::synth::deep_like;
 
@@ -312,34 +148,35 @@ mod tests {
     fn elpis_high_recall() {
         let base = deep_like(800, 1);
         let queries = deep_like(20, 2);
-        let idx = ElpisIndex::build(base.clone(), ElpisParams::small());
-        assert!(idx.num_leaves() >= 2, "partitioning must occur");
+        let idx = build(base.clone(), ElpisParams::small());
+        assert!(idx.num_shards() >= 2, "partitioning must occur");
         let r = recall(&idx, &base, &queries, 48);
         assert!(r > 0.9, "ELPIS recall too low: {r}");
     }
 
     #[test]
-    fn parallel_query_matches_sequential_recall() {
-        let base = deep_like(600, 3);
-        let queries = deep_like(10, 4);
-        let seq = ElpisIndex::build(base.clone(), ElpisParams::small());
-        let par = ElpisIndex::build(
+    fn singleton_leaves_answer_without_duplicate_ids() {
+        let base = deep_like(24, 8);
+        let idx = build(
             base.clone(),
-            ElpisParams { parallel_query: true, ..ElpisParams::small() },
+            ElpisParams { leaf_size: 1, nprobe: 24, ..ElpisParams::small() },
         );
-        let rs = recall(&seq, &base, &queries, 48);
-        let rp = recall(&par, &base, &queries, 48);
-        assert!(
-            (rs - rp).abs() < 0.1,
-            "parallel ({rp}) and sequential ({rs}) should agree closely"
-        );
+        assert_eq!(idx.num_shards(), 24, "every leaf holds one vector");
+        let counter = DistCounter::new();
+        for q in 0..base.len() as u32 {
+            let res = idx.search(base.get(q), &QueryParams::new(10, 16), &counter);
+            let mut ids: Vec<u32> = res.neighbors.iter().map(|n| n.id).collect();
+            assert_eq!(res.neighbors[0].id, q);
+            ids.sort_unstable();
+            ids.dedup();
+            assert_eq!(ids.len(), res.neighbors.len(), "query {q} answered an id twice");
+        }
     }
 
     #[test]
     fn nprobe_one_searches_single_leaf() {
         let base = deep_like(600, 5);
-        let idx =
-            ElpisIndex::build(base.clone(), ElpisParams { nprobe: 1, ..ElpisParams::small() });
+        let idx = build(base.clone(), ElpisParams { nprobe: 1, ..ElpisParams::small() });
         let counter = DistCounter::new();
         let res = idx.search(base.get(9), &QueryParams::new(5, 32), &counter);
         // The exact vector lives in its home leaf, which ranks first.
@@ -350,10 +187,8 @@ mod tests {
     fn higher_nprobe_never_hurts() {
         let base = deep_like(700, 6);
         let queries = deep_like(12, 7);
-        let one =
-            ElpisIndex::build(base.clone(), ElpisParams { nprobe: 1, ..ElpisParams::small() });
-        let four =
-            ElpisIndex::build(base.clone(), ElpisParams { nprobe: 4, ..ElpisParams::small() });
+        let one = build(base.clone(), ElpisParams { nprobe: 1, ..ElpisParams::small() });
+        let four = build(base.clone(), ElpisParams { nprobe: 4, ..ElpisParams::small() });
         let r1 = recall(&one, &base, &queries, 48);
         let r4 = recall(&four, &base, &queries, 48);
         assert!(r4 + 1e-9 >= r1, "nprobe=4 recall {r4} below nprobe=1 {r1}");

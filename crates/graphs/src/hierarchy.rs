@@ -150,7 +150,7 @@ impl Hierarchy {
                 return;
             }
         };
-        let mut cur = self.descend_layers(space, &query, entry, level..=top, 0);
+        let (mut cur, _) = self.descend_layers(space, &query, entry, level..=top, 0);
 
         // Beam search + RND selection on each layer from min(level, top+1)
         // down to 1 (layer index level-1 .. 0).
@@ -218,6 +218,16 @@ impl Hierarchy {
         query: &[f32],
         max_dists: usize,
     ) -> Option<u32> {
+        self.descend_counted(space, query, max_dists).map(|(entry, _)| entry)
+    }
+
+    /// [`Self::descend_budgeted`] also returning the evaluations it spent.
+    pub fn descend_counted(
+        &self,
+        space: Space<'_>,
+        query: &[f32],
+        max_dists: usize,
+    ) -> Option<(u32, usize)> {
         let (entry, top) = self.entry?;
         Some(self.descend_layers(space, query, entry, 0..=top, max_dists))
     }
@@ -225,6 +235,7 @@ impl Hierarchy {
     /// Hill-climbs `layers` top-down from `entry` with the shared
     /// [`greedy_search_budgeted`], at full precision whatever `space` carries;
     /// `max_dists` (`0` = unlimited) caps the evaluations over all layers.
+    /// Returns the node reached and the evaluations spent.
     fn descend_layers(
         &self,
         space: Space<'_>,
@@ -232,7 +243,7 @@ impl Hierarchy {
         entry: u32,
         layers: std::ops::RangeInclusive<usize>,
         max_dists: usize,
-    ) -> u32 {
+    ) -> (u32, usize) {
         let space = space.with_quant(None);
         DESCENT_VISITED.with_borrow_mut(|visited| {
             let (mut cur, mut spent) = (entry, 0usize);
@@ -247,7 +258,7 @@ impl Hierarchy {
                     break;
                 }
             }
-            cur
+            (cur, spent)
         })
     }
 

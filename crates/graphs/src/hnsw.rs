@@ -16,6 +16,7 @@ use gass_core::graph::{AdjacencyGraph, CsrGraph, FlatGraph, GraphView};
 use gass_core::index::{AnnIndex, IndexStats, QueryParams, ScratchPool};
 use gass_core::nd::NdStrategy;
 use gass_core::par::ConcurrentAdjacency;
+use gass_core::partition::PartIndex;
 use gass_core::reorder::{IdRemap, ReorderStrategy, ServingState};
 use gass_core::search::{beam_search, beam_search_frozen, SearchResult, SearchScratch};
 use gass_core::store::VectorStore;
@@ -317,30 +318,9 @@ impl AnnIndex for HnswIndex {
         params: &QueryParams,
         counter: &DistCounter,
     ) -> SearchResult {
-        let space =
-            Space::new(&self.store, counter).with_quant(self.serving.quant_view(params));
-        // The SN descent stays at full precision (upper layers are a few
-        // dozen nodes; quantizing them saves nothing and costs accuracy).
-        // A `max_dists` budget covers routing too: a budget-squeezed
-        // descent hands the base search its best node so far.
-        let entry = self
-            .hierarchy
-            .descend_budgeted(space, query, params.max_dists)
-            .unwrap_or_else(|| self.serving.to_new(0));
-        let res = self.scratch.with(self.store.len(), params.beam_width, |scratch| {
-            beam_search_frozen(
-                self.serving.graph(),
-                self.serving.csr(),
-                space,
-                query,
-                &[entry],
-                params.k,
-                params.beam_width,
-                scratch,
-                params.termination(),
-            )
-        });
-        self.serving.finish(res)
+        self.scratch.with(self.store.len(), params.beam_width, |scratch| {
+            self.search_with_scratch(query, params, counter, scratch)
+        })
     }
 
     fn freeze(&mut self) {
@@ -375,6 +355,52 @@ impl AnnIndex for HnswIndex {
         let mut s = self.serving.stats();
         s.aux_bytes += self.hierarchy.heap_bytes();
         s
+    }
+}
+
+/// An HNSW is also an ELPIS leaf: the partitioned probe loop searches it
+/// through the prober's scratch.
+impl PartIndex for HnswIndex {
+    fn search_with_scratch(
+        &self,
+        query: &[f32],
+        params: &QueryParams,
+        counter: &DistCounter,
+        scratch: &mut SearchScratch,
+    ) -> SearchResult {
+        let space =
+            Space::new(&self.store, counter).with_quant(self.serving.quant_view(params));
+        // The SN descent stays at full precision (upper layers are a few
+        // dozen nodes; quantizing them saves nothing and costs accuracy).
+        // A `max_dists` budget covers routing too: the descent spends from
+        // it, a budget-squeezed descent hands the base search its best node
+        // so far, the base search gets what is left (at least 1, so it can
+        // seed), and `evaluated` reports both — the counter and `evaluated`
+        // agree under a budget. Unbudgeted, `evaluated` counts the base
+        // search alone, as the pinned answers record (ROADMAP item 9).
+        let (entry, descent) = self
+            .hierarchy
+            .descend_counted(space, query, params.max_dists)
+            .unwrap_or_else(|| (self.serving.to_new(0), 0));
+        let mut term = params.termination();
+        if term.max_dists > 0 {
+            term.max_dists = term.max_dists.saturating_sub(descent).max(1);
+        }
+        let mut res = beam_search_frozen(
+            self.serving.graph(),
+            self.serving.csr(),
+            space,
+            query,
+            &[entry],
+            params.k,
+            params.beam_width,
+            scratch,
+            term,
+        );
+        if params.max_dists > 0 {
+            res.stats.evaluated += descent;
+        }
+        self.serving.finish(res)
     }
 }
 

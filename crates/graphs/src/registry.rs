@@ -6,7 +6,7 @@ use crate::baseline::{IiGraph, IiParams};
 use crate::common::BuildReport;
 use crate::dpg::DpgParams;
 use crate::efanna::EfannaParams;
-use crate::elpis::{ElpisIndex, ElpisParams};
+use crate::elpis::{self, ElpisParams};
 use crate::hcnng::HcnngParams;
 use crate::hnsw::{HnswIndex, HnswParams};
 use crate::kgraph::KGraphParams;
@@ -288,7 +288,7 @@ pub fn build_method_with_threads(
         }
         MethodKind::Elpis => {
             let leaf = (n / 8).clamp(128, 4096);
-            let idx = ElpisIndex::build(
+            let idx = elpis::build(
                 store,
                 ElpisParams {
                     leaf_size: leaf,
@@ -537,8 +537,8 @@ mod tests {
             .chain([MethodKind::Baseline(NdStrategy::Rnd)])
             .map(|kind| (build_method(kind, base.clone(), 7).index, 1))
             .collect();
-        let elpis = ElpisIndex::build(base.clone(), ElpisParams::small());
-        let leaves = elpis.num_leaves();
+        let elpis = elpis::build(base.clone(), ElpisParams::small());
+        let leaves = elpis.num_shards();
         methods.push((Box::new(elpis), leaves));
         methods.push((Box::new(hvs::build(base.clone(), HvsParams::small())), 1));
         assert_eq!(methods.len(), 15);

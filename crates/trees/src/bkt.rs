@@ -10,7 +10,7 @@
 use crate::kmeans::balanced_kmeans;
 use gass_core::distance::{l2_sq, Space};
 use gass_core::reorder::IdRemap;
-use gass_core::seed::SeedProvider;
+use gass_core::seed::{OriginalIds, SeedProvider};
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 
@@ -150,15 +150,18 @@ impl BkTree {
 #[derive(Clone, Debug)]
 pub struct BktSeeds {
     tree: BkTree,
-    /// After a reorder: `new → old` table used as the sort key so the
-    /// truncated seed set is identical before and after relabeling.
-    orig: Option<Vec<u32>>,
+    /// Sort key that keeps the truncated seed set identical before and
+    /// after relabeling.
+    orig: OriginalIds,
 }
 
 impl BktSeeds {
     /// Builds the BKT seed structure over `space`'s store.
     pub fn build(space: Space<'_>, branching: usize, leaf_size: usize, seed: u64) -> Self {
-        Self { tree: BkTree::build(space, branching, leaf_size, seed), orig: None }
+        Self {
+            tree: BkTree::build(space, branching, leaf_size, seed),
+            orig: OriginalIds::default(),
+        }
     }
 
     /// The underlying tree.
@@ -170,12 +173,7 @@ impl BktSeeds {
 impl SeedProvider for BktSeeds {
     fn seeds(&self, space: Space<'_>, query: &[f32], count: usize, out: &mut Vec<u32>) {
         self.tree.candidates(space, query, count.max(1), out);
-        match &self.orig {
-            Some(orig) => out.sort_unstable_by_key(|&id| orig[id as usize]),
-            None => out.sort_unstable(),
-        }
-        out.dedup();
-        out.truncate(count.max(1));
+        self.orig.select(out, count.max(1));
     }
 
     fn label(&self) -> &'static str {
@@ -184,16 +182,11 @@ impl SeedProvider for BktSeeds {
 
     fn reorder(&mut self, map: &IdRemap) {
         self.tree.reorder(map);
-        self.orig = Some(match self.orig.take() {
-            Some(prev) => {
-                (0..prev.len()).map(|id| prev[map.to_old(id as u32) as usize]).collect()
-            }
-            None => map.new_to_old().to_vec(),
-        });
+        self.orig.reorder(map);
     }
 
     fn heap_bytes(&self) -> usize {
-        self.tree.heap_bytes()
+        self.tree.heap_bytes() + self.orig.heap_bytes()
     }
 }
 
@@ -262,6 +255,19 @@ mod tests {
         assert!(out.len() <= 5);
         assert!(!out.is_empty());
         assert_eq!(seeds.label(), "KM");
+    }
+
+    #[test]
+    fn seeds_count_the_table_a_reorder_installs() {
+        let store = clustered_store(5);
+        let counter = DistCounter::new();
+        let mut seeds = BktSeeds::build(Space::new(&store, &counter), 3, 8, 6);
+        let tree = seeds.heap_bytes();
+        let map = IdRemap::from_new_to_old((0..120u32).rev().collect()).unwrap();
+        for _ in 0..2 {
+            seeds.reorder(&map);
+            assert_eq!(seeds.heap_bytes(), tree + 120 * std::mem::size_of::<u32>());
+        }
     }
 
     #[test]

@@ -141,6 +141,13 @@ impl HerculesTree {
         &self.leaves
     }
 
+    /// Moves every leaf's id list out, in leaf order, and leaves the
+    /// envelopes: ELPIS keeps the lists as its leaves' id tables, so the
+    /// ids are held once.
+    pub fn take_leaf_ids(&mut self) -> Vec<Vec<u32>> {
+        self.leaves.iter_mut().map(|leaf| std::mem::take(&mut leaf.ids)).collect()
+    }
+
     /// Number of leaves.
     pub fn num_leaves(&self) -> usize {
         self.leaves.len()

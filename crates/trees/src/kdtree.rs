@@ -15,7 +15,7 @@
 
 use gass_core::distance::Space;
 use gass_core::reorder::IdRemap;
-use gass_core::seed::SeedProvider;
+use gass_core::seed::{OriginalIds, SeedProvider};
 use gass_core::store::VectorStore;
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
@@ -201,10 +201,10 @@ fn pop_min(frontier: &mut Vec<(f32, u32)>) -> Option<(f32, u32)> {
 #[derive(Clone, Debug)]
 pub struct KdForest {
     trees: Vec<KdTree>,
-    /// After a reorder: `new → old` table. The cross-tree merge sorts by
-    /// *original* id so the truncated candidate set (and its order) is
-    /// identical before and after any relabeling.
-    orig: Option<Vec<u32>>,
+    /// The cross-tree merge sorts by *original* id, so the truncated
+    /// candidate set (and its order) is identical before and after any
+    /// relabeling.
+    orig: OriginalIds,
 }
 
 impl KdForest {
@@ -215,7 +215,7 @@ impl KdForest {
         let trees = (0..num_trees)
             .map(|t| KdTree::build(store, &ids, leaf_size, seed.wrapping_add(t as u64)))
             .collect();
-        Self { trees, orig: None }
+        Self { trees, orig: OriginalIds::default() }
     }
 
     /// Collects up to `budget` deduplicated candidates across all trees.
@@ -225,12 +225,7 @@ impl KdForest {
         for t in &self.trees {
             t.candidates(query, per_tree, &mut out);
         }
-        match &self.orig {
-            Some(orig) => out.sort_unstable_by_key(|&id| orig[id as usize]),
-            None => out.sort_unstable(),
-        }
-        out.dedup();
-        out.truncate(budget.max(1));
+        self.orig.select(&mut out, budget.max(1));
         out
     }
 
@@ -253,17 +248,11 @@ impl SeedProvider for KdForest {
         for t in &mut self.trees {
             t.reorder(map);
         }
-        self.orig = Some(match self.orig.take() {
-            // Compose: current `new → old` chained through the fresh map.
-            Some(prev) => {
-                (0..prev.len()).map(|id| prev[map.to_old(id as u32) as usize]).collect()
-            }
-            None => map.new_to_old().to_vec(),
-        });
+        self.orig.reorder(map);
     }
 
     fn heap_bytes(&self) -> usize {
-        self.trees.iter().map(KdTree::heap_bytes).sum()
+        self.trees.iter().map(KdTree::heap_bytes).sum::<usize>() + self.orig.heap_bytes()
     }
 }
 
@@ -344,6 +333,18 @@ mod tests {
         assert_eq!(forest.label(), "KD");
         // Descent itself computes no full distances.
         assert_eq!(counter.get(), 0);
+    }
+
+    #[test]
+    fn forest_counts_the_table_a_reorder_installs() {
+        let store = grid_store();
+        let mut forest = KdForest::build(&store, 2, 8, 11);
+        let trees = forest.heap_bytes();
+        let map = IdRemap::from_new_to_old((0..100u32).rev().collect()).unwrap();
+        for _ in 0..2 {
+            forest.reorder(&map);
+            assert_eq!(forest.heap_bytes(), trees + 100 * std::mem::size_of::<u32>());
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 use gass_core::distance::{l2_sq, Space};
 use gass_core::neighbor::Neighbor;
 use gass_core::reorder::IdRemap;
-use gass_core::seed::SeedProvider;
+use gass_core::seed::{OriginalIds, SeedProvider};
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 
@@ -180,15 +180,15 @@ impl VpTree {
 #[derive(Clone, Debug)]
 pub struct VpSeeds {
     tree: VpTree,
-    /// After a reorder: `new → old` table used as the sort key so the
-    /// truncated seed set is identical before and after relabeling.
-    orig: Option<Vec<u32>>,
+    /// Sort key that keeps the truncated seed set identical before and
+    /// after relabeling.
+    orig: OriginalIds,
 }
 
 impl VpSeeds {
     /// Builds the VP-tree seed structure over `space`'s store.
     pub fn build(space: Space<'_>, leaf_size: usize, seed: u64) -> Self {
-        Self { tree: VpTree::build(space, leaf_size, seed), orig: None }
+        Self { tree: VpTree::build(space, leaf_size, seed), orig: OriginalIds::default() }
     }
 
     /// The underlying tree.
@@ -200,12 +200,7 @@ impl VpSeeds {
 impl SeedProvider for VpSeeds {
     fn seeds(&self, space: Space<'_>, query: &[f32], count: usize, out: &mut Vec<u32>) {
         self.tree.candidates(space, query, count.max(1), out);
-        match &self.orig {
-            Some(orig) => out.sort_unstable_by_key(|&id| orig[id as usize]),
-            None => out.sort_unstable(),
-        }
-        out.dedup();
-        out.truncate(count.max(1));
+        self.orig.select(out, count.max(1));
     }
 
     fn label(&self) -> &'static str {
@@ -214,16 +209,11 @@ impl SeedProvider for VpSeeds {
 
     fn reorder(&mut self, map: &IdRemap) {
         self.tree.reorder(map);
-        self.orig = Some(match self.orig.take() {
-            Some(prev) => {
-                (0..prev.len()).map(|id| prev[map.to_old(id as u32) as usize]).collect()
-            }
-            None => map.new_to_old().to_vec(),
-        });
+        self.orig.reorder(map);
     }
 
     fn heap_bytes(&self) -> usize {
-        self.tree.heap_bytes()
+        self.tree.heap_bytes() + self.orig.heap_bytes()
     }
 }
 
@@ -289,6 +279,19 @@ mod tests {
         assert!(out.len() <= 7);
         assert!(!out.is_empty());
         assert_eq!(seeds.label(), "VP");
+    }
+
+    #[test]
+    fn seeds_count_the_table_a_reorder_installs() {
+        let store = random_store(100, 3, 9);
+        let counter = DistCounter::new();
+        let mut seeds = VpSeeds::build(Space::new(&store, &counter), 5, 1);
+        let tree = seeds.heap_bytes();
+        let map = IdRemap::from_new_to_old((0..100u32).rev().collect()).unwrap();
+        for _ in 0..2 {
+            seeds.reorder(&map);
+            assert_eq!(seeds.heap_bytes(), tree + 100 * std::mem::size_of::<u32>());
+        }
     }
 
     #[test]

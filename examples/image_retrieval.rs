@@ -75,7 +75,7 @@ fn main() {
 
     // --- ELPIS (the paper's fast graph family) ------------------------
     let t = std::time::Instant::now();
-    let elpis = ElpisIndex::build(base.clone(), ElpisParams::small());
+    let elpis = gass::graphs::elpis::build(base.clone(), ElpisParams::small());
     let elpis_build = t.elapsed().as_secs_f64();
     let counter = DistCounter::new();
     let t = std::time::Instant::now();

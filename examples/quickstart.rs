@@ -54,6 +54,6 @@ fn main() {
     // Every method in this workspace answers queries through the same
     // beam search; try swapping `HnswIndex::build` for
     // `vamana::build(base.clone(), VamanaParams::small())` (a graph plus
-    // seeds, served as a `PrebuiltIndex`), `ElpisIndex::build`, or any
+    // seeds, served as a `PrebuiltIndex`), `elpis::build`, or any
     // `MethodKind` via `build_method`.
 }

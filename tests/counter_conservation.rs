@@ -12,8 +12,13 @@ use gass::core::{
     Termination, TerminationPolicy, VisitedSet,
 };
 use gass::prelude::*;
+use std::sync::Mutex;
 
 const K: usize = 10;
+
+/// Held by every test that sets the process-wide fan-out width, so one
+/// test's width never leaks into another's run.
+static FANOUT_WIDTH: Mutex<()> = Mutex::new(());
 const RERANK: usize = 2;
 
 /// The `(u8, f32)` split of a search that evaluated `traversal` code-space
@@ -144,6 +149,7 @@ fn lshapg_search_publishes_exactly_what_it_evaluated() {
 /// ranking plus exactly what every probed shard's own search publishes.
 #[test]
 fn sharded_search_publishes_every_probe_at_every_fanout_width() {
+    let _width = FANOUT_WIDTH.lock().unwrap_or_else(|e| e.into_inner());
     let base = gass::data::synth::deep_like(1200, 21);
     let queries = gass::data::synth::deep_like(6, 22);
     let mut index = ShardedIndex::build_with(
@@ -194,5 +200,106 @@ fn sharded_search_publishes_every_probe_at_every_fanout_width() {
             }
         }
     }
+    set_fanout_workers(1);
+}
+
+/// ELPIS through `AnnIndex::search`. Unbudgeted, at fan-out width 1, the
+/// counter holds exactly what the probed leaves' own searches publish and
+/// `evaluated` is the sum of theirs: the EAPCA ranking evaluates no vector
+/// distance, and the probes are a prefix of its order. (Each leaf is an
+/// HNSW, whose unbudgeted `evaluated` leaves out its hierarchy descent.)
+/// Under a `max_dists` budget the descents are charged too: the counter
+/// equals `evaluated` and stays within the budget plus the seeds plus one
+/// expansion (plus, on codes, the exact rerank pool), the whole query over.
+#[test]
+fn elpis_search_publishes_its_probes_and_keeps_the_budget() {
+    use gass::core::Router;
+
+    let _width = FANOUT_WIDTH.lock().unwrap_or_else(|e| e.into_inner());
+    set_fanout_workers(1);
+    let base = gass::data::synth::deep_like(1200, 23);
+    let queries = gass::data::synth::deep_like(6, 24);
+    let mut index =
+        gass::graphs::elpis::build(base, ElpisParams { nprobe: 8, ..ElpisParams::small() });
+    let fixed = QueryParams::new(K, 32).with_rerank_factor(RERANK);
+    let budget = fixed.with_max_dists(40);
+    let dist_ratio = fixed.with_term(TerminationPolicy::DistRatio { eps: 0.05 });
+    for leg in ["f32", "sq8"] {
+        if leg == "sq8" {
+            index.freeze();
+            index.quantize(CodecSpec::Sq8);
+        }
+        let expansion = index.stats().max_degree;
+        for q in 0..queries.len() as u32 {
+            let query = queries.get(q);
+            let counter = DistCounter::new();
+            let res = index.search(query, &budget, &counter);
+            let label = format!("elpis {leg} budget 40 query {q}");
+            assert_eq!(
+                counter.get(),
+                res.stats.evaluated as u64,
+                "{label}: counter != evaluated"
+            );
+            // On codes the exact re-score of the final pool follows the
+            // traversal the budget stopped.
+            let rerank = if leg == "sq8" { RERANK * K } else { 0 };
+            let cap = budget.max_dists + budget.seed_count + expansion + rerank;
+            assert!(counter.get() as usize <= cap, "{label}: {} > {cap}", counter.get());
+
+            for (mode, params) in [("fixed", fixed), ("dist-ratio", dist_ratio)] {
+                let counter = DistCounter::new();
+                let (res, probes) = index.search_with_probes(query, &params, &counter);
+                let (leaves, evaluated) = (DistCounter::new(), DistCounter::new());
+                let ranked = index.router().rank(query, &DistCounter::new());
+                for &(_, leaf) in ranked.iter().take(probes) {
+                    let own = index.shard(leaf).search(query, &fixed, &leaves);
+                    evaluated.add(own.stats.evaluated as u64);
+                }
+                let label = format!("elpis {leg} {mode} query {q}");
+                assert_eq!(
+                    (counter.get_u8(), counter.get_f32()),
+                    (leaves.get_u8(), leaves.get_f32()),
+                    "{label}: counter != the probed leaves' own"
+                );
+                assert_eq!(res.stats.evaluated as u64, evaluated.get(), "{label}: evaluated");
+            }
+        }
+    }
+}
+
+/// ELPIS fan-out only changes which thread runs a leaf probe: neighbours
+/// and distance bits are identical at widths 1, 2 and 8. A wider pool may
+/// run a speculative probe the bound then discards, and its distances stay
+/// counted, so a wider width never counts less than width 1.
+#[test]
+fn elpis_fanout_is_bit_identical_at_every_width() {
+    let _width = FANOUT_WIDTH.lock().unwrap_or_else(|e| e.into_inner());
+    // SALD-like series give EAPCA bounds that prune mid-plan.
+    let base = gass::data::synth::sald_like(1500, 3);
+    let queries = gass::data::synth::sald_like(12, 4);
+    let index =
+        gass::graphs::elpis::build(base, ElpisParams { nprobe: 8, ..ElpisParams::small() });
+    let params = QueryParams::new(K, 32);
+    let run = |workers: usize| {
+        set_fanout_workers(workers);
+        let counter = DistCounter::new();
+        let answers: Vec<Vec<(u32, u32)>> = (0..queries.len() as u32)
+            .map(|q| {
+                let res = index.search(queries.get(q), &params, &counter);
+                res.neighbors.iter().map(|n| (n.id, n.dist.to_bits())).collect()
+            })
+            .collect();
+        (answers, counter.get())
+    };
+    let (want, sequential) = run(1);
+    let mut discarded = false;
+    for workers in [2, 8] {
+        let (got, total) = run(workers);
+        assert_eq!(got, want, "answers at width {workers}");
+        assert!(total >= sequential, "width {workers} counted {total} < {sequential}");
+        discarded |= total > sequential;
+    }
+    assert!(discarded, "no speculative probe was discarded: the merge re-check went untested");
+    assert_eq!(run(1), (want, sequential), "width 1 again");
     set_fanout_workers(1);
 }

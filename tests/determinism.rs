@@ -46,9 +46,9 @@ fn elpis_parallel_build_is_reproducible() {
     // deterministic, so the resulting structure must be too.
     let base = gass::data::synth::imagenet_like(600, 81);
     let queries = gass::data::synth::imagenet_like(8, 82);
-    let a = ElpisIndex::build(base.clone(), ElpisParams::small());
-    let b = ElpisIndex::build(base, ElpisParams::small());
-    assert_eq!(a.num_leaves(), b.num_leaves());
+    let a = gass::graphs::elpis::build(base.clone(), ElpisParams::small());
+    let b = gass::graphs::elpis::build(base, ElpisParams::small());
+    assert_eq!(a.num_shards(), b.num_shards());
     assert_eq!(a.stats().edges, b.stats().edges);
     assert_eq!(results_of(&a, &queries), results_of(&b, &queries));
 }
@@ -588,7 +588,12 @@ fn built_directly(base: &VectorStore) -> Vec<(Box<dyn AnnIndex>, u64)> {
 /// the translate table a reorder installs (`aux_bytes`);
 /// [`golden_method_layout_and_answers`] held everything else still. The
 /// II+RND `rcm` cell was re-recorded once more, when the II baseline began
-/// counting its seed provider (that translate table) in `aux_bytes`.
+/// counting its seed provider (that translate table) in `aux_bytes`. The
+/// ELPIS row was re-recorded when ELPIS became a partitioned index and
+/// stopped counting its leaf stores in `aux_bytes` (−230,400 B, the 600 ×
+/// 96 `f32` rows, at every stage), and the `rcm` cells of EFANNA, HCNNG,
+/// NGT, SPTAG-KDT and SPTAG-BKT when their KD / VP / BKT seeds began
+/// counting the `new → old` table a reorder installs.
 #[test]
 fn golden_method_answers_and_stats() {
     use gass::core::{CodecSpec, ReorderStrategy};
@@ -599,13 +604,13 @@ fn golden_method_answers_and_stats() {
         ("SSG", [0xab6b_7f7d_37b3_5af6, 0x47b5_78a7_77f4_597b, 0xca0f_eafb_bc78_e671]),
         ("Vamana", [0x7084_81ba_b7b1_bf06, 0x0dd8_fd16_63ef_7c62, 0xaaa3_b739_0f5a_9be2]),
         ("DPG", [0x99f0_8f7d_a475_f412, 0xc868_434f_4138_6cb1, 0xe16c_2a9f_bc62_079e]),
-        ("EFANNA", [0x16d6_7b1f_5814_300d, 0x54fb_8d0d_ff04_d9fb, 0xec54_d9e8_2388_1516]),
-        ("HCNNG", [0xaff9_88f5_8704_d49f, 0x954c_a615_079a_ba7c, 0x54a7_84b4_f40b_34a1]),
+        ("EFANNA", [0x16d6_7b1f_5814_300d, 0x54fb_8d0d_ff04_d9fb, 0x6513_da3a_4eff_af6f]),
+        ("HCNNG", [0xaff9_88f5_8704_d49f, 0x954c_a615_079a_ba7c, 0x5bf9_97cf_1a34_4960]),
         ("KGraph", [0xdc2d_a95c_b4d0_92bf, 0x6b3c_007e_a58d_4c30, 0x9518_dc4d_4831_cf86]),
-        ("NGT", [0x14e4_d152_3d8b_c2b1, 0x457b_f8b8_88b5_c5df, 0x060f_6a7e_11b7_1072]),
-        ("SPTAG-KDT", [0x3a3a_3d64_c834_7454, 0xff99_f566_a3d4_ee08, 0xfed0_e001_56e1_177d]),
-        ("SPTAG-BKT", [0xb935_cab0_e937_48a5, 0x8c70_ed11_c48d_e371, 0x436e_e93a_b59e_1e3f]),
-        ("ELPIS", [0x8121_5834_fb7c_d456, 0xc39c_d1c4_af70_6c9c, 0x017f_08cd_45f8_7b8f]),
+        ("NGT", [0x14e4_d152_3d8b_c2b1, 0x457b_f8b8_88b5_c5df, 0x2475_2ee4_8741_e6e3]),
+        ("SPTAG-KDT", [0x3a3a_3d64_c834_7454, 0xff99_f566_a3d4_ee08, 0x557c_4397_1015_704c]),
+        ("SPTAG-BKT", [0xb935_cab0_e937_48a5, 0x8c70_ed11_c48d_e371, 0x4c35_ec5c_899f_4a1d]),
+        ("ELPIS", [0x106e_eaec_60fa_654e, 0x52ef_8c73_bbd8_7b07, 0xb98e_0316_2261_4f04]),
         ("LSHAPG", [0x586b_49ec_eca3_4d29, 0xa069_9609_0e92_80f8, 0x2eb5_fd31_768d_a037]),
         ("NSW", [0x2a92_b8e6_8a4f_e2a4, 0xf6d5_f5d9_df8d_4f04, 0xdd14_7200_85b7_3191]),
         ("II+RND", [0xd7a9_9ecf_38ec_f937, 0x471c_ebd5_0806_8064, 0x86fa_a3d5_78e5_e6e6]),
@@ -734,4 +739,47 @@ fn golden_method_layout_and_answers() {
 
     let got: Vec<(&str, [u64; 3])> = got.iter().map(|(name, h)| (name.as_str(), *h)).collect();
     assert_eq!(got, PINS, "a method's answers, counters, structure or build cost changed");
+}
+
+/// Golden pin, recorded on the commit *before* ELPIS moved onto the one
+/// partitioned probe loop: ELPIS at `nprobe` 1, 4 and 8 must answer 20
+/// fixed queries with the same ids, distance bits, hops, evaluation counts
+/// and `u8` / `f32` counter totals — full precision, and SQ8 codes over
+/// RCM-relabelled leaves, `Fixed` termination without a budget. The counts
+/// hold at fan-out width 1; wider widths may add discarded speculative
+/// probes.
+#[test]
+fn golden_elpis_answers_across_nprobe() {
+    use gass::core::{CodecSpec, ReorderStrategy};
+
+    const PINS: [(usize, [u64; 2]); 3] = [
+        (1, [0x6087_af26_fb4b_1eb3, 0x26f2_c58f_c392_1f40]),
+        (4, [0x35ad_9c97_1fb8_ca18, 0xc04f_3166_dde7_e1e3]),
+        (8, [0xeb0d_d588_68c6_1ca7, 0x2aa0_0d7d_928f_31ba]),
+    ];
+
+    let base = gass::data::synth::deep_like(2400, 41);
+    let queries = gass::data::synth::deep_like(20, 42);
+    let params = QueryParams::new(10, 32);
+    let run = |index: &dyn AnnIndex| {
+        let counter = DistCounter::new();
+        let res: Vec<_> = (0..queries.len() as u32)
+            .map(|q| index.search(queries.get(q), &params, &counter))
+            .collect();
+        let mut h = Fnv(answers_hash(&res));
+        counter_words(&mut h, &counter);
+        h.0
+    };
+    let got = [1, 4, 8].map(|nprobe| {
+        let mut index = gass::graphs::elpis::build(
+            base.clone(),
+            ElpisParams { nprobe, ..ElpisParams::small() },
+        );
+        let f32 = run(&index);
+        index.freeze();
+        index.quantize(CodecSpec::Sq8);
+        index.reorder(ReorderStrategy::Rcm);
+        (nprobe, [f32, run(&index)])
+    });
+    assert_eq!(got, PINS, "an ELPIS answer, its stats or its counter split changed");
 }

@@ -129,9 +129,12 @@ fn elpis_leaf_pruning_is_consistent() {
     let base = gass::data::synth::imagenet_like(800, 13);
     let queries = gass::data::synth::imagenet_like(6, 14);
     let truth = gass::data::ground_truth(&base, &queries, 10);
-    let wide =
-        ElpisIndex::build(base.clone(), ElpisParams { nprobe: 6, ..ElpisParams::small() });
-    let narrow = ElpisIndex::build(base, ElpisParams { nprobe: 1, ..ElpisParams::small() });
+    let wide = gass::graphs::elpis::build(
+        base.clone(),
+        ElpisParams { nprobe: 6, ..ElpisParams::small() },
+    );
+    let narrow =
+        gass::graphs::elpis::build(base, ElpisParams { nprobe: 1, ..ElpisParams::small() });
     let counter = DistCounter::new();
     let params = QueryParams::new(10, 64);
     let mut r_wide = 0.0;

@@ -66,8 +66,8 @@ fn vamana_respects_its_degree_bound() {
 
 #[test]
 fn elpis_partitions_cover_the_dataset() {
-    let idx = gass::graphs::ElpisIndex::build(deep(700, 6), gass::graphs::ElpisParams::small());
-    assert!(idx.num_leaves() >= 2, "DC method must partition");
+    let idx = gass::graphs::elpis::build(deep(700, 6), gass::graphs::ElpisParams::small());
+    assert!(idx.num_shards() >= 2, "DC method must partition");
     assert_eq!(idx.num_vectors(), 700);
 }
 
