@@ -4,7 +4,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gass_core::distance::{DistCounter, Space};
 use gass_core::seed::{FixedSeed, MedoidSeed, RandomSeeds, SeedProvider};
 use gass_data::synth::deep_like;
-use gass_graphs::SnSeeds;
+use gass_graphs::Hierarchy;
 use gass_trees::kdtree::KdForest;
 use std::hint::black_box;
 
@@ -15,7 +15,7 @@ fn bench_seeds(c: &mut Criterion) {
     let counter = DistCounter::new();
     let space = Space::new(&base, &counter);
 
-    let sn = SnSeeds::build(space, 8, 32, 1);
+    let sn = Hierarchy::build_over_store(space, 8, 32, 1);
     let kd = KdForest::build(&base, 4, 16, 2);
     let md = MedoidSeed::compute(space);
     let sf = FixedSeed::random(n, 3);
@@ -33,7 +33,7 @@ fn bench_seeds(c: &mut Criterion) {
             b.iter(|| {
                 for (_, q) in queries.iter() {
                     out.clear();
-                    provider.seeds(space, q, 16, &mut out);
+                    provider.select(space, q, 16, 0, &mut out);
                     black_box(&out);
                 }
             })

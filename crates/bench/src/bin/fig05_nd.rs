@@ -14,7 +14,7 @@ use gass_bench::{beam_sweep, num_queries, results_dir, small_tiers};
 use gass_core::nd::NdStrategy;
 use gass_data::DatasetKind;
 use gass_eval::Table;
-use gass_graphs::{IiGraph, IiParams};
+use gass_graphs::{baseline, IiParams};
 
 fn main() {
     let k = 10;
@@ -41,7 +41,7 @@ fn main() {
                     seed: 5,
                     threads: 1,
                 };
-                let g = IiGraph::build(base.clone(), params);
+                let g = baseline::build(base.clone(), params);
                 // The reference implementations (NSG-lineage) initialize
                 // the candidate pool with L random nodes; mirror that so
                 // seed coverage scales with the beam.

@@ -12,17 +12,17 @@
 
 use gass_bench::{num_queries, results_dir, small_tiers, tiers};
 use gass_core::distance::{DistCounter, Space};
-use gass_core::index::QueryParams;
+use gass_core::index::{PrebuiltIndex, QueryParams};
 use gass_core::nd::NdStrategy;
 use gass_core::seed::{FixedSeed, MedoidSeed, RandomSeeds, SeedProvider};
 use gass_data::DatasetKind;
 use gass_eval::{recall_at_k, Table};
-use gass_graphs::{IiGraph, IiParams, SnSeeds};
+use gass_graphs::{baseline, Hierarchy, IiParams};
 use gass_trees::kdtree::KdForest;
 
 /// Mean recall + per-query distance calls of one provider at one L.
 fn run(
-    g: &IiGraph,
+    g: &PrebuiltIndex,
     provider: &dyn SeedProvider,
     queries: &gass_core::VectorStore,
     truth: &[Vec<gass_core::Neighbor>],
@@ -55,7 +55,7 @@ fn main() {
         for tier in &tier_list {
             let (base, queries) = kind.generate(tier.n, num_queries(), 67);
             let truth = gass_data::ground_truth(&base, &queries, k);
-            let g = IiGraph::build(
+            let g = baseline::build(
                 base.clone(),
                 IiParams {
                     max_degree: 24,
@@ -68,7 +68,7 @@ fn main() {
             );
             let setup = DistCounter::new();
             let space = Space::new(g.store(), &setup);
-            let sn = SnSeeds::build(space, 12, 48, 1);
+            let sn = Hierarchy::build_over_store(space, 12, 48, 1);
             let kd = KdForest::build(g.store(), 4, 24, 2);
             let md = MedoidSeed::compute(space);
             let sf = FixedSeed::random(tier.n, 3);

@@ -45,14 +45,14 @@ fn main() {
             MethodKind::SptagBkt,
         ] {
             let mut built = build_method(kind, base.clone(), 5);
-            built.freeze();
+            built.index.freeze();
             // Frozen: the CSR graph and the seed structures, no codes yet.
             let frozen_aux = built.index.stats().aux_bytes;
             // One row per ladder rung: re-quantizing replaces the codes in
             // place, so the aux growth over the frozen state is exactly the
             // code store.
             for spec in gass_core::CodecSpec::ALL {
-                built.quantize(spec);
+                built.index.quantize(spec);
                 let s = built.index.stats();
                 let serving = s.graph_bytes + (s.aux_bytes - frozen_aux);
                 // Query-time scratch: visited stamps (4B/node) + beam buffer.

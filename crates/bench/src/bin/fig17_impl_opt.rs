@@ -95,7 +95,9 @@ fn main() {
         // is excluded from the timed section so the ablation isolates the
         // traversal engine).
         let entries: Vec<u32> = (0..queries.len() as u32)
-            .map(|qi| index.hierarchy().descend(space, queries.get(qi)).unwrap_or(0))
+            .map(|qi| {
+                index.hierarchy().descend_budgeted(space, queries.get(qi), 0).unwrap_or(0)
+            })
             .collect();
 
         let mut run =

@@ -33,7 +33,7 @@ fn main() {
         // a real II graph (visited lists are diverse, unlike exact k-NN
         // lists), matching how the paper's diversification step sees
         // candidates.
-        let graph = gass_graphs::IiGraph::build(
+        let graph = gass_graphs::baseline::build(
             store.clone(),
             gass_graphs::IiParams::small(gass_core::NdStrategy::Rnd),
         );

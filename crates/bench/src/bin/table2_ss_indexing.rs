@@ -18,7 +18,7 @@ use gass_core::index::{AnnIndex, QueryParams};
 use gass_core::nd::NdStrategy;
 use gass_data::DatasetKind;
 use gass_eval::{recall_at_k, Table};
-use gass_graphs::{HnswIndex, HnswParams, IiGraph, IiParams};
+use gass_graphs::{baseline, hnsw, HnswParams, IiParams};
 
 fn main() {
     let k = 10;
@@ -37,13 +37,13 @@ fn main() {
 
         // SN-construction graph: HNSW (hierarchy descent per insertion,
         // RND pruning — the paper's "SN-based graph").
-        let sn_graph = HnswIndex::build(
+        let sn_graph = hnsw::build(
             base.clone(),
             HnswParams { m: 12, ef_construction: 128, seed: 5, threads: 1 },
         );
         // KS-construction graph: the baseline II+RND with random build
         // seeds.
-        let ks_graph = IiGraph::build(
+        let ks_graph = baseline::build(
             base.clone(),
             IiParams {
                 max_degree: 24,

@@ -289,7 +289,7 @@ fn build_graph(
                 threads: t_serial,
                 ..graphs::IiParams::small(NdStrategy::Rnd)
             };
-            graphs::IiGraph::build(store, p).graph().clone()
+            graphs::baseline::build(store, p).graph().clone()
         }
         "ii-nond" => {
             let p = graphs::IiParams {
@@ -297,7 +297,7 @@ fn build_graph(
                 threads: t_serial,
                 ..graphs::IiParams::small(NdStrategy::NoNd)
             };
-            graphs::IiGraph::build(store, p).graph().clone()
+            graphs::baseline::build(store, p).graph().clone()
         }
         other => {
             return Err(format!(

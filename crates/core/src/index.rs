@@ -12,6 +12,7 @@ use crate::distance::{DistCounter, Space};
 use crate::graph::GraphView;
 use crate::partition::PartIndex;
 use crate::search::{SearchResult, SearchScratch};
+use crate::seed::SeedProvider;
 use std::sync::Mutex;
 
 /// Per-query parameters.
@@ -362,21 +363,31 @@ impl AnnIndex for SerialScanIndex {
 /// The index every graph-plus-seeds method serves through: a vector store,
 /// a graph, and a seed provider. The paper's normalisation is that methods
 /// differ only in the graph they build and the seeds they start from, and
-/// answer with the same beam search (Algorithm 1); so KGraph, NSW, NSG,
-/// SSG, DPG, EFANNA, HCNNG, NGT, SPTAG, Vamana and IEH are builders that
-/// return one of these, and a persisted graph is served again through
+/// answer with the same beam search (Algorithm 1); so HNSW (its hierarchy
+/// as the provider), KGraph, NSW, NSG, SSG, DPG, EFANNA, HCNNG, NGT, SPTAG,
+/// Vamana, IEH, HVS and the II baseline are builders that return one of
+/// these, and a persisted graph is served again through
 /// [`PrebuiltIndex::new`] without re-running construction.
 ///
 /// `G` is the graph as built: [`crate::graph::FlatGraph`] for the
 /// slot-layout methods (and loaded files), [`crate::graph::AdjacencyGraph`]
 /// for the unbounded-degree ones, so Figures 8–9 report each method's own
-/// layout. [`AnnIndex::freeze`] moves it into CSR either way.
-pub struct PrebuiltIndex<G: GraphView + Default = crate::graph::FlatGraph> {
+/// layout. [`AnnIndex::freeze`] moves it into CSR either way. `S` is the
+/// seed provider, boxed: `dyn SeedProvider` by default, or a concrete type
+/// when the owner needs it back (HNSW's hierarchy).
+///
+/// Seed selection is charged once, in [`Self::search_with`]: what the
+/// provider spends is added to `stats.evaluated`, and under a `max_dists`
+/// budget the traversal gets the rest.
+pub struct PrebuiltIndex<
+    G: GraphView + Default = crate::graph::FlatGraph,
+    S: SeedProvider + ?Sized = dyn SeedProvider,
+> {
     store: crate::store::VectorStore,
     serving: crate::reorder::ServingState<G>,
-    seeds: Box<dyn crate::seed::SeedProvider>,
-    /// Entry nodes that seed the BFS / RCM relabelling (NSG's and
-    /// Vamana's medoid), in the current id space.
+    seeds: Box<S>,
+    /// Entry nodes that seed the BFS / RCM relabelling (HNSW's top entry,
+    /// NSG's and Vamana's medoid), in the current id space.
     entries: Vec<u32>,
     label: String,
     build: BuildReport,
@@ -393,7 +404,23 @@ impl<G: GraphView + Default> PrebuiltIndex<G> {
     pub fn new(
         store: crate::store::VectorStore,
         graph: G,
-        seeds: Box<dyn crate::seed::SeedProvider>,
+        seeds: Box<dyn SeedProvider>,
+        label: impl Into<String>,
+    ) -> Self {
+        Self::with_provider(store, graph, seeds, label)
+    }
+}
+
+impl<G: GraphView + Default, S: SeedProvider + ?Sized> PrebuiltIndex<G, S> {
+    /// [`PrebuiltIndex::new`] keeping the provider's own type, so the owner
+    /// can reach it through [`Self::seed_provider`] (HNSW's hierarchy).
+    ///
+    /// # Panics
+    /// Panics if the graph and store disagree on the number of vectors.
+    pub fn with_provider(
+        store: crate::store::VectorStore,
+        graph: G,
+        seeds: Box<S>,
         label: impl Into<String>,
     ) -> Self {
         assert_eq!(
@@ -429,10 +456,15 @@ impl<G: GraphView + Default> PrebuiltIndex<G> {
         self.build
     }
 
-    /// The reorder entry nodes, in the current id space (NSG's and
-    /// Vamana's medoid; empty for the other methods).
+    /// The reorder entry nodes, in the current id space (HNSW's top entry,
+    /// NSG's and Vamana's medoid; empty for the other methods).
     pub fn entries(&self) -> &[u32] {
         &self.entries
+    }
+
+    /// The index's own seed provider.
+    pub fn seed_provider(&self) -> &S {
+        &self.seeds
     }
 
     /// Installs a previously loaded code store (the persisted form),
@@ -476,16 +508,46 @@ impl<G: GraphView + Default> PrebuiltIndex<G> {
     pub fn graph(&self) -> &G {
         self.serving.graph()
     }
-}
 
-/// A part of a [`crate::partition::Partitioned`] index searches through the
-/// prober's per-thread scratch instead of the index's [`ScratchPool`]: no
-/// pool borrow/return per probe, and identical results (scratch contents
-/// never influence the traversal — the beam search prepares it for this
-/// graph and beam).
-impl<G: GraphView + Default + Send + Sync> PartIndex for PrebuiltIndex<G> {
-    fn search_with_scratch(
+    /// [`AnnIndex::reorder`], also returning the incremental `old → new`
+    /// map so a wrapper (LSHAPG) can relabel its own structures through it;
+    /// `None` when `strategy` is [`crate::reorder::ReorderStrategy::None`].
+    pub fn reorder_with(
+        &mut self,
+        strategy: crate::reorder::ReorderStrategy,
+    ) -> Option<crate::reorder::IdRemap> {
+        let map = self.serving.reorder(&mut self.store, strategy, &self.entries)?;
+        self.seeds.reorder(&map);
+        for entry in &mut self.entries {
+            *entry = map.to_new(*entry);
+        }
+        Some(map)
+    }
+
+    /// Answers one query seeded by `provider` instead of the index's own
+    /// (the seed-selection experiments run every strategy on one graph).
+    /// `provider` must emit ids of this index's store, in its current id
+    /// space. This is the one search every [`PrebuiltIndex`] runs:
+    /// [`AnnIndex::search`] and the partitioned probe pass the index's own
+    /// provider.
+    pub fn search_with<P: SeedProvider + ?Sized>(
         &self,
+        provider: &P,
+        query: &[f32],
+        params: &QueryParams,
+        counter: &DistCounter,
+    ) -> SearchResult {
+        self.scratch.with(self.store.len(), params.beam_width, |scratch| {
+            self.search_in(provider, query, params, counter, scratch)
+        })
+    }
+
+    /// [`Self::search_with`] through a caller's scratch. Seed selection
+    /// spends first; under a budget the traversal gets what is left (at
+    /// least 1, so it can score a seed), and `evaluated` reports both.
+    fn search_in<P: SeedProvider + ?Sized>(
+        &self,
+        provider: &P,
         query: &[f32],
         params: &QueryParams,
         counter: &DistCounter,
@@ -493,9 +555,15 @@ impl<G: GraphView + Default + Send + Sync> PartIndex for PrebuiltIndex<G> {
     ) -> SearchResult {
         let space =
             Space::new(&self.store, counter).with_quant(self.serving.quant_view(params));
-        let mut seeds = Vec::new();
-        self.seeds.seeds(space, query, params.seed_count, &mut seeds);
-        let res = crate::search::beam_search_frozen(
+        let mut seeds = std::mem::take(&mut scratch.seeds);
+        seeds.clear();
+        let spent =
+            provider.select(space, query, params.seed_count, params.max_dists, &mut seeds);
+        let mut term = params.termination();
+        if term.max_dists > 0 {
+            term.max_dists = term.max_dists.saturating_sub(spent).max(1);
+        }
+        let mut res = crate::search::beam_search_frozen(
             self.serving.graph(),
             self.serving.csr(),
             space,
@@ -504,13 +572,40 @@ impl<G: GraphView + Default + Send + Sync> PartIndex for PrebuiltIndex<G> {
             params.k,
             params.beam_width,
             scratch,
-            params.termination(),
+            term,
         );
+        scratch.seeds = seeds;
+        res.stats.evaluated += spent;
         self.serving.finish(res)
     }
 }
 
-impl<G: GraphView + Default + Send + Sync> AnnIndex for PrebuiltIndex<G> {
+/// A part of a [`crate::partition::Partitioned`] index searches through the
+/// prober's per-thread scratch instead of the index's [`ScratchPool`]: no
+/// pool borrow/return per probe, and identical results (scratch contents
+/// never influence the traversal — the beam search prepares it for this
+/// graph and beam).
+impl<G, S> PartIndex for PrebuiltIndex<G, S>
+where
+    G: GraphView + Default + Send + Sync,
+    S: SeedProvider + ?Sized,
+{
+    fn search_with_scratch(
+        &self,
+        query: &[f32],
+        params: &QueryParams,
+        counter: &DistCounter,
+        scratch: &mut SearchScratch,
+    ) -> SearchResult {
+        self.search_in(self.seeds.as_ref(), query, params, counter, scratch)
+    }
+}
+
+impl<G, S> AnnIndex for PrebuiltIndex<G, S>
+where
+    G: GraphView + Default + Send + Sync,
+    S: SeedProvider + ?Sized,
+{
     fn name(&self) -> String {
         self.label.clone()
     }
@@ -529,9 +624,7 @@ impl<G: GraphView + Default + Send + Sync> AnnIndex for PrebuiltIndex<G> {
         params: &QueryParams,
         counter: &DistCounter,
     ) -> SearchResult {
-        self.scratch.with(self.store.len(), params.beam_width, |scratch| {
-            self.search_with_scratch(query, params, counter, scratch)
-        })
+        self.search_with(self.seeds.as_ref(), query, params, counter)
     }
 
     fn freeze(&mut self) {
@@ -551,12 +644,7 @@ impl<G: GraphView + Default + Send + Sync> AnnIndex for PrebuiltIndex<G> {
     }
 
     fn reorder(&mut self, strategy: crate::reorder::ReorderStrategy) {
-        if let Some(map) = self.serving.reorder(&mut self.store, strategy, &self.entries) {
-            self.seeds.reorder(&map);
-            for entry in &mut self.entries {
-                *entry = map.to_new(*entry);
-            }
-        }
+        self.reorder_with(strategy);
     }
 
     fn is_reordered(&self) -> bool {

@@ -69,6 +69,9 @@ pub struct SearchScratch {
     /// Query mapped into quantized code space (reused across queries so
     /// the quantized path allocates nothing per search after warmup).
     pub prepared: PreparedQuery,
+    /// The seeds a [`crate::seed::SeedProvider`] selected for the search
+    /// this scratch serves (reused, like `prepared`).
+    pub seeds: Vec<u32>,
 }
 
 impl SearchScratch {
@@ -80,7 +83,12 @@ impl SearchScratch {
         // reserve more memory than the graph can fill.
         let mut buffer = SortedBuffer::new(l.clamp(1, n.max(1)));
         buffer.reset(l.max(1));
-        Self { visited: VisitedSet::new(n), buffer, prepared: PreparedQuery::default() }
+        Self {
+            visited: VisitedSet::new(n),
+            buffer,
+            prepared: PreparedQuery::default(),
+            seeds: Vec::new(),
+        }
     }
 
     /// Readies the scratch for a search over `n` nodes with beam width `l`.
@@ -485,7 +493,7 @@ fn beam_search_quantized<G: GraphView + ?Sized, C: CodecStore + ?Sized>(
     }
     scratch.prepare(graph.num_nodes(), beam_width.max(k.saturating_mul(rerank)));
     codec.prepare_into(query, &mut scratch.prepared);
-    let SearchScratch { visited, buffer, prepared } = scratch;
+    let SearchScratch { visited, buffer, prepared, .. } = scratch;
     let rows = CodeRows { codec, prepared, counter: space.counter() };
     let mut stats = traverse(graph, &rows, seeds, k, visited, buffer, None, term, gate);
 

@@ -14,10 +14,18 @@
 //!   ([`RandomSeeds`]), optionally anchored at the medoid like NSG/Vamana.
 //!
 //! Structure-backed strategies live next to their structures: **SN**
-//! (stacked NSW) in `gass-graphs::hnsw`, **KD** in `gass-trees::kdtree`,
-//! **KM** in `gass-trees::bkt`, **LSH** in `gass-hash`, VP-tree seeds in
-//! `gass-trees::vptree`. All implement this same trait, so any method can
-//! be queried under any strategy — the instrument behind Figure 6.
+//! (stacked NSW) in `gass-graphs::hierarchy`, **KD** in
+//! `gass-trees::kdtree`, **KM** in `gass-trees::bkt`, **LSH** in
+//! `gass-hash`, VP-tree seeds in `gass-trees::vptree`, and HVS's Voronoi
+//! pyramid in `gass-graphs::hvs`. All implement this same trait, so any
+//! method can be queried under any strategy — the instrument behind
+//! Figure 6.
+//!
+//! Seed selection is part of the search. [`SeedProvider::select`] takes
+//! the query's remaining distance budget and returns what it spent; the
+//! index ([`crate::PrebuiltIndex`]) hands the traversal the rest and adds
+//! the spend to `stats.evaluated`, so a strategy's cost is counted — and
+//! capped — exactly like the traversal's.
 
 use crate::distance::Space;
 use crate::reorder::IdRemap;
@@ -30,16 +38,40 @@ use std::sync::Mutex;
 /// `count` is advisory: strategies with a natural seed count (SF, MD, SN)
 /// may return fewer; KS returns exactly `count`.
 pub trait SeedProvider: Send + Sync {
-    /// Appends seed ids for `query` to `out` (cleared first by callers).
-    /// Distance evaluations a strategy performs (e.g. SN's hierarchical
-    /// descent) must go through `space` so they are counted.
-    fn seeds(&self, space: Space<'_>, query: &[f32], count: usize, out: &mut Vec<u32>);
+    /// Appends seed ids for `query` to `out` (cleared first by callers) and
+    /// returns the distance evaluations the selection spent. Those go
+    /// through `space` so they are counted (a descent over a hierarchy,
+    /// tree or pyramid is real work the paper measures); the id-only
+    /// strategies spend 0.
+    ///
+    /// `max_dists` is the query's remaining budget (`0` = unlimited).
+    /// Under a budget a strategy stops spending once it has spent
+    /// `max_dists` — a descent that scores a whole neighbour list per step
+    /// checks before each step, so it may finish the step in progress —
+    /// and still appends at least one seed: its best node so far, or its
+    /// stored entry when it has scored none. Unbudgeted, the answer is the
+    /// strategy's full selection.
+    fn select(
+        &self,
+        space: Space<'_>,
+        query: &[f32],
+        count: usize,
+        max_dists: usize,
+        out: &mut Vec<u32>,
+    ) -> usize;
+
+    /// [`Self::select`] without a budget, discarding the spend. Kept only
+    /// for the benchmark's decomposed query path, which calls it; it goes
+    /// when that path is rebuilt (ROADMAP item 5).
+    fn seeds(&self, space: Space<'_>, query: &[f32], count: usize, out: &mut Vec<u32>) {
+        self.select(space, query, count, 0, out);
+    }
 
     /// Short label used in experiment tables ("SN", "KS", ...).
     fn label(&self) -> &'static str;
 
     /// Relabels every stored node id through `map` after the serving state
-    /// was permuted (see `gass_core::reorder`). Afterwards [`Self::seeds`]
+    /// was permuted (see `gass_core::reorder`). Afterwards [`Self::select`]
     /// must emit ids in the *new* space, selecting the same vectors it
     /// would have selected before the permutation.
     ///
@@ -121,8 +153,16 @@ impl FixedSeed {
 }
 
 impl SeedProvider for FixedSeed {
-    fn seeds(&self, _space: Space<'_>, _query: &[f32], _count: usize, out: &mut Vec<u32>) {
+    fn select(
+        &self,
+        _space: Space<'_>,
+        _query: &[f32],
+        _count: usize,
+        _max_dists: usize,
+        out: &mut Vec<u32>,
+    ) -> usize {
         out.push(self.entry);
+        0
     }
 
     fn label(&self) -> &'static str {
@@ -163,8 +203,16 @@ impl MedoidSeed {
 }
 
 impl SeedProvider for MedoidSeed {
-    fn seeds(&self, _space: Space<'_>, _query: &[f32], _count: usize, out: &mut Vec<u32>) {
+    fn select(
+        &self,
+        _space: Space<'_>,
+        _query: &[f32],
+        _count: usize,
+        _max_dists: usize,
+        out: &mut Vec<u32>,
+    ) -> usize {
         out.push(self.medoid);
+        0
     }
 
     fn label(&self) -> &'static str {
@@ -255,7 +303,14 @@ impl RandomSeeds {
 }
 
 impl SeedProvider for RandomSeeds {
-    fn seeds(&self, _space: Space<'_>, query: &[f32], count: usize, out: &mut Vec<u32>) {
+    fn select(
+        &self,
+        _space: Space<'_>,
+        query: &[f32],
+        count: usize,
+        _max_dists: usize,
+        out: &mut Vec<u32>,
+    ) -> usize {
         if let Some(a) = self.anchor {
             out.push(a);
         }
@@ -272,6 +327,7 @@ impl SeedProvider for RandomSeeds {
             let mut rng = self.rng.lock().unwrap();
             self.draw(&mut rng, want, out);
         }
+        0
     }
 
     fn label(&self) -> &'static str {
@@ -312,8 +368,16 @@ impl StaticSeeds {
 }
 
 impl SeedProvider for StaticSeeds {
-    fn seeds(&self, _space: Space<'_>, _query: &[f32], _count: usize, out: &mut Vec<u32>) {
+    fn select(
+        &self,
+        _space: Space<'_>,
+        _query: &[f32],
+        _count: usize,
+        _max_dists: usize,
+        out: &mut Vec<u32>,
+    ) -> usize {
         out.extend_from_slice(&self.ids);
+        0
     }
 
     fn label(&self) -> &'static str {
@@ -349,8 +413,8 @@ mod tests {
         let p = FixedSeed::random(10, 42);
         let mut a = Vec::new();
         let mut b = Vec::new();
-        p.seeds(space, &[0.0], 5, &mut a);
-        p.seeds(space, &[9.0], 5, &mut b);
+        p.select(space, &[0.0], 5, 0, &mut a);
+        p.select(space, &[9.0], 5, 0, &mut b);
         assert_eq!(a, b);
         assert_eq!(a.len(), 1);
         assert!(a[0] < 10);
@@ -364,7 +428,7 @@ mod tests {
         // Centroid of 0..9 is 4.5; nearest points are 4/5 (tie -> first).
         assert!(p.medoid() == 4 || p.medoid() == 5);
         let mut out = Vec::new();
-        p.seeds(space, &[0.0], 3, &mut out);
+        p.select(space, &[0.0], 3, 0, &mut out);
         assert_eq!(out, vec![p.medoid()]);
     }
 
@@ -374,7 +438,7 @@ mod tests {
         let space = Space::new(&store, &counter);
         let p = RandomSeeds::new(10, 1);
         let mut out = Vec::new();
-        p.seeds(space, &[0.0], 7, &mut out);
+        p.select(space, &[0.0], 7, 0, &mut out);
         assert_eq!(out.len(), 7);
         assert!(out.iter().all(|&s| s < 10));
     }
@@ -387,8 +451,8 @@ mod tests {
         let mut a = Vec::new();
         let mut b = Vec::new();
         for _ in 0..8 {
-            p.seeds(space, &[0.0], 4, &mut a);
-            p.seeds(space, &[0.0], 4, &mut b);
+            p.select(space, &[0.0], 4, 0, &mut a);
+            p.select(space, &[0.0], 4, 0, &mut b);
         }
         assert_ne!(a, b, "independent draws should differ somewhere");
     }
@@ -403,15 +467,15 @@ mod tests {
         // get the same seeds a fresh provider gives it.
         let mut scratch = Vec::new();
         for i in 0..16 {
-            p.seeds(space, &[i as f32], 4, &mut scratch);
+            p.select(space, &[i as f32], 4, 0, &mut scratch);
         }
         let (mut a, mut b) = (Vec::new(), Vec::new());
-        p.seeds(space, &[3.5, -1.0], 4, &mut a);
-        q.seeds(space, &[3.5, -1.0], 4, &mut b);
+        p.select(space, &[3.5, -1.0], 4, 0, &mut a);
+        q.select(space, &[3.5, -1.0], 4, 0, &mut b);
         assert_eq!(a, b, "same query must draw the same seeds");
         // Distinct queries should still draw differently somewhere.
         let mut c = Vec::new();
-        q.seeds(space, &[3.5, -2.0], 4, &mut c);
+        q.select(space, &[3.5, -2.0], 4, 0, &mut c);
         assert_ne!(b, c);
     }
 
@@ -421,7 +485,7 @@ mod tests {
         let space = Space::new(&store, &counter);
         let p = RandomSeeds::with_anchor(10, 4, 1);
         let mut out = Vec::new();
-        p.seeds(space, &[0.0], 3, &mut out);
+        p.select(space, &[0.0], 3, 0, &mut out);
         assert_eq!(out[0], 4);
         assert_eq!(out.len(), 4);
     }
@@ -432,7 +496,7 @@ mod tests {
         let space = Space::new(&store, &counter);
         let p = StaticSeeds::new(vec![1, 2, 3]);
         let mut out = Vec::new();
-        p.seeds(space, &[0.0], 99, &mut out);
+        p.select(space, &[0.0], 99, 0, &mut out);
         assert_eq!(out, vec![1, 2, 3]);
     }
 
@@ -449,8 +513,8 @@ mod tests {
         b.reorder(&map);
         let (mut out_a, mut out_b) = (Vec::new(), Vec::new());
         for _ in 0..4 {
-            a.seeds(space, &[0.0], 6, &mut out_a);
-            b.seeds(space, &[0.0], 6, &mut out_b);
+            a.select(space, &[0.0], 6, 0, &mut out_a);
+            b.select(space, &[0.0], 6, 0, &mut out_b);
         }
         let translated: Vec<u32> = out_a.iter().map(|&id| map.to_new(id)).collect();
         assert_eq!(out_b, translated);

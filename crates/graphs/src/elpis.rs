@@ -13,8 +13,11 @@
 //! Fig. 16).
 
 use crate::common::BuildReport;
-use crate::hnsw::{HnswIndex, HnswParams};
+use crate::hierarchy::Hierarchy;
+use crate::hnsw::{self, HnswParams};
 use gass_core::distance::DistCounter;
+use gass_core::graph::FlatGraph;
+use gass_core::index::PrebuiltIndex;
 use gass_core::partition::{Partitioned, Router};
 use gass_core::store::VectorStore;
 use gass_trees::eapca::HerculesTree;
@@ -82,8 +85,9 @@ impl Router for EapcaRouter {
     }
 }
 
-/// A built ELPIS index: HNSW leaves behind the EAPCA router.
-pub type ElpisIndex = Partitioned<HnswIndex, EapcaRouter>;
+/// A built ELPIS index: HNSW leaves ([`hnsw::build`]'s index) behind the
+/// EAPCA router.
+pub type ElpisIndex = Partitioned<PrebuiltIndex<FlatGraph, Hierarchy>, EapcaRouter>;
 
 /// Builds the index: Hercules partition, then one HNSW per leaf, built in
 /// parallel.
@@ -113,7 +117,7 @@ pub fn build(store: VectorStore, params: ElpisParams) -> ElpisIndex {
             sub.push(store.get(ids[0]));
             params.hnsw
         };
-        let index = HnswIndex::build(sub, hnsw);
+        let index = hnsw::build(sub, hnsw);
         counter.add(index.build_report().dist_calcs);
         index
     });

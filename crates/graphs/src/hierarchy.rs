@@ -9,8 +9,8 @@
 //! seed the base-layer search.
 //!
 //! The hierarchy is independent of the base graph, which is exactly what
-//! the paper's Figure 6 experiment needs: attach SN to *any* graph built
-//! over the same store.
+//! the paper's Figure 6 experiment needs: it is itself a [`SeedProvider`],
+//! so SN attaches to *any* graph built over the same store.
 
 use gass_core::distance::Space;
 use gass_core::graph::GraphView;
@@ -24,7 +24,6 @@ use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::Mutex;
 
 thread_local! {
     /// The greedy descent's visited set; per thread, as `&Hierarchy` descends concurrently.
@@ -82,46 +81,48 @@ pub fn draw_level(m: usize, rng: &mut SmallRng) -> usize {
 }
 
 /// The stacked-NSW hierarchy (layers ≥ 1 only; the base layer belongs to
-/// the method that owns it).
+/// the method that owns it). It holds only what a query descends: the
+/// builder lends [`Self::insert`] its search scratch.
 #[derive(Debug)]
 pub struct Hierarchy {
     layers: Vec<SparseLayer>,    // layers[0] is hierarchy layer 1
     entry: Option<(u32, usize)>, // (node, top layer index into `layers`)
     m: usize,
     ef: usize,
-    scratch: Mutex<SearchScratch>,
 }
 
 impl Hierarchy {
-    /// An empty hierarchy for a dataset of `n` vectors, max out-degree `m`
-    /// and construction beam width `ef`.
-    pub fn new(n: usize, m: usize, ef: usize) -> Self {
+    /// An empty hierarchy with max out-degree `m` and construction beam
+    /// width `ef`.
+    pub fn new(m: usize, ef: usize) -> Self {
         assert!(m >= 2, "hierarchy degree must be at least 2");
-        Self {
-            layers: Vec::new(),
-            entry: None,
-            m,
-            ef: ef.max(m),
-            scratch: Mutex::new(SearchScratch::new(n, ef.max(m))),
-        }
+        Self { layers: Vec::new(), entry: None, m, ef: ef.max(m) }
     }
 
     /// Builds the full hierarchy over every stored vector in one pass
     /// (standalone **SN** construction). Level draws are deterministic
     /// under `seed`.
     pub fn build_over_store(space: Space<'_>, m: usize, ef: usize, seed: u64) -> Self {
-        let mut h = Self::new(space.len(), m, ef);
+        let mut h = Self::new(m, ef);
         let mut rng = SmallRng::seed_from_u64(seed);
+        let mut scratch = SearchScratch::new(space.len(), h.ef);
         for id in 0..space.len() as u32 {
             let level = draw_level(m, &mut rng);
-            h.insert(space, id, level);
+            h.insert(space, id, level, &mut scratch);
         }
         h
     }
 
     /// Inserts `id` with maximum layer `level` (0 = base-only: hierarchy
-    /// untouched except entry bookkeeping for the very first node).
-    pub fn insert(&mut self, space: Space<'_>, id: u32, level: usize) {
+    /// untouched except entry bookkeeping for the very first node). The
+    /// per-layer beam searches run in the caller's `scratch`.
+    pub fn insert(
+        &mut self,
+        space: Space<'_>,
+        id: u32,
+        level: usize,
+        scratch: &mut SearchScratch,
+    ) {
         if level == 0 {
             if self.entry.is_none() {
                 // Keep at least one entry point even if no node ever draws
@@ -154,7 +155,6 @@ impl Hierarchy {
 
         // Beam search + RND selection on each layer from min(level, top+1)
         // down to 1 (layer index level-1 .. 0).
-        let mut scratch = self.scratch.lock().unwrap();
         for layer_idx in (0..level.min(top + 1)).rev() {
             let res = beam_search(
                 &self.layers[layer_idx],
@@ -163,7 +163,7 @@ impl Hierarchy {
                 &[cur],
                 self.ef,
                 self.ef,
-                &mut scratch,
+                scratch,
             );
             let selected = NdStrategy::Rnd.diversify(space, id, &res.neighbors, self.m);
             let layer = &mut self.layers[layer_idx];
@@ -198,38 +198,24 @@ impl Hierarchy {
         }
     }
 
-    /// Greedy descent for a query: returns the closest node found at
+    /// Greedy descent for a query under a hard `max_dists` evaluation
+    /// budget (`0` = unlimited): returns the closest node found at
     /// hierarchy layer 1 (a base-graph seed). Distance evaluations are
     /// counted through `space` — SN's seed-selection overhead is real work
-    /// the paper measures.
-    pub fn descend(&self, space: Space<'_>, query: &[f32]) -> Option<u32> {
-        self.descend_budgeted(space, query, 0)
-    }
-
-    /// [`Self::descend`] under a hard `max_dists` evaluation budget
-    /// (`0` = unlimited, exactly `descend`). An exhausted descent
-    /// returns its best node so far from whatever layer it reached: a
-    /// mid-hierarchy entry point still seeds the base search usefully,
-    /// which is how deadline-squeezed queries degrade gracefully instead
-    /// of being dropped.
+    /// the paper measures. An exhausted descent returns its best node so
+    /// far from whatever layer it reached: a mid-hierarchy entry point
+    /// still seeds the base search usefully, which is how
+    /// deadline-squeezed queries degrade gracefully instead of being
+    /// dropped. [`SeedProvider::select`] is the same descent, also
+    /// reporting what it spent.
     pub fn descend_budgeted(
         &self,
         space: Space<'_>,
         query: &[f32],
         max_dists: usize,
     ) -> Option<u32> {
-        self.descend_counted(space, query, max_dists).map(|(entry, _)| entry)
-    }
-
-    /// [`Self::descend_budgeted`] also returning the evaluations it spent.
-    pub fn descend_counted(
-        &self,
-        space: Space<'_>,
-        query: &[f32],
-        max_dists: usize,
-    ) -> Option<(u32, usize)> {
         let (entry, top) = self.entry?;
-        Some(self.descend_layers(space, query, entry, 0..=top, max_dists))
+        Some(self.descend_layers(space, query, entry, 0..=top, max_dists).0)
     }
 
     /// Hill-climbs `layers` top-down from `entry` with the shared
@@ -277,17 +263,34 @@ impl Hierarchy {
     pub fn layer_len(&self, l: usize) -> usize {
         self.layers.get(l).map_or(0, SparseLayer::len)
     }
+}
 
-    /// Approximate heap bytes.
-    pub fn heap_bytes(&self) -> usize {
-        self.layers.iter().map(SparseLayer::heap_bytes).sum()
+/// **SN**: the descent's layer-1 node is the one seed, whatever `count`
+/// asks; an empty hierarchy selects none.
+impl SeedProvider for Hierarchy {
+    fn select(
+        &self,
+        space: Space<'_>,
+        query: &[f32],
+        _count: usize,
+        max_dists: usize,
+        out: &mut Vec<u32>,
+    ) -> usize {
+        let Some((entry, top)) = self.entry else { return 0 };
+        let (node, spent) = self.descend_layers(space, query, entry, 0..=top, max_dists);
+        out.push(node);
+        spent
+    }
+
+    fn label(&self) -> &'static str {
+        "SN"
     }
 
     /// Relabels every layer's adjacency (keys and neighbor lists) and the
     /// entry point through `map` after the base store was permuted. The
     /// greedy descent visits the same vectors in the same order, so its
     /// counted distance evaluations are unchanged.
-    pub fn reorder(&mut self, map: &IdRemap) {
+    fn reorder(&mut self, map: &IdRemap) {
         for layer in &mut self.layers {
             let adj = std::mem::take(&mut layer.adj);
             layer.adj = adj
@@ -304,48 +307,10 @@ impl Hierarchy {
             *e = map.to_new(*e);
         }
     }
-}
 
-/// **SN** seed provider: a standalone stacked-NSW hierarchy.
-#[derive(Debug)]
-pub struct SnSeeds {
-    hierarchy: Hierarchy,
-}
-
-impl SnSeeds {
-    /// Builds the hierarchy over `space`'s store.
-    pub fn build(space: Space<'_>, m: usize, ef: usize, seed: u64) -> Self {
-        Self { hierarchy: Hierarchy::build_over_store(space, m, ef, seed) }
-    }
-
-    /// Wraps an existing hierarchy.
-    pub fn from_hierarchy(hierarchy: Hierarchy) -> Self {
-        Self { hierarchy }
-    }
-
-    /// The wrapped hierarchy.
-    pub fn hierarchy(&self) -> &Hierarchy {
-        &self.hierarchy
-    }
-}
-
-impl SeedProvider for SnSeeds {
-    fn seeds(&self, space: Space<'_>, query: &[f32], _count: usize, out: &mut Vec<u32>) {
-        if let Some(s) = self.hierarchy.descend(space, query) {
-            out.push(s);
-        }
-    }
-
-    fn label(&self) -> &'static str {
-        "SN"
-    }
-
-    fn reorder(&mut self, map: &IdRemap) {
-        self.hierarchy.reorder(map);
-    }
-
+    /// Approximate heap bytes.
     fn heap_bytes(&self) -> usize {
-        self.hierarchy.heap_bytes()
+        self.layers.iter().map(SparseLayer::heap_bytes).sum()
     }
 }
 
@@ -377,7 +342,7 @@ mod tests {
         // Descending with a stored vector should land at a node whose
         // distance is no worse than the median pairwise distance.
         let q = store.get(77).to_vec();
-        let landed = h.descend(space, &q).expect("entry exists");
+        let landed = h.descend_budgeted(space, &q, 0).expect("entry exists");
         let d_landed = gass_core::l2_sq(&q, store.get(landed));
         let mut dists: Vec<f32> =
             (0..400u32).map(|v| gass_core::l2_sq(&q, store.get(v))).collect();
@@ -401,17 +366,33 @@ mod tests {
     }
 
     #[test]
-    fn sn_seeds_counts_descent_distances() {
+    fn sn_select_counts_descent_distances() {
         let store = deep_like(300, 7);
         let counter = DistCounter::new();
         let space = Space::new(&store, &counter);
-        let sn = SnSeeds::build(space, 8, 16, 9);
+        let sn = Hierarchy::build_over_store(space, 8, 16, 9);
         counter.reset();
         let mut out = Vec::new();
-        sn.seeds(space, store.get(5), 10, &mut out);
+        let spent = sn.select(space, store.get(5), 10, 0, &mut out);
         assert_eq!(out.len(), 1);
-        assert!(counter.get() > 0, "SN descent must be counted");
+        assert!(spent > 0, "SN descent must be counted");
+        assert_eq!(counter.get(), spent as u64);
         assert_eq!(sn.label(), "SN");
+    }
+
+    #[test]
+    fn sn_select_stops_at_the_budget_and_still_seeds() {
+        let store = deep_like(300, 7);
+        let counter = DistCounter::new();
+        let space = Space::new(&store, &counter);
+        let sn = Hierarchy::build_over_store(space, 8, 16, 9);
+        counter.reset();
+        let mut out = Vec::new();
+        let spent = sn.select(space, store.get(5), 10, 1, &mut out);
+        // The descent scores the top entry, then finds the budget spent.
+        assert_eq!((spent, counter.get()), (1, 1));
+        assert_eq!(out, [sn.entry_node().unwrap()]);
+        assert_eq!(sn.descend_budgeted(space, store.get(5), 1), Some(out[0]));
     }
 
     #[test]
@@ -419,10 +400,11 @@ mod tests {
         let store = deep_like(5, 8);
         let counter = DistCounter::new();
         let space = Space::new(&store, &counter);
-        let mut h = Hierarchy::new(5, 4, 8);
+        let mut h = Hierarchy::new(4, 8);
+        let mut scratch = SearchScratch::new(5, 8);
         for id in 0..5u32 {
-            h.insert(space, id, 0);
+            h.insert(space, id, 0, &mut scratch);
         }
-        assert_eq!(h.descend(space, store.get(3)), Some(0));
+        assert_eq!(h.descend_budgeted(space, store.get(3), 0), Some(0));
     }
 }

@@ -7,18 +7,20 @@
 //! layers (in [`crate::hierarchy`]) hold exponentially thinning samples
 //! with out-degree `M`. Insertion descends the hierarchy to find its
 //! entry, beam-searches the base layer with `ef_construction`, selects `M`
-//! neighbors via RND, and re-prunes overflowing reverse lists.
+//! neighbors via RND, and re-prunes overflowing reverse lists. A query
+//! descends the hierarchy — the index's seed provider — and beam-searches
+//! the base layer from the node it reaches, through the one
+//! [`PrebuiltIndex`] search every graph-plus-seeds method answers with.
 
 use crate::common::{add_reverse_edges, add_reverse_edges_concurrent, BuildReport};
 use crate::hierarchy::{draw_level, Hierarchy};
 use gass_core::distance::{DistCounter, Space};
 use gass_core::graph::{AdjacencyGraph, CsrGraph, FlatGraph, GraphView};
-use gass_core::index::{AnnIndex, IndexStats, QueryParams, ScratchPool};
+use gass_core::index::{AnnIndex, IndexStats, PrebuiltIndex, QueryParams};
 use gass_core::nd::NdStrategy;
 use gass_core::par::ConcurrentAdjacency;
-use gass_core::partition::PartIndex;
-use gass_core::reorder::{IdRemap, ReorderStrategy, ServingState};
-use gass_core::search::{beam_search, beam_search_frozen, SearchResult, SearchScratch};
+use gass_core::reorder::{ReorderStrategy, ServingState};
+use gass_core::search::{beam_search, SearchResult, SearchScratch};
 use gass_core::store::VectorStore;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -52,16 +54,6 @@ impl HnswParams {
     }
 }
 
-/// A built HNSW index.
-pub struct HnswIndex {
-    store: VectorStore,
-    serving: ServingState,
-    hierarchy: Hierarchy,
-    params: HnswParams,
-    scratch: ScratchPool,
-    build: BuildReport,
-}
-
 /// Search + diversify for one insertion against the graph so far. Pure
 /// with respect to the graph (reads only), so the parallel path runs it
 /// concurrently against a frozen batch prefix.
@@ -76,7 +68,7 @@ fn prepare_insertion<G: GraphView + ?Sized>(
 ) -> Vec<gass_core::Neighbor> {
     let query = store.get(id);
     // SN descent over the current hierarchy gives the base entry point.
-    let entry = hierarchy.descend(space, query).unwrap_or(0);
+    let entry = hierarchy.descend_budgeted(space, query, 0).unwrap_or(0);
     let res = beam_search(
         graph,
         space,
@@ -95,188 +87,171 @@ fn prepare_insertion<G: GraphView + ?Sized>(
     NdStrategy::Rnd.diversify(space, id, &cands, params.m)
 }
 
+/// Builds HNSW by incremental insertion and serves it as what it is: the
+/// base layer behind the hierarchy as seed provider (the descent's node is
+/// the one seed, and its top entry starts a BFS / RCM reorder).
+/// `params.threads <= 1` runs the exact sequential algorithm; higher values
+/// insert prefix-doubling batches in parallel (see [`HnswParams::threads`]).
+///
+/// # Panics
+/// Panics if `store` holds fewer than two vectors or `params.m < 2`.
+pub fn build(store: VectorStore, params: HnswParams) -> PrebuiltIndex<FlatGraph, Hierarchy> {
+    assert!(store.len() >= 2, "need at least two vectors");
+    assert!(params.m >= 2, "M must be at least 2");
+    let counter = DistCounter::new();
+    let start = std::time::Instant::now();
+    let n = store.len();
+    let m0 = params.m * 2;
+    let mut hierarchy = Hierarchy::new(params.m, params.ef_construction);
+    let threads = gass_core::effective_threads(params.threads.max(1));
+    let base = {
+        let space = Space::new(&store, &counter);
+        // Levels are pre-drawn so serial and parallel builds consume
+        // the identical RNG stream (one draw per node, in id order —
+        // the only RNG use in the insertion loop).
+        let mut rng = SmallRng::seed_from_u64(params.seed);
+        let levels: Vec<usize> = (0..n).map(|_| draw_level(params.m, &mut rng)).collect();
+        if threads <= 1 {
+            build_serial(&store, space, &mut hierarchy, &params, m0, &levels)
+        } else {
+            build_parallel(&store, space, &mut hierarchy, &params, m0, &levels, threads)
+        }
+    };
+    let build =
+        BuildReport { seconds: start.elapsed().as_secs_f64(), dist_calcs: counter.get() };
+    let base = FlatGraph::from_adjacency(&base, Some(m0));
+    let entries = hierarchy.entry_node().into_iter().collect();
+    PrebuiltIndex::with_provider(store, base, Box::new(hierarchy), "HNSW")
+        .with_entries(entries)
+        .with_build_report(build)
+}
+
+fn build_serial(
+    store: &VectorStore,
+    space: Space<'_>,
+    hierarchy: &mut Hierarchy,
+    params: &HnswParams,
+    m0: usize,
+    levels: &[usize],
+) -> AdjacencyGraph {
+    let n = store.len();
+    let mut base = AdjacencyGraph::with_degree_hint(n, m0 + 1);
+    let mut scratch = SearchScratch::new(n, params.ef_construction);
+    // First node: hierarchy entry only.
+    hierarchy.insert(space, 0, levels[0], &mut scratch);
+    for id in 1..n as u32 {
+        let selected =
+            prepare_insertion(store, space, &base, hierarchy, params, &mut scratch, id);
+        base.set_neighbors(id, selected.iter().map(|s| s.id).collect());
+        add_reverse_edges(space, &mut base, id, &selected, m0, NdStrategy::Rnd);
+        hierarchy.insert(space, id, levels[id as usize], &mut scratch);
+    }
+    base
+}
+
+/// ParlayANN-style batch insertion: a serial prefix seeds the graph,
+/// then batch sizes double. Within a batch: (A) every member searches
+/// the frozen prefix graph concurrently, (B) forward + reverse edges
+/// are applied under striped locks, (C) hierarchy insertions run
+/// serially in id order. Batch members do not see same-batch inserts,
+/// which is the one semantic difference from the serial build.
+fn build_parallel(
+    store: &VectorStore,
+    space: Space<'_>,
+    hierarchy: &mut Hierarchy,
+    params: &HnswParams,
+    m0: usize,
+    levels: &[usize],
+    threads: usize,
+) -> AdjacencyGraph {
+    let n = store.len();
+    let ef = params.ef_construction;
+    let batches = gass_core::bounded_prefix_batches(ef.max(64).min(n), BATCH_FRAC, n);
+    let prefix_end = batches.first().map_or(n, |b| b.start);
+
+    // Serial seed prefix — identical to the serial build over these ids.
+    let mut base = AdjacencyGraph::with_degree_hint(n, m0 + 1);
+    let mut scratch = SearchScratch::new(n, ef);
+    hierarchy.insert(space, 0, levels[0], &mut scratch);
+    for id in 1..prefix_end as u32 {
+        let selected =
+            prepare_insertion(store, space, &base, hierarchy, params, &mut scratch, id);
+        base.set_neighbors(id, selected.iter().map(|s| s.id).collect());
+        add_reverse_edges(space, &mut base, id, &selected, m0, NdStrategy::Rnd);
+        hierarchy.insert(space, id, levels[id as usize], &mut scratch);
+    }
+
+    let conc = ConcurrentAdjacency::from_adjacency(base);
+    for batch in batches {
+        // Phase A: read-only searches against the frozen prefix. No
+        // writer is active, so unlocked GraphView reads are safe.
+        let prepared: Vec<(u32, Vec<gass_core::Neighbor>)> = gass_core::par_map_with(
+            threads,
+            batch.len(),
+            || SearchScratch::new(n, ef),
+            |scratch, i| {
+                let id = (batch.start + i) as u32;
+                let selected =
+                    prepare_insertion(store, space, &conc, hierarchy, params, scratch, id);
+                (id, selected)
+            },
+        );
+        // Phase B: apply edges under the stripe locks.
+        gass_core::par_for(threads, prepared.len(), |range| {
+            for (id, selected) in &prepared[range] {
+                conc.set_neighbors(*id, selected.iter().map(|s| s.id).collect());
+                add_reverse_edges_concurrent(space, &conc, *id, selected, m0, NdStrategy::Rnd);
+            }
+        });
+        // Phase C: hierarchy updates are serial (upper layers are
+        // cheap: ~1/M of nodes appear above the base layer).
+        for (id, _) in &prepared {
+            hierarchy.insert(space, *id, levels[*id as usize], &mut scratch);
+        }
+    }
+    conc.freeze()
+}
+
+/// A built HNSW: [`build`]'s [`PrebuiltIndex`] under the name the benchmark
+/// and the serving tests use. It forwards everything and goes when they
+/// name the index type directly (ROADMAP item 5).
+pub struct HnswIndex {
+    index: PrebuiltIndex<FlatGraph, Hierarchy>,
+    params: HnswParams,
+}
+
 impl HnswIndex {
-    /// Builds the index by incremental insertion. `params.threads <= 1`
-    /// runs the exact sequential algorithm; higher values insert
-    /// prefix-doubling batches in parallel (see [`HnswParams::threads`]).
+    /// [`build`], kept under its historical name.
     pub fn build(store: VectorStore, params: HnswParams) -> Self {
-        assert!(store.len() >= 2, "need at least two vectors");
-        assert!(params.m >= 2, "M must be at least 2");
-        let counter = DistCounter::new();
-        let start = std::time::Instant::now();
-        let n = store.len();
-        let m0 = params.m * 2;
-        let mut hierarchy = Hierarchy::new(n, params.m, params.ef_construction);
-        let threads = gass_core::effective_threads(params.threads.max(1));
-        let base = {
-            let space = Space::new(&store, &counter);
-            // Levels are pre-drawn so serial and parallel builds consume
-            // the identical RNG stream (one draw per node, in id order —
-            // the only RNG use in the insertion loop).
-            let mut rng = SmallRng::seed_from_u64(params.seed);
-            let levels: Vec<usize> = (0..n).map(|_| draw_level(params.m, &mut rng)).collect();
-            if threads <= 1 {
-                Self::build_serial(&store, space, &mut hierarchy, &params, m0, &levels)
-            } else {
-                Self::build_parallel(
-                    &store,
-                    space,
-                    &mut hierarchy,
-                    &params,
-                    m0,
-                    &levels,
-                    threads,
-                )
-            }
-        };
-        let build =
-            BuildReport { seconds: start.elapsed().as_secs_f64(), dist_calcs: counter.get() };
-        let base = FlatGraph::from_adjacency(&base, Some(m0));
-        Self {
-            store,
-            serving: ServingState::new(base),
-            hierarchy,
-            params,
-            scratch: ScratchPool::new(),
-            build,
-        }
-    }
-
-    fn build_serial(
-        store: &VectorStore,
-        space: Space<'_>,
-        hierarchy: &mut Hierarchy,
-        params: &HnswParams,
-        m0: usize,
-        levels: &[usize],
-    ) -> AdjacencyGraph {
-        let n = store.len();
-        let mut base = AdjacencyGraph::with_degree_hint(n, m0 + 1);
-        let mut scratch = SearchScratch::new(n, params.ef_construction);
-        // First node: hierarchy entry only.
-        hierarchy.insert(space, 0, levels[0]);
-        for id in 1..n as u32 {
-            let selected =
-                prepare_insertion(store, space, &base, hierarchy, params, &mut scratch, id);
-            base.set_neighbors(id, selected.iter().map(|s| s.id).collect());
-            add_reverse_edges(space, &mut base, id, &selected, m0, NdStrategy::Rnd);
-            hierarchy.insert(space, id, levels[id as usize]);
-        }
-        base
-    }
-
-    /// ParlayANN-style batch insertion: a serial prefix seeds the graph,
-    /// then batch sizes double. Within a batch: (A) every member searches
-    /// the frozen prefix graph concurrently, (B) forward + reverse edges
-    /// are applied under striped locks, (C) hierarchy insertions run
-    /// serially in id order. Batch members do not see same-batch inserts,
-    /// which is the one semantic difference from the serial build.
-    fn build_parallel(
-        store: &VectorStore,
-        space: Space<'_>,
-        hierarchy: &mut Hierarchy,
-        params: &HnswParams,
-        m0: usize,
-        levels: &[usize],
-        threads: usize,
-    ) -> AdjacencyGraph {
-        let n = store.len();
-        let ef = params.ef_construction;
-        let batches = gass_core::bounded_prefix_batches(ef.max(64).min(n), BATCH_FRAC, n);
-        let prefix_end = batches.first().map_or(n, |b| b.start);
-
-        // Serial seed prefix — identical to the serial build over these ids.
-        let mut base = AdjacencyGraph::with_degree_hint(n, m0 + 1);
-        let mut scratch = SearchScratch::new(n, ef);
-        hierarchy.insert(space, 0, levels[0]);
-        for id in 1..prefix_end as u32 {
-            let selected =
-                prepare_insertion(store, space, &base, hierarchy, params, &mut scratch, id);
-            base.set_neighbors(id, selected.iter().map(|s| s.id).collect());
-            add_reverse_edges(space, &mut base, id, &selected, m0, NdStrategy::Rnd);
-            hierarchy.insert(space, id, levels[id as usize]);
-        }
-
-        let conc = ConcurrentAdjacency::from_adjacency(base);
-        for batch in batches {
-            // Phase A: read-only searches against the frozen prefix. No
-            // writer is active, so unlocked GraphView reads are safe.
-            let prepared: Vec<(u32, Vec<gass_core::Neighbor>)> = gass_core::par_map_with(
-                threads,
-                batch.len(),
-                || SearchScratch::new(n, ef),
-                |scratch, i| {
-                    let id = (batch.start + i) as u32;
-                    let selected =
-                        prepare_insertion(store, space, &conc, hierarchy, params, scratch, id);
-                    (id, selected)
-                },
-            );
-            // Phase B: apply edges under the stripe locks.
-            gass_core::par_for(threads, prepared.len(), |range| {
-                for (id, selected) in &prepared[range] {
-                    conc.set_neighbors(*id, selected.iter().map(|s| s.id).collect());
-                    add_reverse_edges_concurrent(
-                        space,
-                        &conc,
-                        *id,
-                        selected,
-                        m0,
-                        NdStrategy::Rnd,
-                    );
-                }
-            });
-            // Phase C: hierarchy updates are serial (upper layers are
-            // cheap: ~1/M of nodes appear above the base layer).
-            for (id, _) in &prepared {
-                hierarchy.insert(space, *id, levels[*id as usize]);
-            }
-        }
-        conc.freeze()
+        Self { index: build(store, params), params }
     }
 
     /// Construction cost report.
     pub fn build_report(&self) -> BuildReport {
-        self.build
+        self.index.build_report()
     }
 
     /// The base-layer graph as built. Empty once frozen: the CSR
     /// ([`Self::csr`]) is then the only base layer the index holds.
     pub fn base_graph(&self) -> &FlatGraph {
-        self.serving.graph()
+        self.index.graph()
     }
 
     /// The frozen CSR form of the base layer, once
     /// [`AnnIndex::freeze`] has run.
     pub fn csr(&self) -> Option<&CsrGraph> {
-        self.serving.csr()
-    }
-
-    /// The compressed codes, once [`AnnIndex::quantize`] has run.
-    pub fn quantized(&self) -> Option<&dyn gass_core::CodecStore> {
-        self.serving.quant()
+        self.index.serving().csr()
     }
 
     /// The serving state (base layer as built or as CSR + codes +
     /// reorder map).
     pub fn serving(&self) -> &ServingState {
-        &self.serving
-    }
-
-    /// Applies a cache-locality reordering and returns the incremental
-    /// `old → new` permutation so wrappers (LSHAPG) can relabel their own
-    /// auxiliary structures through the same map. Freezes first; `None`
-    /// when `strategy` is [`ReorderStrategy::None`].
-    pub fn reorder_with(&mut self, strategy: ReorderStrategy) -> Option<IdRemap> {
-        let entries: Vec<u32> = self.hierarchy.entry_node().into_iter().collect();
-        let map = self.serving.reorder(&mut self.store, strategy, &entries)?;
-        self.hierarchy.reorder(&map);
-        Some(map)
+        self.index.serving()
     }
 
     /// The seed-selection hierarchy.
     pub fn hierarchy(&self) -> &Hierarchy {
-        &self.hierarchy
+        self.index.seed_provider()
     }
 
     /// Construction parameters.
@@ -286,30 +261,28 @@ impl HnswIndex {
 
     /// The vector store.
     pub fn store(&self) -> &VectorStore {
-        &self.store
+        self.index.store()
     }
 
     /// Converts the vector store to the cache-aligned, padded layout
     /// (idempotent; search results are unaffected — only memory layout
     /// changes).
     pub fn align_store(&mut self) {
-        if !self.store.is_aligned() {
-            self.store = self.store.to_aligned();
-        }
+        self.index.align_store();
     }
 }
 
 impl AnnIndex for HnswIndex {
     fn name(&self) -> String {
-        "HNSW".to_string()
+        self.index.name()
     }
 
     fn num_vectors(&self) -> usize {
-        self.store.len()
+        self.index.num_vectors()
     }
 
     fn dim(&self) -> usize {
-        self.store.dim()
+        self.index.dim()
     }
 
     fn search(
@@ -318,89 +291,39 @@ impl AnnIndex for HnswIndex {
         params: &QueryParams,
         counter: &DistCounter,
     ) -> SearchResult {
-        self.scratch.with(self.store.len(), params.beam_width, |scratch| {
-            self.search_with_scratch(query, params, counter, scratch)
-        })
-    }
-
-    fn freeze(&mut self) {
-        self.serving.freeze();
-    }
-
-    fn is_frozen(&self) -> bool {
-        self.serving.is_frozen()
-    }
-
-    fn quantize(&mut self, spec: gass_core::CodecSpec) {
-        self.serving.quantize(&self.store, spec);
-    }
-
-    fn is_quantized(&self) -> bool {
-        self.serving.is_quantized()
-    }
-
-    fn reorder(&mut self, strategy: ReorderStrategy) {
-        self.reorder_with(strategy);
-    }
-
-    fn is_reordered(&self) -> bool {
-        self.serving.is_reordered()
-    }
-
-    fn reorder_strategy(&self) -> ReorderStrategy {
-        self.serving.strategy()
+        self.index.search(query, params, counter)
     }
 
     fn stats(&self) -> IndexStats {
-        let mut s = self.serving.stats();
-        s.aux_bytes += self.hierarchy.heap_bytes();
-        s
+        self.index.stats()
     }
-}
 
-/// An HNSW is also an ELPIS leaf: the partitioned probe loop searches it
-/// through the prober's scratch.
-impl PartIndex for HnswIndex {
-    fn search_with_scratch(
-        &self,
-        query: &[f32],
-        params: &QueryParams,
-        counter: &DistCounter,
-        scratch: &mut SearchScratch,
-    ) -> SearchResult {
-        let space =
-            Space::new(&self.store, counter).with_quant(self.serving.quant_view(params));
-        // The SN descent stays at full precision (upper layers are a few
-        // dozen nodes; quantizing them saves nothing and costs accuracy).
-        // A `max_dists` budget covers routing too: the descent spends from
-        // it, a budget-squeezed descent hands the base search its best node
-        // so far, the base search gets what is left (at least 1, so it can
-        // seed), and `evaluated` reports both — the counter and `evaluated`
-        // agree under a budget. Unbudgeted, `evaluated` counts the base
-        // search alone, as the pinned answers record (ROADMAP item 9).
-        let (entry, descent) = self
-            .hierarchy
-            .descend_counted(space, query, params.max_dists)
-            .unwrap_or_else(|| (self.serving.to_new(0), 0));
-        let mut term = params.termination();
-        if term.max_dists > 0 {
-            term.max_dists = term.max_dists.saturating_sub(descent).max(1);
-        }
-        let mut res = beam_search_frozen(
-            self.serving.graph(),
-            self.serving.csr(),
-            space,
-            query,
-            &[entry],
-            params.k,
-            params.beam_width,
-            scratch,
-            term,
-        );
-        if params.max_dists > 0 {
-            res.stats.evaluated += descent;
-        }
-        self.serving.finish(res)
+    fn freeze(&mut self) {
+        self.index.freeze();
+    }
+
+    fn is_frozen(&self) -> bool {
+        self.index.is_frozen()
+    }
+
+    fn quantize(&mut self, spec: gass_core::CodecSpec) {
+        self.index.quantize(spec);
+    }
+
+    fn is_quantized(&self) -> bool {
+        self.index.is_quantized()
+    }
+
+    fn reorder(&mut self, strategy: ReorderStrategy) {
+        self.index.reorder(strategy);
+    }
+
+    fn is_reordered(&self) -> bool {
+        self.index.is_reordered()
+    }
+
+    fn reorder_strategy(&self) -> ReorderStrategy {
+        self.index.reorder_strategy()
     }
 }
 

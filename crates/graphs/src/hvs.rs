@@ -120,13 +120,25 @@ impl VoronoiPyramid {
     }
 
     /// Descends the pyramid: at each level, keep the centroid nearest to
-    /// the query (counted), and return the finest level's representative.
-    pub fn descend(&self, space: Space<'_>, query: &[f32]) -> Option<u32> {
-        let mut rep = None;
+    /// the query (counted), and return the finest level's representative
+    /// with the distances spent. Under a `max_dists` budget (`0` =
+    /// unlimited) no centroid past the budget is scored, and the
+    /// representative of the nearest centroid so far is returned.
+    pub fn descend(
+        &self,
+        space: Space<'_>,
+        query: &[f32],
+        max_dists: usize,
+    ) -> (Option<u32>, usize) {
+        let (mut rep, mut spent) = (None, 0);
         for level in &self.levels {
             let mut best = f32::INFINITY;
             for (c, centroid) in level.centroids.iter().enumerate() {
+                if max_dists > 0 && spent >= max_dists {
+                    return (rep, spent);
+                }
                 space.counter().bump();
+                spent += 1;
                 let d = l2_sq(query, centroid);
                 if d < best {
                     best = d;
@@ -134,7 +146,7 @@ impl VoronoiPyramid {
                 }
             }
         }
-        rep
+        (rep, spent)
     }
 
     /// Number of levels.
@@ -144,8 +156,17 @@ impl VoronoiPyramid {
 }
 
 impl SeedProvider for VoronoiPyramid {
-    fn seeds(&self, space: Space<'_>, query: &[f32], _count: usize, out: &mut Vec<u32>) {
-        out.push(self.descend(space, query).unwrap_or(self.entry));
+    fn select(
+        &self,
+        space: Space<'_>,
+        query: &[f32],
+        _count: usize,
+        max_dists: usize,
+        out: &mut Vec<u32>,
+    ) -> usize {
+        let (rep, spent) = self.descend(space, query, max_dists);
+        out.push(rep.unwrap_or(self.entry));
+        spent
     }
 
     fn label(&self) -> &'static str {
@@ -188,7 +209,7 @@ pub fn build(store: VectorStore, params: HvsParams) -> PrebuiltIndex {
             let query = store.get(id);
             // Seed only among already-inserted nodes; fall back to the
             // first node when the pyramid's pick isn't inserted yet.
-            let entry = pyramid.descend(space, query).filter(|&e| e < id).unwrap_or(0);
+            let entry = pyramid.descend(space, query, 0).0.filter(|&e| e < id).unwrap_or(0);
             let res = beam_search(
                 &base,
                 space,
@@ -249,7 +270,7 @@ mod tests {
         assert!(p.heap_bytes() > 0);
         // Descent must return a valid id and count its evaluations.
         counter.reset();
-        let rep = p.descend(space, base.get(7)).unwrap();
+        let rep = p.descend(space, base.get(7), 0).0.unwrap();
         assert!((rep as usize) < 500);
         assert!(counter.get() > 0);
     }
@@ -261,7 +282,7 @@ mod tests {
         let space = Space::new(&base, &counter);
         let p = VoronoiPyramid::build(space, &HvsParams::small(), 11);
         let q = base.get(123).to_vec();
-        let rep = p.descend(space, &q).unwrap();
+        let rep = p.descend(space, &q, 0).0.unwrap();
         let d_rep = gass_core::l2_sq(&q, base.get(rep));
         let mut dists: Vec<f32> =
             (0..800u32).map(|v| gass_core::l2_sq(&q, base.get(v))).collect();
@@ -278,13 +299,34 @@ mod tests {
         let mut p = VoronoiPyramid::build(space, &HvsParams::small(), 3);
         let nan = vec![f32::NAN; base.dim()];
         let mut out = Vec::new();
-        p.seeds(space, &nan, 1, &mut out);
+        p.select(space, &nan, 1, 0, &mut out);
         assert_eq!(out, [0]);
         let map =
             gass_core::reorder::IdRemap::from_new_to_old((0..300).rev().collect()).unwrap();
         p.reorder(&map);
         out.clear();
-        p.seeds(space, &nan, 1, &mut out);
+        p.select(space, &nan, 1, 0, &mut out);
         assert_eq!(out, [map.to_new(0)]);
+    }
+
+    #[test]
+    fn select_stops_at_the_budget_and_still_seeds() {
+        let base = deep_like(300, 4);
+        let counter = DistCounter::new();
+        let space = Space::new(&base, &counter);
+        let p = VoronoiPyramid::build(space, &HvsParams::small(), 3);
+        for budget in [1, 9] {
+            counter.reset();
+            let mut out = Vec::new();
+            let spent = p.select(space, base.get(11), 1, budget, &mut out);
+            assert_eq!((spent, counter.get()), (budget, budget as u64));
+            assert_eq!(out.len(), 1);
+            assert!((out[0] as usize) < 300);
+        }
+        // Not one centroid scored a number: the stored entry seeds.
+        let nan = vec![f32::NAN; base.dim()];
+        let mut out = Vec::new();
+        assert_eq!(p.select(space, &nan, 1, 1, &mut out), 1);
+        assert_eq!(out, [0]);
     }
 }

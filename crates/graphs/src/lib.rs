@@ -34,11 +34,12 @@
 //! the same [`gass_core::index::AnnIndex`] interface. A method that is a
 //! graph plus a seed strategy is only its construction code: its module's
 //! `build` returns a [`gass_core::PrebuiltIndex`] holding the graph and a
-//! boxed [`gass_core::SeedProvider`] (KGraph, IEH, NSW, EFANNA, DPG, NGT,
-//! NSG, SPTAG, Vamana, SSG, HCNNG, and HVS with its Voronoi pyramid).
-//! HNSW, ELPIS and LSHAPG carry routing state beyond one graph and one
-//! seed provider, and the II baseline takes a seed provider per call, so
-//! they keep their own index types.
+//! boxed [`gass_core::SeedProvider`] (HNSW with its hierarchy, KGraph,
+//! IEH, NSW, EFANNA, DPG, NGT, NSG, SPTAG, Vamana, SSG, HCNNG, HVS with
+//! its Voronoi pyramid, and the II baseline). ELPIS is a router over HNSW
+//! leaves on [`gass_core::partition::Partitioned`]; LSHAPG carries a
+//! sketch gate beyond one graph and one seed provider, so it keeps its own
+//! index type.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
@@ -64,13 +65,13 @@ pub mod sptag;
 pub mod ssg;
 pub mod vamana;
 
-pub use baseline::{IiGraph, IiParams};
+pub use baseline::IiParams;
 pub use common::BuildReport;
 pub use dpg::DpgParams;
 pub use efanna::EfannaParams;
 pub use elpis::{ElpisIndex, ElpisParams};
 pub use hcnng::HcnngParams;
-pub use hierarchy::{Hierarchy, SnSeeds};
+pub use hierarchy::Hierarchy;
 pub use hnsw::{HnswIndex, HnswParams};
 pub use hvs::{HvsParams, VoronoiPyramid};
 pub use ieh::IehParams;

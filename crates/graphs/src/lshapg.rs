@@ -11,9 +11,11 @@
 //! savings against misrouting).
 
 use crate::common::BuildReport;
-use crate::hnsw::{HnswIndex, HnswParams};
+use crate::hierarchy::Hierarchy;
+use crate::hnsw::{self, HnswParams};
 use gass_core::distance::{DistCounter, Space};
-use gass_core::index::{AnnIndex, IndexStats, QueryParams, ScratchPool};
+use gass_core::graph::FlatGraph;
+use gass_core::index::{AnnIndex, IndexStats, PrebuiltIndex, QueryParams, ScratchPool};
 use gass_core::reorder::ReorderStrategy;
 use gass_core::search::{beam_search_gated, SearchResult};
 use gass_core::seed::SeedProvider;
@@ -46,7 +48,9 @@ impl LshapgParams {
 
 /// A built LSHAPG index.
 pub struct LshapgIndex {
-    base: HnswIndex,
+    /// The HNSW it routes over: its store, serving state and footprint
+    /// (the hierarchy included, though LSH replaces it as seed provider).
+    base: PrebuiltIndex<FlatGraph, Hierarchy>,
     lsh: LshSeeds,
     gamma: f32,
     scratch: ScratchPool,
@@ -57,7 +61,7 @@ impl LshapgIndex {
     /// Builds the HNSW base and the LSH tables.
     pub fn build(store: gass_core::VectorStore, params: LshapgParams) -> Self {
         let start = std::time::Instant::now();
-        let base = HnswIndex::build(store, params.hnsw);
+        let base = hnsw::build(store, params.hnsw);
         let lsh_index = LshIndex::build_scaled(
             base.store(),
             params.tables,
@@ -106,8 +110,9 @@ impl AnnIndex for LshapgIndex {
         let serving = self.base.serving();
         let space =
             Space::new(self.base.store(), counter).with_quant(serving.quant_view(params));
+        // LSH seeds are bucket lookups: they spend no distance evaluation.
         let mut seeds = Vec::new();
-        self.lsh.seeds(space, query, params.seed_count.max(4), &mut seeds);
+        self.lsh.select(space, query, params.seed_count.max(4), 0, &mut seeds);
         // Probabilistic routing: a fresh neighbour is scored (on codes when
         // the base carries them, then reranked exactly) unless its sketch
         // estimate exceeds `γ ·` the buffer's bound at the start of the hop
@@ -121,7 +126,7 @@ impl AnnIndex for LshapgIndex {
         };
         let res = self.scratch.with(space.len(), params.beam_width, |scratch| {
             beam_search_gated(
-                self.base.base_graph(),
+                self.base.graph(),
                 serving.csr(),
                 space,
                 query,

@@ -2,13 +2,13 @@
 //! parameter presets scaled to the dataset tier. This is what the figure
 //! harnesses iterate over.
 
-use crate::baseline::{IiGraph, IiParams};
+use crate::baseline::{self, IiParams};
 use crate::common::BuildReport;
 use crate::dpg::DpgParams;
 use crate::efanna::EfannaParams;
 use crate::elpis::{self, ElpisParams};
 use crate::hcnng::HcnngParams;
-use crate::hnsw::{HnswIndex, HnswParams};
+use crate::hnsw::{self, HnswParams};
 use crate::kgraph::KGraphParams;
 use crate::lshapg::{LshapgIndex, LshapgParams};
 use crate::ngt::NgtParams;
@@ -115,30 +115,6 @@ pub struct BuiltMethod {
     pub build: BuildReport,
 }
 
-impl BuiltMethod {
-    /// Freezes the index's traversal graph(s) into the contiguous CSR
-    /// serving layout (see [`AnnIndex::freeze`]). Results are identical
-    /// before and after; only the memory layout changes.
-    pub fn freeze(&mut self) {
-        self.index.freeze();
-    }
-
-    /// Builds compressed codes for quantized serving with the codec named
-    /// by `spec` (see [`AnnIndex::quantize`]). Idempotent per codec
-    /// family; searches afterwards traverse on code-space distances and
-    /// re-score a `rerank_factor * k` pool exactly.
-    pub fn quantize(&mut self, spec: gass_core::CodecSpec) {
-        self.index.quantize(spec);
-    }
-
-    /// Relabels the frozen serving state with a locality-preserving
-    /// permutation (see [`AnnIndex::reorder`]). Freezes first when
-    /// needed; results still report original ids.
-    pub fn reorder(&mut self, strategy: gass_core::ReorderStrategy) {
-        self.index.reorder(strategy);
-    }
-}
-
 /// Builds `kind` on `store` with parameter presets scaled by `n`
 /// (degree/beam grow mildly with the tier, mirroring how the paper tunes
 /// per dataset size). Uses each method's default construction threading.
@@ -174,7 +150,7 @@ pub fn build_method_with_threads(
     let build_l = (degree * 4).max(64);
     match kind {
         MethodKind::Hnsw => {
-            let idx = HnswIndex::build(
+            let idx = hnsw::build(
                 store,
                 HnswParams { m: degree / 2, ef_construction: build_l, seed, threads: t_serial },
             );
@@ -339,7 +315,7 @@ pub fn build_method_with_threads(
             BuiltMethod { index: Box::new(idx), build }
         }
         MethodKind::Baseline(nd) => {
-            let idx = IiGraph::build(
+            let idx = baseline::build(
                 store,
                 IiParams {
                     max_degree: degree,
@@ -386,7 +362,7 @@ mod tests {
             assert!(built.build.dist_calcs > 0, "{}", kind.name());
             for codec in CODECS {
                 if let Some(spec) = codec {
-                    built.quantize(spec);
+                    built.index.quantize(spec);
                 }
                 let name = format!("{} {}", kind.name(), codec_name(codec));
                 let counter = DistCounter::new();
@@ -420,13 +396,13 @@ mod tests {
             let mut plain = build_method(kind, base.clone(), 7);
             let mut frozen = build_method(kind, base.clone(), 7);
             assert!(!frozen.index.is_frozen(), "{} born frozen", kind.name());
-            frozen.freeze();
+            frozen.index.freeze();
             assert!(frozen.index.is_frozen(), "{} did not freeze", kind.name());
-            frozen.freeze(); // idempotent
+            frozen.index.freeze(); // idempotent
             for codec in CODECS {
                 if let Some(spec) = codec {
-                    plain.quantize(spec);
-                    frozen.quantize(spec);
+                    plain.index.quantize(spec);
+                    frozen.index.quantize(spec);
                 }
                 let name = format!("{} {}", kind.name(), codec_name(codec));
                 let (cp, cf) = (DistCounter::new(), DistCounter::new());
@@ -460,14 +436,14 @@ mod tests {
         for strategy in gass_core::ReorderStrategy::ALL {
             for kind in MethodKind::all_sota() {
                 let mut frozen = build_method(kind, base.clone(), 7);
-                frozen.freeze();
+                frozen.index.freeze();
                 let mut reordered = build_method(kind, base.clone(), 7);
-                reordered.reorder(strategy);
+                reordered.index.reorder(strategy);
                 if strategy == gass_core::ReorderStrategy::None {
                     // `None` is the explicit no-op: it must not even
                     // freeze, so the unreordered path stays bit-identical.
                     assert!(!reordered.index.is_reordered(), "{}", kind.name());
-                    reordered.freeze();
+                    reordered.index.freeze();
                 } else {
                     assert!(reordered.index.is_frozen(), "{} reorder must freeze", kind.name());
                     assert!(
@@ -479,8 +455,8 @@ mod tests {
                 }
                 for codec in CODECS {
                     if let Some(spec) = codec {
-                        frozen.quantize(spec);
-                        reordered.quantize(spec);
+                        frozen.index.quantize(spec);
+                        reordered.index.quantize(spec);
                     }
                     let name = format!("{} {strategy} {}", kind.name(), codec_name(codec));
                     // Bitwise lockstep needs effectively tie-free candidate
@@ -568,12 +544,10 @@ mod tests {
             index.reorder(ReorderStrategy::Rcm);
             assert_eq!(build_graph_bytes(&index), 0, "{} rebuilt its graph", index.name());
         }
-        releases(HnswIndex::build(base.clone(), HnswParams::small()), |i| {
-            i.base_graph().heap_bytes()
-        });
+        releases(hnsw::build(base.clone(), HnswParams::small()), |i| i.graph().heap_bytes());
         releases(nsg::build(base.clone(), NsgParams::small()), |i| i.graph().heap_bytes());
         releases(dpg::build(base.clone(), DpgParams::small()), |i| i.graph().heap_bytes());
-        releases(IiGraph::build(base, IiParams::small(NdStrategy::Rnd)), |i| {
+        releases(baseline::build(base, IiParams::small(NdStrategy::Rnd)), |i| {
             i.graph().heap_bytes()
         });
     }
@@ -590,14 +564,14 @@ mod tests {
         for kind in MethodKind::all_sota() {
             let mut built = build_method(kind, base.clone(), 7);
             for spec in gass_core::CodecSpec::ALL {
-                built.quantize(spec);
+                built.index.quantize(spec);
                 assert!(built.index.is_quantized(), "{} {spec}", kind.name());
-                built.quantize(spec); // idempotent per family
-                                      // The 4-bit codecs are coarser in code space: on the
-                                      // weakly-connected kNN graphs (DPG, KGraph) one wrong
-                                      // turn can strand the walk on an island, so give the
-                                      // traversal more entry points and the exact rerank a
-                                      // deeper pool than the defaults.
+                built.index.quantize(spec); // idempotent per family
+                                            // The 4-bit codecs are coarser in code space: on the
+                                            // weakly-connected kNN graphs (DPG, KGraph) one wrong
+                                            // turn can strand the walk on an island, so give the
+                                            // traversal more entry points and the exact rerank a
+                                            // deeper pool than the defaults.
                 let counter = DistCounter::new();
                 let res = built.index.search(
                     base.get(23),

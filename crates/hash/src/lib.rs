@@ -293,13 +293,22 @@ impl LshSeeds {
 }
 
 impl SeedProvider for LshSeeds {
-    fn seeds(&self, _space: Space<'_>, query: &[f32], count: usize, out: &mut Vec<u32>) {
+    /// Bucket lookups only: spends no distance evaluation.
+    fn select(
+        &self,
+        _space: Space<'_>,
+        query: &[f32],
+        count: usize,
+        _max_dists: usize,
+        out: &mut Vec<u32>,
+    ) -> usize {
         let cands = self.index.candidates(query, count.max(1));
         if cands.is_empty() {
             out.push(self.fallback);
         } else {
             out.extend(cands);
         }
+        0
     }
 
     fn label(&self) -> &'static str {
@@ -388,7 +397,7 @@ mod tests {
         let space = Space::new(&store, &counter);
         // Absurdly far query: no bucket can collide even multi-probed.
         let mut out = Vec::new();
-        seeds.seeds(space, &[1e6f32; 8], 5, &mut out);
+        seeds.select(space, &[1e6f32; 8], 5, 0, &mut out);
         assert_eq!(out, vec![3]);
         assert_eq!(seeds.label(), "LSH");
     }

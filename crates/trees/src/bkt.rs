@@ -20,6 +20,18 @@ enum Node {
     Leaf { ids: Vec<u32> },
 }
 
+/// The position of the frontier entry with the smallest key (the first
+/// of equals).
+fn nearest(frontier: &[(f32, u32)]) -> usize {
+    let mut best = 0;
+    for i in 1..frontier.len() {
+        if frontier[i].0 < frontier[best].0 {
+            best = i;
+        }
+    }
+    best
+}
+
 /// A balanced k-means tree over all vectors of a store.
 #[derive(Clone, Debug)]
 pub struct BkTree {
@@ -80,40 +92,55 @@ impl BkTree {
         idx
     }
 
-    /// Collects up to `budget` candidate ids by best-first centroid
-    /// descent; centroid distances are counted through `space`.
+    /// Collects up to `count` candidate ids by best-first centroid
+    /// descent; centroid distances are counted through `space`, and the
+    /// number spent is returned. Under a `max_dists` budget (`0` =
+    /// unlimited) the descent scores no centroid past the budget; if it
+    /// stopped before reaching a leaf, the best-ranked subtree so far is
+    /// walked down its first children, unscored, to the leaf it returns.
     pub fn candidates(
         &self,
         space: Space<'_>,
         query: &[f32],
-        budget: usize,
+        count: usize,
+        max_dists: usize,
         out: &mut Vec<u32>,
-    ) {
+    ) -> usize {
+        let start = out.len();
         let mut frontier: Vec<(f32, u32)> = vec![(0.0, self.root)];
-        while !frontier.is_empty() {
-            let mut best = 0;
-            for i in 1..frontier.len() {
-                if frontier[i].0 < frontier[best].0 {
-                    best = i;
-                }
-            }
-            let (_, node) = frontier.swap_remove(best);
+        let mut spent = 0;
+        'descent: while !frontier.is_empty() {
+            let (_, node) = frontier.swap_remove(nearest(&frontier));
             match &self.nodes[node as usize] {
                 Node::Leaf { ids } => {
                     out.extend_from_slice(ids);
-                    if out.len() >= budget {
-                        return;
+                    if out.len() - start >= count {
+                        return spent;
                     }
                 }
                 Node::Internal { children } => {
                     for (centroid, child) in children {
+                        if max_dists > 0 && spent >= max_dists {
+                            break 'descent;
+                        }
                         space.counter().bump();
+                        spent += 1;
                         let d = l2_sq(query, centroid);
                         frontier.push((d, *child));
                     }
                 }
             }
         }
+        if out.len() == start && !frontier.is_empty() {
+            let mut node = frontier[nearest(&frontier)].1;
+            loop {
+                match &self.nodes[node as usize] {
+                    Node::Leaf { ids } => break out.extend_from_slice(ids),
+                    Node::Internal { children } => node = children[0].1,
+                }
+            }
+        }
+        spent
     }
 
     /// Relabels the leaf ids through `map` after the vector store was
@@ -171,9 +198,17 @@ impl BktSeeds {
 }
 
 impl SeedProvider for BktSeeds {
-    fn seeds(&self, space: Space<'_>, query: &[f32], count: usize, out: &mut Vec<u32>) {
-        self.tree.candidates(space, query, count.max(1), out);
+    fn select(
+        &self,
+        space: Space<'_>,
+        query: &[f32],
+        count: usize,
+        max_dists: usize,
+        out: &mut Vec<u32>,
+    ) -> usize {
+        let spent = self.tree.candidates(space, query, count.max(1), max_dists, out);
         self.orig.select(out, count.max(1));
+        spent
     }
 
     fn label(&self) -> &'static str {
@@ -218,7 +253,7 @@ mod tests {
         let space = Space::new(&store, &counter);
         let tree = BkTree::build(space, 4, 10, 2);
         let mut out = Vec::new();
-        tree.candidates(space, &[0.0; 3], usize::MAX, &mut out);
+        tree.candidates(space, &[0.0; 3], usize::MAX, 0, &mut out);
         out.sort_unstable();
         let expected: Vec<u32> = (0..120).collect();
         assert_eq!(out, expected);
@@ -233,7 +268,7 @@ mod tests {
         counter.reset();
         let mut out = Vec::new();
         // Query near blob 1 (ids 30..60).
-        tree.candidates(space, &[20.0, 0.1, -0.1], 10, &mut out);
+        tree.candidates(space, &[20.0, 0.1, -0.1], 10, 0, &mut out);
         assert!(!out.is_empty());
         let hits = out.iter().filter(|&&id| (30..60).contains(&id)).count();
         assert!(
@@ -251,10 +286,30 @@ mod tests {
         let space = Space::new(&store, &counter);
         let seeds = BktSeeds::build(space, 3, 8, 6);
         let mut out = Vec::new();
-        seeds.seeds(space, &[0.0; 3], 5, &mut out);
+        seeds.select(space, &[0.0; 3], 5, 0, &mut out);
         assert!(out.len() <= 5);
         assert!(!out.is_empty());
         assert_eq!(seeds.label(), "KM");
+    }
+
+    #[test]
+    fn select_stops_at_the_budget_and_still_seeds() {
+        let store = clustered_store(5);
+        let counter = DistCounter::new();
+        let space = Space::new(&store, &counter);
+        let seeds = BktSeeds::build(space, 3, 8, 6);
+        for budget in [1, 2] {
+            counter.reset();
+            let mut out = Vec::new();
+            let spent = seeds.select(space, &[20.0, 0.1, -0.1], 5, budget, &mut out);
+            assert_eq!(spent, budget, "spent what it reports");
+            assert_eq!(counter.get(), spent as u64, "spent what it counted");
+            assert!(!out.is_empty() && out.len() <= 5 && out.iter().all(|&id| id < 120));
+        }
+        let (mut all, mut capped) = (Vec::new(), Vec::new());
+        let unbudgeted = seeds.select(space, &[20.0, 0.1, -0.1], 5, 0, &mut all);
+        let roomy = seeds.select(space, &[20.0, 0.1, -0.1], 5, unbudgeted, &mut capped);
+        assert_eq!((roomy, &capped), (unbudgeted, &all), "a budget it fits in is no budget");
     }
 
     #[test]
@@ -280,7 +335,7 @@ mod tests {
         let space = Space::new(&s, &counter);
         let tree = BkTree::build(space, 4, 8, 7);
         let mut out = Vec::new();
-        tree.candidates(space, &[1.0, 1.0], usize::MAX, &mut out);
+        tree.candidates(space, &[1.0, 1.0], usize::MAX, 0, &mut out);
         assert_eq!(out.len(), 40);
     }
 }

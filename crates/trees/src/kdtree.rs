@@ -236,8 +236,17 @@ impl KdForest {
 }
 
 impl SeedProvider for KdForest {
-    fn seeds(&self, _space: Space<'_>, query: &[f32], count: usize, out: &mut Vec<u32>) {
+    /// Coordinate comparisons only: spends no distance evaluation.
+    fn select(
+        &self,
+        _space: Space<'_>,
+        query: &[f32],
+        count: usize,
+        _max_dists: usize,
+        out: &mut Vec<u32>,
+    ) -> usize {
         out.extend(self.candidates(query, count.max(1)));
+        0
     }
 
     fn label(&self) -> &'static str {
@@ -328,7 +337,7 @@ mod tests {
         let space = Space::new(&store, &counter);
         let forest = KdForest::build(&store, 2, 8, 11);
         let mut out = Vec::new();
-        forest.seeds(space, &[0.0, 0.0], 10, &mut out);
+        forest.select(space, &[0.0, 0.0], 10, 0, &mut out);
         assert!(!out.is_empty());
         assert_eq!(forest.label(), "KD");
         // Descent itself computes no full distances.

@@ -80,16 +80,24 @@ impl VpTree {
         idx
     }
 
-    /// Retrieves up to `budget` candidate ids for `query`, best-first by
-    /// ball margin; vantage-point distances are counted through `space`.
+    /// Retrieves up to `count` candidate ids for `query`, best-first by
+    /// ball margin; vantage-point distances are counted through `space`,
+    /// and the number spent is returned. Under a `max_dists` budget (`0` =
+    /// unlimited) the descent scores no vantage point past the budget; if
+    /// it stopped before reaching a leaf, the nearest vantage point it
+    /// scored is the one candidate.
     pub fn candidates(
         &self,
         space: Space<'_>,
         query: &[f32],
-        budget: usize,
+        count: usize,
+        max_dists: usize,
         out: &mut Vec<u32>,
-    ) {
+    ) -> usize {
+        let start = out.len();
         let mut frontier: Vec<(f32, u32)> = vec![(0.0, self.root)];
+        let mut spent = 0;
+        let mut nearest: Option<Neighbor> = None;
         while !frontier.is_empty() {
             let mut best = 0;
             for i in 1..frontier.len() {
@@ -101,12 +109,19 @@ impl VpTree {
             match &self.nodes[node as usize] {
                 Node::Leaf { ids } => {
                     out.extend_from_slice(ids);
-                    if out.len() >= budget {
-                        return;
+                    if out.len() - start >= count {
+                        break;
                     }
                 }
                 Node::Ball { vantage, radius, inner, outer } => {
+                    if max_dists > 0 && spent >= max_dists {
+                        break;
+                    }
                     let d = space.dist_to(query, *vantage);
+                    spent += 1;
+                    if nearest.is_none_or(|n| d < n.dist) {
+                        nearest = Some(Neighbor::new(*vantage, d));
+                    }
                     // Margin to the splitting sphere, in squared space:
                     // approximate priority by |d - radius|.
                     let margin = (d - radius).abs();
@@ -120,6 +135,10 @@ impl VpTree {
                 }
             }
         }
+        if out.len() == start {
+            out.extend(nearest.map(|n| n.id));
+        }
+        spent
     }
 
     /// Exact-ish k-NN through the tree with a candidate budget, returning
@@ -132,7 +151,7 @@ impl VpTree {
         budget: usize,
     ) -> Vec<Neighbor> {
         let mut cand = Vec::new();
-        self.candidates(space, query, budget, &mut cand);
+        self.candidates(space, query, budget, 0, &mut cand);
         cand.sort_unstable();
         cand.dedup();
         let mut scored: Vec<Neighbor> = cand
@@ -198,9 +217,17 @@ impl VpSeeds {
 }
 
 impl SeedProvider for VpSeeds {
-    fn seeds(&self, space: Space<'_>, query: &[f32], count: usize, out: &mut Vec<u32>) {
-        self.tree.candidates(space, query, count.max(1), out);
+    fn select(
+        &self,
+        space: Space<'_>,
+        query: &[f32],
+        count: usize,
+        max_dists: usize,
+        out: &mut Vec<u32>,
+    ) -> usize {
+        let spent = self.tree.candidates(space, query, count.max(1), max_dists, out);
         self.orig.select(out, count.max(1));
+        spent
     }
 
     fn label(&self) -> &'static str {
@@ -241,7 +268,7 @@ mod tests {
         let tree = VpTree::build(space, 8, 2);
         let mut all = Vec::new();
         // Exhaustive traversal: huge budget collects every leaf.
-        tree.candidates(space, &[0.0; 4], usize::MAX, &mut all);
+        tree.candidates(space, &[0.0; 4], usize::MAX, 0, &mut all);
         all.sort_unstable();
         let expected: Vec<u32> = (0..200).collect();
         assert_eq!(all, expected);
@@ -275,10 +302,30 @@ mod tests {
         let space = Space::new(&store, &counter);
         let seeds = VpSeeds::build(space, 5, 1);
         let mut out = Vec::new();
-        seeds.seeds(space, &[0.1, 0.2, 0.3], 7, &mut out);
+        seeds.select(space, &[0.1, 0.2, 0.3], 7, 0, &mut out);
         assert!(out.len() <= 7);
         assert!(!out.is_empty());
         assert_eq!(seeds.label(), "VP");
+    }
+
+    #[test]
+    fn select_stops_at_the_budget_and_still_seeds() {
+        let store = random_store(500, 4, 11);
+        let counter = DistCounter::new();
+        let space = Space::new(&store, &counter);
+        let seeds = VpSeeds::build(space, 8, 3);
+        for budget in [1, 3] {
+            counter.reset();
+            let mut out = Vec::new();
+            let spent = seeds.select(space, store.get(7), 16, budget, &mut out);
+            assert_eq!(spent, budget, "spent what it reports");
+            assert_eq!(counter.get(), spent as u64, "spent what it counted");
+            assert!(!out.is_empty() && out.iter().all(|&id| id < 500));
+        }
+        let (mut all, mut capped) = (Vec::new(), Vec::new());
+        let unbudgeted = seeds.select(space, store.get(7), 16, 0, &mut all);
+        let roomy = seeds.select(space, store.get(7), 16, unbudgeted, &mut capped);
+        assert_eq!((roomy, &capped), (unbudgeted, &all), "a budget it fits in is no budget");
     }
 
     #[test]
@@ -302,7 +349,7 @@ mod tests {
         let tree = VpTree::build(space, 8, 3);
         counter.reset();
         let mut out = Vec::new();
-        tree.candidates(space, store.get(7), 16, &mut out);
+        tree.candidates(space, store.get(7), 16, 0, &mut out);
         assert!(out.len() >= 8);
         // Bounded traversal: far fewer vantage evaluations than points.
         assert!(counter.get() < 200, "too many evals: {}", counter.get());

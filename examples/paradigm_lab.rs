@@ -12,7 +12,7 @@ use gass::prelude::*;
 use gass_core::seed::{FixedSeed, MedoidSeed, RandomSeeds};
 use gass_core::Space;
 use gass_eval::{recall_at_k, Table};
-use gass_graphs::SnSeeds;
+use gass_graphs::Hierarchy;
 use gass_trees::kdtree::KdForest;
 
 fn main() {
@@ -35,7 +35,7 @@ fn main() {
         NdStrategy::rrnd_default(),
         NdStrategy::mond_default(),
     ] {
-        let g = IiGraph::build(base.clone(), IiParams::small(nd));
+        let g = baseline::build(base.clone(), IiParams::small(nd));
         let counter = DistCounter::new();
         let params = QueryParams::new(k, 48).with_seed_count(8);
         let mut recall = 0.0;
@@ -63,7 +63,7 @@ fn main() {
     let setup_counter = DistCounter::new();
     let space = Space::new(g.store(), &setup_counter);
 
-    let sn = SnSeeds::build(space, 8, 32, 5);
+    let sn = Hierarchy::build_over_store(space, 8, 32, 5);
     let kd = KdForest::build(g.store(), 4, 16, 6);
     let md = MedoidSeed::compute(space);
     let sf = FixedSeed::random(n, 7);

@@ -58,7 +58,7 @@ pub mod prelude {
     };
     pub use gass_data::DatasetKind;
     pub use gass_graphs::{
-        build_method, nsg, vamana, ElpisIndex, ElpisParams, HnswIndex, HnswParams, IiGraph,
+        baseline, build_method, nsg, vamana, ElpisIndex, ElpisParams, HnswIndex, HnswParams,
         IiParams, MethodKind, NsgParams, VamanaParams,
     };
 }

@@ -207,10 +207,10 @@ fn sharded_search_publishes_every_probe_at_every_fanout_width() {
 /// counter holds exactly what the probed leaves' own searches publish and
 /// `evaluated` is the sum of theirs: the EAPCA ranking evaluates no vector
 /// distance, and the probes are a prefix of its order. (Each leaf is an
-/// HNSW, whose unbudgeted `evaluated` leaves out its hierarchy descent.)
-/// Under a `max_dists` budget the descents are charged too: the counter
-/// equals `evaluated` and stays within the budget plus the seeds plus one
-/// expansion (plus, on codes, the exact rerank pool), the whole query over.
+/// HNSW, whose `evaluated` includes its hierarchy descent.) Under a
+/// `max_dists` budget the counter equals `evaluated` and stays within the
+/// budget plus the seeds plus one expansion (plus, on codes, the exact
+/// rerank pool), the whole query over.
 #[test]
 fn elpis_search_publishes_its_probes_and_keeps_the_budget() {
     use gass::core::Router;
@@ -301,5 +301,62 @@ fn elpis_fanout_is_bit_identical_at_every_width() {
     }
     assert!(discarded, "no speculative probe was discarded: the merge re-check went untested");
     assert_eq!(run(1), (want, sequential), "width 1 again");
+    set_fanout_workers(1);
+}
+
+/// Seed selection is part of the search: through `AnnIndex::search`, every
+/// method's counter delta equals its `stats.evaluated` — the distances its
+/// seed provider spends (the SN descent, the VP-tree and BKT descents, the
+/// Voronoi pyramid) included, budgeted or not. Under `max_dists = 40` the
+/// whole query, seed selection and traversal, stays within the budget plus
+/// the seeds plus one expansion (plus, on codes, the exact rerank pool).
+#[test]
+fn every_method_charges_its_seed_selection() {
+    use gass::graphs::{hvs, HvsParams};
+
+    let _width = FANOUT_WIDTH.lock().unwrap_or_else(|e| e.into_inner());
+    set_fanout_workers(1);
+    let base = gass::data::synth::deep_like(1000, 31);
+    let queries = gass::data::synth::deep_like(6, 32);
+    let mut methods: Vec<Box<dyn AnnIndex>> = MethodKind::all_sota()
+        .into_iter()
+        .chain([MethodKind::Nsw, MethodKind::Baseline(NdStrategy::Rnd)])
+        .map(|kind| build_method(kind, base.clone(), 7).index)
+        .collect();
+    methods.push(Box::new(hvs::build(base, HvsParams::small())));
+    assert_eq!(methods.len(), 16);
+    let fixed = QueryParams::new(K, 64).with_seed_count(16).with_rerank_factor(RERANK);
+    let budget = fixed.with_max_dists(40);
+    let grid = [
+        ("fixed", fixed),
+        ("budget 40", budget),
+        ("dist-ratio", fixed.with_term(TerminationPolicy::DistRatio { eps: 0.05 })),
+    ];
+    for mut index in methods {
+        for leg in ["f32", "sq8"] {
+            if leg == "sq8" {
+                index.freeze();
+                index.quantize(CodecSpec::Sq8);
+            }
+            let rerank = if leg == "sq8" { RERANK * K } else { 0 };
+            let cap = budget.max_dists + budget.seed_count + index.stats().max_degree + rerank;
+            for q in 0..queries.len() as u32 {
+                for (mode, params) in &grid {
+                    let counter = DistCounter::new();
+                    let res = index.search(queries.get(q), params, &counter);
+                    let label = format!("{} {leg} {mode} query {q}", index.name());
+                    assert_eq!(
+                        counter.get(),
+                        res.stats.evaluated as u64,
+                        "{label}: counter delta != stats.evaluated"
+                    );
+                    if params.max_dists > 0 {
+                        let spent = counter.get() as usize;
+                        assert!(spent <= cap, "{label}: {spent} > {cap}");
+                    }
+                }
+            }
+        }
+    }
     set_fanout_workers(1);
 }

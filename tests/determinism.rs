@@ -101,7 +101,11 @@ fn answers_hash(results: &[gass::core::SearchResult]) -> u64 {
 /// rewritten (PR 13): the serial HNSW build's edge lists and the answers of
 /// 20 fixed queries on every serving path must stay bit-for-bit what they
 /// were. Any traversal refactor has to reproduce these constants; only the
-/// build's distance count may move, and only down.
+/// build's distance count may move, and only down. The five `f32` / `sq8` /
+/// `pq` cells were re-recorded once, when seed selection became part of
+/// the search and the hierarchy descent began to count in `evaluated`
+/// without a budget too; [`golden_answers_without_evaluated`] held the
+/// ids, distance bits, hops and counter totals still.
 #[test]
 fn golden_hnsw_graph_and_answers() {
     use gass::core::{CodecSpec, GraphView, PrebuiltIndex, RandomSeeds, TerminationPolicy};
@@ -109,12 +113,12 @@ fn golden_hnsw_graph_and_answers() {
     const GRAPH: u64 = 0x628c_f64c_82ad_30d7;
     const BUILD_DISTS_AT_PIN: u64 = 2_038_119;
     const ANSWERS: [(&str, u64); 7] = [
-        ("f32 L=16", 0xf8dd_3235_ea30_5331),
-        ("f32 L=140", 0x71a1_a6f9_47a2_8572),
-        ("sq8 rerank 2 L=16", 0xd4a6_ab20_a0bb_55aa),
-        ("sq8 rerank 2 L=140", 0x99cc_3643_0c70_f848),
+        ("f32 L=16", 0x9d1f_03ec_63f3_2f53),
+        ("f32 L=140", 0xc9bd_44bc_d18f_1c41),
+        ("sq8 rerank 2 L=16", 0x9a20_38e9_ae35_4483),
+        ("sq8 rerank 2 L=140", 0x3552_6389_a140_47dc),
         // rerank 14 makes the pool 140 entries at either beam width.
-        ("pq rerank 14 L=16", 0x3715_aa13_c9f6_6fe6),
+        ("pq rerank 14 L=16", 0x0e5e_79ea_03d5_3c1a),
         ("coalesced sq8 batch of 8 L=16", 0x1892_0a64_8ba2_7976),
         ("coalesced sq8 batch of 8 L=140", 0x17ce_be9a_17e0_f6ea),
     ];
@@ -565,15 +569,27 @@ fn golden_lshapg_answers_and_counts() {
     assert_eq!(got, PINS, "an LSHAPG answer, its stats or its counter split changed");
 }
 
-/// IEH and HVS are not in the registry, so the method pin builds them
-/// directly; each comes with its construction distance count.
-fn built_directly(base: &VectorStore) -> Vec<(Box<dyn AnnIndex>, u64)> {
+/// Every method the method pins cover — the paper's twelve, NSW and the
+/// II baseline from the registry, then IEH and HVS, which are not in the
+/// registry and are built directly — each with its construction distance
+/// count.
+fn every_method(base: &VectorStore) -> Vec<(Box<dyn AnnIndex>, u64)> {
     use gass::graphs::{HvsParams, IehParams};
+    let mut methods: Vec<(Box<dyn AnnIndex>, u64)> = MethodKind::all_sota()
+        .into_iter()
+        .chain([MethodKind::Nsw, MethodKind::Baseline(NdStrategy::Rnd)])
+        .map(|kind| {
+            let built = build_method(kind, base.clone(), 7);
+            (built.index, built.build.dist_calcs)
+        })
+        .collect();
     let ieh = gass::graphs::ieh::build(base.clone(), IehParams::small());
     let ieh_dists = ieh.build_report().dist_calcs;
     let hvs = gass::graphs::hvs::build(base.clone(), HvsParams::small());
     let hvs_dists = hvs.build_report().dist_calcs;
-    vec![(Box::new(ieh), ieh_dists), (Box::new(hvs), hvs_dists)]
+    methods.push((Box::new(ieh), ieh_dists));
+    methods.push((Box::new(hvs), hvs_dists));
+    methods
 }
 
 /// Golden pin, recorded on the commit *before* the graph-plus-seeds
@@ -593,13 +609,17 @@ fn built_directly(base: &VectorStore) -> Vec<(Box<dyn AnnIndex>, u64)> {
 /// stopped counting its leaf stores in `aux_bytes` (−230,400 B, the 600 ×
 /// 96 `f32` rows, at every stage), and the `rcm` cells of EFANNA, HCNNG,
 /// NGT, SPTAG-KDT and SPTAG-BKT when their KD / VP / BKT seeds began
-/// counting the `new → old` table a reorder installs.
+/// counting the `new → old` table a reorder installs. The HNSW, NGT,
+/// SPTAG-BKT, ELPIS and HVS rows were re-recorded when seed selection
+/// became part of the search: the distances their SN / VP / BKT / pyramid
+/// descents spend now count in `evaluated`, budgeted or not, and
+/// [`golden_answers_without_evaluated`] held everything else still.
 #[test]
 fn golden_method_answers_and_stats() {
     use gass::core::{CodecSpec, ReorderStrategy};
 
     const PINS: [(&str, [u64; 3]); 17] = [
-        ("HNSW", [0x25e5_1789_6b9a_0f12, 0x886d_f24c_b5bd_45c2, 0xcca9_728c_0370_607b]),
+        ("HNSW", [0x7bd1_472e_2448_1f58, 0x0e7d_70f6_93a6_933f, 0xfa9b_1050_3178_132e]),
         ("NSG", [0x11e3_4d11_2e1e_e452, 0x3373_f4f1_6006_cc29, 0xb3cd_b2c2_e667_66f2]),
         ("SSG", [0xab6b_7f7d_37b3_5af6, 0x47b5_78a7_77f4_597b, 0xca0f_eafb_bc78_e671]),
         ("Vamana", [0x7084_81ba_b7b1_bf06, 0x0dd8_fd16_63ef_7c62, 0xaaa3_b739_0f5a_9be2]),
@@ -607,29 +627,21 @@ fn golden_method_answers_and_stats() {
         ("EFANNA", [0x16d6_7b1f_5814_300d, 0x54fb_8d0d_ff04_d9fb, 0x6513_da3a_4eff_af6f]),
         ("HCNNG", [0xaff9_88f5_8704_d49f, 0x954c_a615_079a_ba7c, 0x5bf9_97cf_1a34_4960]),
         ("KGraph", [0xdc2d_a95c_b4d0_92bf, 0x6b3c_007e_a58d_4c30, 0x9518_dc4d_4831_cf86]),
-        ("NGT", [0x14e4_d152_3d8b_c2b1, 0x457b_f8b8_88b5_c5df, 0x2475_2ee4_8741_e6e3]),
+        ("NGT", [0xfee6_2dfb_0241_c1f5, 0x8ed8_ff02_3ea9_91c7, 0xdde1_3c09_2000_cf5b]),
         ("SPTAG-KDT", [0x3a3a_3d64_c834_7454, 0xff99_f566_a3d4_ee08, 0x557c_4397_1015_704c]),
-        ("SPTAG-BKT", [0xb935_cab0_e937_48a5, 0x8c70_ed11_c48d_e371, 0x4c35_ec5c_899f_4a1d]),
-        ("ELPIS", [0x106e_eaec_60fa_654e, 0x52ef_8c73_bbd8_7b07, 0xb98e_0316_2261_4f04]),
+        ("SPTAG-BKT", [0x9007_45a2_7b77_775d, 0x7ddd_2e38_82ad_02f6, 0xcfdc_93f1_a66a_15aa]),
+        ("ELPIS", [0xc1d0_5dd8_acf8_285e, 0x7e1e_6698_8bf2_b2fd, 0x3eb3_be36_d1fa_86e2]),
         ("LSHAPG", [0x586b_49ec_eca3_4d29, 0xa069_9609_0e92_80f8, 0x2eb5_fd31_768d_a037]),
         ("NSW", [0x2a92_b8e6_8a4f_e2a4, 0xf6d5_f5d9_df8d_4f04, 0xdd14_7200_85b7_3191]),
         ("II+RND", [0xd7a9_9ecf_38ec_f937, 0x471c_ebd5_0806_8064, 0x86fa_a3d5_78e5_e6e6]),
         ("IEH", [0xae64_6151_ec3c_4eff, 0xd661_d892_0bc0_b5d2, 0x6913_6b26_39c4_05c3]),
-        ("HVS", [0x3f1c_5633_f431_328b, 0x10a8_aa96_9573_cd23, 0x18ae_e932_d1a6_ad80]),
+        ("HVS", [0xf619_394b_6aa9_d7f0, 0xdbc5_4b15_d85c_b44b, 0x95f7_3fb3_946c_0c18]),
     ];
 
     let base = gass::data::synth::deep_like(600, 21);
     let queries = gass::data::synth::deep_like(20, 22);
     let params = QueryParams::new(10, 40).with_seed_count(8);
-    let mut methods: Vec<(Box<dyn AnnIndex>, u64)> = MethodKind::all_sota()
-        .into_iter()
-        .chain([MethodKind::Nsw, MethodKind::Baseline(NdStrategy::Rnd)])
-        .map(|kind| {
-            let built = build_method(kind, base.clone(), 7);
-            (built.index, built.build.dist_calcs)
-        })
-        .collect();
-    methods.extend(built_directly(&base));
+    let methods = every_method(&base);
     let stage = |index: &dyn AnnIndex, build_dists: u64| {
         let counter = DistCounter::new();
         let res: Vec<_> = (0..queries.len() as u32)
@@ -670,13 +682,16 @@ fn golden_method_answers_and_stats() {
 /// that pin hashes except the two byte counts (`graph_bytes`,
 /// `aux_bytes`) — answers, counter totals, name, nodes, edges,
 /// `max_degree`, `avg_degree` bits and the build distance count. A change
-/// to where the serving graph lives may move memory, never this.
+/// to where the serving graph lives may move memory, never this. The HNSW,
+/// NGT, SPTAG-BKT, ELPIS and HVS rows were re-recorded when their seed
+/// selection's distances began to count in `evaluated` (see
+/// [`golden_method_answers_and_stats`]).
 #[test]
 fn golden_method_layout_and_answers() {
     use gass::core::{CodecSpec, ReorderStrategy};
 
     const PINS: [(&str, [u64; 3]); 17] = [
-        ("HNSW", [0x708f_bb60_b287_db62, 0xcea0_3835_5890_71da, 0xcea0_3835_5890_71da]),
+        ("HNSW", [0x81d4_da78_51a6_bbb8, 0xebf1_23f7_3299_231f, 0xebf1_23f7_3299_231f]),
         ("NSG", [0x26af_254b_b288_ea13, 0x9817_9944_ebac_ce26, 0xd085_d9e4_9f8e_d53d]),
         ("SSG", [0x5dc5_c620_5ed6_4923, 0x5f08_1d1e_6cda_5d24, 0xe383_7999_1806_9092]),
         ("Vamana", [0x0ac6_8e1d_fe99_ca9f, 0x4f6b_2ab9_9968_1855, 0xc8cb_2320_1e7d_1691]),
@@ -684,29 +699,21 @@ fn golden_method_layout_and_answers() {
         ("EFANNA", [0x0ea2_d424_fd37_42b3, 0x5c40_4a70_7a5f_2b27, 0x5c40_4a70_7a5f_2b27]),
         ("HCNNG", [0x8d84_7b00_442b_159f, 0x7307_9cc5_6233_e566, 0x7307_9cc5_6233_e566]),
         ("KGraph", [0x431a_42c3_89c8_d196, 0xfa37_47d2_68f1_fcc5, 0x8635_540b_4631_8c07]),
-        ("NGT", [0x536d_2b80_cc2f_cd2b, 0x7284_2198_0cd5_d724, 0x7284_2198_0cd5_d724]),
+        ("NGT", [0x5ca0_be58_ab19_426f, 0x623e_0f08_0111_abfc, 0x623e_0f08_0111_abfc]),
         ("SPTAG-KDT", [0x542f_5a9f_d912_4ebd, 0x27c0_fc2f_1726_6649, 0x27c0_fc2f_1726_6649]),
-        ("SPTAG-BKT", [0x1644_8b8e_ada5_076f, 0x5d70_9994_7859_3395, 0x5d70_9994_7859_3395]),
-        ("ELPIS", [0xaecd_f164_147a_5e9e, 0x2538_95b1_0b57_b4a4, 0x2538_95b1_0b57_b4a4]),
+        ("SPTAG-BKT", [0xef71_80cb_93b7_d187, 0x6ad6_4d58_58d8_5196, 0x6ad6_4d58_58d8_5196]),
+        ("ELPIS", [0xa498_7085_5256_bdee, 0x9992_8390_9d49_6862, 0x9992_8390_9d49_6862]),
         ("LSHAPG", [0x3554_971d_62a1_6523, 0x86b3_cad5_325f_5816, 0x86b3_cad5_325f_5816]),
         ("NSW", [0xff7c_e34b_b968_49d2, 0xe86b_8663_a82a_3fae, 0x6514_8d39_f48b_c8f3]),
         ("II+RND", [0x3501_e13c_e2d7_0642, 0xe4f1_9992_c53a_8dfa, 0xb97f_da0c_cddc_e698]),
         ("IEH", [0xa5aa_82ec_af05_8487, 0x4534_78e4_ce5d_cde6, 0x4534_78e4_ce5d_cde6]),
-        ("HVS", [0x195b_5fa3_db6b_95bf, 0x216a_69cc_21ae_b8f7, 0x216a_69cc_21ae_b8f7]),
+        ("HVS", [0x7a62_14d5_34ad_0c64, 0x2f41_7773_798c_accf, 0x2f41_7773_798c_accf]),
     ];
 
     let base = gass::data::synth::deep_like(600, 21);
     let queries = gass::data::synth::deep_like(20, 22);
     let params = QueryParams::new(10, 40).with_seed_count(8);
-    let mut methods: Vec<(Box<dyn AnnIndex>, u64)> = MethodKind::all_sota()
-        .into_iter()
-        .chain([MethodKind::Nsw, MethodKind::Baseline(NdStrategy::Rnd)])
-        .map(|kind| {
-            let built = build_method(kind, base.clone(), 7);
-            (built.index, built.build.dist_calcs)
-        })
-        .collect();
-    methods.extend(built_directly(&base));
+    let methods = every_method(&base);
     let stage = |index: &dyn AnnIndex, build_dists: u64| {
         let counter = DistCounter::new();
         let res: Vec<_> = (0..queries.len() as u32)
@@ -747,15 +754,17 @@ fn golden_method_layout_and_answers() {
 /// and `u8` / `f32` counter totals — full precision, and SQ8 codes over
 /// RCM-relabelled leaves, `Fixed` termination without a budget. The counts
 /// hold at fan-out width 1; wider widths may add discarded speculative
-/// probes.
+/// probes. Re-recorded once, when each leaf's hierarchy descent began to
+/// count in `evaluated` without a budget too;
+/// [`golden_answers_without_evaluated`] held the rest still.
 #[test]
 fn golden_elpis_answers_across_nprobe() {
     use gass::core::{CodecSpec, ReorderStrategy};
 
     const PINS: [(usize, [u64; 2]); 3] = [
-        (1, [0x6087_af26_fb4b_1eb3, 0x26f2_c58f_c392_1f40]),
-        (4, [0x35ad_9c97_1fb8_ca18, 0xc04f_3166_dde7_e1e3]),
-        (8, [0xeb0d_d588_68c6_1ca7, 0x2aa0_0d7d_928f_31ba]),
+        (1, [0xcecb_7634_eb22_91c6, 0x91f5_90a4_c1f9_df07]),
+        (4, [0xab2c_beb7_1132_f847, 0x2d65_679d_1092_ce7f]),
+        (8, [0x541e_4a3f_ed08_b331, 0x91cb_a545_3ff0_261b]),
     ];
 
     let base = gass::data::synth::deep_like(2400, 41);
@@ -782,4 +791,167 @@ fn golden_elpis_answers_across_nprobe() {
         (nprobe, [f32, run(&index)])
     });
     assert_eq!(got, PINS, "an ELPIS answer, its stats or its counter split changed");
+}
+
+/// Hash of every answer's `(id, dist.to_bits())` list and hop count — the
+/// traversal stats without `evaluated`.
+fn answers_hash_without_evaluated(h: &mut Fnv, results: &[gass::core::SearchResult]) {
+    for r in results {
+        h.word(r.neighbors.len() as u32);
+        for n in &r.neighbors {
+            h.word(n.id);
+            h.word(n.dist.to_bits());
+        }
+        h.word(r.stats.hops as u32);
+    }
+}
+
+/// Golden pin, recorded on the commit *before* seed selection was charged
+/// in `evaluated`: the grids of [`golden_hnsw_graph_and_answers`],
+/// [`golden_method_answers_and_stats`] and
+/// [`golden_elpis_answers_across_nprobe`], hashing everything those pins
+/// hash except `stats.evaluated` — ids, distance bits, hops, `u8` / `f32`
+/// counter totals (one fresh counter per cell), and for the methods their
+/// name, every `IndexStats` field and the build distance count. Moving
+/// where a seed provider's distances are reported may change
+/// `evaluated`; it may not change an answer or what was counted.
+#[test]
+fn golden_answers_without_evaluated() {
+    use gass::core::{
+        CodecSpec, PrebuiltIndex, RandomSeeds, ReorderStrategy, TerminationPolicy,
+    };
+
+    const HNSW: [u64; 7] = [
+        0x8169_2936_e7e3_be83,
+        0x460b_ae2d_7fd3_ccd0,
+        0x424a_b85c_db91_0159,
+        0x8b17_6e7c_36a6_c2d1,
+        0x9620_cf38_8778_dfaf,
+        0x7f38_bda7_d3de_9d71,
+        0xf47c_d6bd_ed05_891a,
+    ];
+    const METHODS: [(&str, [u64; 3]); 17] = [
+        ("HNSW", [0x7982_e22e_368f_6109, 0xe8ed_197f_d160_f202, 0x4147_37a1_92f6_e13b]),
+        ("NSG", [0x320a_14fd_8f44_2783, 0x15a3_5742_8f9f_7ae1, 0xa491_4b36_253e_9ede]),
+        ("SSG", [0x3a1c_e4f3_7282_97ee, 0xa8a9_fa48_e817_9b3f, 0x0f05_a1e2_317d_5c25]),
+        ("Vamana", [0x9d3f_ca81_40f4_b29f, 0x9b6c_63fc_a461_f73b, 0x293a_ae0b_ca22_3a56]),
+        ("DPG", [0xcc2c_8be6_6fa6_41af, 0x73d1_9797_d77f_c4db, 0x613a_5320_9598_ff51]),
+        ("EFANNA", [0xca44_a008_2053_ffad, 0x4c19_6902_9f19_686d, 0xfd37_f814_5eb2_a959]),
+        ("HCNNG", [0x037f_6b72_0928_3f63, 0xe10e_b561_e37b_6c11, 0x4118_00bf_8819_e9e5]),
+        ("KGraph", [0xf382_c75c_f2e0_33c4, 0xa7bf_7b47_87a9_4143, 0x85e8_5c0d_bcaf_549f]),
+        ("NGT", [0xf34c_d4e9_58cf_d089, 0x1ff2_2d3a_07f5_0869, 0x89cd_345d_4f87_d5bd]),
+        ("SPTAG-KDT", [0x16e8_14ce_3fea_30a3, 0x6c62_a279_5b63_b464, 0x5b0c_ea3c_052d_9340]),
+        ("SPTAG-BKT", [0x440e_612b_2e91_a56d, 0x63b7_b3cc_35ac_d962, 0xaad5_55bb_2576_cafe]),
+        ("ELPIS", [0xcf80_598a_7c36_6883, 0x2037_8a1a_178c_46f3, 0x4363_9932_ca18_ddf8]),
+        ("LSHAPG", [0x168f_bb19_0769_c01f, 0x802d_150a_a832_8756, 0x047e_402b_37b3_a6ed]),
+        ("NSW", [0xd3da_2fa2_2649_4b62, 0x34f4_b616_5eb2_33a9, 0xad21_3b80_57f1_c1e1]),
+        ("II+RND", [0x56c1_d607_7a62_7ddb, 0x95b3_2547_8cd4_30a8, 0xb02a_f6f6_9139_fcf3]),
+        ("IEH", [0xd649_bf25_08bf_5c17, 0xad38_c830_860b_a3ba, 0xe817_5cea_26b2_a33b]),
+        ("HVS", [0xdc23_841e_bf70_6966, 0x9535_9045_8ce1_cfcd, 0x23a5_f4c7_b5e7_a53a]),
+    ];
+    const ELPIS: [(usize, [u64; 2]); 3] = [
+        (1, [0xe0f7_080e_185c_34d9, 0x920c_86e2_cc66_4719]),
+        (4, [0x29b7_b48f_311e_c3cf, 0xe1a1_5e30_40b1_930c]),
+        (8, [0x19fb_4cba_ce2c_5ce7, 0x6429_1bc1_924d_e4d2]),
+    ];
+
+    // One cell: the answers to `queries` under `params`, plus what a fresh
+    // counter saw.
+    let cell = |index: &dyn AnnIndex, queries: &VectorStore, params: &QueryParams| {
+        let counter = DistCounter::new();
+        let res: Vec<_> = (0..queries.len() as u32)
+            .map(|q| index.search(queries.get(q), params, &counter))
+            .collect();
+        let mut h = Fnv::new();
+        answers_hash_without_evaluated(&mut h, &res);
+        counter_words(&mut h, &counter);
+        h.0
+    };
+
+    // The HNSW grid.
+    let base = gass::data::synth::deep_like(3000, 1);
+    let queries = gass::data::synth::deep_like(20, 2);
+    let mut index = HnswIndex::build(
+        base.clone(),
+        HnswParams { m: 16, ef_construction: 128, seed: 7, threads: 1 },
+    );
+    let params = |l: usize, rerank: usize| {
+        QueryParams::new(10, l).with_rerank_factor(rerank).with_term(TerminationPolicy::Fixed)
+    };
+    let mut hnsw = Vec::new();
+    hnsw.extend([16, 140].map(|l| cell(&index, &queries, &params(l, 4))));
+    index.quantize(CodecSpec::Sq8);
+    hnsw.extend([16, 140].map(|l| cell(&index, &queries, &params(l, 2))));
+    index.quantize(CodecSpec::Pq { m: None });
+    hnsw.push(cell(&index, &queries, &params(16, 14)));
+    let mut served = PrebuiltIndex::new(
+        base.clone(),
+        index.base_graph().clone(),
+        Box::new(RandomSeeds::per_query(base.len(), 99)),
+        "HNSW",
+    );
+    served.freeze();
+    served.quantize(CodecSpec::Sq8);
+    let batch: Vec<&[f32]> = (0..8).map(|q| queries.get(q)).collect();
+    hnsw.extend([16, 140].map(|l| {
+        let counter = DistCounter::new();
+        let mut h = Fnv::new();
+        answers_hash_without_evaluated(
+            &mut h,
+            &served.search_coalesced(&batch, &params(l, 2), &counter),
+        );
+        counter_words(&mut h, &counter);
+        h.0
+    }));
+
+    // The method grid.
+    let base = gass::data::synth::deep_like(600, 21);
+    let queries = gass::data::synth::deep_like(20, 22);
+    let params = QueryParams::new(10, 40).with_seed_count(8);
+    let stage = |index: &dyn AnnIndex, build_dists: u64| {
+        let mut h = Fnv(cell(index, &queries, &params));
+        index.name().bytes().for_each(|b| h.word(u32::from(b)));
+        let s = index.stats();
+        let words = [s.nodes, s.edges, s.max_degree, s.graph_bytes, s.aux_bytes]
+            .map(|w| w as u64)
+            .into_iter()
+            .chain([s.avg_degree.to_bits(), build_dists]);
+        for w in words {
+            h.word(w as u32);
+            h.word((w >> 32) as u32);
+        }
+        h.0
+    };
+    let mut methods = Vec::new();
+    for (mut index, build_dists) in every_method(&base) {
+        let as_built = stage(index.as_ref(), build_dists);
+        index.freeze();
+        index.quantize(CodecSpec::Sq8);
+        let sq8 = stage(index.as_ref(), build_dists);
+        index.reorder(ReorderStrategy::Rcm);
+        let rcm = stage(index.as_ref(), build_dists);
+        methods.push((index.name(), [as_built, sq8, rcm]));
+    }
+    let methods: Vec<(&str, [u64; 3])> =
+        methods.iter().map(|(name, h)| (name.as_str(), *h)).collect();
+
+    // The ELPIS grid.
+    let base = gass::data::synth::deep_like(2400, 41);
+    let queries = gass::data::synth::deep_like(20, 42);
+    let params = QueryParams::new(10, 32);
+    let elpis = [1, 4, 8].map(|nprobe| {
+        let mut index = gass::graphs::elpis::build(
+            base.clone(),
+            ElpisParams { nprobe, ..ElpisParams::small() },
+        );
+        let f32 = cell(&index, &queries, &params);
+        index.freeze();
+        index.quantize(CodecSpec::Sq8);
+        index.reorder(ReorderStrategy::Rcm);
+        (nprobe, [f32, cell(&index, &queries, &params)])
+    });
+
+    assert_eq!(hnsw, HNSW, "an HNSW answer, its hops or its counter split changed");
+    assert_eq!(methods, METHODS, "a method's answers, counters, stats or build cost changed");
+    assert_eq!(elpis, ELPIS, "an ELPIS answer, its hops or its counter split changed");
 }

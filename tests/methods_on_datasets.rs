@@ -27,7 +27,7 @@ fn run_roster(kinds: &[MethodKind], dataset: DatasetKind, n: usize, floor: f64) 
         let mut built = build_method(kind, base.clone(), 17);
         for (codec, rerank) in CODEC_RERANK {
             if let Some(spec) = codec {
-                built.quantize(spec);
+                built.index.quantize(spec);
             }
             let params = QueryParams::new(k, 96).with_seed_count(16).with_rerank_factor(rerank);
             let p = evaluate_params(built.index.as_ref(), &queries, &truth, &params);

@@ -8,7 +8,7 @@ use gass_core::seed::{FixedSeed, MedoidSeed, RandomSeeds};
 use gass_core::CodecSpec;
 use gass_core::Space;
 use gass_eval::recall_at_k;
-use gass_graphs::SnSeeds;
+use gass_graphs::Hierarchy;
 use gass_trees::kdtree::KdForest;
 
 /// Table 1's ordering: RND prunes most, then MOND, then RRND — measured
@@ -43,11 +43,11 @@ fn all_seed_strategies_work_on_one_graph() {
     let base = gass::data::synth::deep_like(n, 9);
     let queries = gass::data::synth::deep_like(8, 10);
     let truth = gass::data::ground_truth(&base, &queries, 10);
-    let g = IiGraph::build(base.clone(), IiParams::small(NdStrategy::Rnd));
+    let g = baseline::build(base.clone(), IiParams::small(NdStrategy::Rnd));
 
     let counter = DistCounter::new();
     let space = Space::new(g.store(), &counter);
-    let sn = SnSeeds::build(space, 8, 32, 1);
+    let sn = Hierarchy::build_over_store(space, 8, 32, 1);
     let kd = KdForest::build(g.store(), 3, 16, 2);
     let md = MedoidSeed::compute(space);
     let sf = FixedSeed::random(n, 3);
@@ -90,7 +90,7 @@ fn beam_width_tradeoff_is_monotone() {
     ];
     for (codec, rerank) in codecs {
         if let Some(spec) = codec {
-            built.quantize(spec);
+            built.index.quantize(spec);
         }
         let name = codec.map_or("none", |c| c.name());
         let mut last_recall = -1.0f64;
