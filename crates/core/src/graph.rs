@@ -115,11 +115,6 @@ impl AdjacencyGraph {
         self.adj[node as usize] = neighbors;
     }
 
-    /// Mutable access to a node's neighbor list.
-    pub fn neighbors_mut(&mut self, node: u32) -> &mut Vec<u32> {
-        &mut self.adj[node as usize]
-    }
-
     /// Makes the graph undirected by adding every reverse edge
     /// (DPG's final step).
     pub fn undirected_closure(&mut self) {

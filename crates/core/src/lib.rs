@@ -72,8 +72,7 @@ pub use par::{
 };
 pub use partition::{PartIndex, Partitioned, Router};
 pub use persist::{
-    load_codec, load_flat_graph, load_permutation, load_shard_table, load_store, open_codec,
-    open_store, peek_kind, save_codec, save_codec_mapped, save_flat_graph, save_permutation,
+    load_flat_graph, load_shard_table, load_store, open_store, peek_kind, save_flat_graph,
     save_shard_table, save_store, save_store_mapped, MappedStoreWriter, PersistError,
     ShardTable,
 };

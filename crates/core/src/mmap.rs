@@ -14,8 +14,8 @@
 //! `mmap` is unavailable (non-Unix), fails, or is disabled via
 //! `GASS_NO_MMAP=1` / [`set_mmap_enabled`] — observationally identical,
 //! just without the beyond-RAM economics. [`MmapRegion`] is a cheap
-//! ref-counted byte window into a buffer, the unit the store and codec
-//! layers hold per section.
+//! ref-counted byte window into a buffer, the unit a mapped store holds
+//! for its rows.
 
 use std::fs::File;
 use std::io::{self, Read};
@@ -231,9 +231,9 @@ impl std::fmt::Debug for MmapBuf {
     }
 }
 
-/// A cheap ref-counted window into an [`MmapBuf`] — the per-section unit
-/// the store and codec layers hold (e.g. the vector rows of one persisted
-/// shard). Clones share the underlying mapping.
+/// A cheap ref-counted window into an [`MmapBuf`] — the unit a mapped
+/// store holds (e.g. the vector rows of one persisted shard). Clones
+/// share the underlying mapping.
 #[derive(Clone, Debug)]
 pub struct MmapRegion {
     buf: Arc<MmapBuf>,

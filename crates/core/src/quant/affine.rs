@@ -37,7 +37,7 @@
 //! their width: [`super::sq8`] and [`super::sq4`].
 
 use super::{
-    lines_as_bytes_mut, CodeBuf, CodeLine, CodecSpec, CodecStore, PreparedQuery, LINE_U8,
+    lines_as_bytes, lines_as_bytes_mut, CodeLine, CodecSpec, CodecStore, PreparedQuery, LINE_U8,
 };
 use crate::reorder::IdRemap;
 use crate::store::VectorStore;
@@ -117,7 +117,7 @@ pub struct AffineStore<W: Width> {
     len: usize,
     mins: Vec<f32>,
     deltas: Vec<f32>,
-    codes: CodeBuf,
+    codes: Vec<CodeLine>,
     width: PhantomData<W>,
 }
 
@@ -148,13 +148,13 @@ impl<W: Width> AffineStore<W> {
         mins: Vec<f32>,
         deltas: Vec<f32>,
         len: usize,
-        codes: CodeBuf,
+        codes: Vec<CodeLine>,
     ) -> Self {
         assert!(dim > 0, "vector dimension must be positive");
         assert_eq!(mins.len(), dim, "mins length mismatch");
         assert_eq!(deltas.len(), dim, "deltas length mismatch");
         let stride = Self::stride_for(dim);
-        assert_eq!(codes.bytes().len(), len * stride, "code area size mismatch");
+        assert_eq!(codes.len() * LINE_U8, len * stride, "code area size mismatch");
         Self { dim, stride, len, mins, deltas, codes, width: PhantomData }
     }
 
@@ -190,48 +190,7 @@ impl<W: Width> AffineStore<W> {
                 }
             }
         }
-        Self::checked(dim, mins, deltas, store.len(), CodeBuf::Heap(lines))
-    }
-
-    /// Reassembles a store from persisted parts: packed code rows
-    /// ([`Self::row_bytes`] each, no padding) plus the per-dimension affine
-    /// parameters.
-    ///
-    /// # Panics
-    /// Panics if the lengths are inconsistent or `dim == 0`.
-    pub fn from_parts(dim: usize, mins: Vec<f32>, deltas: Vec<f32>, packed: Vec<u8>) -> Self {
-        assert!(dim > 0, "vector dimension must be positive");
-        let row_bytes = Self::row_bytes(dim);
-        assert!(
-            packed.len().is_multiple_of(row_bytes),
-            "packed code length {} is not a multiple of row width {}",
-            packed.len(),
-            row_bytes
-        );
-        let (stride, len) = (Self::stride_for(dim), packed.len() / row_bytes);
-        let mut lines = vec![CodeLine([0u8; LINE_U8]); len * stride / LINE_U8];
-        let raw = lines_as_bytes_mut(&mut lines);
-        for (id, row) in packed.chunks_exact(row_bytes).enumerate() {
-            raw[id * stride..][..row_bytes].copy_from_slice(row);
-        }
-        Self::checked(dim, mins, deltas, len, CodeBuf::Heap(lines))
-    }
-
-    /// Wraps a memory-mapped code area (rows `stride` bytes apart from a
-    /// 64-byte-aligned start, as on the heap) with the given affine
-    /// parameters — the mapped counterpart of [`Self::from_parts`].
-    ///
-    /// # Panics
-    /// Panics if the parameter lengths or the region's size or alignment do
-    /// not fit `len` rows of `dim` dimensions.
-    pub fn from_parts_mapped(
-        dim: usize,
-        mins: Vec<f32>,
-        deltas: Vec<f32>,
-        len: usize,
-        region: crate::mmap::MmapRegion,
-    ) -> Self {
-        Self::checked(dim, mins, deltas, len, CodeBuf::from_mapped(region))
+        Self::checked(dim, mins, deltas, store.len(), lines)
     }
 
     /// Number of quantized vectors.
@@ -278,7 +237,7 @@ impl<W: Width> AffineStore<W> {
     #[inline]
     pub fn code_row(&self, id: u32) -> &[u8] {
         let start = id as usize * self.stride;
-        &self.codes.bytes()[start..start + self.stride]
+        &lines_as_bytes(&self.codes)[start..start + self.stride]
     }
 
     /// Copies the logical code bytes into a packed `len · row_bytes`
@@ -301,13 +260,13 @@ impl<W: Width> AffineStore<W> {
         let stride = self.stride;
         let mut lines = vec![CodeLine([0u8; LINE_U8]); self.len * stride / LINE_U8];
         let dst = lines_as_bytes_mut(&mut lines);
-        let src = self.codes.bytes();
+        let src = lines_as_bytes(&self.codes);
         for new in 0..self.len {
             let old = map.to_old(new as u32) as usize;
             dst[new * stride..][..stride].copy_from_slice(&src[old * stride..][..stride]);
         }
         let (mins, deltas) = (self.mins.clone(), self.deltas.clone());
-        Self::checked(self.dim, mins, deltas, self.len, CodeBuf::Heap(lines))
+        Self::checked(self.dim, mins, deltas, self.len, lines)
     }
 
     /// Reconstructs vector `id` from its codes (`min_d + c_d · Δ_d`). The
@@ -375,10 +334,9 @@ impl<W: Width> AffineStore<W> {
     }
 
     /// Heap bytes held by the codes and affine parameters (the quantized
-    /// serving path's memory cost; a mapped code area counts zero, its
-    /// residency is kernel-managed).
+    /// serving path's memory cost).
     pub fn heap_bytes(&self) -> usize {
-        self.codes.heap_bytes()
+        self.codes.capacity() * std::mem::size_of::<CodeLine>()
             + (self.mins.capacity() + self.deltas.capacity()) * std::mem::size_of::<f32>()
     }
 }
@@ -571,26 +529,6 @@ mod tests {
         assert_eq!((sq8.len(), sq4.len()), (1, 1));
         assert_eq!(sq8.decode(0), vec![1.0, -2.0, 0.5, 3.0]);
         assert_eq!(sq4.decode(0), vec![1.0, -2.0, 0.5, 3.0]);
-    }
-
-    fn parts_round_trip<W: Width>() {
-        let q = AffineStore::<W>::from_store(&ramp_store(9, 33));
-        let back = AffineStore::<W>::from_parts(
-            q.dim(),
-            q.mins().to_vec(),
-            q.deltas().to_vec(),
-            q.to_packed_codes(),
-        );
-        assert_eq!(back.len(), q.len());
-        for id in 0..9u32 {
-            assert_eq!(back.code_row(id), q.code_row(id), "{:?} row {id}", W::SPEC);
-        }
-    }
-
-    #[test]
-    fn from_parts_round_trips() {
-        parts_round_trip::<U8>();
-        parts_round_trip::<U4>();
     }
 
     #[test]

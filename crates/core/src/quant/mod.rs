@@ -80,55 +80,6 @@ pub(crate) fn lines_as_bytes_mut(lines: &mut [CodeLine]) -> &mut [u8] {
     }
 }
 
-/// Backing for a codec's code rows: heap cache-line units (the layout
-/// every encoder produces) or a memory-mapped persisted section with the
-/// identical geometry — rows `stride` bytes apart starting on a 64-byte
-/// boundary — so the kernels read both through one byte view and cold
-/// rows of a mapped codec fault in on demand (see [`crate::mmap`]).
-#[derive(Clone, Debug)]
-pub(crate) enum CodeBuf {
-    /// Ordinary heap lines.
-    Heap(Vec<CodeLine>),
-    /// Read-only window into a mapped persisted section.
-    Mapped(crate::mmap::MmapRegion),
-}
-
-impl CodeBuf {
-    /// Wraps a mapped code area, validating the heap layout's geometry.
-    ///
-    /// # Panics
-    /// Panics if the region is not 64-byte aligned or not whole lines.
-    pub(crate) fn from_mapped(region: crate::mmap::MmapRegion) -> Self {
-        assert!(
-            (region.as_ptr() as usize).is_multiple_of(LINE_U8),
-            "mapped code area must start on a cache line"
-        );
-        assert!(
-            region.len().is_multiple_of(LINE_U8),
-            "mapped code area must be whole cache lines"
-        );
-        CodeBuf::Mapped(region)
-    }
-
-    /// The code bytes, padding included (rows `stride` apart).
-    #[inline]
-    pub(crate) fn bytes(&self) -> &[u8] {
-        match self {
-            CodeBuf::Heap(lines) => lines_as_bytes(lines),
-            CodeBuf::Mapped(region) => region,
-        }
-    }
-
-    /// Heap bytes held (zero for the mapped backing, whose resident share
-    /// is kernel-managed).
-    pub(crate) fn heap_bytes(&self) -> usize {
-        match self {
-            CodeBuf::Heap(lines) => lines.capacity() * std::mem::size_of::<CodeLine>(),
-            CodeBuf::Mapped(_) => 0,
-        }
-    }
-}
-
 // --- codec selection ----------------------------------------------------
 
 /// Which compression rung to serve from. `Pq { m: None }` resolves `m`

@@ -63,7 +63,7 @@
 //! sums are the same exact integers.
 
 use super::{
-    lines_as_bytes_mut, CodeBuf, CodeLine, CodecSpec, CodecStore, PreparedQuery, LINE_U8,
+    lines_as_bytes, lines_as_bytes_mut, CodeLine, CodecSpec, CodecStore, PreparedQuery, LINE_U8,
 };
 use crate::distance::{min16, nearest8, sub_dists16, to_blocks8, to_dim_major16, POINTS8};
 use crate::par::par_map;
@@ -232,7 +232,7 @@ pub struct PqStore {
     /// subquantizer `j`'s centroid `c` at `[(j*dsub + i)*KSUB + c]` (lanes
     /// past `ncent` repeat lane 0 — see [`to_dim_major16`]).
     ct: Vec<f32>,
-    codes: CodeBuf,
+    codes: Vec<CodeLine>,
 }
 
 impl PqStore {
@@ -259,102 +259,12 @@ impl PqStore {
             train_subquantizer(store, &train, &perm[j * dsub..(j + 1) * dsub], ncent)
         });
         let stride = pq_stride(m);
-        let codes = CodeBuf::Heap(encode_rows(store, &books, &perm, stride));
+        let codes = encode_rows(store, &books, &perm, stride);
         // Collected through the same `Flatten` as always: `ct`'s capacity is
         // part of `heap_bytes`.
         let ct_blocks: Vec<Vec<f32>> = books.iter().map(|b| to_dim_major16(b, dsub)).collect();
         let ct: Vec<f32> = ct_blocks.into_iter().flatten().collect();
         Self { dim, m, dsub, ncent, stride, len: store.len(), perm, ct, codes }
-    }
-
-    /// The argument checks shared by [`Self::from_parts`] and
-    /// [`Self::from_parts_mapped`]; returns `dsub` and the persisted
-    /// (`[j][c][i]`) codebooks re-laid dimension-major.
-    fn validate_parts(
-        dim: usize,
-        m: usize,
-        ncent: usize,
-        perm: &[u32],
-        centroids: &[f32],
-    ) -> (usize, Vec<f32>) {
-        assert!(dim > 0, "vector dimension must be positive");
-        assert!(m >= 1 && m <= dim && dim.is_multiple_of(m), "m={m} must divide dim={dim}");
-        assert!((1..=KSUB).contains(&ncent), "centroid count {ncent} out of range");
-        assert_eq!(perm.len(), dim, "dimension permutation length mismatch");
-        let mut seen = vec![false; dim];
-        for &d in perm {
-            assert!(
-                (d as usize) < dim && !std::mem::replace(&mut seen[d as usize], true),
-                "perm is not a permutation of 0..{dim}"
-            );
-        }
-        let dsub = dim / m;
-        assert_eq!(centroids.len(), m * KSUB * dsub, "codebook length mismatch");
-        let mut ct = Vec::with_capacity(centroids.len());
-        for rows in centroids.chunks_exact(KSUB * dsub) {
-            ct.extend(to_dim_major16(&rows[..ncent * dsub], dsub));
-        }
-        (dsub, ct)
-    }
-
-    /// Reassembles a store from persisted parts: the group-major dimension
-    /// permutation, full padded codebooks in persisted `[j][c][i]` order
-    /// (`m * 16 * dsub` floats with `dsub = dim/m`, as
-    /// [`Self::centroids`] returns them), the live centroid count, and
-    /// packed code rows (`ceil(m/2)` bytes each).
-    ///
-    /// # Panics
-    /// Panics if the lengths are inconsistent or `perm` is not a
-    /// permutation of `0..dim`.
-    pub fn from_parts(
-        dim: usize,
-        m: usize,
-        ncent: usize,
-        perm: Vec<u32>,
-        centroids: &[f32],
-        packed: Vec<u8>,
-    ) -> Self {
-        let (dsub, ct) = Self::validate_parts(dim, m, ncent, &perm, centroids);
-        let row_bytes = m.div_ceil(2);
-        assert!(
-            packed.len().is_multiple_of(row_bytes),
-            "packed code length {} is not a multiple of row width {}",
-            packed.len(),
-            row_bytes
-        );
-        let stride = pq_stride(m);
-        let len = packed.len() / row_bytes;
-        let mut codes = vec![CodeLine([0u8; LINE_U8]); (len * stride).div_ceil(LINE_U8)];
-        let raw = lines_as_bytes_mut(&mut codes);
-        for (id, row) in packed.chunks_exact(row_bytes).enumerate() {
-            raw[id * stride..id * stride + row_bytes].copy_from_slice(row);
-        }
-        Self { dim, m, dsub, ncent, stride, len, perm, ct, codes: CodeBuf::Heap(codes) }
-    }
-
-    /// Reassembles a store over a mapped code area (row geometry identical
-    /// to the heap layout: `stride` bytes per row from a 64-byte base).
-    ///
-    /// # Panics
-    /// Panics if parameter lengths or the region size are inconsistent, or
-    /// `perm` is not a permutation of `0..dim`.
-    pub fn from_parts_mapped(
-        dim: usize,
-        m: usize,
-        ncent: usize,
-        perm: Vec<u32>,
-        centroids: &[f32],
-        len: usize,
-        region: crate::mmap::MmapRegion,
-    ) -> Self {
-        let (dsub, ct) = Self::validate_parts(dim, m, ncent, &perm, centroids);
-        let stride = pq_stride(m);
-        assert_eq!(
-            region.len(),
-            (len * stride).next_multiple_of(LINE_U8),
-            "mapped code area size mismatch"
-        );
-        Self { dim, m, dsub, ncent, stride, len, perm, ct, codes: CodeBuf::from_mapped(region) }
     }
 
     /// Number of encoded vectors.
@@ -428,7 +338,7 @@ impl PqStore {
     #[inline]
     pub fn code_row(&self, id: u32) -> &[u8] {
         let start = id as usize * self.stride;
-        &self.codes.bytes()[start..start + self.stride]
+        &lines_as_bytes(&self.codes)[start..start + self.stride]
     }
 
     /// Copies the logical code bytes into a packed `len * ceil(m/2)`
@@ -450,19 +360,14 @@ impl PqStore {
         assert_eq!(map.len(), self.len, "remap covers a different vector count");
         let mut codes =
             vec![CodeLine([0u8; LINE_U8]); (self.len * self.stride).div_ceil(LINE_U8)];
-        let src = self.codes.bytes();
+        let src = lines_as_bytes(&self.codes);
         let dst = lines_as_bytes_mut(&mut codes);
         for new in 0..self.len {
             let old = map.to_old(new as u32) as usize;
             dst[new * self.stride..(new + 1) * self.stride]
                 .copy_from_slice(&src[old * self.stride..old * self.stride + self.stride]);
         }
-        Self {
-            codes: CodeBuf::Heap(codes),
-            perm: self.perm.clone(),
-            ct: self.ct.clone(),
-            ..*self
-        }
+        Self { codes, perm: self.perm.clone(), ct: self.ct.clone(), ..*self }
     }
 
     /// Reconstructs vector `id` by scattering its assigned centroids back
@@ -580,10 +485,9 @@ impl PqStore {
         crate::distance::prefetch_slice(self.code_row(id));
     }
 
-    /// Heap bytes held by the codes, codebooks, and dimension map (mapped
-    /// code areas count zero; their residency is kernel-managed).
+    /// Heap bytes held by the codes, codebooks, and dimension map.
     pub fn heap_bytes(&self) -> usize {
-        self.codes.heap_bytes()
+        self.codes.capacity() * std::mem::size_of::<CodeLine>()
             + self.ct.capacity() * std::mem::size_of::<f32>()
             + self.perm.capacity() * std::mem::size_of::<u32>()
     }
@@ -597,13 +501,7 @@ impl PqStore {
             .map(|j| (0..self.ncent).flat_map(|c| self.centroid(j, c)).collect())
             .collect();
         let codes = encode_rows(store, &books, &self.perm, self.stride);
-        Self {
-            codes: CodeBuf::Heap(codes),
-            perm: self.perm.clone(),
-            ct: self.ct.clone(),
-            len: store.len(),
-            ..*self
-        }
+        Self { codes, perm: self.perm.clone(), ct: self.ct.clone(), len: store.len(), ..*self }
     }
 }
 
@@ -1546,34 +1444,6 @@ mod tests {
         panics("mixed pair", &|| {
             let _ = pq_scan_pair(foreign.lut(), small.code_row(0), row);
         });
-    }
-
-    #[test]
-    fn from_parts_round_trips() {
-        let store = ramp_store(9, 33); // auto m = 11? 33/6 = 5.5 -> divisors 1,3,11,33
-        let q = PqStore::from_store(&store, None);
-        let back = PqStore::from_parts(
-            q.dim(),
-            q.m(),
-            q.ncent(),
-            q.perm().to_vec(),
-            &q.centroids(),
-            q.to_packed_codes(),
-        );
-        assert_eq!(back.len(), q.len());
-        for id in 0..9u32 {
-            assert_eq!(back.code_row(id), q.code_row(id), "row {id}");
-        }
-        let query: Vec<f32> = (0..33).map(|d| (d as f32 * 0.3).sin()).collect();
-        let (mut pa, mut pb) = (PreparedQuery::default(), PreparedQuery::default());
-        q.prepare_into(&query, &mut pa);
-        back.prepare_into(&query, &mut pb);
-        for id in 0..9u32 {
-            assert_eq!(
-                q.dist_prepared(&pa, id).to_bits(),
-                back.dist_prepared(&pb, id).to_bits()
-            );
-        }
     }
 
     #[test]

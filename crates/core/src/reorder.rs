@@ -124,11 +124,6 @@ impl IdRemap {
         self.new_to_old.is_empty()
     }
 
-    /// True when every id maps to itself.
-    pub fn is_identity(&self) -> bool {
-        self.new_to_old.iter().enumerate().all(|(i, &v)| i as u32 == v)
-    }
-
     /// Original id of the node now labeled `new`.
     #[inline]
     pub fn to_old(&self, new: u32) -> u32 {

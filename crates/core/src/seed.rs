@@ -98,15 +98,23 @@ pub struct OriginalIds {
 }
 
 impl OriginalIds {
-    /// Sorts `ids` by original id, drops repeats and keeps the first
-    /// `count`.
-    pub fn select(&self, ids: &mut Vec<u32>, count: usize) {
+    /// Sorts the ids a provider appended from `start` on by original id,
+    /// drops repeats among them and keeps the first `count`; `ids[..start]`
+    /// is left as it was.
+    pub fn select(&self, ids: &mut Vec<u32>, start: usize, count: usize) {
+        let tail = &mut ids[start..];
         match &self.new_to_old {
-            Some(orig) => ids.sort_unstable_by_key(|&id| orig[id as usize]),
-            None => ids.sort_unstable(),
+            Some(orig) => tail.sort_unstable_by_key(|&id| orig[id as usize]),
+            None => tail.sort_unstable(),
         }
-        ids.dedup();
-        ids.truncate(count);
+        let mut kept = 0;
+        for i in 0..tail.len() {
+            if kept == 0 || tail[i] != tail[kept - 1] {
+                tail[kept] = tail[i];
+                kept += 1;
+            }
+        }
+        ids.truncate(start + kept.min(count));
     }
 
     /// Composes the table with a fresh relabelling.

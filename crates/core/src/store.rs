@@ -30,8 +30,6 @@
 //! [`VectorStore::get_mut`] panic); every copying operation (`subset`,
 //! `permute`, `to_aligned`) produces an ordinary heap store.
 
-use serde::{Deserialize, Serialize};
-
 /// Floats per 64-byte cache line.
 const LINE_F32: usize = 16;
 
@@ -207,12 +205,21 @@ impl VectorStore {
     fn raw(&self) -> &[f32] {
         match &self.data {
             Storage::Packed(v) => v,
-            Storage::Aligned(lines) => unsafe {
-                // Sound: `CacheLine` is `repr(align(64))` over `[f32; 16]`,
-                // fully initialized, so the allocation is `len*16` valid
-                // floats.
-                std::slice::from_raw_parts(lines.as_ptr().cast::<f32>(), lines.len() * LINE_F32)
-            },
+            Storage::Aligned(lines) => {
+                debug_assert_eq!(std::mem::size_of::<CacheLine>(), LINE_F32 * 4);
+                debug_assert!(lines.as_ptr().cast::<f32>().is_aligned());
+                // SAFETY: `CacheLine` is `repr(align(64))` over `[f32; 16]`
+                // with no padding (its size is 16 floats), and every float
+                // is initialized, so `lines` is `len · 16` readable,
+                // `f32`-aligned floats; the borrow of `lines` bounds the
+                // returned slice's lifetime.
+                unsafe {
+                    std::slice::from_raw_parts(
+                        lines.as_ptr().cast::<f32>(),
+                        lines.len() * LINE_F32,
+                    )
+                }
+            }
             Storage::Mapped(region) => region.as_f32s(),
         }
     }
@@ -222,12 +229,19 @@ impl VectorStore {
     fn raw_mut(&mut self) -> &mut [f32] {
         match &mut self.data {
             Storage::Packed(v) => v,
-            Storage::Aligned(lines) => unsafe {
-                std::slice::from_raw_parts_mut(
-                    lines.as_mut_ptr().cast::<f32>(),
-                    lines.len() * LINE_F32,
-                )
-            },
+            Storage::Aligned(lines) => {
+                debug_assert_eq!(std::mem::size_of::<CacheLine>(), LINE_F32 * 4);
+                debug_assert!(lines.as_ptr().cast::<f32>().is_aligned());
+                // SAFETY: as in `raw`; the exclusive borrow of `lines` makes
+                // the returned view the only access, and any `f32` written
+                // keeps every `CacheLine` valid.
+                unsafe {
+                    std::slice::from_raw_parts_mut(
+                        lines.as_mut_ptr().cast::<f32>(),
+                        lines.len() * LINE_F32,
+                    )
+                }
+            }
             Storage::Mapped(_) => panic!("mapped stores are read-only"),
         }
     }
@@ -426,22 +440,6 @@ impl VectorStore {
         best
     }
 }
-
-// Both layouts serialize as the same `{dim, data}` shape the former
-// `derive(Serialize)` produced for the packed-only store, so serialized
-// output is layout-independent (and unchanged across the layout's
-// introduction).
-impl Serialize for VectorStore {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        use serde::ser::SerializeStruct;
-        let mut st = serializer.serialize_struct("VectorStore", 2)?;
-        st.serialize_field("dim", &self.dim)?;
-        st.serialize_field("data", &self.to_flat_vec())?;
-        st.end()
-    }
-}
-
-impl<'de> Deserialize<'de> for VectorStore {}
 
 #[cfg(test)]
 mod tests {

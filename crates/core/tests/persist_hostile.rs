@@ -1,24 +1,22 @@
 //! Hostile bytes against every section decoder behind `load_*` / `open_*`:
-//! packed store, flat graph, the three codec sections and their four
-//! mapped counterparts (read both through a live mapping and
-//! through the heap fallback). Whatever a file holds, decoding returns `Ok`
-//! or `Err` without a panic and without an allocation sized by a header
-//! field the file cannot back.
+//! packed store, flat graph and mapped store (read both through a live
+//! mapping and through the heap fallback). The shard table has its own
+//! suite, `shard_table_hostile.rs`. Whatever a file holds, decoding
+//! returns `Ok` or `Err` without a panic and without an allocation sized
+//! by a header field the file cannot back.
 //!
 //! The allocation bound is on the largest single request, measured per
-//! thread through a counting global allocator: `64 x file length`. A
-//! *valid* file needs up to that much — a code row pads to a 64-byte line,
-//! so a one-byte SQ8 row is rebuilt 64 bytes wide — while the defects this
-//! guards against asked for 2^40 floats on behalf of a 1 KiB file, or
-//! wrapped `count * width` to a small number and then allocated `count`.
+//! thread through a counting global allocator: `64 x file length`. The
+//! defects this guards against asked for 2^40 floats on behalf of a 1 KiB
+//! file, or wrapped `count * width` to a small number and then allocated
+//! `count`.
 
 use gass_core::graph::{AdjacencyGraph, FlatGraph};
 use gass_core::mmap::set_mmap_enabled;
 use gass_core::persist::{
-    decode_codec, decode_flat_graph, decode_store, encode_codec, encode_flat_graph,
-    encode_store, open_codec, open_store, save_codec_mapped, save_store_mapped,
+    decode_flat_graph, decode_store, encode_flat_graph, encode_store, open_store,
+    save_store_mapped,
 };
-use gass_core::quant::{CodecStore, PqStore, QuantizedStore, Sq4Store};
 use gass_core::VectorStore;
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -62,26 +60,14 @@ static MMAP_MODE: Mutex<()> = Mutex::new(());
 enum Format {
     Store,
     FlatGraph,
-    CodecSq8,
-    CodecSq4,
-    CodecPq,
     MappedStore,
-    MappedSq8,
-    MappedSq4,
-    MappedPq,
 }
 
-const FORMATS: [Format; 9] = [
-    Format::Store,
-    Format::FlatGraph,
-    Format::CodecSq8,
-    Format::CodecSq4,
-    Format::CodecPq,
-    Format::MappedStore,
-    Format::MappedSq8,
-    Format::MappedSq4,
-    Format::MappedPq,
-];
+const FORMATS: [Format; 3] = [Format::Store, Format::FlatGraph, Format::MappedStore];
+
+/// File offsets of every format's two `u64` count fields, after the 6-byte
+/// magic/version/kind header.
+const COUNT_FIELDS: [usize; 2] = [6, 14];
 
 /// A scratch directory removed on drop, unique per test.
 struct TestDir(PathBuf);
@@ -102,37 +88,12 @@ impl Drop for TestDir {
 }
 
 impl Format {
-    /// File offsets of the `u64` count fields: after the 6-byte
-    /// magic/version/kind header, and after the codec tag byte for codecs.
-    fn count_fields(self) -> &'static [usize] {
-        match self {
-            Format::Store | Format::FlatGraph | Format::MappedStore => &[6, 14],
-            Format::CodecSq8 | Format::CodecSq4 | Format::MappedSq8 | Format::MappedSq4 => {
-                &[7, 15]
-            }
-            // dim, m, ncent, len
-            Format::CodecPq | Format::MappedPq => &[7, 15, 23, 31],
-        }
-    }
-
     fn mapped(self) -> bool {
-        matches!(
-            self,
-            Format::MappedStore | Format::MappedSq8 | Format::MappedSq4 | Format::MappedPq
-        )
+        matches!(self, Format::MappedStore)
     }
 
     /// The section for `store` (and, for the graph, a ring over its rows).
     fn encode(self, store: &VectorStore, dir: &Path) -> Vec<u8> {
-        let codec = || -> Box<dyn CodecStore> {
-            match self {
-                Format::CodecSq8 | Format::MappedSq8 => {
-                    Box::new(QuantizedStore::from_store(store))
-                }
-                Format::CodecSq4 | Format::MappedSq4 => Box::new(Sq4Store::from_store(store)),
-                _ => Box::new(PqStore::from_store(store, None)),
-            }
-        };
         let path = dir.join("valid.gass");
         match self {
             Format::Store => encode_store(store).to_vec(),
@@ -144,15 +105,8 @@ impl Format {
                 }
                 encode_flat_graph(&FlatGraph::from_adjacency(&g, Some(3))).to_vec()
             }
-            Format::CodecSq8 | Format::CodecSq4 | Format::CodecPq => {
-                encode_codec(codec().as_ref()).to_vec()
-            }
             Format::MappedStore => {
                 save_store_mapped(store, &path).expect("write a mapped store");
-                std::fs::read(&path).expect("read it back")
-            }
-            Format::MappedSq8 | Format::MappedSq4 | Format::MappedPq => {
-                save_codec_mapped(codec().as_ref(), &path).expect("write a mapped codec");
                 std::fs::read(&path).expect("read it back")
             }
         }
@@ -167,8 +121,7 @@ impl Format {
             LARGEST.set(0);
             let ok = match self {
                 Format::Store => decode_store(input).is_ok(),
-                Format::FlatGraph => decode_flat_graph(input).is_ok(),
-                _ => decode_codec(input).is_ok(),
+                _ => decode_flat_graph(input).is_ok(),
             };
             return (ok, LARGEST.get());
         }
@@ -178,10 +131,7 @@ impl Format {
         let runs = [true, false].map(|mapped| {
             set_mmap_enabled(mapped);
             LARGEST.set(0);
-            let ok = match self {
-                Format::MappedStore => open_store(&path).is_ok(),
-                _ => open_codec(&path).is_ok(),
-            };
+            let ok = open_store(&path).is_ok();
             (ok, LARGEST.get())
         });
         set_mmap_enabled(true);
@@ -252,7 +202,7 @@ fn every_hostile_count_is_an_err() {
     let store = sample_store(9, 6, 7);
     for format in FORMATS {
         let bytes = format.encode(&store, &dir.0);
-        for &at in format.count_fields() {
+        for at in COUNT_FIELDS {
             for hostile in [1u64 << 32, 1 << 60, 1 << 62, u64::MAX] {
                 let mut bad = bytes.clone();
                 bad[at..at + 8].copy_from_slice(&hostile.to_le_bytes());
@@ -266,7 +216,7 @@ fn every_hostile_count_is_an_err() {
     }
 }
 
-/// The five reproductions: headers whose counts were multiplied out with
+/// The reproductions against the remaining sections: headers whose counts were multiplied out with
 /// wrapping arithmetic, or allocated for before any length check.
 #[test]
 fn the_reported_headers_are_errs() {
@@ -279,13 +229,6 @@ fn the_reported_headers_are_errs() {
         let ok = format.decode_bounded(&bytes, &dir.0, "reported header");
         assert!(!ok, "{format:?} with {fields:x?} decoded");
     };
-    // A mapped PQ codec with dim = m = 2^40: allocated 2^40 floats.
-    reported(Format::MappedPq, sample_store(12, 8, 3), &[(7, 1 << 40), (15, 1 << 40)]);
-    // PQ dim = m = 2^62: `dim * 4` wrapped to 0.
-    reported(Format::CodecPq, sample_store(12, 8, 3), &[(7, 1 << 62), (15, 1 << 62)]);
-    // SQ8 dim = 2^61: `dim * 8` wrapped to 0 (first seen in the retired
-    // SQ8-only section, whose body parser the codec section shares).
-    reported(Format::CodecSq8, sample_store(4, 3, 5), &[(7, 1 << 61)]);
     // A one-dimensional store of 2^62 rows: `want * 4` wrapped to 0.
     reported(Format::Store, sample_store(4, 1, 5), &[(14, 1 << 62)]);
     // A graph of 2^62 nodes: `n * 4` wrapped to 0.

@@ -7,8 +7,7 @@
 //! * [`complexity`] — LID and LRC dataset-hardness estimators (Figure 4);
 //! * [`mem`] — structural and process-level memory accounting
 //!   (Figures 8–10);
-//! * [`report`] — aligned console tables + TSV/JSON records under
-//!   `results/`;
+//! * [`report`] — aligned console tables + TSV records under `results/`;
 //! * [`throughput`] — concurrent QPS and latency percentiles.
 
 #![warn(missing_docs)]
@@ -23,5 +22,5 @@ pub mod throughput;
 pub use complexity::{dataset_complexity, ComplexityReport};
 pub use mem::{current_rss_bytes, footprint, vm_peak_bytes, FootprintReport};
 pub use recall::{cost_to_reach, evaluate_at, evaluate_params, recall_at_k, sweep, SweepPoint};
-pub use report::{fmt_bytes, fmt_count, write_json, Table};
+pub use report::{fmt_bytes, fmt_count, Table};
 pub use throughput::{measure_throughput, ThroughputReport};

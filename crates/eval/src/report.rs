@@ -2,7 +2,6 @@
 //! `results/`, so every figure harness prints the series the paper plots
 //! *and* leaves a machine-readable record for EXPERIMENTS.md.
 
-use serde::Serialize;
 use std::fmt::Write as _;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -85,338 +84,6 @@ impl Table {
     }
 }
 
-/// Serializes any experiment record to pretty JSON under `results/`.
-pub fn write_json<T: Serialize>(
-    results_dir: &Path,
-    name: &str,
-    value: &T,
-) -> std::io::Result<PathBuf> {
-    fs::create_dir_all(results_dir)?;
-    let path = results_dir.join(format!("{name}.json"));
-    let body = serde_json_to_string_pretty(value);
-    fs::write(&path, body)?;
-    Ok(path)
-}
-
-// Minimal JSON emission via serde's serializer-agnostic API, avoiding a
-// serde_json dependency: we implement a small JSON `Serializer`.
-fn serde_json_to_string_pretty<T: Serialize>(value: &T) -> String {
-    let mut out = String::new();
-    let mut ser = mini_json::Ser { out: &mut out, indent: 0 };
-    value.serialize(&mut ser).expect("JSON serialization failed");
-    out.push('\n');
-    out
-}
-
-/// A deliberately small JSON serializer (objects, arrays, scalars) — the
-/// workspace's allowed dependency list excludes `serde_json`, but the
-/// experiment records are simple structures.
-mod mini_json {
-    use serde::ser::{self, Serialize};
-    use std::fmt::Write as _;
-
-    pub struct Ser<'a> {
-        pub out: &'a mut String,
-        pub indent: usize,
-    }
-
-    #[derive(Debug)]
-    pub struct Error(String);
-
-    impl std::fmt::Display for Error {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            write!(f, "{}", self.0)
-        }
-    }
-
-    impl std::error::Error for Error {}
-
-    impl ser::Error for Error {
-        fn custom<T: std::fmt::Display>(msg: T) -> Self {
-            Error(msg.to_string())
-        }
-    }
-
-    fn escape(s: &str) -> String {
-        let mut out = String::with_capacity(s.len() + 2);
-        out.push('"');
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\t' => out.push_str("\\t"),
-                '\r' => out.push_str("\\r"),
-                c if (c as u32) < 0x20 => {
-                    let _ = write!(out, "\\u{:04x}", c as u32);
-                }
-                c => out.push(c),
-            }
-        }
-        out.push('"');
-        out
-    }
-
-    impl<'a, 'b> ser::Serializer for &'b mut Ser<'a> {
-        type Ok = ();
-        type Error = Error;
-        type SerializeSeq = SeqSer<'a, 'b>;
-        type SerializeTuple = SeqSer<'a, 'b>;
-        type SerializeTupleStruct = SeqSer<'a, 'b>;
-        type SerializeTupleVariant = SeqSer<'a, 'b>;
-        type SerializeMap = MapSer<'a, 'b>;
-        type SerializeStruct = MapSer<'a, 'b>;
-        type SerializeStructVariant = MapSer<'a, 'b>;
-
-        fn serialize_bool(self, v: bool) -> Result<(), Error> {
-            let _ = write!(self.out, "{v}");
-            Ok(())
-        }
-        fn serialize_i8(self, v: i8) -> Result<(), Error> {
-            self.serialize_i64(v as i64)
-        }
-        fn serialize_i16(self, v: i16) -> Result<(), Error> {
-            self.serialize_i64(v as i64)
-        }
-        fn serialize_i32(self, v: i32) -> Result<(), Error> {
-            self.serialize_i64(v as i64)
-        }
-        fn serialize_i64(self, v: i64) -> Result<(), Error> {
-            let _ = write!(self.out, "{v}");
-            Ok(())
-        }
-        fn serialize_u8(self, v: u8) -> Result<(), Error> {
-            self.serialize_u64(v as u64)
-        }
-        fn serialize_u16(self, v: u16) -> Result<(), Error> {
-            self.serialize_u64(v as u64)
-        }
-        fn serialize_u32(self, v: u32) -> Result<(), Error> {
-            self.serialize_u64(v as u64)
-        }
-        fn serialize_u64(self, v: u64) -> Result<(), Error> {
-            let _ = write!(self.out, "{v}");
-            Ok(())
-        }
-        fn serialize_f32(self, v: f32) -> Result<(), Error> {
-            self.serialize_f64(v as f64)
-        }
-        fn serialize_f64(self, v: f64) -> Result<(), Error> {
-            if v.is_finite() {
-                let _ = write!(self.out, "{v}");
-            } else {
-                self.out.push_str("null");
-            }
-            Ok(())
-        }
-        fn serialize_char(self, v: char) -> Result<(), Error> {
-            self.out.push_str(&escape(&v.to_string()));
-            Ok(())
-        }
-        fn serialize_str(self, v: &str) -> Result<(), Error> {
-            self.out.push_str(&escape(v));
-            Ok(())
-        }
-        fn serialize_bytes(self, v: &[u8]) -> Result<(), Error> {
-            use serde::ser::SerializeSeq;
-            let mut seq = self.serialize_seq(Some(v.len()))?;
-            for b in v {
-                seq.serialize_element(b)?;
-            }
-            seq.end()
-        }
-        fn serialize_none(self) -> Result<(), Error> {
-            self.out.push_str("null");
-            Ok(())
-        }
-        fn serialize_some<T: ?Sized + Serialize>(self, value: &T) -> Result<(), Error> {
-            value.serialize(self)
-        }
-        fn serialize_unit(self) -> Result<(), Error> {
-            self.out.push_str("null");
-            Ok(())
-        }
-        fn serialize_unit_struct(self, _name: &'static str) -> Result<(), Error> {
-            self.serialize_unit()
-        }
-        fn serialize_unit_variant(
-            self,
-            _name: &'static str,
-            _idx: u32,
-            variant: &'static str,
-        ) -> Result<(), Error> {
-            self.serialize_str(variant)
-        }
-        fn serialize_newtype_struct<T: ?Sized + Serialize>(
-            self,
-            _name: &'static str,
-            value: &T,
-        ) -> Result<(), Error> {
-            value.serialize(self)
-        }
-        fn serialize_newtype_variant<T: ?Sized + Serialize>(
-            self,
-            _name: &'static str,
-            _idx: u32,
-            variant: &'static str,
-            value: &T,
-        ) -> Result<(), Error> {
-            self.out.push('{');
-            self.out.push_str(&escape(variant));
-            self.out.push_str(": ");
-            value.serialize(&mut *self)?;
-            self.out.push('}');
-            Ok(())
-        }
-        fn serialize_seq(self, _len: Option<usize>) -> Result<SeqSer<'a, 'b>, Error> {
-            self.out.push('[');
-            Ok(SeqSer { ser: self, first: true })
-        }
-        fn serialize_tuple(self, len: usize) -> Result<SeqSer<'a, 'b>, Error> {
-            self.serialize_seq(Some(len))
-        }
-        fn serialize_tuple_struct(
-            self,
-            _name: &'static str,
-            len: usize,
-        ) -> Result<SeqSer<'a, 'b>, Error> {
-            self.serialize_seq(Some(len))
-        }
-        fn serialize_tuple_variant(
-            self,
-            _name: &'static str,
-            _idx: u32,
-            _variant: &'static str,
-            len: usize,
-        ) -> Result<SeqSer<'a, 'b>, Error> {
-            self.serialize_seq(Some(len))
-        }
-        fn serialize_map(self, _len: Option<usize>) -> Result<MapSer<'a, 'b>, Error> {
-            self.out.push('{');
-            Ok(MapSer { ser: self, first: true })
-        }
-        fn serialize_struct(
-            self,
-            _name: &'static str,
-            len: usize,
-        ) -> Result<MapSer<'a, 'b>, Error> {
-            self.serialize_map(Some(len))
-        }
-        fn serialize_struct_variant(
-            self,
-            _name: &'static str,
-            _idx: u32,
-            _variant: &'static str,
-            len: usize,
-        ) -> Result<MapSer<'a, 'b>, Error> {
-            self.serialize_map(Some(len))
-        }
-    }
-
-    pub struct SeqSer<'a, 'b> {
-        ser: &'b mut Ser<'a>,
-        first: bool,
-    }
-
-    impl<'a, 'b> ser::SerializeSeq for SeqSer<'a, 'b> {
-        type Ok = ();
-        type Error = Error;
-        fn serialize_element<T: ?Sized + Serialize>(&mut self, value: &T) -> Result<(), Error> {
-            if !self.first {
-                self.ser.out.push_str(", ");
-            }
-            self.first = false;
-            value.serialize(&mut *self.ser)
-        }
-        fn end(self) -> Result<(), Error> {
-            self.ser.out.push(']');
-            Ok(())
-        }
-    }
-
-    macro_rules! seq_like {
-        ($trait_:ident, $fn_:ident) => {
-            impl<'a, 'b> ser::$trait_ for SeqSer<'a, 'b> {
-                type Ok = ();
-                type Error = Error;
-                fn $fn_<T: ?Sized + Serialize>(&mut self, value: &T) -> Result<(), Error> {
-                    if !self.first {
-                        self.ser.out.push_str(", ");
-                    }
-                    self.first = false;
-                    value.serialize(&mut *self.ser)
-                }
-                fn end(self) -> Result<(), Error> {
-                    self.ser.out.push(']');
-                    Ok(())
-                }
-            }
-        };
-    }
-    seq_like!(SerializeTuple, serialize_element);
-    seq_like!(SerializeTupleStruct, serialize_field);
-    seq_like!(SerializeTupleVariant, serialize_field);
-
-    pub struct MapSer<'a, 'b> {
-        ser: &'b mut Ser<'a>,
-        first: bool,
-    }
-
-    impl<'a, 'b> ser::SerializeMap for MapSer<'a, 'b> {
-        type Ok = ();
-        type Error = Error;
-        fn serialize_key<T: ?Sized + Serialize>(&mut self, key: &T) -> Result<(), Error> {
-            if !self.first {
-                self.ser.out.push_str(", ");
-            }
-            self.first = false;
-            key.serialize(&mut *self.ser)
-        }
-        fn serialize_value<T: ?Sized + Serialize>(&mut self, value: &T) -> Result<(), Error> {
-            self.ser.out.push_str(": ");
-            value.serialize(&mut *self.ser)
-        }
-        fn end(self) -> Result<(), Error> {
-            self.ser.out.push('}');
-            Ok(())
-        }
-    }
-
-    impl<'a, 'b> ser::SerializeStruct for MapSer<'a, 'b> {
-        type Ok = ();
-        type Error = Error;
-        fn serialize_field<T: ?Sized + Serialize>(
-            &mut self,
-            key: &'static str,
-            value: &T,
-        ) -> Result<(), Error> {
-            use serde::ser::SerializeMap;
-            self.serialize_key(key)?;
-            self.serialize_value(value)
-        }
-        fn end(self) -> Result<(), Error> {
-            self.ser.out.push('}');
-            Ok(())
-        }
-    }
-
-    impl<'a, 'b> ser::SerializeStructVariant for MapSer<'a, 'b> {
-        type Ok = ();
-        type Error = Error;
-        fn serialize_field<T: ?Sized + Serialize>(
-            &mut self,
-            key: &'static str,
-            value: &T,
-        ) -> Result<(), Error> {
-            ser::SerializeStruct::serialize_field(self, key, value)
-        }
-        fn end(self) -> Result<(), Error> {
-            self.ser.out.push('}');
-            Ok(())
-        }
-    }
-}
-
 /// Human-friendly byte formatting (MiB with two decimals).
 pub fn fmt_bytes(b: usize) -> String {
     format!("{:.2} MiB", b as f64 / (1024.0 * 1024.0))
@@ -439,7 +106,6 @@ pub fn fmt_count(c: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use serde::Serialize;
 
     #[test]
     fn table_renders_aligned() {
@@ -459,28 +125,6 @@ mod tests {
     fn table_rejects_ragged_rows() {
         let mut t = Table::new(vec!["a", "b"]);
         t.row(vec!["only-one"]);
-    }
-
-    #[derive(Serialize)]
-    struct Rec {
-        name: String,
-        recall: f64,
-        sizes: Vec<u32>,
-        note: Option<String>,
-    }
-
-    #[test]
-    fn mini_json_emits_valid_structure() {
-        let rec = Rec {
-            name: "HNSW \"opt\"".into(),
-            recall: 0.995,
-            sizes: vec![1, 2, 3],
-            note: None,
-        };
-        let s = super::serde_json_to_string_pretty(&rec);
-        assert!(s.contains("\"name\": \"HNSW \\\"opt\\\"\""));
-        assert!(s.contains("\"sizes\": [1, 2, 3]"));
-        assert!(s.contains("\"note\": null"));
     }
 
     #[test]

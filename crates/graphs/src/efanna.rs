@@ -74,7 +74,9 @@ pub(crate) fn build_parts(
         let threads = gass_core::effective_threads(params.threads);
         // Per-node forest lookups are independent reads.
         let candidates: Vec<Vec<u32>> = gass_core::par_map(threads, store.len(), |u| {
-            forest.candidates(store.get(u as u32), params.init_candidates)
+            let mut ids = Vec::new();
+            forest.candidates(store.get(u as u32), params.init_candidates, &mut ids);
+            ids
         });
         let mut state = KnnGraphState::from_candidates(space, params.k, candidates);
         state.pad_random(space, params.seed ^ 0x9ad);
@@ -124,8 +126,13 @@ mod tests {
         let forest = gass_trees::kdtree::KdForest::build(&base, 4, 16, 42);
         let counter = DistCounter::new();
         let space = Space::new(&base, &counter);
-        let candidates: Vec<Vec<u32>> =
-            (0..400u32).map(|u| forest.candidates(base.get(u), 40)).collect();
+        let candidates: Vec<Vec<u32>> = (0..400u32)
+            .map(|u| {
+                let mut ids = Vec::new();
+                forest.candidates(base.get(u), 40, &mut ids);
+                ids
+            })
+            .collect();
         let kd_init = KnnGraphState::from_candidates(space, 10, candidates);
         let rand_init = KnnGraphState::random_init(space, 10, 7);
         let kd_recall = kd_init.graph_recall(space);

@@ -110,9 +110,6 @@ impl AnnIndex for LshapgIndex {
         let serving = self.base.serving();
         let space =
             Space::new(self.base.store(), counter).with_quant(serving.quant_view(params));
-        // LSH seeds are bucket lookups: they spend no distance evaluation.
-        let mut seeds = Vec::new();
-        self.lsh.select(space, query, params.seed_count.max(4), 0, &mut seeds);
         // Probabilistic routing: a fresh neighbour is scored (on codes when
         // the base carries them, then reranked exactly) unless its sketch
         // estimate exceeds `γ ·` the buffer's bound at the start of the hop
@@ -125,7 +122,11 @@ impl AnnIndex for LshapgIndex {
             !bound.is_finite() || !(lsh.projected_dist_sq(&sketch, nb) > gamma * bound)
         };
         let res = self.scratch.with(space.len(), params.beam_width, |scratch| {
-            beam_search_gated(
+            // LSH seeds are bucket lookups: they spend no distance evaluation.
+            let mut seeds = std::mem::take(&mut scratch.seeds);
+            seeds.clear();
+            self.lsh.select(space, query, params.seed_count.max(4), 0, &mut seeds);
+            let res = beam_search_gated(
                 self.base.graph(),
                 serving.csr(),
                 space,
@@ -136,7 +137,9 @@ impl AnnIndex for LshapgIndex {
                 scratch,
                 params.termination(),
                 gate,
-            )
+            );
+            scratch.seeds = seeds;
+            res
         });
         // The traversal runs in the base graph's (possibly relabeled) id
         // space; the base serving state owns the new→old translation.

@@ -218,15 +218,17 @@ impl KdForest {
         Self { trees, orig: OriginalIds::default() }
     }
 
-    /// Collects up to `budget` deduplicated candidates across all trees.
-    pub fn candidates(&self, query: &[f32], budget: usize) -> Vec<u32> {
+    /// Appends up to `budget` deduplicated candidates across all trees to
+    /// `out`.
+    pub fn candidates(&self, query: &[f32], budget: usize, out: &mut Vec<u32>) {
+        let start = out.len();
         let per_tree = budget.div_ceil(self.trees.len());
-        let mut out = Vec::with_capacity(budget + per_tree);
         for t in &self.trees {
-            t.candidates(query, per_tree, &mut out);
+            // A tree stops once `out` holds `per_tree` of this call's ids,
+            // counting the trees gathered before it.
+            t.candidates(query, start + per_tree, out);
         }
-        self.orig.select(&mut out, budget.max(1));
-        out
+        self.orig.select(out, start, budget.max(1));
     }
 
     /// Number of trees.
@@ -245,7 +247,7 @@ impl SeedProvider for KdForest {
         _max_dists: usize,
         out: &mut Vec<u32>,
     ) -> usize {
-        out.extend(self.candidates(query, count.max(1)));
+        self.candidates(query, count.max(1), out);
         0
     }
 
@@ -322,7 +324,8 @@ mod tests {
     fn forest_candidates_deduplicated() {
         let store = grid_store();
         let forest = KdForest::build(&store, 4, 8, 7);
-        let cands = forest.candidates(&[5.0, 5.0], 30);
+        let mut cands = Vec::new();
+        forest.candidates(&[5.0, 5.0], 30, &mut cands);
         let mut sorted = cands.clone();
         sorted.sort_unstable();
         sorted.dedup();

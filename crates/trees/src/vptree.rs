@@ -225,8 +225,9 @@ impl SeedProvider for VpSeeds {
         max_dists: usize,
         out: &mut Vec<u32>,
     ) -> usize {
+        let start = out.len();
         let spent = self.tree.candidates(space, query, count.max(1), max_dists, out);
-        self.orig.select(out, count.max(1));
+        self.orig.select(out, start, count.max(1));
         spent
     }
 

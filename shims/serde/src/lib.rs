@@ -1,8 +1,8 @@
 //! Offline stand-in for `serde`.
 //!
-//! The workspace serializes experiment records through its own JSON
-//! serializer (`gass-eval::report::mini_json`), so what is needed here is
-//! the serializer-generic *API shape*, not serde's full data model: the
+//! No serializer in the workspace consumes these traits any more; a few
+//! `gass-core` types still derive them. What is provided is the
+//! serializer-generic *API shape*, not serde's full data model: the
 //! [`Serialize`] trait, the [`ser`] module with [`ser::Serializer`] and the
 //! seven compound-serializer traits, and impls of [`Serialize`] for the
 //! primitive/std types the records contain. [`Deserialize`] is a marker —

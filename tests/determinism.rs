@@ -179,46 +179,21 @@ fn golden_hnsw_graph_and_answers() {
 /// Golden pin, recorded on the commit *before* PQ query preparation and
 /// codebook training moved onto the 16-centroid kernel (PR 18): for a given
 /// store, the trained dimension map, codebooks (in persisted `[j][c][i]`
-/// order), packed codes, one prepared query's table with its scale and bias,
-/// and both persisted files must stay bit-for-bit what they were.
+/// order), packed codes, and one prepared query's table with its scale and
+/// bias must stay bit-for-bit what they were.
 #[test]
-fn golden_pq_codebooks_codes_tables_and_files() {
-    use gass::core::{save_codec, save_codec_mapped, PqStore, PreparedQuery};
+fn golden_pq_codebooks_codes_tables() {
+    use gass::core::{PqStore, PreparedQuery};
 
-    // (label, trained state, prepared query, tagged codec file, mapped codec file)
-    const PINS: [(&str, usize, [u64; 4]); 2] = [
-        (
-            "deep-96 n=3000",
-            16,
-            [
-                0xfbb5_6f4d_898f_ccad,
-                0xe207_dc70_7aab_2133,
-                0xb3a1_d038_7e0b_dcb9,
-                0x830f_52d5_309c_cddb,
-            ],
-        ),
-        (
-            "gist-960 n=600",
-            160,
-            [
-                0x6c0c_acca_a7df_de2d,
-                0x81c6_098d_a7d4_948c,
-                0xa33d_5048_c79b_b2e1,
-                0x258f_cbbd_8596_2543,
-            ],
-        ),
+    // (label, trained state, prepared query)
+    const PINS: [(&str, usize, [u64; 2]); 2] = [
+        ("deep-96 n=3000", 16, [0xfbb5_6f4d_898f_ccad, 0xe207_dc70_7aab_2133]),
+        ("gist-960 n=600", 160, [0x6c0c_acca_a7df_de2d, 0x81c6_098d_a7d4_948c]),
     ];
     let stores = [
         (gass::data::synth::deep_like(3000, 1), gass::data::synth::deep_like(1, 2)),
         (gass::data::synth::gist_like(600, 1), gass::data::synth::gist_like(1, 2)),
     ];
-    let dir = std::env::temp_dir().join(format!("gass_golden_pq_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let file_hash = |path: &std::path::Path| {
-        let mut h = Fnv::new();
-        std::fs::read(path).expect("codec file").iter().for_each(|&b| h.word(u32::from(b)));
-        h.0
-    };
     let mut got = Vec::new();
     for ((label, m, _), (base, query)) in PINS.iter().zip(&stores) {
         let pq = PqStore::from_store(base, None);
@@ -235,95 +210,29 @@ fn golden_pq_codebooks_codes_tables_and_files() {
         table.word(prepared.lut_scale().to_bits());
         table.word(prepared.lut_bias().to_bits());
 
-        let (tagged, mapped) = (dir.join("pq.codec.gass"), dir.join("pq.mcodec.gass"));
-        save_codec(&pq, &tagged).expect("save tagged codec");
-        save_codec_mapped(&pq, &mapped).expect("save mapped codec");
-        got.push((*label, *m, [trained.0, table.0, file_hash(&tagged), file_hash(&mapped)]));
+        got.push((*label, *m, [trained.0, table.0]));
     }
-    std::fs::remove_dir_all(&dir).ok();
-    assert_eq!(got, PINS, "PQ training, encoding, table folding or the file format changed");
+    assert_eq!(got, PINS, "PQ training, encoding or table folding changed");
 }
 
 /// Golden pin, recorded on the commit *before* SQ8 and SQ4 became one
 /// affine store generic over the code width: for each width and
 /// store — Deep-96, Gist-960 and a 17-dimensional store whose odd final
 /// dimension leaves SQ4 a phantom nibble — every padded code row and
-/// decode, every single and four-row distance, the tagged and mapped
-/// codec files, the distances after reopening the mapped file, and the
-/// heap footprint must stay bit-for-bit what they were.
+/// decode, every single and four-row distance, and the heap footprint must
+/// stay bit-for-bit what they were.
 #[test]
-fn golden_affine_codes_distances_and_files() {
-    use gass::core::{open_codec, save_codec, save_codec_mapped, CodecSpec, PreparedQuery};
+fn golden_affine_codes_distances() {
+    use gass::core::{CodecSpec, PreparedQuery};
 
-    // (label, heap bytes, [rows + decodes, distances, tagged file, mapped
-    // file, distances after reopening the mapped file])
-    const PINS: [(&str, usize, [u64; 5]); 6] = [
-        (
-            "sq8 deep-96 n=3000",
-            384_768,
-            [
-                0xfcf9_9240_6386_50ca,
-                0xb542_4237_45ec_b8f5,
-                0x9a76_67d5_b45f_f5e4,
-                0x267f_db96_41af_1546,
-                0xb542_4237_45ec_b8f5,
-            ],
-        ),
-        (
-            "sq8 gist-960 n=600",
-            583_680,
-            [
-                0x0ecc_8c1b_84f7_ceb5,
-                0x10cf_3866_79ab_9a49,
-                0xa716_cdf2_573b_ce1b,
-                0x06a0_3a1c_d4d0_2549,
-                0x10cf_3866_79ab_9a49,
-            ],
-        ),
-        (
-            "sq8 ramp-17 n=37",
-            2_504,
-            [
-                0xfac0_b4c9_3357_0215,
-                0x3047_1316_8905_a1ec,
-                0xead2_9fb1_8172_f8c8,
-                0xcbcb_5b0d_a472_91aa,
-                0x3047_1316_8905_a1ec,
-            ],
-        ),
-        (
-            "sq4 deep-96 n=3000",
-            192_768,
-            [
-                0xb912_f5c6_1361_4b73,
-                0x663e_6dfb_9e99_cb95,
-                0xa7bd_29bb_04c9_4982,
-                0xee58_5557_72f7_d160,
-                0x663e_6dfb_9e99_cb95,
-            ],
-        ),
-        (
-            "sq4 gist-960 n=600",
-            314_880,
-            [
-                0x8c71_50e6_3803_8f94,
-                0x8cbd_e9f1_77dc_9691,
-                0x6dba_bd59_755f_4638,
-                0x4623_0f05_4060_bc4a,
-                0x8cbd_e9f1_77dc_9691,
-            ],
-        ),
-        (
-            "sq4 ramp-17 n=37",
-            2_504,
-            [
-                0x65cd_66e3_345b_27c5,
-                0xeff4_f6ce_8d97_2b77,
-                0x163b_6f9a_e88c_a381,
-                0xf099_7ca2_8925_3213,
-                0xeff4_f6ce_8d97_2b77,
-            ],
-        ),
+    // (label, heap bytes, [rows + decodes, distances])
+    const PINS: [(&str, usize, [u64; 2]); 6] = [
+        ("sq8 deep-96 n=3000", 384_768, [0xfcf9_9240_6386_50ca, 0xb542_4237_45ec_b8f5]),
+        ("sq8 gist-960 n=600", 583_680, [0x0ecc_8c1b_84f7_ceb5, 0x10cf_3866_79ab_9a49]),
+        ("sq8 ramp-17 n=37", 2_504, [0xfac0_b4c9_3357_0215, 0x3047_1316_8905_a1ec]),
+        ("sq4 deep-96 n=3000", 192_768, [0xb912_f5c6_1361_4b73, 0x663e_6dfb_9e99_cb95]),
+        ("sq4 gist-960 n=600", 314_880, [0x8c71_50e6_3803_8f94, 0x8cbd_e9f1_77dc_9691]),
+        ("sq4 ramp-17 n=37", 2_504, [0x65cd_66e3_345b_27c5, 0xeff4_f6ce_8d97_2b77]),
     ];
     // Seventeen dimensions, one of them constant (a zero step).
     let ramp = |n: usize, phase: usize| {
@@ -342,13 +251,6 @@ fn golden_affine_codes_distances_and_files() {
         (gass::data::synth::gist_like(600, 1), gass::data::synth::gist_like(1, 2)),
         (ramp(37, 0), ramp(1, 1000)),
     ];
-    let dir = std::env::temp_dir().join(format!("gass_golden_affine_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let file_hash = |path: &std::path::Path| {
-        let mut h = Fnv::new();
-        std::fs::read(path).expect("codec file").iter().for_each(|&b| h.word(u32::from(b)));
-        h.0
-    };
     let dist_hash = |codec: &dyn gass::core::CodecStore, query: &[f32]| {
         let mut prepared = PreparedQuery::default();
         codec.prepare_into(query, &mut prepared);
@@ -371,23 +273,11 @@ fn golden_affine_codes_distances_and_files() {
                 codec.code_row(id).iter().for_each(|&b| rows.word(u32::from(b)));
                 codec.decode(id).iter().for_each(|x| rows.word(x.to_bits()));
             }
-            let (tagged, mapped) =
-                (dir.join("affine.codec.gass"), dir.join("affine.mcodec.gass"));
-            save_codec(codec.as_ref(), &tagged).expect("save tagged codec");
-            save_codec_mapped(codec.as_ref(), &mapped).expect("save mapped codec");
-            let reopened = open_codec(&mapped).expect("reopen mapped codec");
-            let hashes = [
-                rows.0,
-                dist_hash(codec.as_ref(), query.get(0)),
-                file_hash(&tagged),
-                file_hash(&mapped),
-                dist_hash(reopened.as_ref(), query.get(0)),
-            ];
+            let hashes = [rows.0, dist_hash(codec.as_ref(), query.get(0))];
             got.push((PINS[got.len()].0, codec.heap_bytes(), hashes));
         }
     }
-    std::fs::remove_dir_all(&dir).ok();
-    assert_eq!(got, PINS, "SQ8/SQ4 encoding, scoring or the file format changed");
+    assert_eq!(got, PINS, "SQ8/SQ4 encoding or scoring changed");
 }
 
 /// Hashes the `u8` / `f32` totals of a counter.
