@@ -2,8 +2,9 @@
 //! dataset dimensionalities (Glove 25/100, Deep 96, Sift 128, Gist 960),
 //! mirroring `simd_kernels` for the f32 path. The dispatched kernels
 //! (`l2_sq_u8`, `l2_sq_u8_batch`, `l2_sq_u4`, `l2_sq_u4_batch`, `pq_scan`,
-//! `pq_scan_batch`) pick AVX2/NEON at runtime; the `*_scalar` rows pin the reference the
-//! dispatcher falls back to under `GASS_NO_SIMD`. The `pq_scan` rows are
+//! `pq_scan_batch`) pick AVX2 at runtime on x86-64; the `*_scalar` rows
+//! pin the reference the dispatcher runs elsewhere and under
+//! `set_simd_enabled(false)`. The `pq_scan` rows are
 //! the 16-entry LUT scan over 4-bit PQ codes (m = dim/6 subquantizers),
 //! the inner loop of PQ traversal — `pq_scan/{avx2,vbmi}` and
 //! `pq_scan_pair/vbmi` time the x86 kernels the dispatcher picks between

@@ -1,8 +1,8 @@
 //! Scalar vs SIMD distance-kernel micro-benchmarks at the paper's dataset
 //! dimensionalities (Sift 128, Deep 96, Glove 25/100, Gist 960). The
-//! dispatched kernels (`l2_sq`, `l2_sq_batch`) pick AVX2/NEON at runtime;
-//! the `*_scalar` rows pin the unrolled reference the dispatcher falls
-//! back to under `GASS_NO_SIMD`.
+//! dispatched kernels (`l2_sq`, `l2_sq_batch`) pick AVX2 at runtime on
+//! x86-64; the `*_scalar` rows pin the unrolled reference the dispatcher
+//! runs elsewhere and under `set_simd_enabled(false)`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gass_core::distance::{l2_sq, l2_sq_batch, l2_sq_batch_scalar, l2_sq_scalar};

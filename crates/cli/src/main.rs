@@ -72,8 +72,7 @@ COMMANDS:
             The fast-path flags default to the serving configuration
             (aligned store, CSR graph, SIMD kernels, software prefetch);
             results are identical under every combination — only speed
-            changes. --simd/--prefetch left absent defer to the
-            GASS_NO_SIMD / GASS_NO_PREFETCH environment overrides.
+            changes.
             --quant walks the compression ladder: sq8 traverses on 8-bit
             scalar-quantized codes (1 byte/dim), sq4 on 4-bit codes
             (2 dims/byte), pq on product-quantized codes (m subquantizers
@@ -106,7 +105,7 @@ COMMANDS:
             per-shard searches. --fanout-workers W runs each query's
             probes on W executors (0 = all cores; 1, the default, keeps
             the sequential loop); answers are identical at every W — only
-            latency changes. Absent defers to GASS_FANOUT_WORKERS.
+            latency changes.
 
   serve     --store <file> [--graph <file>] [--method <hnsw|...>]
             | --sharded <dir> [--nprobe <K>] [--fanout-workers <1>]
@@ -137,7 +136,7 @@ COMMANDS:
             With --sharded, serves a `build --shards` directory through
             centroid-routed nprobe search; shard stores saved in the
             mapped layout fault in per page, so untouched shards cost no
-            resident memory (disable with GASS_NO_MMAP=1).
+            resident memory.
             --fanout-workers W fans each query's probes out across W
             executors (identical answers, lower single-query latency).
 
@@ -602,8 +601,7 @@ fn run(args: Args) -> Result<(), String> {
                 "off" => Ok(false),
                 other => Err(format!("--{key} must be `on` or `off`, got `{other}`")),
             };
-            // Explicit flags win; absent flags leave the env-driven
-            // defaults (GASS_NO_SIMD / GASS_NO_PREFETCH) in charge.
+            // Absent flags leave the defaults (both on) in charge.
             if let Some(v) = &simd {
                 gass_core::set_simd_enabled(on_off("simd", v)?);
             }

@@ -18,13 +18,13 @@
 //! transposed kernels: [`sub_dists16`] — one short vector against sixteen
 //! dimension-major ones, PQ's per-query table kernel — and [`nearest8`] —
 //! eight dimension-major points against every centroid, the k-means and
-//! PQ-encoding kernel) are dispatched at runtime to an explicit SIMD
-//! implementation — AVX2 on x86-64, NEON on aarch64 (the transposed
-//! kernels: AVX2 only) — with the unrolled scalar code as the portable
-//! fallback.
-//! Detection runs once; `GASS_NO_SIMD=1` forces the scalar path for A/B
-//! runs, and [`set_simd_enabled`] toggles it in-process for ablation
-//! harnesses.
+//! PQ-encoding kernel) are dispatched at runtime to an explicit AVX2
+//! implementation on x86-64, with the unrolled scalar code as the
+//! reference. Other targets run the scalar reference. The CPU is read
+//! once into one kernel tier — scalar, AVX2 + FMA, or AVX2 + FMA +
+//! AVX-512 VBMI (PQ's table-lookup scan) — which every dispatcher here and
+//! in [`crate::quant`] reads with one atomic load; [`set_simd_enabled`]
+//! toggles it in-process for ablation harnesses.
 //!
 //! **Every backend is bit-identical.** All implementations follow one
 //! canonical arithmetic: eight accumulator lanes (lane `j` receives the
@@ -37,116 +37,88 @@
 //! built on machine-independent metrics needs.
 
 use crate::store::VectorStore;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 
-/// Accumulator lanes in the canonical kernel arithmetic (one AVX2 vector;
-/// two NEON vectors). Also the element granularity of the padded store
-/// layout's stride rounding (`16` floats = one cache line; a multiple of
-/// this).
+/// Accumulator lanes in the canonical kernel arithmetic (one AVX2
+/// vector). Also the element granularity of the padded store layout's
+/// stride rounding (`16` floats = one cache line; a multiple of this).
 pub const KERNEL_LANES: usize = 8;
 
 // --- runtime kernel dispatch -------------------------------------------
 
-const BACKEND_UNINIT: u8 = 0;
-const BACKEND_SCALAR: u8 = 1;
-pub(crate) const BACKEND_AVX2: u8 = 2;
-pub(crate) const BACKEND_NEON: u8 = 3;
+/// Kernel tiers, in increasing capability; `TIER_UNDETECTED` only until
+/// the first dispatch reads the CPU.
+const TIER_UNDETECTED: u8 = 0;
+const TIER_SCALAR: u8 = 1;
+/// AVX2 and FMA: the SIMD form of every `f32` and code kernel.
+pub(crate) const TIER_AVX2: u8 = 2;
+/// AVX2 and FMA plus AVX-512 F/BW/VBMI: adds PQ's table-lookup scan.
+#[cfg(target_arch = "x86_64")]
+pub(crate) const TIER_VBMI: u8 = 3;
 
-static BACKEND: AtomicU8 = AtomicU8::new(BACKEND_UNINIT);
+static TIER: AtomicU8 = AtomicU8::new(TIER_UNDETECTED);
 
-/// Best SIMD backend the host supports (ignoring overrides).
-fn native_backend() -> u8 {
+/// The best tier the CPU supports, from CPUID alone.
+pub(crate) fn native_tier() -> u8 {
     #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
     {
-        if std::arch::is_x86_feature_detected!("avx2") {
-            return BACKEND_AVX2;
-        }
+        let vbmi = std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("avx512bw")
+            && std::arch::is_x86_feature_detected!("avx512vbmi");
+        return if vbmi { TIER_VBMI } else { TIER_AVX2 };
     }
-    #[cfg(target_arch = "aarch64")]
-    {
-        if std::arch::is_aarch64_feature_detected!("neon") {
-            return BACKEND_NEON;
-        }
-    }
-    BACKEND_SCALAR
+    TIER_SCALAR
 }
 
 #[cold]
-fn init_backend() -> u8 {
-    let no_simd = std::env::var("GASS_NO_SIMD").is_ok_and(|v| !v.is_empty() && v != "0");
-    let b = if no_simd { BACKEND_SCALAR } else { native_backend() };
-    BACKEND.store(b, Ordering::Relaxed);
-    b
+fn detect_tier() -> u8 {
+    let t = native_tier();
+    TIER.store(t, Ordering::Relaxed);
+    t
 }
 
+/// The active tier: the CPU's, or scalar after `set_simd_enabled(false)`.
 #[inline(always)]
-fn backend() -> u8 {
-    let b = BACKEND.load(Ordering::Relaxed);
-    if b == BACKEND_UNINIT {
-        init_backend()
-    } else {
-        b
+pub(crate) fn kernel_tier() -> u8 {
+    match TIER.load(Ordering::Relaxed) {
+        TIER_UNDETECTED => detect_tier(),
+        t => t,
     }
 }
 
-/// The active backend id, for sibling modules (`quant`) that dispatch
-/// their own kernels under the same detection, env override and in-process
-/// toggle.
-#[inline(always)]
-pub(crate) fn active_backend() -> u8 {
-    backend()
-}
-
-/// Name of the active kernel backend: `"avx2"`, `"neon"`, or `"scalar"`.
+/// Name of the active kernel backend: `"avx2"` or `"scalar"`.
 pub fn simd_backend() -> &'static str {
-    match backend() {
-        BACKEND_AVX2 => "avx2",
-        BACKEND_NEON => "neon",
-        _ => "scalar",
+    if kernel_tier() >= TIER_AVX2 {
+        "avx2"
+    } else {
+        "scalar"
     }
 }
 
 /// Enables or disables the SIMD kernels at runtime (ablation harnesses use
-/// this to A/B within one process). Disabling selects the scalar fallback;
-/// enabling re-detects the best backend. Because every backend is
+/// this to A/B within one process). Disabling selects the scalar
+/// reference; enabling restores the CPU's tier. Because every backend is
 /// bit-identical, toggling mid-run changes wall-clock behavior only.
 pub fn set_simd_enabled(on: bool) {
-    let b = if on { native_backend() } else { BACKEND_SCALAR };
-    BACKEND.store(b, Ordering::Relaxed);
+    TIER.store(if on { native_tier() } else { TIER_SCALAR }, Ordering::Relaxed);
 }
 
-// Software prefetch is governed the same way: on by default, `GASS_NO_PREFETCH`
-// disables it for a whole run, `set_prefetch_enabled` toggles it in-process.
-// Tri-state so the env var is read once, lazily.
-static PREFETCH: AtomicU8 = AtomicU8::new(PF_UNINIT);
-const PF_UNINIT: u8 = 0;
-const PF_OFF: u8 = 1;
-const PF_ON: u8 = 2;
-
-#[cold]
-fn init_prefetch() -> u8 {
-    let off = std::env::var("GASS_NO_PREFETCH").is_ok_and(|v| !v.is_empty() && v != "0");
-    let p = if off { PF_OFF } else { PF_ON };
-    PREFETCH.store(p, Ordering::Relaxed);
-    p
-}
+/// Query-time software prefetch: on unless [`set_prefetch_enabled`]
+/// turned it off.
+static PREFETCH: AtomicBool = AtomicBool::new(true);
 
 /// `true` when query-time software prefetching is active.
 #[inline(always)]
 pub fn prefetch_enabled() -> bool {
-    let p = PREFETCH.load(Ordering::Relaxed);
-    if p == PF_UNINIT {
-        init_prefetch() == PF_ON
-    } else {
-        p == PF_ON
-    }
+    PREFETCH.load(Ordering::Relaxed)
 }
 
 /// Enables or disables query-time software prefetching (ablation knob;
 /// prefetching has no semantic effect either way).
 pub fn set_prefetch_enabled(on: bool) {
-    PREFETCH.store(if on { PF_ON } else { PF_OFF }, Ordering::Relaxed);
+    PREFETCH.store(on, Ordering::Relaxed);
 }
 
 /// Rows spanning at most this many cache lines are prefetched whole; longer
@@ -176,7 +148,8 @@ pub(crate) fn prefetch_slice<T>(row: &[T]) {
     }
 }
 
-/// Issues one prefetch of the cache line holding `p`.
+/// Issues one prefetch of the cache line holding `p` (x86-64 only; a
+/// no-op elsewhere).
 #[inline(always)]
 fn prefetch_line(p: *const u8) {
     // SAFETY: a prefetch is a hint: it reads nothing architecturally and
@@ -187,21 +160,16 @@ fn prefetch_line(p: *const u8) {
         use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
         _mm_prefetch::<_MM_HINT_T0>(p.cast::<i8>());
     }
-    // SAFETY: as above; `prfm` is a hint that never faults.
-    #[cfg(target_arch = "aarch64")]
-    unsafe {
-        core::arch::asm!("prfm pldl1keep, [{0}]", in(reg) p, options(nostack, preserves_flags));
-    }
-    #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
+    #[cfg(not(target_arch = "x86_64"))]
     let _ = p;
 }
 
 // --- scalar reference kernels ------------------------------------------
 
 /// Reduces the eight canonical accumulator lanes in the fixed tree order
-/// shared by every backend.
+/// shared by every backend (the `f32` and the code kernels alike).
 #[inline(always)]
-fn reduce8(acc: [f32; 8]) -> f32 {
+pub(crate) fn reduce8(acc: [f32; 8]) -> f32 {
     let c = [acc[0] + acc[4], acc[1] + acc[5], acc[2] + acc[6], acc[3] + acc[7]];
     (c[0] + c[2]) + (c[1] + c[3])
 }
@@ -407,7 +375,7 @@ fn check_nearest8(block: &[f32], cents: &[f32]) -> usize {
 // --- AVX2 kernels -------------------------------------------------------
 
 #[cfg(target_arch = "x86_64")]
-mod avx2 {
+pub(crate) mod avx2 {
     //! AVX2 implementations of the canonical kernel arithmetic. No FMA
     //! contraction: fusing the multiply-add would change rounding and break
     //! bit-identity with the scalar reference (the ~cycle it would save is
@@ -428,15 +396,22 @@ mod avx2 {
         _mm256_loadu_si256(TAIL_MASK.as_ptr().add(8 - rem) as *const __m256i)
     }
 
-    /// Canonical `((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7))` reduction.
+    /// Canonical `((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7))` reduction, shared
+    /// with the SQ8 and SQ4 kernels.
+    ///
+    /// # Safety
+    /// The CPU supports AVX2 (only AVX2 kernels call it).
     #[inline(always)]
-    unsafe fn reduce8(acc: __m256) -> f32 {
+    pub(crate) unsafe fn reduce8(acc: __m256) -> f32 {
         let c = _mm_add_ps(_mm256_castps256_ps128(acc), _mm256_extractf128_ps(acc, 1));
         let d = _mm_add_ps(c, _mm_movehl_ps(c, c));
         let e = _mm_add_ss(d, _mm_shuffle_ps(d, d, 0b01));
         _mm_cvtss_f32(e)
     }
 
+    /// # Safety
+    /// The CPU supports AVX2, and `b` is as long as `a` (the kernel reads
+    /// `a.len()` floats of each).
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn l2_sq(a: &[f32], b: &[f32]) -> f32 {
         debug_assert_eq!(a.len(), b.len());
@@ -461,6 +436,8 @@ mod avx2 {
         reduce8(acc)
     }
 
+    /// # Safety
+    /// As [`l2_sq`], for each of the four rows against `query`.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn l2_sq_batch(query: &[f32], vs: [&[f32]; 4]) -> [f32; 4] {
         for v in vs {
@@ -490,6 +467,8 @@ mod avx2 {
         [reduce8(acc[0]), reduce8(acc[1]), reduce8(acc[2]), reduce8(acc[3])]
     }
 
+    /// # Safety
+    /// As [`l2_sq`].
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn dot(a: &[f32], b: &[f32]) -> f32 {
         debug_assert_eq!(a.len(), b.len());
@@ -680,117 +659,24 @@ mod avx2 {
     }
 }
 
-// --- NEON kernels -------------------------------------------------------
-
-#[cfg(target_arch = "aarch64")]
-mod neon {
-    //! NEON implementations of the canonical kernel arithmetic: two
-    //! `float32x4` accumulators model the eight lanes (low half = lanes
-    //! 0–3, high half = lanes 4–7), so the cross-half `lo + hi` add is the
-    //! canonical reduction's first level. Tails go through a zero-filled
-    //! stack buffer; zero terms leave their accumulator lane bit-unchanged.
-
-    use core::arch::aarch64::*;
-
-    #[inline(always)]
-    unsafe fn reduce8(lo: float32x4_t, hi: float32x4_t) -> f32 {
-        let c = vaddq_f32(lo, hi);
-        let (c0, c1, c2, c3) = (
-            vgetq_lane_f32(c, 0),
-            vgetq_lane_f32(c, 1),
-            vgetq_lane_f32(c, 2),
-            vgetq_lane_f32(c, 3),
-        );
-        (c0 + c2) + (c1 + c3)
-    }
-
-    /// Copies the `rem`-element tail starting at `p` into a zero-padded
-    /// 8-float buffer.
-    #[inline(always)]
-    unsafe fn tail(p: *const f32, rem: usize) -> [f32; 8] {
-        let mut buf = [0.0f32; 8];
-        core::ptr::copy_nonoverlapping(p, buf.as_mut_ptr(), rem);
-        buf
-    }
-
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn l2_sq(a: &[f32], b: &[f32]) -> f32 {
-        debug_assert_eq!(a.len(), b.len());
-        let n = a.len();
-        let (pa, pb) = (a.as_ptr(), b.as_ptr());
-        let mut lo = vdupq_n_f32(0.0);
-        let mut hi = vdupq_n_f32(0.0);
-        let chunks = n / 8;
-        for i in 0..chunks {
-            let d0 = vsubq_f32(vld1q_f32(pa.add(i * 8)), vld1q_f32(pb.add(i * 8)));
-            let d1 = vsubq_f32(vld1q_f32(pa.add(i * 8 + 4)), vld1q_f32(pb.add(i * 8 + 4)));
-            lo = vaddq_f32(lo, vmulq_f32(d0, d0));
-            hi = vaddq_f32(hi, vmulq_f32(d1, d1));
-        }
-        let rem = n % 8;
-        if rem != 0 {
-            let ta = tail(pa.add(chunks * 8), rem);
-            let tb = tail(pb.add(chunks * 8), rem);
-            let d0 = vsubq_f32(vld1q_f32(ta.as_ptr()), vld1q_f32(tb.as_ptr()));
-            let d1 = vsubq_f32(vld1q_f32(ta.as_ptr().add(4)), vld1q_f32(tb.as_ptr().add(4)));
-            lo = vaddq_f32(lo, vmulq_f32(d0, d0));
-            hi = vaddq_f32(hi, vmulq_f32(d1, d1));
-        }
-        reduce8(lo, hi)
-    }
-
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn l2_sq_batch(query: &[f32], vs: [&[f32]; 4]) -> [f32; 4] {
-        let mut out = [0.0f32; 4];
-        for (o, v) in out.iter_mut().zip(vs) {
-            *o = l2_sq(query, v);
-        }
-        out
-    }
-
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn dot(a: &[f32], b: &[f32]) -> f32 {
-        debug_assert_eq!(a.len(), b.len());
-        let n = a.len();
-        let (pa, pb) = (a.as_ptr(), b.as_ptr());
-        let mut lo = vdupq_n_f32(0.0);
-        let mut hi = vdupq_n_f32(0.0);
-        let chunks = n / 8;
-        for i in 0..chunks {
-            lo = vaddq_f32(lo, vmulq_f32(vld1q_f32(pa.add(i * 8)), vld1q_f32(pb.add(i * 8))));
-            hi = vaddq_f32(
-                hi,
-                vmulq_f32(vld1q_f32(pa.add(i * 8 + 4)), vld1q_f32(pb.add(i * 8 + 4))),
-            );
-        }
-        let rem = n % 8;
-        if rem != 0 {
-            let ta = tail(pa.add(chunks * 8), rem);
-            let tb = tail(pb.add(chunks * 8), rem);
-            lo = vaddq_f32(lo, vmulq_f32(vld1q_f32(ta.as_ptr()), vld1q_f32(tb.as_ptr())));
-            hi = vaddq_f32(
-                hi,
-                vmulq_f32(vld1q_f32(ta.as_ptr().add(4)), vld1q_f32(tb.as_ptr().add(4))),
-            );
-        }
-        reduce8(lo, hi)
-    }
-}
-
 // --- dispatched public kernels -----------------------------------------
 
 /// Squared Euclidean distance between two equal-length slices, dispatched
 /// to the best available kernel (see the module docs: all backends are
 /// bit-identical).
+///
+/// # Panics
+/// Panics unless `a` and `b` have the same length.
 #[inline]
 pub fn l2_sq(a: &[f32], b: &[f32]) -> f32 {
-    match backend() {
-        #[cfg(target_arch = "x86_64")]
-        BACKEND_AVX2 => unsafe { avx2::l2_sq(a, b) },
-        #[cfg(target_arch = "aarch64")]
-        BACKEND_NEON => unsafe { neon::l2_sq(a, b) },
-        _ => l2_sq_scalar(a, b),
+    assert_eq!(a.len(), b.len(), "l2_sq over rows of different lengths");
+    #[cfg(target_arch = "x86_64")]
+    if kernel_tier() >= TIER_AVX2 {
+        // SAFETY: the tier is AVX2 only where CPUID reported AVX2, and the
+        // assert above is the length the kernel reads `b` under.
+        return unsafe { avx2::l2_sq(a, b) };
     }
+    l2_sq_scalar(a, b)
 }
 
 /// Squared Euclidean distance from one query to **four** stored vectors at
@@ -800,15 +686,22 @@ pub fn l2_sq(a: &[f32], b: &[f32]) -> f32 {
 /// across all four vectors and gives the hardware four independent
 /// accumulation chains. Per vector the arithmetic is exactly [`l2_sq`]'s,
 /// so results are bit-identical to four separate calls.
+///
+/// # Panics
+/// Panics unless every row of `vs` is as long as `query`.
 #[inline]
 pub fn l2_sq_batch(query: &[f32], vs: [&[f32]; 4]) -> [f32; 4] {
-    match backend() {
-        #[cfg(target_arch = "x86_64")]
-        BACKEND_AVX2 => unsafe { avx2::l2_sq_batch(query, vs) },
-        #[cfg(target_arch = "aarch64")]
-        BACKEND_NEON => unsafe { neon::l2_sq_batch(query, vs) },
-        _ => l2_sq_batch_scalar(query, vs),
+    assert!(
+        vs.iter().all(|v| v.len() == query.len()),
+        "l2_sq_batch over rows of different lengths"
+    );
+    #[cfg(target_arch = "x86_64")]
+    if kernel_tier() >= TIER_AVX2 {
+        // SAFETY: the tier is AVX2 only where CPUID reported AVX2, and the
+        // assert above is the length the kernel reads each row under.
+        return unsafe { avx2::l2_sq_batch(query, vs) };
     }
+    l2_sq_batch_scalar(query, vs)
 }
 
 /// Euclidean distance (`sqrt` of [`l2_sq`]).
@@ -818,15 +711,19 @@ pub fn l2(a: &[f32], b: &[f32]) -> f32 {
 }
 
 /// Inner product of two equal-length slices, dispatched like [`l2_sq`].
+///
+/// # Panics
+/// Panics unless `a` and `b` have the same length.
 #[inline]
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
-    match backend() {
-        #[cfg(target_arch = "x86_64")]
-        BACKEND_AVX2 => unsafe { avx2::dot(a, b) },
-        #[cfg(target_arch = "aarch64")]
-        BACKEND_NEON => unsafe { neon::dot(a, b) },
-        _ => dot_scalar(a, b),
+    assert_eq!(a.len(), b.len(), "dot over rows of different lengths");
+    #[cfg(target_arch = "x86_64")]
+    if kernel_tier() >= TIER_AVX2 {
+        // SAFETY: the tier is AVX2 only where CPUID reported AVX2, and the
+        // assert above is the length the kernel reads `b` under.
+        return unsafe { avx2::dot(a, b) };
     }
+    dot_scalar(a, b)
 }
 
 /// Squared Euclidean distances from `v` to **sixteen** vectors at once,
@@ -834,21 +731,21 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
 /// behind PQ table construction, encoding and codebook training, where one
 /// short subvector meets a whole 16-centroid codebook. Lane `c` is
 /// bit-identical to `l2_sq(v, vector_c)` on every backend (see
-/// [`sub_dists16_scalar`]); aarch64 runs the scalar form.
+/// [`sub_dists16_scalar`]).
 ///
 /// # Panics
 /// Panics if `tm.len() != v.len() * 16`.
 #[inline]
 pub fn sub_dists16(v: &[f32], tm: &[f32]) -> [f32; LANES16] {
     assert_eq!(tm.len(), v.len() * LANES16, "block must hold 16 vectors of v's length");
-    match backend() {
-        // SAFETY: the backend is AVX2 only after runtime detection, and the
+    #[cfg(target_arch = "x86_64")]
+    if kernel_tier() >= TIER_AVX2 {
+        // SAFETY: the tier is AVX2 only where CPUID reported AVX2, and the
         // length check above is the one the kernel's pointer arithmetic
         // relies on.
-        #[cfg(target_arch = "x86_64")]
-        BACKEND_AVX2 => unsafe { avx2::sub_dists16(v, tm) },
-        _ => sub_dists16_scalar(v, tm),
+        return unsafe { avx2::sub_dists16(v, tm) };
     }
+    sub_dists16_scalar(v, tm)
 }
 
 /// The nearest of `cents` (row-major, any count) for each of the eight
@@ -857,8 +754,7 @@ pub fn sub_dists16(v: &[f32], tm: &[f32]) -> [f32; LANES16] {
 /// distance — `(0, +∞)` when no centroid scores below `+∞`. The kernel
 /// behind k-means seeding and assignment and PQ encoding, where many
 /// points meet the same few centroids; bit-identical on every backend to a
-/// per-point strict-`<` scan of `l2_sq` calls (see [`nearest8_scalar`]);
-/// aarch64 runs the scalar form.
+/// per-point strict-`<` scan of `l2_sq` calls (see [`nearest8_scalar`]).
 ///
 /// # Panics
 /// Panics if `block` is empty or not whole 8-point columns, or `cents` is
@@ -866,13 +762,13 @@ pub fn sub_dists16(v: &[f32], tm: &[f32]) -> [f32; LANES16] {
 #[inline]
 pub fn nearest8(block: &[f32], cents: &[f32]) -> Nearest8 {
     check_nearest8(block, cents);
-    match backend() {
-        // SAFETY: the backend is AVX2 only after runtime detection, and
+    #[cfg(target_arch = "x86_64")]
+    if kernel_tier() >= TIER_AVX2 {
+        // SAFETY: the tier is AVX2 only where CPUID reported AVX2, and
         // `check_nearest8` asserted the shapes the kernel's loads rely on.
-        #[cfg(target_arch = "x86_64")]
-        BACKEND_AVX2 => unsafe { avx2::nearest8(block, cents) },
-        _ => nearest8_scalar(block, cents),
+        return unsafe { avx2::nearest8(block, cents) };
     }
+    nearest8_scalar(block, cents)
 }
 
 /// Lane-wise minimum of sixteen non-NaN values.
@@ -882,24 +778,6 @@ pub(crate) fn min16(d: &[f32; LANES16]) -> f32 {
     let h8: [f32; 8] = std::array::from_fn(|i| lt(d[i], d[i + 8]));
     let h4: [f32; 4] = std::array::from_fn(|i| lt(h8[i], h8[i + 4]));
     lt(lt(h4[0], h4[2]), lt(h4[1], h4[3]))
-}
-
-/// Squared L2 norm.
-#[inline]
-pub fn norm_sq(a: &[f32]) -> f32 {
-    dot(a, a)
-}
-
-/// Cosine *distance* (1 − cosine similarity). Zero vectors are treated as
-/// maximally distant.
-#[inline]
-pub fn cosine_distance(a: &[f32], b: &[f32]) -> f32 {
-    let na = norm_sq(a).sqrt();
-    let nb = norm_sq(b).sqrt();
-    if na == 0.0 || nb == 0.0 {
-        return 1.0;
-    }
-    1.0 - dot(a, b) / (na * nb)
 }
 
 /// Shared, thread-safe counter of distance evaluations, split by
@@ -946,12 +824,6 @@ impl DistCounter {
     #[inline]
     pub fn add_u8(&self, n: u64) {
         self.0.quant.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records a single quantized distance evaluation.
-    #[inline]
-    pub fn bump_u8(&self) {
-        self.add_u8(1);
     }
 
     /// Current total across both precisions (the paper's machine-
@@ -1175,6 +1047,31 @@ mod tests {
         }
     }
 
+    /// A row shorter (or longer) than its partner is a panic at every
+    /// tier, never a read past the shorter row's end.
+    #[test]
+    fn mismatched_f32_rows_panic_instead_of_reading_out_of_bounds() {
+        let long = [0.0f32; 16];
+        let short = [0.0f32; 1];
+        let panics =
+            |f: &dyn Fn()| std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).is_err();
+        assert!(panics(&|| {
+            l2_sq(&long, &short);
+        }));
+        assert!(panics(&|| {
+            l2_sq(&short, &long);
+        }));
+        assert!(panics(&|| {
+            dot(&long, &short);
+        }));
+        assert!(panics(&|| {
+            l2_sq_batch(&long, [&long, &long, &short, &long]);
+        }));
+        assert!(panics(&|| {
+            l2_sq_batch(&short, [&short, &long, &short, &short]);
+        }));
+    }
+
     #[test]
     fn dim_major_block_pads_with_row_zero() {
         let rows = [1.0f32, 2.0, 3.0, 4.0, 5.0, 6.0]; // three 2-d rows
@@ -1220,7 +1117,7 @@ mod tests {
         assert_eq!(simd_backend(), "scalar");
         set_simd_enabled(true);
         let native = simd_backend();
-        assert!(["avx2", "neon", "scalar"].contains(&native));
+        assert!(["avx2", "scalar"].contains(&native));
         set_simd_enabled(before != "scalar");
     }
 
@@ -1250,23 +1147,6 @@ mod tests {
     }
 
     #[test]
-    fn cosine_distance_bounds() {
-        let a = [1.0f32, 0.0];
-        let b = [0.0f32, 1.0];
-        assert!((cosine_distance(&a, &a)).abs() < 1e-6);
-        assert!((cosine_distance(&a, &b) - 1.0).abs() < 1e-6);
-        let c = [-1.0f32, 0.0];
-        assert!((cosine_distance(&a, &c) - 2.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn cosine_distance_zero_vector() {
-        let z = [0.0f32, 0.0];
-        let a = [1.0f32, 0.0];
-        assert_eq!(cosine_distance(&z, &a), 1.0);
-    }
-
-    #[test]
     fn counter_accumulates_across_clones() {
         let c = DistCounter::new();
         let c2 = c.clone();
@@ -1281,8 +1161,7 @@ mod tests {
     fn counter_splits_precisions_and_totals_them() {
         let c = DistCounter::new();
         c.add(3);
-        c.add_u8(5);
-        c.bump_u8();
+        c.add_u8(6);
         assert_eq!(c.get_f32(), 3);
         assert_eq!(c.get_u8(), 6);
         assert_eq!(c.get(), 9, "get() stays the combined total");
@@ -1345,8 +1224,8 @@ mod props {
             prop_assert_eq!(bits(sub_dists16_scalar(&v, &tm)), want.clone());
             prop_assert_eq!(bits(sub_dists16(&v, &tm)), want.clone());
             #[cfg(target_arch = "x86_64")]
-            if std::arch::is_x86_feature_detected!("avx2") {
-                // SAFETY: AVX2 was just detected; `to_dim_major16` returns
+            if native_tier() >= TIER_AVX2 {
+                // SAFETY: the CPU has AVX2; `to_dim_major16` returns
                 // `v.len() * 16` floats.
                 prop_assert_eq!(bits(unsafe { avx2::sub_dists16(&v, &tm) }), want.clone());
             }
@@ -1428,8 +1307,8 @@ mod props {
             prop_assert_eq!(run(&|b| nearest8_scalar(b, &cents)), want.clone());
             prop_assert_eq!(run(&|b| nearest8(b, &cents)), want.clone());
             #[cfg(target_arch = "x86_64")]
-            if std::arch::is_x86_feature_detected!("avx2") {
-                // SAFETY: AVX2 was just detected; `to_blocks8` returns whole
+            if native_tier() >= TIER_AVX2 {
+                // SAFETY: the CPU has AVX2; `to_blocks8` returns whole
                 // 8-point blocks and `cents` holds whole `dsub` rows.
                 prop_assert_eq!(run(&|b| unsafe { avx2::nearest8(b, &cents) }), want.clone());
             }

@@ -24,11 +24,10 @@
 //! caller re-raises the first payload once every execution has finished
 //! (the rule [`crate::par::par_map_with`] follows).
 //!
-//! One knob: [`set_fanout_workers`] / `GASS_FANOUT_WORKERS` sets the
-//! executor count (`0` = all cores; unset defaults to `1`, i.e. fan-out
-//! stays off unless asked for — per-query parallelism spends the same
-//! cores inter-query serving would, so it is an explicit
-//! latency-over-throughput choice).
+//! One knob: [`set_fanout_workers`] sets the executor count (`0` = all
+//! cores; the default `1` keeps fan-out off unless asked for — per-query
+//! parallelism spends the same cores inter-query serving would, so it is
+//! an explicit latency-over-throughput choice).
 
 use std::any::Any;
 use std::collections::VecDeque;
@@ -51,9 +50,8 @@ pub fn num_nodes() -> usize {
     1
 }
 
-/// Requested executor count. `usize::MAX` = unset (consult the
-/// environment on first read), `0` = all cores, else the literal count.
-static FANOUT_WORKERS: AtomicUsize = AtomicUsize::new(usize::MAX);
+/// Requested executor count: `0` = all cores, else the literal count.
+static FANOUT_WORKERS: AtomicUsize = AtomicUsize::new(1);
 
 /// Sets the fan-out executor count: `0` means "all available cores",
 /// `1` disables fan-out (the sequential loop), `n > 1` runs probes on
@@ -62,19 +60,10 @@ pub fn set_fanout_workers(n: usize) {
     FANOUT_WORKERS.store(n, Ordering::Relaxed);
 }
 
-#[cold]
-fn init_fanout_workers() -> usize {
-    let n = std::env::var("GASS_FANOUT_WORKERS").ok().and_then(|v| v.parse().ok()).unwrap_or(1);
-    FANOUT_WORKERS.store(n, Ordering::Relaxed);
-    n
-}
-
-/// The executor count a fan-out would use right now, after resolving the
-/// knob and the environment default. `1` means the sequential loop runs.
+/// The executor count a fan-out would use right now, after resolving `0`
+/// to the core count. `1` means the sequential loop runs.
 pub fn fanout_workers() -> usize {
-    let n = FANOUT_WORKERS.load(Ordering::Relaxed);
-    let n = if n == usize::MAX { init_fanout_workers() } else { n };
-    crate::par::effective_threads(n)
+    crate::par::effective_threads(FANOUT_WORKERS.load(Ordering::Relaxed))
 }
 
 /// One submitted fan-out: a lifetime-erased closure plus its work list
@@ -359,7 +348,7 @@ mod tests {
     /// caller both reach the caller, only after every other index ran,
     /// and leave the pool serving. Runs on a helper thread under a time
     /// limit, so a lost barrier fails the test instead of hanging it. Uses
-    /// the shared pool where `GASS_FANOUT_WORKERS` configures one.
+    /// the shared pool where the fan-out width configures one.
     #[test]
     fn a_panicking_probe_propagates_to_the_caller_and_the_pool_survives() {
         use std::time::{Duration, Instant};

@@ -12,7 +12,7 @@
 //! module carries a **file-backed fallback reader**: [`MmapBuf::open`]
 //! falls back to reading the file into an anonymous heap buffer when
 //! `mmap` is unavailable (non-Unix), fails, or is disabled via
-//! `GASS_NO_MMAP=1` / [`set_mmap_enabled`] — observationally identical,
+//! [`set_mmap_enabled`] — observationally identical,
 //! just without the beyond-RAM economics. [`MmapRegion`] is a cheap
 //! ref-counted byte window into a buffer, the unit a mapped store holds
 //! for its rows.
@@ -21,39 +21,23 @@ use std::fs::File;
 use std::io::{self, Read};
 use std::ops::Deref;
 use std::path::Path;
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-const MMAP_UNINIT: u8 = 0;
-const MMAP_ON: u8 = 1;
-const MMAP_OFF: u8 = 2;
+/// Whether [`MmapBuf::open`] maps: on wherever the platform can.
+static MMAP: AtomicBool = AtomicBool::new(cfg!(unix));
 
-static MMAP_MODE: AtomicU8 = AtomicU8::new(MMAP_UNINIT);
-
-#[cold]
-fn init_mmap_mode() -> u8 {
-    let off =
-        !cfg!(unix) || std::env::var("GASS_NO_MMAP").is_ok_and(|v| !v.is_empty() && v != "0");
-    let m = if off { MMAP_OFF } else { MMAP_ON };
-    MMAP_MODE.store(m, Ordering::Relaxed);
-    m
-}
-
-/// Whether [`MmapBuf::open`] will try to map (Unix, not disabled via
-/// `GASS_NO_MMAP=1` or [`set_mmap_enabled`]). Read once from the
-/// environment, like the SIMD/prefetch toggles.
+/// Whether [`MmapBuf::open`] will try to map (Unix, unless
+/// [`set_mmap_enabled`] turned it off).
 #[inline]
 pub fn mmap_enabled() -> bool {
-    let m = MMAP_MODE.load(Ordering::Relaxed);
-    let m = if m == MMAP_UNINIT { init_mmap_mode() } else { m };
-    m == MMAP_ON
+    MMAP.load(Ordering::Relaxed)
 }
 
 /// In-process override for A/B runs and fallback tests. `true` re-enables
 /// mapping only where the platform supports it.
 pub fn set_mmap_enabled(on: bool) {
-    let m = if on && cfg!(unix) { MMAP_ON } else { MMAP_OFF };
-    MMAP_MODE.store(m, Ordering::Relaxed);
+    MMAP.store(on && cfg!(unix), Ordering::Relaxed);
 }
 
 /// Expected access pattern for [`MmapBuf::advise`].

@@ -17,13 +17,13 @@
 //! * [`PqStore`] (**PQ**, [`pq`]) — product quantization, `m`
 //!   subquantizers × 4-bit codes over k-means codebooks, distances scanned
 //!   from a per-query 16-entry LUT with SIMD compare-select kernels
-//!   (`vpshufb`/`tbl`-style register-resident tables), or `vpermi2b` table
+//!   (`vpshufb`-style register-resident tables), or `vpermi2b` table
 //!   lookups on AVX-512 VBMI.
 //!
 //! Every codec keeps the bit-identity discipline of [`crate::distance`]:
-//! the portable scalar kernel is the reference and the AVX2/NEON backends
-//! reproduce it bitwise, so `GASS_NO_SIMD` and the CI matrix legs exercise
-//! the same numerics. Returned distances are always exact `f32` — the
+//! the portable scalar kernel is the reference and the AVX2 backends
+//! reproduce it bitwise, so [`crate::set_simd_enabled`] changes only
+//! speed. Returned distances are always exact `f32` — the
 //! codec only reorders the traversal frontier.
 
 use crate::reorder::IdRemap;

@@ -46,15 +46,16 @@
 //! instead: for each candidate code value `c`, `sel |= (codes == c) &
 //! lut_row[c]` — the masks are disjoint, so the OR accumulates each lane's
 //! table entry — then a horizontal byte sum feeds the integer accumulator
-//! (`vpcmpeqb`/`vpand`/`vpor`/`vpsadbw` on AVX2, `vceqq`/`vandq`/`vorrq`/
-//! `vpadalq` on NEON). The LUT is laid out chunk-major for 16-byte rows:
+//! (`vpcmpeqb`/`vpand`/`vpor`/`vpsadbw` on AVX2). The LUT is laid out
+//! chunk-major for 16-byte rows:
 //! for each 16-byte group of code bytes (32 subquantizers), entry `c`
 //! stores 16 even-nibble bytes then 16 odd-nibble bytes at offset
 //! `chunk·512 + c·32`.
 //!
 //! ## Table lookups on AVX-512 VBMI
 //!
-//! Where the CPU has AVX-512 VBMI, a chunk's 512-byte table is four
+//! Where the CPU has AVX-512 VBMI (the top kernel tier of
+//! [`crate::distance`]), a chunk's 512-byte table is four
 //! 128-byte groups that `vpermi2b` indexes directly, so a lane's entry is
 //! one lookup per group (four per chunk) instead of sixteen compare-select
 //! rounds, and a zmm holds **two** code rows. [`pq_scan_pair`] scores two
@@ -65,6 +66,8 @@
 use super::{
     lines_as_bytes, lines_as_bytes_mut, CodeLine, CodecSpec, CodecStore, PreparedQuery, LINE_U8,
 };
+#[cfg(target_arch = "x86_64")]
+use crate::distance::{kernel_tier, native_tier, TIER_AVX2, TIER_VBMI};
 use crate::distance::{min16, nearest8, sub_dists16, to_blocks8, to_dim_major16, POINTS8};
 use crate::par::par_map;
 use crate::store::VectorStore;
@@ -789,74 +792,6 @@ mod vbmi {
     }
 }
 
-/// AVX-512F/BW/VBMI are present — a capability inside the AVX2 backend
-/// (every such CPU has AVX2), detected once.
-#[cfg(target_arch = "x86_64")]
-#[inline]
-fn vbmi_available() -> bool {
-    use std::sync::atomic::{AtomicU8, Ordering};
-    static VBMI: AtomicU8 = AtomicU8::new(0);
-    match VBMI.load(Ordering::Relaxed) {
-        0 => {
-            let yes = std::arch::is_x86_feature_detected!("avx512f")
-                && std::arch::is_x86_feature_detected!("avx512bw")
-                && std::arch::is_x86_feature_detected!("avx512vbmi");
-            VBMI.store(if yes { 1 } else { 2 }, Ordering::Relaxed);
-            yes
-        }
-        1 => true,
-        _ => false,
-    }
-}
-
-#[cfg(target_arch = "aarch64")]
-mod neon {
-    //! NEON compare-select LUT scan: `vceqq_u8` masks, `vandq`/`vorrq`
-    //! selection, widening pairwise adds (`vpaddlq_u8` → `vpadalq_u16`)
-    //! into a `u32x4` accumulator — exact integer arithmetic end to end.
-
-    use core::arch::aarch64::*;
-
-    /// # Safety
-    /// The CPU supports NEON; `codes` is whole 16-byte chunks and `lut`
-    /// holds 32 bytes per code byte.
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn pq_scan(lut: &[u8], codes: &[u8]) -> u32 {
-        debug_assert!(codes.len() % 16 == 0);
-        debug_assert_eq!(lut.len(), codes.len() * 32);
-        let mut acc = vdupq_n_u32(0);
-        for (b, chunk) in codes.chunks_exact(16).enumerate() {
-            let cv = vld1q_u8(chunk.as_ptr());
-            let lo = vandq_u8(cv, vdupq_n_u8(0x0F));
-            let hi = vshrq_n_u8::<4>(cv);
-            let lp = lut.as_ptr().add(b * super::LUT_CHUNK);
-            let mut sel_e = vdupq_n_u8(0);
-            let mut sel_o = vdupq_n_u8(0);
-            for c in 0..16u8 {
-                let bc = vdupq_n_u8(c);
-                let e_row = vld1q_u8(lp.add(c as usize * 32));
-                let o_row = vld1q_u8(lp.add(c as usize * 32 + 16));
-                sel_e = vorrq_u8(sel_e, vandq_u8(vceqq_u8(lo, bc), e_row));
-                sel_o = vorrq_u8(sel_o, vandq_u8(vceqq_u8(hi, bc), o_row));
-            }
-            acc = vpadalq_u16(acc, vpaddlq_u8(sel_e));
-            acc = vpadalq_u16(acc, vpaddlq_u8(sel_o));
-        }
-        vaddvq_u32(acc)
-    }
-
-    /// # Safety
-    /// As [`pq_scan`], for each of the four rows.
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn pq_scan_batch(lut: &[u8], codes: [&[u8]; 4]) -> [u32; 4] {
-        let mut out = [0u32; 4];
-        for (o, c) in out.iter_mut().zip(codes) {
-            *o = pq_scan(lut, c);
-        }
-        out
-    }
-}
-
 /// Integer LUT sum of one code row against a prepared query table,
 /// dispatched to the best available kernel (all backends exact — the sum
 /// is the same `u32` everywhere). `codes` is a whole number of 16-byte
@@ -870,19 +805,18 @@ mod neon {
 #[inline]
 pub fn pq_scan(lut: &[u8], codes: &[u8]) -> u32 {
     check_scan(lut, codes);
-    match crate::distance::active_backend() {
-        // SAFETY (every arm): the backend's features were detected, and
-        // `check_scan` established the lengths the kernels read under.
-        #[cfg(target_arch = "x86_64")]
-        crate::distance::BACKEND_AVX2 if vbmi_available() => unsafe {
-            vbmi::pq_scan_pair(lut, codes, codes)[0]
-        },
-        #[cfg(target_arch = "x86_64")]
-        crate::distance::BACKEND_AVX2 => unsafe { avx2::pq_scan(lut, codes) },
-        #[cfg(target_arch = "aarch64")]
-        crate::distance::BACKEND_NEON => unsafe { neon::pq_scan(lut, codes) },
-        _ => pq_scan_scalar(lut, codes),
+    #[cfg(target_arch = "x86_64")]
+    match kernel_tier() {
+        // SAFETY: the tier is VBMI only where CPUID reported AVX-512
+        // F/BW/VBMI; `check_scan` established the lengths the kernel reads
+        // under.
+        TIER_VBMI => return unsafe { vbmi::pq_scan_pair(lut, codes, codes)[0] },
+        // SAFETY: the tier is AVX2 only where CPUID reported AVX2;
+        // `check_scan` established the lengths the kernel reads under.
+        TIER_AVX2 => return unsafe { avx2::pq_scan(lut, codes) },
+        _ => {}
     }
+    pq_scan_scalar(lut, codes)
 }
 
 /// [`pq_scan`] against **four** code rows at once, sharing the broadcast
@@ -896,20 +830,21 @@ pub fn pq_scan_batch(lut: &[u8], codes: [&[u8]; 4]) -> [u32; 4] {
     for row in codes {
         check_scan(lut, row);
     }
-    match crate::distance::active_backend() {
-        // SAFETY (every arm): as in `pq_scan`, for each row.
-        #[cfg(target_arch = "x86_64")]
-        crate::distance::BACKEND_AVX2 if vbmi_available() => unsafe {
+    #[cfg(target_arch = "x86_64")]
+    match kernel_tier() {
+        // SAFETY: VBMI as in `pq_scan`; `check_scan` established every
+        // row's length.
+        TIER_VBMI => unsafe {
             let [s0, s1] = vbmi::pq_scan_pair(lut, codes[0], codes[1]);
             let [s2, s3] = vbmi::pq_scan_pair(lut, codes[2], codes[3]);
-            [s0, s1, s2, s3]
+            return [s0, s1, s2, s3];
         },
-        #[cfg(target_arch = "x86_64")]
-        crate::distance::BACKEND_AVX2 => unsafe { avx2::pq_scan_batch(lut, codes) },
-        #[cfg(target_arch = "aarch64")]
-        crate::distance::BACKEND_NEON => unsafe { neon::pq_scan_batch(lut, codes) },
-        _ => pq_scan_batch_scalar(lut, codes),
+        // SAFETY: AVX2 as in `pq_scan`; `check_scan` established every
+        // row's length.
+        TIER_AVX2 => return unsafe { avx2::pq_scan_batch(lut, codes) },
+        _ => {}
     }
+    pq_scan_batch_scalar(lut, codes)
 }
 
 /// [`pq_scan`] against **two** code rows: one VBMI kernel call for both on
@@ -922,19 +857,18 @@ pub fn pq_scan_batch(lut: &[u8], codes: [&[u8]; 4]) -> [u32; 4] {
 pub fn pq_scan_pair(lut: &[u8], a: &[u8], b: &[u8]) -> [u32; 2] {
     check_scan(lut, a);
     check_scan(lut, b);
-    match crate::distance::active_backend() {
-        // SAFETY: as in `pq_scan`, for both rows.
-        #[cfg(target_arch = "x86_64")]
-        crate::distance::BACKEND_AVX2 if vbmi_available() => unsafe {
-            vbmi::pq_scan_pair(lut, a, b)
-        },
-        _ => [pq_scan(lut, a), pq_scan(lut, b)],
+    #[cfg(target_arch = "x86_64")]
+    if kernel_tier() == TIER_VBMI {
+        // SAFETY: VBMI as in `pq_scan`; `check_scan` established both
+        // rows' lengths.
+        return unsafe { vbmi::pq_scan_pair(lut, a, b) };
     }
+    [pq_scan(lut, a), pq_scan(lut, b)]
 }
 
 /// The AVX2 compare-select kernel alone, bypassing dispatch (kernel
 /// benchmarks and tests compare it with the VBMI kernel); `None` when the
-/// CPU lacks AVX2.
+/// CPU lacks AVX2 and FMA.
 ///
 /// # Panics
 /// As [`pq_scan`].
@@ -942,8 +876,8 @@ pub fn pq_scan_pair(lut: &[u8], a: &[u8], b: &[u8]) -> [u32; 2] {
 #[inline]
 pub fn pq_scan_avx2(lut: &[u8], codes: &[u8]) -> Option<u32> {
     check_scan(lut, codes);
-    // SAFETY: AVX2 detected just before the call; lengths checked above.
-    std::arch::is_x86_feature_detected!("avx2").then(|| unsafe { avx2::pq_scan(lut, codes) })
+    // SAFETY: `native_tier` read AVX2 from CPUID; lengths checked above.
+    (native_tier() >= TIER_AVX2).then(|| unsafe { avx2::pq_scan(lut, codes) })
 }
 
 /// The VBMI pair kernel alone, bypassing dispatch; `None` when the CPU
@@ -956,9 +890,9 @@ pub fn pq_scan_avx2(lut: &[u8], codes: &[u8]) -> Option<u32> {
 pub fn pq_scan_pair_vbmi(lut: &[u8], a: &[u8], b: &[u8]) -> Option<[u32; 2]> {
     check_scan(lut, a);
     check_scan(lut, b);
-    // SAFETY: the features were detected (`vbmi_available`); lengths
+    // SAFETY: `native_tier` read AVX-512 F/BW/VBMI from CPUID; lengths
     // checked above.
-    vbmi_available().then(|| unsafe { vbmi::pq_scan_pair(lut, a, b) })
+    (native_tier() == TIER_VBMI).then(|| unsafe { vbmi::pq_scan_pair(lut, a, b) })
 }
 
 /// PQ as it stood before the 16-centroid kernel — centroid-major
@@ -1377,11 +1311,11 @@ mod tests {
                 }
                 #[cfg(target_arch = "x86_64")]
                 {
-                    if std::arch::is_x86_feature_detected!("avx2") {
+                    if native_tier() >= TIER_AVX2 {
                         let single = r.map(|row| pq_scan_avx2(&lut, row).unwrap());
                         assert_eq!(single, want, "{label}: AVX2 single");
-                        // SAFETY: AVX2 detected; every row is whole chunks
-                        // and `lut` covers them.
+                        // SAFETY: the CPU has AVX2; every row is whole
+                        // chunks and `lut` covers them.
                         let batch = unsafe { avx2::pq_scan_batch(&lut, r) };
                         assert_eq!(batch, want, "{label}: AVX2 batch");
                     }

@@ -10,11 +10,14 @@
 //! the identical fused multiply-subtract / multiply-add lane arithmetic:
 //! lane `d mod 8`, the canonical `((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7))`
 //! reduction, zero-padded tails. The scalar reference reproduces the same
-//! per-lane sequence through `f32::mul_add`, so AVX2(+FMA), NEON and
-//! scalar agree bitwise. A phantom high nibble after an odd final
+//! per-lane sequence through `f32::mul_add`, so AVX2 + FMA and scalar
+//! agree bitwise. A phantom high nibble after an odd final
 //! dimension meets `u = s = 0` and contributes `+0.0`.
 
-use super::sq8::{check_affine, lane, reduce8};
+use super::sq8::{check_affine, lane};
+use crate::distance::reduce8;
+#[cfg(target_arch = "x86_64")]
+use crate::distance::{kernel_tier, TIER_AVX2};
 
 /// Scalar reference for [`l2_sq_u4`]: `Σ_d (u_d − s_d · c_d)²` over
 /// nibble-packed codes, dimensions in natural order, accumulator lane
@@ -55,20 +58,8 @@ mod avx2 {
     //! `vfmadd` arithmetic as the SQ8 kernels, same lane discipline, same
     //! reduction. Tails copy into zero-padded stack buffers.
 
+    use crate::distance::avx2::reduce8;
     use core::arch::x86_64::*;
-
-    /// Canonical `((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7))` reduction.
-    ///
-    /// # Safety
-    /// The CPU supports AVX2 (only the kernels below call it, under their
-    /// own `# Safety`).
-    #[inline(always)]
-    unsafe fn reduce8(acc: __m256) -> f32 {
-        let c = _mm_add_ps(_mm256_castps256_ps128(acc), _mm256_extractf128_ps(acc, 1));
-        let d = _mm_add_ps(c, _mm_movehl_ps(c, c));
-        let e = _mm_add_ss(d, _mm_shuffle_ps(d, d, 0b01));
-        _mm_cvtss_f32(e)
-    }
 
     /// Unpacks 8 packed bytes at `p` into 16 sequential dimension codes
     /// widened to two exact `f32` octets.
@@ -196,126 +187,6 @@ mod avx2 {
     }
 }
 
-#[cfg(target_arch = "aarch64")]
-mod neon {
-    //! NEON SQ4 kernels: nibbles mask apart (`vand`/`vshr`), `vzip`
-    //! re-interleaves to natural dimension order, the SQ8 widening chain
-    //! (`u8 → u16 → u32 → f32`, exact) feeds the same `vfmsq`/`vfmaq`
-    //! fused arithmetic with two `float32x4` accumulators modeling the
-    //! eight lanes.
-
-    use core::arch::aarch64::*;
-
-    /// The canonical reduction over the two quads.
-    ///
-    /// # Safety
-    /// The CPU supports NEON.
-    #[inline(always)]
-    unsafe fn reduce8(lo: float32x4_t, hi: float32x4_t) -> f32 {
-        let c = vaddq_f32(lo, hi);
-        let (c0, c1, c2, c3) = (
-            vgetq_lane_f32(c, 0),
-            vgetq_lane_f32(c, 1),
-            vgetq_lane_f32(c, 2),
-            vgetq_lane_f32(c, 3),
-        );
-        (c0 + c2) + (c1 + c3)
-    }
-
-    /// Widens 8 sequential codes into two exact `f32` quads.
-    ///
-    /// # Safety
-    /// The CPU supports NEON.
-    #[inline(always)]
-    unsafe fn widen8(codes: uint8x8_t) -> (float32x4_t, float32x4_t) {
-        let wide = vmovl_u8(codes);
-        (
-            vcvtq_f32_u32(vmovl_u16(vget_low_u16(wide))),
-            vcvtq_f32_u32(vmovl_u16(vget_high_u16(wide))),
-        )
-    }
-
-    /// One fused 8-lane step over dims at `pu`/`ps` with codes `c`.
-    ///
-    /// # Safety
-    /// The CPU supports NEON; `pu` and `ps` are valid for reading 8 `f32`s.
-    #[inline(always)]
-    unsafe fn accum(
-        lo: &mut float32x4_t,
-        hi: &mut float32x4_t,
-        pu: *const f32,
-        ps: *const f32,
-        c: uint8x8_t,
-    ) {
-        let (c0, c1) = widen8(c);
-        let d0 = vfmsq_f32(vld1q_f32(pu), vld1q_f32(ps), c0);
-        let d1 = vfmsq_f32(vld1q_f32(pu.add(4)), vld1q_f32(ps.add(4)), c1);
-        *lo = vfmaq_f32(*lo, d0, d0);
-        *hi = vfmaq_f32(*hi, d1, d1);
-    }
-
-    /// One 16-dim chunk from 8 packed bytes at `pc`.
-    ///
-    /// # Safety
-    /// The CPU supports NEON; `pu` and `ps` are valid for reading 16
-    /// `f32`s and `pc` for reading 8 bytes.
-    #[inline(always)]
-    unsafe fn chunk(
-        lo: &mut float32x4_t,
-        hi: &mut float32x4_t,
-        pu: *const f32,
-        ps: *const f32,
-        pc: *const u8,
-    ) {
-        let b = vld1_u8(pc);
-        let nlo = vand_u8(b, vdup_n_u8(0x0F));
-        let nhi = vshr_n_u8::<4>(b);
-        let il = vzip_u8(nlo, nhi); // (d0..d7, d8..d15)
-        accum(lo, hi, pu, ps, il.0);
-        accum(lo, hi, pu.add(8), ps.add(8), il.1);
-    }
-
-    /// # Safety
-    /// The CPU supports NEON; `s` is as long as `u`, and `codes` holds
-    /// exactly `u.len().div_ceil(2)` bytes.
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn l2_sq_u4(u: &[f32], s: &[f32], codes: &[u8]) -> f32 {
-        debug_assert_eq!(u.len(), s.len());
-        debug_assert_eq!(codes.len(), u.len().div_ceil(2));
-        let n = u.len();
-        let (pu, ps, pc) = (u.as_ptr(), s.as_ptr(), codes.as_ptr());
-        let mut lo = vdupq_n_f32(0.0);
-        let mut hi = vdupq_n_f32(0.0);
-        let chunks = n / 16;
-        for i in 0..chunks {
-            chunk(&mut lo, &mut hi, pu.add(i * 16), ps.add(i * 16), pc.add(i * 8));
-        }
-        let rem = n % 16;
-        if rem != 0 {
-            let mut ub = [0.0f32; 16];
-            let mut sb = [0.0f32; 16];
-            let mut cb = [0u8; 8];
-            core::ptr::copy_nonoverlapping(pu.add(chunks * 16), ub.as_mut_ptr(), rem);
-            core::ptr::copy_nonoverlapping(ps.add(chunks * 16), sb.as_mut_ptr(), rem);
-            let tail_bytes = codes.len() - chunks * 8;
-            core::ptr::copy_nonoverlapping(pc.add(chunks * 8), cb.as_mut_ptr(), tail_bytes);
-            chunk(&mut lo, &mut hi, ub.as_ptr(), sb.as_ptr(), cb.as_ptr());
-        }
-        reduce8(lo, hi)
-    }
-
-    /// # Safety
-    /// As [`l2_sq_u4`], for each of the four rows.
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn l2_sq_u4_batch(u: &[f32], s: &[f32], codes: [&[u8]; 4]) -> [f32; 4] {
-        let mut out = [0.0f32; 4];
-        for (o, c) in out.iter_mut().zip(codes) {
-            *o = l2_sq_u4(u, s, c);
-        }
-        out
-    }
-}
-
 /// Asymmetric squared distance over nibble-packed 4-bit codes,
 /// `Σ_d (u_d − s_d · c_d)²`, dispatched to the best available kernel (all
 /// backends bit-identical — see the module docs). `u`/`s` come from
@@ -327,20 +198,14 @@ mod neon {
 #[inline]
 pub fn l2_sq_u4(u: &[f32], s: &[f32], codes: &[u8]) -> f32 {
     check_affine("SQ4", u, s, &[codes], u.len().div_ceil(2));
-    match crate::distance::active_backend() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `active_backend` reports AVX2 only after detecting it and
-        // `fma_available` detected FMA; `check_affine` above asserted the
-        // step and packed-row lengths the kernel reads under.
-        crate::distance::BACKEND_AVX2 if super::sq8::fma_available() => unsafe {
-            avx2::l2_sq_u4(u, s, codes)
-        },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: NEON is reported only where detected; `check_affine`
-        // above asserted the lengths the kernel reads under.
-        crate::distance::BACKEND_NEON => unsafe { neon::l2_sq_u4(u, s, codes) },
-        _ => l2_sq_u4_scalar(u, s, codes),
+    #[cfg(target_arch = "x86_64")]
+    if kernel_tier() >= TIER_AVX2 {
+        // SAFETY: the tier is AVX2 only where CPUID reported AVX2 and FMA;
+        // `check_affine` above asserted the step and packed-row lengths the
+        // kernel reads under.
+        return unsafe { avx2::l2_sq_u4(u, s, codes) };
     }
+    l2_sq_u4_scalar(u, s, codes)
 }
 
 /// [`l2_sq_u4`] against **four** code rows at once. Bit-identical to four
@@ -351,19 +216,13 @@ pub fn l2_sq_u4(u: &[f32], s: &[f32], codes: &[u8]) -> f32 {
 #[inline]
 pub fn l2_sq_u4_batch(u: &[f32], s: &[f32], codes: [&[u8]; 4]) -> [f32; 4] {
     check_affine("SQ4", u, s, &codes, u.len().div_ceil(2));
-    match crate::distance::active_backend() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: AVX2 and FMA were detected as in `l2_sq_u4`;
-        // `check_affine` above asserted every row's length.
-        crate::distance::BACKEND_AVX2 if super::sq8::fma_available() => unsafe {
-            avx2::l2_sq_u4_batch(u, s, codes)
-        },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: NEON was detected; `check_affine` above asserted every
-        // row's length.
-        crate::distance::BACKEND_NEON => unsafe { neon::l2_sq_u4_batch(u, s, codes) },
-        _ => l2_sq_u4_batch_scalar(u, s, codes),
+    #[cfg(target_arch = "x86_64")]
+    if kernel_tier() >= TIER_AVX2 {
+        // SAFETY: AVX2 and FMA as in `l2_sq_u4`; `check_affine` above
+        // asserted every row's length.
+        return unsafe { avx2::l2_sq_u4_batch(u, s, codes) };
     }
+    l2_sq_u4_batch_scalar(u, s, codes)
 }
 
 #[cfg(test)]

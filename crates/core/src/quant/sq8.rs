@@ -9,24 +9,19 @@
 //! `((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7))` reduction tree, and zero-padded
 //! tails — but with *fused* multiply-adds (`d = u − s·c` and `acc += d·d`,
 //! one rounding each), which the scalar reference reproduces exactly
-//! through `f32::mul_add`. `u8 → f32` conversion is exact, so AVX2 (+FMA),
-//! NEON and the scalar fallback return bit-identical distances;
-//! `GASS_NO_SIMD` / [`crate::set_simd_enabled`] select backends exactly as
-//! for `f32`, and the rare AVX2-without-FMA host falls back to the scalar
-//! reference.
+//! through `f32::mul_add`. `u8 → f32` conversion is exact, so AVX2 + FMA
+//! and the scalar reference return bit-identical distances; the kernel
+//! tier of [`crate::distance`] (and [`crate::set_simd_enabled`]) selects
+//! between them exactly as for `f32`.
 
-/// Reduces the eight accumulator lanes in the canonical tree order (same
-/// as the `f32` kernels).
-#[inline(always)]
-pub(crate) fn reduce8(acc: [f32; 8]) -> f32 {
-    let c = [acc[0] + acc[4], acc[1] + acc[5], acc[2] + acc[6], acc[3] + acc[7]];
-    (c[0] + c[2]) + (c[1] + c[3])
-}
+use crate::distance::reduce8;
+#[cfg(target_arch = "x86_64")]
+use crate::distance::{kernel_tier, TIER_AVX2};
 
 /// One lane of the asymmetric kernel: fused residual `u − s·c`, fused
 /// square-accumulate. Exactly one rounding per operation — what
-/// `vfnmadd`/`vfmadd` (AVX2+FMA) and `fmls`/`fmla` (NEON) produce, which
-/// is why the backends agree bitwise.
+/// `vfnmadd`/`vfmadd` (AVX2+FMA) produce, which is why the backends agree
+/// bitwise.
 #[inline(always)]
 pub(crate) fn lane(u: f32, s: f32, c: u8, acc: f32) -> f32 {
     let d = (-s).mul_add(c as f32, u);
@@ -94,20 +89,8 @@ mod avx2 {
     //! copy all three streams into zero-padded stack buffers; a
     //! `(0 − 0·0)²` term leaves its accumulator lane bit-unchanged.
 
+    use crate::distance::avx2::reduce8;
     use core::arch::x86_64::*;
-
-    /// Canonical `((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7))` reduction.
-    ///
-    /// # Safety
-    /// The CPU supports AVX2 (only the kernels below call it, under their
-    /// own `# Safety`).
-    #[inline(always)]
-    unsafe fn reduce8(acc: __m256) -> f32 {
-        let c = _mm_add_ps(_mm256_castps256_ps128(acc), _mm256_extractf128_ps(acc, 1));
-        let d = _mm_add_ps(c, _mm_movehl_ps(c, c));
-        let e = _mm_add_ss(d, _mm_shuffle_ps(d, d, 0b01));
-        _mm_cvtss_f32(e)
-    }
 
     /// Loads 8 codes and widens them to `f32` (exact for 0..=255).
     ///
@@ -198,127 +181,6 @@ mod avx2 {
     }
 }
 
-#[cfg(target_arch = "aarch64")]
-mod neon {
-    //! NEON `u8` kernels: two `float32x4` accumulators model the eight
-    //! lanes; codes widen `u8 → u16 → u32 → f32` (exact), tails go through
-    //! zero-padded stack buffers. `vfmsq` (`u − s·c`) and `vfmaq`
-    //! (`acc += d·d`) are single-rounding fused ops — the same per-lane
-    //! arithmetic as the scalar reference's `f32::mul_add`.
-
-    use core::arch::aarch64::*;
-
-    /// The canonical reduction over the two quads.
-    ///
-    /// # Safety
-    /// The CPU supports NEON.
-    #[inline(always)]
-    unsafe fn reduce8(lo: float32x4_t, hi: float32x4_t) -> f32 {
-        let c = vaddq_f32(lo, hi);
-        let (c0, c1, c2, c3) = (
-            vgetq_lane_f32(c, 0),
-            vgetq_lane_f32(c, 1),
-            vgetq_lane_f32(c, 2),
-            vgetq_lane_f32(c, 3),
-        );
-        (c0 + c2) + (c1 + c3)
-    }
-
-    /// Widens 8 codes at `p` into two exact `f32` quads.
-    ///
-    /// # Safety
-    /// The CPU supports NEON, and `p` is valid for reading 8 bytes: a whole
-    /// chunk of a row the kernel's length check covers, or its stack tail
-    /// buffer.
-    #[inline(always)]
-    unsafe fn load_codes8(p: *const u8) -> (float32x4_t, float32x4_t) {
-        let wide = vmovl_u8(vld1_u8(p));
-        (
-            vcvtq_f32_u32(vmovl_u16(vget_low_u16(wide))),
-            vcvtq_f32_u32(vmovl_u16(vget_high_u16(wide))),
-        )
-    }
-
-    /// One fused 8-lane step over lanes at `pu`/`ps` with codes at `pc`.
-    ///
-    /// # Safety
-    /// The CPU supports NEON; `pu` and `ps` are valid for reading 8 `f32`s
-    /// and `pc` as for [`load_codes8`].
-    #[inline(always)]
-    unsafe fn accum(
-        lo: &mut float32x4_t,
-        hi: &mut float32x4_t,
-        pu: *const f32,
-        ps: *const f32,
-        pc: *const u8,
-    ) {
-        let (c0, c1) = load_codes8(pc);
-        let d0 = vfmsq_f32(vld1q_f32(pu), vld1q_f32(ps), c0);
-        let d1 = vfmsq_f32(vld1q_f32(pu.add(4)), vld1q_f32(ps.add(4)), c1);
-        *lo = vfmaq_f32(*lo, d0, d0);
-        *hi = vfmaq_f32(*hi, d1, d1);
-    }
-
-    /// # Safety
-    /// The CPU supports NEON; `u`, `s` and `codes` have the same length
-    /// (the kernel reads `u.len()` of each).
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn l2_sq_u8(u: &[f32], s: &[f32], codes: &[u8]) -> f32 {
-        debug_assert_eq!(u.len(), codes.len());
-        debug_assert_eq!(s.len(), codes.len());
-        let n = u.len();
-        let (pu, ps, pc) = (u.as_ptr(), s.as_ptr(), codes.as_ptr());
-        let mut lo = vdupq_n_f32(0.0);
-        let mut hi = vdupq_n_f32(0.0);
-        let chunks = n / 8;
-        for i in 0..chunks {
-            accum(&mut lo, &mut hi, pu.add(i * 8), ps.add(i * 8), pc.add(i * 8));
-        }
-        let rem = n % 8;
-        if rem != 0 {
-            let mut ub = [0.0f32; 8];
-            let mut sb = [0.0f32; 8];
-            let mut cb = [0u8; 8];
-            core::ptr::copy_nonoverlapping(pu.add(chunks * 8), ub.as_mut_ptr(), rem);
-            core::ptr::copy_nonoverlapping(ps.add(chunks * 8), sb.as_mut_ptr(), rem);
-            core::ptr::copy_nonoverlapping(pc.add(chunks * 8), cb.as_mut_ptr(), rem);
-            accum(&mut lo, &mut hi, ub.as_ptr(), sb.as_ptr(), cb.as_ptr());
-        }
-        reduce8(lo, hi)
-    }
-
-    /// # Safety
-    /// As [`l2_sq_u8`], for each of the four rows.
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn l2_sq_u8_batch(u: &[f32], s: &[f32], codes: [&[u8]; 4]) -> [f32; 4] {
-        let mut out = [0.0f32; 4];
-        for (o, c) in out.iter_mut().zip(codes) {
-            *o = l2_sq_u8(u, s, c);
-        }
-        out
-    }
-}
-
-/// The AVX2 kernels also require FMA (`vfnmadd`/`vfmadd`). The two
-/// feature flags ship together on every AVX2 part since Haswell, but the
-/// gate is checked once anyway — the rare AVX2-without-FMA host falls
-/// back to the scalar reference.
-#[cfg(target_arch = "x86_64")]
-#[inline]
-pub(crate) fn fma_available() -> bool {
-    use std::sync::atomic::{AtomicU8, Ordering};
-    static FMA: AtomicU8 = AtomicU8::new(0);
-    match FMA.load(Ordering::Relaxed) {
-        0 => {
-            let yes = std::arch::is_x86_feature_detected!("fma");
-            FMA.store(if yes { 1 } else { 2 }, Ordering::Relaxed);
-            yes
-        }
-        1 => true,
-        _ => false,
-    }
-}
-
 /// The precondition the SIMD SQ8 and SQ4 kernels read memory under: `s`
 /// is as long as `u` and every code row holds `row_bytes` bytes (`u.len()`
 /// for SQ8, two lanes per byte for SQ4). Checked at every safe entry point,
@@ -353,20 +215,14 @@ pub(crate) fn check_affine(
 #[inline]
 pub fn l2_sq_u8(u: &[f32], s: &[f32], codes: &[u8]) -> f32 {
     check_affine("SQ8", u, s, &[codes], u.len());
-    match crate::distance::active_backend() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `active_backend` reports AVX2 only after detecting it and
-        // `fma_available` detected FMA; `check_affine` above asserted the
-        // equal lengths the kernel reads under.
-        crate::distance::BACKEND_AVX2 if fma_available() => unsafe {
-            avx2::l2_sq_u8(u, s, codes)
-        },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: NEON is reported only where detected; `check_affine`
-        // above asserted the equal lengths the kernel reads under.
-        crate::distance::BACKEND_NEON => unsafe { neon::l2_sq_u8(u, s, codes) },
-        _ => l2_sq_u8_scalar(u, s, codes),
+    #[cfg(target_arch = "x86_64")]
+    if kernel_tier() >= TIER_AVX2 {
+        // SAFETY: the tier is AVX2 only where CPUID reported AVX2 and FMA;
+        // `check_affine` above asserted the equal lengths the kernel reads
+        // under.
+        return unsafe { avx2::l2_sq_u8(u, s, codes) };
     }
+    l2_sq_u8_scalar(u, s, codes)
 }
 
 /// [`l2_sq_u8`] against **four** code rows at once — the quantized beam
@@ -377,19 +233,13 @@ pub fn l2_sq_u8(u: &[f32], s: &[f32], codes: &[u8]) -> f32 {
 #[inline]
 pub fn l2_sq_u8_batch(u: &[f32], s: &[f32], codes: [&[u8]; 4]) -> [f32; 4] {
     check_affine("SQ8", u, s, &codes, u.len());
-    match crate::distance::active_backend() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: AVX2 and FMA were detected as in `l2_sq_u8`;
-        // `check_affine` above asserted every row's length.
-        crate::distance::BACKEND_AVX2 if fma_available() => unsafe {
-            avx2::l2_sq_u8_batch(u, s, codes)
-        },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: NEON was detected; `check_affine` above asserted every
-        // row's length.
-        crate::distance::BACKEND_NEON => unsafe { neon::l2_sq_u8_batch(u, s, codes) },
-        _ => l2_sq_u8_batch_scalar(u, s, codes),
+    #[cfg(target_arch = "x86_64")]
+    if kernel_tier() >= TIER_AVX2 {
+        // SAFETY: AVX2 and FMA as in `l2_sq_u8`; `check_affine` above
+        // asserted every row's length.
+        return unsafe { avx2::l2_sq_u8_batch(u, s, codes) };
     }
+    l2_sq_u8_batch_scalar(u, s, codes)
 }
 
 #[cfg(test)]

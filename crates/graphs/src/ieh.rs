@@ -70,7 +70,11 @@ pub fn build(store: VectorStore, params: IehParams) -> PrebuiltIndex {
     let graph = {
         let space = Space::new(&store, &counter);
         let candidates: Vec<Vec<u32>> = (0..store.len() as u32)
-            .map(|u| lsh.candidates(store.get(u), params.init_candidates))
+            .map(|u| {
+                let mut ids = Vec::new();
+                lsh.candidates(store.get(u), params.init_candidates, &mut ids);
+                ids
+            })
             .collect();
         let mut state = KnnGraphState::from_candidates(space, params.k, candidates);
         // Hash buckets can be empty (sparse collisions on smooth
@@ -124,8 +128,13 @@ mod tests {
         let lsh = LshIndex::build_scaled(&base, 4, 8, 0.7, 9);
         let counter = DistCounter::new();
         let space = Space::new(&base, &counter);
-        let candidates: Vec<Vec<u32>> =
-            (0..400u32).map(|u| lsh.candidates(base.get(u), 40)).collect();
+        let candidates: Vec<Vec<u32>> = (0..400u32)
+            .map(|u| {
+                let mut ids = Vec::new();
+                lsh.candidates(base.get(u), 40, &mut ids);
+                ids
+            })
+            .collect();
         let hash_init = KnnGraphState::from_candidates(space, 10, candidates);
         let rand_init = KnnGraphState::random_init(space, 10, 7);
         assert!(

@@ -19,7 +19,7 @@
 
 use gass_core::distance::Space;
 use gass_core::reorder::IdRemap;
-use gass_core::seed::SeedProvider;
+use gass_core::seed::{OriginalIds, SeedProvider};
 use gass_core::store::VectorStore;
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
@@ -120,9 +120,9 @@ pub struct LshIndex {
     sketches: Vec<f32>,
     sketch_dim: usize,
     dim: usize,
-    /// After a reorder: `new → old` table used as the sort key so the
-    /// truncated candidate set is identical before and after relabeling.
-    orig: Option<Vec<u32>>,
+    /// After a reorder: the original ids, the sort key that keeps the
+    /// truncated candidate set identical before and after relabeling.
+    orig: OriginalIds,
 }
 
 impl LshIndex {
@@ -158,7 +158,7 @@ impl LshIndex {
         for (_, v) in store.iter() {
             sketches.extend(tables[0].raw_projections(v));
         }
-        Self { tables, sketches, sketch_dim, dim, orig: None }
+        Self { tables, sketches, sketch_dim, dim, orig: OriginalIds::default() }
     }
 
     /// Like [`Self::build`], but the bucket width adapts to the data:
@@ -193,26 +193,21 @@ impl LshIndex {
         Self::build(store, num_tables, m, (width_factor * std).max(1e-6), seed)
     }
 
-    /// Candidate ids colliding with `query` across all tables,
-    /// deduplicated; multi-probes when an exact pass yields fewer than
-    /// `budget`.
-    pub fn candidates(&self, query: &[f32], budget: usize) -> Vec<u32> {
-        let mut out = Vec::new();
+    /// Appends to `out` the ids colliding with `query` across all tables,
+    /// deduplicated, in original-id order, at most `budget.max(1)` of
+    /// them; multi-probes when an exact pass yields fewer than `budget`.
+    /// `out`'s earlier contents are left as they were.
+    pub fn candidates(&self, query: &[f32], budget: usize, out: &mut Vec<u32>) {
+        let start = out.len();
         for t in &self.tables {
-            t.probe(query, false, &mut out);
+            t.probe(query, false, out);
         }
-        if out.len() < budget {
+        if out.len() - start < budget {
             for t in &self.tables {
-                t.probe(query, true, &mut out);
+                t.probe(query, true, out);
             }
         }
-        match &self.orig {
-            Some(orig) => out.sort_unstable_by_key(|&id| orig[id as usize]),
-            None => out.sort_unstable(),
-        }
-        out.dedup();
-        out.truncate(budget.max(1));
-        out
+        self.orig.select(out, start, budget.max(1));
     }
 
     /// Relabels bucket contents and permutes the sketch rows through `map`
@@ -235,12 +230,7 @@ impl LshIndex {
             );
         }
         self.sketches = permuted;
-        self.orig = Some(match self.orig.take() {
-            Some(prev) => {
-                (0..prev.len()).map(|id| prev[map.to_old(id as u32) as usize]).collect()
-            }
-            None => map.new_to_old().to_vec(),
-        });
+        self.orig.reorder(map);
     }
 
     /// Projection sketch of an arbitrary query vector (table 0's raw
@@ -302,11 +292,10 @@ impl SeedProvider for LshSeeds {
         _max_dists: usize,
         out: &mut Vec<u32>,
     ) -> usize {
-        let cands = self.index.candidates(query, count.max(1));
-        if cands.is_empty() {
+        let start = out.len();
+        self.index.candidates(query, count.max(1), out);
+        if out.len() == start {
             out.push(self.fallback);
-        } else {
-            out.extend(cands);
         }
         0
     }
@@ -361,7 +350,8 @@ mod tests {
         let idx = LshIndex::build(&store, 4, 4, 8.0, 42);
         // Query at the center of cluster 2 (ids 50..75).
         let q = vec![20.0f32; 8];
-        let cands = idx.candidates(&q, 30);
+        let mut cands = Vec::new();
+        idx.candidates(&q, 30, &mut cands);
         assert!(!cands.is_empty());
         let hits = cands.iter().filter(|&&id| (50..75).contains(&id)).count();
         assert!(
@@ -407,12 +397,14 @@ mod tests {
         let store = clustered_store(8, 25);
         let idx = LshIndex::build(&store, 4, 4, 8.0, 42);
         let q = vec![20.0f32; 8];
-        let before = idx.candidates(&q, 12);
+        let mut before = Vec::new();
+        idx.candidates(&q, 12, &mut before);
         let rev: Vec<u32> = (0..store.len() as u32).rev().collect();
         let map = IdRemap::from_new_to_old(rev).unwrap();
         let mut relabeled = idx.clone();
         relabeled.reorder(&map);
-        let after = relabeled.candidates(&q, 12);
+        let mut after = Vec::new();
+        relabeled.candidates(&q, 12, &mut after);
         // The kept set must be the same *vectors*, reported under new ids.
         let translated: Vec<u32> = after.iter().map(|&id| map.to_old(id)).collect();
         assert_eq!(translated, before);
@@ -422,8 +414,11 @@ mod tests {
     fn candidates_are_deduplicated_and_bounded() {
         let store = clustered_store(8, 25);
         let idx = LshIndex::build(&store, 6, 3, 20.0, 11);
-        let cands = idx.candidates(&[0.0f32; 8], 10);
-        assert!(cands.len() <= 10);
+        let mut cands = vec![7];
+        idx.candidates(&[0.0f32; 8], 10, &mut cands);
+        assert_eq!(cands[0], 7, "what `out` held is kept");
+        let cands = cands.split_off(1);
+        assert!(!cands.is_empty() && cands.len() <= 10);
         let mut sorted = cands.clone();
         sorted.dedup();
         assert_eq!(sorted.len(), cands.len());

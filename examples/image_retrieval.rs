@@ -43,7 +43,8 @@ fn main() {
     let lsh = gass::hash::LshIndex::build(&base, 6, 8, 8.0, 3);
     let lsh_build = t.elapsed().as_secs_f64();
     let t = std::time::Instant::now();
-    let cands = lsh.candidates(q, 512);
+    let mut cands = Vec::new();
+    lsh.candidates(q, 512, &mut cands);
     let mut best = Neighbor::new(u32::MAX, f32::INFINITY);
     for id in cands {
         let d = gass_core::l2_sq(q, base.get(id));

@@ -1,21 +1,23 @@
-//! Software prefetch is a hint: switching it off in-process
-//! (`set_prefetch_enabled`) must not move an id, a distance bit, a
-//! traversal counter, the `u8`/`f32` split of the distance counter, or a
-//! built graph — on any traversal that prefetches: full precision over
-//! adjacency and CSR graphs (with and without adaptive termination),
-//! SQ8 / SQ4 / PQ, greedy descent, HNSW construction and search, and a
-//! sharded index.
+//! The answer-invisible switches change speed only: software prefetch
+//! off (`set_prefetch_enabled`), the scalar kernels (`set_simd_enabled`)
+//! and two fan-out executors (`set_fanout_workers`) must each leave every
+//! id, distance bit, traversal counter, the `u8`/`f32` split of the
+//! distance counter and every built graph as it is with every switch at
+//! its default — over full precision on adjacency and CSR graphs (with and
+//! without adaptive termination), SQ8 / SQ4 / PQ, greedy descent, HNSW
+//! construction and search, and a sharded index.
 //!
-//! The switch is process-global and the harness runs tests on parallel
+//! The switches are process-global and the harness runs tests on parallel
 //! threads, so this binary holds exactly one test.
 
 use gass::prelude::*;
 use gass_core::quant::CodecSpec;
 use gass_core::sharded::{build_knn_sharded, ShardedParams};
 use gass_core::{
-    beam_search, beam_search_terminated, greedy_search_with, set_prefetch_enabled,
-    AdjacencyGraph, CodecStore, CsrGraph, GraphView, PqStore, QuantView, QuantizedStore,
-    SearchResult, SearchScratch, Space, Sq4Store, Termination, TerminationPolicy, VisitedSet,
+    beam_search, beam_search_terminated, greedy_search_with, set_fanout_workers,
+    set_prefetch_enabled, set_simd_enabled, AdjacencyGraph, CodecStore, CsrGraph, GraphView,
+    PqStore, QuantView, QuantizedStore, SearchResult, SearchScratch, Space, Sq4Store,
+    Termination, TerminationPolicy, VisitedSet,
 };
 
 /// What one query shows the outside world: `(id, dist bits)` per neighbor,
@@ -121,16 +123,32 @@ fn observe() -> Vec<(String, Vec<Seen>)> {
     out
 }
 
+/// Puts every switch back at its default.
+fn defaults() {
+    set_prefetch_enabled(true);
+    set_simd_enabled(true);
+    set_fanout_workers(1);
+}
+
 #[test]
-fn prefetch_on_and_off_are_observationally_identical() {
-    set_prefetch_enabled(true);
-    let on = observe();
-    set_prefetch_enabled(false);
-    let off = observe();
-    set_prefetch_enabled(true);
-    assert_eq!(on.len(), off.len());
-    for ((name, a), (_, b)) in on.iter().zip(&off) {
-        assert_eq!(a, b, "{name}: prefetch changed what the search shows");
-        assert!(a.iter().any(|s| s.2 > 0 || s.3 > 0), "{name}: nothing was observed");
+fn each_switch_is_observationally_identical_to_the_defaults() {
+    defaults();
+    let want = observe();
+    for (name, seen) in &want {
+        assert!(seen.iter().any(|s| s.2 > 0 || s.3 > 0), "{name}: nothing was observed");
+    }
+    let switches: [(&str, fn()); 3] = [
+        ("prefetch off", || set_prefetch_enabled(false)),
+        ("simd off", || set_simd_enabled(false)),
+        ("two fan-out workers", || set_fanout_workers(2)),
+    ];
+    for (switch, set) in switches {
+        set();
+        let got = observe();
+        defaults();
+        assert_eq!(want.len(), got.len());
+        for ((name, a), (_, b)) in want.iter().zip(&got) {
+            assert_eq!(a, b, "{name}: {switch} changed what the search shows");
+        }
     }
 }
