@@ -7,6 +7,13 @@
 //! variants: [`SortedBuffer`] is the default used everywhere;
 //! [`BoundedMaxHeap`] exists for the implementation-impact ablation
 //! (Figure 17) and for result collection.
+//!
+//! The buffer has two layouts behind one interface. Serving-width pools
+//! (capacity ≤ 32) on the AVX2 tier keep their keys in a
+//! fixed array padded with `u64::MAX` and insert with one branch-free
+//! vector pass; every other pool keeps a `Vec` and inserts with a binary
+//! search plus `memmove`. Both give the same answer to every call
+//! (DESIGN.md §8, *Candidate pool*).
 
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
@@ -62,8 +69,20 @@ impl Ord for Neighbor {
 /// patterns, so integer order on entries is [`Neighbor`]'s `(dist, id)`
 /// order. **Every slot before `cursor` is expanded and the one at `cursor`
 /// is not**, so expansion resumes there and the next pop can be peeked in
-/// `O(1)`. Insertion is an `O(log L)` search plus one `memmove`, the rest
-/// `O(1)`: branch-predictable and cache-resident at beam-search widths.
+/// `O(1)`.
+///
+/// Two layouts, chosen by `reset` (and `new`) from the capacity and the
+/// kernel tier, never per insert:
+/// - **Small** (capacity ≤ 32 on the AVX2 tier): the keys
+///   sit in a fixed, 32-byte-aligned array of 8, 16, 24 or 32 lanes that
+///   is padded with `u64::MAX`, and one branch-free AVX2 pass over those
+///   lanes inserts (the `avx2` module's `insert`).
+/// - **Wide** (every other pool): a `Vec` of the retained keys; insertion
+///   is an `O(log L)` binary search plus one `memmove`.
+///
+/// Both return the same thing for every call (the unit tests drive them
+/// side by side), and the rest of the type reads the retained keys as one
+/// slice whichever layout holds them.
 ///
 /// # Caller contract (DESIGN.md §8 "Candidate pool"; asserted in debug builds)
 /// Distances are non-negative or NaN, and an id is offered at most once per
@@ -72,10 +91,30 @@ impl Ord for Neighbor {
 /// only land on the slot the binary search returns.
 #[derive(Clone, Debug)]
 pub struct SortedBuffer {
+    /// Wide layout: the retained keys, closest first.
     entries: Vec<u64>,
+    /// Small layout: the retained keys in `lanes.0[..len]`. Every lane
+    /// after them sorts after them too: `u64::MAX` until the pool first
+    /// fills, then the keys it evicted.
+    lanes: Lanes,
+    /// Lanes the vector insert runs over; `0` selects the wide layout.
+    width: usize,
+    /// Retained count of the small layout.
+    len: usize,
     capacity: usize,
     cursor: usize,
 }
+
+/// Largest pool the small layout holds: every serving-width search pool
+/// on the benchmark's workloads, but not construction at `ef` or a PQ
+/// rerank pool (DESIGN.md §8 has the measurements behind the cut).
+const SMALL_CAPACITY: usize = 32;
+
+/// The small layout's keys, aligned so each group of four is one aligned
+/// `ymm` load.
+#[derive(Clone, Copy, Debug)]
+#[repr(C, align(32))]
+struct Lanes([u64; SMALL_CAPACITY]);
 
 const EXPANDED: u64 = 1;
 
@@ -99,16 +138,42 @@ impl SortedBuffer {
     /// # Panics
     /// Panics if `capacity == 0`.
     pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "beam width must be positive");
-        Self { entries: Vec::with_capacity(capacity + 1), capacity, cursor: 0 }
+        let mut buffer = Self {
+            entries: Vec::new(),
+            lanes: Lanes([u64::MAX; SMALL_CAPACITY]),
+            width: 0,
+            len: 0,
+            capacity,
+            cursor: 0,
+        };
+        buffer.reset(capacity);
+        if buffer.width == 0 {
+            buffer.entries.reserve_exact(capacity + 1);
+        }
+        buffer
     }
 
     /// Attempts to insert `n`; returns `true` if it was retained (i.e. it
     /// beat the current worst or the buffer had room). An exact duplicate is
     /// rejected; the type's caller contract rules out any other.
+    #[inline]
     pub fn insert(&mut self, n: Neighbor) -> bool {
-        // `>> 1` drops the flag: a retained twin is a duplicate expanded or not.
         let key = pack(n);
+        #[cfg(target_arch = "x86_64")]
+        let retained =
+            if self.width == 0 { self.insert_wide(key) } else { self.insert_small(key) };
+        #[cfg(not(target_arch = "x86_64"))]
+        let retained = self.insert_wide(key);
+        debug_assert!(
+            !retained || self.keys().iter().filter(|&&e| unpack(e).id == n.id).count() == 1,
+            "re-scored {n:?}"
+        );
+        retained
+    }
+
+    /// The wide layout's insert: binary search, duplicate check, `memmove`.
+    fn insert_wide(&mut self, key: u64) -> bool {
+        // `>> 1` drops the flag: a retained twin is a duplicate expanded or not.
         if self.entries.get(self.capacity - 1).is_some_and(|&worst| key >> 1 >= worst >> 1) {
             return false;
         }
@@ -116,23 +181,65 @@ impl SortedBuffer {
         if self.entries.get(pos).is_some_and(|&e| e >> 1 == key >> 1) {
             return false;
         }
-        debug_assert!(self.entries.iter().all(|&e| unpack(e).id != n.id), "re-scored {n:?}");
         self.entries.insert(pos, key);
         self.entries.truncate(self.capacity);
         self.cursor = self.cursor.min(pos);
         true
     }
 
+    /// The small layout's insert: the early reject against the worst key,
+    /// then one vector pass that finds the landing slot, checks it for an
+    /// exact duplicate and shifts the tail.
+    #[cfg(target_arch = "x86_64")]
+    #[inline]
+    fn insert_small(&mut self, key: u64) -> bool {
+        // The reject keeps the landing slot inside the retained lanes: an
+        // accepted key sorts before the worst of a full pool, and before
+        // the first `u64::MAX` lane of a pool with room.
+        if self.len == self.capacity && key >> 1 >= self.lanes.0[self.capacity - 1] >> 1 {
+            return false;
+        }
+        debug_assert!(crate::distance::native_tier() >= crate::distance::TIER_AVX2);
+        // SAFETY: `width` is non-zero only when `reset` saw the AVX2 tier,
+        // which is set only where CPUID reported AVX2. (The reject above is
+        // the kernel's precondition on `key`, a matter of the answer only.)
+        let landed = unsafe {
+            match self.width {
+                8 => avx2::insert::<2>(&mut self.lanes, key),
+                16 => avx2::insert::<4>(&mut self.lanes, key),
+                24 => avx2::insert::<6>(&mut self.lanes, key),
+                _ => avx2::insert::<8>(&mut self.lanes, key),
+            }
+        };
+        let Some(pos) = landed else { return false };
+        self.len = self.capacity.min(self.len + 1);
+        self.cursor = self.cursor.min(pos);
+        true
+    }
+
+    /// The retained keys, closest first.
+    #[inline]
+    fn keys(&self) -> &[u64] {
+        if self.width == 0 {
+            &self.entries
+        } else {
+            &self.lanes.0[..self.len]
+        }
+    }
+
     /// Marks the closest not-yet-expanded candidate expanded and returns
     /// it, or `None` once every retained candidate has been expanded.
     pub fn next_unexpanded(&mut self) -> Option<Neighbor> {
-        let entry = self.entries.get_mut(self.cursor)?;
+        let keys =
+            if self.width == 0 { &mut self.entries[..] } else { &mut self.lanes.0[..self.len] };
+        let entry = keys.get_mut(self.cursor)?;
         *entry |= EXPANDED;
         let popped = unpack(*entry);
-        self.cursor += 1;
-        while self.entries.get(self.cursor).is_some_and(|&e| e & EXPANDED != 0) {
-            self.cursor += 1;
+        let mut cursor = self.cursor + 1;
+        while keys.get(cursor).is_some_and(|&e| e & EXPANDED != 0) {
+            cursor += 1;
         }
+        self.cursor = cursor;
         Some(popped)
     }
 
@@ -140,17 +247,17 @@ impl SortedBuffer {
     /// `None` exactly when that pop would be `None`.
     #[inline]
     pub fn peek_unexpanded(&self) -> Option<u32> {
-        self.entries.get(self.cursor).map(|&e| unpack(e).id)
+        self.keys().get(self.cursor).map(|&e| unpack(e).id)
     }
 
     /// Current number of retained candidates.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.keys().len()
     }
 
     /// `true` when no candidates are retained.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.keys().is_empty()
     }
 
     /// The current worst retained distance, or `f32::INFINITY` while the
@@ -161,7 +268,7 @@ impl SortedBuffer {
 
     /// The `k` closest candidates, closest first.
     pub fn top_k(&self, k: usize) -> Vec<Neighbor> {
-        self.entries.iter().take(k).map(|&e| unpack(e)).collect()
+        self.keys().iter().take(k).map(|&e| unpack(e)).collect()
     }
 
     /// The `k`-th closest retained candidate (1-indexed), or `None` when
@@ -170,26 +277,112 @@ impl SortedBuffer {
     /// policies compare the frontier against.
     #[inline]
     pub fn kth(&self, k: usize) -> Option<Neighbor> {
-        self.entries.get(k.checked_sub(1)?).map(|&e| unpack(e))
+        self.keys().get(k.checked_sub(1)?).map(|&e| unpack(e))
     }
 
     /// All retained candidates, closest first.
     pub fn as_neighbors(&self) -> Vec<Neighbor> {
-        self.top_k(self.entries.len())
+        self.top_k(self.len())
     }
 
     /// Clears the buffer, keeping its allocation (workhorse reuse across
     /// queries).
     pub fn clear(&mut self) {
         self.entries.clear();
+        self.lanes.0 = [u64::MAX; SMALL_CAPACITY];
+        self.len = 0;
         self.cursor = 0;
     }
 
-    /// Resets the retained-candidate capacity (and clears).
+    /// Resets the retained-candidate capacity (and clears). Picks the
+    /// layout: small when `capacity` fits it and the kernel tier is AVX2.
     pub fn reset(&mut self, capacity: usize) {
+        self.reset_layout(
+            capacity,
+            crate::distance::kernel_tier() >= crate::distance::TIER_AVX2,
+        );
+    }
+
+    /// [`Self::reset`] with the tier test given: `vector` allows the small
+    /// layout, which still needs `capacity ≤ SMALL_CAPACITY` and an x86
+    /// target. The caller must have seen AVX2 on this CPU to pass `true`.
+    fn reset_layout(&mut self, capacity: usize, vector: bool) {
         assert!(capacity > 0, "beam width must be positive");
         self.capacity = capacity;
+        self.width = if cfg!(target_arch = "x86_64") && vector && capacity <= SMALL_CAPACITY {
+            capacity.div_ceil(8) * 8
+        } else {
+            0
+        };
         self.clear();
+    }
+}
+
+/// The small layout's insert kernel.
+#[cfg(target_arch = "x86_64")]
+mod avx2 {
+    use super::Lanes;
+    use std::arch::x86_64::*;
+
+    /// Inserts `key` into the first `4 * V` lanes of `lanes` and returns
+    /// its slot, or returns `None` without writing when the slot holds
+    /// `key`'s exact duplicate (expanded or not).
+    ///
+    /// The lanes are sorted, so the lanes below `key` are a prefix: one
+    /// bias-flipped signed compare per vector (unsigned order on `u64`),
+    /// gathered as a 4-bit mask each, gives the landing slot as the mask's
+    /// population count. The same compare masks then place the keys: a
+    /// lane below the slot keeps its key, and a lane at or above it takes
+    /// the larger of `key` and the key one lane down — `key` at the slot,
+    /// the shifted key above it. The lane-down vector is each vector
+    /// rotated one lane up (`permute4x64`) with its bottom lane blended in
+    /// from the vector below; the top lane's key falls off the end. No
+    /// branch depends on the keys, and the placement does not need the slot.
+    ///
+    /// `key` must sort before the key in lane `4 * V - 1` (after dropping
+    /// both flag bits), so that its slot is a lane.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn insert<const V: usize>(lanes: &mut Lanes, key: u64) -> Option<usize> {
+        const { assert!(4 * V <= super::SMALL_CAPACITY) };
+        debug_assert!(key >> 1 < lanes.0[4 * V - 1] >> 1);
+        let bias = _mm256_set1_epi64x(i64::MIN);
+        let keys = _mm256_set1_epi64x(key as i64);
+        let biased = _mm256_xor_si256(keys, bias);
+        let mut old = [_mm256_setzero_si256(); V];
+        let mut below = [_mm256_setzero_si256(); V];
+        let mut mask = 0u32;
+        // SAFETY (both loops): `Lanes` is 32-byte aligned and holds
+        // `SMALL_CAPACITY ≥ 4 * V` keys (the const assert above), so vector
+        // `i < V` is in bounds and every vector access is aligned.
+        let loads = lanes.0.as_ptr().cast::<__m256i>();
+        for i in 0..V {
+            old[i] = _mm256_load_si256(loads.add(i));
+            below[i] = _mm256_cmpgt_epi64(biased, _mm256_xor_si256(old[i], bias));
+            mask |= (_mm256_movemask_pd(_mm256_castsi256_pd(below[i])) as u32) << (4 * i);
+        }
+        // The set bits are the mask's low run, so its population count is
+        // the run's length (`trailing_ones`, which needs no POPCNT).
+        let pos = mask.trailing_ones() as usize;
+        debug_assert!(pos < 4 * V && mask == (1u32 << pos) - 1, "unsorted lanes");
+        if lanes.0[pos] >> 1 == key >> 1 {
+            return None;
+        }
+        // Vector 0's bottom lane has no lane below; a zero there sorts at
+        // or before `key`, so that lane takes `key` when it is the slot.
+        let mut carry = _mm256_setzero_si256();
+        let stores = lanes.0.as_mut_ptr().cast::<__m256i>();
+        for i in 0..V {
+            let rotated = _mm256_permute4x64_epi64::<0b10_01_00_11>(old[i]);
+            let shifted = _mm256_blend_epi32::<0b0000_0011>(rotated, carry);
+            carry = rotated;
+            let above = _mm256_cmpgt_epi64(_mm256_xor_si256(shifted, bias), biased);
+            let moved = _mm256_blendv_epi8(keys, shifted, above);
+            _mm256_store_si256(stores.add(i), _mm256_blendv_epi8(moved, old[i], below[i]));
+        }
+        Some(pos)
     }
 }
 
@@ -319,6 +512,105 @@ mod tests {
         assert_eq!(b.bound(), 3.0);
         b.insert(n(2, 2.0));
         assert_eq!(b.bound(), 2.0);
+    }
+
+    /// Both insert paths, driven directly on the same random streams,
+    /// answer every call identically: returns, `len`, the cursor, every
+    /// `kth`, `top_k` and the bound, after every operation. Capacities run
+    /// 1..=40 and resets cross 32 both ways; distances come from a palette
+    /// heavy in ties, `±0.0`, `+∞` and both NaN signs, and ids are
+    /// re-offered (with the sign of a zero or NaN flipped) as exact
+    /// duplicates.
+    #[test]
+    fn vector_and_scalar_inserts_agree() {
+        use rand::rngs::SmallRng;
+        use rand::{RngExt, SeedableRng};
+
+        let vector = crate::distance::native_tier() >= crate::distance::TIER_AVX2;
+        if !vector {
+            println!(
+                "no AVX2 on this CPU: the vector half was skipped (both sides run scalar)"
+            );
+        }
+        let palette = [0.0, -0.0, f32::INFINITY, f32::NAN, -f32::NAN, 1.0, 1.0, 2.5, 2.5, 7.0];
+        for cap in 1..=40usize {
+            for seed in 0..3u64 {
+                let mut rng = SmallRng::seed_from_u64(cap as u64 * 8 + seed);
+                let dists: Vec<f32> =
+                    (0..120).map(|_| palette[rng.random_range(0..palette.len())]).collect();
+                let (mut fast, mut slow) = (SortedBuffer::new(1), SortedBuffer::new(1));
+                fast.reset_layout(cap, vector);
+                slow.reset_layout(cap, false);
+                let mut cap = cap;
+                for _ in 0..300 {
+                    match rng.random_range(0..40u32) {
+                        0..=27 => {
+                            let id = rng.random_range(0..120u32);
+                            let d = dists[id as usize];
+                            let d = if rng.random_bool(0.5) && (d == 0.0 || d.is_nan()) {
+                                -d
+                            } else {
+                                d
+                            };
+                            let n = Neighbor::new(id, d);
+                            assert_eq!(
+                                fast.insert(n),
+                                slow.insert(n),
+                                "cap {cap}: insert {n:?}"
+                            );
+                        }
+                        28..=33 => assert_eq!(
+                            fast.next_unexpanded().map(|n| n.id),
+                            slow.next_unexpanded().map(|n| n.id)
+                        ),
+                        34 => assert_eq!(fast.peek_unexpanded(), slow.peek_unexpanded()),
+                        35 => {
+                            fast.clear();
+                            slow.clear();
+                        }
+                        36 => {
+                            while slow.next_unexpanded().is_some() {
+                                assert!(fast.next_unexpanded().is_some());
+                            }
+                        }
+                        _ => {
+                            cap = rng.random_range(1..=40);
+                            fast.reset_layout(cap, vector);
+                            slow.reset_layout(cap, false);
+                        }
+                    }
+                    assert_eq!(fast.width != 0, vector && cap <= SMALL_CAPACITY);
+                    assert_eq!(slow.width, 0);
+                    assert_eq!(fast.len(), slow.len());
+                    assert_eq!(fast.cursor, slow.cursor);
+                    assert_eq!(fast.bound().to_bits(), slow.bound().to_bits());
+                    for k in 0..=cap + 1 {
+                        let bits = |n: Neighbor| (n.id, n.dist.to_bits());
+                        assert_eq!(fast.kth(k).map(bits), slow.kth(k).map(bits));
+                    }
+                    assert_eq!(fast.keys(), slow.keys(), "cap {cap}: keys, flags included");
+                    let bits = |v: Vec<Neighbor>| -> Vec<(u32, u32)> {
+                        v.into_iter().map(|n| (n.id, n.dist.to_bits())).collect()
+                    };
+                    assert_eq!(bits(fast.top_k(cap)), bits(slow.top_k(cap)));
+                }
+            }
+        }
+    }
+
+    /// A reset to a huge width allocates nothing until inserts arrive, so a
+    /// beam width read from the wire cannot reserve memory on its own.
+    #[test]
+    fn a_huge_reset_allocates_nothing() {
+        let mut b = SortedBuffer::new(8);
+        let before = b.entries.capacity();
+        b.reset(usize::MAX / 2);
+        assert_eq!(b.entries.capacity(), before);
+        assert!(b.insert(n(1, 1.0)));
+        assert!(b.entries.capacity() < 64);
+        b.reset(16);
+        assert!(b.insert(n(2, 1.0)));
+        assert_eq!(b.top_k(4), vec![n(2, 1.0)]);
     }
 
     #[test]

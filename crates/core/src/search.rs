@@ -380,10 +380,11 @@ fn admit(buffer: &mut SortedBuffer, sink: &mut Option<&mut Vec<Neighbor>>, n: Ne
 /// The beam-search loop (Algorithm 1) every traversal in this module runs:
 /// visited-filter the in-range seeds and score them through
 /// [`score_in_fours`], then repeatedly pop the closest unexpanded
-/// candidate, check `term`, visited-filter its neighbour list, offer each
-/// fresh neighbour to `gate` (with the buffer's bound as it stood when the
-/// hop began) and score the admitted ones four at a time, the tail through
-/// [`Scorer::score_tail`]. Every scored id is admitted in list order.
+/// candidate, check `term`, visited-filter its neighbour list
+/// ([`VisitedSet::filter_fresh`], branch-free, up to 64 ids at a time),
+/// offer each fresh neighbour to `gate` (with the buffer's bound as it
+/// stood when the hop began) and score the admitted ones through
+/// [`score_in_fours`]. Every scored id is admitted in list order.
 /// `visited` and `buffer` must be prepared. The evaluation count is
 /// published once, when the loop ends.
 ///
@@ -391,9 +392,9 @@ fn admit(buffer: &mut SortedBuffer, sink: &mut Option<&mut Vec<Neighbor>>, n: Ne
 /// prefetched before the first seed is scored, so the warm-up's loads
 /// overlap each other. Each hop first prefetches the neighbour list of the
 /// *next* unexpanded candidate — it is what the next hop reads unless this
-/// hop inserts a closer one — and each fresh neighbour's row as it passes
-/// the filter: the filter work on the rest of the list overlaps both
-/// fetches.
+/// hop inserts a closer one — then every fresh neighbour's row once the
+/// filter has passed them, before the gate and the first score: the gate
+/// and the scoring of the first rows overlap the later rows' fetches.
 #[allow(clippy::too_many_arguments)]
 fn traverse<G: GraphView + ?Sized, S: Scorer>(
     graph: &G,
@@ -433,32 +434,17 @@ fn traverse<G: GraphView + ?Sized, S: Scorer>(
                 prefetch_slice(graph.neighbors(next));
             }
         }
-        let mut pending = [0u32; 4];
-        let mut fill = 0usize;
-        for &nb in graph.neighbors(current.id) {
-            if visited.insert(nb) {
-                if prefetch {
-                    scorer.prefetch(nb);
-                }
-                if !gate(nb, bound) {
-                    continue;
-                }
-                pending[fill] = nb;
-                fill += 1;
-                if fill == 4 {
-                    let ds = scorer.score4(pending);
-                    stats.evaluated += 4;
-                    for (&id, &d) in pending.iter().zip(ds.iter()) {
-                        admit(buffer, &mut sink, Neighbor::new(id, d));
-                    }
-                    fill = 0;
-                }
+        let mut scored = 0;
+        visited.filter_fresh(graph.neighbors(current.id), |fresh| {
+            if prefetch {
+                fresh.iter().for_each(|&id| scorer.prefetch(id));
             }
-        }
-        scorer.score_tail(&pending[..fill], |id, d| {
-            admit(buffer, &mut sink, Neighbor::new(id, d))
+            let gated = fresh.iter().copied().filter(|&id| gate(id, bound));
+            scored += score_in_fours(scorer, gated, |id, d| {
+                admit(buffer, &mut sink, Neighbor::new(id, d))
+            });
         });
-        stats.evaluated += fill;
+        stats.evaluated += scored;
         tstate.note_expansion(buffer);
     }
     scorer.publish(stats.evaluated);
@@ -695,10 +681,10 @@ fn greedy_search_quantized<G: GraphView + ?Sized, C: CodecStore + ?Sized>(
 }
 
 /// The greedy hill-climb every descent runs: score `entry`, then
-/// repeatedly visited-filter the best node's neighbour list, score the
-/// fresh neighbours four at a time through `scorer` (the tail through
-/// [`Scorer::score_tail`]) and move to the closest, until a hop improves
-/// nothing or `max_dists` (`0` = unlimited) is spent.
+/// repeatedly visited-filter the best node's neighbour list (branch-free,
+/// as [`traverse`] does), prefetch the fresh neighbours' rows, score them
+/// through [`score_in_fours`] and move to the closest, until a hop
+/// improves nothing or `max_dists` (`0` = unlimited) is spent.
 /// The budget is checked once per hop, before the list is touched; the
 /// prefetch switch is read once per descent. Distances are `scorer`'s;
 /// the evaluation count is published on either exit.
@@ -730,27 +716,14 @@ fn descend<G: GraphView + ?Sized, S: Scorer>(
                 improved = true;
             }
         };
-        let mut pending = [0u32; 4];
-        let mut fill = 0usize;
-        for &nb in list {
-            if visited.insert(nb) {
-                if prefetch {
-                    scorer.prefetch(nb);
-                }
-                pending[fill] = nb;
-                fill += 1;
-                if fill == 4 {
-                    let ds = scorer.score4(pending);
-                    stats.evaluated += 4;
-                    for (&id, &d) in pending.iter().zip(ds.iter()) {
-                        offer(id, d);
-                    }
-                    fill = 0;
-                }
+        let mut scored = 0;
+        visited.filter_fresh(list, |fresh| {
+            if prefetch {
+                fresh.iter().for_each(|&id| scorer.prefetch(id));
             }
-        }
-        scorer.score_tail(&pending[..fill], &mut offer);
-        stats.evaluated += fill;
+            scored += score_in_fours(scorer, fresh.iter().copied(), &mut offer);
+        });
+        stats.evaluated += scored;
         if !improved {
             scorer.publish(stats.evaluated);
             return (best, stats);

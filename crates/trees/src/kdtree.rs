@@ -19,10 +19,17 @@ use gass_core::seed::{OriginalIds, SeedProvider};
 use gass_core::store::VectorStore;
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
+use std::cell::RefCell;
 
 /// How many of the top-variance dimensions the split dimension is drawn
 /// from (EFANNA's default randomization).
 const TOP_VARIANCE_POOL: usize = 5;
+
+thread_local! {
+    /// [`KdForest::candidates`]' descent work list; per thread, as a
+    /// forest serves concurrent queries.
+    static FRONTIER: RefCell<Vec<(f32, u32)>> = const { RefCell::new(Vec::new()) };
+}
 
 #[derive(Clone, Debug)]
 enum Node {
@@ -83,11 +90,20 @@ impl KdTree {
 
     /// Collects approximately `budget` candidate ids near `query` by
     /// best-first descent with backtracking ordered by split-plane margin.
-    pub fn candidates(&self, query: &[f32], budget: usize, out: &mut Vec<u32>) {
+    /// `frontier` is the descent's work list, cleared on entry: a caller
+    /// that keeps one across queries allocates nothing per query.
+    pub fn candidates(
+        &self,
+        query: &[f32],
+        budget: usize,
+        out: &mut Vec<u32>,
+        frontier: &mut Vec<(f32, u32)>,
+    ) {
         // (margin, node): explore smallest margin first; the path to the
         // query's own leaf has margin 0.
-        let mut frontier: Vec<(f32, u32)> = vec![(0.0, self.root)];
-        while let Some((_, node)) = pop_min(&mut frontier) {
+        frontier.clear();
+        frontier.push((0.0, self.root));
+        while let Some((_, node)) = pop_min(frontier) {
             match &self.nodes[node as usize] {
                 Node::Leaf { ids } => {
                     out.extend_from_slice(ids);
@@ -223,11 +239,13 @@ impl KdForest {
     pub fn candidates(&self, query: &[f32], budget: usize, out: &mut Vec<u32>) {
         let start = out.len();
         let per_tree = budget.div_ceil(self.trees.len());
-        for t in &self.trees {
-            // A tree stops once `out` holds `per_tree` of this call's ids,
-            // counting the trees gathered before it.
-            t.candidates(query, start + per_tree, out);
-        }
+        FRONTIER.with_borrow_mut(|frontier| {
+            for t in &self.trees {
+                // A tree stops once `out` holds `per_tree` of this call's
+                // ids, counting the trees gathered before it.
+                t.candidates(query, start + per_tree, out, frontier);
+            }
+        });
         self.orig.select(out, start, budget.max(1));
     }
 
@@ -311,7 +329,7 @@ mod tests {
         let tree = KdTree::build(&store, &ids, 4, 3);
         let query = [3.1f32, 7.2];
         let mut cands = Vec::new();
-        tree.candidates(&query, 20, &mut cands);
+        tree.candidates(&query, 20, &mut cands, &mut Vec::new());
         assert!(cands.len() >= 4);
         // Best candidate among the returned ones must be close to the true
         // NN (grid point (3,7), distance^2 = 0.01+0.04).
@@ -365,7 +383,7 @@ mod tests {
         s.push(&[1.0, 2.0]);
         let tree = KdTree::build(&s, &[0], 4, 0);
         let mut out = Vec::new();
-        tree.candidates(&[0.0, 0.0], 5, &mut out);
+        tree.candidates(&[0.0, 0.0], 5, &mut out, &mut Vec::new());
         assert_eq!(out, vec![0]);
     }
 
