@@ -11,7 +11,7 @@
 use crate::distance::{DistCounter, Space};
 use crate::graph::GraphView;
 use crate::partition::PartIndex;
-use crate::search::{SearchResult, SearchScratch};
+use crate::search::{Gate, Open, SearchResult, SearchScratch};
 use crate::seed::SeedProvider;
 use std::sync::Mutex;
 
@@ -361,12 +361,12 @@ impl AnnIndex for SerialScanIndex {
 }
 
 /// The index every graph-plus-seeds method serves through: a vector store,
-/// a graph, and a seed provider. The paper's normalisation is that methods
-/// differ only in the graph they build and the seeds they start from, and
-/// answer with the same beam search (Algorithm 1); so HNSW (its hierarchy
-/// as the provider), KGraph, NSW, NSG, SSG, DPG, EFANNA, HCNNG, NGT, SPTAG,
-/// Vamana, IEH, HVS and the II baseline are builders that return one of
-/// these, and a persisted graph is served again through
+/// a graph, a seed provider and a gate. The paper's normalisation is that
+/// methods differ only in the graph they build and the seeds they start
+/// from, and answer with the same beam search (Algorithm 1); so HNSW (its
+/// hierarchy as the provider), KGraph, NSW, NSG, SSG, DPG, EFANNA, HCNNG,
+/// NGT, SPTAG, Vamana, IEH, HVS, LSHAPG and the II baseline are builders
+/// that return one of these, and a persisted graph is served again through
 /// [`PrebuiltIndex::new`] without re-running construction.
 ///
 /// `G` is the graph as built: [`crate::graph::FlatGraph`] for the
@@ -374,7 +374,10 @@ impl AnnIndex for SerialScanIndex {
 /// for the unbounded-degree ones, so Figures 8–9 report each method's own
 /// layout. [`AnnIndex::freeze`] moves it into CSR either way. `S` is the
 /// seed provider, boxed: `dyn SeedProvider` by default, or a concrete type
-/// when the owner needs it back (HNSW's hierarchy).
+/// when the owner needs it back (HNSW's hierarchy, LSHAPG's LSH tables).
+/// `F` is the [`Gate`] on the traversal: [`Open`], which admits every
+/// neighbour, for every method but LSHAPG, whose sketch gate
+/// ([`Self::with_gate`]) is its probabilistic routing.
 ///
 /// Seed selection is charged once, in [`Self::search_with`]: what the
 /// provider spends is added to `stats.evaluated`, and under a `max_dists`
@@ -382,10 +385,12 @@ impl AnnIndex for SerialScanIndex {
 pub struct PrebuiltIndex<
     G: GraphView + Default = crate::graph::FlatGraph,
     S: SeedProvider + ?Sized = dyn SeedProvider,
+    F: Gate = Open,
 > {
     store: crate::store::VectorStore,
     serving: crate::reorder::ServingState<G>,
     seeds: Box<S>,
+    gate: F,
     /// Entry nodes that seed the BFS / RCM relabelling (HNSW's top entry,
     /// NSG's and Vamana's medoid), in the current id space.
     entries: Vec<u32>,
@@ -436,9 +441,18 @@ impl<G: GraphView + Default, S: SeedProvider + ?Sized> PrebuiltIndex<G, S> {
             label: label.into(),
             build: BuildReport::default(),
             scratch: ScratchPool::new(),
+            gate: Open,
         }
     }
 
+    /// Puts `gate` on the traversal in place of [`Open`].
+    pub fn with_gate<F: Gate>(self, gate: F) -> PrebuiltIndex<G, S, F> {
+        let Self { store, serving, seeds, entries, label, build, scratch, gate: Open } = self;
+        PrebuiltIndex { store, serving, seeds, gate, entries, label, build, scratch }
+    }
+}
+
+impl<G: GraphView + Default, S: SeedProvider + ?Sized, F: Gate> PrebuiltIndex<G, S, F> {
     /// Records what construction cost.
     pub fn with_build_report(mut self, build: BuildReport) -> Self {
         self.build = build;
@@ -465,6 +479,11 @@ impl<G: GraphView + Default, S: SeedProvider + ?Sized> PrebuiltIndex<G, S> {
     /// The index's own seed provider.
     pub fn seed_provider(&self) -> &S {
         &self.seeds
+    }
+
+    /// The gate on the index's traversal.
+    pub fn gate(&self) -> &F {
+        &self.gate
     }
 
     /// Installs a previously loaded code store (the persisted form),
@@ -509,21 +528,6 @@ impl<G: GraphView + Default, S: SeedProvider + ?Sized> PrebuiltIndex<G, S> {
         self.serving.graph()
     }
 
-    /// [`AnnIndex::reorder`], also returning the incremental `old → new`
-    /// map so a wrapper (LSHAPG) can relabel its own structures through it;
-    /// `None` when `strategy` is [`crate::reorder::ReorderStrategy::None`].
-    pub fn reorder_with(
-        &mut self,
-        strategy: crate::reorder::ReorderStrategy,
-    ) -> Option<crate::reorder::IdRemap> {
-        let map = self.serving.reorder(&mut self.store, strategy, &self.entries)?;
-        self.seeds.reorder(&map);
-        for entry in &mut self.entries {
-            *entry = map.to_new(*entry);
-        }
-        Some(map)
-    }
-
     /// Answers one query seeded by `provider` instead of the index's own
     /// (the seed-selection experiments run every strategy on one graph).
     /// `provider` must emit ids of this index's store, in its current id
@@ -544,7 +548,9 @@ impl<G: GraphView + Default, S: SeedProvider + ?Sized> PrebuiltIndex<G, S> {
 
     /// [`Self::search_with`] through a caller's scratch. Seed selection
     /// spends first; under a budget the traversal gets what is left (at
-    /// least 1, so it can score a seed), and `evaluated` reports both.
+    /// least 1, so it can score a seed), and `evaluated` reports both. The
+    /// gate prepares its per-query state in the scratch and filters the
+    /// traversal's neighbours.
     fn search_in<P: SeedProvider + ?Sized>(
         &self,
         provider: &P,
@@ -563,7 +569,9 @@ impl<G: GraphView + Default, S: SeedProvider + ?Sized> PrebuiltIndex<G, S> {
         if term.max_dists > 0 {
             term.max_dists = term.max_dists.saturating_sub(spent).max(1);
         }
-        let mut res = crate::search::beam_search_frozen(
+        let mut state = std::mem::take(&mut scratch.gate);
+        self.gate.prepare(query, &mut state);
+        let mut res = crate::search::beam_search_gated(
             self.serving.graph(),
             self.serving.csr(),
             space,
@@ -573,8 +581,10 @@ impl<G: GraphView + Default, S: SeedProvider + ?Sized> PrebuiltIndex<G, S> {
             params.beam_width,
             scratch,
             term,
+            |id, bound| self.gate.admits(&state, id, bound),
         );
         scratch.seeds = seeds;
+        scratch.gate = state;
         res.stats.evaluated += spent;
         self.serving.finish(res)
     }
@@ -585,10 +595,11 @@ impl<G: GraphView + Default, S: SeedProvider + ?Sized> PrebuiltIndex<G, S> {
 /// pool borrow/return per probe, and identical results (scratch contents
 /// never influence the traversal — the beam search prepares it for this
 /// graph and beam).
-impl<G, S> PartIndex for PrebuiltIndex<G, S>
+impl<G, S, F> PartIndex for PrebuiltIndex<G, S, F>
 where
     G: GraphView + Default + Send + Sync,
     S: SeedProvider + ?Sized,
+    F: Gate,
 {
     fn search_with_scratch(
         &self,
@@ -601,10 +612,11 @@ where
     }
 }
 
-impl<G, S> AnnIndex for PrebuiltIndex<G, S>
+impl<G, S, F> AnnIndex for PrebuiltIndex<G, S, F>
 where
     G: GraphView + Default + Send + Sync,
     S: SeedProvider + ?Sized,
+    F: Gate,
 {
     fn name(&self) -> String {
         self.label.clone()
@@ -643,8 +655,17 @@ where
         self.serving.is_quantized()
     }
 
+    /// Relabels the serving state, then the seed provider, the gate and
+    /// the reorder entries through the same map.
     fn reorder(&mut self, strategy: crate::reorder::ReorderStrategy) {
-        self.reorder_with(strategy);
+        let Some(map) = self.serving.reorder(&mut self.store, strategy, &self.entries) else {
+            return;
+        };
+        self.seeds.reorder(&map);
+        self.gate.reorder(&map);
+        for entry in &mut self.entries {
+            *entry = map.to_new(*entry);
+        }
     }
 
     fn is_reordered(&self) -> bool {
@@ -657,7 +678,7 @@ where
 
     fn stats(&self) -> IndexStats {
         let mut s = self.serving.stats();
-        s.aux_bytes += self.seeds.heap_bytes();
+        s.aux_bytes += self.seeds.heap_bytes() + self.gate.heap_bytes();
         s
     }
 }

@@ -18,8 +18,8 @@
 //! * [`seed`] — the Seed Selection abstraction with the structure-free
 //!   strategies (SF, MD, KS);
 //! * [`index`] — the [`index::AnnIndex`] trait all methods answer
-//!   through, [`index::PrebuiltIndex`] (graph + seed provider, the index
-//!   type of every graph-plus-seeds method), and the scratch pool for
+//!   through, [`index::PrebuiltIndex`] (graph + seed provider + gate, the
+//!   index type of every graph-plus-seeds method), and the scratch pool for
 //!   allocation-free querying.
 //!
 //! Methods themselves live in `gass-graphs`; tree and hash substrates in
@@ -85,8 +85,8 @@ pub use reorder::{
 };
 pub use search::{
     beam_search, beam_search_frozen, beam_search_gated, beam_search_terminated,
-    beam_search_with_sink, greedy_search, greedy_search_budgeted, greedy_search_with,
-    serial_scan, SearchResult, SearchScratch, SearchStats,
+    beam_search_with_sink, greedy_search, serial_scan, Gate, Open, SearchResult, SearchScratch,
+    SearchStats,
 };
 pub use seed::{FixedSeed, MedoidSeed, OriginalIds, RandomSeeds, SeedProvider, StaticSeeds};
 pub use sharded::{CentroidRouter, ShardedIndex, ShardedParams};

@@ -288,7 +288,7 @@ impl<G: GraphView + Default> ServingState<G> {
 
     /// The graph as built (construction ids). Once frozen it is an empty
     /// placeholder: the CSR is the only graph left, and
-    /// [`crate::search::beam_search_frozen`] ignores `graph` whenever it
+    /// [`crate::search::beam_search_gated`] ignores `graph` whenever it
     /// is handed a CSR.
     pub fn graph(&self) -> &G {
         &self.graph

@@ -1,5 +1,6 @@
 //! Beam search — Algorithm 1 of the paper — plus the greedy 1-NN descent
-//! used by hierarchical seed selection.
+//! used by hierarchical seed selection, and the [`Gate`] an index can put
+//! on the traversal.
 //!
 //! Every state-of-the-art graph method answers queries with the *same*
 //! best-first beam search; they differ only in the graph they traverse and
@@ -13,6 +14,7 @@ use crate::distance::{
 use crate::graph::GraphView;
 use crate::neighbor::{Neighbor, SortedBuffer};
 use crate::quant::{CodecStore, PqStore, PreparedQuery, QuantizedStore, Sq4Store};
+use crate::reorder::IdRemap;
 use crate::term::{TermState, Termination};
 use crate::visited::VisitedSet;
 
@@ -72,6 +74,9 @@ pub struct SearchScratch {
     /// The seeds a [`crate::seed::SeedProvider`] selected for the search
     /// this scratch serves (reused, like `prepared`).
     pub seeds: Vec<u32>,
+    /// The per-query state a [`Gate`] prepared (LSHAPG's query sketch;
+    /// reused, like `prepared`).
+    pub gate: Vec<f32>,
 }
 
 impl SearchScratch {
@@ -88,6 +93,7 @@ impl SearchScratch {
             buffer,
             prepared: PreparedQuery::default(),
             seeds: Vec::new(),
+            gate: Vec::new(),
         }
     }
 
@@ -96,6 +102,49 @@ impl SearchScratch {
         self.visited.resize(n);
         self.visited.clear();
         self.buffer.reset(l.max(1));
+    }
+}
+
+/// A pruning test an index puts on its traversal: the index-owned half of
+/// [`beam_search_gated`]'s `gate`. Per query, [`Self::prepare`] writes
+/// what the test needs into reused scratch; the traversal then scores a
+/// fresh neighbour only if [`Self::admits`] it. A gate that holds node ids
+/// follows a reorder and reports its size, as a
+/// [`crate::seed::SeedProvider`] does.
+pub trait Gate: Send + Sync {
+    /// Writes the per-query state for `query` into `state` (the search
+    /// scratch's, reused across queries).
+    fn prepare(&self, query: &[f32], state: &mut Vec<f32>);
+
+    /// Whether neighbour `id` is scored, given the prepared `state` and the
+    /// buffer's bound at the start of the hop (`+∞` until it fills).
+    fn admits(&self, state: &[f32], id: u32, bound: f32) -> bool;
+
+    /// Relabels every stored node id through `map` after the serving state
+    /// was permuted.
+    fn reorder(&mut self, map: &IdRemap);
+
+    /// Heap bytes of the gate's structures, counted as auxiliary memory.
+    fn heap_bytes(&self) -> usize;
+}
+
+/// The gate that admits every neighbour: the plain beam search.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Open;
+
+impl Gate for Open {
+    #[inline(always)]
+    fn prepare(&self, _query: &[f32], _state: &mut Vec<f32>) {}
+
+    #[inline(always)]
+    fn admits(&self, _state: &[f32], _id: u32, _bound: f32) -> bool {
+        true
+    }
+
+    fn reorder(&mut self, _map: &IdRemap) {}
+
+    fn heap_bytes(&self) -> usize {
+        0
     }
 }
 
@@ -170,15 +219,23 @@ pub fn beam_search_terminated<G: GraphView + ?Sized>(
     search_gated(graph, space, query, seeds, k, beam_width, scratch, term, |_, _| true)
 }
 
-/// [`beam_search_frozen`] with a `gate` on the traversal: each neighbour
-/// that passes the visited filter is offered to `gate(id, bound)` before
-/// it is scored, where `bound` is the buffer's [`SortedBuffer::bound`]
-/// read once at the start of the hop. A rejected neighbour stays visited
-/// and is never scored, counted or admitted; seeds are not gated.
-/// Everything else — scoring kernels, codec dispatch, prefetch,
-/// termination, the exact rerank and the counter publish — is the same
-/// loop every other search runs. LSHAPG's probabilistic routing (a sketch
-/// estimate against the bound) is this gate.
+/// [`beam_search_terminated`] over an index that may have been frozen into
+/// CSR form, with a `gate` on the traversal. It traverses `csr` when
+/// present, `graph` otherwise — a frozen index's `graph` is the empty
+/// placeholder its build graph left, and is never read. Both arms are
+/// statically dispatched: this is the one `match` on the CSR every index's
+/// search does, hoisted out of the traversal so the hot loop never pays
+/// virtual dispatch per neighbour list.
+///
+/// Each neighbour that passes the visited filter is offered to
+/// `gate(id, bound)` before it is scored, where `bound` is the buffer's
+/// [`SortedBuffer::bound`] read once at the start of the hop. A rejected
+/// neighbour stays visited and is never scored, counted or admitted; seeds
+/// are not gated. Everything else — scoring kernels, codec dispatch,
+/// prefetch, termination, the exact rerank and the counter publish — is
+/// the same loop every other search runs. A [`crate::PrebuiltIndex`]
+/// passes its [`Gate`]: [`Open`] for every method but LSHAPG, whose
+/// probabilistic routing (a sketch estimate against the bound) is a gate.
 #[allow(clippy::too_many_arguments)]
 pub fn beam_search_gated<G: GraphView + ?Sized>(
     graph: &G,
@@ -572,13 +629,7 @@ fn beam_search_full<G: GraphView + ?Sized>(
     SearchResult { neighbors: scratch.buffer.top_k(k), stats }
 }
 
-/// [`beam_search`] over an index that may have been frozen into CSR form:
-/// traverses `csr` when present, `graph` otherwise — a frozen index's
-/// `graph` is the empty placeholder its build graph left, and is never
-/// read. Both arms are
-/// statically dispatched — this is the one `match` every index's `search`
-/// does, hoisted out of the traversal so the hot loop never pays virtual
-/// dispatch per neighbor list.
+/// [`beam_search_gated`] with the gate that admits everything.
 #[allow(clippy::too_many_arguments)]
 pub fn beam_search_frozen<G: GraphView + ?Sized>(
     graph: &G,
@@ -591,110 +642,43 @@ pub fn beam_search_frozen<G: GraphView + ?Sized>(
     scratch: &mut SearchScratch,
     term: Termination,
 ) -> SearchResult {
-    match csr {
-        Some(c) => beam_search_terminated(c, space, query, seeds, k, beam_width, scratch, term),
-        None => {
-            beam_search_terminated(graph, space, query, seeds, k, beam_width, scratch, term)
-        }
-    }
+    beam_search_gated(graph, csr, space, query, seeds, k, beam_width, scratch, term, |_, _| {
+        true
+    })
 }
 
 /// Greedy 1-NN descent from `entry`: repeatedly move to the closest
 /// neighbor until no neighbor improves. This is the per-layer routine of
-/// HNSW's hierarchical seed selection (SN) and of ELPIS's leaf routing.
+/// HNSW's hierarchical seed selection (SN).
 ///
-/// Allocates a fresh [`VisitedSet`]; hot paths that descend repeatedly
-/// should reuse one via [`greedy_search_with`].
+/// Every node is evaluated at most once: on undirected graphs the naive
+/// descent re-scores the node it just came from (and other mutual
+/// neighbors) on every hop, and `visited` (caller scratch, prepared here)
+/// removes exactly those redundant evaluations — safe because the running
+/// best distance is the minimum over everything already evaluated, so a
+/// revisit can never improve it. Neighbor evaluations go through the
+/// 4-wide batched kernel like [`beam_search`].
+///
+/// `max_dists` is a hard evaluation budget (`0` = unlimited), checked once
+/// per hop — before the neighbor list is touched — so an exhausted
+/// descent returns the best node found so far instead of finishing the
+/// climb: a mid-quality entry point costs recall far less than a dropped
+/// query. Always runs at full precision, like [`beam_search_with_sink`]:
+/// any quant view on `space` is ignored.
+///
+/// Each hop visited-filters the best node's neighbour list (branch-free,
+/// as [`traverse`] does), prefetches the fresh neighbours' rows and scores
+/// them through [`score_in_fours`]; the prefetch switch is read once per
+/// descent, and the evaluation count is published on either exit.
 pub fn greedy_search<G: GraphView + ?Sized>(
     graph: &G,
     space: Space<'_>,
     query: &[f32],
     entry: u32,
-) -> (Neighbor, SearchStats) {
-    let mut visited = VisitedSet::new(graph.num_nodes());
-    greedy_search_with(graph, space, query, entry, &mut visited)
-}
-
-/// [`greedy_search`] with caller-provided scratch. Every node is evaluated
-/// at most once: on undirected graphs the naive descent re-scores the node
-/// it just came from (and other mutual neighbors) on every hop, and the
-/// visited filter removes exactly those redundant evaluations — safe
-/// because the running best distance is the minimum over everything
-/// already evaluated, so a revisit can never improve it. Neighbor
-/// evaluations go through the 4-wide batched kernel like [`beam_search`].
-///
-/// With a quant view attached to `space`, the descent runs on quantized
-/// distances and the final best is re-scored exactly (one `f32`
-/// evaluation), so the returned distance is always exact.
-pub fn greedy_search_with<G: GraphView + ?Sized>(
-    graph: &G,
-    space: Space<'_>,
-    query: &[f32],
-    entry: u32,
-    visited: &mut VisitedSet,
-) -> (Neighbor, SearchStats) {
-    greedy_search_budgeted(graph, space, query, entry, visited, 0)
-}
-
-/// [`greedy_search_with`] under a hard `max_dists` evaluation budget
-/// (`0` = unlimited, exactly [`greedy_search_with`]). The budget is
-/// checked once per hop — before the neighbor list is touched — so an
-/// exhausted descent returns the best node found so far instead of
-/// finishing the climb. Routing (HNSW's upper-layer descent) degrades
-/// gracefully: a mid-quality entry point costs recall far less than a
-/// dropped query.
-pub fn greedy_search_budgeted<G: GraphView + ?Sized>(
-    graph: &G,
-    space: Space<'_>,
-    query: &[f32],
-    entry: u32,
     visited: &mut VisitedSet,
     max_dists: usize,
 ) -> (Neighbor, SearchStats) {
-    match space.quant() {
-        Some(qv) => with_concrete_codec!(qv.store(), |codec| {
-            greedy_search_quantized(graph, space, codec, query, entry, visited, max_dists)
-        }),
-        None => descend(graph, &FullRows { space, query }, entry, visited, max_dists),
-    }
-}
-
-/// Quantized greedy descent (see [`greedy_search_with`]): [`descend`] on
-/// code-space distances from `codec`, then an exact re-score of the final
-/// best — on a budget stop as on convergence, so the returned distance is
-/// always exact.
-fn greedy_search_quantized<G: GraphView + ?Sized, C: CodecStore + ?Sized>(
-    graph: &G,
-    space: Space<'_>,
-    codec: &C,
-    query: &[f32],
-    entry: u32,
-    visited: &mut VisitedSet,
-    max_dists: usize,
-) -> (Neighbor, SearchStats) {
-    let mut prepared = PreparedQuery::default();
-    codec.prepare_into(query, &mut prepared);
-    let rows = CodeRows { codec, prepared: &prepared, counter: space.counter() };
-    let (best, mut stats) = descend(graph, &rows, entry, visited, max_dists);
-    stats.evaluated += 1;
-    (Neighbor::new(best.id, space.dist_to(query, best.id)), stats)
-}
-
-/// The greedy hill-climb every descent runs: score `entry`, then
-/// repeatedly visited-filter the best node's neighbour list (branch-free,
-/// as [`traverse`] does), prefetch the fresh neighbours' rows, score them
-/// through [`score_in_fours`] and move to the closest, until a hop
-/// improves nothing or `max_dists` (`0` = unlimited) is spent.
-/// The budget is checked once per hop, before the list is touched; the
-/// prefetch switch is read once per descent. Distances are `scorer`'s;
-/// the evaluation count is published on either exit.
-fn descend<G: GraphView + ?Sized, S: Scorer>(
-    graph: &G,
-    scorer: &S,
-    entry: u32,
-    visited: &mut VisitedSet,
-    max_dists: usize,
-) -> (Neighbor, SearchStats) {
+    let scorer = &FullRows { space, query };
     let prefetch = prefetch_enabled();
     let mut stats = SearchStats::default();
     visited.resize(graph.num_nodes());
@@ -836,7 +820,8 @@ mod tests {
         let (store, g) = line_world();
         let counter = DistCounter::new();
         let space = Space::new(&store, &counter);
-        let (best, stats) = greedy_search(&g, space, &[6.1], 0);
+        let mut visited = crate::visited::VisitedSet::new(10);
+        let (best, stats) = greedy_search(&g, space, &[6.1], 0, &mut visited, 0);
         assert_eq!(best.id, 6);
         assert!(stats.hops >= 6);
         // The visited filter caps evaluations at one per node: walking
@@ -852,8 +837,9 @@ mod tests {
         let space = Space::new(&store, &counter);
         let mut visited = crate::visited::VisitedSet::new(10);
         for q in [0.4f32, 8.7, 3.2] {
-            let fresh = greedy_search(&g, space, &[q], 0);
-            let reused = greedy_search_with(&g, space, &[q], 0, &mut visited);
+            let mut fresh_visited = crate::visited::VisitedSet::new(0);
+            let fresh = greedy_search(&g, space, &[q], 0, &mut fresh_visited, 0);
+            let reused = greedy_search(&g, space, &[q], 0, &mut visited, 0);
             assert_eq!(fresh.0, reused.0);
             assert_eq!(fresh.1.evaluated, reused.1.evaluated);
         }
@@ -971,17 +957,20 @@ mod tests {
     }
 
     #[test]
-    fn quantized_greedy_returns_exact_distance() {
+    fn greedy_ignores_the_quant_view() {
         let (store, g) = line_world();
         let qs = crate::quant::QuantizedStore::from_store(&store);
+        let mut visited = crate::visited::VisitedSet::new(10);
+        let plain_counter = DistCounter::new();
+        let plain =
+            greedy_search(&g, Space::new(&store, &plain_counter), &[6.1], 0, &mut visited, 0);
         let counter = DistCounter::new();
         let space =
             Space::new(&store, &counter).with_quant(Some(crate::QuantView::new(&qs, 2)));
-        let (best, stats) = greedy_search(&g, space, &[6.1], 0);
-        assert_eq!(best.id, 6);
-        assert!((best.dist - 0.01).abs() < 1e-4, "{}", best.dist);
-        assert_eq!(counter.get(), stats.evaluated as u64);
-        assert_eq!(counter.get_f32(), 1, "exactly one exact re-score");
+        let (best, stats) = greedy_search(&g, space, &[6.1], 0, &mut visited, 0);
+        assert_eq!((best, stats), plain);
+        assert_eq!(counter.get_u8(), 0, "the descent never scores codes");
+        assert_eq!(counter.get_f32(), stats.evaluated as u64);
     }
 
     #[test]
@@ -1046,18 +1035,12 @@ mod tests {
         let counter = DistCounter::new();
         let space = Space::new(&store, &counter);
         let mut visited = crate::visited::VisitedSet::new(10);
-        let (full, full_stats) = greedy_search_with(&g, space, &[6.1], 0, &mut visited);
+        let (full, full_stats) = greedy_search(&g, space, &[6.1], 0, &mut visited, 0);
         assert_eq!(full.id, 6);
-        let (capped, capped_stats) =
-            greedy_search_budgeted(&g, space, &[6.1], 0, &mut visited, 3);
+        let (capped, capped_stats) = greedy_search(&g, space, &[6.1], 0, &mut visited, 3);
         assert!(capped_stats.evaluated <= full_stats.evaluated);
         assert!(capped_stats.evaluated <= 4, "budget stops the climb early");
         assert!(capped.dist >= full.dist, "partial descent can only be farther");
-        // Unlimited budget is exactly the plain descent.
-        let (unlimited, unlimited_stats) =
-            greedy_search_budgeted(&g, space, &[6.1], 0, &mut visited, 0);
-        assert_eq!(unlimited, full);
-        assert_eq!(unlimited_stats, full_stats);
     }
 
     #[test]

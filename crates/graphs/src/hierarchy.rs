@@ -17,7 +17,7 @@ use gass_core::graph::GraphView;
 use gass_core::nd::NdStrategy;
 use gass_core::neighbor::Neighbor;
 use gass_core::reorder::IdRemap;
-use gass_core::search::{beam_search, greedy_search_budgeted, SearchScratch};
+use gass_core::search::{beam_search, greedy_search, SearchScratch};
 use gass_core::seed::SeedProvider;
 use gass_core::visited::VisitedSet;
 use rand::rngs::SmallRng;
@@ -219,7 +219,7 @@ impl Hierarchy {
     }
 
     /// Hill-climbs `layers` top-down from `entry` with the shared
-    /// [`greedy_search_budgeted`], at full precision whatever `space` carries;
+    /// [`greedy_search`], at full precision whatever `space` carries;
     /// `max_dists` (`0` = unlimited) caps the evaluations over all layers.
     /// Returns the node reached and the evaluations spent.
     fn descend_layers(
@@ -230,14 +230,13 @@ impl Hierarchy {
         layers: std::ops::RangeInclusive<usize>,
         max_dists: usize,
     ) -> (u32, usize) {
-        let space = space.with_quant(None);
         DESCENT_VISITED.with_borrow_mut(|visited| {
             let (mut cur, mut spent) = (entry, 0usize);
             for l in layers.rev() {
                 // Positive under a budget (see the `break`): never core's "0 = unlimited".
                 let left = max_dists.saturating_sub(spent);
                 let (best, stats) =
-                    greedy_search_budgeted(&self.layers[l], space, query, cur, visited, left);
+                    greedy_search(&self.layers[l], space, query, cur, visited, left);
                 cur = best.id;
                 spent += stats.evaluated;
                 if max_dists > 0 && spent >= max_dists {

@@ -96,6 +96,19 @@ fn prepare_insertion<G: GraphView + ?Sized>(
 /// # Panics
 /// Panics if `store` holds fewer than two vectors or `params.m < 2`.
 pub fn build(store: VectorStore, params: HnswParams) -> PrebuiltIndex<FlatGraph, Hierarchy> {
+    let (base, hierarchy, build) = build_layers(&store, params);
+    let entries = hierarchy.entry_node().into_iter().collect();
+    PrebuiltIndex::with_provider(store, base, Box::new(hierarchy), "HNSW")
+        .with_entries(entries)
+        .with_build_report(build)
+}
+
+/// What [`build`] serves: the base layer, the hierarchy above it and the
+/// construction cost. LSHAPG routes over the base layer alone.
+pub(crate) fn build_layers(
+    store: &VectorStore,
+    params: HnswParams,
+) -> (FlatGraph, Hierarchy, BuildReport) {
     assert!(store.len() >= 2, "need at least two vectors");
     assert!(params.m >= 2, "M must be at least 2");
     let counter = DistCounter::new();
@@ -105,25 +118,21 @@ pub fn build(store: VectorStore, params: HnswParams) -> PrebuiltIndex<FlatGraph,
     let mut hierarchy = Hierarchy::new(params.m, params.ef_construction);
     let threads = gass_core::effective_threads(params.threads.max(1));
     let base = {
-        let space = Space::new(&store, &counter);
+        let space = Space::new(store, &counter);
         // Levels are pre-drawn so serial and parallel builds consume
         // the identical RNG stream (one draw per node, in id order —
         // the only RNG use in the insertion loop).
         let mut rng = SmallRng::seed_from_u64(params.seed);
         let levels: Vec<usize> = (0..n).map(|_| draw_level(params.m, &mut rng)).collect();
         if threads <= 1 {
-            build_serial(&store, space, &mut hierarchy, &params, m0, &levels)
+            build_serial(store, space, &mut hierarchy, &params, m0, &levels)
         } else {
-            build_parallel(&store, space, &mut hierarchy, &params, m0, &levels, threads)
+            build_parallel(store, space, &mut hierarchy, &params, m0, &levels, threads)
         }
     };
     let build =
         BuildReport { seconds: start.elapsed().as_secs_f64(), dist_calcs: counter.get() };
-    let base = FlatGraph::from_adjacency(&base, Some(m0));
-    let entries = hierarchy.entry_node().into_iter().collect();
-    PrebuiltIndex::with_provider(store, base, Box::new(hierarchy), "HNSW")
-        .with_entries(entries)
-        .with_build_report(build)
+    (FlatGraph::from_adjacency(&base, Some(m0)), hierarchy, build)
 }
 
 fn build_serial(

@@ -89,7 +89,7 @@ pub fn build(store: VectorStore, params: IehParams) -> PrebuiltIndex {
     };
     let build =
         BuildReport { seconds: start.elapsed().as_secs_f64(), dist_calcs: counter.get() };
-    let seeds = LshSeeds::new(lsh, 0);
+    let seeds = LshSeeds::new(lsh, 0, 1);
     PrebuiltIndex::new(store, graph, Box::new(seeds), "IEH").with_build_report(build)
 }
 

@@ -36,10 +36,9 @@
 //! `build` returns a [`gass_core::PrebuiltIndex`] holding the graph and a
 //! boxed [`gass_core::SeedProvider`] (HNSW with its hierarchy, KGraph,
 //! IEH, NSW, EFANNA, DPG, NGT, NSG, SPTAG, Vamana, SSG, HCNNG, HVS with
-//! its Voronoi pyramid, and the II baseline). ELPIS is a router over HNSW
-//! leaves on [`gass_core::partition::Partitioned`]; LSHAPG carries a
-//! sketch gate beyond one graph and one seed provider, so it keeps its own
-//! index type.
+//! its Voronoi pyramid, LSHAPG with its LSH seeds and sketch gate, and
+//! the II baseline). ELPIS is a router over HNSW leaves on
+//! [`gass_core::partition::Partitioned`].
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]

@@ -11,15 +11,10 @@
 //! savings against misrouting).
 
 use crate::common::BuildReport;
-use crate::hierarchy::Hierarchy;
 use crate::hnsw::{self, HnswParams};
-use gass_core::distance::{DistCounter, Space};
 use gass_core::graph::FlatGraph;
-use gass_core::index::{AnnIndex, IndexStats, PrebuiltIndex, QueryParams, ScratchPool};
-use gass_core::reorder::ReorderStrategy;
-use gass_core::search::{beam_search_gated, SearchResult};
-use gass_core::seed::SeedProvider;
-use gass_hash::{LshIndex, LshSeeds};
+use gass_core::index::PrebuiltIndex;
+use gass_hash::{LshIndex, LshSeeds, SketchGate};
 
 /// LSHAPG construction parameters.
 #[derive(Clone, Copy, Debug)]
@@ -46,152 +41,45 @@ impl LshapgParams {
     }
 }
 
-/// A built LSHAPG index.
-pub struct LshapgIndex {
-    /// The HNSW it routes over: its store, serving state and footprint
-    /// (the hierarchy included, though LSH replaces it as seed provider).
-    base: PrebuiltIndex<FlatGraph, Hierarchy>,
-    lsh: LshSeeds,
-    gamma: f32,
-    scratch: ScratchPool,
-    build: BuildReport,
-}
+/// A built LSHAPG index: HNSW's base layer, LSH seeds and the sketch gate.
+pub type LshapgIndex = PrebuiltIndex<FlatGraph, LshSeeds, SketchGate>;
 
-impl LshapgIndex {
-    /// Builds the HNSW base and the LSH tables.
-    pub fn build(store: gass_core::VectorStore, params: LshapgParams) -> Self {
-        let start = std::time::Instant::now();
-        let base = hnsw::build(store, params.hnsw);
-        let lsh_index = LshIndex::build_scaled(
-            base.store(),
-            params.tables,
-            params.projections,
-            params.width,
-            params.hnsw.seed ^ 0x15b,
-        );
-        let lsh = LshSeeds::new(lsh_index, 0);
-        let build = BuildReport {
-            seconds: start.elapsed().as_secs_f64(),
-            dist_calcs: base.build_report().dist_calcs,
-        };
-        Self { base, lsh, gamma: params.gamma, scratch: ScratchPool::new(), build }
-    }
+/// Fewest LSH seeds a query starts from, whatever `seed_count` asks.
+const MIN_SEEDS: usize = 4;
 
-    /// Construction cost report.
-    pub fn build_report(&self) -> BuildReport {
-        self.build
-    }
-
-    /// The LSH structure.
-    pub fn lsh(&self) -> &LshIndex {
-        self.lsh.index()
-    }
-}
-
-impl AnnIndex for LshapgIndex {
-    fn name(&self) -> String {
-        "LSHAPG".to_string()
-    }
-
-    fn num_vectors(&self) -> usize {
-        self.base.num_vectors()
-    }
-
-    fn dim(&self) -> usize {
-        self.base.dim()
-    }
-
-    fn search(
-        &self,
-        query: &[f32],
-        params: &QueryParams,
-        counter: &DistCounter,
-    ) -> SearchResult {
-        let serving = self.base.serving();
-        let space =
-            Space::new(self.base.store(), counter).with_quant(serving.quant_view(params));
-        // Probabilistic routing: a fresh neighbour is scored (on codes when
-        // the base carries them, then reranked exactly) unless its sketch
-        // estimate exceeds `γ ·` the buffer's bound at the start of the hop
-        // (`+∞` until the buffer fills). The negated `>` scores a NaN
-        // estimate, as the rejection test `est > γ · bound` always has.
-        let (lsh, gamma) = (self.lsh.index(), self.gamma);
-        let sketch = lsh.query_sketch(query);
-        #[allow(clippy::neg_cmp_op_on_partial_ord)]
-        let gate = |nb: u32, bound: f32| {
-            !bound.is_finite() || !(lsh.projected_dist_sq(&sketch, nb) > gamma * bound)
-        };
-        let res = self.scratch.with(space.len(), params.beam_width, |scratch| {
-            // LSH seeds are bucket lookups: they spend no distance evaluation.
-            let mut seeds = std::mem::take(&mut scratch.seeds);
-            seeds.clear();
-            self.lsh.select(space, query, params.seed_count.max(4), 0, &mut seeds);
-            let res = beam_search_gated(
-                self.base.graph(),
-                serving.csr(),
-                space,
-                query,
-                &seeds,
-                params.k,
-                params.beam_width,
-                scratch,
-                params.termination(),
-                gate,
-            );
-            scratch.seeds = seeds;
-            res
-        });
-        // The traversal runs in the base graph's (possibly relabeled) id
-        // space; the base serving state owns the new→old translation.
-        serving.finish(res)
-    }
-
-    fn freeze(&mut self) {
-        self.base.freeze();
-    }
-
-    fn is_frozen(&self) -> bool {
-        self.base.is_frozen()
-    }
-
-    fn quantize(&mut self, spec: gass_core::CodecSpec) {
-        // The base HNSW owns the store; its codes serve the routed
-        // traversal too.
-        self.base.quantize(spec);
-    }
-
-    fn is_quantized(&self) -> bool {
-        self.base.is_quantized()
-    }
-
-    fn reorder(&mut self, strategy: ReorderStrategy) {
-        // The LSH buckets and sketch rows must follow the base graph's
-        // relabeling so seeds and sketch estimates stay in the same id
-        // space as the permuted CSR.
-        if let Some(map) = self.base.reorder_with(strategy) {
-            self.lsh.reorder(&map);
-        }
-    }
-
-    fn is_reordered(&self) -> bool {
-        self.base.is_reordered()
-    }
-
-    fn reorder_strategy(&self) -> ReorderStrategy {
-        self.base.reorder_strategy()
-    }
-
-    fn stats(&self) -> IndexStats {
-        let mut s = self.base.stats();
-        s.aux_bytes += self.lsh.heap_bytes();
-        s
-    }
+/// Builds HNSW's base layer (its hierarchy is dropped: LSH replaces it as
+/// seed provider, keeping only its top entry to start a BFS / RCM reorder),
+/// then the LSH tables over the same store and the sketch gate on table 0.
+/// LSH seeds are bucket lookups and spend no distance evaluation.
+pub fn build(store: gass_core::VectorStore, params: LshapgParams) -> LshapgIndex {
+    let start = std::time::Instant::now();
+    let (base, hierarchy, hnsw_build) = hnsw::build_layers(&store, params.hnsw);
+    let lsh = LshIndex::build_scaled(
+        &store,
+        params.tables,
+        params.projections,
+        params.width,
+        params.hnsw.seed ^ 0x15b,
+    );
+    let gate = SketchGate::new(&lsh, &store, params.gamma);
+    let build = BuildReport {
+        seconds: start.elapsed().as_secs_f64(),
+        dist_calcs: hnsw_build.dist_calcs,
+    };
+    let seeds = LshSeeds::new(lsh, 0, MIN_SEEDS);
+    PrebuiltIndex::with_provider(store, base, Box::new(seeds), "LSHAPG")
+        .with_gate(gate)
+        .with_entries(hierarchy.entry_node().into_iter().collect())
+        .with_build_report(build)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gass_core::{DistCounter, VectorStore};
+    use gass_core::index::{AnnIndex, QueryParams};
+    use gass_core::search::{Gate, SearchResult};
+    use gass_core::seed::SeedProvider;
+    use gass_core::{DistCounter, ReorderStrategy, VectorStore};
     use gass_data::ground_truth::ground_truth;
     use gass_data::synth::deep_like;
 
@@ -211,7 +99,7 @@ mod tests {
     fn lshapg_reasonable_recall_with_routing() {
         let base = deep_like(500, 1);
         let queries = deep_like(15, 2);
-        let idx = LshapgIndex::build(base.clone(), LshapgParams::small());
+        let idx = build(base.clone(), LshapgParams::small());
         let r = recall(&idx, &base, &queries, 96);
         assert!(r > 0.8, "LSHAPG recall too low: {r}");
     }
@@ -223,11 +111,9 @@ mod tests {
         // beam width recall does not exceed the unrouted traversal.
         let base = deep_like(500, 3);
         let queries = deep_like(12, 4);
-        let routed = LshapgIndex::build(base.clone(), LshapgParams::small());
-        let unrouted = LshapgIndex::build(
-            base.clone(),
-            LshapgParams { gamma: f32::INFINITY, ..LshapgParams::small() },
-        );
+        let routed = build(base.clone(), LshapgParams::small());
+        let unrouted =
+            build(base.clone(), LshapgParams { gamma: f32::INFINITY, ..LshapgParams::small() });
         let (c_r, c_u) = (DistCounter::new(), DistCounter::new());
         let params = QueryParams::new(10, 48).with_seed_count(12);
         for (_, q) in queries.iter() {
@@ -258,7 +144,7 @@ mod tests {
 
         let base = deep_like(800, 5);
         let queries = deep_like(10, 6);
-        let idx = LshapgIndex::build(base, LshapgParams::small());
+        let idx = build(base, LshapgParams::small());
         let max_degree = idx.stats().max_degree;
         let fixed = QueryParams::new(10, 160).with_seed_count(12);
         let run = |params: QueryParams| -> Vec<SearchResult> {
@@ -301,7 +187,7 @@ mod tests {
         // Routing at this beam width evaluates little past the buffer's
         // first fill, so DistRatio is checked where the traversal runs on:
         // the same index with routing off.
-        let unrouted = LshapgIndex::build(
+        let unrouted = build(
             deep_like(800, 5),
             LshapgParams { gamma: f32::INFINITY, ..LshapgParams::small() },
         );
@@ -325,8 +211,36 @@ mod tests {
     #[test]
     fn stats_account_lsh_tables() {
         let base = deep_like(200, 5);
-        let idx = LshapgIndex::build(base, LshapgParams::small());
+        let idx = build(base, LshapgParams::small());
         assert!(idx.stats().aux_bytes > 0);
         assert_eq!(idx.name(), "LSHAPG");
+    }
+
+    /// LSHAPG's auxiliary bytes are its LSH tables and its gate (the sketch
+    /// rows and table 0's projections), plus the remap and the LSH `new →
+    /// old` table after a reorder; no hierarchy. IEH's are its LSH tables
+    /// alone: it holds no sketch.
+    #[test]
+    fn hash_methods_count_their_tables_and_gate() {
+        let (n, p) = (400, LshapgParams::small());
+        let mut idx = build(deep_like(n, 5), p);
+        let gate = idx.gate().heap_bytes();
+        let sketch_f32s = n * p.projections + p.projections * (idx.dim() + 1);
+        assert_eq!(gate, sketch_f32s * std::mem::size_of::<f32>());
+        let tables = idx.seed_provider().heap_bytes();
+        assert_eq!(idx.stats().aux_bytes, tables + gate);
+        idx.reorder(ReorderStrategy::Rcm);
+        let ids = n * std::mem::size_of::<u32>();
+        let remap = idx.serving().remap().expect("reordered").heap_bytes();
+        assert_eq!(remap, 2 * ids);
+        assert_eq!(idx.seed_provider().heap_bytes(), tables + ids);
+        assert_eq!(idx.stats().aux_bytes, tables + ids + gate + remap);
+
+        let mut ieh = crate::ieh::build(deep_like(n, 5), crate::IehParams::small());
+        let tables = ieh.seed_provider().heap_bytes();
+        assert_eq!(ieh.stats().aux_bytes, tables);
+        ieh.reorder(ReorderStrategy::Rcm);
+        assert_eq!(ieh.seed_provider().heap_bytes(), tables + ids);
+        assert_eq!(ieh.stats().aux_bytes, tables + ids + 2 * ids);
     }
 }

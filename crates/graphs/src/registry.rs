@@ -10,7 +10,7 @@ use crate::elpis::{self, ElpisParams};
 use crate::hcnng::HcnngParams;
 use crate::hnsw::{self, HnswParams};
 use crate::kgraph::KGraphParams;
-use crate::lshapg::{LshapgIndex, LshapgParams};
+use crate::lshapg::{self, LshapgParams};
 use crate::ngt::NgtParams;
 use crate::nsg::NsgParams;
 use crate::nsw::NswParams;
@@ -289,7 +289,7 @@ pub fn build_method_with_threads(
             BuiltMethod { index: Box::new(idx), build }
         }
         MethodKind::Lshapg => {
-            let idx = LshapgIndex::build(
+            let idx = lshapg::build(
                 store,
                 LshapgParams {
                     hnsw: HnswParams {
@@ -299,7 +299,7 @@ pub fn build_method_with_threads(
                         threads: t_serial,
                     },
                     // Looser routing slack than the method's default: the
-                    // paper observes LSHAPG's probabilistic rooting prunes
+                    // paper observes LSHAPG's probabilistic routing prunes
                     // promising neighbors and needs compensation.
                     gamma: 2.5,
                     ..LshapgParams::small()

@@ -3,10 +3,10 @@
 //! Locality-sensitive hashing substrate: Euclidean (p-stable) LSH with
 //! multiple tables, used as
 //!
-//! * the **LSH** seed-selection strategy (IEH-style) from the paper's
-//!   taxonomy, and
-//! * LSHAPG's auxiliary structure: multi-table seed retrieval plus a
-//!   projected-distance sketch for probabilistic routing.
+//! * the **LSH** seed-selection strategy ([`LshSeeds`]; IEH, LSHAPG) from
+//!   the paper's taxonomy, and
+//! * LSHAPG's probabilistic routing ([`SketchGate`]): a projected-distance
+//!   sketch that gates the beam search's exact evaluations.
 //!
 //! Each table concatenates `m` quantized random projections
 //! `h(v) = ⌊(a·v + b)/w⌋` (Gaussian `a`, uniform `b ∈ [0, w)`) into a
@@ -19,6 +19,7 @@
 
 use gass_core::distance::Space;
 use gass_core::reorder::IdRemap;
+use gass_core::search::Gate;
 use gass_core::seed::{OriginalIds, SeedProvider};
 use gass_core::store::VectorStore;
 use rand::rngs::SmallRng;
@@ -45,6 +46,15 @@ struct LshTable {
     buckets: HashMap<u64, Vec<u32>>,
 }
 
+/// The raw projections `a·v + b` of `v`, one per projection row.
+fn raw_projections<'a>(
+    projections: &'a [Vec<f32>],
+    offsets: &'a [f32],
+    v: &'a [f32],
+) -> impl Iterator<Item = f32> + 'a {
+    projections.iter().zip(offsets).map(|(p, b)| gass_core::distance::dot(p, v) + b)
+}
+
 fn mix_key(codes: &[i32]) -> u64 {
     // FNV-1a over the i32 codes.
     let mut h: u64 = 0xcbf29ce484222325;
@@ -64,16 +74,10 @@ impl LshTable {
         Self { projections, offsets, width, buckets: HashMap::new() }
     }
 
-    fn raw_projections(&self, v: &[f32]) -> Vec<f32> {
-        self.projections
-            .iter()
-            .zip(&self.offsets)
-            .map(|(p, b)| gass_core::distance::dot(p, v) + b)
-            .collect()
-    }
-
     fn codes(&self, v: &[f32]) -> Vec<i32> {
-        self.raw_projections(v).into_iter().map(|x| (x / self.width).floor() as i32).collect()
+        raw_projections(&self.projections, &self.offsets, v)
+            .map(|x| (x / self.width).floor() as i32)
+            .collect()
     }
 
     fn insert(&mut self, id: u32, v: &[f32]) {
@@ -115,11 +119,6 @@ impl LshTable {
 #[derive(Clone, Debug)]
 pub struct LshIndex {
     tables: Vec<LshTable>,
-    /// Per-vector sketch: concatenated raw projections of table 0, used
-    /// for projected-distance estimation (LSHAPG's routing).
-    sketches: Vec<f32>,
-    sketch_dim: usize,
-    dim: usize,
     /// After a reorder: the original ids, the sort key that keeps the
     /// truncated candidate set identical before and after relabeling.
     orig: OriginalIds,
@@ -144,21 +143,15 @@ impl LshIndex {
         assert!(!store.is_empty(), "LSH over empty store");
         assert!(num_tables > 0 && m > 0, "tables and projections must be positive");
         assert!(width > 0.0, "bucket width must be positive");
-        let dim = store.dim();
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut tables: Vec<LshTable> =
-            (0..num_tables).map(|_| LshTable::new(dim, m, width, &mut rng)).collect();
+            (0..num_tables).map(|_| LshTable::new(store.dim(), m, width, &mut rng)).collect();
         for (id, v) in store.iter() {
             for t in &mut tables {
                 t.insert(id, v);
             }
         }
-        let sketch_dim = m;
-        let mut sketches = Vec::with_capacity(store.len() * sketch_dim);
-        for (_, v) in store.iter() {
-            sketches.extend(tables[0].raw_projections(v));
-        }
-        Self { tables, sketches, sketch_dim, dim, orig: OriginalIds::default() }
+        Self { tables, orig: OriginalIds::default() }
     }
 
     /// Like [`Self::build`], but the bucket width adapts to the data:
@@ -210,9 +203,9 @@ impl LshIndex {
         self.orig.select(out, start, budget.max(1));
     }
 
-    /// Relabels bucket contents and permutes the sketch rows through `map`
-    /// after the vector store was permuted. Hash keys depend only on the
-    /// vector contents, so bucket membership is unchanged.
+    /// Relabels bucket contents through `map` after the vector store was
+    /// permuted. Hash keys depend only on the vector contents, so bucket
+    /// membership is unchanged.
     pub fn reorder(&mut self, map: &IdRemap) {
         for t in &mut self.tables {
             for bucket in t.buckets.values_mut() {
@@ -221,33 +214,7 @@ impl LshIndex {
                 }
             }
         }
-        let n = self.sketches.len() / self.sketch_dim.max(1);
-        let mut permuted = Vec::with_capacity(self.sketches.len());
-        for new in 0..n {
-            let old = map.to_old(new as u32) as usize;
-            permuted.extend_from_slice(
-                &self.sketches[old * self.sketch_dim..(old + 1) * self.sketch_dim],
-            );
-        }
-        self.sketches = permuted;
         self.orig.reorder(map);
-    }
-
-    /// Projection sketch of an arbitrary query vector (table 0's raw
-    /// projections).
-    pub fn query_sketch(&self, query: &[f32]) -> Vec<f32> {
-        self.tables[0].raw_projections(query)
-    }
-
-    /// Estimated squared distance between a query sketch and stored vector
-    /// `id`: `(dim / m) · ‖sketch_q − sketch_id‖²`. Unbiased for Gaussian
-    /// projections; LSHAPG uses this to rank neighbors before computing
-    /// exact distances.
-    pub fn projected_dist_sq(&self, query_sketch: &[f32], id: u32) -> f32 {
-        let base = id as usize * self.sketch_dim;
-        let s = &self.sketches[base..base + self.sketch_dim];
-        let d = gass_core::distance::l2_sq(query_sketch, s);
-        d * (self.dim as f32 / self.sketch_dim as f32)
     }
 
     /// Number of tables.
@@ -255,10 +222,90 @@ impl LshIndex {
         self.tables.len()
     }
 
-    /// Approximate heap bytes.
+    /// Approximate heap bytes: the tables, and the `new → old` table a
+    /// reorder installs.
     pub fn heap_bytes(&self) -> usize {
-        self.tables.iter().map(LshTable::heap_bytes).sum::<usize>()
-            + self.sketches.capacity() * std::mem::size_of::<f32>()
+        self.tables.iter().map(LshTable::heap_bytes).sum::<usize>() + self.orig.heap_bytes()
+    }
+}
+
+/// LSHAPG's probabilistic routing as a traversal [`Gate`]: a neighbour's
+/// squared distance is estimated from its projection sketch (table 0's raw
+/// projections `a·v + b` of an [`LshIndex`]) as
+/// `(dim / m) · ‖sketch_q − sketch_id‖²`, unbiased for Gaussian
+/// projections, and the neighbour is scored exactly unless the estimate
+/// exceeds `γ ·` the buffer's bound. While the bound is `+∞` (the
+/// buffer not yet full) every neighbour is admitted, and a NaN estimate is
+/// admitted too: the rejection test is `est > γ · bound`.
+#[derive(Clone, Debug)]
+pub struct SketchGate {
+    /// Table 0's `m` projection rows and offsets.
+    projections: Vec<Vec<f32>>,
+    offsets: Vec<f32>,
+    /// Per-vector sketch rows (`n × m`), in the current id space.
+    sketches: Vec<f32>,
+    /// `dim / m`.
+    scale: f32,
+    /// Routing slack `γ`.
+    gamma: f32,
+}
+
+impl SketchGate {
+    /// Sketches every vector of `store` with `lsh`'s table 0; `gamma` is
+    /// the routing slack (`f32::INFINITY` admits every neighbour).
+    pub fn new(lsh: &LshIndex, store: &VectorStore, gamma: f32) -> Self {
+        let t = &lsh.tables[0];
+        let m = t.projections.len();
+        let mut sketches = Vec::with_capacity(store.len() * m);
+        for (_, v) in store.iter() {
+            sketches.extend(raw_projections(&t.projections, &t.offsets, v));
+        }
+        Self {
+            projections: t.projections.clone(),
+            offsets: t.offsets.clone(),
+            sketches,
+            scale: store.dim() as f32 / m as f32,
+            gamma,
+        }
+    }
+
+    /// The estimated squared distance between a query sketch and vector `id`.
+    fn estimate(&self, sketch: &[f32], id: u32) -> f32 {
+        let m = self.offsets.len();
+        let row = &self.sketches[id as usize * m..(id as usize + 1) * m];
+        gass_core::distance::l2_sq(sketch, row) * self.scale
+    }
+}
+
+impl Gate for SketchGate {
+    /// Writes the query's sketch.
+    fn prepare(&self, query: &[f32], state: &mut Vec<f32>) {
+        state.clear();
+        state.extend(raw_projections(&self.projections, &self.offsets, query));
+    }
+
+    #[inline]
+    #[allow(clippy::neg_cmp_op_on_partial_ord)]
+    fn admits(&self, sketch: &[f32], id: u32, bound: f32) -> bool {
+        !bound.is_finite() || !(self.estimate(sketch, id) > self.gamma * bound)
+    }
+
+    /// Permutes the sketch rows through `map`.
+    fn reorder(&mut self, map: &IdRemap) {
+        let m = self.offsets.len();
+        let mut permuted = Vec::with_capacity(self.sketches.len());
+        for new in 0..(self.sketches.len() / m) as u32 {
+            let old = map.to_old(new) as usize;
+            permuted.extend_from_slice(&self.sketches[old * m..(old + 1) * m]);
+        }
+        self.sketches = permuted;
+    }
+
+    fn heap_bytes(&self) -> usize {
+        let f32s = self.projections.iter().map(Vec::capacity).sum::<usize>()
+            + self.offsets.capacity()
+            + self.sketches.capacity();
+        f32s * std::mem::size_of::<f32>()
     }
 }
 
@@ -267,13 +314,17 @@ impl LshIndex {
 pub struct LshSeeds {
     index: LshIndex,
     fallback: u32,
+    /// The fewest candidates a query retrieves, whatever `count` asks.
+    min_count: usize,
 }
 
 impl LshSeeds {
     /// Wraps an [`LshIndex`]; `fallback` is returned when no bucket
-    /// collides (e.g. far out-of-distribution queries).
-    pub fn new(index: LshIndex, fallback: u32) -> Self {
-        Self { index, fallback }
+    /// collides (e.g. far out-of-distribution queries). A query retrieves
+    /// at least `min_count` candidates (and at least one) whatever count
+    /// it asks for.
+    pub fn new(index: LshIndex, fallback: u32, min_count: usize) -> Self {
+        Self { index, fallback, min_count: min_count.max(1) }
     }
 
     /// The underlying index.
@@ -293,7 +344,7 @@ impl SeedProvider for LshSeeds {
         out: &mut Vec<u32>,
     ) -> usize {
         let start = out.len();
-        self.index.candidates(query, count.max(1), out);
+        self.index.candidates(query, count.max(self.min_count), out);
         if out.len() == start {
             out.push(self.fallback);
         }
@@ -365,11 +416,13 @@ mod tests {
     fn projected_distance_correlates_with_true_distance() {
         let store = clustered_store(3, 25);
         let idx = LshIndex::build(&store, 2, 12, 4.0, 7);
+        let gate = SketchGate::new(&idx, &store, 1.0);
         let q = vec![0.1f32; 8];
-        let sketch = idx.query_sketch(&q);
+        let mut sketch = Vec::new();
+        gate.prepare(&q, &mut sketch);
         // Same-cluster point must project closer than a far-cluster point.
-        let near_est = idx.projected_dist_sq(&sketch, 0); // cluster 0
-        let far_est = idx.projected_dist_sq(&sketch, 99); // cluster 3
+        let near_est = gate.estimate(&sketch, 0); // cluster 0
+        let far_est = gate.estimate(&sketch, 99); // cluster 3
         assert!(near_est < far_est);
         let near_true = l2_sq(&q, store.get(0));
         let far_true = l2_sq(&q, store.get(99));
@@ -382,7 +435,7 @@ mod tests {
     fn seed_provider_falls_back_when_no_collision() {
         let store = clustered_store(5, 10);
         let idx = LshIndex::build(&store, 2, 6, 0.5, 9);
-        let seeds = LshSeeds::new(idx, 3);
+        let seeds = LshSeeds::new(idx, 3, 1);
         let counter = DistCounter::new();
         let space = Space::new(&store, &counter);
         // Absurdly far query: no bucket can collide even multi-probed.
@@ -408,6 +461,52 @@ mod tests {
         // The kept set must be the same *vectors*, reported under new ids.
         let translated: Vec<u32> = after.iter().map(|&id| map.to_old(id)).collect();
         assert_eq!(translated, before);
+    }
+
+    #[test]
+    fn lsh_counts_the_table_a_reorder_installs() {
+        let store = clustered_store(8, 25);
+        let mut idx = LshIndex::build(&store, 4, 4, 8.0, 42);
+        let tables = idx.heap_bytes();
+        let map = IdRemap::from_new_to_old((0..100u32).rev().collect()).unwrap();
+        for _ in 0..2 {
+            idx.reorder(&map);
+            assert_eq!(idx.heap_bytes(), tables + 100 * std::mem::size_of::<u32>());
+        }
+    }
+
+    #[test]
+    fn sketch_gate_follows_a_reorder_and_admits_until_the_bound_is_finite() {
+        let store = clustered_store(3, 25);
+        let idx = LshIndex::build(&store, 2, 6, 4.0, 7);
+        let mut gate = SketchGate::new(&idx, &store, 1.0);
+        assert_eq!(gate.heap_bytes(), (100 * 6 + 6 * 8 + 6) * std::mem::size_of::<f32>());
+        let mut sketch = Vec::new();
+        gate.prepare(&[0.1f32; 8], &mut sketch);
+        let far = gate.estimate(&sketch, 99);
+        assert!(gate.admits(&sketch, 99, f32::INFINITY), "an unfilled buffer admits all");
+        assert!(!gate.admits(&sketch, 99, far / 2.0));
+        assert!(gate.admits(&sketch, 99, far * 2.0));
+        let map = IdRemap::from_new_to_old((0..100u32).rev().collect()).unwrap();
+        gate.reorder(&map);
+        assert_eq!(gate.estimate(&sketch, map.to_new(99)).to_bits(), far.to_bits());
+    }
+
+    #[test]
+    fn seeds_retrieve_at_least_their_floor() {
+        let store = clustered_store(8, 25);
+        let counter = DistCounter::new();
+        let space = Space::new(&store, &counter);
+        let q = [20.0f32; 8];
+        let select = |min_count: usize, count: usize| {
+            let seeds = LshSeeds::new(LshIndex::build(&store, 4, 4, 8.0, 42), 0, min_count);
+            let mut out = Vec::new();
+            seeds.select(space, &q, count, 0, &mut out);
+            out
+        };
+        assert_eq!(select(1, 1).len(), 1);
+        assert_eq!(select(4, 1), select(1, 4));
+        assert_eq!(select(4, 6), select(1, 6));
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! Counter conservation: a search publishes to its `DistCounter` exactly
 //! the evaluations it reports in `stats.evaluated`, on every exit, and at
 //! the right precision — `u8` for code-space traversal, `f32` for
-//! full-precision traversal, the exact rerank pool and the greedy
-//! descent's exact re-score — whether the probes of a sharded search run
-//! on the calling thread or on fan-out workers.
+//! full-precision traversal, the exact rerank pool and the greedy descent
+//! (full precision whatever the codec) — whether the probes of a sharded
+//! search run on the calling thread or on fan-out workers.
 
 use gass::core::fanout::{set_fanout_enabled, set_fanout_workers};
 use gass::core::{
-    beam_search_terminated, greedy_search_budgeted, CodecSpec, CodecStore, PqStore, QuantView,
+    beam_search_terminated, greedy_search, CodecSpec, CodecStore, PqStore, QuantView,
     QuantizedStore, RandomSeeds, SearchScratch, ShardedIndex, ShardedParams, Space, Sq4Store,
     Termination, TerminationPolicy, VisitedSet,
 };
@@ -97,11 +97,10 @@ fn every_search_publishes_exactly_what_it_evaluated() {
             for (mode, budget) in [("greedy", 0), ("greedy budget 3", 3)] {
                 let counter = DistCounter::new();
                 let space = Space::new(&base, &counter).with_quant(quant);
-                let (_, stats) =
-                    greedy_search_budgeted(graph, space, query, 0, &mut visited, budget);
+                let (_, stats) = greedy_search(graph, space, query, 0, &mut visited, budget);
                 let e = stats.evaluated as u64;
-                // The quantized descent re-scores its final best exactly.
-                let expected = if quant.is_some() { (e - 1, 1) } else { (0, e) };
+                // The descent runs at full precision whatever the codec.
+                let expected = (0, e);
                 let label = format!("{codec_name} {mode} query {q}");
                 assert_conserved(&label, &counter, stats.evaluated, expected);
             }
@@ -114,11 +113,11 @@ fn every_search_publishes_exactly_what_it_evaluated() {
 /// traversal's evaluations plus, on codes, the exact rerank pool.
 #[test]
 fn lshapg_search_publishes_exactly_what_it_evaluated() {
-    use gass::graphs::{LshapgIndex, LshapgParams};
+    use gass::graphs::{lshapg, LshapgParams};
 
     let base = gass::data::synth::deep_like(600, 13);
     let queries = gass::data::synth::deep_like(6, 14);
-    let mut index = LshapgIndex::build(base, LshapgParams::small());
+    let mut index = lshapg::build(base, LshapgParams::small());
     index.freeze();
     let fixed = QueryParams::new(K, 32).with_seed_count(12).with_rerank_factor(RERANK);
     let grid = [

@@ -395,7 +395,7 @@ fn golden_multi_seed_sink_order() {
 #[test]
 fn golden_lshapg_answers_and_counts() {
     use gass::core::{CodecSpec, ReorderStrategy};
-    use gass::graphs::{LshapgIndex, LshapgParams};
+    use gass::graphs::{lshapg, LshapgIndex, LshapgParams};
 
     const PINS: [(&str, u64); 24] = [
         ("as built f32 L=64", 0xc893_799f_5d3a_e917),
@@ -442,7 +442,7 @@ fn golden_lshapg_answers_and_counts() {
     };
     let mut got = Vec::new();
     for layout in [ReorderStrategy::None, ReorderStrategy::Rcm] {
-        let mut index = LshapgIndex::build(base.clone(), LshapgParams::small());
+        let mut index = lshapg::build(base.clone(), LshapgParams::small());
         index.freeze();
         index.reorder(layout);
         for codec in
@@ -457,6 +457,57 @@ fn golden_lshapg_answers_and_counts() {
 
     let got: Vec<(&str, u64)> = PINS.iter().map(|(name, _)| *name).zip(got).collect();
     assert_eq!(got, PINS, "an LSHAPG answer, its stats or its counter split changed");
+}
+
+/// Golden pin, recorded on the commit *before* LSHAPG became a
+/// `PrebuiltIndex`: LSHAPG retrieves at least four LSH seeds whatever
+/// `seed_count` asks, so the registry's LSHAPG must answer 30 fixed
+/// queries at `seed_count` 1 and 3 with the same ids, distance bits, hops,
+/// evaluation counts and `u8` / `f32` counter totals — full precision and
+/// SQ8, as built and RCM-relabelled. Both seed counts sit below the floor,
+/// so each pair of cells is one hash.
+#[test]
+fn golden_lshapg_seed_floor() {
+    use gass::core::{CodecSpec, ReorderStrategy};
+
+    const PINS: [(&str, u64); 8] = [
+        ("as built f32 seeds=1", 0x9018_d10d_ce7e_ea24),
+        ("as built f32 seeds=3", 0x9018_d10d_ce7e_ea24),
+        ("as built sq8 seeds=1", 0xb7e5_ceca_facf_aa22),
+        ("as built sq8 seeds=3", 0xb7e5_ceca_facf_aa22),
+        ("rcm f32 seeds=1", 0x9018_d10d_ce7e_ea24),
+        ("rcm f32 seeds=3", 0x9018_d10d_ce7e_ea24),
+        ("rcm sq8 seeds=1", 0xb7e5_ceca_facf_aa22),
+        ("rcm sq8 seeds=3", 0xb7e5_ceca_facf_aa22),
+    ];
+
+    let base = gass::data::synth::deep_like(1500, 31);
+    let queries = gass::data::synth::deep_like(30, 32);
+    let run = |index: &dyn AnnIndex, seeds: usize| {
+        let params = QueryParams::new(10, 64).with_seed_count(seeds);
+        let counter = DistCounter::new();
+        let res: Vec<_> = (0..queries.len() as u32)
+            .map(|q| index.search(queries.get(q), &params, &counter))
+            .collect();
+        let mut h = Fnv(answers_hash(&res));
+        counter_words(&mut h, &counter);
+        h.0
+    };
+    let mut got = Vec::new();
+    for layout in [ReorderStrategy::None, ReorderStrategy::Rcm] {
+        let mut index = build_method(MethodKind::Lshapg, base.clone(), 7).index;
+        index.freeze();
+        index.reorder(layout);
+        for codec in [None, Some(CodecSpec::Sq8)] {
+            if let Some(spec) = codec {
+                index.quantize(spec);
+            }
+            got.extend([1, 3].map(|seeds| run(index.as_ref(), seeds)));
+        }
+    }
+
+    let got: Vec<(&str, u64)> = PINS.iter().map(|(name, _)| *name).zip(got).collect();
+    assert_eq!(got, PINS, "LSHAPG's seed floor, an answer or a counter split changed");
 }
 
 /// Every method the method pins cover — the paper's twelve, NSW and the
@@ -503,7 +554,12 @@ fn every_method(base: &VectorStore) -> Vec<(Box<dyn AnnIndex>, u64)> {
 /// SPTAG-BKT, ELPIS and HVS rows were re-recorded when seed selection
 /// became part of the search: the distances their SN / VP / BKT / pyramid
 /// descents spend now count in `evaluated`, budgeted or not, and
-/// [`golden_answers_without_evaluated`] held everything else still.
+/// [`golden_answers_without_evaluated`] held everything else still. The
+/// LSHAPG and IEH rows were re-recorded when LSHAPG became a
+/// `PrebuiltIndex` with a sketch gate (its unsearched hierarchy dropped),
+/// IEH stopped holding sketch rows and the LSH tables began counting the
+/// `new → old` table a reorder installs: only `aux_bytes` moved, and the
+/// grid hashed with `aux_bytes` masked was equal before and after.
 #[test]
 fn golden_method_answers_and_stats() {
     use gass::core::{CodecSpec, ReorderStrategy};
@@ -521,10 +577,10 @@ fn golden_method_answers_and_stats() {
         ("SPTAG-KDT", [0x3a3a_3d64_c834_7454, 0xff99_f566_a3d4_ee08, 0x557c_4397_1015_704c]),
         ("SPTAG-BKT", [0x9007_45a2_7b77_775d, 0x7ddd_2e38_82ad_02f6, 0xcfdc_93f1_a66a_15aa]),
         ("ELPIS", [0xc1d0_5dd8_acf8_285e, 0x7e1e_6698_8bf2_b2fd, 0x3eb3_be36_d1fa_86e2]),
-        ("LSHAPG", [0x586b_49ec_eca3_4d29, 0xa069_9609_0e92_80f8, 0x2eb5_fd31_768d_a037]),
+        ("LSHAPG", [0xe218_bdef_0e80_7242, 0x3236_84e6_0246_ce39, 0x8e11_3744_f3ab_65dd]),
         ("NSW", [0x2a92_b8e6_8a4f_e2a4, 0xf6d5_f5d9_df8d_4f04, 0xdd14_7200_85b7_3191]),
         ("II+RND", [0xd7a9_9ecf_38ec_f937, 0x471c_ebd5_0806_8064, 0x86fa_a3d5_78e5_e6e6]),
-        ("IEH", [0xae64_6151_ec3c_4eff, 0xd661_d892_0bc0_b5d2, 0x6913_6b26_39c4_05c3]),
+        ("IEH", [0x85ca_db77_644b_2b26, 0x0055_4ea7_c37f_e219, 0x5fc7_3733_f7ed_e70d]),
         ("HVS", [0xf619_394b_6aa9_d7f0, 0xdbc5_4b15_d85c_b44b, 0x95f7_3fb3_946c_0c18]),
     ];
 
@@ -704,7 +760,9 @@ fn answers_hash_without_evaluated(h: &mut Fnv, results: &[gass::core::SearchResu
 /// counter totals (one fresh counter per cell), and for the methods their
 /// name, every `IndexStats` field and the build distance count. Moving
 /// where a seed provider's distances are reported may change
-/// `evaluated`; it may not change an answer or what was counted.
+/// `evaluated`; it may not change an answer or what was counted. The
+/// LSHAPG and IEH method rows were re-recorded when their `aux_bytes`
+/// moved (see [`golden_method_answers_and_stats`]).
 #[test]
 fn golden_answers_without_evaluated() {
     use gass::core::{
@@ -733,10 +791,10 @@ fn golden_answers_without_evaluated() {
         ("SPTAG-KDT", [0x16e8_14ce_3fea_30a3, 0x6c62_a279_5b63_b464, 0x5b0c_ea3c_052d_9340]),
         ("SPTAG-BKT", [0x440e_612b_2e91_a56d, 0x63b7_b3cc_35ac_d962, 0xaad5_55bb_2576_cafe]),
         ("ELPIS", [0xcf80_598a_7c36_6883, 0x2037_8a1a_178c_46f3, 0x4363_9932_ca18_ddf8]),
-        ("LSHAPG", [0x168f_bb19_0769_c01f, 0x802d_150a_a832_8756, 0x047e_402b_37b3_a6ed]),
+        ("LSHAPG", [0xce42_488e_2af7_8ce8, 0x7b05_bd79_a218_765b, 0xd420_5fef_a3ae_c187]),
         ("NSW", [0xd3da_2fa2_2649_4b62, 0x34f4_b616_5eb2_33a9, 0xad21_3b80_57f1_c1e1]),
         ("II+RND", [0x56c1_d607_7a62_7ddb, 0x95b3_2547_8cd4_30a8, 0xb02a_f6f6_9139_fcf3]),
-        ("IEH", [0xd649_bf25_08bf_5c17, 0xad38_c830_860b_a3ba, 0xe817_5cea_26b2_a33b]),
+        ("IEH", [0x2956_d1b5_ec61_47ce, 0xebc5_f673_62b1_5331, 0x4e0f_90da_0205_eab5]),
         ("HVS", [0xdc23_841e_bf70_6966, 0x9535_9045_8ce1_cfcd, 0x23a5_f4c7_b5e7_a53a]),
     ];
     const ELPIS: [(usize, [u64; 2]); 3] = [

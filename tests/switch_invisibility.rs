@@ -14,7 +14,7 @@ use gass::prelude::*;
 use gass_core::quant::CodecSpec;
 use gass_core::sharded::{build_knn_sharded, ShardedParams};
 use gass_core::{
-    beam_search, beam_search_terminated, greedy_search_with, set_fanout_workers,
+    beam_search, beam_search_terminated, greedy_search, set_fanout_workers,
     set_prefetch_enabled, set_simd_enabled, AdjacencyGraph, CodecStore, CsrGraph, GraphView,
     PqStore, QuantView, QuantizedStore, SearchResult, SearchScratch, Space, Sq4Store,
     Termination, TerminationPolicy, VisitedSet,
@@ -92,7 +92,7 @@ fn observe() -> Vec<(String, Vec<Seen>)> {
             beam_search_terminated(&csr, s, q, &[0], 10, 32, &mut scratch, distratio)
         });
         run("greedy", &mut |s, q| {
-            let (best, stats) = greedy_search_with(&adjacency, s, q, 0, &mut visited);
+            let (best, stats) = greedy_search(&adjacency, s, q, 0, &mut visited, 0);
             SearchResult { neighbors: vec![best], stats }
         });
     }

@@ -117,12 +117,11 @@ fn sptag_variants_share_graph_recipe_but_not_seeds() {
 #[test]
 fn lshapg_and_ieh_carry_hash_structures() {
     let base = deep(400, 10);
-    let lshapg =
-        gass::graphs::LshapgIndex::build(base.clone(), gass::graphs::LshapgParams::small());
+    let lshapg = gass::graphs::lshapg::build(base.clone(), gass::graphs::LshapgParams::small());
     let ieh = gass::graphs::ieh::build(base, gass::graphs::IehParams::small());
     assert!(lshapg.stats().aux_bytes > 0);
     assert!(ieh.stats().aux_bytes > 0);
-    assert!(lshapg.lsh().num_tables() >= 1);
+    assert!(lshapg.seed_provider().index().num_tables() >= 1);
 }
 
 #[test]
