@@ -68,10 +68,11 @@ fn bench_beam(c: &mut Criterion) {
 /// `SortedBuffer::insert` alone: one fixed stream of 256 candidates
 /// (distinct ids, distances from a fixed LCG, so about a third are kept at
 /// width 32, as in a serving search) inserted after a `reset` to each
-/// width. `vector` resets with the SIMD tier on, so widths up to 32 take the
-/// AVX2 insert where the CPU has it; `scalar` resets with it off, the binary
-/// search plus `memmove` every pool above 32 runs. Time ÷ 256 is the cost
-/// of one insert.
+/// width. `vector` resets with the SIMD tier on, so where the CPU has AVX2
+/// widths up to 32 take the small layout's one-pass insert and wider pools
+/// (128: construction at `ef = 128`; 140: a PQ rerank pool of 14 × 10) the
+/// back-to-front shift insert; `scalar` resets with it off, the binary
+/// search plus `memmove`. Time ÷ 256 is the cost of one insert.
 fn bench_sorted_buffer(c: &mut Criterion) {
     let mut state = 0x9e37_79b9_7f4a_7c15u64;
     let stream: Vec<Neighbor> = (0..256u32)
@@ -86,7 +87,7 @@ fn bench_sorted_buffer(c: &mut Criterion) {
     group.sample_size(20);
     group.measurement_time(std::time::Duration::from_secs(2));
     group.warm_up_time(std::time::Duration::from_millis(500));
-    for width in [16usize, 20, 32, 128] {
+    for width in [16usize, 20, 32, 128, 140] {
         for (path, simd) in [("vector", true), ("scalar", false)] {
             set_simd_enabled(simd);
             let mut buffer = SortedBuffer::new(width);

@@ -13,7 +13,12 @@
 //! training/encoding kernel (one 8-point block against 16 centroids per
 //! iteration) and `pq_train` the codebook training + encoding of a
 //! 2000-row store, so a regression in any shows here without the
-//! end-to-end benchmark.
+//! end-to-end benchmark. `pq_prepare_scalar/960` is the scalar reference
+//! of the Gist-960 prepare (the `pq_prepare/960` row runs the AVX2 pass
+//! where the CPU has it), and `rerank/{bounded,full}` the exact rerank of
+//! a PQ search's 140-row pool (the 140 rows nearest in PQ distance, in PQ
+//! order, `k = 10`) through `exact_rerank` and by scoring every row,
+//! sorting and truncating.
 //!
 //! Inputs come from real code stores so the rows carry the cache-line
 //! alignment (SQ8, SQ4) / chunked LUT layout (PQ) the serving path sees;
@@ -28,7 +33,10 @@ use gass_core::quant::{
 };
 #[cfg(target_arch = "x86_64")]
 use gass_core::quant::{pq_scan_avx2, pq_scan_pair_vbmi};
-use gass_core::{PreparedQuery, VectorStore};
+use gass_core::search::exact_rerank;
+use gass_core::{
+    l2_sq_batch, set_simd_enabled, DistCounter, Neighbor, PreparedQuery, Space, VectorStore,
+};
 use std::hint::black_box;
 
 fn sample_store(dim: usize, rows: usize) -> (VectorStore, Vec<f32>) {
@@ -189,8 +197,58 @@ fn bench_quant_kernels(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("pq_train", dim), &dim, |bench, _| {
             bench.iter(|| PqStore::from_store(black_box(&base), None))
         });
+        if dim == 960 {
+            set_simd_enabled(false);
+            group.bench_with_input(
+                BenchmarkId::new("pq_prepare_scalar", dim),
+                &dim,
+                |bench, _| bench.iter(|| store.prepare_into(black_box(&query), &mut prepared)),
+            );
+            set_simd_enabled(true);
+            rerank_rows(&mut group, &base, &store, &query);
+        }
     }
     group.finish();
+}
+
+/// The exact rerank of the 140 rows of `base` nearest `query` in `pq`'s
+/// code distance, in that order, to `k = 10`: bounded (`exact_rerank`) and
+/// full (every row scored, sorted, truncated).
+fn rerank_rows(
+    group: &mut criterion::BenchmarkGroup<'_>,
+    base: &VectorStore,
+    pq: &PqStore,
+    query: &[f32],
+) {
+    let mut prepared = PreparedQuery::default();
+    pq.prepare_into(query, &mut prepared);
+    let mut pool: Vec<Neighbor> = (0..base.len() as u32)
+        .map(|id| Neighbor::new(id, pq.dist_prepared(&prepared, id)))
+        .collect();
+    pool.sort_unstable();
+    pool.truncate(140);
+    let counter = DistCounter::new();
+    let space = Space::new(base, &counter);
+    group.bench_with_input(BenchmarkId::new("rerank/bounded", 140), &140, |bench, _| {
+        bench.iter(|| exact_rerank(space, black_box(query), black_box(&pool), 10))
+    });
+    group.bench_with_input(BenchmarkId::new("rerank/full", 140), &140, |bench, _| {
+        bench.iter(|| {
+            let mut exact = Vec::with_capacity(pool.len());
+            let mut fours = pool.chunks_exact(4);
+            for four in &mut fours {
+                let ids = [four[0].id, four[1].id, four[2].id, four[3].id];
+                let ds = l2_sq_batch(black_box(query), ids.map(|id| base.get(id)));
+                exact.extend(ids.into_iter().zip(ds).map(|(id, d)| Neighbor::new(id, d)));
+            }
+            for c in fours.remainder() {
+                exact.push(Neighbor::new(c.id, space.dist_to(query, c.id)));
+            }
+            exact.sort_unstable();
+            exact.truncate(10);
+            exact
+        })
+    });
 }
 
 criterion_group!(benches, bench_quant_kernels);

@@ -229,6 +229,50 @@ pub fn l2_sq_batch_scalar(query: &[f32], vs: [&[f32]; 4]) -> [f32; 4] {
     out
 }
 
+/// Kernel chunks (of eight floats) between two early-exit checks of
+/// [`l2_sq_batch_bounded`]: a check after every chunk costs more than
+/// the chunks it skips (DESIGN.md §8, *Exact rerank*).
+pub const BOUND_CHECK_CHUNKS: usize = 8;
+
+/// Scalar reference for [`l2_sq_batch_bounded`]: [`l2_sq_batch_scalar`]
+/// that, after every [`BOUND_CHECK_CHUNKS`]-th chunk, reduces each row's
+/// partial accumulators through [`reduce8`] and returns `None` once all
+/// four partial sums are strictly above `bound`.
+#[inline]
+pub fn l2_sq_batch_bounded_scalar(
+    query: &[f32],
+    vs: [&[f32]; 4],
+    bound: f32,
+) -> Option<[f32; 4]> {
+    for v in vs {
+        debug_assert_eq!(query.len(), v.len());
+    }
+    let mut acc = [[0.0f32; 8]; 4];
+    let chunks = query.len() / 8;
+    for i in 0..chunks {
+        let base = i * 8;
+        for (v, vec) in vs.iter().enumerate() {
+            for lane in 0..8 {
+                let d = query[base + lane] - vec[base + lane];
+                acc[v][lane] += d * d;
+            }
+        }
+        if (i + 1) % BOUND_CHECK_CHUNKS == 0 && acc.iter().all(|a| reduce8(*a) > bound) {
+            return None;
+        }
+    }
+    let base = chunks * 8;
+    let mut out = [0.0f32; 4];
+    for (v, vec) in vs.iter().enumerate() {
+        for lane in 0..query.len() - base {
+            let d = query[base + lane] - vec[base + lane];
+            acc[v][lane] += d * d;
+        }
+        out[v] = reduce8(acc[v]);
+    }
+    Some(out)
+}
+
 /// Scalar reference for [`dot`]: eight-lane unrolled inner product.
 #[inline]
 pub fn dot_scalar(a: &[f32], b: &[f32]) -> f32 {
@@ -467,6 +511,76 @@ pub(crate) mod avx2 {
         [reduce8(acc[0]), reduce8(acc[1]), reduce8(acc[2]), reduce8(acc[3])]
     }
 
+    /// [`reduce8`] of four accumulators at once, row `v` in lane `v`: the
+    /// halves' sums `c = lo + hi` are transposed so that each `c[j]` is
+    /// one vector, then added as `(c0 + c2) + (c1 + c3)` — the canonical
+    /// tree, lane by lane.
+    #[inline(always)]
+    unsafe fn reduce8x4(acc: &[__m256; 4]) -> __m128 {
+        let c = [
+            _mm_add_ps(_mm256_castps256_ps128(acc[0]), _mm256_extractf128_ps(acc[0], 1)),
+            _mm_add_ps(_mm256_castps256_ps128(acc[1]), _mm256_extractf128_ps(acc[1], 1)),
+            _mm_add_ps(_mm256_castps256_ps128(acc[2]), _mm256_extractf128_ps(acc[2], 1)),
+            _mm_add_ps(_mm256_castps256_ps128(acc[3]), _mm256_extractf128_ps(acc[3], 1)),
+        ];
+        let (lo01, lo23) = (_mm_unpacklo_ps(c[0], c[1]), _mm_unpacklo_ps(c[2], c[3]));
+        let (hi01, hi23) = (_mm_unpackhi_ps(c[0], c[1]), _mm_unpackhi_ps(c[2], c[3]));
+        let (c0, c1) = (_mm_movelh_ps(lo01, lo23), _mm_movehl_ps(lo23, lo01));
+        let (c2, c3) = (_mm_movelh_ps(hi01, hi23), _mm_movehl_ps(hi23, hi01));
+        _mm_add_ps(_mm_add_ps(c0, c2), _mm_add_ps(c1, c3))
+    }
+
+    /// [`l2_sq_batch`] with the early exit of
+    /// [`super::l2_sq_batch_bounded_scalar`], checked at the same chunks
+    /// against the same canonical partial sums.
+    ///
+    /// # Safety
+    /// As [`l2_sq`], for each of the four rows against `query`.
+    #[target_feature(enable = "avx2")]
+    pub(crate) unsafe fn l2_sq_batch_bounded(
+        query: &[f32],
+        vs: [&[f32]; 4],
+        bound: f32,
+    ) -> Option<[f32; 4]> {
+        for v in vs {
+            debug_assert_eq!(query.len(), v.len());
+        }
+        let n = query.len();
+        let pq = query.as_ptr();
+        let pv = [vs[0].as_ptr(), vs[1].as_ptr(), vs[2].as_ptr(), vs[3].as_ptr()];
+        let mut acc = [_mm256_setzero_ps(); 4];
+        let chunks = n / 8;
+        let limit = _mm_set1_ps(bound);
+        let mut start = 0;
+        while start < chunks {
+            let end = chunks.min(start + super::BOUND_CHECK_CHUNKS);
+            for i in start..end {
+                let q = _mm256_loadu_ps(pq.add(i * 8));
+                for v in 0..4 {
+                    let d = _mm256_sub_ps(q, _mm256_loadu_ps(pv[v].add(i * 8)));
+                    acc[v] = _mm256_add_ps(acc[v], _mm256_mul_ps(d, d));
+                }
+            }
+            start = end;
+            if end.is_multiple_of(super::BOUND_CHECK_CHUNKS) {
+                let above = _mm_cmp_ps::<_CMP_GT_OQ>(reduce8x4(&acc), limit);
+                if _mm_movemask_ps(above) == 0b1111 {
+                    return None;
+                }
+            }
+        }
+        let rem = n % 8;
+        if rem != 0 {
+            let m = tail_mask(rem);
+            let q = _mm256_maskload_ps(pq.add(chunks * 8), m);
+            for v in 0..4 {
+                let d = _mm256_sub_ps(q, _mm256_maskload_ps(pv[v].add(chunks * 8), m));
+                acc[v] = _mm256_add_ps(acc[v], _mm256_mul_ps(d, d));
+            }
+        }
+        Some([reduce8(acc[0]), reduce8(acc[1]), reduce8(acc[2]), reduce8(acc[3])])
+    }
+
     /// # Safety
     /// As [`l2_sq`].
     #[target_feature(enable = "avx2")]
@@ -512,14 +626,28 @@ pub(crate) mod avx2 {
     /// Requires AVX2 and `tm.len() == v.len() * 16`.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn sub_dists16(v: &[f32], tm: &[f32]) -> [f32; 16] {
-        debug_assert_eq!(tm.len(), v.len() * 16);
+        let [lo, hi] = sub_dists16_ymm(v, tm);
         let mut out = [0.0f32; 16];
-        for half in 0..2 {
+        _mm256_storeu_ps(out.as_mut_ptr(), lo);
+        _mm256_storeu_ps(out.as_mut_ptr().add(8), hi);
+        out
+    }
+
+    /// [`sub_dists16`] left in registers: lanes 0–7, then 8–15 (PQ's
+    /// table pass keeps working on them).
+    ///
+    /// # Safety
+    /// As [`sub_dists16`]; inlined only into AVX2 code.
+    #[inline(always)]
+    pub(crate) unsafe fn sub_dists16_ymm(v: &[f32], tm: &[f32]) -> [__m256; 2] {
+        debug_assert_eq!(tm.len(), v.len() * 16);
+        let mut out = [_mm256_setzero_ps(); 2];
+        for (half, r) in out.iter_mut().enumerate() {
             // SAFETY (every pointer use below): `p` walks this half's eight
             // lanes of one coordinate at a time — coordinate `i` is floats
             // `i*16 + half*8 ..+ 8` of `tm` — and is read only for `i <
             // v.len()`, so each load ends inside the `v.len() * 16` floats
-            // the caller checked; the store covers `half*8 ..+ 8` of `out`.
+            // the caller checked.
             let mut p = tm.as_ptr().add(half * 8);
             let mut acc = [_mm256_setzero_ps(); 8];
             let mut chunks = v.chunks_exact(8);
@@ -544,8 +672,7 @@ pub(crate) mod avx2 {
                 _mm256_add_ps(acc[2], acc[6]),
                 _mm256_add_ps(acc[3], acc[7]),
             ];
-            let r = _mm256_add_ps(_mm256_add_ps(c[0], c[2]), _mm256_add_ps(c[1], c[3]));
-            _mm256_storeu_ps(out.as_mut_ptr().add(half * 8), r);
+            *r = _mm256_add_ps(_mm256_add_ps(c[0], c[2]), _mm256_add_ps(c[1], c[3]));
         }
         out
     }
@@ -702,6 +829,37 @@ pub fn l2_sq_batch(query: &[f32], vs: [&[f32]; 4]) -> [f32; 4] {
         return unsafe { avx2::l2_sq_batch(query, vs) };
     }
     l2_sq_batch_scalar(query, vs)
+}
+
+/// [`l2_sq_batch`] that gives up on the batch once no row can come in at or
+/// under `bound`: every [`BOUND_CHECK_CHUNKS`] chunks it reduces each row's
+/// partial accumulators through the canonical tree, and returns `None` as
+/// soon as all four partial sums are strictly above `bound`. Otherwise it
+/// returns exactly `l2_sq_batch(query, vs)`, bit for bit.
+///
+/// `None` is exact, not a heuristic: a lane only ever adds a square (`≥ 0`,
+/// or NaN), and rounding to nearest is monotone, so no lane decreases; the
+/// reduction tree is sums of lanes, monotone in each, so each row's full
+/// distance is at least the partial sum the check saw — strictly above
+/// `bound`. A NaN partial sum never compares above, so such a batch runs to
+/// the end. The rerank of a quantized search ([`crate::search`]) scores
+/// its pool through this kernel with the `k`-th exact distance so far.
+///
+/// # Panics
+/// Panics unless every row of `vs` is as long as `query`.
+#[inline]
+pub fn l2_sq_batch_bounded(query: &[f32], vs: [&[f32]; 4], bound: f32) -> Option<[f32; 4]> {
+    assert!(
+        vs.iter().all(|v| v.len() == query.len()),
+        "l2_sq_batch_bounded over rows of different lengths"
+    );
+    #[cfg(target_arch = "x86_64")]
+    if kernel_tier() >= TIER_AVX2 {
+        // SAFETY: the tier is AVX2 only where CPUID reported AVX2, and the
+        // assert above is the length the kernel reads each row under.
+        return unsafe { avx2::l2_sq_batch_bounded(query, vs, bound) };
+    }
+    l2_sq_batch_bounded_scalar(query, vs, bound)
 }
 
 /// Euclidean distance (`sqrt` of [`l2_sq`]).

@@ -11,9 +11,10 @@
 //! The buffer has two layouts behind one interface. Serving-width pools
 //! (capacity ≤ 32) on the AVX2 tier keep their keys in a
 //! fixed array padded with `u64::MAX` and insert with one branch-free
-//! vector pass; every other pool keeps a `Vec` and inserts with a binary
-//! search plus `memmove`. Both give the same answer to every call
-//! (DESIGN.md §8, *Candidate pool*).
+//! vector pass; every other pool keeps a `Vec`, into which the AVX2 tier
+//! inserts by shifting the tail up from the back four keys at a time, and
+//! the scalar tier with a binary search plus `memmove`. All give the same
+//! answer to every call (DESIGN.md §8, *Candidate pool*).
 
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
@@ -77,10 +78,13 @@ impl Ord for Neighbor {
 ///   sit in a fixed, 32-byte-aligned array of 8, 16, 24 or 32 lanes that
 ///   is padded with `u64::MAX`, and one branch-free AVX2 pass over those
 ///   lanes inserts (the `avx2` module's `insert`).
-/// - **Wide** (every other pool): a `Vec` of the retained keys; insertion
+/// - **Wide** (every other pool): a `Vec` of the retained keys. On the
+///   AVX2 tier an insert shifts the keys above the new one up a slot from
+///   the back, four per vector, and stops at the first vector that holds a
+///   key at or below it (the `avx2` module's `shift_insert`); elsewhere it
 ///   is an `O(log L)` binary search plus one `memmove`.
 ///
-/// Both return the same thing for every call (the unit tests drive them
+/// All return the same thing for every call (the unit tests drive them
 /// side by side), and the rest of the type reads the retained keys as one
 /// slice whichever layout holds them.
 ///
@@ -99,6 +103,9 @@ pub struct SortedBuffer {
     lanes: Lanes,
     /// Lanes the vector insert runs over; `0` selects the wide layout.
     width: usize,
+    /// The wide layout inserts with `shift_insert` (set by `reset` on the
+    /// AVX2 tier).
+    shift: bool,
     /// Retained count of the small layout.
     len: usize,
     capacity: usize,
@@ -142,6 +149,7 @@ impl SortedBuffer {
             entries: Vec::new(),
             lanes: Lanes([u64::MAX; SMALL_CAPACITY]),
             width: 0,
+            shift: false,
             len: 0,
             capacity,
             cursor: 0,
@@ -160,8 +168,13 @@ impl SortedBuffer {
     pub fn insert(&mut self, n: Neighbor) -> bool {
         let key = pack(n);
         #[cfg(target_arch = "x86_64")]
-        let retained =
-            if self.width == 0 { self.insert_wide(key) } else { self.insert_small(key) };
+        let retained = if self.width != 0 {
+            self.insert_small(key)
+        } else if self.shift {
+            self.insert_shift(key)
+        } else {
+            self.insert_wide(key)
+        };
         #[cfg(not(target_arch = "x86_64"))]
         let retained = self.insert_wide(key);
         debug_assert!(
@@ -182,6 +195,28 @@ impl SortedBuffer {
             return false;
         }
         self.entries.insert(pos, key);
+        self.entries.truncate(self.capacity);
+        self.cursor = self.cursor.min(pos);
+        true
+    }
+
+    /// The wide layout's insert on the AVX2 tier: the early reject of
+    /// [`Self::insert_wide`], then one back-to-front shift that finds the
+    /// slot, checks the key below it for an exact duplicate and writes.
+    #[cfg(target_arch = "x86_64")]
+    #[inline]
+    fn insert_shift(&mut self, key: u64) -> bool {
+        if self.entries.get(self.capacity - 1).is_some_and(|&worst| key >> 1 >= worst >> 1) {
+            return false;
+        }
+        self.entries.reserve(1);
+        debug_assert!(crate::distance::native_tier() >= crate::distance::TIER_AVX2);
+        // SAFETY: `shift` is set only when `reset` saw the AVX2 tier, which
+        // is set only where CPUID reported AVX2; `reserve` gave the `Vec`
+        // the spare slot the shift writes into.
+        let Some(pos) = (unsafe { avx2::shift_insert(&mut self.entries, key) }) else {
+            return false;
+        };
         self.entries.truncate(self.capacity);
         self.cursor = self.cursor.min(pos);
         true
@@ -303,17 +338,17 @@ impl SortedBuffer {
         );
     }
 
-    /// [`Self::reset`] with the tier test given: `vector` allows the small
-    /// layout, which still needs `capacity ≤ SMALL_CAPACITY` and an x86
-    /// target. The caller must have seen AVX2 on this CPU to pass `true`.
+    /// [`Self::reset`] with the tier test given: `vector` (on an x86
+    /// target) selects the small layout when `capacity ≤ SMALL_CAPACITY`
+    /// and the wide layout's shift insert otherwise. The caller must have
+    /// seen AVX2 on this CPU to pass `true`.
     fn reset_layout(&mut self, capacity: usize, vector: bool) {
         assert!(capacity > 0, "beam width must be positive");
         self.capacity = capacity;
-        self.width = if cfg!(target_arch = "x86_64") && vector && capacity <= SMALL_CAPACITY {
-            capacity.div_ceil(8) * 8
-        } else {
-            0
-        };
+        let vector = cfg!(target_arch = "x86_64") && vector;
+        self.width =
+            if vector && capacity <= SMALL_CAPACITY { capacity.div_ceil(8) * 8 } else { 0 };
+        self.shift = vector && self.width == 0;
         self.clear();
     }
 }
@@ -382,6 +417,62 @@ mod avx2 {
             let moved = _mm256_blendv_epi8(keys, shifted, above);
             _mm256_store_si256(stores.add(i), _mm256_blendv_epi8(moved, old[i], below[i]));
         }
+        Some(pos)
+    }
+
+    /// Inserts `key` into the sorted `entries` and returns its slot, or
+    /// returns `None` with `entries` as it was when the key below the slot
+    /// is `key`'s exact duplicate (expanded or not).
+    ///
+    /// From the back, four keys per vector: a key above `key | 1` (so
+    /// above `key` whatever either flag) moves up one slot. While a whole
+    /// vector is above, it is stored one slot up as it is; the first vector
+    /// that is not holds the slot — its above lanes are a suffix, stored
+    /// one slot up under their compare mask (`vpmaskmovq`), and the slot is
+    /// where the suffix began. Fewer than four keys left at the front shift
+    /// one at a time. A twin of `key` is not above `key | 1` and is the
+    /// largest key that is not, so it sits just below the slot; the shift
+    /// is then undone. The caller truncates to the capacity.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2, and `entries` must have spare capacity
+    /// for one more key.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn shift_insert(entries: &mut Vec<u64>, key: u64) -> Option<usize> {
+        let len = entries.len();
+        debug_assert!(entries.capacity() > len);
+        let bias = _mm256_set1_epi64x(i64::MIN);
+        let limit = _mm256_set1_epi64x((key | 1) as i64 ^ i64::MIN);
+        // SAFETY (every pointer use below): reads are of slots `< len` and
+        // writes of slots `≤ len`, inside the spare capacity the caller
+        // guarantees; a vector is loaded before the store that moves it.
+        let p = entries.as_mut_ptr();
+        let mut i = len;
+        let pos = loop {
+            if i < 4 {
+                while i > 0 && *p.add(i - 1) > key | 1 {
+                    *p.add(i) = *p.add(i - 1);
+                    i -= 1;
+                }
+                break i;
+            }
+            let v = _mm256_loadu_si256(p.add(i - 4).cast());
+            let above = _mm256_cmpgt_epi64(_mm256_xor_si256(v, bias), limit);
+            let mask = _mm256_movemask_pd(_mm256_castsi256_pd(above));
+            if mask == 0b1111 {
+                _mm256_storeu_si256(p.add(i - 3).cast(), v);
+                i -= 4;
+            } else {
+                _mm256_maskstore_epi64(p.add(i - 3).cast(), above, v);
+                break i - mask.count_ones() as usize;
+            }
+        };
+        if pos > 0 && *p.add(pos - 1) >> 1 == key >> 1 {
+            std::ptr::copy(p.add(pos + 1), p.add(pos), len - pos);
+            return None;
+        }
+        *p.add(pos) = key;
+        entries.set_len(len + 1);
         Some(pos)
     }
 }
@@ -514,13 +605,14 @@ mod tests {
         assert_eq!(b.bound(), 2.0);
     }
 
-    /// Both insert paths, driven directly on the same random streams,
+    /// The vector inserts (the small layout's and the wide layout's shift)
+    /// and the scalar one, driven directly on the same random streams,
     /// answer every call identically: returns, `len`, the cursor, every
     /// `kth`, `top_k` and the bound, after every operation. Capacities run
-    /// 1..=40 and resets cross 32 both ways; distances come from a palette
-    /// heavy in ties, `±0.0`, `+∞` and both NaN signs, and ids are
-    /// re-offered (with the sign of a zero or NaN flipped) as exact
-    /// duplicates.
+    /// 1..=200 (every one that the shift insert takes, 33..=200, included)
+    /// and resets cross 32 both ways; distances come from a palette heavy
+    /// in ties, `±0.0`, `+∞` and both NaN signs, and ids are re-offered
+    /// (with the sign of a zero or NaN flipped) as exact duplicates.
     #[test]
     fn vector_and_scalar_inserts_agree() {
         use rand::rngs::SmallRng;
@@ -533,19 +625,20 @@ mod tests {
             );
         }
         let palette = [0.0, -0.0, f32::INFINITY, f32::NAN, -f32::NAN, 1.0, 1.0, 2.5, 2.5, 7.0];
-        for cap in 1..=40usize {
+        for cap in 1..=200usize {
             for seed in 0..3u64 {
                 let mut rng = SmallRng::seed_from_u64(cap as u64 * 8 + seed);
+                let ids = 120.max(2 * cap) as u32;
                 let dists: Vec<f32> =
-                    (0..120).map(|_| palette[rng.random_range(0..palette.len())]).collect();
+                    (0..ids).map(|_| palette[rng.random_range(0..palette.len())]).collect();
                 let (mut fast, mut slow) = (SortedBuffer::new(1), SortedBuffer::new(1));
                 fast.reset_layout(cap, vector);
                 slow.reset_layout(cap, false);
                 let mut cap = cap;
-                for _ in 0..300 {
+                for _ in 0..300.max(4 * cap) {
                     match rng.random_range(0..40u32) {
                         0..=27 => {
-                            let id = rng.random_range(0..120u32);
+                            let id = rng.random_range(0..ids);
                             let d = dists[id as usize];
                             let d = if rng.random_bool(0.5) && (d == 0.0 || d.is_nan()) {
                                 -d
@@ -574,13 +667,14 @@ mod tests {
                             }
                         }
                         _ => {
-                            cap = rng.random_range(1..=40);
+                            cap = rng.random_range(1..=200);
                             fast.reset_layout(cap, vector);
                             slow.reset_layout(cap, false);
                         }
                     }
                     assert_eq!(fast.width != 0, vector && cap <= SMALL_CAPACITY);
-                    assert_eq!(slow.width, 0);
+                    assert_eq!(fast.shift, vector && cap > SMALL_CAPACITY);
+                    assert_eq!((slow.width, slow.shift), (0, false));
                     assert_eq!(fast.len(), slow.len());
                     assert_eq!(fast.cursor, slow.cursor);
                     assert_eq!(fast.bound().to_bits(), slow.bound().to_bits());

@@ -397,18 +397,45 @@ impl PqStore {
     ///
     /// Row minima and the residual maximum are taken lane-wise (sixteen
     /// independent chains; order-free for the non-NaN values a finite
-    /// query produces), the bias is summed in `j` order. Allocation-free
-    /// once `out`'s buffers have grown to this store's geometry.
+    /// query produces), the bias is summed in `j` order. On the AVX2 tier
+    /// one vector pass (the `avx2` module's `prepare`) writes the same
+    /// bytes, scale and bias as the scalar reference. Allocation-free once
+    /// `out`'s buffers have grown to this store's geometry.
+    ///
+    /// # Panics
+    /// Panics unless `query` has this store's dimension.
     pub fn prepare_into(&self, query: &[f32], out: &mut PreparedQuery) {
-        debug_assert_eq!(query.len(), self.dim, "query dimension mismatch");
+        assert_eq!(query.len(), self.dim, "query dimension mismatch");
         debug_assert!(query.iter().all(|x| x.is_finite()), "query components must be finite");
+        self.size_prepared(out);
+        #[cfg(target_arch = "x86_64")]
+        if kernel_tier() >= TIER_AVX2 {
+            // SAFETY: the tier is AVX2 only where CPUID reported AVX2; the
+            // assert above and the resizes are the shapes the pass reads
+            // and writes under, and `perm` is a permutation of `0..dim`.
+            unsafe { avx2::prepare(self, query, out) };
+            return;
+        }
+        self.prepare_scalar(query, out);
+    }
+
+    /// Sizes `out`'s buffers to this store's geometry: the LUT zeroed, the
+    /// affine codecs' vectors empty.
+    fn size_prepared(&self, out: &mut PreparedQuery) {
         out.u.clear();
         out.s.clear();
         out.lut.clear();
         out.lut.resize((self.stride / 16) * LUT_CHUNK, 0);
-        out.qperm.clear();
-        out.qperm.extend(self.perm.iter().map(|&d| query[d as usize]));
+        out.qperm.resize(self.dim, 0.0);
         out.table.resize(self.m * KSUB, 0.0);
+    }
+
+    /// The scalar reference for [`Self::prepare_into`]'s pass, over buffers
+    /// [`Self::size_prepared`] sized.
+    fn prepare_scalar(&self, query: &[f32], out: &mut PreparedQuery) {
+        for (q, &d) in out.qperm.iter_mut().zip(&self.perm) {
+            *q = query[d as usize];
+        }
         let mut bias = 0.0f32;
         let mut maxes = [0.0f32; KSUB];
         let subs =
@@ -715,6 +742,154 @@ mod avx2 {
             }
         }
         [sum_sad(acc[0]), sum_sad(acc[1]), sum_sad(acc[2]), sum_sad(acc[3])]
+    }
+
+    /// Lane `l` of a transposed chunk comes from input vector `BITREV[l]`:
+    /// the four unpack rounds of [`transpose16`] leave row `r` at byte
+    /// `r` bit-reversed, so the rows go in bit-reversed.
+    const BITREV: [usize; 16] = [0, 8, 4, 12, 2, 10, 6, 14, 1, 9, 5, 13, 3, 11, 7, 15];
+
+    /// [`super::PqStore::prepare_scalar`] as one AVX2 pass, with the same
+    /// float operations in the same order per entry: the gather through
+    /// `perm`; per subquantizer the [`sub_dists16`](crate::distance::sub_dists16)
+    /// lanes kept in registers, their minimum through `min16`'s tree
+    /// (`vminps` is the strict-`<` select), the residuals and the
+    /// lane-wise running maxima (`vmaxps`, the strict-`>` select), the
+    /// bias summed in `j` order; then per 32-subquantizer chunk
+    /// `round_to_u8` on sixteen entries at a time, packed into one vector
+    /// per subquantizer pair (even `jj` in the low half, odd in the high),
+    /// and one in-lane byte transpose that turns the sixteen pair vectors
+    /// into the chunk's sixteen 32-byte entry rows.
+    ///
+    /// # Safety
+    /// The CPU supports AVX2; `query` holds `store.dim` floats, `out.qperm`
+    /// `dim`, `out.table` `m * KSUB` and `out.lut` one `LUT_CHUNK` per code
+    /// chunk, and every `perm` entry is below `dim`.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn prepare(
+        store: &super::PqStore,
+        query: &[f32],
+        out: &mut super::PreparedQuery,
+    ) {
+        use super::{KSUB, LUT_CHUNK};
+        let (m, dsub) = (store.m, store.dsub);
+        debug_assert_eq!(query.len(), store.dim);
+        debug_assert_eq!(out.qperm.len(), store.dim);
+        debug_assert_eq!(out.table.len(), m * KSUB);
+        debug_assert_eq!(out.lut.len(), store.stride / 16 * LUT_CHUNK);
+        debug_assert!(store.perm.iter().all(|&d| (d as usize) < query.len()));
+        for (q, &d) in out.qperm.iter_mut().zip(&store.perm) {
+            // SAFETY: every `perm` entry is below `dim = query.len()`.
+            *q = *query.get_unchecked(d as usize);
+        }
+        let mut bias = 0.0f32;
+        let mut maxes = [_mm256_setzero_ps(); 2];
+        let subs = out.qperm.chunks_exact(dsub).zip(store.ct.chunks_exact(dsub * KSUB));
+        for ((qsub, ct_j), row) in subs.zip(out.table.chunks_exact_mut(KSUB)) {
+            let d = crate::distance::avx2::sub_dists16_ymm(qsub, ct_j);
+            let mn = min16(d);
+            bias += mn;
+            let mnv = _mm256_set1_ps(mn);
+            let res = [_mm256_sub_ps(d[0], mnv), _mm256_sub_ps(d[1], mnv)];
+            _mm256_storeu_ps(row.as_mut_ptr(), res[0]);
+            _mm256_storeu_ps(row.as_mut_ptr().add(8), res[1]);
+            maxes = [_mm256_max_ps(res[0], maxes[0]), _mm256_max_ps(res[1], maxes[1])];
+        }
+        let mut lanes = [0.0f32; KSUB];
+        _mm256_storeu_ps(lanes.as_mut_ptr(), maxes[0]);
+        _mm256_storeu_ps(lanes.as_mut_ptr().add(8), maxes[1]);
+        let maxres = lanes.iter().fold(0.0f32, |a, &b| if b > a { b } else { a });
+        let inv = _mm256_set1_ps(if maxres > 0.0 { 255.0 / maxres } else { 0.0 });
+        let live: [u8; 32] =
+            std::array::from_fn(|i| if i % 16 < store.ncent { 0xFF } else { 0 });
+        let live = _mm256_loadu_si256(live.as_ptr().cast());
+        let order = _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7);
+        for (k, lut) in out.lut.chunks_exact_mut(LUT_CHUNK).enumerate() {
+            let mut rows = [_mm256_setzero_si256(); 16];
+            for (l, &slot) in BITREV.iter().enumerate() {
+                let j = 32 * k + 2 * l;
+                let (e, o) =
+                    (quantize16(&out.table, j, m, inv), quantize16(&out.table, j + 1, m, inv));
+                // Words [e0-3 e8-11 | e4-7 e12-15] and the same of `o`;
+                // bytes [e0-3 e8-11 o0-3 o8-11 | e4-7 e12-15 o4-7 o12-15],
+                // put in entry order by one dword permute.
+                let bytes = _mm256_packus_epi16(
+                    _mm256_packus_epi32(e[0], e[1]),
+                    _mm256_packus_epi32(o[0], o[1]),
+                );
+                rows[slot] = _mm256_and_si256(_mm256_permutevar8x32_epi32(bytes, order), live);
+            }
+            transpose16(&mut rows);
+            debug_assert_eq!(lut.len(), 16 * 32);
+            for (c, row) in rows.iter().enumerate() {
+                // SAFETY: entry row `c` is bytes `c*32 ..+ 32` of the
+                // 512-byte chunk.
+                _mm256_storeu_si256(lut.as_mut_ptr().add(c * 32).cast(), *row);
+            }
+        }
+        out.lut_scale = maxres / 255.0;
+        out.lut_bias = bias;
+    }
+
+    /// `min16` of the two halves: `vminps(a, b)` is `a < b ? a : b`, the
+    /// scalar select, taken over the same pairs.
+    #[inline(always)]
+    unsafe fn min16(d: [__m256; 2]) -> f32 {
+        let h8 = _mm256_min_ps(d[0], d[1]);
+        let h4 = _mm_min_ps(_mm256_castps256_ps128(h8), _mm256_extractf128_ps::<1>(h8));
+        let h2 = _mm_min_ps(h4, _mm_movehl_ps(h4, h4));
+        _mm_cvtss_f32(_mm_min_ss(h2, _mm_shuffle_ps::<0b01>(h2, h2)))
+    }
+
+    /// Row `j` of `table` times `inv` through `round_to_u8`, each byte in
+    /// the low bits of its `i32` lane (entries 0–7, then 8–15); zero for a
+    /// padded subquantizer (`j ≥ m`).
+    #[inline(always)]
+    unsafe fn quantize16(table: &[f32], j: usize, m: usize, inv: __m256) -> [__m256i; 2] {
+        if j >= m {
+            return [_mm256_setzero_si256(); 2];
+        }
+        debug_assert!(table.len() >= (j + 1) * super::KSUB);
+        // SAFETY: row `j < m` is floats `16j ..+ 16` of the `16m`-float table.
+        let row = table.as_ptr().add(j * super::KSUB);
+        [
+            round_to_u8(_mm256_mul_ps(_mm256_loadu_ps(row), inv)),
+            round_to_u8(_mm256_mul_ps(_mm256_loadu_ps(row.add(8)), inv)),
+        ]
+    }
+
+    /// `super::round_to_u8` on eight lanes, operation for operation: the
+    /// saturation (`vminps(255, x)` is `x > 255 ? 255 : x`), the 2²³
+    /// round trip, the `+½` tie fix-up, and the low byte of `r + 2²³`.
+    #[inline(always)]
+    unsafe fn round_to_u8(x: __m256) -> __m256i {
+        let two23 = _mm256_set1_ps(8_388_608.0);
+        let x = _mm256_min_ps(_mm256_set1_ps(255.0), x);
+        let even = _mm256_sub_ps(_mm256_add_ps(x, two23), two23);
+        let tie = _mm256_cmp_ps::<_CMP_EQ_OQ>(_mm256_sub_ps(x, even), _mm256_set1_ps(0.5));
+        let r = _mm256_blendv_ps(even, _mm256_add_ps(even, _mm256_set1_ps(1.0)), tie);
+        _mm256_and_si256(_mm256_castps_si256(_mm256_add_ps(r, two23)), _mm256_set1_epi32(0xFF))
+    }
+
+    /// Transposes each 128-bit half of sixteen vectors as a 16 × 16 byte
+    /// matrix: four rounds of interleaving vector `i` with vector `i + 8`
+    /// (bytes, words, dwords, quadwords), after which vector `c` holds
+    /// byte `c` of every input, input `i` at byte `i` bit-reversed.
+    #[inline(always)]
+    unsafe fn transpose16(r: &mut [__m256i; 16]) {
+        macro_rules! round {
+            ($lo:ident, $hi:ident) => {{
+                let s = *r;
+                for i in 0..8 {
+                    r[2 * i] = $lo(s[i], s[i + 8]);
+                    r[2 * i + 1] = $hi(s[i], s[i + 8]);
+                }
+            }};
+        }
+        round!(_mm256_unpacklo_epi8, _mm256_unpackhi_epi8);
+        round!(_mm256_unpacklo_epi16, _mm256_unpackhi_epi16);
+        round!(_mm256_unpacklo_epi32, _mm256_unpackhi_epi32);
+        round!(_mm256_unpacklo_epi64, _mm256_unpackhi_epi64);
     }
 }
 
@@ -1112,6 +1287,47 @@ mod tests {
         }
         for x in [255.0f32.next_up(), 255.5, 256.0, 1e9, f32::INFINITY, f32::NAN] {
             assert_eq!(round_to_u8(x), want(x), "x = {x:?}");
+        }
+    }
+
+    /// The AVX2 prepare pass against the scalar reference on Deep-96
+    /// (m = 16: one chunk, half of it padding), Gist-960 (m = 160: five
+    /// full chunks) and two odd geometries (an odd `m`; a store too small
+    /// for 16 centroids): the same LUT bytes, scale and bias for random
+    /// queries, stored rows (zero residuals), and queries scaled far out.
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn avx2_prepare_matches_the_scalar_reference() {
+        if native_tier() < TIER_AVX2 {
+            println!("no AVX2 on this CPU: nothing to compare");
+            return;
+        }
+        for (dim, m, n) in [(96, 16, 400), (960, 160, 200), (7, 7, 40), (100, 20, 9)] {
+            let store = mixed_store(n, dim, dim as u32 * 3);
+            let pq = PqStore::from_store(&store, Some(m));
+            let (mut fast, mut slow) = (PreparedQuery::default(), PreparedQuery::default());
+            for q in 0..24u32 {
+                let query: Vec<f32> = match q % 3 {
+                    0 => mixed_store(1, dim, 7000 + q).get(0).to_vec(),
+                    1 => store.get(q % n as u32).to_vec(),
+                    _ => mixed_store(1, dim, 9000 + q).get(0).iter().map(|x| x * 1e3).collect(),
+                };
+                pq.size_prepared(&mut slow);
+                pq.prepare_scalar(&query, &mut slow);
+                pq.size_prepared(&mut fast);
+                fast.lut.fill(0xA5);
+                // SAFETY: CPUID reported AVX2, and `size_prepared` sized
+                // the buffers for this store and its `dim`-float query.
+                unsafe { avx2::prepare(&pq, &query, &mut fast) };
+                let label = format!("dim={dim} m={m} n={n} query {q}");
+                assert_eq!(fast.lut, slow.lut, "{label}: table");
+                assert_eq!(
+                    fast.lut_scale.to_bits(),
+                    slow.lut_scale.to_bits(),
+                    "{label}: scale"
+                );
+                assert_eq!(fast.lut_bias.to_bits(), slow.lut_bias.to_bits(), "{label}: bias");
+            }
         }
     }
 

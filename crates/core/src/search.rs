@@ -9,10 +9,11 @@
 //! the normalization the paper performs across its twelve baselines.
 
 use crate::distance::{
-    l2_sq, l2_sq_batch, prefetch_enabled, prefetch_slice, DistCounter, Space,
+    l2_sq, l2_sq_batch, l2_sq_batch_bounded, prefetch_enabled, prefetch_slice, DistCounter,
+    Space,
 };
 use crate::graph::GraphView;
-use crate::neighbor::{Neighbor, SortedBuffer};
+use crate::neighbor::{BoundedMaxHeap, Neighbor, SortedBuffer};
 use crate::quant::{CodecStore, PqStore, PreparedQuery, QuantizedStore, Sq4Store};
 use crate::reorder::IdRemap;
 use crate::term::{TermState, Termination};
@@ -511,9 +512,9 @@ fn traverse<G: GraphView + ?Sized, S: Scorer>(
 /// Two-phase quantized beam search: [`traverse`] with every candidate
 /// scored in code space by `codec`; the candidate buffer is widened to
 /// hold at least `rerank * k` entries, and the leading `rerank * k`
-/// candidates are re-scored with exact `f32` distances before the final
-/// top-`k` cut. Returned distances are therefore always exact; only the
-/// traversal ranking is approximate.
+/// candidates are re-scored with exact `f32` distances ([`exact_rerank`])
+/// before the final top-`k` cut. Returned distances are therefore always
+/// exact; only the traversal ranking is approximate.
 ///
 /// `stats.evaluated` (and the [`DistCounter`] total) counts both phases —
 /// the `u8`/`f32` split is on the counter, published once per phase.
@@ -539,26 +540,67 @@ fn beam_search_quantized<G: GraphView + ?Sized, C: CodecStore + ?Sized>(
     let SearchScratch { visited, buffer, prepared, .. } = scratch;
     let rows = CodeRows { codec, prepared, counter: space.counter() };
     let mut stats = traverse(graph, &rows, seeds, k, visited, buffer, None, term, gate);
+    let pool = buffer.top_k(k.saturating_mul(rerank));
+    let neighbors = exact_rerank(space, query, &pool, k);
+    stats.evaluated += pool.len();
+    SearchResult { neighbors, stats }
+}
 
-    // Phase 2: exact rerank. Re-score the `rerank_factor * k` best
-    // quantized candidates with full-precision distances (4-wide batched)
-    // and return the exact top `k` of that pool. The pool's rows are cold
-    // (the traversal read codes), so with prefetch on they are all
-    // requested before the first is scored.
-    let cands = buffer.top_k(k.saturating_mul(rerank));
-    let exact_rows = FullRows { space, query };
+/// The exact rerank of a quantized search: the `k` nearest of `pool` by
+/// full-precision distance, closest first — what scoring every row,
+/// sorting and truncating to `k` returns, bit for bit — with every row of
+/// `pool` published to `space`'s counter as one `f32` evaluation.
+///
+/// The pool's rows are cold (the traversal read codes), so with prefetch on
+/// they are all requested before the first is scored. Rows are scored in
+/// pool order, four at a time through [`l2_sq_batch_bounded`] against the
+/// `k`-th exact distance so far (a [`BoundedMaxHeap`]'s bound; `+∞` until
+/// it holds `k`), and the tail one at a time. A batch the kernel stops is
+/// four rows whose distances are all strictly above that bound, so none of
+/// them could enter the heap; each still counts as one evaluation, so the
+/// published count is `pool.len()` whatever the kernel skipped.
+pub fn exact_rerank(
+    space: Space<'_>,
+    query: &[f32],
+    pool: &[Neighbor],
+    k: usize,
+) -> Vec<Neighbor> {
+    let rows = FullRows { space, query };
     if prefetch_enabled() {
-        cands.iter().for_each(|c| exact_rows.prefetch(c.id));
+        pool.iter().for_each(|c| rows.prefetch(c.id));
     }
-    let mut exact = Vec::with_capacity(cands.len());
-    let scored = score_in_fours(&exact_rows, cands.iter().map(|c| c.id), |id, d| {
-        exact.push(Neighbor::new(id, d))
-    });
-    exact_rows.publish(scored);
-    stats.evaluated += scored;
-    exact.sort_unstable();
-    exact.truncate(k);
-    SearchResult { neighbors: exact, stats }
+    let neighbors = rerank_with(&rows, pool, k, l2_sq_batch_bounded);
+    rows.publish(pool.len());
+    neighbors
+}
+
+/// [`exact_rerank`]'s scoring with the four-row kernel given (the unit
+/// tests pass each tier's).
+#[inline]
+fn rerank_with(
+    rows: &FullRows<'_>,
+    pool: &[Neighbor],
+    k: usize,
+    mut batch: impl FnMut(&[f32], [&[f32]; 4], f32) -> Option<[f32; 4]>,
+) -> Vec<Neighbor> {
+    if k == 0 {
+        return Vec::new();
+    }
+    let store = rows.space.store();
+    let mut best = BoundedMaxHeap::new(k);
+    let mut fours = pool.chunks_exact(4);
+    for four in &mut fours {
+        let ids = [four[0].id, four[1].id, four[2].id, four[3].id];
+        if let Some(ds) = batch(rows.query, ids.map(|id| store.get(id)), best.bound()) {
+            for (id, d) in ids.into_iter().zip(ds) {
+                best.push(Neighbor::new(id, d));
+            }
+        }
+    }
+    for c in fours.remainder() {
+        best.push(Neighbor::new(c.id, rows.score(c.id)));
+    }
+    best.into_sorted()
 }
 
 /// [`beam_search`] variant that can also record **every** evaluated node in
@@ -940,6 +982,111 @@ mod tests {
         assert_eq!(counter.get(), res.stats.evaluated as u64);
         assert!(counter.get_u8() > 0, "traversal must run on u8 distances");
         assert!(counter.get_f32() > 0, "rerank must run on f32 distances");
+    }
+
+    /// The bounded rerank against scoring every row, sorting and
+    /// truncating: pools of 1..=150 rows (short of a batch, not a multiple
+    /// of four, `k` at, under and over the pool) drawn from rows that
+    /// repeat each other's distances, rows at `+∞`, and rows that match the
+    /// query past the first 64 coordinates (so a check sees a full
+    /// distance, and a tie at the bound is a real case). Pools come both
+    /// shuffled and near the traversal's order. Each tier's kernel must
+    /// return the same neighbours with the same distance bits, and
+    /// [`exact_rerank`] must publish one evaluation per pool row.
+    #[test]
+    fn bounded_rerank_matches_sort_and_truncate() {
+        use crate::distance::{l2_sq_batch_bounded_scalar, l2_sq_scalar};
+        use rand::rngs::SmallRng;
+        use rand::seq::SliceRandom;
+        use rand::{RngExt, SeedableRng};
+
+        type Kernel = fn(&[f32], [&[f32]; 4], f32) -> Option<[f32; 4]>;
+        let mut tiers: Vec<(&str, Kernel)> = vec![("scalar", l2_sq_batch_bounded_scalar)];
+        #[cfg(target_arch = "x86_64")]
+        if crate::distance::native_tier() >= crate::distance::TIER_AVX2 {
+            // SAFETY: CPUID reported AVX2, and every row below is as long
+            // as the query.
+            tiers.push(("avx2", |q, vs, b| unsafe {
+                debug_assert!(vs.iter().all(|v| v.len() == q.len()));
+                crate::distance::avx2::l2_sq_batch_bounded(q, vs, b)
+            }));
+        } else {
+            println!("no AVX2 on this CPU: only the scalar kernel was driven");
+        }
+        let mut stopped = 0usize;
+        for dim in [64usize, 100] {
+            let mut rng = SmallRng::seed_from_u64(dim as u64);
+            let query: Vec<f32> = (0..dim).map(|_| rng.random_range(-1.0..1.0)).collect();
+            let mut flat = Vec::new();
+            for r in 0..200usize {
+                let row: Vec<f32> = match r % 10 {
+                    // A repeat of an earlier row: the same distance.
+                    0..=3 if r >= 10 => flat[(r - 10) * dim..(r - 9) * dim].to_vec(),
+                    4 => vec![f32::INFINITY; dim],
+                    _ => (0..dim)
+                        .map(|d| {
+                            if d >= 64 {
+                                query[d]
+                            } else {
+                                query[d] + rng.random_range(-0.5..0.5f32)
+                            }
+                        })
+                        .collect(),
+                };
+                flat.extend(row);
+            }
+            let store = VectorStore::from_flat(dim, flat);
+            let exact: Vec<f32> =
+                (0..200).map(|id| l2_sq_scalar(&query, store.get(id))).collect();
+            for size in 1..=150usize {
+                let mut ids: Vec<u32> = (0..200).collect();
+                ids.shuffle(&mut rng);
+                ids.truncate(size);
+                if size % 2 == 0 {
+                    // Near the order a traversal hands over: by distance,
+                    // with a few swaps.
+                    ids.sort_by(|&a, &b| exact[a as usize].total_cmp(&exact[b as usize]));
+                    for _ in 0..size / 8 {
+                        let (i, j) = (rng.random_range(0..size), rng.random_range(0..size));
+                        ids.swap(i, j);
+                    }
+                }
+                let pool: Vec<Neighbor> =
+                    ids.iter().map(|&id| Neighbor::new(id, 0.0)).collect();
+                for k in [1, 3, 10, size, size + 5] {
+                    let mut want: Vec<Neighbor> =
+                        ids.iter().map(|&id| Neighbor::new(id, exact[id as usize])).collect();
+                    want.sort_unstable();
+                    want.truncate(k);
+                    let bits = |v: &[Neighbor]| -> Vec<(u32, u32)> {
+                        v.iter().map(|n| (n.id, n.dist.to_bits())).collect()
+                    };
+                    let counter = DistCounter::new();
+                    let rows = FullRows { space: Space::new(&store, &counter), query: &query };
+                    for &(tier, kernel) in &tiers {
+                        let got = rerank_with(&rows, &pool, k, |q, vs, b| {
+                            let out = kernel(q, vs, b);
+                            stopped += usize::from(out.is_none());
+                            out
+                        });
+                        assert_eq!(
+                            bits(&got),
+                            bits(&want),
+                            "{tier} dim {dim} pool {size} k {k}"
+                        );
+                    }
+                    let got = exact_rerank(rows.space, &query, &pool, k);
+                    assert_eq!(
+                        bits(&got),
+                        bits(&want),
+                        "dispatched dim {dim} pool {size} k {k}"
+                    );
+                    assert_eq!(counter.get_f32(), size as u64, "one evaluation per pool row");
+                    assert_eq!(counter.get_u8(), 0);
+                }
+            }
+        }
+        assert!(stopped > 1000, "the early exit must be exercised, got {stopped} stops");
     }
 
     #[test]

@@ -269,14 +269,17 @@ impl Partitioned<PrebuiltIndex, CentroidRouter> {
     /// deterministic re-applications on load, and seed structures are
     /// rebuilt rather than shipped.
     ///
-    /// # Panics
-    /// Panics if a shard has been frozen (its build graph has moved into
-    /// CSR, and a reorder would also have permuted its store rows).
+    /// # Errors
+    /// Returns an `InvalidInput` I/O error, before touching `dir`, if a
+    /// shard has been frozen (its build graph has moved into CSR, and a
+    /// reorder would also have permuted its store rows).
     pub fn save(&self, dir: &Path) -> Result<(), PersistError> {
-        assert!(
-            !self.parts.iter().any(|s| s.index.is_frozen()),
-            "save sharded state before freezing or reordering (the ladder re-applies on load)"
-        );
+        if self.parts.iter().any(|s| s.index.is_frozen()) {
+            return Err(PersistError::Io(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                "save sharded state before freezing or reordering (the ladder re-applies on load)",
+            )));
+        }
         begin_dir(dir)?;
         for (s, shard) in self.parts.iter().enumerate() {
             save_shard(dir, s, shard.index.store(), shard.index.graph())?;
@@ -723,14 +726,18 @@ mod tests {
         }
     }
 
+    /// Saving a frozen index is an error, returned before the directory is
+    /// touched: no table (nor any shard file) is written.
     #[test]
-    #[should_panic(expected = "before freezing or reordering")]
     fn save_rejects_frozen_shards() {
         let store = blobs(60, 4, 8);
         let mut idx = build_knn_sharded(&store, &ShardedParams::new(2), 5, &DistCounter::new());
         idx.freeze();
         let dir = TestDir::new("frozen_save");
-        let _ = idx.save(&dir.0);
+        let err = idx.save(&dir.0).expect_err("a frozen index must not save");
+        assert!(err.to_string().contains("before freezing or reordering"), "{err}");
+        assert!(!dir.0.join(TABLE_FILE).exists(), "no table file may be written");
+        assert!(!dir.0.exists() || std::fs::read_dir(&dir.0).unwrap().next().is_none());
     }
 
     #[test]
