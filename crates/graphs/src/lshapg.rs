@@ -139,8 +139,9 @@ mod tests {
         use gass_core::TerminationPolicy;
 
         /// FNV-1a over every answer's ids, distance bits, hops and
-        /// evaluations, recorded before the routed traversal read `term`.
-        const FIXED_ANSWERS: u64 = 0x7233_c4af_37ba_d385;
+        /// evaluations, recorded before the routed traversal read `term`,
+        /// and re-recorded when the sketch gate's scale became `1 / m`.
+        const FIXED_ANSWERS: u64 = 0x449a_987b_b148_3014;
 
         let base = deep_like(800, 5);
         let queries = deep_like(10, 6);

@@ -391,37 +391,39 @@ fn golden_multi_seed_sink_order() {
 /// must answer 30 fixed queries with the same ids, distance bits, hops,
 /// evaluation counts and `u8` / `f32` counter totals under every codec,
 /// as built and RCM-relabelled, at a Fixed beam, under a distance budget
-/// and at `L = 8`, below `k` and the rerank pool.
+/// and at `L = 8`, below `k` and the rerank pool. The `L = 64` and `L = 8`
+/// cells were re-recorded when the sketch gate's scale became `1 / m`;
+/// the budget cells stop before the gate rejects anything and held.
 #[test]
 fn golden_lshapg_answers_and_counts() {
     use gass::core::{CodecSpec, ReorderStrategy};
     use gass::graphs::{lshapg, LshapgIndex, LshapgParams};
 
     const PINS: [(&str, u64); 24] = [
-        ("as built f32 L=64", 0xc893_799f_5d3a_e917),
+        ("as built f32 L=64", 0x19c4_bb5c_04d5_6f57),
         ("as built f32 budget 60", 0xe23a_f722_0481_a307),
-        ("as built f32 L=8", 0x9270_ec63_8a3b_3ce1),
-        ("as built sq8 L=64", 0xd8fd_0c31_ea91_3585),
+        ("as built f32 L=8", 0x6410_d466_42a9_8840),
+        ("as built sq8 L=64", 0x1246_1f1b_4cb0_652b),
         ("as built sq8 budget 60", 0x45f4_570e_66c0_cf5a),
-        ("as built sq8 L=8", 0x82d8_01c6_cb61_189b),
-        ("as built sq4 L=64", 0x0514_f02b_774a_430a),
+        ("as built sq8 L=8", 0x9adc_7f5d_3a04_79f7),
+        ("as built sq4 L=64", 0xe8fb_d6cc_15f6_6688),
         ("as built sq4 budget 60", 0xb60a_69f2_8f01_dc27),
-        ("as built sq4 L=8", 0xe73a_e686_2afa_5ba4),
-        ("as built pq L=64", 0x7a15_aa13_fda5_92a5),
+        ("as built sq4 L=8", 0x2f9c_0243_590b_900f),
+        ("as built pq L=64", 0x1f2f_cb71_9100_8e66),
         ("as built pq budget 60", 0x67d3_e60d_7f04_fbeb),
-        ("as built pq L=8", 0x8baa_ee9d_dc40_e62b),
-        ("rcm f32 L=64", 0xc893_799f_5d3a_e917),
+        ("as built pq L=8", 0x4bff_b4ab_66b5_75e6),
+        ("rcm f32 L=64", 0x19c4_bb5c_04d5_6f57),
         ("rcm f32 budget 60", 0xe23a_f722_0481_a307),
-        ("rcm f32 L=8", 0x9270_ec63_8a3b_3ce1),
-        ("rcm sq8 L=64", 0xd8fd_0c31_ea91_3585),
+        ("rcm f32 L=8", 0x6410_d466_42a9_8840),
+        ("rcm sq8 L=64", 0x1246_1f1b_4cb0_652b),
         ("rcm sq8 budget 60", 0x45f4_570e_66c0_cf5a),
-        ("rcm sq8 L=8", 0x82d8_01c6_cb61_189b),
-        ("rcm sq4 L=64", 0x0514_f02b_774a_430a),
+        ("rcm sq8 L=8", 0x9adc_7f5d_3a04_79f7),
+        ("rcm sq4 L=64", 0xe8fb_d6cc_15f6_6688),
         ("rcm sq4 budget 60", 0xb60a_69f2_8f01_dc27),
-        ("rcm sq4 L=8", 0xe73a_e686_2afa_5ba4),
-        ("rcm pq L=64", 0x94f4_bbbc_f64c_9adb),
+        ("rcm sq4 L=8", 0x2f9c_0243_590b_900f),
+        ("rcm pq L=64", 0x29bd_e009_afe5_0192),
         ("rcm pq budget 60", 0xcf40_e811_5af5_8002),
-        ("rcm pq L=8", 0x56a5_8236_8d62_b69f),
+        ("rcm pq L=8", 0x4a67_7326_3975_e6ed),
     ];
 
     let base = gass::data::synth::deep_like(1500, 11);
@@ -465,20 +467,21 @@ fn golden_lshapg_answers_and_counts() {
 /// queries at `seed_count` 1 and 3 with the same ids, distance bits, hops,
 /// evaluation counts and `u8` / `f32` counter totals — full precision and
 /// SQ8, as built and RCM-relabelled. Both seed counts sit below the floor,
-/// so each pair of cells is one hash.
+/// so each pair of cells is one hash. Re-recorded when the sketch gate's
+/// scale became `1 / m` (the two seed counts still hash alike).
 #[test]
 fn golden_lshapg_seed_floor() {
     use gass::core::{CodecSpec, ReorderStrategy};
 
     const PINS: [(&str, u64); 8] = [
-        ("as built f32 seeds=1", 0x9018_d10d_ce7e_ea24),
-        ("as built f32 seeds=3", 0x9018_d10d_ce7e_ea24),
-        ("as built sq8 seeds=1", 0xb7e5_ceca_facf_aa22),
-        ("as built sq8 seeds=3", 0xb7e5_ceca_facf_aa22),
-        ("rcm f32 seeds=1", 0x9018_d10d_ce7e_ea24),
-        ("rcm f32 seeds=3", 0x9018_d10d_ce7e_ea24),
-        ("rcm sq8 seeds=1", 0xb7e5_ceca_facf_aa22),
-        ("rcm sq8 seeds=3", 0xb7e5_ceca_facf_aa22),
+        ("as built f32 seeds=1", 0x0e20_c179_110c_e6fa),
+        ("as built f32 seeds=3", 0x0e20_c179_110c_e6fa),
+        ("as built sq8 seeds=1", 0x42a5_7cf0_ca45_8c11),
+        ("as built sq8 seeds=3", 0x42a5_7cf0_ca45_8c11),
+        ("rcm f32 seeds=1", 0x0e20_c179_110c_e6fa),
+        ("rcm f32 seeds=3", 0x0e20_c179_110c_e6fa),
+        ("rcm sq8 seeds=1", 0x42a5_7cf0_ca45_8c11),
+        ("rcm sq8 seeds=3", 0x42a5_7cf0_ca45_8c11),
     ];
 
     let base = gass::data::synth::deep_like(1500, 31);
@@ -559,7 +562,9 @@ fn every_method(base: &VectorStore) -> Vec<(Box<dyn AnnIndex>, u64)> {
 /// `PrebuiltIndex` with a sketch gate (its unsearched hierarchy dropped),
 /// IEH stopped holding sketch rows and the LSH tables began counting the
 /// `new → old` table a reorder installs: only `aux_bytes` moved, and the
-/// grid hashed with `aux_bytes` masked was equal before and after.
+/// grid hashed with `aux_bytes` masked was equal before and after. The
+/// LSHAPG row was re-recorded once more when the sketch gate's scale
+/// became `1 / m`, which changes what the gate admits.
 #[test]
 fn golden_method_answers_and_stats() {
     use gass::core::{CodecSpec, ReorderStrategy};
@@ -577,7 +582,7 @@ fn golden_method_answers_and_stats() {
         ("SPTAG-KDT", [0x3a3a_3d64_c834_7454, 0xff99_f566_a3d4_ee08, 0x557c_4397_1015_704c]),
         ("SPTAG-BKT", [0x9007_45a2_7b77_775d, 0x7ddd_2e38_82ad_02f6, 0xcfdc_93f1_a66a_15aa]),
         ("ELPIS", [0xc1d0_5dd8_acf8_285e, 0x7e1e_6698_8bf2_b2fd, 0x3eb3_be36_d1fa_86e2]),
-        ("LSHAPG", [0xe218_bdef_0e80_7242, 0x3236_84e6_0246_ce39, 0x8e11_3744_f3ab_65dd]),
+        ("LSHAPG", [0xc7e5_7f66_fc5d_1800, 0x4595_8442_c3d0_49ed, 0x5ebc_1ac2_a1d4_6e09]),
         ("NSW", [0x2a92_b8e6_8a4f_e2a4, 0xf6d5_f5d9_df8d_4f04, 0xdd14_7200_85b7_3191]),
         ("II+RND", [0xd7a9_9ecf_38ec_f937, 0x471c_ebd5_0806_8064, 0x86fa_a3d5_78e5_e6e6]),
         ("IEH", [0x85ca_db77_644b_2b26, 0x0055_4ea7_c37f_e219, 0x5fc7_3733_f7ed_e70d]),
@@ -631,7 +636,8 @@ fn golden_method_answers_and_stats() {
 /// to where the serving graph lives may move memory, never this. The HNSW,
 /// NGT, SPTAG-BKT, ELPIS and HVS rows were re-recorded when their seed
 /// selection's distances began to count in `evaluated` (see
-/// [`golden_method_answers_and_stats`]).
+/// [`golden_method_answers_and_stats`]), and the LSHAPG row when the
+/// sketch gate's scale became `1 / m`.
 #[test]
 fn golden_method_layout_and_answers() {
     use gass::core::{CodecSpec, ReorderStrategy};
@@ -649,7 +655,7 @@ fn golden_method_layout_and_answers() {
         ("SPTAG-KDT", [0x542f_5a9f_d912_4ebd, 0x27c0_fc2f_1726_6649, 0x27c0_fc2f_1726_6649]),
         ("SPTAG-BKT", [0xef71_80cb_93b7_d187, 0x6ad6_4d58_58d8_5196, 0x6ad6_4d58_58d8_5196]),
         ("ELPIS", [0xa498_7085_5256_bdee, 0x9992_8390_9d49_6862, 0x9992_8390_9d49_6862]),
-        ("LSHAPG", [0x3554_971d_62a1_6523, 0x86b3_cad5_325f_5816, 0x86b3_cad5_325f_5816]),
+        ("LSHAPG", [0x8884_52db_0bc3_4bf1, 0x0ca1_2aec_7fbd_ce22, 0x0ca1_2aec_7fbd_ce22]),
         ("NSW", [0xff7c_e34b_b968_49d2, 0xe86b_8663_a82a_3fae, 0x6514_8d39_f48b_c8f3]),
         ("II+RND", [0x3501_e13c_e2d7_0642, 0xe4f1_9992_c53a_8dfa, 0xb97f_da0c_cddc_e698]),
         ("IEH", [0xa5aa_82ec_af05_8487, 0x4534_78e4_ce5d_cde6, 0x4534_78e4_ce5d_cde6]),
@@ -762,7 +768,8 @@ fn answers_hash_without_evaluated(h: &mut Fnv, results: &[gass::core::SearchResu
 /// where a seed provider's distances are reported may change
 /// `evaluated`; it may not change an answer or what was counted. The
 /// LSHAPG and IEH method rows were re-recorded when their `aux_bytes`
-/// moved (see [`golden_method_answers_and_stats`]).
+/// moved, and the LSHAPG row again when the sketch gate's scale became
+/// `1 / m` (see [`golden_method_answers_and_stats`]).
 #[test]
 fn golden_answers_without_evaluated() {
     use gass::core::{
@@ -791,7 +798,7 @@ fn golden_answers_without_evaluated() {
         ("SPTAG-KDT", [0x16e8_14ce_3fea_30a3, 0x6c62_a279_5b63_b464, 0x5b0c_ea3c_052d_9340]),
         ("SPTAG-BKT", [0x440e_612b_2e91_a56d, 0x63b7_b3cc_35ac_d962, 0xaad5_55bb_2576_cafe]),
         ("ELPIS", [0xcf80_598a_7c36_6883, 0x2037_8a1a_178c_46f3, 0x4363_9932_ca18_ddf8]),
-        ("LSHAPG", [0xce42_488e_2af7_8ce8, 0x7b05_bd79_a218_765b, 0xd420_5fef_a3ae_c187]),
+        ("LSHAPG", [0x62c9_412b_4ba6_4fea, 0xe19a_c610_38a4_0fbb, 0x822d_78b8_493f_b167]),
         ("NSW", [0xd3da_2fa2_2649_4b62, 0x34f4_b616_5eb2_33a9, 0xad21_3b80_57f1_c1e1]),
         ("II+RND", [0x56c1_d607_7a62_7ddb, 0x95b3_2547_8cd4_30a8, 0xb02a_f6f6_9139_fcf3]),
         ("IEH", [0x2956_d1b5_ec61_47ce, 0xebc5_f673_62b1_5331, 0x4e0f_90da_0205_eab5]),
